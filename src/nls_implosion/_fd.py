@@ -67,17 +67,24 @@ def _stencils(h: float, m: int, acc: int):
     return half, n_side, center, lo, hi
 
 
-def derivative(f: np.ndarray, h: float, m: int, acc: int = 4) -> np.ndarray:
+def derivative(f: np.ndarray, h: float, m: int, acc: int = 4,
+               even: bool = False) -> np.ndarray:
     """m-th derivative of samples f on a uniform grid of spacing h.
 
     Centered stencils of formal order `acc` in the interior, one-sided
-    stencils of the same order at the boundaries.
+    stencils of the same order at the boundaries.  With `even`, f samples
+    an even radial field on a grid starting at R = 0 (f(-R) = f(R)): the
+    grid is reflected through its first node by the stencil half-width, so
+    every row but the last `half` uses the centered stencil, and only the
+    right edge is one-sided.
     """
     f = np.asarray(f, dtype=float)
-    n = len(f)
     if m == 0:
         return f.copy()
     half, n_side, center, lo, hi = _stencils(h, m, acc)
+    if even:
+        f = np.concatenate([f[half:0:-1], f])
+    n = len(f)
     if n < max(2 * half + 1, n_side):
         raise ResolutionError(
             f"grid of {n} points too short for order-{m} derivative at accuracy {acc}")
@@ -85,6 +92,9 @@ def derivative(f: np.ndarray, h: float, m: int, acc: int = 4) -> np.ndarray:
     out = np.empty(n)
     out[half:n - half] = np.convolve(f, center[::-1], mode="valid")
     for i in range(half):
-        out[i] = lo[i] @ f[:n_side]
         out[n - 1 - i] = hi[i] @ f[n - n_side:]
+    if even:
+        return out[half:]
+    for i in range(half):
+        out[i] = lo[i] @ f[:n_side]
     return out

@@ -326,6 +326,9 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
         print(f"evolution aborted: {exc}; last good snapshot written",
               file=err)
         return EXIT_ABORT
+    except WorkbenchError as exc:
+        print(f"simulation failure: {exc}", file=err)
+        return EXIT_SOLVER
     if "csv" in cfg.emit:
         _write_atomic(_out(cfg, f"simulate_{tag}.csv"),
                       _stamp_csv(rep.to_csv(), cfg))

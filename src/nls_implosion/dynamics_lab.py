@@ -2,7 +2,10 @@
 
 The stepper advances the (Psi, S) system with quantum pressure by an
 explicit strong-stability-preserving third-order scheme on a uniform
-radial grid; stationarity residuals, the weighted energy functionals, a
+radial grid.  Its stages run on plain arrays, with one even-reflection
+derivative of Psi per stage; validated FieldSets are built only where a
+caller needs one (step's result, simulate's sample points and abort
+snapshots).  Stationarity residuals, the weighted energy functionals, a
 statistical dissipativity probe of the cut-off linearized operator, and a
 Sobolev blow-up-rate diagnostic live alongside it.  Everything reduces the
 d = 8 problem to its radial form: Lap f = f'' + 7 f'/R with the regular
@@ -38,6 +41,8 @@ from .profile_solver import ProfileTable
 from .selfsimilar_fields import (
     FieldSet,
     _even_d1,
+    _even_d2,
+    _laplacian_from,
     _smooth_step,
     cutoff,
     radial_laplacian,
@@ -236,6 +241,9 @@ S_FLOOR = 1e-300
 #: default s0 it sits around e^{-200}, far beneath any other error source
 QP_COEF_FLOOR = 1e-30
 
+#: largest exponent whose exp() is finite in double precision
+_EXP_MAX = float(np.log(np.finfo(float).max))
+
 
 def _log_density(S: np.ndarray, params: ProfileParams) -> np.ndarray:
     alpha = params.alpha
@@ -244,19 +252,18 @@ def _log_density(S: np.ndarray, params: ProfileParams) -> np.ndarray:
                 / (2.0 * alpha))
 
 
-def _rhs(Psi: np.ndarray, S: np.ndarray, R: np.ndarray, h: float,
-         params: ProfileParams, s: float, quantum: bool
+def _rhs(Psi: np.ndarray, dPsi: np.ndarray, S: np.ndarray, R: np.ndarray,
+         h: float, params: ProfileParams, s: float, quantum: bool
          ) -> tuple[np.ndarray, np.ndarray]:
     r, alpha, d = params.r, params.alpha, params.d
-    dPsi = _even_d1(Psi, h)
     dS = _even_d1(S, h)
-    lapPsi = radial_laplacian(Psi, R, h, d=d)
+    lapPsi = _laplacian_from(dPsi, _even_d2(Psi, h), R, d)
     qp = 0.0
     coef = np.exp((4.0 - 2.0 * r) * s)
     if quantum and coef > QP_COEF_FLOOR and np.any(S > S_FLOOR):
         w = _log_density(np.maximum(S, S_FLOOR), params)
         dw = _even_d1(w, h)
-        qp = coef * (radial_laplacian(w, R, h, d=d) + dw * dw)
+        qp = coef * (_laplacian_from(dw, _even_d2(w, h), R, d) + dw * dw)
         qp = np.where(S > S_FLOOR, qp, 0.0)
     rhs_Psi = -(r - 2.0) * Psi - R * dPsi - dPsi * dPsi - alpha * S * S + qp
     rhs_S = (-(r - 1.0) * S - R * dS - 2.0 * dS * dPsi
@@ -264,47 +271,61 @@ def _rhs(Psi: np.ndarray, S: np.ndarray, R: np.ndarray, h: float,
     return rhs_Psi, rhs_S
 
 
-def step(state: FieldSet, dp, ds: float, quantum_pressure: bool = True,
-         cfl: float = 0.9) -> FieldSet:
-    """One SSP-RK3 step of the (Psi, S) system from s to s + ds.
+def _advance(Psi: np.ndarray, S: np.ndarray, R: np.ndarray, h: float,
+             params: ProfileParams, s: float, ds: float, quantum: bool,
+             cfl: float) -> tuple[np.ndarray, np.ndarray]:
+    """One SSP-RK3 step of the (Psi, S) arrays from s to s + ds.
 
-    The transport is outgoing at R_max (coefficient y + 2U > 0 there), so
-    the boundary closure uses the one-sided stencils of the derivative
-    operator; the center uses even reflection.  `dp` is the damped profile
-    providing the far-field reference; on desk windows at large s its
-    cut-offs sit on their plateaus, so it only pins the grid.
+    Each stage differentiates Psi once and builds the Laplacian from that
+    derivative; stage 1's dPsi is the gradient field U, so the CFL bound
+    is read off it.  Raises CFLError, PositivityError, or DomainError when
+    S turns NaN.
     """
-    R, h, s = state.R, state.h, state.s
-    params = state.params
-    if dp is not None and (len(dp.R) != len(R)
-                           or not np.allclose(dp.R, R, atol=1e-12)):
-        raise DomainError("damped profile grid does not match the state grid")
-    amax = float(np.max(np.abs(R + 2.0 * state.U)))
+    dPsi = _even_d1(Psi, h)
+    amax = float(np.max(np.abs(R + 2.0 * dPsi)))
     bound = cfl * h / max(amax, 1e-30)
     coef = np.exp((4.0 - 2.0 * params.r) * s)
-    if quantum_pressure and coef > QP_COEF_FLOOR:
+    if quantum and coef > QP_COEF_FLOOR:
         bound = min(bound, cfl * h * h / (2.0 * params.d * coef))
     if ds > bound:
         raise CFLError(f"ds = {ds:.3e} exceeds the stability bound "
                        f"{bound:.3e} (max|y+2U| = {amax:.3g})")
 
-    def F(P_, S_, s_):
-        return _rhs(P_, S_, R, h, params, s_, quantum_pressure)
+    def F(P_, S_, s_, dP_):
+        return _rhs(P_, dP_, S_, R, h, params, s_, quantum)
 
-    f1 = F(state.Psi, state.S, s)
-    P1 = state.Psi + ds * f1[0]
-    S1 = state.S + ds * f1[1]
-    f2 = F(P1, S1, s + ds)
-    P2 = 0.75 * state.Psi + 0.25 * (P1 + ds * f2[0])
-    S2 = 0.75 * state.S + 0.25 * (S1 + ds * f2[1])
-    f3 = F(P2, S2, s + 0.5 * ds)
-    Pn = state.Psi / 3.0 + 2.0 / 3.0 * (P2 + ds * f3[0])
-    Sn = state.S / 3.0 + 2.0 / 3.0 * (S2 + ds * f3[1])
+    f1 = F(Psi, S, s, dPsi)
+    P1 = Psi + ds * f1[0]
+    S1 = S + ds * f1[1]
+    f2 = F(P1, S1, s + ds, _even_d1(P1, h))
+    P2 = 0.75 * Psi + 0.25 * (P1 + ds * f2[0])
+    S2 = 0.75 * S + 0.25 * (S1 + ds * f2[1])
+    f3 = F(P2, S2, s + 0.5 * ds, _even_d1(P2, h))
+    Pn = Psi / 3.0 + 2.0 / 3.0 * (P2 + ds * f3[0])
+    Sn = S / 3.0 + 2.0 / 3.0 * (S2 + ds * f3[1])
 
-    if np.min(Sn) < 0.0 or (np.min(Sn) == 0.0 and np.min(state.S) > 0.0):
+    smin = np.min(Sn)
+    if np.isnan(smin):
+        raise DomainError(f"density is NaN after the step from s = {s!r}")
+    if smin < 0.0 or (smin == 0.0 and np.min(S) > 0.0):
         raise PositivityError(
-            f"density lost positivity: min S = {np.min(Sn):.3e} after step")
-    return FieldSet.from_Psi_S(params, R, s + ds, Pn, Sn,
+            f"density lost positivity: min S = {smin:.3e} after step")
+    return Pn, Sn
+
+
+def step(state: FieldSet, ds: float, quantum_pressure: bool = True,
+         cfl: float = 0.9) -> FieldSet:
+    """One SSP-RK3 step of the (Psi, S) system from s to s + ds.
+
+    The transport is outgoing at R_max (coefficient y + 2U > 0 there), so
+    the boundary closure uses the one-sided stencils of the derivative
+    operator; the center uses even reflection.  The stages run on plain
+    arrays (see _advance); only the result is built and validated as a
+    FieldSet.
+    """
+    Psi, S = _advance(state.Psi, state.S, state.R, state.h, state.params,
+                      state.s, ds, quantum_pressure, cfl)
+    return FieldSet.from_Psi_S(state.params, state.R, state.s + ds, Psi, S,
                                domain_mode=state.domain_mode)
 
 
@@ -336,17 +357,12 @@ def residual_stationary(state: FieldSet, s: float | None = None,
     r, alpha = state.params.r, state.params.alpha
     R, h = state.R, state.h
     Psi, P = state.Psi, state.P
-    k = acc // 2 + 1
-
-    def d1(f):
-        ext = np.concatenate([f[k:0:-1], f])
-        return derivative(ext, h, 1, acc=acc)[k:]
 
     if gradients is not None:
         dPsi, dP, lapPsi = gradients.dPsi, gradients.dP, gradients.lapPsi
     else:
-        dPsi = d1(Psi)
-        dP = d1(P)
+        dPsi = _even_d1(Psi, h, acc=acc)
+        dP = _even_d1(P, h, acc=acc)
         lapPsi = radial_laplacian(Psi, R, h, d=state.params.d, acc=acc)
     res_Psi = ((2.0 - r) * Psi - R * dPsi - dPsi * dPsi
                - r ** (-2.0 * alpha + 2.0) * P ** (2.0 * alpha))
@@ -459,7 +475,7 @@ def dissipativity_probe(table: ProfileTable, m: int = 2, J: float = 2000.0,
     S_p = base.S
     dPsi_p = _even_d1(base.Psi, h)
     dS_p = _even_d1(S_p, h)
-    lapPsi_p = radial_laplacian(base.Psi, R, h, d=d)
+    lapPsi_p = _laplacian_from(dPsi_p, _even_d2(base.Psi, h), R, d)
 
     chi1 = _smooth_step((1.4 * C0 - R) / (0.2 * C0))
     chi2 = _smooth_step((1.8 * C0 - R) / (0.2 * C0))
@@ -467,24 +483,19 @@ def dissipativity_probe(table: ProfileTable, m: int = 2, J: float = 2000.0,
     modes = np.arange(K + 1, K + 1 + n_modes)
     basis = np.cos(np.outer(modes, np.pi * R / (3.0 * C0)))
 
-    def dm(f, order):
-        kk = order + 4
-        ext = np.concatenate([f[kk:0:-1], f])
-        return derivative(ext, h, order)[kk:]
-
     rng = np.random.default_rng(seed)
     passed = 0
     for _ in range(trials):
         Psi_t = env * (rng.standard_normal(n_modes) @ basis)
         S_t = env * (rng.standard_normal(n_modes) @ basis)
-        nP = np.sqrt(_quad(dm(Psi_t, m + 1) ** 2, R, d))
-        nS = np.sqrt(_quad(dm(S_t, m) ** 2, R, d))
+        nP = np.sqrt(_quad(derivative(Psi_t, h, m + 1, even=True) ** 2, R, d))
+        nS = np.sqrt(_quad(derivative(S_t, h, m, even=True) ** 2, R, d))
         if nP == 0.0 or nS == 0.0:
             continue
         Psi_t, S_t = Psi_t / nP, S_t / nS
         dPsi_t = _even_d1(Psi_t, h)
         dS_t = _even_d1(S_t, h)
-        lapPsi_t = radial_laplacian(Psi_t, R, h, d=d)
+        lapPsi_t = _laplacian_from(dPsi_t, _even_d2(Psi_t, h), R, d)
         L_psi = (-(r - 2.0) * Psi_t - R * dPsi_t - 2.0 * dPsi_p * dPsi_t
                  - 2.0 * alpha * S_p * S_t)
         L_s = (-(r - 1.0) * S_t - R * dS_t - 2.0 * dS_p * dPsi_t
@@ -492,10 +503,12 @@ def dissipativity_probe(table: ProfileTable, m: int = 2, J: float = 2000.0,
                - 2.0 * alpha * S_t * lapPsi_p)
         L_psi_t = chi2 * L_psi - J * (1.0 - chi1) * Psi_t
         L_s_t = chi2 * L_s - J * (1.0 - chi1) * S_t
-        lhs = (_quad(dm(L_psi_t, m) * dm(Psi_t, m), R, d)
-               + _quad(dm(L_s_t, m) * dm(S_t, m), R, d))
-        xnorm2 = (_quad(dm(Psi_t, m + 1) ** 2, R, d)
-                  + _quad(dm(S_t, m) ** 2, R, d)
+        gPsi = derivative(Psi_t, h, m, even=True)
+        gS = derivative(S_t, h, m, even=True)
+        lhs = (_quad(derivative(L_psi_t, h, m, even=True) * gPsi, R, d)
+               + _quad(derivative(L_s_t, h, m, even=True) * gS, R, d))
+        xnorm2 = (_quad(derivative(Psi_t, h, m + 1, even=True) ** 2, R, d)
+                  + _quad(gS ** 2, R, d)
                   + _quad(Psi_t ** 2, R, d) + _quad(S_t ** 2, R, d))
         if lhs <= -xnorm2:
             passed += 1
@@ -543,7 +556,6 @@ def blowup_exponent(table: ProfileTable, s_exponent: int, T: float = 1.0,
     base = profile_fieldset(table, R, 10.0)
     sqrtP = np.sqrt(base.P)
     h = R[1] - R[0]
-    k = m + 4
     A = 1.0 / (alpha * r) - 1.0 / alpha - 2.0 * m / r + d / r
 
     log_Tt = np.linspace(log10_Tt[0], log10_Tt[1], n_times) * np.log(10.0)
@@ -551,10 +563,8 @@ def blowup_exponent(table: ProfileTable, s_exponent: int, T: float = 1.0,
     for i, lt in enumerate(log_Tt):
         c = np.exp((2.0 / r - 1.0) * lt) / r
         v = sqrtP * np.exp(1j * c * base.Psi)
-        re = np.concatenate([v.real[k:0:-1], v.real])
-        im = np.concatenate([v.imag[k:0:-1], v.imag])
-        g_re = derivative(re, h, m)[k:]
-        g_im = derivative(im, h, m)[k:]
+        g_re = derivative(v.real, h, m, even=True)
+        g_im = derivative(v.imag, h, m, even=True)
         I = _quad(g_re * g_re + g_im * g_im, R, d)
         logN[i] = A * lt + np.log(I)
     return float(np.polyfit(log_Tt, logN, 1)[0])
@@ -640,21 +650,38 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     on the reference run: together they are the residual-floor check for
     the zero-perturbation dynamics.  Energies, residual sups and the
     (reported, unused) boundary flux are sampled n_samples times.
+
+    Both runs are stepped as plain (Psi, S) arrays; validated FieldSets
+    are built only at the sample points and, on a CFL or positivity
+    abort, for the perturbed run's last good state (attached to the error
+    as `last_good`, with the samples so far as `partial_report`).  With
+    quantum pressure on, a prefactor e^{(4-2r)s} that overflows on the
+    run's span (r < 2 at large s0) is a DomainError before any step.
     """
     import time
     t0 = time.perf_counter()
     if cfg is None:
         cfg = EnergyConfig()
+    params = table.params
+    exponent = (4.0 - 2.0 * params.r) * (cfg.s0 + s_span)
+    if quantum_pressure and exponent > _EXP_MAX:
+        raise DomainError(
+            f"quantum-pressure prefactor exp((4 - 2r) s) overflows at "
+            f"r = {params.r:g}, s0 = {cfg.s0:g}: exponent (4 - 2r)(s0 + "
+            f"s_span) = {exponent:.6g} > {_EXP_MAX:.6g}; lower s0 or turn "
+            "quantum pressure off")
     R = np.linspace(0.0, R_max, n)
-    h = R[1] - R[0]
+    h = float(R[1] - R[0])
+
+    def fields(s, Psi, S):
+        return FieldSet.from_Psi_S(params, R, s, Psi, S,
+                                   domain_mode=domain_mode)
+
     base = profile_fieldset(table, R, cfg.s0, domain_mode=domain_mode)
     weights = build_weights(R, cfg)
     bump = cutoff("tilde", R / R_max) * cutoff("hat", R / (1.2 * R_max))
-    state = FieldSet.from_Psi_S(
-        table.params, R, cfg.s0,
-        base.Psi + cfg.delta_low * bump,
-        base.S * (1.0 + cfg.delta_low * bump),
-        domain_mode=domain_mode)
+    state = fields(cfg.s0, base.Psi + cfg.delta_low * bump,
+                   base.S * (1.0 + cfg.delta_low * bump))
 
     amax = float(np.max(np.abs(R + 2.0 * base.U))) * 1.1
     if ds is None:
@@ -692,21 +719,25 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
         rel = float(np.max(np.abs(S_t) / base.S))
         report.max_rel_Stilde = max(report.max_rel_Stilde, rel)
 
-    reference = base
-    sample(state, reference)
+    sample(state, base)
+    s = s_good = state.s
+    Psi, S = state.Psi, state.S
+    Psi_ref, S_ref = base.Psi, base.S
     try:
         for i in range(1, n_steps + 1):
-            state = step(state, None, ds, quantum_pressure=quantum_pressure,
-                         cfl=cfg.cfl)
-            reference = step(reference, None, ds,
-                             quantum_pressure=quantum_pressure, cfl=cfg.cfl)
+            Psi, S = _advance(Psi, S, R, h, params, s, ds, quantum_pressure,
+                              cfg.cfl)
+            s_good = s + ds   # last_good's time if the reference step aborts
+            Psi_ref, S_ref = _advance(Psi_ref, S_ref, R, h, params, s, ds,
+                                      quantum_pressure, cfg.cfl)
+            s = s_good
             if i in sample_at:
-                sample(state, reference)
+                sample(fields(s, Psi, S), fields(s, Psi_ref, S_ref))
     except (CFLError, PositivityError) as err:
         # callers that write artifacts want the last valid state and the
         # samples collected so far
         report.wall_time = time.perf_counter() - t0
-        err.last_good = state
+        err.last_good = fields(s_good, Psi, S)
         err.partial_report = report
         raise
     report.wall_time = time.perf_counter() - t0

@@ -160,15 +160,11 @@ def inverse_madelung(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def _even_d1(f: np.ndarray, h: float, acc: int = 4) -> np.ndarray:
     """First derivative of an even radial field (f(-R) = f(R))."""
-    k = acc // 2 + 1
-    ext = np.concatenate([f[k:0:-1], f])
-    return derivative(ext, h, 1, acc=acc)[k:]
+    return derivative(f, h, 1, acc=acc, even=True)
 
 
 def _even_d2(f: np.ndarray, h: float, acc: int = 4) -> np.ndarray:
-    k = acc // 2 + 1
-    ext = np.concatenate([f[k:0:-1], f])
-    return derivative(ext, h, 2, acc=acc)[k:]
+    return derivative(f, h, 2, acc=acc, even=True)
 
 
 def radial_laplacian(f: np.ndarray, R: np.ndarray, h: float, d: int = 8,
@@ -177,9 +173,14 @@ def radial_laplacian(f: np.ndarray, R: np.ndarray, h: float, d: int = 8,
 
     At the regular center the limit is d * f''(0).
     """
-    d1 = _even_d1(f, h, acc=acc)
-    d2 = _even_d2(f, h, acc=acc)
-    out = np.empty_like(f)
+    return _laplacian_from(_even_d1(f, h, acc=acc), _even_d2(f, h, acc=acc),
+                           R, d)
+
+
+def _laplacian_from(d1: np.ndarray, d2: np.ndarray, R: np.ndarray,
+                    d: int) -> np.ndarray:
+    """f'' + (d-1)/R f' assembled from f' = d1 and f'' = d2."""
+    out = np.empty_like(d1)
     if R[0] == 0.0:
         out[0] = d * d2[0]
         out[1:] = d2[1:] + (d - 1) / R[1:] * d1[1:]

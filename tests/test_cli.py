@@ -201,6 +201,18 @@ class TestSimulateCommand:
         partial = read(tmp_path / "simulate_r2.01.partial.csv").decode()
         assert partial.count("\n") >= 4   # stamp + header + first sample
 
+    def test_overflowing_quantum_prefactor_below_r2(self, tmp_path, capsys):
+        # at r = 1.9 and s0 = 1e4, exp((4 - 2r) s) overflows: a domain
+        # error before any step, not a CFL abort with a snapshot
+        code = main(["simulate", "--r", "1.9", *SIM_FAST,
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "overflows at r = 1.9, s0 = 10000" in err
+        assert "aborted" not in err
+        assert not (tmp_path / "simulate_r1.9.lastgood.json").exists()
+        assert not list(tmp_path.glob("simulate_*"))
+
     def test_energy_override_and_unknown_key(self, tmp_path, capsys):
         code = main(["simulate", "--r", "2.01", *SIM_FAST,
                      "--energy", "delta_low=0.002",
