@@ -61,7 +61,6 @@ class RunConfig:
     xi_max: float = 7.0
     n_points: int = 4096
     tol: float = 1e-12
-    seed: int = 0
     out_dir: str = "."
     emit: list = field(default_factory=lambda: ["csv", "json"])
     # simulate
@@ -485,7 +484,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="log-radius range of the profile solve")
     sub.add_argument("--n-points", type=int, help="profile grid points")
     sub.add_argument("--tol", type=float, help="profile solver tolerance")
-    sub.add_argument("--seed", type=int, help="random seed")
     sub.add_argument("--out-dir", help="artifact directory")
     sub.add_argument("--emit", help="comma list of formats (csv,json)")
 
@@ -540,9 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = ("r", "n_points", "tol", "seed", "out_dir", "s_span", "n",
-              "R_max", "n_samples", "ds", "quantum_pressure", "sample_r",
-              "window", "require_window", "verify_samples", "curve_samples")
+_FLAG_KEYS = ("r", "n_points", "tol", "out_dir", "s_span", "n", "R_max",
+              "n_samples", "ds", "quantum_pressure", "sample_r", "window",
+              "require_window", "verify_samples", "curve_samples")
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:

@@ -77,8 +77,8 @@ class EnergyConfig:
     """Derivative orders, weight shape and scale hierarchy for the energies.
 
     The hierarchy 1/s0 << delta_low << 1/E_global << 1/k << 1/m_prime is
-    enforced as ratio checks with factor `hierarchy_ratio`; E_global, eps
-    and delta_low have no constructive values at source and are desk-scale
+    enforced as ratio checks with factor `hierarchy_ratio`; E_global and
+    delta_low have no constructive values at source and are desk-scale
     knobs here.
     """
 
@@ -88,7 +88,6 @@ class EnergyConfig:
     R0: float = 20.0
     beta_exponent: float = 0.1
     phi_exponent: float = 2.0
-    eps: float = 0.05
     delta_low: float = 1e-3
     E_l0: tuple = (10.0,)
     s0: float = 1.0e4
@@ -195,7 +194,6 @@ def _spline_to_grid(table_R: np.ndarray, col: np.ndarray,
 
 
 def profile_fieldset(table: ProfileTable, R_grid: np.ndarray, s: float,
-                     domain_mode: str = "euclidean",
                      with_gradients: bool = False):
     """Evaluate the solved profile on a uniform grid containing R = 0.
 
@@ -215,15 +213,12 @@ def profile_fieldset(table: ProfileTable, R_grid: np.ndarray, s: float,
             f"{table.R[-1]:.4g}")
     Psi = _spline_to_grid(table.R, table.Psi_nls, R_grid)
     S = _spline_to_grid(table.R, table.S_nls, R_grid)
-    fs = FieldSet.from_Psi_S(table.params, R_grid, s, Psi, S,
-                             domain_mode=domain_mode)
+    fs = FieldSet.from_Psi_S(table.params, R_grid, s, Psi, S)
     if not with_gradients:
         return fs
-    d = table.params.d
     dPsi = _spline_to_grid(table.R, table.U_nls, R_grid, odd=True)
-    dS = _spline_to_grid(table.R, 0.5 * table.dR_Sbar, R_grid, odd=True)
-    lap_tab = 0.5 * table.dR_Ubar + (d - 1) / table.R * table.U_nls
-    lapPsi = _spline_to_grid(table.R, lap_tab, R_grid)
+    dS = _spline_to_grid(table.R, table.dR_S_nls, R_grid, odd=True)
+    lapPsi = _spline_to_grid(table.R, table.lapPsi_nls, R_grid)
     # P = (S sqrt(alpha)/r^(1-alpha))^(1/alpha); chain rule off the table
     alpha = table.params.alpha
     dP = fs.P * dS / (alpha * np.maximum(S, 1e-300))
@@ -243,6 +238,19 @@ QP_COEF_FLOOR = 1e-30
 
 #: largest exponent whose exp() is finite in double precision
 _EXP_MAX = float(np.log(np.finfo(float).max))
+
+
+def _require_finite_prefactor(r: float, s0: float, s_span: float,
+                              quantum: bool) -> None:
+    """DomainError when quantum pressure is on and its prefactor
+    e^{(4-2r)s} overflows by s = s0 + s_span (r < 2 at large s)."""
+    exponent = (4.0 - 2.0 * r) * (s0 + s_span)
+    if quantum and exponent > _EXP_MAX:
+        raise DomainError(
+            f"quantum-pressure prefactor exp((4 - 2r) s) overflows at "
+            f"r = {r:g}, s0 = {s0:g}: exponent (4 - 2r)(s0 + "
+            f"s_span) = {exponent:.6g} > {_EXP_MAX:.6g}; lower s0 or turn "
+            "quantum pressure off")
 
 
 def _log_density(S: np.ndarray, params: ProfileParams) -> np.ndarray:
@@ -321,8 +329,10 @@ def step(state: FieldSet, ds: float, quantum_pressure: bool = True,
     the boundary closure uses the one-sided stencils of the derivative
     operator; the center uses even reflection.  The stages run on plain
     arrays (see _advance); only the result is built and validated as a
-    FieldSet.
+    FieldSet.  With quantum pressure on, a prefactor e^{(4-2r)s} that
+    overflows by s + ds is a DomainError before the step.
     """
+    _require_finite_prefactor(state.params.r, state.s, ds, quantum_pressure)
     Psi, S = _advance(state.Psi, state.S, state.R, state.h, state.params,
                       state.s, ds, quantum_pressure, cfl)
     return FieldSet.from_Psi_S(state.params, state.R, state.s + ds, Psi, S,
@@ -629,7 +639,6 @@ def _hash_inputs(table: ProfileTable, cfg: EnergyConfig, extra: dict) -> str:
 def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
              s_span: float = 1.0, n: int = 4096, R_max: float = 30.0,
              quantum_pressure: bool = True, n_samples: int = 11,
-             domain_mode: str = "euclidean",
              ds: float | None = None) -> EnergyReport:
     """Evolve damped profile + delta_low perturbation over [s0, s0+s_span].
 
@@ -663,21 +672,14 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     if cfg is None:
         cfg = EnergyConfig()
     params = table.params
-    exponent = (4.0 - 2.0 * params.r) * (cfg.s0 + s_span)
-    if quantum_pressure and exponent > _EXP_MAX:
-        raise DomainError(
-            f"quantum-pressure prefactor exp((4 - 2r) s) overflows at "
-            f"r = {params.r:g}, s0 = {cfg.s0:g}: exponent (4 - 2r)(s0 + "
-            f"s_span) = {exponent:.6g} > {_EXP_MAX:.6g}; lower s0 or turn "
-            "quantum pressure off")
+    _require_finite_prefactor(params.r, cfg.s0, s_span, quantum_pressure)
     R = np.linspace(0.0, R_max, n)
     h = float(R[1] - R[0])
 
     def fields(s, Psi, S):
-        return FieldSet.from_Psi_S(params, R, s, Psi, S,
-                                   domain_mode=domain_mode)
+        return FieldSet.from_Psi_S(params, R, s, Psi, S)
 
-    base = profile_fieldset(table, R, cfg.s0, domain_mode=domain_mode)
+    base = profile_fieldset(table, R, cfg.s0)
     weights = build_weights(R, cfg)
     bump = cutoff("tilde", R / R_max) * cutoff("hat", R / (1.2 * R_max))
     state = fields(cfg.s0, base.Psi + cfg.delta_low * bump,

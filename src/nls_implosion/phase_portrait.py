@@ -120,8 +120,11 @@ class Polys(NamedTuple):
 # ---------------------------------------------------------------------------
 # polynomial coefficient table for (d, gamma) = (8, 2)
 #
-# The four polynomials below are the only place the coefficients live; every
-# other routine goes through them.  Evaluation order is fixed as written.
+# The four polynomials below hold the coefficients for every routine that
+# evaluates them pointwise.  The sonic series recurrence
+# (profile_solver._sonic_series_mp) writes the quadratic coefficients again,
+# in convolution form over Taylor coefficients.  Evaluation order is fixed
+# as written.
 # ---------------------------------------------------------------------------
 
 def d_w(W, Z):
@@ -164,21 +167,28 @@ def eval_polys(point: PhasePoint, params: ProfileParams) -> Polys:
 # special points
 # ---------------------------------------------------------------------------
 
-def _radical_r1(r):
-    rad = (r - 44.0) * r + 92.0
-    if rad < 0:
+def _sonic_closed_forms(r, num=float, sqrt=math.sqrt):
+    """Radicals R1, R2, sonic point P_s = (W0, Z0) and smooth-branch slopes
+    (W1, Z1): in floats by default; given num=mpmath.mpf, sqrt=mpmath.sqrt
+    and an mpf r, at the working precision.  Integer literals are exact in
+    both, so one operation order serves every precision.
+    """
+    rad1 = (r - 44) * r + 92
+    if rad1 < 0:
         raise DomainError(f"R_1 radicand negative at r = {r}")
-    return math.sqrt(rad)
-
-
-def _radical_r2(r, R1):
-    rad = (r * (r * (r * (79.0 * r - 79.0 * R1 - 2906.0)
-                     + 2.0 * (584.0 * R1 + 6733.0))
-                - 24.0 * (107.0 * R1 + 1062.0))
-           + 2704.0 * R1 + 23424.0)
-    if rad < 0:
+    R1 = sqrt(rad1)
+    rad2 = (r * (r * (r * (79 * r - 79 * R1 - 2906) + 2 * (584 * R1 + 6733))
+                 - 24 * (107 * R1 + 1062))
+            + 2704 * R1 + 23424)
+    if rad2 < 0:
         raise DomainError(f"R_2 radicand negative at r = {r}")
-    return 7.0 * math.sqrt(7.0) * math.sqrt(rad)
+    R2 = 7 * sqrt(num(7)) * sqrt(rad2)
+    W0 = (-3 * r + 3 * R1 + 10) / 14
+    Z0 = (r - R1 - 22) / 14
+    W1 = 20 * (r - 1) / (-r + R1 + 8) - num(2) / 7 * (2 * r + 5)
+    Z1 = ((980 * r + sqrt(num(2)) * R2 - 980) / (r - R1 - 8)
+          + 7 * (94 - 17 * r)) / 147
+    return R1, R2, W0, Z0, W1, Z1
 
 
 @dataclass(frozen=True)
@@ -196,12 +206,10 @@ class SpecialPoints:
 def special_points(params: ProfileParams) -> SpecialPoints:
     """Closed-form special points of the phase portrait."""
     r = params.r
-    R1 = _radical_r1(r)
-    R2 = _radical_r2(r, R1)
+    R1, R2, W0, Z0, W1, Z1 = _sonic_closed_forms(r)
     sqrt2 = math.sqrt(2.0)
 
-    P_s = PhasePoint((-3.0 * r + 3.0 * R1 + 10.0) / 14.0,
-                     (r - R1 - 22.0) / 14.0, xi=0.0)
+    P_s = PhasePoint(W0, Z0, xi=0.0)
     P_bar_s = PhasePoint((-3.0 * r - 3.0 * R1 + 10.0) / 14.0,
                          (r + R1 - 22.0) / 14.0)
     P_star = PhasePoint((2.0 * sqrt2 - 1.0) * r / 5.0,
@@ -212,21 +220,13 @@ def special_points(params: ProfileParams) -> SpecialPoints:
     sq_i = math.sqrt(rad_i)
     P_i = PhasePoint((3.0 * sq_i - 9.0 * r + 10.0) / 26.0,
                      (-sq_i + 3.0 * r - 38.0) / 26.0)
-
-    W1, Z1 = sonic_slope(params)
     return SpecialPoints(P_s=P_s, P_bar_s=P_bar_s, P_star=P_star, P_i=P_i,
                          R1=R1, R2=R2, W1=W1, Z1=Z1)
 
 
 def sonic_slope(params: ProfileParams) -> tuple[float, float]:
     """First Taylor coefficients (W_1, Z_1) of the smooth branch at P_s."""
-    r = params.r
-    R1 = _radical_r1(r)
-    R2 = _radical_r2(r, R1)
-    W1 = 20.0 * (r - 1.0) / (-r + R1 + 8.0) - (2.0 / 7.0) * (2.0 * r + 5.0)
-    Z1 = ((980.0 * r + math.sqrt(2.0) * R2 - 980.0) / (r - R1 - 8.0)
-          + 7.0 * (94.0 - 17.0 * r)) / 147.0
-    return W1, Z1
+    return _sonic_closed_forms(params.r)[4:]
 
 
 def sonic_slope_quadratic_roots(params: ProfileParams) -> tuple[float, float]:
@@ -237,12 +237,11 @@ def sonic_slope_quadratic_roots(params: ProfileParams) -> tuple[float, float]:
         Z1 * grad(D_Z) . (W1, Z1) = grad(N_Z) . (W1, Z1)
 
     with W1 known from the regular equation.  This is quadratic in Z1; the
-    smooth branch is the one matching the closed form of sonic_slope.
+    smooth branch is the one matching the closed form of sonic_slope.  Kept
+    on purpose as an independent test cross-check of that closed form.
     """
     r = params.r
-    pts = _sonic_point_only(params)
-    W0, Z0 = pts
-    W1 = 20.0 * (r - 1.0) / (-r + _radical_r1(r) + 8.0) - (2.0 / 7.0) * (2.0 * r + 5.0)
+    _, _, W0, Z0, W1, _ = _sonic_closed_forms(r)
     nzw, nzz = grad_n_z(W0, Z0, r)
     # Z1 * (GRAD_D_Z . (W1, Z1)) = nzw*W1 + nzz*Z1
     # => 0.75*Z1^2 + (0.25*W1 - nzz)*Z1 - nzw*W1 = 0
@@ -254,12 +253,6 @@ def sonic_slope_quadratic_roots(params: ProfileParams) -> tuple[float, float]:
         raise DomainError(f"L'Hopital quadratic has no real roots at r = {r}")
     sq = math.sqrt(disc)
     return (-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a)
-
-
-def _sonic_point_only(params: ProfileParams) -> tuple[float, float]:
-    r = params.r
-    R1 = _radical_r1(r)
-    return ((-3.0 * r + 3.0 * R1 + 10.0) / 14.0, (r - R1 - 22.0) / 14.0)
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +278,14 @@ def _mp_aux_quantities(r_val: float):
     """Direct extended-precision evaluation of A, B, C, W1+Z1, N_W(P_s)."""
     with mpmath.workdps(EXTENDED_DPS):
         r = mpmath.mpf(r_val)
-        R1 = mpmath.sqrt((r - 44) * r + 92)
-        R2 = 7 * mpmath.sqrt(7) * mpmath.sqrt(
-            r * (r * (r * (79 * r - 79 * R1 - 2906) + 2 * (584 * R1 + 6733))
-                 - 24 * (107 * R1 + 1062)) + 2704 * R1 + 23424)
+        R1, R2, W0, Z0, W1, Z1 = _sonic_closed_forms(r, mpmath.mpf,
+                                                     mpmath.sqrt)
         base = 7 * r * (-29 * r + 29 * R1 + 16) - 448 * R1 - 1624
         A = 2 * R2 ** 2 - base ** 2
         B = ((85 - 6 * r ** 2 - 128 * r) * R1) ** 2 \
             - (725 * r - 1070 + 6 * r ** 3 - 4 * r ** 2) ** 2
         C = ((2 * r + 5) * R1) ** 2 - (2 * r ** 2 + 59 * r - 110) ** 2
-        W1 = 20 * (r - 1) / (-r + R1 + 8) - mpmath.mpf(2) / 7 * (2 * r + 5)
-        Z1 = ((980 * r + mpmath.sqrt(2) * R2 - 980) / (r - R1 - 8)
-              + 7 * (94 - 17 * r)) / 147
         # direct polynomial evaluation of N_W at the closed-form P_s
-        W0 = (-3 * r + 3 * R1 + 10) / 14
-        Z0 = (r - R1 - 22) / 14
         NWPs = -r * W0 - mpmath.mpf(13) / 8 * W0 ** 2 - W0 * Z0 / 4 \
             + mpmath.mpf(7) / 8 * Z0 ** 2
         return tuple(float(x) for x in (A, B, C, W1 + Z1, NWPs))
@@ -315,7 +301,7 @@ def auxiliary_signs(params: ProfileParams, zero_tol: float = 1e-30) -> Verificat
     reported negated.
     """
     r = params.r
-    R1 = _radical_r1(r)
+    R1, _, _, _, W1, Z1 = _sonic_closed_forms(r)
 
     quart = r * r + 10.0 * r - 25.0          # vanishes exactly at r = r*
     A_fact = -4704.0 * (r - 1.0) * (725.0 * r - 1070.0 + 6.0 * r ** 3
@@ -323,7 +309,6 @@ def auxiliary_signs(params: ProfileParams, zero_tol: float = 1e-30) -> Verificat
                                     + (85.0 - 6.0 * r ** 2 - 128.0 * r) * R1)
     B_fact = -19208.0 * (r - 1.0) * (3.0 * r + 1.0) * quart
     C_fact = -392.0 * (r - 1.0) * quart
-    W1, Z1 = sonic_slope(params)
     w1z1_fact = W1 + Z1
     nwps_fact = (2.0 / 49.0) * ((2.0 * r ** 2 + 59.0 * r - 110.0)
                                 - (2.0 * r + 5.0) * R1)
@@ -373,7 +358,8 @@ def origin_coeffs(w0: float, params: ProfileParams) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def xi1_poly(W, Z, r, alpha=0.5):
-    """Xi_1 = D_W^2 D_Z + (alpha/2) N_W D_Z - (alpha/2) N_Z D_W."""
+    """Xi_1 = D_W^2 D_Z + (alpha/2) N_W D_Z - (alpha/2) N_Z D_W; kept on
+    purpose as an independent test cross-check of xi1_us."""
     DW, DZ = d_w(W, Z), d_z(W, Z)
     return DW * DW * DZ + 0.5 * alpha * (n_w(W, Z, r) * DZ - n_z(W, Z, r) * DW)
 
@@ -410,7 +396,7 @@ def xi1_splus(U, r):
 def xi3_parenthesis(t, params: ProfileParams) -> float:
     """Affine parenthesis of Xi_3 along the barrier b(t) = (Wbar_0 - t, Zbar_0 + t)."""
     r = params.r
-    R1 = _radical_r1(r)
+    R1 = _sonic_closed_forms(r)[0]
     return (t * (35.0 * r - 14.0 * R1 - 133.0)
             + 6.0 * r * r + 6.0 * r * R1 + 58.0 * r - 6.0 * R1 - 64.0)
 
@@ -427,7 +413,8 @@ def grad_b_normal_partI(W, Z, r):
 
 
 def grad_b_normal_partI_expanded(W, Z, r):
-    """Same directional derivative from the explicit product-rule expansion."""
+    """Same directional derivative by the product rule; kept on purpose as
+    an independent test cross-check of the closed form."""
     nww, nwz = grad_n_w(W, Z, r)
     nzw, nzz = grad_n_z(W, Z, r)
     DW, DZ = d_w(W, Z), d_z(W, Z)
@@ -443,6 +430,8 @@ def grad_b_normal_partII(W, Z, r):
 
 
 def grad_b_normal_partII_expanded(W, Z, r):
+    """Same directional derivative by the product rule; kept on purpose as
+    an independent test cross-check of the closed form."""
     nww, nwz = grad_n_w(W, Z, r)
     nzw, nzz = grad_n_z(W, Z, r)
     DW, DZ = d_w(W, Z), d_z(W, Z)

@@ -78,6 +78,7 @@ from .phase_portrait import (
     GRAD_D_Z,
     PhasePoint,
     ProfileParams,
+    _sonic_closed_forms,
     d_w,
     d_z,
     grad_n_w,
@@ -138,13 +139,18 @@ class ProfileTable:
     anchor: PhasePoint | None = None
 
     @property
-    def WZ(self) -> list[PhasePoint]:
-        return [PhasePoint(float(w), float(z), float(x))
-                for w, z, x in zip(self.W, self.Z, self.xi_grid)]
-
-    @property
     def h(self) -> float:
         return float(self.xi_grid[1] - self.xi_grid[0])
+
+    @property
+    def dR_S_nls(self) -> np.ndarray:
+        """d_R S_p, from the ODE-consistent dR_Sbar column."""
+        return 0.5 * self.dR_Sbar
+
+    @property
+    def lapPsi_nls(self) -> np.ndarray:
+        """Delta Psi_p = d_R U_nls + (d-1)/R U_nls, from the dR_Ubar column."""
+        return 0.5 * self.dR_Ubar + (self.params.d - 1) / self.R * self.U_nls
 
     @property
     def i_sonic(self) -> int:
@@ -232,7 +238,8 @@ def taylor_seed_coeffs(params: ProfileParams) -> tuple[float, float, float, floa
 
     W2 comes from differentiating the regular W equation along the orbit.
     Z2 comes from the order-xi^2 balance of Z' * D_Z = N_Z, the next order
-    of the L'Hopital relation that fixed Z1.
+    of the L'Hopital relation that fixed Z1.  Kept on purpose as an
+    independent test cross-check of the series recurrence.
     """
     r = params.r
     pts = special_points(params)
@@ -265,23 +272,14 @@ def _sonic_series_mp(r: float, order: int, dps: int):
     """Extended-precision Taylor coefficients of the smooth branch at P_s."""
     with mpmath.workdps(dps):
         rr = mpmath.mpf(r)
-        R1 = mpmath.sqrt((rr - 44) * rr + 92)
-        R2 = 7 * mpmath.sqrt(7) * mpmath.sqrt(
-            rr * (rr * (rr * (79 * rr - 79 * R1 - 2906) + 2 * (584 * R1 + 6733))
-                  - 24 * (107 * R1 + 1062)) + 2704 * R1 + 23424)
-        W = [(-3 * rr + 3 * R1 + 10) / 14,
-             20 * (rr - 1) / (-rr + R1 + 8) - mpmath.mpf(2) / 7 * (2 * rr + 5)]
-        Z = [(rr - R1 - 22) / 14,
-             ((980 * rr + mpmath.sqrt(2) * R2 - 980) / (rr - R1 - 8)
-              + 7 * (94 - 17 * rr)) / 147]
-        W += [mpmath.mpf(0)] * (order - 1)
-        Z += [mpmath.mpf(0)] * (order - 1)
+        _, _, W0, Z0, W1, Z1 = _sonic_closed_forms(rr, mpmath.mpf,
+                                                   mpmath.sqrt)
+        W = [W0, W1] + [mpmath.mpf(0)] * (order - 1)
+        Z = [Z0, Z1] + [mpmath.mpf(0)] * (order - 1)
 
-        W0, Z0, W1, Z1 = W[0], Z[0], W[1], Z[1]
-        DW0 = 1 + mpmath.mpf(3) / 4 * W0 + Z0 / 4
-        a1 = W1 / 4 + 3 * Z1 / 4
-        nzw = mpmath.mpf(7) / 4 * W0 - Z0 / 4
-        nzz = -rr - W0 / 4 - mpmath.mpf(13) / 4 * Z0
+        DW0 = d_w(W0, Z0)
+        a1 = GRAD_D_Z[0] * W1 + GRAD_D_Z[1] * Z1
+        nzw, nzz = grad_n_z(W0, Z0, rr)
 
         def conv(a, b, m):
             return mpmath.fsum(a[i] * b[m - i] for i in range(m + 1))
@@ -726,8 +724,7 @@ def residual_profile(table: ProfileTable, R_lo: float | None = None,
 
     dPsi = derivative(Psi, h, 1, acc=acc) / R
     dS = derivative(S, h, 1, acc=acc) / R
-    # Delta Psi = d_R U_nls + (d-1)/R * U_nls with U_nls = d_R Psi
-    lapPsi = 0.5 * table.dR_Ubar + (table.params.d - 1) / R * table.U_nls
+    lapPsi = table.lapPsi_nls
 
     res1 = np.abs((r - 2.0) * Psi + R * dPsi + dPsi ** 2 + alpha * S ** 2)
     res2 = np.abs((r - 1.0) * S + R * dS + 2.0 * dS * dPsi
@@ -776,7 +773,7 @@ def origin_slope(table: ProfileTable) -> float:
 
     The regularity statement at the origin is that this limit vanishes.
     """
-    dS = 0.5 * table.dR_Sbar
+    dS = table.dR_S_nls
     R0, R1 = table.R[0], table.R[1]
     d0, d1 = dS[0], dS[1]
     return float(d0 - R0 * (d1 - d0) / (R1 - R0))

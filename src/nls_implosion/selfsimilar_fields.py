@@ -427,8 +427,8 @@ def error_terms(dp: DampedProfileField, table: ProfileTable,
     S_p = table.S_nls
     Psi_p = table.Psi_nls
     dPsi_p = table.U_nls                      # d_R Psi_p
-    dS_p = 0.5 * table.dR_Sbar                # d_R S_p
-    lapPsi_p = 0.5 * table.dR_Ubar + (d - 1) / R * table.U_nls
+    dS_p = table.dR_S_nls                     # d_R S_p
+    lapPsi_p = table.lapPsi_nls
 
     hat = cutoff("hat", x)
     hat1 = cutoff_derivative("hat", x, order=1)
@@ -506,7 +506,8 @@ def error_terms(dp: DampedProfileField, table: ProfileTable,
 
 def nls_rhs_complex(v: np.ndarray, R: np.ndarray, h: float,
                     p: int = 3, d: int = 8) -> np.ndarray:
-    """d v/dt for i d_t v = v |v|^(p-1) - Lap v, radial d-dimensional."""
+    """d v/dt for i d_t v = v |v|^(p-1) - Lap v, radial d-dimensional; kept on
+    purpose as an independent test cross-check of nls_rhs_polar."""
     lap_re = radial_laplacian(v.real, R, h, d=d)
     lap_im = radial_laplacian(v.imag, R, h, d=d)
     lap = lap_re + 1j * lap_im
@@ -515,7 +516,8 @@ def nls_rhs_complex(v: np.ndarray, R: np.ndarray, h: float,
 
 def nls_rhs_polar(rho: np.ndarray, psi: np.ndarray, R: np.ndarray, h: float,
                   p: int = 3, d: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Right sides of the polar system equivalent to the complex equation.
+    """Right sides of the polar system equivalent to the complex equation;
+    kept on purpose as the tests' physical-frame reference for `step`.
 
     d_t psi = -rho^((p-1)/2) + Lap(rho)/(2 rho) - |grad rho|^2/(4 rho^2)
               - |grad psi|^2

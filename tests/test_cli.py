@@ -47,6 +47,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="cfl_number"):
             RunConfig.from_file(path)
 
+    def test_seed_key_rejected(self, tmp_path):
+        # the seed was parsed and hashed but never used; it is no key now
+        path = str(tmp_path / "run.json")
+        with open(path, "w") as fh:
+            json.dump({"r": 2.01, "seed": 0}, fh)
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig.from_file(path)
+
     def test_bad_emit_rejected(self):
         with pytest.raises(ConfigError, match="emit"):
             RunConfig(emit=["csv", "parquet"])
@@ -285,6 +293,11 @@ class TestMainPlumbing:
         code = main(["profile", "--config", path])
         assert code == EXIT_SOLVER
         assert "configuration error" in capsys.readouterr().err
+
+    def test_seed_flag_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["profile", "--seed", "1"])
+        assert exc.value.code == 2
 
     def test_emit_selection(self, tmp_path):
         code = main(["profile", "--r", "2.01", *FAST, "--emit", "json",

@@ -9,6 +9,7 @@ desk resolution the corner region is only a few grid cells wide.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,11 @@ class TestEnergyConfig:
     def test_ladder_length(self):
         with pytest.raises(ConsistencyError, match="ladder"):
             EnergyConfig(k=60, l=3, E_l0=(10.0,))
+
+    def test_no_eps_field(self):
+        # eps was never read; passing it is an error, not a silent no-op
+        with pytest.raises(TypeError):
+            EnergyConfig(eps=0.05)
 
     def test_frozen(self):
         cfg = EnergyConfig()
@@ -154,6 +160,18 @@ class TestStep:
                                     np.exp(-R * R))
         with pytest.raises(CFLError):
             step(state, 1.0)
+
+    def test_overflowing_quantum_prefactor_below_r2(self):
+        # at r = 1.9 and s = 1e4, exp((4 - 2r) s) overflows: a domain error
+        # before the step, not an overflow warning and a CFL bound of 0
+        params = ProfileParams(r=1.9)
+        R = np.linspace(0.0, 10.0, 257)
+        state = FieldSet.from_Psi_S(params, R, 1e4, np.zeros_like(R),
+                                    np.exp(-R * R))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows at r = 1.9"):
+                step(state, 1e-4)
 
     def test_positivity_abort(self):
         # a vacuum band against a rising ramp: at band nodes the density

@@ -106,6 +106,22 @@ class TestSpecialPoints:
         assert pts.W1 == pytest.approx(-0.2677342051890262, abs=1e-13)
         assert pts.Z1 == pytest.approx(0.1734491442097632, abs=1e-13)
 
+    def test_bits_frozen_r201(self):
+        # IEEE double arithmetic with a correctly rounded sqrt: the same bits
+        # on every conforming machine, so a rewrite of the closed forms that
+        # reorders an operation shows up here
+        pts = special_points(ProfileParams(r=2.01))
+        got = [pts.P_s.W, pts.P_s.Z, pts.P_bar_s.W, pts.P_bar_s.Z,
+               pts.P_star.W, pts.P_star.Z, pts.P_i.W, pts.P_i.Z,
+               pts.R1, pts.R2, pts.W1, pts.Z1]
+        assert [x.hex() for x in got] == [
+            "0x1.bfa6e7c33b825p-1", "-0x1.9ff126a089eb1p+0",
+            "-0x1.3a8cb6a81c520p-2", "-0x1.3b1ef0c752f92p+0",
+            "0x1.78558d1df060bp-1", "-0x1.89fdb838f417cp+0",
+            "0x1.8b62e4e415c65p-1", "-0x1.973b262603a11p+0",
+            "0x1.60dfbc78404e9p+1", "0x1.b12e4bdf8dae1p+10",
+            "-0x1.1228ea5d3acd8p-2", "0x1.63394e0f3373dp-3"]
+
     @pytest.mark.parametrize("r", np.linspace(1.9, R_STAR - 1e-6, 100))
     def test_root_residuals(self, r):
         params = ProfileParams(r=float(r))

@@ -79,6 +79,20 @@ class TestSonicSeed:
         assert abs(Wc[2] - W2) < 1e-11
         assert abs(Zc[2] - Z2) < 1e-11
 
+    def test_series_bits_frozen_r201(self):
+        # 60-digit mpmath arithmetic rounded once to double: portable bits
+        Wc, Zc = sonic_series(2.01)
+        assert [float(c).hex() for c in Wc[:8]] == [
+            "0x1.bfa6e7c33b824p-1", "-0x1.1228ea5d3acd7p-2",
+            "0x1.f9928ef33baf8p-3", "-0x1.1c80d7c74dca4p-3",
+            "0x1.81741f82e4450p-5", "-0x1.21355b2dc6273p-8",
+            "-0x1.52d0023093816p-8", "0x1.acbda0010ad9dp-9"]
+        assert [float(c).hex() for c in Zc[:8]] == [
+            "-0x1.9ff126a089eb1p+0", "0x1.63394e0f3373cp-3",
+            "-0x1.68f7f54a1d0fdp-3", "0x1.e99a80c9223d4p-4",
+            "-0x1.e86de8943025fp-5", "0x1.5fee2a9454a78p-6",
+            "-0x1.e07e4831cf45fp-9", "-0x1.2bb0f3c59ae8fp-9"]
+
     def test_series_constant_term_is_sonic_point(self):
         pts = special_points(ProfileParams(r=2.01))
         Wc, Zc = sonic_series(2.01)
