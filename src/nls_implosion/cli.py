@@ -14,7 +14,6 @@ good snapshot dumped).
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import io
 import json
@@ -27,6 +26,7 @@ from . import dynamics_lab, phase_portrait, profile_solver
 from .dynamics_lab import EnergyConfig
 from .errors import CFLError, PositivityError, WorkbenchError
 from .phase_portrait import R_STAR, ProfileParams
+from .profile_solver import ProfileTable
 from .repulsivity_verifier import verify_all
 
 __all__ = ["RunConfig", "main"]
@@ -38,9 +38,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_SOLVER = 2
 EXIT_PRECISION = 3
 EXIT_ABORT = 4
-
-#: worker-count override for sweeps
-WORKERS_ENV = "NLS_IMPLOSION_WORKERS"
 
 
 class ConfigError(WorkbenchError, ValueError):
@@ -161,13 +158,7 @@ def _out(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _check_r(cfg: RunConfig) -> str | None:
-    if not 1.0 < cfg.r < R_STAR:
-        return f"r outside (1, r*): r = {cfg.r}, r* = {R_STAR:.6f}"
-    return None
-
-
-def _solve(cfg: RunConfig):
+def _solve(cfg: RunConfig) -> ProfileTable:
     table = profile_solver.solve_profile(
         ProfileParams(r=cfg.r), xi_min=cfg.xi_min, xi_max=cfg.xi_max,
         tol=cfg.tol, n_points=cfg.n_points)
@@ -178,26 +169,15 @@ def _solve(cfg: RunConfig):
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_profile(cfg: RunConfig, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
-    reason = _check_r(cfg)
-    if reason is not None:
-        print(reason, file=err)
-        return EXIT_SOLVER
-    try:
-        table = _solve(cfg)
-        res = profile_solver.residual_profile(table)
-    except WorkbenchError as exc:
-        print(f"solver failure: {exc}", file=err)
-        return EXIT_SOLVER
+def cmd_profile(cfg: RunConfig, table: ProfileTable) -> int:
+    res = profile_solver.residual_profile(table)
     tag = f"r{cfg.r:g}"
     if "csv" in cfg.emit:
         _write_atomic(_out(cfg, f"profile_{tag}.csv"),
                       _stamp_csv(table.to_csv(), cfg))
     if "json" in cfg.emit:
         _write_atomic(_out(cfg, f"profile_{tag}.json"),
-                      _stamp_json(json.loads(table.to_json()), cfg))
+                      _stamp_json(table.payload(), cfg))
     log = {"r": cfg.r, "w0": table.w0,
            "residual_sup_phase": res.phase,
            "residual_sup_sound": res.sound,
@@ -206,7 +186,7 @@ def cmd_profile(cfg: RunConfig, out=None, err=None) -> int:
            "config": asdict(cfg)}
     _write_atomic(_out(cfg, f"profile_{tag}.log.json"), _stamp_json(log, cfg))
     print(f"profile r = {cfg.r}: residual sup (phase, sound) = "
-          f"({res.phase:.3e}, {res.sound:.3e})", file=out)
+          f"({res.phase:.3e}, {res.sound:.3e})")
     return EXIT_OK
 
 
@@ -224,24 +204,13 @@ def _special_point_consistency(params: ProfileParams, tol: float = 1e-11):
     return vals, bad
 
 
-def cmd_verify(cfg: RunConfig, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
-    reason = _check_r(cfg)
-    if reason is not None:
-        print(reason, file=err)
-        return EXIT_SOLVER
-    try:
-        table = _solve(cfg)
-    except WorkbenchError as exc:
-        print(f"solver failure: {exc}", file=err)
-        return EXIT_SOLVER
+def cmd_verify(cfg: RunConfig, table: ProfileTable) -> int:
     params = table.params
 
     vals, bad = _special_point_consistency(params)
     if bad:
         print(f"precision-consistency failure: special points do not "
-              f"annihilate their polynomials: {bad}", file=err)
+              f"annihilate their polynomials: {bad}", file=sys.stderr)
         return EXIT_PRECISION
 
     report = verify_all(params, table, n_samples=cfg.verify_samples)
@@ -255,7 +224,7 @@ def cmd_verify(cfg: RunConfig, out=None, err=None) -> int:
         if abs(c.margin) > 1e-10 and abs(f.margin - c.margin) > 0.10 * abs(c.margin):
             print(f"precision-consistency failure: margin of {c.name} "
                   f"moves from {c.margin:.6e} to {f.margin:.6e} under "
-                  f"refinement", file=err)
+                  f"refinement", file=sys.stderr)
             return EXIT_PRECISION
 
     aux = phase_portrait.auxiliary_signs(params)
@@ -278,37 +247,26 @@ def cmd_verify(cfg: RunConfig, out=None, err=None) -> int:
 
     if "json" in cfg.emit:
         _write_atomic(_out(cfg, f"verify_r{cfg.r:g}.json"),
-                      _stamp_json(json.loads(report.to_json()), cfg))
+                      _stamp_json(report.payload(), cfg))
     text = report.to_text()
     _write_atomic(_out(cfg, f"verify_r{cfg.r:g}.txt"),
                   _stamp_csv(text + "\n", cfg))
-    print(text, file=out)
+    print(text)
 
     if not report.all_passed:
         return EXIT_CHECK_FAILED
     if cfg.require_window and not partII_present:
         print("outgoing-side checks skipped below the near-r* window and "
-              "--require-window is set", file=err)
+              "--require-window is set", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
-    reason = _check_r(cfg)
-    if reason is not None:
-        print(reason, file=err)
-        return EXIT_SOLVER
-    try:
-        table = _solve(cfg)
-    except WorkbenchError as exc:
-        print(f"solver failure: {exc}", file=err)
-        return EXIT_SOLVER
+def cmd_simulate(cfg: RunConfig, table: ProfileTable) -> int:
     try:
         ecfg = EnergyConfig(**cfg.energy)
     except TypeError as exc:
-        print(f"unknown energy config key: {exc}", file=err)
+        print(f"unknown energy config key: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     tag = f"r{cfg.r:g}"
     try:
@@ -317,39 +275,31 @@ def cmd_simulate(cfg: RunConfig, out=None, err=None) -> int:
             quantum_pressure=cfg.quantum_pressure, n_samples=cfg.n_samples,
             ds=cfg.ds)
     except (CFLError, PositivityError) as exc:
-        snapshot = json.loads(exc.last_good.to_json())
         _write_atomic(_out(cfg, f"simulate_{tag}.lastgood.json"),
-                      _stamp_json(snapshot, cfg))
+                      _stamp_json(exc.last_good.payload(), cfg))
         _write_atomic(_out(cfg, f"simulate_{tag}.partial.csv"),
                       _stamp_csv(exc.partial_report.to_csv(), cfg))
         print(f"evolution aborted: {exc}; last good snapshot written",
-              file=err)
+              file=sys.stderr)
         return EXIT_ABORT
     except WorkbenchError as exc:
-        print(f"simulation failure: {exc}", file=err)
+        print(f"simulation failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     if "csv" in cfg.emit:
         _write_atomic(_out(cfg, f"simulate_{tag}.csv"),
                       _stamp_csv(rep.to_csv(), cfg))
-    manifest = json.loads(rep.manifest())
+    manifest = rep.payload()
     manifest.pop("wall_time", None)   # byte-stable artifacts
     manifest["run_config"] = asdict(cfg)
     _write_atomic(_out(cfg, f"simulate_{tag}.manifest.json"),
                   _stamp_json(manifest, cfg))
     print(f"simulate r = {cfg.r}: {len(rep.s)} samples over "
           f"s in [{rep.s[0]:g}, {rep.s[-1]:g}], "
-          f"max |S~/S_d| = {rep.max_rel_Stilde:.3e}", file=out)
+          f"max |S~/S_d| = {rep.max_rel_Stilde:.3e}")
     return EXIT_OK
 
 
-def cmd_phase_portrait(cfg: RunConfig, out=None, err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
-    reason = _check_r(cfg)
-    if reason is not None:
-        print(reason, file=err)
-        return EXIT_SOLVER
-    params = ProfileParams(r=cfg.r)
+def cmd_phase_portrait(cfg: RunConfig, params: ProfileParams) -> int:
     curves = phase_portrait.barrier_curves(params,
                                            n_samples=cfg.curve_samples)
     buf = io.StringIO()
@@ -371,7 +321,7 @@ def cmd_phase_portrait(cfg: RunConfig, out=None, err=None) -> int:
         _write_atomic(_out(cfg, f"phase_portrait_r{cfg.r:g}.json"),
                       _stamp_json(payload, cfg))
     print(f"phase portrait r = {cfg.r}: {len(curves)} curves, "
-          f"{cfg.curve_samples} samples each", file=out)
+          f"{cfg.curve_samples} samples each")
     return EXIT_OK
 
 
@@ -379,12 +329,10 @@ def cmd_phase_portrait(cfg: RunConfig, out=None, err=None) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_one(args: tuple) -> dict:
+def _sweep_one(r: float, cfg: RunConfig) -> dict:
     """One independent pipeline: solve and verify at a single r."""
-    r, cfg_data = args
-    cfg = RunConfig.from_mapping(cfg_data).override({"r": r})
     try:
-        table = _solve(cfg)
+        table = _solve(cfg.override({"r": r}))
         report = verify_all(table.params, table,
                             n_samples=cfg.verify_samples)
         row = {"r": r, "ok": True, "all_passed": report.all_passed,
@@ -397,29 +345,9 @@ def _sweep_one(args: tuple) -> dict:
     return row
 
 
-def _workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
-
-
-def cmd_sweep(cfg: RunConfig, values: list[float], out=None,
-              err=None) -> int:
-    out = sys.stdout if out is None else out
-    err = sys.stderr if err is None else err
-    bad = [v for v in values if not 1.0 < v < R_STAR]
-    if bad:
-        print(f"r outside (1, r*): {bad}", file=err)
-        return EXIT_SOLVER
-    jobs = [(v, asdict(cfg)) for v in values]
-    workers = _workers()
-    if workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-            rows = list(pool.map(_sweep_one, jobs))
-    else:
-        rows = [_sweep_one(j) for j in jobs]
-    rows.sort(key=lambda row: row["r"])
+def cmd_sweep(cfg: RunConfig, values: list[float]) -> int:
+    rows = sorted((_sweep_one(v, cfg) for v in values),
+                  key=lambda row: row["r"])
     lines = ["r,ok,all_passed,min_margin,checks"]
     for row in rows:
         lines.append(f"{row['r']:.17g},{int(row['ok'])},"
@@ -431,8 +359,7 @@ def cmd_sweep(cfg: RunConfig, values: list[float], out=None,
         _write_atomic(_out(cfg, "sweep.json"), _stamp_json(rows, cfg))
     failures = [row for row in rows if not row["all_passed"]]
     print(f"sweep over {len(values)} values of r: "
-          f"{len(values) - len(failures)} passed, {len(failures)} failed",
-          file=out)
+          f"{len(values) - len(failures)} passed, {len(failures)} failed")
     return EXIT_OK if not failures else EXIT_CHECK_FAILED
 
 
@@ -440,10 +367,10 @@ def cmd_sweep(cfg: RunConfig, values: list[float], out=None,
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _parse_range(text: str) -> list[float]:
     lo, _, hi = text.partition(":")
     try:
-        return float(lo), float(hi)
+        return [float(lo), float(hi)]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
 
@@ -538,48 +465,59 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_FLAG_KEYS = ("r", "n_points", "tol", "out_dir", "s_span", "n", "R_max",
-              "n_samples", "ds", "quantum_pressure", "sample_r", "window",
-              "require_window", "verify_samples", "curve_samples")
-
-
 def _effective_config(args: argparse.Namespace) -> RunConfig:
     cfg = (RunConfig.from_file(args.config)
            if getattr(args, "config", None) else RunConfig())
-    updates = {}
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            updates[key] = list(value) if isinstance(value, tuple) else value
+    updates = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+               if getattr(args, f.name, None) is not None}
     if getattr(args, "xi_range", None) is not None:
         updates["xi_min"], updates["xi_max"] = args.xi_range
-    if getattr(args, "emit", None) is not None:
+    if "emit" in updates:
         updates["emit"] = args.emit.split(",")
-    if getattr(args, "energy", None) is not None:
+    if "energy" in updates:
         updates["energy"] = _parse_energy(args.energy)
     return cfg.override(updates)
 
 
+def _r_range_error(args: argparse.Namespace, cfg: RunConfig) -> str | None:
+    if args.command == "sweep":
+        bad = [v for v in args.values if not 1.0 < v < R_STAR]
+        return f"r outside (1, r*): {bad}" if bad else None
+    if not 1.0 < cfg.r < R_STAR:
+        return f"r outside (1, r*): r = {cfg.r}, r* = {R_STAR:.6f}"
+    return None
+
+
+#: command -> (artifact writer, what main hands it besides the config);
+#: a WorkbenchError while preparing that input is a solver failure
+COMMANDS = {
+    "profile": (cmd_profile, lambda cfg, args: _solve(cfg)),
+    "verify": (cmd_verify, lambda cfg, args: _solve(cfg)),
+    "simulate": (cmd_simulate, lambda cfg, args: _solve(cfg)),
+    "sweep": (cmd_sweep, lambda cfg, args: args.values),
+    "phase-portrait": (cmd_phase_portrait,
+                       lambda cfg, args: ProfileParams(r=cfg.r)),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = _effective_config(args)
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    if args.command == "profile":
-        return cmd_profile(cfg)
-    if args.command == "verify":
-        return cmd_verify(cfg)
-    if args.command == "simulate":
-        return cmd_simulate(cfg)
-    if args.command == "sweep":
-        return cmd_sweep(cfg, args.values)
-    if args.command == "phase-portrait":
-        return cmd_phase_portrait(cfg)
-    parser.error(f"unknown command {args.command}")
-    return EXIT_SOLVER
+    reason = _r_range_error(args, cfg)
+    if reason is not None:
+        print(reason, file=sys.stderr)
+        return EXIT_SOLVER
+    command, prepare = COMMANDS[args.command]
+    try:
+        subject = prepare(cfg, args)
+    except WorkbenchError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    return command(cfg, subject)
 
 
 if __name__ == "__main__":

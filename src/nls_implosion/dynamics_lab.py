@@ -242,15 +242,17 @@ _EXP_MAX = float(np.log(np.finfo(float).max))
 
 def _require_finite_prefactor(r: float, s0: float, s_span: float,
                               quantum: bool) -> None:
-    """DomainError when quantum pressure is on and its prefactor
-    e^{(4-2r)s} overflows by s = s0 + s_span (r < 2 at large s)."""
+    """DomainError when the quantum-pressure prefactor e^{(4-2r)s}
+    overflows by s = s0 + s_span (r < 2 at large s).  `quantum` says
+    whether the term is on; only then does the message offer turning it
+    off."""
     exponent = (4.0 - 2.0 * r) * (s0 + s_span)
-    if quantum and exponent > _EXP_MAX:
+    if exponent > _EXP_MAX:
         raise DomainError(
             f"quantum-pressure prefactor exp((4 - 2r) s) overflows at "
             f"r = {r:g}, s0 = {s0:g}: exponent (4 - 2r)(s0 + "
-            f"s_span) = {exponent:.6g} > {_EXP_MAX:.6g}; lower s0 or turn "
-            "quantum pressure off")
+            f"s_span) = {exponent:.6g} > {_EXP_MAX:.6g}; lower s0"
+            + (" or turn quantum pressure off" if quantum else ""))
 
 
 def _log_density(S: np.ndarray, params: ProfileParams) -> np.ndarray:
@@ -267,8 +269,8 @@ def _rhs(Psi: np.ndarray, dPsi: np.ndarray, S: np.ndarray, R: np.ndarray,
     dS = _even_d1(S, h)
     lapPsi = _laplacian_from(dPsi, _even_d2(Psi, h), R, d)
     qp = 0.0
-    coef = np.exp((4.0 - 2.0 * r) * s)
-    if quantum and coef > QP_COEF_FLOOR and np.any(S > S_FLOOR):
+    coef = np.exp((4.0 - 2.0 * r) * s) if quantum else 0.0
+    if coef > QP_COEF_FLOOR and np.any(S > S_FLOOR):
         w = _log_density(np.maximum(S, S_FLOOR), params)
         dw = _even_d1(w, h)
         qp = coef * (_laplacian_from(dw, _even_d2(w, h), R, d) + dw * dw)
@@ -292,8 +294,8 @@ def _advance(Psi: np.ndarray, S: np.ndarray, R: np.ndarray, h: float,
     dPsi = _even_d1(Psi, h)
     amax = float(np.max(np.abs(R + 2.0 * dPsi)))
     bound = cfl * h / max(amax, 1e-30)
-    coef = np.exp((4.0 - 2.0 * params.r) * s)
-    if quantum and coef > QP_COEF_FLOOR:
+    coef = np.exp((4.0 - 2.0 * params.r) * s) if quantum else 0.0
+    if coef > QP_COEF_FLOOR:
         bound = min(bound, cfl * h * h / (2.0 * params.d * coef))
     if ds > bound:
         raise CFLError(f"ds = {ds:.3e} exceeds the stability bound "
@@ -332,7 +334,8 @@ def step(state: FieldSet, ds: float, quantum_pressure: bool = True,
     FieldSet.  With quantum pressure on, a prefactor e^{(4-2r)s} that
     overflows by s + ds is a DomainError before the step.
     """
-    _require_finite_prefactor(state.params.r, state.s, ds, quantum_pressure)
+    if quantum_pressure:
+        _require_finite_prefactor(state.params.r, state.s, ds, True)
     Psi, S = _advance(state.Psi, state.S, state.R, state.h, state.params,
                       state.s, ds, quantum_pressure, cfl)
     return FieldSet.from_Psi_S(state.params, state.R, state.s + ds, Psi, S,
@@ -541,7 +544,7 @@ def exponent_formula(s_index: float, params: ProfileParams) -> float:
             - 2.0 * s_index * (1.0 - 1.0 / r))
 
 
-def blowup_exponent(table: ProfileTable, s_exponent: int, T: float = 1.0,
+def blowup_exponent(table: ProfileTable, s_exponent: int,
                     n_times: int = 9, n_grid: int = 513,
                     log10_Tt: tuple = (-40.0, -20.0)) -> float:
     """Fitted (T-t) exponent of the profile's homogeneous Sobolev norm.
@@ -617,15 +620,18 @@ class EnergyReport:
             buf.write(",".join(f"{x:.17g}" for x in row) + "\n")
         return buf.getvalue()
 
+    def payload(self) -> dict:
+        """The JSON-ready run summary that manifest serializes."""
+        return {"config": asdict(self.config),
+                "orders": {"m_prime": self.config.m_prime,
+                           "k": self.config.k, "l": self.config.l},
+                "input_hash": self.input_hash,
+                "samples": len(self.s),
+                "max_rel_Stilde": self.max_rel_Stilde,
+                "wall_time": self.wall_time}
+
     def manifest(self) -> str:
-        payload = {"config": asdict(self.config),
-                   "orders": {"m_prime": self.config.m_prime,
-                              "k": self.config.k, "l": self.config.l},
-                   "input_hash": self.input_hash,
-                   "samples": len(self.s),
-                   "max_rel_Stilde": self.max_rel_Stilde,
-                   "wall_time": self.wall_time}
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
 
 def _hash_inputs(table: ProfileTable, cfg: EnergyConfig, extra: dict) -> str:
@@ -663,9 +669,10 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     Both runs are stepped as plain (Psi, S) arrays; validated FieldSets
     are built only at the sample points and, on a CFL or positivity
     abort, for the perturbed run's last good state (attached to the error
-    as `last_good`, with the samples so far as `partial_report`).  With
-    quantum pressure on, a prefactor e^{(4-2r)s} that overflows on the
-    run's span (r < 2 at large s0) is a DomainError before any step.
+    as `last_good`, with the samples so far as `partial_report`).  A
+    prefactor e^{(4-2r)s} that overflows on the run's span (r < 2 at
+    large s0) is a DomainError before any step, with quantum pressure on
+    or off: every sample's energy_high and residual_stationary use it.
     """
     import time
     t0 = time.perf_counter()

@@ -179,8 +179,9 @@ class ProfileTable:
             writer.writerow([format(v, ".17g") for v in row])
         return buf.getvalue()
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The JSON-ready snapshot that to_json serializes."""
+        return {
             "schema_version": SCHEMA_VERSION,
             "params": {"r": self.params.r, "d": self.params.d, "p": self.params.p},
             "w0": self.w0,
@@ -199,7 +200,9 @@ class ProfileTable:
                     ("dR_Sbar", self.dR_Sbar)]
             },
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ProfileTable":

@@ -56,14 +56,17 @@ class VerificationReport:
                 return c
         raise KeyError(name)
 
-    def to_json(self) -> str:
-        payload = {
+    def payload(self) -> dict:
+        """The JSON-ready report that to_json serializes."""
+        return {
             "params": self.params,
             "tolerances": self.tolerances,
             "checks": [asdict(c) for c in self.checks],
             "all_passed": self.all_passed,
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = []

@@ -242,10 +242,10 @@ class FieldSet:
     def h(self) -> float:
         return float(self.R[1] - self.R[0])
 
-    def to_json(self) -> str:
-        """JSON snapshot with the frame metadata header (s, mode, h, R_max)."""
-        import json
-        payload = {
+    def payload(self) -> dict:
+        """JSON-ready snapshot with the frame metadata header (s, mode, h,
+        R_max); to_json serializes it."""
+        return {
             "schema_version": 1,
             "kind": "fieldset",
             "frame": {"s": self.s, "mode": self.domain_mode, "h": self.h,
@@ -255,7 +255,10 @@ class FieldSet:
             "columns": {"R": self.R.tolist(), "Psi": self.Psi.tolist(),
                         "S": self.S.tolist()},
         }
-        return json.dumps(payload, indent=2, sort_keys=True)
+
+    def to_json(self) -> str:
+        import json
+        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "FieldSet":

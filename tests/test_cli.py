@@ -7,6 +7,7 @@ artifact files twice, they do not compare against frozen blobs.
 
 import json
 import os
+from dataclasses import fields
 
 import pytest
 
@@ -97,11 +98,6 @@ class TestProfileCommand:
         head = read(tmp_path / "profile_r2.01.csv").decode().splitlines()
         assert head[0] == "# format_version: 1"
         assert head[1].startswith("# config_hash: ")
-
-    def test_r_out_of_window(self, tmp_path, capsys):
-        code = main(["profile", "--r", "2.5", "--out-dir", str(tmp_path)])
-        assert code == EXIT_SOLVER
-        assert "r outside (1, r*)" in capsys.readouterr().err
 
     def test_byte_stable_across_reruns(self, tmp_path):
         argv = ["profile", "--r", "2.01", *FAST, "--out-dir", str(tmp_path)]
@@ -221,6 +217,18 @@ class TestSimulateCommand:
         assert not (tmp_path / "simulate_r1.9.lastgood.json").exists()
         assert not list(tmp_path.glob("simulate_*"))
 
+    def test_overflowing_prefactor_refused_with_quantum_off(self, tmp_path,
+                                                           capsys):
+        # every sample's energies evaluate exp((4 - 2r) s) whatever the
+        # flag, so the run is refused instead of writing inf columns
+        code = main(["simulate", "--r", "1.9", *SIM_FAST,
+                     "--no-quantum-pressure", "--out-dir", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "overflows at r = 1.9, s0 = 10000" in err
+        assert "turn quantum pressure off" not in err
+        assert not list(tmp_path.glob("simulate_*"))
+
     def test_energy_override_and_unknown_key(self, tmp_path, capsys):
         code = main(["simulate", "--r", "2.01", *SIM_FAST,
                      "--energy", "delta_low=0.002",
@@ -257,12 +265,6 @@ class TestSweepCommand:
         assert code == EXIT_SOLVER
         assert "r outside" in capsys.readouterr().err
 
-    def test_worker_env(self, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV, "3")
-        assert cli._workers() == 3
-        monkeypatch.delenv(cli.WORKERS_ENV)
-        assert cli._workers() == 1
-
 
 class TestPhasePortraitCommand:
     def test_curves_emitted(self, tmp_path):
@@ -286,6 +288,36 @@ class TestPhasePortraitCommand:
 
 
 class TestMainPlumbing:
+    @pytest.mark.parametrize("command", ["profile", "verify", "simulate",
+                                         "phase-portrait"])
+    def test_r_range_checked_before_any_work(self, command, tmp_path,
+                                             capsys):
+        code = main([command, "--r", "2.5", "--out-dir", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        assert "r outside (1, r*)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["profile", "verify", "simulate"])
+    def test_solver_failure_exit(self, command, tmp_path, capsys):
+        code = main([command, "--r", "2.01", "--tol", "1e-3",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        assert ("solver failure: tol = 0.001 outside"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_every_option_is_a_config_field(self):
+        # _effective_config maps flags to RunConfig fields by dest name;
+        # a flag whose dest is no field would be silently dropped
+        names = {f.name for f in fields(RunConfig)}
+        derived = {"command", "config", "xi_range", "values"}
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if a.dest == "command").choices
+        for name, sub in subparsers.items():
+            dests = {a.dest for a in sub._actions if a.dest != "help"}
+            assert dests - derived <= names, name
+
     def test_config_error_exit(self, tmp_path, capsys):
         path = str(tmp_path / "bad.json")
         with open(path, "w") as fh:

@@ -173,6 +173,18 @@ class TestStep:
             with pytest.raises(DomainError, match="overflows at r = 1.9"):
                 step(state, 1e-4)
 
+    def test_quantum_off_skips_the_prefactor_below_r2(self):
+        # with the term off the overflowing prefactor is never evaluated:
+        # no overflow warning, and the step goes through
+        params = ProfileParams(r=1.9)
+        R = np.linspace(0.0, 10.0, 257)
+        state = FieldSet.from_Psi_S(params, R, 1e4, np.zeros_like(R),
+                                    np.exp(-R * R))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = step(state, 1e-4, quantum_pressure=False)
+        assert out.s == 1e4 + 1e-4
+
     def test_positivity_abort(self):
         # a vacuum band against a rising ramp: at band nodes the density
         # equation reduces to -R dS < 0 and the step must flag the sign
