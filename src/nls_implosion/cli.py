@@ -87,6 +87,8 @@ class RunConfig:
             raise ConfigError(f"unknown emit formats: {bad}")
         if self.window is not None and len(self.window) != 2:
             raise ConfigError("window must be two values lo:hi")
+        if self.sample_r != 0 and self.sample_r < 2:
+            raise ConfigError(f"sample_r = {self.sample_r}; need 0 or >= 2")
 
     @classmethod
     def from_mapping(cls, data: dict, source: str = "config") -> "RunConfig":
@@ -390,18 +392,15 @@ def _parse_values(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
 
-def _parse_energy(pairs: list[str]) -> dict:
-    result = {}
-    for pair in pairs:
-        key, eq, value = pair.partition("=")
-        if not eq:
-            raise argparse.ArgumentTypeError(
-                f"expected KEY=VALUE, got {pair!r}")
-        try:
-            result[key] = json.loads(value)
-        except json.JSONDecodeError:
-            result[key] = value
-    return result
+def _parse_energy(pair: str) -> tuple[str, object]:
+    """One `--energy KEY=VALUE`; VALUE is read as JSON, else kept as text."""
+    key, eq, value = pair.partition("=")
+    if not eq:
+        raise argparse.ArgumentTypeError(f"expected KEY=VALUE, got {pair!r}")
+    try:
+        return key, json.loads(value)
+    except json.JSONDecodeError:
+        return key, value
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -447,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
                    action=argparse.BooleanOptionalAction, default=None,
                    help="include the quantum-pressure term")
     s.add_argument("--energy", action="append", default=None,
-                   metavar="KEY=VALUE", help="EnergyConfig override")
+                   type=_parse_energy, metavar="KEY=VALUE",
+                   help="EnergyConfig override")
 
     w = subs.add_parser("sweep", help="verify across a set of r values")
     _add_common(w)
@@ -475,7 +475,7 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     if "emit" in updates:
         updates["emit"] = args.emit.split(",")
     if "energy" in updates:
-        updates["energy"] = _parse_energy(args.energy)
+        updates["energy"] = dict(args.energy)
     return cfg.override(updates)
 
 

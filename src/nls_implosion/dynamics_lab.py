@@ -37,7 +37,7 @@ from .errors import (
     VacuumError,
 )
 from .phase_portrait import ProfileParams
-from .profile_solver import ProfileTable
+from .profile_solver import ProfileTable, profile_operator
 from .selfsimilar_fields import (
     FieldSet,
     _even_d1,
@@ -240,19 +240,15 @@ QP_COEF_FLOOR = 1e-30
 _EXP_MAX = float(np.log(np.finfo(float).max))
 
 
-def _require_finite_prefactor(r: float, s0: float, s_span: float,
-                              quantum: bool) -> None:
+def _require_finite_prefactor(r: float, s0: float, s_span: float) -> None:
     """DomainError when the quantum-pressure prefactor e^{(4-2r)s}
-    overflows by s = s0 + s_span (r < 2 at large s).  `quantum` says
-    whether the term is on; only then does the message offer turning it
-    off."""
+    overflows by s = s0 + s_span (r < 2 at large s)."""
     exponent = (4.0 - 2.0 * r) * (s0 + s_span)
     if exponent > _EXP_MAX:
         raise DomainError(
             f"quantum-pressure prefactor exp((4 - 2r) s) overflows at "
             f"r = {r:g}, s0 = {s0:g}: exponent (4 - 2r)(s0 + "
-            f"s_span) = {exponent:.6g} > {_EXP_MAX:.6g}; lower s0"
-            + (" or turn quantum pressure off" if quantum else ""))
+            f"s_span) = {exponent:.6g} > {_EXP_MAX:.6g}; lower s0")
 
 
 def _log_density(S: np.ndarray, params: ProfileParams) -> np.ndarray:
@@ -265,20 +261,18 @@ def _log_density(S: np.ndarray, params: ProfileParams) -> np.ndarray:
 def _rhs(Psi: np.ndarray, dPsi: np.ndarray, S: np.ndarray, R: np.ndarray,
          h: float, params: ProfileParams, s: float, quantum: bool
          ) -> tuple[np.ndarray, np.ndarray]:
-    r, alpha, d = params.r, params.alpha, params.d
+    d = params.d
     dS = _even_d1(S, h)
     lapPsi = _laplacian_from(dPsi, _even_d2(Psi, h), R, d)
     qp = 0.0
-    coef = np.exp((4.0 - 2.0 * r) * s) if quantum else 0.0
+    coef = np.exp((4.0 - 2.0 * params.r) * s) if quantum else 0.0
     if coef > QP_COEF_FLOOR and np.any(S > S_FLOOR):
         w = _log_density(np.maximum(S, S_FLOOR), params)
         dw = _even_d1(w, h)
         qp = coef * (_laplacian_from(dw, _even_d2(w, h), R, d) + dw * dw)
         qp = np.where(S > S_FLOOR, qp, 0.0)
-    rhs_Psi = -(r - 2.0) * Psi - R * dPsi - dPsi * dPsi - alpha * S * S + qp
-    rhs_S = (-(r - 1.0) * S - R * dS - 2.0 * dS * dPsi
-             - 2.0 * alpha * S * lapPsi)
-    return rhs_Psi, rhs_S
+    N_Psi, N_S = profile_operator(params, R, Psi, dPsi, S, dS, lapPsi)
+    return N_Psi + qp, N_S
 
 
 def _advance(Psi: np.ndarray, S: np.ndarray, R: np.ndarray, h: float,
@@ -335,7 +329,7 @@ def step(state: FieldSet, ds: float, quantum_pressure: bool = True,
     overflows by s + ds is a DomainError before the step.
     """
     if quantum_pressure:
-        _require_finite_prefactor(state.params.r, state.s, ds, True)
+        _require_finite_prefactor(state.params.r, state.s, ds)
     Psi, S = _advance(state.Psi, state.S, state.R, state.h, state.params,
                       state.s, ds, quantum_pressure, cfl)
     return FieldSet.from_Psi_S(state.params, state.R, state.s + ds, Psi, S,
@@ -544,9 +538,13 @@ def exponent_formula(s_index: float, params: ProfileParams) -> float:
             - 2.0 * s_index * (1.0 - 1.0 / r))
 
 
+#: the blow-up fit's T - t samples: count and log10 range
+BLOWUP_N_TIMES = 9
+BLOWUP_LOG10_TT = (-40.0, -20.0)
+
+
 def blowup_exponent(table: ProfileTable, s_exponent: int,
-                    n_times: int = 9, n_grid: int = 513,
-                    log10_Tt: tuple = (-40.0, -20.0)) -> float:
+                    n_grid: int = 513) -> float:
     """Fitted (T-t) exponent of the profile's homogeneous Sobolev norm.
 
     Reconstructs v = sqrt(P) e^{i c(t) Psi} with c(t) = (T-t)^{2/r-1}/r on
@@ -571,8 +569,8 @@ def blowup_exponent(table: ProfileTable, s_exponent: int,
     h = R[1] - R[0]
     A = 1.0 / (alpha * r) - 1.0 / alpha - 2.0 * m / r + d / r
 
-    log_Tt = np.linspace(log10_Tt[0], log10_Tt[1], n_times) * np.log(10.0)
-    logN = np.empty(n_times)
+    log_Tt = np.linspace(*BLOWUP_LOG10_TT, BLOWUP_N_TIMES) * np.log(10.0)
+    logN = np.empty(BLOWUP_N_TIMES)
     for i, lt in enumerate(log_Tt):
         c = np.exp((2.0 / r - 1.0) * lt) / r
         v = sqrtP * np.exp(1j * c * base.Psi)
@@ -589,7 +587,13 @@ def blowup_exponent(table: ProfileTable, s_exponent: int,
 
 @dataclass
 class EnergyReport:
-    """Time series of energies and residuals for one evolution run."""
+    """Time series of energies and residuals for one evolution run.
+
+    sup_residual_Psi and sup_residual_S are sup |residual_stationary(ref).Psi|
+    and sup |residual_stationary(ref).P| on the reference run; the second
+    is the P-form density residual, not an S residual, and keeps its name
+    because it is a CSV header of the simulate artifact.
+    """
 
     config: EnergyConfig
     s: list = field(default_factory=list)
@@ -679,7 +683,7 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     if cfg is None:
         cfg = EnergyConfig()
     params = table.params
-    _require_finite_prefactor(params.r, cfg.s0, s_span, quantum_pressure)
+    _require_finite_prefactor(params.r, cfg.s0, s_span)
     R = np.linspace(0.0, R_max, n)
     h = float(R[1] - R[0])
 

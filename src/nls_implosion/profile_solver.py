@@ -47,9 +47,9 @@ Schrodinger profile equations
     0 = -(r-2) Psi_p - y.grad(Psi_p) - |grad(Psi_p)|^2 - alpha S_p^2
     0 = -(r-1) S_p - y.grad(S_p) - 2 grad(S_p).grad(Psi_p) - 2 alpha S_p lap(Psi_p)
 
-hold; residual_profile measures exactly these, with first derivatives taken
-by finite differences of the tabulated columns so the check is not a
-restatement of the construction.
+hold; profile_operator evaluates their right sides, and residual_profile
+measures them with first derivatives taken by finite differences of the
+tabulated columns so the check is not a restatement of the construction.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ __all__ = [
     "to_physical",
     "fit_decay",
     "residual_profile",
+    "profile_operator",
     "origin_slope",
     "taylor_seed_coeffs",
     "sonic_series",
@@ -110,6 +111,13 @@ SCHEMA_VERSION = 1
 #: number of edge grid points excluded from finite-difference residual sups
 #: (one-sided stencils there have a larger error constant)
 EDGE_MARGIN = 6
+
+#: radius of the origin fit that reports w0 = Sbar(0)
+MATCH_RADIUS = 0.05
+
+#: decimal digits of the sonic series recurrence, which divides by
+#: a1*(n - kappa) with kappa ~ 46; 60 leave ample headroom
+SERIES_DPS = 60
 
 
 @dataclass(frozen=True)
@@ -271,9 +279,9 @@ def taylor_seed_coeffs(params: ProfileParams) -> tuple[float, float, float, floa
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=32)
-def _sonic_series_mp(r: float, order: int, dps: int):
+def _sonic_series_mp(r: float, order: int):
     """Extended-precision Taylor coefficients of the smooth branch at P_s."""
-    with mpmath.workdps(dps):
+    with mpmath.workdps(SERIES_DPS):
         rr = mpmath.mpf(r)
         _, _, W0, Z0, W1, Z1 = _sonic_closed_forms(rr, mpmath.mpf,
                                                    mpmath.sqrt)
@@ -310,15 +318,13 @@ def _sonic_series_mp(r: float, order: int, dps: int):
         return tuple(W), tuple(Z)
 
 
-def sonic_series(r: float, order: int = 90, dps: int = 60) -> tuple[np.ndarray, np.ndarray]:
+def sonic_series(r: float, order: int = 90) -> tuple[np.ndarray, np.ndarray]:
     """Taylor coefficients (W_n, Z_n) of the smooth branch, W = sum W_n xi^n.
 
-    Generated by matching powers of xi in W' D_W = N_W and Z' D_Z = N_Z in
-    extended precision.  The Z recurrence divides by a1*(n - kappa) where
-    kappa ~ 46 is the sonic eigenvalue ratio, so coefficients near that order
-    are amplified; dps = 60 leaves ample headroom.  Returned as float arrays.
+    Generated by matching powers of xi in W' D_W = N_W and Z' D_Z = N_Z at
+    SERIES_DPS digits.  Returned as float arrays.
     """
-    W, Z = _sonic_series_mp(r, order, dps)
+    W, Z = _sonic_series_mp(r, order)
     return (np.array([float(c) for c in W]),
             np.array([float(c) for c in Z]))
 
@@ -446,7 +452,6 @@ def _build_grid(xi_min: float, xi_max: float, n_points: int) -> np.ndarray:
 def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7.0,
                   tol: float = 1e-12, n_points: int = 4096,
                   xi_switch: float = 0.2, blowup_bound: float | None = None,
-                  match_radius: float = 0.05,
                   series_order: int = 90) -> ProfileTable:
     """Compute the orbit through the sonic point on a uniform xi grid.
 
@@ -588,7 +593,7 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     if not np.all(np.sign(dz_vals[off]) == np.sign(xi_grid[off])):
         raise SonicCrossingError("sign(D_Z) != sign(xi) off the sonic point")
 
-    w0, w0_mismatch = _match_origin(xi_grid, R, Sbar, match_radius)
+    w0, w0_mismatch = _match_origin(R, Sbar)
 
     return ProfileTable(params=params, xi_grid=xi_grid, W=W, Z=Z, R=R,
                         Ubar_R=Ubar_R, Sbar=Sbar, dR_Ubar=dR_Ubar,
@@ -666,9 +671,9 @@ def _seam(sol, xi_hit: float, xi_seam: float, Wc: np.ndarray,
     return xi_seam, xi_hit
 
 
-def _match_origin(xi_grid, R, Sbar, match_radius):
-    """Fit Sbar = w0 + w2 R^2 + w4 R^4 on R <= match_radius."""
-    mask = R <= match_radius
+def _match_origin(R, Sbar):
+    """Fit Sbar = w0 + w2 R^2 + w4 R^4 on R <= MATCH_RADIUS."""
+    mask = R <= MATCH_RADIUS
     if np.count_nonzero(mask) < 8:
         return float("nan"), float("nan")
     x = R[mask] ** 2
@@ -700,6 +705,17 @@ def to_physical(table: ProfileTable) -> ProfileTable:
 # diagnostics
 # ---------------------------------------------------------------------------
 
+def profile_operator(params: ProfileParams, R, Psi, dPsi, S, dS, lapPsi
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Right sides (N_Psi, N_S) of the two stationary profile equations,
+    zero on an exact profile; the caller supplies the derivatives."""
+    r, alpha = params.r, params.alpha
+    N_Psi = -(r - 2.0) * Psi - R * dPsi - dPsi * dPsi - alpha * S * S
+    N_S = (-(r - 1.0) * S - R * dS - 2.0 * dS * dPsi
+           - 2.0 * alpha * S * lapPsi)
+    return N_Psi, N_S
+
+
 def residual_profile(table: ProfileTable, R_lo: float | None = None,
                      R_hi: float | None = None, acc: int = 14) -> ResidualPair:
     """Sup-norm residuals of the two stationary profile equations.
@@ -720,18 +736,13 @@ def residual_profile(table: ProfileTable, R_lo: float | None = None,
     """
     if table.Psi_nls is None:
         raise DomainError("physical columns missing; call to_physical first")
-    r = table.params.r
-    alpha = table.params.alpha
     R, h = table.R, table.h
     Psi, S = table.Psi_nls, table.S_nls
-
     dPsi = derivative(Psi, h, 1, acc=acc) / R
     dS = derivative(S, h, 1, acc=acc) / R
-    lapPsi = table.lapPsi_nls
-
-    res1 = np.abs((r - 2.0) * Psi + R * dPsi + dPsi ** 2 + alpha * S ** 2)
-    res2 = np.abs((r - 1.0) * S + R * dS + 2.0 * dS * dPsi
-                  + 2.0 * alpha * S * lapPsi)
+    N_Psi, N_S = profile_operator(table.params, R, Psi, dPsi, S, dS,
+                                  table.lapPsi_nls)
+    res1, res2 = np.abs(N_Psi), np.abs(N_S)
 
     margin = max(EDGE_MARGIN, acc // 2 + 1)
     if R_lo is None and R_hi is None:

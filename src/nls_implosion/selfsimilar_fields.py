@@ -17,6 +17,7 @@ and directly from their defining combination as a cross-check.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -25,7 +26,7 @@ import numpy as np
 from ._fd import derivative, fd_weights
 from .errors import DomainError, RangeError, VacuumError
 from .phase_portrait import ProfileParams
-from .profile_solver import ProfileTable
+from .profile_solver import ProfileTable, profile_operator
 
 __all__ = [
     "FieldSet",
@@ -197,10 +198,9 @@ def _laplacian_from(d1: np.ndarray, d2: np.ndarray, R: np.ndarray,
 class FieldSet:
     """Radial field snapshot in the self-similar frame.
 
-    P, S and w are redundant representations of the density (S is the
-    sound-speed variable, w the half log-density); construction enforces
-    their pointwise relations so any consumer may use whichever is
-    convenient.
+    The state is (Psi, S) with S the sound-speed variable; the density P,
+    the half log-density w and U = d_R Psi are derived on first use.
+    Exact vacuum (S = 0, so P = 0, w = -inf) is representable.
     """
 
     params: ProfileParams
@@ -208,35 +208,28 @@ class FieldSet:
     s: float
     Psi: np.ndarray
     S: np.ndarray
-    P: np.ndarray
-    w: np.ndarray
-    U: np.ndarray
     domain_mode: str = "euclidean"
-
-    RELATION_TOL = 1e-12
 
     def __post_init__(self):
         if self.domain_mode not in ("periodic", "euclidean"):
             raise DomainError(f"unknown domain mode {self.domain_mode!r}")
-        if np.any(self.P < 0):
-            raise DomainError("P must be nonnegative")
+        if not np.all(self.S >= 0):
+            raise DomainError("S must be nonnegative (and not NaN)")
+
+    @functools.cached_property
+    def P(self) -> np.ndarray:
         alpha = self.params.alpha
-        r = self.params.r
-        # exact vacuum (P = 0, S = 0, w = -inf) is representable so that
-        # zero data can flow through the stepper; the pointwise relations
-        # are enforced wherever the density is positive
-        pos = self.P > 0
-        if np.any(self.S[~pos] != 0.0) or np.any(self.w[~pos] != -np.inf):
-            raise DomainError("vacuum nodes must carry S = 0 and w = -inf")
-        if np.any(pos):
-            P, S, w = self.P[pos], self.S[pos], self.w[pos]
-            s_chk = r ** (1.0 - alpha) / np.sqrt(alpha) * P ** alpha
-            w_chk = 0.5 * np.log(P)
-            scale = np.max(np.abs(S)) + 1.0
-            if (np.max(np.abs(s_chk - S)) > self.RELATION_TOL * scale
-                    or np.max(np.abs(w_chk - w)) > self.RELATION_TOL
-                    * (np.max(np.abs(w)) + 1.0)):
-                raise DomainError("S-P-w relations violated beyond 1e-12")
+        return ((self.S * np.sqrt(alpha) / self.params.r ** (1.0 - alpha))
+                ** (1.0 / alpha))
+
+    @functools.cached_property
+    def w(self) -> np.ndarray:
+        with np.errstate(divide="ignore"):
+            return 0.5 * np.log(self.P)
+
+    @functools.cached_property
+    def U(self) -> np.ndarray:
+        return _even_d1(self.Psi, self.h)
 
     @property
     def h(self) -> float:
@@ -277,19 +270,9 @@ class FieldSet:
     def from_Psi_S(cls, params: ProfileParams, R: np.ndarray, s: float,
                    Psi: np.ndarray, S: np.ndarray,
                    domain_mode: str = "euclidean") -> "FieldSet":
-        alpha = params.alpha
-        S = np.asarray(S, dtype=float)
-        if np.any(S < 0):
-            raise DomainError("S must be nonnegative to define P and w")
-        P = (S * np.sqrt(alpha) / params.r ** (1.0 - alpha)) ** (1.0 / alpha)
-        with np.errstate(divide="ignore"):
-            w = 0.5 * np.log(P)
-        h = float(R[1] - R[0])
-        U = _even_d1(Psi, h)
         return cls(params=params, R=np.asarray(R, dtype=float), s=float(s),
                    Psi=np.asarray(Psi, dtype=float),
-                   S=np.asarray(S, dtype=float), P=P, w=w, U=U,
-                   domain_mode=domain_mode)
+                   S=np.asarray(S, dtype=float), domain_mode=domain_mode)
 
 
 def to_selfsimilar(psi: np.ndarray, rho: np.ndarray, x: np.ndarray,
@@ -309,11 +292,7 @@ def to_selfsimilar(psi: np.ndarray, rho: np.ndarray, x: np.ndarray,
     P = r * Tt ** (1.0 / alpha - 1.0 / (alpha * r)) * np.asarray(rho, dtype=float)
     R = np.asarray(x, dtype=float) * np.exp(s)
     S = r ** (1.0 - alpha) / np.sqrt(alpha) * P ** alpha
-    w = 0.5 * np.log(P)
-    h = float(R[1] - R[0])
-    U = _even_d1(Psi, h)
-    return FieldSet(params=params, R=R, s=float(s), Psi=Psi, S=S, P=P, w=w,
-                    U=U, domain_mode=domain_mode)
+    return FieldSet.from_Psi_S(params, R, s, Psi, S, domain_mode=domain_mode)
 
 
 def from_selfsimilar(fs: FieldSet, T: float, t: float
@@ -420,9 +399,8 @@ def error_terms(dp: DampedProfileField, table: ProfileTable,
                           "damped profile")
     if s is None:
         s = dp.s
-    r = table.params.r
-    alpha = table.params.alpha
-    d = table.params.d
+    params = table.params
+    r, alpha, d = params.r, params.alpha, params.d
     R = table.R
     es = np.exp(s)
     x = R / es
@@ -442,8 +420,8 @@ def error_terms(dp: DampedProfileField, table: ProfileTable,
 
     # ---- E_Psi, expanded closed form ----
     trans = hat - hat * hat
-    bracket_Psi = (-(r - 2.0) * Psi_p - R * dPsi_p - dPsi_p ** 2
-                   - alpha * S_p ** 2)
+    bracket_Psi, bracket_S = profile_operator(params, R, Psi_p, dPsi_p, S_p,
+                                              dS_p, lapPsi_p)
     E_Psi = (dPsi_p ** 2 * trans + alpha * S_p ** 2 * trans
              - Psi_p ** 2 * hat1 ** 2 / es ** 2
              - alpha * edr ** 2 * tilde ** 2
@@ -451,8 +429,6 @@ def error_terms(dp: DampedProfileField, table: ProfileTable,
              - 2.0 * alpha * edr * tilde * S_p * hat)
 
     # ---- E_S, expanded closed form (verbatim transcription) ----
-    bracket_S = (-(r - 1.0) * S_p - R * dS_p - 2.0 * alpha * S_p * lapPsi_p
-                 - 2.0 * dS_p * dPsi_p)
     # Laplacian of hat(y/e^s) in d dimensions
     lap_hat = hat2 / es ** 2 + (d - 1) / R * hat1 / es
     dSphat = dS_p * hat + S_p * hat1 / es     # d_R (S_p hat)
@@ -479,10 +455,10 @@ def error_terms(dp: DampedProfileField, table: ProfileTable,
     ds_Psi_d = -Psi_p * hat1 * x            # d_s of hat(R e^-s)
     ds_S_d = (-S_p * hat1 * x - (r - 1.0) * edr * tilde - edr * tilde1 * x)
 
-    E_Psi_def = (-ds_Psi_d - (r - 2.0) * Psi_d - R * dPsi_d
-                 - dPsi_d ** 2 - alpha * S_d ** 2)
-    E_S_def = (-ds_S_d - (r - 1.0) * S_d - R * dS_d
-               - 2.0 * dS_d * dPsi_d - 2.0 * alpha * S_d * lapPsi_d)
+    N_Psi_d, N_S_d = profile_operator(params, R, Psi_d, dPsi_d, S_d, dS_d,
+                                      lapPsi_d)
+    E_Psi_def = N_Psi_d - ds_Psi_d
+    E_S_def = N_S_d - ds_S_d
 
     # empirical support: the stated lower edge is |y| = e^s/2 but the tilde
     # transition activates E_S already at |y| = e^s/8; report, do not fail

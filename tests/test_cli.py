@@ -213,6 +213,7 @@ class TestSimulateCommand:
         assert code == EXIT_SOLVER
         err = capsys.readouterr().err
         assert "overflows at r = 1.9, s0 = 10000" in err
+        assert "turn quantum pressure off" not in err
         assert "aborted" not in err
         assert not (tmp_path / "simulate_r1.9.lastgood.json").exists()
         assert not list(tmp_path.glob("simulate_*"))
@@ -241,6 +242,12 @@ class TestSimulateCommand:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_SOLVER
         assert "energy config" in capsys.readouterr().err
+
+    def test_energy_without_equals_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--energy", "foo", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestSweepCommand:
@@ -325,6 +332,17 @@ class TestMainPlumbing:
         code = main(["profile", "--config", path])
         assert code == EXIT_SOLVER
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", ["1", "-1"])
+    def test_sample_r_below_2_is_a_config_error(self, count, tmp_path,
+                                                capsys):
+        # one sample would divide by zero in the sign table; refused
+        # before the solve, so no file is written
+        code = main(["verify", "--r", "2.01", "--sample-r", count,
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        assert "configuration error: sample_r" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,8 @@ converged profile (zero on the inner plateau, finite weighted bounds, and
 an e^-s decay of the differentiated weighted norms).
 """
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,15 +157,19 @@ class TestFrameMaps:
         with pytest.raises(DomainError):
             to_selfsimilar(psi, rho, x, 1.0, 1.0, ProfileParams(r=2.01))
 
-    def test_fieldset_relations_enforced(self):
+    @pytest.mark.parametrize("bad", [-1e-12, np.nan])
+    def test_fieldset_rejects_negative_or_nan_S(self, bad):
         params = ProfileParams(r=2.01)
         R = np.linspace(0.0, 3.0, 64)
-        fs = FieldSet.from_Psi_S(params, R, 1.0, np.exp(-R), 1.0 + 0.1 * R)
-        bad = fs.P.copy()
-        bad[0] *= 1.0 + 1e-6
+        S = 1.0 + 0.1 * R
+        S[5] = bad
         with pytest.raises(DomainError):
-            FieldSet(params=params, R=R, s=1.0, Psi=fs.Psi, S=fs.S, P=bad,
-                     w=fs.w, U=fs.U)
+            FieldSet.from_Psi_S(params, R, 1.0, np.exp(-R), S)
+        payload = FieldSet.from_Psi_S(params, R, 1.0, np.exp(-R),
+                                      1.0 + 0.1 * R).payload()
+        payload["columns"]["S"][5] = bad
+        with pytest.raises(DomainError):
+            FieldSet.from_json(json.dumps(payload))
 
     def test_json_roundtrip(self):
         params = ProfileParams(r=2.01)
