@@ -24,7 +24,8 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import dynamics_lab, phase_portrait, profile_solver
 from .dynamics_lab import EnergyConfig
-from .errors import CFLError, PositivityError, WorkbenchError
+from .errors import (CFLError, ConsistencyError, PositivityError,
+                     WorkbenchError)
 from .phase_portrait import R_STAR, ProfileParams
 from .profile_solver import ProfileTable
 from .repulsivity_verifier import verify_all
@@ -89,6 +90,21 @@ class RunConfig:
             raise ConfigError("window must be two values lo:hi")
         if self.sample_r != 0 and self.sample_r < 2:
             raise ConfigError(f"sample_r = {self.sample_r}; need 0 or >= 2")
+        for name, ok, need in (
+                ("ds", self.ds is None or self.ds > 0, "> 0"),
+                ("s_span", self.s_span > 0, "> 0"),
+                ("R_max", self.R_max > 0, "> 0"),
+                ("n", self.n >= 2, ">= 2"),
+                ("n_samples", self.n_samples >= 2, ">= 2"),
+                ("verify_samples", self.verify_samples >= 1, ">= 1"),
+                ("curve_samples", self.curve_samples >= 1, ">= 1")):
+            if not ok:
+                raise ConfigError(
+                    f"{name} = {getattr(self, name)}; need {need}")
+        try:
+            EnergyConfig(**self.energy)
+        except (TypeError, ConsistencyError) as exc:
+            raise ConfigError(f"energy config: {exc}") from None
 
     @classmethod
     def from_mapping(cls, data: dict, source: str = "config") -> "RunConfig":
@@ -265,17 +281,12 @@ def cmd_verify(cfg: RunConfig, table: ProfileTable) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, table: ProfileTable) -> int:
-    try:
-        ecfg = EnergyConfig(**cfg.energy)
-    except TypeError as exc:
-        print(f"unknown energy config key: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     tag = f"r{cfg.r:g}"
     try:
         rep = dynamics_lab.simulate(
-            table, ecfg, s_span=cfg.s_span, n=cfg.n, R_max=cfg.R_max,
-            quantum_pressure=cfg.quantum_pressure, n_samples=cfg.n_samples,
-            ds=cfg.ds)
+            table, EnergyConfig(**cfg.energy), s_span=cfg.s_span, n=cfg.n,
+            R_max=cfg.R_max, quantum_pressure=cfg.quantum_pressure,
+            n_samples=cfg.n_samples, ds=cfg.ds)
     except (CFLError, PositivityError) as exc:
         _write_atomic(_out(cfg, f"simulate_{tag}.lastgood.json"),
                       _stamp_json(exc.last_good.payload(), cfg))

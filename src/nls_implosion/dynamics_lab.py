@@ -42,10 +42,10 @@ from .selfsimilar_fields import (
     FieldSet,
     _even_d1,
     _even_d2,
+    _half_log_density,
     _laplacian_from,
     _smooth_step,
     cutoff,
-    radial_laplacian,
 )
 
 __all__ = [
@@ -117,6 +117,8 @@ class EnergyConfig:
             problems.append("1/E_global not small against 1/k")
         if rho * self.m_prime > self.k:
             problems.append("1/k not small against 1/m_prime")
+        if not self.cfl > 0:
+            problems.append("cfl must be > 0")
         if problems:
             raise ConsistencyError("; ".join(problems))
 
@@ -162,21 +164,8 @@ def build_weights(R: np.ndarray, cfg: EnergyConfig) -> Weights:
 # profile interpolation onto evolution grids
 # ---------------------------------------------------------------------------
 
-class ProfileGradients(NamedTuple):
-    """Derivative columns interpolated from the solver's own output.
-
-    Differencing the tabulated fields cannot beat the integrator's
-    node-scale output noise once it is divided by a grid spacing; these
-    columns inherit the solver's value-level accuracy instead.
-    """
-
-    dPsi: np.ndarray     # d_R Psi
-    dP: np.ndarray       # d_R P
-    lapPsi: np.ndarray   # Lap Psi in d dimensions
-
-
 def _spline_to_grid(table_R: np.ndarray, col: np.ndarray,
-                    R_grid: np.ndarray, odd: bool = False) -> np.ndarray:
+                    R_grid: np.ndarray) -> np.ndarray:
     spl = make_interp_spline(table_R, col, k=5)
     a = table_R[0]
     vals = np.empty_like(R_grid)
@@ -184,28 +173,20 @@ def _spline_to_grid(table_R: np.ndarray, col: np.ndarray,
     vals[inside] = spl(R_grid[inside])
     if np.any(~inside):
         fa, fb = float(spl(a)), float(spl(2.0 * a))
-        if odd:
-            # odd fields vanish linearly at the regular center
-            vals[~inside] = fa / a * R_grid[~inside]
-        else:
-            c1 = (fb - fa) / (3.0 * a * a)
-            vals[~inside] = fa - c1 * a * a + c1 * R_grid[~inside] ** 2
+        c1 = (fb - fa) / (3.0 * a * a)
+        vals[~inside] = fa - c1 * a * a + c1 * R_grid[~inside] ** 2
     return vals
 
 
-def profile_fieldset(table: ProfileTable, R_grid: np.ndarray, s: float,
-                     with_gradients: bool = False):
+def profile_fieldset(table: ProfileTable, R_grid: np.ndarray,
+                     s: float) -> FieldSet:
     """Evaluate the solved profile on a uniform grid containing R = 0.
 
     Quintic splines over the table's log-spaced nodes interpolate Psi and
     S; the (at most one) node below the table's reach is filled by the
     even quadratic through the two innermost evaluations, consistent with
-    the fields' regularity at the center.  With `with_gradients` the
-    table's own derivative columns are interpolated too and returned as a
-    second value.
+    the fields' regularity at the center.
     """
-    if table.S_nls is None:
-        raise DomainError("physical columns missing; call to_physical first")
     R_grid = np.asarray(R_grid, dtype=float)
     if R_grid[-1] > table.R[-1] * (1.0 + 1e-12):
         raise RangeError(
@@ -213,17 +194,7 @@ def profile_fieldset(table: ProfileTable, R_grid: np.ndarray, s: float,
             f"{table.R[-1]:.4g}")
     Psi = _spline_to_grid(table.R, table.Psi_nls, R_grid)
     S = _spline_to_grid(table.R, table.S_nls, R_grid)
-    fs = FieldSet.from_Psi_S(table.params, R_grid, s, Psi, S)
-    if not with_gradients:
-        return fs
-    dPsi = _spline_to_grid(table.R, table.U_nls, R_grid, odd=True)
-    dS = _spline_to_grid(table.R, table.dR_S_nls, R_grid, odd=True)
-    lapPsi = _spline_to_grid(table.R, table.lapPsi_nls, R_grid)
-    # P = (S sqrt(alpha)/r^(1-alpha))^(1/alpha); chain rule off the table
-    alpha = table.params.alpha
-    dP = fs.P * dS / (alpha * np.maximum(S, 1e-300))
-    grads = ProfileGradients(dPsi=dPsi, dP=dP, lapPsi=lapPsi)
-    return fs, grads
+    return FieldSet.from_Psi_S(table.params, R_grid, s, Psi, S)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +222,6 @@ def _require_finite_prefactor(r: float, s0: float, s_span: float) -> None:
             f"s_span) = {exponent:.6g} > {_EXP_MAX:.6g}; lower s0")
 
 
-def _log_density(S: np.ndarray, params: ProfileParams) -> np.ndarray:
-    alpha = params.alpha
-    with np.errstate(divide="ignore"):
-        return (np.log(S * np.sqrt(alpha) / params.r ** (1.0 - alpha))
-                / (2.0 * alpha))
-
-
 def _rhs(Psi: np.ndarray, dPsi: np.ndarray, S: np.ndarray, R: np.ndarray,
          h: float, params: ProfileParams, s: float, quantum: bool
          ) -> tuple[np.ndarray, np.ndarray]:
@@ -267,7 +231,7 @@ def _rhs(Psi: np.ndarray, dPsi: np.ndarray, S: np.ndarray, R: np.ndarray,
     qp = 0.0
     coef = np.exp((4.0 - 2.0 * params.r) * s) if quantum else 0.0
     if coef > QP_COEF_FLOOR and np.any(S > S_FLOOR):
-        w = _log_density(np.maximum(S, S_FLOOR), params)
+        w = _half_log_density(np.maximum(S, S_FLOOR), params)
         dw = _even_d1(w, h)
         qp = coef * (_laplacian_from(dw, _even_d2(w, h), R, d) + dw * dw)
         qp = np.where(S > S_FLOOR, qp, 0.0)
@@ -346,42 +310,29 @@ class StationaryResidual(NamedTuple):
     quantum_sup: float   # sup of the e^{(4-2r)s} term, reported either way
 
 
-def residual_stationary(state: FieldSet, s: float | None = None,
-                        include_quantum: bool = False, acc: int = 8,
-                        gradients: ProfileGradients | None = None
-                        ) -> StationaryResidual:
-    """Right sides of the stationary (Psi, P) system on the state's grid.
+def residual_stationary(state: FieldSet, acc: int = 8) -> StationaryResidual:
+    """Right sides of the stationary (Psi, P) system on the state's grid,
+    by finite differences of order `acc`.
 
-    With the e^{(4-2r)s} term excluded this vanishes exactly on a profile;
-    the term's supremum e^{(4-2r)s} sup|Lap sqrt(P)/sqrt(P)| is evaluated
-    and reported regardless, added to the Psi residual only on request.
-    Gradients default to finite differences, whose floor on spline-sampled
-    solver output is the integrator's node noise divided by h; passing the
-    profile's own derivative columns (see profile_fieldset) avoids that.
+    These exclude the e^{(4-2r)s} term and vanish exactly on a profile; the
+    term's supremum e^{(4-2r)s} sup|Lap sqrt(P)/sqrt(P)| at s = state.s is
+    evaluated and reported separately.
     """
-    if s is None:
-        s = state.s
-    r, alpha = state.params.r, state.params.alpha
-    R, h = state.R, state.h
+    r, alpha, d = state.params.r, state.params.alpha, state.params.d
+    R, h, s = state.R, state.h, state.s
     Psi, P = state.Psi, state.P
-
-    if gradients is not None:
-        dPsi, dP, lapPsi = gradients.dPsi, gradients.dP, gradients.lapPsi
-    else:
-        dPsi = _even_d1(Psi, h, acc=acc)
-        dP = _even_d1(P, h, acc=acc)
-        lapPsi = radial_laplacian(Psi, R, h, d=state.params.d, acc=acc)
+    dPsi = _even_d1(Psi, h, acc=acc)
+    dP = _even_d1(P, h, acc=acc)
+    lapPsi = _laplacian_from(dPsi, _even_d2(Psi, h, acc=acc), R, d)
     res_Psi = ((2.0 - r) * Psi - R * dPsi - dPsi * dPsi
                - r ** (-2.0 * alpha + 2.0) * P ** (2.0 * alpha))
     res_P = ((1.0 - r) / alpha * P - R * dP - 2.0 * dP * dPsi
              - 2.0 * P * lapPsi)
-    lapP = radial_laplacian(P, R, h, d=state.params.d, acc=acc)
+    lapP = _laplacian_from(dP, _even_d2(P, h, acc=acc), R, d)
     with np.errstate(divide="ignore", invalid="ignore"):
         quantum = (np.exp((4.0 - 2.0 * r) * s)
                    * (lapP / (2.0 * P) - dP * dP / (4.0 * P * P)))
     quantum = np.where(P > 0.0, quantum, 0.0)
-    if include_quantum:
-        res_Psi = res_Psi + quantum
     return StationaryResidual(Psi=res_Psi, P=res_P,
                               quantum_sup=float(np.max(np.abs(quantum))))
 

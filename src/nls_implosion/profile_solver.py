@@ -124,27 +124,55 @@ SERIES_DPS = 60
 class ProfileTable:
     """Solved profile on a uniform xi = log R grid.
 
-    Columns Ubar_R and Sbar follow the scaled convention of the autonomous
-    system; U_nls, S_nls, Psi_nls are the halved convention and are filled by
-    to_physical.  dR_Ubar and dR_Sbar are ODE-consistent radial derivatives.
+    The state is the orbit (W, Z) with its ODE-consistent radial derivative
+    columns dR_Ubar and dR_Sbar.  R and the physical columns are derived on
+    first use: Ubar_R and Sbar in the scaled convention of the autonomous
+    system, U_nls, S_nls and Psi_nls in the halved one.
     """
 
     params: ProfileParams
     xi_grid: np.ndarray
     W: np.ndarray
     Z: np.ndarray
-    R: np.ndarray
-    Ubar_R: np.ndarray
-    Sbar: np.ndarray
     dR_Ubar: np.ndarray
     dR_Sbar: np.ndarray
-    U_nls: np.ndarray | None = None
-    S_nls: np.ndarray | None = None
-    Psi_nls: np.ndarray | None = None
     w0: float = float("nan")
     w0_mismatch: float = float("nan")
     tol: float = float("nan")
     anchor: PhasePoint | None = None
+
+    @functools.cached_property
+    def R(self) -> np.ndarray:
+        return np.exp(self.xi_grid)
+
+    @functools.cached_property
+    def Ubar_R(self) -> np.ndarray:
+        return self.R * (0.5 * (self.W + self.Z))
+
+    @functools.cached_property
+    def Sbar(self) -> np.ndarray:
+        return self.R * (0.5 * (self.W - self.Z))
+
+    @functools.cached_property
+    def U_nls(self) -> np.ndarray:
+        return 0.5 * self.Ubar_R
+
+    @functools.cached_property
+    def S_nls(self) -> np.ndarray:
+        return 0.5 * self.Sbar
+
+    @functools.cached_property
+    def Psi_nls(self) -> np.ndarray:
+        """Psi_p, reconstructed algebraically from its own profile equation,
+        which is solvable pointwise for Psi when r != 2; this avoids an
+        integration constant.  Consistency with quadrature of U_nls is a
+        test, not the definition."""
+        r, alpha = self.params.r, self.params.alpha
+        if r == 2.0:
+            raise DomainError(
+                "Psi reconstruction divides by r - 2; r = 2 excluded")
+        U_nls, S_nls = self.U_nls, self.S_nls
+        return (-self.R * U_nls - U_nls ** 2 - alpha * S_nls ** 2) / (r - 2.0)
 
     @property
     def h(self) -> float:
@@ -173,17 +201,15 @@ class ProfileTable:
 
     # -- serialization ----------------------------------------------------
 
+    def _column(self, name: str) -> np.ndarray:
+        """The artifact column `name` of CSV_HEADER."""
+        return getattr(self, "xi_grid" if name == "xi" else name)
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        nan = np.full_like(self.R, np.nan)
-        cols = [self.xi_grid, self.R, self.W, self.Z, self.Ubar_R, self.Sbar,
-                self.U_nls if self.U_nls is not None else nan,
-                self.S_nls if self.S_nls is not None else nan,
-                self.Psi_nls if self.Psi_nls is not None else nan,
-                self.dR_Ubar, self.dR_Sbar]
-        for row in zip(*cols):
+        for row in zip(*map(self._column, CSV_HEADER)):
             writer.writerow([format(v, ".17g") for v in row])
         return buf.getvalue()
 
@@ -198,15 +224,8 @@ class ProfileTable:
             "anchor": (None if self.anchor is None else
                        {"W": self.anchor.W, "Z": self.anchor.Z,
                         "xi": self.anchor.xi}),
-            "columns": {
-                name: (col.tolist() if col is not None else None)
-                for name, col in [
-                    ("xi", self.xi_grid), ("R", self.R), ("W", self.W),
-                    ("Z", self.Z), ("Ubar_R", self.Ubar_R), ("Sbar", self.Sbar),
-                    ("U_nls", self.U_nls), ("S_nls", self.S_nls),
-                    ("Psi_nls", self.Psi_nls), ("dR_Ubar", self.dR_Ubar),
-                    ("dR_Sbar", self.dR_Sbar)]
-            },
+            "columns": {name: self._column(name).tolist()
+                        for name in CSV_HEADER},
         }
 
     def to_json(self) -> str:
@@ -214,25 +233,25 @@ class ProfileTable:
 
     @classmethod
     def from_json(cls, text: str) -> "ProfileTable":
+        """Table from its state columns; every derived column in the file
+        must equal the one the state gives, bit for bit."""
         payload = json.loads(text)
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise DomainError(f"unsupported schema version {payload.get('schema_version')}")
-        cols = payload["columns"]
-
-        def arr(name):
-            value = cols[name]
-            return None if value is None else np.asarray(value, dtype=float)
-
+        cols = {name: np.asarray(value, dtype=float)
+                for name, value in payload["columns"].items()}
         anchor = payload.get("anchor")
-
-        return cls(params=ProfileParams(**payload["params"]),
-                   xi_grid=arr("xi"), W=arr("W"), Z=arr("Z"), R=arr("R"),
-                   Ubar_R=arr("Ubar_R"), Sbar=arr("Sbar"),
-                   dR_Ubar=arr("dR_Ubar"), dR_Sbar=arr("dR_Sbar"),
-                   U_nls=arr("U_nls"), S_nls=arr("S_nls"), Psi_nls=arr("Psi_nls"),
-                   w0=payload["w0"], w0_mismatch=payload["w0_mismatch"],
-                   tol=payload["tol"],
-                   anchor=None if anchor is None else PhasePoint(**anchor))
+        table = cls(params=ProfileParams(**payload["params"]),
+                    xi_grid=cols["xi"], W=cols["W"], Z=cols["Z"],
+                    dR_Ubar=cols["dR_Ubar"], dR_Sbar=cols["dR_Sbar"],
+                    w0=payload["w0"], w0_mismatch=payload["w0_mismatch"],
+                    tol=payload["tol"],
+                    anchor=None if anchor is None else PhasePoint(**anchor))
+        for name in CSV_HEADER:
+            if not np.array_equal(cols.get(name), table._column(name)):
+                raise DomainError(
+                    f"column {name} disagrees with the (W, Z) state")
+        return table
 
 
 class ResidualPair(NamedTuple):
@@ -566,8 +585,6 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
                 f"{sol_fwd.t[-1]:.6f} ({sol_fwd.message})")
         W[outer], Z[outer] = sol_fwd.sol(xi_grid[outer])
 
-    R = np.exp(xi_grid)
-
     # ODE-consistent xi-derivatives; series derivatives where D_Z ~ 0
     with np.errstate(divide="ignore", invalid="ignore"):
         dW = n_w(W, Z, r) / d_w(W, Z)
@@ -575,13 +592,6 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     kc = np.arange(len(Wc))
     dW[near] = _series_eval(Wc[1:] * kc[1:], xi_grid[near])
     dZ[near] = _series_eval(Zc[1:] * kc[1:], xi_grid[near])
-
-    U = 0.5 * (W + Z)
-    S = 0.5 * (W - Z)
-    Ubar_R = R * U
-    Sbar = R * S
-    dR_Ubar = U + 0.5 * (dW + dZ)
-    dR_Sbar = S + 0.5 * (dW - dZ)
 
     # invariants of the solved branch
     if not np.all(d_w(W, Z) > 0):
@@ -593,13 +603,14 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     if not np.all(np.sign(dz_vals[off]) == np.sign(xi_grid[off])):
         raise SonicCrossingError("sign(D_Z) != sign(xi) off the sonic point")
 
-    w0, w0_mismatch = _match_origin(R, Sbar)
-
-    return ProfileTable(params=params, xi_grid=xi_grid, W=W, Z=Z, R=R,
-                        Ubar_R=Ubar_R, Sbar=Sbar, dR_Ubar=dR_Ubar,
-                        dR_Sbar=dR_Sbar, w0=w0, w0_mismatch=w0_mismatch,
-                        tol=tol,
-                        anchor=PhasePoint(anchor.W, anchor.Z, xi_anchor))
+    U = 0.5 * (W + Z)
+    S = 0.5 * (W - Z)
+    table = ProfileTable(params=params, xi_grid=xi_grid, W=W, Z=Z,
+                         dR_Ubar=U + 0.5 * (dW + dZ),
+                         dR_Sbar=S + 0.5 * (dW - dZ), tol=tol,
+                         anchor=PhasePoint(anchor.W, anchor.Z, xi_anchor))
+    w0, w0_mismatch = _match_origin(table.R, table.Sbar)
+    return replace(table, w0=w0, w0_mismatch=w0_mismatch)
 
 
 def _sonic_arrival(sol, pts, what: str) -> float:
@@ -684,21 +695,10 @@ def _match_origin(R, Sbar):
 
 
 def to_physical(table: ProfileTable) -> ProfileTable:
-    """Fill the halved-convention columns (U_nls, S_nls, Psi_nls).
-
-    Psi is reconstructed algebraically from its own profile equation, which
-    is solvable pointwise for Psi when r != 2; this avoids an integration
-    constant.  Consistency with quadrature of U_nls is a test, not the
-    definition.
-    """
-    r = table.params.r
-    if r == 2.0:
-        raise DomainError("Psi reconstruction divides by r - 2; r = 2 excluded")
-    alpha = table.params.alpha
-    U_nls = 0.5 * table.Ubar_R
-    S_nls = 0.5 * table.Sbar
-    Psi_nls = (-table.R * U_nls - U_nls ** 2 - alpha * S_nls ** 2) / (r - 2.0)
-    return replace(table, U_nls=U_nls, S_nls=S_nls, Psi_nls=Psi_nls)
+    """The table itself, once its halved-convention columns are known to
+    exist: Psi_nls raises DomainError at r = 2."""
+    table.Psi_nls
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -734,8 +734,6 @@ def residual_profile(table: ProfileTable, R_lo: float | None = None,
     covered by one-sided stencils are excluded from the sup unless the
     window says otherwise.
     """
-    if table.Psi_nls is None:
-        raise DomainError("physical columns missing; call to_physical first")
     R, h = table.R, table.h
     Psi, S = table.Psi_nls, table.S_nls
     dPsi = derivative(Psi, h, 1, acc=acc) / R
@@ -760,8 +758,6 @@ def fit_decay(table: ProfileTable, j: int, window: tuple[float, float]) -> float
     Contract: on converged profiles the slope is -(r-1)-j up to a few
     percent (the far field behaves like R^{-(r-1)}).
     """
-    if table.S_nls is None:
-        raise DomainError("physical columns missing; call to_physical first")
     if not 0 <= j <= 2:
         raise DomainError(f"derivative order j = {j} outside 0..2")
     R_lo, R_hi = window

@@ -73,11 +73,6 @@ class AngularMargins(NamedTuple):
     nls: float        # 1 + 2 U_p,R/R - 2 alpha |dR S_p|
 
 
-def _require_physical(table: ProfileTable) -> None:
-    if table.U_nls is None or table.S_nls is None:
-        raise DomainError("physical columns missing; call to_physical first")
-
-
 def _min_with_location(values: np.ndarray, coord: np.ndarray,
                        label: str) -> tuple[float, str]:
     i = int(np.argmin(values))
@@ -89,7 +84,6 @@ def check_radial_repulsivity(table: ProfileTable) -> float:
 
     A positive value is the profile's radial repulsivity constant.
     """
-    _require_physical(table)
     alpha = table.params.alpha
     margin = 1.0 + table.dR_Ubar - alpha * np.abs(table.dR_Sbar)
     return float(np.min(margin))
@@ -99,11 +93,11 @@ def check_angular_repulsivity(table: ProfileTable) -> AngularMargins:
     """Worst-case margins of 1 + U - alpha |dR S| in both conventions.
 
     The two conventions are algebraically identical (the factors of two
-    cancel), so computing both from their own columns doubles as a
-    consistency check on the table.  Ubar_R/R is the velocity U itself, so
-    nothing blows up as R -> 0.
+    cancel), and both are derived from the same (W, Z) state, so their
+    agreement checks only the arithmetic of each expression, not the
+    table.  Ubar_R/R is the velocity U itself, so nothing blows up as
+    R -> 0.
     """
-    _require_physical(table)
     alpha = table.params.alpha
     appendix = 1.0 + table.Ubar_R / table.R - alpha * np.abs(table.dR_Sbar)
     nls = (1.0 + 2.0 * table.U_nls / table.R
@@ -271,7 +265,6 @@ def check_integrated(table: ProfileTable, delta_c: float = 0.01,
     outside the collar.  ``require_critical=False`` disables both critical
     point checks, for synthetic tables that do not pass through one.
     """
-    _require_physical(table)
     alpha = table.params.alpha
     numer = table.R + table.Ubar_R - alpha * table.Sbar
 
@@ -311,7 +304,6 @@ def verify_all(params: ProfileParams, table: ProfileTable,
     Outgoing-side barrier checks are skipped (not failed) when r sits
     below the near-r* window.
     """
-    _require_physical(table)
     report = VerificationReport(
         params={"r": params.r, "d": params.d, "p": params.p},
         tolerances={"n_samples": n_samples, "delta_c": delta_c,

@@ -194,6 +194,15 @@ def _laplacian_from(d1: np.ndarray, d2: np.ndarray, R: np.ndarray,
 # field container and frame maps
 # ---------------------------------------------------------------------------
 
+def _half_log_density(S: np.ndarray, params: ProfileParams) -> np.ndarray:
+    """w = log(P)/2, taken through S so it stays finite where P underflows
+    (S = 0 gives -inf)."""
+    alpha = params.alpha
+    with np.errstate(divide="ignore"):
+        return (np.log(S * np.sqrt(alpha) / params.r ** (1.0 - alpha))
+                / (2.0 * alpha))
+
+
 @dataclass(frozen=True)
 class FieldSet:
     """Radial field snapshot in the self-similar frame.
@@ -224,8 +233,7 @@ class FieldSet:
 
     @functools.cached_property
     def w(self) -> np.ndarray:
-        with np.errstate(divide="ignore"):
-            return 0.5 * np.log(self.P)
+        return _half_log_density(self.S, self.params)
 
     @functools.cached_property
     def U(self) -> np.ndarray:
@@ -285,11 +293,14 @@ def to_selfsimilar(psi: np.ndarray, rho: np.ndarray, x: np.ndarray,
     """
     if not 0.0 <= t < T:
         raise DomainError(f"need 0 <= t < T, got t = {t}, T = {T}")
+    rho = np.asarray(rho, dtype=float)
+    if not np.all(rho >= 0):
+        raise DomainError("rho must be nonnegative (and not NaN)")
     r, alpha = params.r, params.alpha
     Tt = T - t
     s = -np.log(Tt) / r
     Psi = r * Tt ** (1.0 - 2.0 / r) * np.asarray(psi, dtype=float)
-    P = r * Tt ** (1.0 / alpha - 1.0 / (alpha * r)) * np.asarray(rho, dtype=float)
+    P = r * Tt ** (1.0 / alpha - 1.0 / (alpha * r)) * rho
     R = np.asarray(x, dtype=float) * np.exp(s)
     S = r ** (1.0 - alpha) / np.sqrt(alpha) * P ** alpha
     return FieldSet.from_Psi_S(params, R, s, Psi, S, domain_mode=domain_mode)
@@ -335,8 +346,6 @@ def damped_profile(table: ProfileTable, s: float, mode: str = "periodic",
     Psi_d = Psi_p.  The empirical two-sided comparability constants of S_d
     with <y>^(-(r-1)) and with e^(-(r-1)s) are recorded.
     """
-    if table.S_nls is None:
-        raise DomainError("physical columns missing; call to_physical first")
     if mode not in ("periodic", "euclidean"):
         raise DomainError(f"unknown mode {mode!r}")
     r = table.params.r
@@ -381,9 +390,9 @@ class ErrorTerms(NamedTuple):
     support_note: str
 
 
-def error_terms(dp: DampedProfileField, table: ProfileTable,
-                s: float | None = None) -> ErrorTerms:
-    """Evaluate the damped-profile error fields E_Psi and E_S (periodic).
+def error_terms(dp: DampedProfileField, table: ProfileTable) -> ErrorTerms:
+    """Evaluate the damped-profile error fields E_Psi and E_S (periodic) at
+    the damped profile's frame time dp.s.
 
     Two routes are taken for each field: the expanded closed form,
     transcribed term by term, and the defining combination
@@ -397,8 +406,7 @@ def error_terms(dp: DampedProfileField, table: ProfileTable,
     if dp.mode != "periodic":
         raise DomainError("error terms are implemented for the periodic "
                           "damped profile")
-    if s is None:
-        s = dp.s
+    s = dp.s
     params = table.params
     r, alpha, d = params.r, params.alpha, params.d
     R = table.R

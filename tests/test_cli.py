@@ -333,15 +333,35 @@ class TestMainPlumbing:
         assert code == EXIT_SOLVER
         assert "configuration error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("count", ["1", "-1"])
-    def test_sample_r_below_2_is_a_config_error(self, count, tmp_path,
-                                                capsys):
-        # one sample would divide by zero in the sign table; refused
-        # before the solve, so no file is written
-        code = main(["verify", "--r", "2.01", "--sample-r", count,
+    @pytest.mark.parametrize("command, flag, value, message", [
+        # the sample_r cases keep the ids [1] and [-1] they were added under
+        pytest.param(*case, id=(case[2] if case[1] == "--sample-r"
+                                else f"{case[0]}{case[1]}={case[2]}"))
+        for case in [
+            ("verify", "--sample-r", "1", "sample_r"),
+            ("verify", "--sample-r", "-1", "sample_r"),
+            ("verify", "--verify-samples", "0", "verify_samples"),
+            ("verify", "--verify-samples", "-1", "verify_samples"),
+            ("phase-portrait", "--curve-samples", "-1", "curve_samples"),
+            ("simulate", "--ds", "0", "ds"),
+            ("simulate", "--ds", "-0.001", "ds"),
+            ("simulate", "--s-span", "0", "s_span"),
+            ("simulate", "--r-max", "-5", "R_max"),
+            ("simulate", "--n", "1", "n = 1"),
+            ("simulate", "--n-samples", "0", "n_samples"),
+            ("simulate", "--n-samples", "1", "n_samples"),
+            ("simulate", "--energy", "m_prime=2", "energy config: m_prime"),
+            ("simulate", "--energy", "cfl=0", "energy config: cfl"),
+            ("simulate", "--energy", 'k="six"', "energy config: unsupported"),
+        ]])
+    def test_sample_r_below_2_is_a_config_error(self, command, flag, value,
+                                                message, tmp_path, capsys):
+        # refused before the solve, so no file is written
+        code = main([command, "--r", "2.01", flag, value,
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_SOLVER
-        assert "configuration error: sample_r" in capsys.readouterr().err
+        assert (f"configuration error: {message}"
+                in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
     def test_seed_flag_exits_2(self):

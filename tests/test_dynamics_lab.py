@@ -10,6 +10,7 @@ desk resolution the corner region is only a few grid cells wide.
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from nls_implosion.errors import (
     VacuumError,
 )
 from nls_implosion.phase_portrait import ProfileParams
-from nls_implosion.profile_solver import solve_profile
+from nls_implosion.profile_solver import profile_operator
 from nls_implosion.selfsimilar_fields import (
     FieldSet,
     _even_d1,
@@ -76,6 +77,12 @@ class TestEnergyConfig:
     def test_ladder_length(self):
         with pytest.raises(ConsistencyError, match="ladder"):
             EnergyConfig(k=60, l=3, E_l0=(10.0,))
+
+    @pytest.mark.parametrize("cfl", [0.0, -0.5, float("nan")])
+    def test_cfl_positive(self, cfl):
+        # a zero step bound would divide by zero when simulate picks ds
+        with pytest.raises(ConsistencyError, match="cfl"):
+            EnergyConfig(cfl=cfl)
 
     def test_no_eps_field(self):
         # eps was never read; passing it is an error, not a silent no-op
@@ -116,11 +123,6 @@ class TestWeights:
 
 
 class TestProfileFieldset:
-    def test_requires_physical_columns(self, params_r201):
-        raw = solve_profile(params_r201, n_points=256)
-        with pytest.raises(DomainError):
-            profile_fieldset(raw, np.linspace(0.0, 4.0, 65), 1e4)
-
     def test_coverage_guard(self, profile_r201):
         beyond = 2.0 * profile_r201.R[-1]
         with pytest.raises(RangeError):
@@ -134,12 +136,20 @@ class TestProfileFieldset:
         assert abs(fs.S[1] - fs.S[0]) < 1e-5 * fs.S[0]
 
     def test_consistent_gradients_residual(self, profile_r201):
+        # the stationary operator on the interpolated fields, with
+        # derivatives from the table's ODE-consistent columns splined on
+        # their own: differencing the spline-sampled fields could not beat
+        # the integrator's node noise divided by h
+        t = profile_r201
         R = np.linspace(0.0, 30.0, 4096)
-        fs, grads = profile_fieldset(profile_r201, R, 1e4,
-                                     with_gradients=True)
-        res = residual_stationary(fs, gradients=grads)
-        assert np.max(np.abs(res.Psi)) < 1e-6
-        assert np.max(np.abs(res.P)) < 1e-6
+        fs = profile_fieldset(t, R, 1e4)
+        inside = R >= t.R[0]
+        dPsi, dS, lapPsi = (make_interp_spline(t.R, col, k=5)(R[inside])
+                            for col in (t.U_nls, t.dR_S_nls, t.lapPsi_nls))
+        N_Psi, N_S = profile_operator(t.params, R[inside], fs.Psi[inside],
+                                      dPsi, fs.S[inside], dS, lapPsi)
+        assert np.max(np.abs(N_Psi)) < 1e-6
+        assert np.max(np.abs(N_S)) < 1e-6
 
 
 class TestStep:
@@ -229,20 +239,11 @@ class TestResidual:
         R = np.linspace(0.0, 10.0, 1025)
         fs = profile_fieldset(profile_r201, R, 1e4)
         r = fs.params.r
-        a = residual_stationary(fs, s=5.0)
-        b = residual_stationary(fs, s=6.0)
+        a = residual_stationary(replace(fs, s=5.0))
+        b = residual_stationary(replace(fs, s=6.0))
         assert a.quantum_sup > 0.0
         assert b.quantum_sup / a.quantum_sup == pytest.approx(
             math.exp(4.0 - 2.0 * r), rel=1e-9)
-
-    def test_include_quantum_shifts_psi_residual(self, profile_r201):
-        R = np.linspace(0.0, 10.0, 1025)
-        fs = profile_fieldset(profile_r201, R, 1e4)
-        base = residual_stationary(fs, s=5.0)
-        with_q = residual_stationary(fs, s=5.0, include_quantum=True)
-        shift = np.max(np.abs(with_q.Psi - base.Psi))
-        assert 0.0 < shift <= with_q.quantum_sup * (1.0 + 1e-12)
-        assert np.array_equal(with_q.P, base.P)
 
 
 class TestEnergies:

@@ -113,7 +113,8 @@ def _reference_rhs(Psi, S, R, h, params, s, quantum):
     qp = 0.0
     coef = np.exp((4.0 - 2.0 * r) * s)
     if quantum and coef > dynamics_lab.QP_COEF_FLOOR and np.any(S > 1e-300):
-        w = dynamics_lab._log_density(np.maximum(S, 1e-300), params)
+        Sf = np.maximum(S, 1e-300)
+        w = np.log(Sf * np.sqrt(alpha) / r ** (1.0 - alpha)) / (2.0 * alpha)
         dw = _even_d1(w, h)
         qp = coef * (radial_laplacian(w, R, h, d=d) + dw * dw)
         qp = np.where(S > 1e-300, qp, 0.0)

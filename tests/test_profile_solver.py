@@ -49,14 +49,14 @@ r_interior = st.floats(min_value=1.5, max_value=2.06)
 
 
 def synthetic_table(r=2.01, n=512, xi_min=-5.0, xi_max=5.0, S_nls=None):
-    """Minimal physical table with prescribed S_nls and zero velocity/phase."""
+    """Minimal table with prescribed S_nls (up to round-off) and zero
+    velocity: W = -Z = 2 S_nls/R."""
     xi = np.linspace(xi_min, xi_max, n)
     R = np.exp(xi)
     zeros = np.zeros(n)
-    S = zeros if S_nls is None else S_nls(R)
-    return ProfileTable(params=ProfileParams(r=r), xi_grid=xi, W=zeros, Z=zeros,
-                        R=R, Ubar_R=zeros, Sbar=2.0 * S, dR_Ubar=zeros,
-                        dR_Sbar=zeros, U_nls=zeros, S_nls=S, Psi_nls=zeros)
+    W = zeros if S_nls is None else 2.0 * S_nls(R) / R
+    return ProfileTable(params=ProfileParams(r=r), xi_grid=xi, W=W, Z=-W,
+                        dR_Ubar=zeros, dR_Sbar=zeros)
 
 
 class TestSonicSeed:
@@ -238,9 +238,8 @@ class TestToPhysical:
         assert np.max(np.abs(diff[mask] - diff[mask][0])) < 1e-5
 
     def test_r_equal_two_rejected(self):
-        table = synthetic_table(r=2.0)
-        with pytest.raises(DomainError):
-            to_physical(replace(table, U_nls=None, S_nls=None, Psi_nls=None))
+        with pytest.raises(DomainError, match="r = 2 excluded"):
+            to_physical(synthetic_table(r=2.0))
 
 
 class TestFitDecay:
@@ -290,21 +289,17 @@ class TestResidualProfile:
         assert res.sound == 0.0
 
     def test_perturbation_detected(self, profile_r201):
-        # multiplying S_p by 1.01 perturbs the quadratic alpha*S^2 term of
-        # the phase equation by about 2 percent of its size, far above the
-        # converged residual; the sound equation is linear in S, so its
-        # residual only rescales by the same factor
-        base = residual_profile(profile_r201, 0.01, 100.0)
-        bad = replace(profile_r201, S_nls=1.01 * profile_r201.S_nls,
-                      Sbar=1.01 * profile_r201.Sbar)
+        # multiplying S by 1.01 through the (W, Z) state, velocity kept,
+        # moves the derived Psi with it, while the stored dR_Sbar column
+        # does not follow; both residuals rise far above the converged
+        # ones
+        t = profile_r201
+        U, S = 0.5 * (t.W + t.Z), 0.5 * (t.W - t.Z)
+        base = residual_profile(t, 0.01, 100.0)
+        bad = replace(t, W=U + 1.01 * S, Z=U - 1.01 * S)
         res = residual_profile(bad, 0.01, 100.0)
         assert res.phase > 10.0 * base.phase
-        assert res.sound == pytest.approx(1.01 * base.sound, rel=0.05)
-
-    def test_requires_physical_columns(self, params_r201):
-        bare = solve_profile(params_r201, n_points=512)
-        with pytest.raises(DomainError):
-            residual_profile(bare)
+        assert res.sound > 10.0 * base.sound
 
 
 class TestInvariants:
@@ -366,10 +361,17 @@ class TestSerialization:
         assert restored.params == profile_r201.params
         assert restored.anchor == profile_r201.anchor
 
-    def test_json_missing_physical_columns(self, params_r201):
-        bare = solve_profile(params_r201, n_points=512)
-        restored = ProfileTable.from_json(bare.to_json())
-        assert restored.U_nls is None
+    @pytest.mark.parametrize("name", ["R", "Sbar", "Psi_nls"])
+    def test_json_edited_derived_column_refused(self, profile_r201, name):
+        # derived columns are rebuilt from (W, Z) on load; a file whose
+        # copy disagrees in one entry, or holds none, is refused
+        payload = json.loads(profile_r201.to_json())
+        payload["columns"][name][100] *= 1.0 + 1e-15
+        with pytest.raises(DomainError, match=name):
+            ProfileTable.from_json(json.dumps(payload))
+        payload["columns"][name] = None
+        with pytest.raises(DomainError, match=name):
+            ProfileTable.from_json(json.dumps(payload))
 
     def test_schema_version_enforced(self, profile_r201):
         payload = json.loads(profile_r201.to_json())

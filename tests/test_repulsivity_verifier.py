@@ -33,15 +33,11 @@ from nls_implosion.repulsivity_verifier import (
 
 
 def make_table(r=2.01, n=257, xi_min=-4.0, xi_max=4.0, w0=float("nan"), **cols):
-    """Synthetic physical table, zero fields unless a column is given."""
+    """Synthetic table, zero (W, Z) state unless a state column is given."""
     xi = np.linspace(xi_min, xi_max, n)
-    R = np.exp(xi)
-    zeros = np.zeros(n)
-    data = {name: cols.get(name, zeros.copy())
-            for name in ("W", "Z", "Ubar_R", "Sbar", "dR_Ubar", "dR_Sbar",
-                         "U_nls", "S_nls", "Psi_nls")}
-    return ProfileTable(params=ProfileParams(r=r), xi_grid=xi, R=R, w0=w0,
-                        **data)
+    data = {name: cols.get(name, np.zeros(n))
+            for name in ("W", "Z", "dR_Ubar", "dR_Sbar")}
+    return ProfileTable(params=ProfileParams(r=r), xi_grid=xi, w0=w0, **data)
 
 
 class TestRadial:
@@ -60,10 +56,6 @@ class TestRadial:
         n = 257
         table = make_table(dR_Sbar=np.full(n, 2.0 / alpha))
         assert check_radial_repulsivity(table) == -1.0
-
-    def test_requires_physical_columns(self, params_r201):
-        with pytest.raises(DomainError):
-            check_radial_repulsivity(solve_profile(params_r201, n_points=256))
 
 
 class TestAngular:

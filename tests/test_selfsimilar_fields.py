@@ -157,6 +157,15 @@ class TestFrameMaps:
         with pytest.raises(DomainError):
             to_selfsimilar(psi, rho, x, 1.0, 1.0, ProfileParams(r=2.01))
 
+    @pytest.mark.parametrize("bad", [-1e-3, np.nan])
+    def test_negative_or_nan_rho_rejected_by_name(self, bad):
+        # refused before the density power, so no sqrt RuntimeWarning
+        # (an error in this suite) comes first, and the message names rho
+        psi, rho, x = self.make_physical()
+        rho[3] = bad
+        with pytest.raises(DomainError, match="rho must be nonnegative"):
+            to_selfsimilar(psi, rho, x, 1.0, 0.0, ProfileParams(r=2.01))
+
     @pytest.mark.parametrize("bad", [-1e-12, np.nan])
     def test_fieldset_rejects_negative_or_nan_S(self, bad):
         params = ProfileParams(r=2.01)
