@@ -3,6 +3,12 @@
 Stencil weights come from Fornberg's recursion, so arbitrary derivative and
 accuracy orders are available; interior points use centered stencils and the
 edges fall back to one-sided stencils of the same formal order.
+
+`derivative` works along the last axis of an array of any leading shape,
+and each row's result is bit-identical to a 1-D call on that row: stacking
+runs or fields saves per-call overhead without moving a bit.  The one-sided
+stencils are stored as blocks whose rows keep fd_weights' strided column
+layout; that layout is the condition for the bit-identity (see _stencils).
 """
 
 from __future__ import annotations
@@ -49,8 +55,14 @@ def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
 def _stencils(h: float, m: int, acc: int):
     """Half-width, one-sided length, and read-only weights of derivative().
 
-    Built once per (h, m, acc): the centre stencil and, row by row, the
-    one-sided stencils of the first and last `half` points.
+    Built once per (h, m, acc): the centre stencil and the (half, n_side)
+    blocks of one-sided stencils of the first and last `half` points.
+    Each block row keeps the column stride fd_weights returns (m + 1
+    doubles, not 1): a dot product with a strided operand sums in one
+    fixed order, the order a 1-D dot with fd_weights' own output uses, so
+    every edge value is bit-identical to that dot.  A contiguous block
+    (or a matrix product against one) sums in another order and moves the
+    last bit.
     """
     half = (m + acc - 1) // 2 + (1 if (m % 2 == 0) else 0)
     half = max(half, (m + 1) // 2 + acc // 2)
@@ -58,43 +70,53 @@ def _stencils(h: float, m: int, acc: int):
     offsets = np.arange(-half, half + 1, dtype=float)
     center = fd_weights(offsets * h, 0.0, m)
     side = np.arange(n_side, dtype=float)
-    # kept as fd_weights returns them (strided columns), not stacked into a
-    # block: the dot products then sum in the same order as uncached ones
-    lo = tuple(fd_weights(side * h, i * h, m) for i in range(half))
-    hi = tuple(fd_weights(-side[::-1] * h, -i * h, m) for i in range(half))
-    for weights in (center, *lo, *hi):
+    lo = np.zeros((half, n_side, m + 1))[..., m]
+    hi = np.zeros((half, n_side, m + 1))[..., m]
+    for i in range(half):
+        lo[i] = fd_weights(side * h, i * h, m)
+        hi[i] = fd_weights(-side[::-1] * h, -i * h, m)
+    for weights in (center, lo, hi):
         weights.flags.writeable = False
     return half, n_side, center, lo, hi
 
 
 def derivative(f: np.ndarray, h: float, m: int, acc: int = 4,
                even: bool = False) -> np.ndarray:
-    """m-th derivative of samples f on a uniform grid of spacing h.
+    """m-th derivative along the last axis of samples f on a uniform grid
+    of spacing h.
 
-    Centered stencils of formal order `acc` in the interior, one-sided
-    stencils of the same order at the boundaries.  With `even`, f samples
-    an even radial field on a grid starting at R = 0 (f(-R) = f(R)): the
-    grid is reflected through its first node by the stencil half-width, so
-    every row but the last `half` uses the centered stencil, and only the
-    right edge is one-sided.
+    f may have any leading shape; each row f[..., :] is differentiated on
+    its own, and every output equals, bit for bit, that of a 1-D call on
+    the row alone.  Centered stencils of formal order `acc` in the
+    interior, one-sided stencils of the same order at the boundaries.
+    With `even`, f samples an even radial field on a grid starting at
+    R = 0 (f(-R) = f(R)): the grid is reflected through its first node by
+    the stencil half-width, so every row but the last `half` uses the
+    centered stencil, and only the right edge is one-sided.
+
+    The centre values of all rows come from one np.convolve over the
+    flattened rows (outputs whose window straddles two rows land on edge
+    points and are overwritten), so each is the same dot product over the
+    same samples as in a 1-D call.  The edge values come from one
+    broadcast np.vecdot against the stencil blocks of _stencils, whose
+    rows keep a stride of m + 1 doubles so each dot sums in the order of
+    the 1-D one.
     """
     f = np.asarray(f, dtype=float)
     if m == 0:
         return f.copy()
     half, n_side, center, lo, hi = _stencils(h, m, acc)
     if even:
-        f = np.concatenate([f[half:0:-1], f])
-    n = len(f)
+        f = np.concatenate([f[..., half:0:-1], f], axis=-1)
+    n = f.shape[-1]
     if n < max(2 * half + 1, n_side):
         raise ResolutionError(
             f"grid of {n} points too short for order-{m} derivative at accuracy {acc}")
 
-    out = np.empty(n)
-    out[half:n - half] = np.convolve(f, center[::-1], mode="valid")
-    for i in range(half):
-        out[n - 1 - i] = hi[i] @ f[n - n_side:]
+    out = np.convolve(f.reshape(-1), center[::-1],
+                      mode="same").reshape(f.shape)
+    out[..., n - half:] = np.vecdot(hi, f[..., None, n - n_side:])[..., ::-1]
     if even:
-        return out[half:]
-    for i in range(half):
-        out[i] = lo[i] @ f[:n_side]
+        return out[..., half:]
+    out[..., :half] = np.vecdot(lo, f[..., None, :n_side])
     return out

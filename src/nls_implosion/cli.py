@@ -45,6 +45,13 @@ class ConfigError(WorkbenchError, ValueError):
     pass
 
 
+#: the values each numeric field annotation of RunConfig admits, and the
+#: need a refusal names
+_NUMERIC = {"float": ((int, float), "a number"),
+            "float | None": ((int, float, type(None)), "a number or null"),
+            "int": ((int,), "an integer")}
+
+
 @dataclass
 class RunConfig:
     """Effective parameters of one command invocation.
@@ -79,6 +86,16 @@ class RunConfig:
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
+        # a config file can hold any JSON value; the numeric fields are
+        # compared below, so their types are checked first (bool is an
+        # int to Python, but not a number a config means)
+        for f in fields(self):
+            if f.type not in _NUMERIC:
+                continue
+            allowed, need = _NUMERIC[f.type]
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                raise ConfigError(f"{f.name} = {value!r}; need {need}")
         if self.format_version != FORMAT_VERSION:
             raise ConfigError(
                 f"unsupported format_version {self.format_version}; "

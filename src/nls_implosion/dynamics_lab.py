@@ -2,14 +2,16 @@
 
 The stepper advances the (Psi, S) system with quantum pressure by an
 explicit strong-stability-preserving third-order scheme on a uniform
-radial grid.  Its stages run on plain arrays, with one even-reflection
-derivative of Psi per stage; validated FieldSets are built only where a
-caller needs one (step's result, simulate's sample points and abort
-snapshots).  Stationarity residuals, the weighted energy functionals, a
-statistical dissipativity probe of the cut-off linearized operator, and a
-Sobolev blow-up-rate diagnostic live alongside it.  Everything reduces the
-d = 8 problem to its radial form: Lap f = f'' + 7 f'/R with the regular
-center value d f''(0), div U = Lap Psi for the gradient field U.
+radial grid.  Its stages run on plain arrays that stack runs along a
+leading axis (simulate's perturbed and reference runs step as one state),
+with one first derivative of every row and one second derivative of the
+Psi rows per stage; validated FieldSets are built only where a caller
+needs one (step's result, simulate's sample points and abort snapshots).
+Stationarity residuals, the weighted energy functionals, a statistical
+dissipativity probe of the cut-off linearized operator, and a Sobolev
+blow-up-rate diagnostic live alongside it.  Everything reduces the d = 8
+problem to its radial form: Lap f = f'' + 7 f'/R with the regular center
+value d f''(0), div U = Lap Psi for the gradient field U.
 
 Desk scale means the configured derivative orders (m' = 3, k = 6) sit far
 below the asymptotic regime the estimates are stated for; reports carry
@@ -222,11 +224,14 @@ def _require_finite_prefactor(r: float, s0: float, s_span: float) -> None:
             f"s_span) = {exponent:.6g} > {_EXP_MAX:.6g}; lower s0")
 
 
-def _rhs(Psi: np.ndarray, dPsi: np.ndarray, S: np.ndarray, R: np.ndarray,
-         h: float, params: ProfileParams, s: float, quantum: bool
-         ) -> tuple[np.ndarray, np.ndarray]:
+def _rhs(X: np.ndarray, dX: np.ndarray, R: np.ndarray, h: float,
+         params: ProfileParams, s: float, quantum: bool) -> np.ndarray:
+    """Right side of the (Psi, S) system for the stacked state X, given
+    dX, its first derivative; X[0] is Psi and X[1] is S, each holding one
+    row per run."""
     d = params.d
-    dS = _even_d1(S, h)
+    Psi, S = X
+    dPsi, dS = dX
     lapPsi = _laplacian_from(dPsi, _even_d2(Psi, h), R, d)
     qp = 0.0
     coef = np.exp((4.0 - 2.0 * params.r) * s) if quantum else 0.0
@@ -236,49 +241,60 @@ def _rhs(Psi: np.ndarray, dPsi: np.ndarray, S: np.ndarray, R: np.ndarray,
         qp = coef * (_laplacian_from(dw, _even_d2(w, h), R, d) + dw * dw)
         qp = np.where(S > S_FLOOR, qp, 0.0)
     N_Psi, N_S = profile_operator(params, R, Psi, dPsi, S, dS, lapPsi)
-    return N_Psi + qp, N_S
+    return np.stack((N_Psi + qp, N_S))
 
 
-def _advance(Psi: np.ndarray, S: np.ndarray, R: np.ndarray, h: float,
-             params: ProfileParams, s: float, ds: float, quantum: bool,
-             cfl: float) -> tuple[np.ndarray, np.ndarray]:
-    """One SSP-RK3 step of the (Psi, S) arrays from s to s + ds.
+def _advance(X: np.ndarray, R: np.ndarray, h: float, params: ProfileParams,
+             s: float, ds: float, quantum: bool, cfl: float) -> np.ndarray:
+    """One SSP-RK3 step from s to s + ds of the runs stacked in X.
 
-    Each stage differentiates Psi once and builds the Laplacian from that
-    derivative; stage 1's dPsi is the gradient field U, so the CFL bound
-    is read off it.  Raises CFLError, PositivityError, or DomainError when
-    S turns NaN.
+    X has shape (2, k, n): X[0] holds Psi and X[1] holds S, one row per
+    run, and every row steps exactly as it would alone.  Each stage
+    differentiates all rows once and takes the second derivative of the
+    Psi rows; stage 1's dPsi is the gradient field U, so the CFL bounds
+    are read off it.  Run by run, in row order, the CFL bound, a NaN
+    density and positivity are checked, so the first error raised is the
+    one stepping the runs one after another would raise: CFLError,
+    DomainError (S turns NaN) or PositivityError.  An error about run
+    j > 0 carries the runs before it, advanced to s + ds, as `advanced`;
+    when run j breaks its CFL bound, those runs are stepped alone first.
     """
-    dPsi = _even_d1(Psi, h)
-    amax = float(np.max(np.abs(R + 2.0 * dPsi)))
-    bound = cfl * h / max(amax, 1e-30)
+    dX = _even_d1(X, h)
+    amax = np.max(np.abs(R + 2.0 * dX[0]), axis=-1)
+    bound = cfl * h / np.maximum(amax, 1e-30)
     coef = np.exp((4.0 - 2.0 * params.r) * s) if quantum else 0.0
     if coef > QP_COEF_FLOOR:
-        bound = min(bound, cfl * h * h / (2.0 * params.d * coef))
-    if ds > bound:
-        raise CFLError(f"ds = {ds:.3e} exceeds the stability bound "
-                       f"{bound:.3e} (max|y+2U| = {amax:.3g})")
+        bound = np.minimum(bound, cfl * h * h / (2.0 * params.d * coef))
+    over = np.flatnonzero(ds > bound)
+    if over.size:
+        j = over[0]
+        err = CFLError(f"ds = {ds:.3e} exceeds the stability bound "
+                       f"{bound[j]:.3e} (max|y+2U| = {amax[j]:.3g})")
+        if j:
+            err.advanced = _advance(X[:, :j], R, h, params, s, ds, quantum,
+                                    cfl)
+        raise err
 
-    def F(P_, S_, s_, dP_):
-        return _rhs(P_, dP_, S_, R, h, params, s_, quantum)
+    def F(X_, s_, dX_):
+        return _rhs(X_, dX_, R, h, params, s_, quantum)
 
-    f1 = F(Psi, S, s, dPsi)
-    P1 = Psi + ds * f1[0]
-    S1 = S + ds * f1[1]
-    f2 = F(P1, S1, s + ds, _even_d1(P1, h))
-    P2 = 0.75 * Psi + 0.25 * (P1 + ds * f2[0])
-    S2 = 0.75 * S + 0.25 * (S1 + ds * f2[1])
-    f3 = F(P2, S2, s + 0.5 * ds, _even_d1(P2, h))
-    Pn = Psi / 3.0 + 2.0 / 3.0 * (P2 + ds * f3[0])
-    Sn = S / 3.0 + 2.0 / 3.0 * (S2 + ds * f3[1])
+    X1 = X + ds * F(X, s, dX)
+    X2 = 0.75 * X + 0.25 * (X1 + ds * F(X1, s + ds, _even_d1(X1, h)))
+    Xn = X / 3.0 + 2.0 / 3.0 * (X2 + ds * F(X2, s + 0.5 * ds,
+                                             _even_d1(X2, h)))
 
-    smin = np.min(Sn)
-    if np.isnan(smin):
-        raise DomainError(f"density is NaN after the step from s = {s!r}")
-    if smin < 0.0 or (smin == 0.0 and np.min(S) > 0.0):
-        raise PositivityError(
-            f"density lost positivity: min S = {smin:.3e} after step")
-    return Pn, Sn
+    for j, smin in enumerate(np.min(Xn[1], axis=-1)):
+        if np.isnan(smin):
+            err = DomainError(f"density is NaN after the step from s = {s!r}")
+        elif smin < 0.0 or (smin == 0.0 and np.min(X[1, j]) > 0.0):
+            err = PositivityError(
+                f"density lost positivity: min S = {smin:.3e} after step")
+        else:
+            continue
+        if j:
+            err.advanced = Xn[:, :j]
+        raise err
+    return Xn
 
 
 def step(state: FieldSet, ds: float, quantum_pressure: bool = True,
@@ -288,15 +304,16 @@ def step(state: FieldSet, ds: float, quantum_pressure: bool = True,
     The transport is outgoing at R_max (coefficient y + 2U > 0 there), so
     the boundary closure uses the one-sided stencils of the derivative
     operator; the center uses even reflection.  The stages run on plain
-    arrays (see _advance); only the result is built and validated as a
-    FieldSet.  With quantum pressure on, a prefactor e^{(4-2r)s} that
-    overflows by s + ds is a DomainError before the step.
+    arrays (see _advance, here with one run); only the result is built and
+    validated as a FieldSet.  With quantum pressure on, a prefactor
+    e^{(4-2r)s} that overflows by s + ds is a DomainError before the step.
     """
     if quantum_pressure:
         _require_finite_prefactor(state.params.r, state.s, ds)
-    Psi, S = _advance(state.Psi, state.S, state.R, state.h, state.params,
-                      state.s, ds, quantum_pressure, cfl)
-    return FieldSet.from_Psi_S(state.params, state.R, state.s + ds, Psi, S,
+    X = _advance(np.stack((state.Psi, state.S))[:, None], state.R, state.h,
+                 state.params, state.s, ds, quantum_pressure, cfl)
+    return FieldSet.from_Psi_S(state.params, state.R, state.s + ds,
+                               X[0, 0], X[1, 0],
                                domain_mode=state.domain_mode)
 
 
@@ -621,13 +638,18 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     the zero-perturbation dynamics.  Energies, residual sups and the
     (reported, unused) boundary flux are sampled n_samples times.
 
-    Both runs are stepped as plain (Psi, S) arrays; validated FieldSets
-    are built only at the sample points and, on a CFL or positivity
-    abort, for the perturbed run's last good state (attached to the error
-    as `last_good`, with the samples so far as `partial_report`).  A
-    prefactor e^{(4-2r)s} that overflows on the run's span (r < 2 at
-    large s0) is a DomainError before any step, with quantum pressure on
-    or off: every sample's energy_high and residual_stationary use it.
+    Both runs step as one stacked (2, 2, n) array, (Psi, S) x (perturbed,
+    reference), through one _advance call per step; every row is
+    bit-identical to stepping its run alone.  Within a step the perturbed
+    run's CFL, NaN and positivity checks come before the reference's.
+    Validated FieldSets are built only at the sample points and, on a CFL
+    or positivity abort, for the perturbed run's last good state (attached
+    to the error as `last_good`, with the samples so far as
+    `partial_report`): its state before the step, or after it when only
+    the reference run aborts.  A prefactor e^{(4-2r)s} that overflows on
+    the run's span (r < 2 at large s0) is a DomainError before any step,
+    with quantum pressure on or off: every sample's energy_high and
+    residual_stationary use it.
     """
     import time
     t0 = time.perf_counter()
@@ -684,24 +706,23 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
         report.max_rel_Stilde = max(report.max_rel_Stilde, rel)
 
     sample(state, base)
-    s = s_good = state.s
-    Psi, S = state.Psi, state.S
-    Psi_ref, S_ref = base.Psi, base.S
+    s = state.s
+    X = np.array([[state.Psi, base.Psi], [state.S, base.S]])
     try:
         for i in range(1, n_steps + 1):
-            Psi, S = _advance(Psi, S, R, h, params, s, ds, quantum_pressure,
-                              cfg.cfl)
-            s_good = s + ds   # last_good's time if the reference step aborts
-            Psi_ref, S_ref = _advance(Psi_ref, S_ref, R, h, params, s, ds,
-                                      quantum_pressure, cfg.cfl)
-            s = s_good
+            X = _advance(X, R, h, params, s, ds, quantum_pressure, cfg.cfl)
+            s = s + ds
             if i in sample_at:
-                sample(fields(s, Psi, S), fields(s, Psi_ref, S_ref))
+                sample(fields(s, X[0, 0], X[1, 0]),
+                       fields(s, X[0, 1], X[1, 1]))
     except (CFLError, PositivityError) as err:
         # callers that write artifacts want the last valid state and the
-        # samples collected so far
+        # samples collected so far; a reference-run abort comes with the
+        # perturbed run advanced to s + ds
         report.wall_time = time.perf_counter() - t0
-        err.last_good = fields(s_good, Psi, S)
+        good = getattr(err, "advanced", None)
+        err.last_good = (fields(s, X[0, 0], X[1, 0]) if good is None
+                         else fields(s + ds, good[0, 0], good[1, 0]))
         err.partial_report = report
         raise
     report.wall_time = time.perf_counter() - t0

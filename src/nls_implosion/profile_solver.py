@@ -240,6 +240,9 @@ class ProfileTable:
             raise DomainError(f"unsupported schema version {payload.get('schema_version')}")
         cols = {name: np.asarray(value, dtype=float)
                 for name, value in payload["columns"].items()}
+        for name in ("xi", "W", "Z", "dR_Ubar", "dR_Sbar"):
+            if name not in cols:
+                raise DomainError(f"state column {name} is missing")
         anchor = payload.get("anchor")
         table = cls(params=ProfileParams(**payload["params"]),
                     xi_grid=cols["xi"], W=cols["W"], Z=cols["Z"],

@@ -364,6 +364,25 @@ class TestMainPlumbing:
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("entry, message", [
+        ({"r": "2.01"}, "r = '2.01'; need a number"),
+        ({"n_samples": "5"}, "n_samples = '5'; need an integer"),
+        ({"n": 256.0}, "n = 256.0; need an integer"),
+        ({"s_span": True}, "s_span = True; need a number"),
+        ({"ds": "0.01"}, "ds = '0.01'; need a number or null"),
+    ])
+    def test_config_file_types_checked(self, entry, message, tmp_path,
+                                       capsys):
+        # refused before the solve, so no file is written
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(entry))
+        out = tmp_path / "out"
+        code = main(["phase-portrait", "--config", str(path),
+                     "--out-dir", str(out)])
+        assert code == EXIT_SOLVER
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["profile", "--seed", "1"])

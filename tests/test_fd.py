@@ -1,10 +1,11 @@
 """Tests for the finite-difference operator, its stencil cache and the
 array-level stepper built on it.
 
-Neither the cache, the even-reflection mode nor the lean stepper may change
-a single bit: every reference below rebuilds the Fornberg weights for each
-row on each call, reflects even fields by hand, and steps through a
-validated FieldSet per step, which is what the code did before.
+Neither the cache, the even-reflection mode, stacking rows along a leading
+axis nor the lean stepper may change a single bit: every reference below
+rebuilds the Fornberg weights for each row on each call, reflects even
+fields by hand, differentiates one row at a time, and steps each run alone
+through a validated FieldSet per step, which is what the code did before.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 from nls_implosion import _fd, dynamics_lab, selfsimilar_fields
 from nls_implosion._fd import derivative, fd_weights
-from nls_implosion.dynamics_lab import simulate
+from nls_implosion.dynamics_lab import (EnergyConfig, profile_fieldset,
+                                        simulate, step)
 from nls_implosion.errors import (
     CFLError,
     DomainError,
@@ -22,11 +24,16 @@ from nls_implosion.errors import (
 from nls_implosion.selfsimilar_fields import (
     FieldSet,
     _even_d1,
+    cutoff,
     radial_laplacian,
 )
 
 
 def uncached_derivative(f, h, m, acc=4, even=False):
+    if np.ndim(f) > 1:
+        # a stack: each row on its own, along the last axis
+        return np.array([uncached_derivative(row, h, m, acc, even)
+                         for row in f])
     if even:
         # reflect by more nodes than any stencil reaches, then drop them,
         # as the hand-padded even-field copies did
@@ -73,6 +80,36 @@ def test_short_grid_rejected():
         derivative(np.zeros(10), 0.1, 1, acc=14)
     with pytest.raises(ResolutionError):
         derivative(np.zeros(3), 0.1, 1, even=True)   # 3 + 3 reflected < 7
+    # a stack is judged by the length of its last axis
+    with pytest.raises(ResolutionError):
+        derivative(np.zeros((20, 10)), 0.1, 1, acc=14)
+    with pytest.raises(ResolutionError):
+        derivative(np.zeros((2, 20, 3)), 0.1, 1, even=True)
+
+
+@pytest.mark.parametrize("m, acc", [(1, 4), (2, 4), (1, 8), (3, 4), (6, 8),
+                                    (1, 14)])
+@pytest.mark.parametrize("n", [33, 257, 4096])
+@pytest.mark.parametrize("even", [False, True])
+@pytest.mark.parametrize("lead", [(3,), (2, 3)])
+def test_stacked_rows_match_1d_calls(m, acc, n, even, lead):
+    rng = np.random.default_rng(n + 10 * m + acc)
+    f = rng.standard_normal(lead + (n,)) * np.exp(rng.standard_normal(n))
+    h = 13.0 / (n - 1)
+    stacked = derivative(f, h, m, acc=acc, even=even)
+    rows = [derivative(row, h, m, acc=acc, even=even)
+            for row in f.reshape(-1, n)]
+    assert stacked.shape == f.shape
+    np.testing.assert_array_equal(stacked.reshape(-1, n), rows)
+
+
+@pytest.mark.parametrize("even", [False, True])
+def test_stacked_non_contiguous_input(even):
+    f = np.random.default_rng(7).standard_normal((257, 4)).T   # rows strided
+    assert not f.flags.c_contiguous
+    stacked = derivative(f, 0.05, 2, acc=4, even=even)
+    np.testing.assert_array_equal(
+        stacked, [uncached_derivative(row, 0.05, 2, 4, even) for row in f])
 
 
 def hand_padded(f, h, m, acc, k):
@@ -97,8 +134,19 @@ def test_even_reflection_matches_hand_padding(m, acc, k, n):
 
 def test_energy_report_identical_without_cache(profile_r201, monkeypatch):
     cached = simulate(profile_r201, s_span=0.1, n=256, n_samples=3)
-    monkeypatch.setattr(dynamics_lab, "derivative", uncached_derivative)
+    shapes = []
+
+    def counting(f, *args, **kwargs):
+        shapes.append(np.shape(f))
+        return uncached_derivative(f, *args, **kwargs)
+
+    # the stepper differentiates through _even_d1/_even_d2, which look the
+    # operator up in selfsimilar_fields; the samples use dynamics_lab's
+    for module in (dynamics_lab, selfsimilar_fields):
+        monkeypatch.setattr(module, "derivative", counting)
     uncached = simulate(profile_r201, s_span=0.1, n=256, n_samples=3)
+    assert (2, 2, 256) in shapes   # both runs' (Psi, S) in one call
+    assert (2, 256) in shapes      # the two Psi rows' second derivative
     assert cached.to_csv() == uncached.to_csv()
     assert cached.max_rel_Stilde == uncached.max_rel_Stilde
     assert cached.input_hash == uncached.input_hash
@@ -154,12 +202,20 @@ def _reference_advance(Psi, S, R, h, params, s, ds, quantum, cfl):
     return out.Psi, out.S
 
 
+def _reference_advance_rows(X, R, h, params, s, ds, quantum, cfl):
+    """The stacked stepper's contract through the reference: each run,
+    row by row, stepped alone on 1-D arrays."""
+    rows = [_reference_advance(Psi, S, R, h, params, s, ds, quantum, cfl)
+            for Psi, S in zip(X[0], X[1])]
+    return np.array([[Psi for Psi, _ in rows], [S for _, S in rows]])
+
+
 @pytest.mark.parametrize("quantum", [True, False])
 def test_energy_report_identical_to_fieldset_stepper(profile_r201,
                                                      monkeypatch, quantum):
     kwargs = dict(s_span=0.1, n=256, n_samples=3, quantum_pressure=quantum)
     lean = simulate(profile_r201, **kwargs)
-    monkeypatch.setattr(dynamics_lab, "_advance", _reference_advance)
+    monkeypatch.setattr(dynamics_lab, "_advance", _reference_advance_rows)
     for module in (dynamics_lab, selfsimilar_fields):
         monkeypatch.setattr(module, "derivative", uncached_derivative)
     reference = simulate(profile_r201, **kwargs)
@@ -174,36 +230,119 @@ def test_nan_density_raises_at_its_step(profile_r201, monkeypatch):
 
     def poisoned(*args):
         calls.append(args)
-        out_Psi, out_S = rhs(*args)
-        if len(calls) == 13:     # stage 1 of the perturbed run's third step
-            out_S = out_S.copy()
-            out_S[100] = np.nan
-        return out_Psi, out_S
+        out = rhs(*args)
+        if len(calls) == 7:      # stage 1 of the third step
+            out = out.copy()
+            out[1, 0, 100] = np.nan    # S of the perturbed run
+        return out
 
     monkeypatch.setattr(dynamics_lab, "_rhs", poisoned)
     with pytest.raises(DomainError, match="NaN"):
         simulate(profile_r201, s_span=0.1, n=256, n_samples=3)
-    assert len(calls) == 15      # that step's three stages, nothing after
+    assert len(calls) == 9       # that step's three stages, nothing after
 
 
 def test_last_good_is_state_before_failing_step(profile_r201, monkeypatch):
     advance = dynamics_lab._advance
     inputs = []
 
-    def advance_until_third(Psi, S, R, h, params, s, ds, quantum, cfl):
-        inputs.append((s, Psi, S))
-        if len(inputs) == 5:     # the perturbed run's third step
+    def advance_until_third(X, R, h, params, s, ds, quantum, cfl):
+        inputs.append((s, X))
+        if len(inputs) == 3:     # the third step
             ds = 1e3 * ds        # far beyond the stability bound
-        return advance(Psi, S, R, h, params, s, ds, quantum, cfl)
+        return advance(X, R, h, params, s, ds, quantum, cfl)
 
     monkeypatch.setattr(dynamics_lab, "_advance", advance_until_third)
     with pytest.raises(CFLError) as info:
         simulate(profile_r201, s_span=0.1, n=256, n_samples=3)
     good = info.value.last_good
-    s, Psi, S = inputs[4]
+    s, X = inputs[2]
     assert isinstance(good, FieldSet)
     assert good.s == s > inputs[0][0]
-    np.testing.assert_array_equal(good.Psi, Psi)
-    np.testing.assert_array_equal(good.S, S)
-    np.testing.assert_array_equal(good.U, _even_d1(Psi, good.h))
+    np.testing.assert_array_equal(good.Psi, X[0, 0])   # the perturbed run
+    np.testing.assert_array_equal(good.S, X[1, 0])
+    np.testing.assert_array_equal(good.U, _even_d1(X[0, 0], good.h))
     assert len(info.value.partial_report.s) == 1
+
+
+# Aborts caused by the reference run alone.  The perturbed run has then
+# completed the step, so last_good is it at s0 + ds.  Both tests reach the
+# reference through names simulate looks up in dynamics_lab
+# (profile_fieldset, profile_operator) rather than through the stepper's
+# own signature, so they do not depend on how the stepper stacks the runs.
+
+N_ABORT = 256
+
+
+def _perturbed_start(table, cfg, base):
+    """The perturbed run's initial state, built as simulate builds it."""
+    R = base.R
+    bump = cutoff("tilde", R / R[-1]) * cutoff("hat", R / (1.2 * R[-1]))
+    return FieldSet.from_Psi_S(table.params, R, cfg.s0,
+                               base.Psi + cfg.delta_low * bump,
+                               base.S * (1.0 + cfg.delta_low * bump))
+
+
+def _assert_last_good_is_perturbed_step(err, start, ds):
+    expected = step(start, ds)
+    good = err.last_good
+    assert good.s == start.s + ds
+    np.testing.assert_array_equal(good.Psi, expected.Psi)
+    np.testing.assert_array_equal(good.S, expected.S)
+    assert err.partial_report.s == [start.s]
+
+
+def test_reference_only_cfl_abort(profile_r201, monkeypatch):
+    # a steep phase ramp inside the bump's falling flank makes max|y+2U|
+    # of the reference exceed the perturbed run's, where the bump lowers it
+    fieldset = dynamics_lab.profile_fieldset
+
+    def steep(table, R, s):
+        base = fieldset(table, R, s)
+        ramp = np.clip((R / R[-1] - 0.65) / 0.1, 0.0, 1.0)
+        return FieldSet.from_Psi_S(base.params, R, s,
+                                   base.Psi + 30.0 * ramp, base.S)
+
+    cfg = EnergyConfig()
+    R = np.linspace(0.0, 30.0, N_ABORT)
+    h = R[1] - R[0]
+    base = steep(profile_r201, R, cfg.s0)
+    start = _perturbed_start(profile_r201, cfg, base)
+    amax_ref = np.max(np.abs(R + 2.0 * _even_d1(base.Psi, h)))
+    amax_pert = np.max(np.abs(R + 2.0 * _even_d1(start.Psi, h)))
+    bound_ref = cfg.cfl * h / amax_ref
+    bound_pert = cfg.cfl * h / amax_pert
+    ds = 0.5 * (bound_ref + bound_pert)
+    assert bound_ref < ds < bound_pert
+
+    monkeypatch.setattr(dynamics_lab, "profile_fieldset", steep)
+    with pytest.raises(CFLError) as info:
+        simulate(profile_r201, cfg, s_span=ds, n=N_ABORT, n_samples=2,
+                 ds=ds)
+    assert str(info.value) == ("ds = 2.405e-03 exceeds the stability bound "
+                               "2.405e-03 (max|y+2U| = 44)")
+    _assert_last_good_is_perturbed_step(info.value, start, ds)
+
+
+def test_reference_only_positivity_abort(profile_r201, monkeypatch):
+    # the reference starts on the profile's S, the perturbed run does not;
+    # draining S wherever a run sits exactly on it breaks the reference
+    cfg = EnergyConfig()
+    R = np.linspace(0.0, 30.0, N_ABORT)
+    base = profile_fieldset(profile_r201, R, cfg.s0)
+    start = _perturbed_start(profile_r201, cfg, base)
+    operator = dynamics_lab.profile_operator
+
+    def draining(params, R_, Psi, dPsi, S, dS, lapPsi):
+        N_Psi, N_S = operator(params, R_, Psi, dPsi, S, dS, lapPsi)
+        on_profile = np.all(S == base.S, axis=-1, keepdims=True)
+        return N_Psi, np.where(on_profile, N_S - 1e3, N_S)
+
+    monkeypatch.setattr(dynamics_lab, "profile_operator", draining)
+    ds = 1e-3
+    with pytest.raises(PositivityError) as info:
+        simulate(profile_r201, cfg, s_span=ds, n=N_ABORT, n_samples=2,
+                 ds=ds)
+    assert str(info.value) == ("density lost positivity: min S = "
+                               "-1.252e-01 after step")
+    _assert_last_good_is_perturbed_step(info.value, start, ds)

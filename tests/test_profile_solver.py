@@ -373,6 +373,13 @@ class TestSerialization:
         with pytest.raises(DomainError, match=name):
             ProfileTable.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("name", ["xi", "W", "Z", "dR_Ubar", "dR_Sbar"])
+    def test_json_missing_state_column_refused(self, profile_r201, name):
+        payload = json.loads(profile_r201.to_json())
+        del payload["columns"][name]
+        with pytest.raises(DomainError, match=f"state column {name} "):
+            ProfileTable.from_json(json.dumps(payload))
+
     def test_schema_version_enforced(self, profile_r201):
         payload = json.loads(profile_r201.to_json())
         payload["schema_version"] = 99
