@@ -238,11 +238,10 @@ class ProfileTable:
         payload = json.loads(text)
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise DomainError(f"unsupported schema version {payload.get('schema_version')}")
-        cols = {name: np.asarray(value, dtype=float)
-                for name, value in payload["columns"].items()}
-        for name in ("xi", "W", "Z", "dR_Ubar", "dR_Sbar"):
-            if name not in cols:
-                raise DomainError(f"state column {name} is missing")
+        raw = payload["columns"]
+        n = len(_state_column(raw, "xi"))
+        cols = {name: _state_column(raw, name, n)
+                for name in ("xi", "W", "Z", "dR_Ubar", "dR_Sbar")}
         anchor = payload.get("anchor")
         table = cls(params=ProfileParams(**payload["params"]),
                     xi_grid=cols["xi"], W=cols["W"], Z=cols["Z"],
@@ -251,10 +250,28 @@ class ProfileTable:
                     tol=payload["tol"],
                     anchor=None if anchor is None else PhasePoint(**anchor))
         for name in CSV_HEADER:
-            if not np.array_equal(cols.get(name), table._column(name)):
+            if not np.array_equal(raw.get(name), table._column(name)):
                 raise DomainError(
                     f"column {name} disagrees with the (W, Z) state")
         return table
+
+
+def _state_column(columns: dict, name: str, n: int | None = None
+                  ) -> np.ndarray:
+    """State column `name` of a JSON table as a 1-D float array, of length
+    n when n is given; DomainError when it is missing or malformed."""
+    if name not in columns:
+        raise DomainError(f"state column {name} is missing")
+    try:
+        col = np.asarray(columns[name], dtype=float)
+    except (TypeError, ValueError):
+        raise DomainError(f"state column {name} is malformed: not an "
+                          "array of numbers") from None
+    if col.ndim != 1 or (n is not None and len(col) != n):
+        need = "a 1-D array" if n is None else f"shape ({n},)"
+        raise DomainError(f"state column {name} is malformed: shape "
+                          f"{col.shape}, need {need}")
+    return col
 
 
 class ResidualPair(NamedTuple):

@@ -182,12 +182,11 @@ def _laplacian_from(d1: np.ndarray, d2: np.ndarray, R: np.ndarray,
                     d: int) -> np.ndarray:
     """f'' + (d-1)/R f' assembled from f' = d1 and f'' = d2, along the
     last axis (R is the grid of that axis)."""
+    if R[0] != 0.0:
+        return d2 + (d - 1) / R * d1
     out = np.empty_like(d1)
-    if R[0] == 0.0:
-        out[..., 0] = d * d2[..., 0]
-        out[..., 1:] = d2[..., 1:] + (d - 1) / R[1:] * d1[..., 1:]
-    else:
-        out = d2 + (d - 1) / R * d1
+    out[..., 0] = d * d2[..., 0]
+    out[..., 1:] = d2[..., 1:] + (d - 1) / R[1:] * d1[..., 1:]
     return out
 
 

@@ -46,6 +46,10 @@ from nls_implosion.profile_solver import profile_operator
 from nls_implosion.selfsimilar_fields import (
     FieldSet,
     _even_d1,
+    _even_d2,
+    _laplacian_from,
+    _smooth_step,
+    cutoff,
     from_selfsimilar,
     nls_rhs_polar,
     radial_laplacian,
@@ -380,7 +384,134 @@ class TestSimulate:
         assert again.E_low == small_report.E_low
 
 
+def _reference_probe_values(table, m=2, J=2000.0, C0=2.0, K=8, trials=200,
+                            seed=0, n=1025, n_modes=16):
+    """The probe before its form was assembled: the linearization applied
+    to each trial's normalised pair on its own.  Returns each trial's
+    (lhs, X-norm^2), NaN for a trial with a zero norm."""
+    derivative, _quad = dl.derivative, dl._quad
+    r = table.params.r
+    alpha = table.params.alpha
+    d = table.params.d
+    R = np.linspace(0.0, 3.0 * C0, n)
+    h = R[1] - R[0]
+    base = profile_fieldset(table, R, 20.0)
+    S_p = base.S
+    dPsi_p = _even_d1(base.Psi, h)
+    dS_p = _even_d1(S_p, h)
+    lapPsi_p = _laplacian_from(dPsi_p, _even_d2(base.Psi, h), R, d)
+
+    chi1 = _smooth_step((1.4 * C0 - R) / (0.2 * C0))
+    chi2 = _smooth_step((1.8 * C0 - R) / (0.2 * C0))
+    env = cutoff("hat", R / (3.0 * C0))
+    modes = np.arange(K + 1, K + 1 + n_modes)
+    basis = np.cos(np.outer(modes, np.pi * R / (3.0 * C0)))
+
+    rng = np.random.default_rng(seed)
+    values = np.full((trials, 2), np.nan)
+    for i in range(trials):
+        Psi_t = env * (rng.standard_normal(n_modes) @ basis)
+        S_t = env * (rng.standard_normal(n_modes) @ basis)
+        nP = np.sqrt(_quad(derivative(Psi_t, h, m + 1, even=True) ** 2, R, d))
+        nS = np.sqrt(_quad(derivative(S_t, h, m, even=True) ** 2, R, d))
+        if nP == 0.0 or nS == 0.0:
+            continue
+        Psi_t, S_t = Psi_t / nP, S_t / nS
+        dPsi_t = _even_d1(Psi_t, h)
+        dS_t = _even_d1(S_t, h)
+        lapPsi_t = _laplacian_from(dPsi_t, _even_d2(Psi_t, h), R, d)
+        L_psi = (-(r - 2.0) * Psi_t - R * dPsi_t - 2.0 * dPsi_p * dPsi_t
+                 - 2.0 * alpha * S_p * S_t)
+        L_s = (-(r - 1.0) * S_t - R * dS_t - 2.0 * dS_p * dPsi_t
+               - 2.0 * dS_t * dPsi_p - 2.0 * alpha * S_p * lapPsi_t
+               - 2.0 * alpha * S_t * lapPsi_p)
+        L_psi_t = chi2 * L_psi - J * (1.0 - chi1) * Psi_t
+        L_s_t = chi2 * L_s - J * (1.0 - chi1) * S_t
+        gPsi = derivative(Psi_t, h, m, even=True)
+        gS = derivative(S_t, h, m, even=True)
+        lhs = (_quad(derivative(L_psi_t, h, m, even=True) * gPsi, R, d)
+               + _quad(derivative(L_s_t, h, m, even=True) * gS, R, d))
+        xnorm2 = (_quad(derivative(Psi_t, h, m + 1, even=True) ** 2, R, d)
+                  + _quad(gS ** 2, R, d)
+                  + _quad(Psi_t ** 2, R, d) + _quad(S_t ** 2, R, d))
+        values[i] = lhs, xnorm2
+    return values
+
+
+#: the probe's defaults, then the settings the tests compare against the
+#: reference loop: undamped, criterion 10, and a smaller off-default form
+PROBE_DEFAULTS = dict(m=2, J=2000.0, C0=2.0, K=8, n=1025, n_modes=16)
+PROBE_SETTINGS = {"default": {}, "undamped": dict(J=0.0, K=0),
+                  "criterion_10": dict(m=2, C0=2.0),
+                  "off_default": dict(m=3, C0=1.5, K=4, n=513, n_modes=8)}
+
+
 class TestDissipativityProbe:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("setting", sorted(PROBE_SETTINGS))
+    def test_form_matches_reference_loop(self, profile_r201, setting, seed):
+        kw = PROBE_DEFAULTS | PROBE_SETTINGS[setting]
+        ref = _reference_probe_values(profile_r201, seed=seed, **kw)
+        form = dl._dissipativity_form(profile_r201, **kw)
+        coeffs = np.random.default_rng(seed).standard_normal(
+            (200, 2, kw["n_modes"]))
+        margins = dl._trial_margins(form, coeffs)
+        expected = ref[:, 0] + ref[:, 1]
+        assert np.all(np.abs(margins - expected) <= 1e-10 * np.abs(expected))
+        ref_fraction = np.count_nonzero(ref[:, 0] <= -ref[:, 1]) / 200
+        assert dissipativity_probe(profile_r201, seed=seed,
+                                   **PROBE_SETTINGS[setting]
+                                   ) == ref_fraction
+
+    @pytest.mark.parametrize("setting", ["default", "undamped"])
+    def test_form_symmetric_grams_positive_definite(self, profile_r201,
+                                                    setting):
+        form = dl._dissipativity_form(
+            profile_r201, **(PROBE_DEFAULTS | PROBE_SETTINGS[setting]))
+        assert form.Q.shape == (32, 32)
+        np.testing.assert_array_equal(form.Q, form.Q.T)
+        for G in (form.G_Psi, form.G_S):
+            assert G.shape == (16, 16)
+            np.testing.assert_array_equal(G, G.T)
+            assert np.linalg.eigvalsh(G)[0] > 0.0
+
+    def test_zero_norm_trial_fails(self, profile_r201):
+        form = dl._dissipativity_form(profile_r201, **PROBE_DEFAULTS)
+        coeffs = np.random.default_rng(0).standard_normal((3, 2, 16))
+        coeffs[1, 0] = 0.0
+        margins = dl._trial_margins(form, coeffs)
+        assert margins[1] == np.inf
+        assert np.all(margins[[0, 2]] < 0.0)
+
+    def test_derivative_calls_do_not_scale_with_trials(self, profile_r201,
+                                                       monkeypatch):
+        import nls_implosion.selfsimilar_fields as fields
+        derivative, calls = dl.derivative, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return derivative(*args, **kwargs)
+
+        for module in (dl, fields):
+            monkeypatch.setattr(module, "derivative", counted)
+        counts = []
+        for trials in (10, 200):
+            calls.clear()
+            dissipativity_probe(profile_r201, trials=trials)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] < 10
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_no_trials_refused_before_any_work(self, profile_r201,
+                                               monkeypatch, trials):
+        def no_work(*args):
+            raise AssertionError("the probe built its grid")
+
+        monkeypatch.setattr(dl, "profile_fieldset", no_work)
+        with pytest.raises(DomainError,
+                           match=f"trials = {trials}; need >= 1"):
+            dissipativity_probe(profile_r201, trials=trials)
+
     def test_defaults_pass_fraction(self, profile_r201):
         frac = dissipativity_probe(profile_r201, trials=100)
         assert frac >= 0.95

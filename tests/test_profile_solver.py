@@ -380,6 +380,25 @@ class TestSerialization:
         with pytest.raises(DomainError, match=f"state column {name} "):
             ProfileTable.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("name", ["xi", "W", "Z", "dR_Ubar", "dR_Sbar"])
+    def test_json_malformed_state_column_refused(self, profile_r201, name):
+        # a column one entry short disagrees in length with xi (a short xi
+        # with W, the first column measured against it); a null column is
+        # no 1-D array at all
+        payload = json.loads(profile_r201.to_json())
+        column = payload["columns"][name]
+        payload["columns"][name] = column[:-1]
+        culprit = "W" if name == "xi" else name
+        with pytest.raises(DomainError,
+                           match=f"state column {culprit} is malformed: "
+                                 r"shape \("):
+            ProfileTable.from_json(json.dumps(payload))
+        payload["columns"][name] = None
+        with pytest.raises(DomainError,
+                           match=f"state column {name} is malformed: "
+                                 r"shape \(\)"):
+            ProfileTable.from_json(json.dumps(payload))
+
     def test_schema_version_enforced(self, profile_r201):
         payload = json.loads(profile_r201.to_json())
         payload["schema_version"] = 99
