@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import make_interp_spline
+from scipy.interpolate import BSpline
 
 from ._fd import derivative
 from .errors import (
@@ -166,10 +166,9 @@ def build_weights(R: np.ndarray, cfg: EnergyConfig) -> Weights:
 # profile interpolation onto evolution grids
 # ---------------------------------------------------------------------------
 
-def _spline_to_grid(table_R: np.ndarray, col: np.ndarray,
-                    R_grid: np.ndarray) -> np.ndarray:
-    spl = make_interp_spline(table_R, col, k=5)
-    a = table_R[0]
+def _spline_to_grid(spl: BSpline, a: float, R_grid: np.ndarray
+                    ) -> np.ndarray:
+    """spl on R_grid, with the even quadratic below the table's reach a."""
     vals = np.empty_like(R_grid)
     inside = R_grid >= a
     vals[inside] = spl(R_grid[inside])
@@ -184,18 +183,19 @@ def profile_fieldset(table: ProfileTable, R_grid: np.ndarray,
                      s: float) -> FieldSet:
     """Evaluate the solved profile on a uniform grid containing R = 0.
 
-    Quintic splines over the table's log-spaced nodes interpolate Psi and
-    S; the (at most one) node below the table's reach is filled by the
-    even quadratic through the two innermost evaluations, consistent with
-    the fields' regularity at the center.
+    Quintic splines over the table's log-spaced nodes, built once per
+    table (ProfileTable.Psi_spline, S_spline), interpolate Psi and S; the
+    (at most one) node below the table's reach is filled by the even
+    quadratic through the two innermost evaluations, consistent with the
+    fields' regularity at the center.
     """
     R_grid = np.asarray(R_grid, dtype=float)
     if R_grid[-1] > table.R[-1] * (1.0 + 1e-12):
         raise RangeError(
             f"grid reaches R = {R_grid[-1]:.4g} beyond table coverage "
             f"{table.R[-1]:.4g}")
-    Psi = _spline_to_grid(table.R, table.Psi_nls, R_grid)
-    S = _spline_to_grid(table.R, table.S_nls, R_grid)
+    Psi = _spline_to_grid(table.Psi_spline, table.R[0], R_grid)
+    S = _spline_to_grid(table.S_spline, table.R[0], R_grid)
     return FieldSet.from_Psi_S(table.params, R_grid, s, Psi, S)
 
 

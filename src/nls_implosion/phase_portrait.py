@@ -122,9 +122,10 @@ class Polys(NamedTuple):
 #
 # The four polynomials below hold the coefficients for every routine that
 # evaluates them pointwise.  The sonic series recurrence
-# (profile_solver._sonic_series_mp) writes the quadratic coefficients again,
-# in convolution form over Taylor coefficients.  Evaluation order is fixed
-# as written.
+# (profile_solver._sonic_series_fixed) writes the quadratic coefficients
+# again, times 8, in convolution form over fixed-point integers at
+# SERIES_BITS, seeded from SERIES_DPS closed forms.  Evaluation order is
+# fixed as written.
 # ---------------------------------------------------------------------------
 
 def d_w(W, Z):

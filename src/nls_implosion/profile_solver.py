@@ -10,7 +10,8 @@ spacing), while marching toward the sonic point contracts by the same
 factor.  The solver exploits this:
 
   * a high-order Taylor series of the smooth branch at P_s, generated once
-    per parameter set in extended precision by an order-by-order recurrence,
+    per parameter set by an order-by-order recurrence in fixed-point
+    integers at SERIES_BITS, seeded from SERIES_DPS closed forms,
     represents the orbit on |xi| <= xi_switch (inside the series'
     convergence disk),
   * the left piece (xi < -xi_switch) is integrated from deep inside the
@@ -54,9 +55,7 @@ tabulated columns so the check is not a restatement of the construction.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -64,6 +63,7 @@ from typing import NamedTuple
 import mpmath
 import numpy as np
 from scipy.integrate import solve_ivp
+from scipy.interpolate import BSpline, make_interp_spline
 
 from ._fd import derivative
 from .errors import (
@@ -115,9 +115,16 @@ EDGE_MARGIN = 6
 #: radius of the origin fit that reports w0 = Sbar(0)
 MATCH_RADIUS = 0.05
 
-#: decimal digits of the sonic series recurrence, which divides by
-#: a1*(n - kappa) with kappa ~ 46; 60 leave ample headroom
+#: decimal digits at which the closed forms of P_s and of the slopes
+#: (W1, Z1) seed the sonic series
 SERIES_DPS = 60
+
+#: fractional bits of the fixed-point integers in which the sonic series
+#: recurrence runs.  Each coefficient is rounded once, with an absolute
+#: error of 2^-320 ~ 5e-97; the seeds carry SERIES_DPS digits.  The
+#: smallest coefficient up to order 90 on 1 < r < 2.2, about 5e-47 at
+#: r = 2.07, still keeps 50 digits, far more than the 17 a double needs
+SERIES_BITS = 320
 
 
 @dataclass(frozen=True)
@@ -174,6 +181,16 @@ class ProfileTable:
         U_nls, S_nls = self.U_nls, self.S_nls
         return (-self.R * U_nls - U_nls ** 2 - alpha * S_nls ** 2) / (r - 2.0)
 
+    @functools.cached_property
+    def Psi_spline(self) -> BSpline:
+        """Quintic interpolating spline of Psi_nls over R."""
+        return make_interp_spline(self.R, self.Psi_nls, k=5)
+
+    @functools.cached_property
+    def S_spline(self) -> BSpline:
+        """Quintic interpolating spline of S_nls over R."""
+        return make_interp_spline(self.R, self.S_nls, k=5)
+
     @property
     def h(self) -> float:
         return float(self.xi_grid[1] - self.xi_grid[0])
@@ -206,12 +223,11 @@ class ProfileTable:
         return getattr(self, "xi_grid" if name == "xi" else name)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for row in zip(*map(self._column, CSV_HEADER)):
-            writer.writerow([format(v, ".17g") for v in row])
-        return buf.getvalue()
+        """Header and one row per node, each value in %.17g."""
+        row = ",".join(["%.17g"] * len(CSV_HEADER)) + "\n"
+        columns = [self._column(name).tolist() for name in CSV_HEADER]
+        return ",".join(CSV_HEADER) + "\n" + "".join(
+            row % values for values in zip(*columns))
 
     def payload(self) -> dict:
         """The JSON-ready snapshot that to_json serializes."""
@@ -314,58 +330,86 @@ def taylor_seed_coeffs(params: ProfileParams) -> tuple[float, float, float, floa
 
 
 # ---------------------------------------------------------------------------
-# extended-precision Taylor series of the smooth branch at P_s
+# fixed-point Taylor series of the smooth branch at P_s
 # ---------------------------------------------------------------------------
 
+def _fixed(x) -> int:
+    """The mpf x as an integer scaled by 2^SERIES_BITS."""
+    return int(mpmath.ldexp(x, SERIES_BITS))
+
+
+def _kappa_text(r: float) -> str:
+    """The eigenvalue ratio kappa of P_s and its nearest integer: the
+    series recurrence divides Z_n by a1 (n - kappa)."""
+    _, _, W0, Z0, W1, Z1 = _sonic_closed_forms(r)
+    a1 = GRAD_D_Z[0] * W1 + GRAD_D_Z[1] * Z1
+    kappa = (grad_n_z(W0, Z0, r)[1] - 0.75 * Z1) / a1
+    return (f"kappa = (dN_Z/dZ - 3 Z1/4)/a1 = {kappa:.6f}, nearest integer "
+            f"{round(kappa)}")
+
+
 @functools.lru_cache(maxsize=32)
-def _sonic_series_mp(r: float, order: int):
-    """Extended-precision Taylor coefficients of the smooth branch at P_s."""
+def _sonic_series_fixed(r: float, order: int) -> tuple[tuple[int, ...],
+                                                       tuple[int, ...]]:
+    """Taylor coefficients of the smooth branch at P_s as integers scaled
+    by 2^SERIES_BITS.
+
+    Matching [xi^(n-1)] of W' D_W = N_W gives W_n and [xi^n] of
+    Z' D_Z = N_Z gives Z_n.  Both balances are multiplied by 8 so that
+    every coefficient of D and N is an integer: each numerator is then an
+    exact integer at scale 2^(2 SERIES_BITS), and the one division per
+    coefficient is the only rounding.
+    """
     with mpmath.workdps(SERIES_DPS):
-        rr = mpmath.mpf(r)
-        _, _, W0, Z0, W1, Z1 = _sonic_closed_forms(rr, mpmath.mpf,
+        _, _, W0, Z0, W1, Z1 = _sonic_closed_forms(mpmath.mpf(r), mpmath.mpf,
                                                    mpmath.sqrt)
-        W = [W0, W1] + [mpmath.mpf(0)] * (order - 1)
-        Z = [Z0, Z1] + [mpmath.mpf(0)] * (order - 1)
+        rr, W0, Z0, W1, Z1 = map(_fixed, (r, W0, Z0, W1, Z1))
+    W = [W0, W1] + [0] * (order - 1)
+    Z = [Z0, Z1] + [0] * (order - 1)
+    # 4 D_W and 4 D_Z less their constant 4, coefficient by coefficient
+    dw = [3 * W0 + Z0, 3 * W1 + Z1] + [0] * (order - 1)
+    dz = [W0 + 3 * Z0, W1 + 3 * Z1] + [0] * (order - 1)
+    dw0 = (8 << SERIES_BITS) + 2 * dw[0]         # 8 D_W(P_s)
+    a1 = 2 * dz[1]                               # 8 a1
+    nzz = -8 * rr - 2 * W0 - 26 * Z0             # 8 dN_Z/dZ at P_s
 
-        DW0 = d_w(W0, Z0)
-        a1 = GRAD_D_Z[0] * W1 + GRAD_D_Z[1] * Z1
-        nzw, nzz = grad_n_z(W0, Z0, rr)
+    for n in range(2, order + 1):
+        m = n - 1
+        ww = sum(W[i] * W[m - i] for i in range(n))
+        wz = sum(W[i] * Z[m - i] for i in range(n))
+        zz = sum(Z[i] * Z[m - i] for i in range(n))
+        s = sum(k * W[k] * dw[m + 1 - k] for k in range(1, n))
+        W[n] = ((-8 * rr * W[m] - 13 * ww - 2 * wz + 7 * zz - 2 * s)
+                // (n * dw0))
+        # Z[n] is still 0 in the convolutions, so they carry only the
+        # known part
+        ww = sum(W[i] * W[n - i] for i in range(n + 1))
+        wz = sum(W[i] * Z[n - i] for i in range(n + 1))
+        zz = sum(Z[i] * Z[n - i] for i in range(n + 1))
+        lhs = sum(k * Z[k] * dz[n + 1 - k] for k in range(2, n))
+        denom = n * a1 + 6 * Z1 - nzz             # 8 a1 (n - kappa)
+        if denom == 0:
+            raise ConsistencyError(
+                f"sonic series does not converge: {_kappa_text(r)}; the "
+                f"order-{n} denominator a1 (n - kappa) is exactly zero")
+        Z[n] = ((7 * ww - 2 * wz - 13 * zz - 2 * lhs - 2 * Z1 * W[n])
+                // denom)
+        dw[n] = 3 * W[n] + Z[n]
+        dz[n] = W[n] + 3 * Z[n]
 
-        def conv(a, b, m):
-            return mpmath.fsum(a[i] * b[m - i] for i in range(m + 1))
-
-        def dw_coef(m):
-            return (1 if m == 0 else 0) + mpmath.mpf(3) / 4 * W[m] + Z[m] / 4
-
-        def dz_coef(m):
-            return (1 if m == 0 else 0) + W[m] / 4 + mpmath.mpf(3) / 4 * Z[m]
-
-        for n in range(2, order + 1):
-            # [xi^(n-1)] of W' D_W - N_W = 0 determines W_n
-            nw = (-rr * W[n - 1] - mpmath.mpf(13) / 8 * conv(W, W, n - 1)
-                  - conv(W, Z, n - 1) / 4 + mpmath.mpf(7) / 8 * conv(Z, Z, n - 1))
-            s = mpmath.fsum(k * W[k] * dw_coef(n - k) for k in range(1, n))
-            W[n] = (nw - s) / (n * DW0)
-            # [xi^n] of Z' D_Z - N_Z = 0 determines Z_n (Z[n] still 0 in the
-            # convolutions below, so they carry only the known part)
-            lhs = mpmath.fsum(k * Z[k] * dz_coef(n + 1 - k) for k in range(2, n))
-            nz = (mpmath.mpf(7) / 8 * conv(W, W, n) - conv(W, Z, n) / 4
-                  - mpmath.mpf(13) / 8 * conv(Z, Z, n))
-            rhs = nz - lhs - Z1 * (W[n] / 4)
-            Z[n] = rhs / (n * a1 + mpmath.mpf(3) / 4 * Z1 - nzz)
-
-        return tuple(W), tuple(Z)
+    return tuple(W), tuple(Z)
 
 
 def sonic_series(r: float, order: int = 90) -> tuple[np.ndarray, np.ndarray]:
     """Taylor coefficients (W_n, Z_n) of the smooth branch, W = sum W_n xi^n.
 
-    Generated by matching powers of xi in W' D_W = N_W and Z' D_Z = N_Z at
-    SERIES_DPS digits.  Returned as float arrays.
+    Generated by matching powers of xi in W' D_W = N_W and Z' D_Z = N_Z in
+    fixed-point integers at SERIES_BITS, seeded from SERIES_DPS closed
+    forms.  Returned as float arrays, each coefficient rounded once.
     """
-    W, Z = _sonic_series_mp(r, order)
-    return (np.array([float(c) for c in W]),
-            np.array([float(c) for c in Z]))
+    W, Z = _sonic_series_fixed(r, order)
+    one = 1 << SERIES_BITS
+    return (np.array([c / one for c in W]), np.array([c / one for c in Z]))
 
 
 def _series_eval(coeffs: np.ndarray, xi) -> np.ndarray:
@@ -402,9 +446,10 @@ ANCHOR_EPS = 1e-7
 
 
 def _flow(r: float):
-    """Right side of the autonomous (W, Z) system in xi = log R."""
+    """Right side of the autonomous (W, Z) system in xi = log R, evaluated
+    on Python floats (the same IEEE operations as on numpy scalars)."""
     def rhs(xi, y):
-        W, Z = y
+        W, Z = y.tolist()
         return (n_w(W, Z, r) / d_w(W, Z), n_z(W, Z, r) / d_z(W, Z))
     return rhs
 
@@ -495,7 +540,7 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     """Compute the orbit through the sonic point on a uniform xi grid.
 
     Four pieces, assembled so that the sonic point sits at xi = 0 exactly:
-    the extended-precision Taylor series of the smooth branch on
+    the fixed-point Taylor series of the smooth branch (sonic_series) on
     |xi| <= xi_switch; an inward integration from the origin region on the
     left (the arrival at D_Z = 0 pins the sonic location, and the
     contraction toward the sonic point makes this piece accurate to
@@ -516,10 +561,12 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     pts = special_points(params)
 
     Wc, Zc = sonic_series(r, order=series_order)
-    if _series_tail(Wc, xi_switch) + _series_tail(Zc, xi_switch) > 1e-14:
+    tail = _series_tail(Wc, xi_switch) + _series_tail(Zc, xi_switch)
+    if tail > 1e-14:
         raise ConsistencyError(
-            f"sonic series does not converge at xi_switch = {xi_switch}; "
-            f"reduce xi_switch or raise series_order")
+            f"sonic series does not converge at xi_switch = {xi_switch}: "
+            f"tail {tail:.3e} > 1e-14, {_kappa_text(r)}; reduce xi_switch "
+            f"or raise series_order")
 
     rhs = _flow(r)
 

@@ -313,6 +313,18 @@ class TestMainPlumbing:
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 
+    def test_resonant_sonic_series_names_kappa(self, tmp_path, capsys):
+        # kappa = 11.0025 here: the series divides Z_n by a1 (n - kappa)
+        code = main(["profile", "--r", "1.821837", *FAST,
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "sonic series does not converge" in err
+        assert "tail 8.743e-13 > 1e-14" in err
+        assert "kappa = (dN_Z/dZ - 3 Z1/4)/a1 = 11.002485" in err
+        assert "nearest integer 11" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_every_option_is_a_config_field(self):
         # _effective_config maps flags to RunConfig fields by dest name;
         # a flag whose dest is no field would be silently dropped

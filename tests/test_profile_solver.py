@@ -6,10 +6,13 @@ independent extended-precision recurrence and are asserted as regression
 guards with tolerances reflecting how they were obtained.
 """
 
+import csv
+import io
 import json
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,16 +20,20 @@ from scipy.integrate import cumulative_trapezoid
 
 from nls_implosion.errors import (
     BlowupError,
+    ConsistencyError,
     DomainError,
     InsufficientRangeError,
     RangeError,
     SonicCrossingError,
 )
 from nls_implosion.phase_portrait import (
+    GRAD_D_Z,
     PhasePoint,
     ProfileParams,
+    _sonic_closed_forms,
     d_w,
     d_z,
+    grad_n_z,
     n_w,
     special_points,
 )
@@ -34,6 +41,7 @@ from nls_implosion import profile_solver
 from nls_implosion.profile_solver import (
     ANCHOR_LEVEL,
     CSV_HEADER,
+    SERIES_DPS,
     ProfileTable,
     fit_decay,
     origin_slope,
@@ -59,6 +67,54 @@ def synthetic_table(r=2.01, n=512, xi_min=-5.0, xi_max=5.0, S_nls=None):
                         dR_Ubar=zeros, dR_Sbar=zeros)
 
 
+def _reference_series_mp(r: float, order: int = 90):
+    """The sonic series as it was computed before the fixed-point
+    recurrence: the same recurrence in SERIES_DPS-digit mpmath arithmetic,
+    every convolution an fsum."""
+    with mpmath.workdps(SERIES_DPS):
+        rr = mpmath.mpf(r)
+        _, _, W0, Z0, W1, Z1 = _sonic_closed_forms(rr, mpmath.mpf,
+                                                   mpmath.sqrt)
+        W = [W0, W1] + [mpmath.mpf(0)] * (order - 1)
+        Z = [Z0, Z1] + [mpmath.mpf(0)] * (order - 1)
+
+        DW0 = d_w(W0, Z0)
+        a1 = GRAD_D_Z[0] * W1 + GRAD_D_Z[1] * Z1
+        nzw, nzz = grad_n_z(W0, Z0, rr)
+
+        def conv(a, b, m):
+            return mpmath.fsum(a[i] * b[m - i] for i in range(m + 1))
+
+        def dw_coef(m):
+            return (1 if m == 0 else 0) + mpmath.mpf(3) / 4 * W[m] + Z[m] / 4
+
+        def dz_coef(m):
+            return (1 if m == 0 else 0) + W[m] / 4 + mpmath.mpf(3) / 4 * Z[m]
+
+        for n in range(2, order + 1):
+            # [xi^(n-1)] of W' D_W - N_W = 0 determines W_n
+            nw = (-rr * W[n - 1] - mpmath.mpf(13) / 8 * conv(W, W, n - 1)
+                  - conv(W, Z, n - 1) / 4 + mpmath.mpf(7) / 8 * conv(Z, Z, n - 1))
+            s = mpmath.fsum(k * W[k] * dw_coef(n - k) for k in range(1, n))
+            W[n] = (nw - s) / (n * DW0)
+            # [xi^n] of Z' D_Z - N_Z = 0 determines Z_n (Z[n] still 0 in the
+            # convolutions below, so they carry only the known part)
+            lhs = mpmath.fsum(k * Z[k] * dz_coef(n + 1 - k) for k in range(2, n))
+            nz = (mpmath.mpf(7) / 8 * conv(W, W, n) - conv(W, Z, n) / 4
+                  - mpmath.mpf(13) / 8 * conv(Z, Z, n))
+            rhs = nz - lhs - Z1 * (W[n] / 4)
+            Z[n] = rhs / (n * a1 + mpmath.mpf(3) / 4 * Z1 - nzz)
+
+        return tuple(W), tuple(Z)
+
+
+#: r at which the fixed-point series is checked against the mpmath one:
+#: spread over (1, 2.06), the resonant r = 1.821837 (kappa = 11.0025) and
+#: the edges of the benchmark's certify strata
+ORACLE_R = (1.05, 1.5, 1.8, 1.821837, 1.85, 1.9, 1.95, 1.995, 2.005,
+            2.0095, 2.01, 2.05)
+
+
 class TestSonicSeed:
     def test_frozen_values_r201(self):
         W1, Z1, W2, Z2 = taylor_seed_coeffs(ProfileParams(r=2.01))
@@ -79,8 +135,29 @@ class TestSonicSeed:
         assert abs(Wc[2] - W2) < 1e-11
         assert abs(Zc[2] - Z2) < 1e-11
 
+    @pytest.mark.parametrize("r", ORACLE_R)
+    def test_series_matches_mpmath_reference_bit_for_bit(self, r):
+        W_mp, Z_mp = _reference_series_mp(r)
+        Wc, Zc = sonic_series(r)
+        assert [float(c).hex() for c in W_mp] == [c.hex() for c in Wc]
+        assert [float(c).hex() for c in Z_mp] == [c.hex() for c in Zc]
+
+    def test_exactly_resonant_denominator_names_kappa(self, monkeypatch):
+        # P_s = (0, 0), (W1, Z1) = (-3, 0) at r = 1.5 give
+        # a1 (n - kappa) = -3/4 (n - 2): exactly zero at order 2
+        def resonant(r, num=float, sqrt=None):
+            return tuple(num(v) for v in (0, 0, 0, 0, -3, 0))
+        monkeypatch.setattr(profile_solver, "_sonic_closed_forms", resonant)
+        profile_solver._sonic_series_fixed.cache_clear()
+        with pytest.raises(ConsistencyError,
+                           match=r"kappa = \(dN_Z/dZ - 3 Z1/4\)/a1 = "
+                                 r"2\.000000, nearest integer 2; the order-2 "
+                                 r"denominator"):
+            sonic_series(1.5)
+
     def test_series_bits_frozen_r201(self):
-        # 60-digit mpmath arithmetic rounded once to double: portable bits
+        # fixed-point integers at SERIES_BITS, seeded from SERIES_DPS closed
+        # forms and rounded once to double: portable bits
         Wc, Zc = sonic_series(2.01)
         assert [float(c).hex() for c in Wc[:8]] == [
             "0x1.bfa6e7c33b824p-1", "-0x1.1228ea5d3acd7p-2",
@@ -412,6 +489,19 @@ class TestSerialization:
         first = [float(v) for v in lines[1].split(",")]
         assert first[0] == profile_r201.xi_grid[0]
         assert first[2] == profile_r201.W[0]
+
+    def test_csv_bytes_match_csv_writer_on_numpy_scalars(self):
+        # the serializer before it ran on plain floats: csv.writer over
+        # rows of numpy scalars, each formatted with format(v, ".17g")
+        table = to_physical(solve_profile(ProfileParams(r=2.01),
+                                          n_points=1024))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+        for row in zip(*(getattr(table, "xi_grid" if name == "xi" else name)
+                         for name in CSV_HEADER)):
+            writer.writerow([format(v, ".17g") for v in row])
+        assert table.to_csv().encode() == buf.getvalue().encode()
 
     def test_window_mask_range_checked(self, profile_r201):
         with pytest.raises(RangeError):
