@@ -70,7 +70,7 @@ class RunConfig:
     emit: list = field(default_factory=lambda: ["csv", "json"])
     # simulate
     s_span: float = 1.0
-    n: int = 4096
+    n: int = 2048
     R_max: float = 30.0
     n_samples: int = 11
     quantum_pressure: bool = True
@@ -466,7 +466,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("simulate", help="evolve damped profile plus bump")
     _add_common(s)
     s.add_argument("--s-span", type=float, help="frame-time span")
-    s.add_argument("--n", type=int, help="radial nodes")
+    s.add_argument("--n", type=int,
+                   help="radial nodes of the stretched grid R = c sinh(x/c)")
     s.add_argument("--r-max", dest="R_max", type=float, help="domain radius")
     s.add_argument("--n-samples", type=int, help="report samples")
     s.add_argument("--ds", type=float, help="fixed step (default: CFL-derived)")

@@ -1,17 +1,21 @@
 """Desk-scale radial dynamics in the self-similar frame.
 
 The stepper advances the (Psi, S) system with quantum pressure by an
-explicit strong-stability-preserving third-order scheme on a uniform
-radial grid.  Its stages run on plain arrays that stack runs along a
-leading axis (simulate's perturbed and reference runs step as one state),
-with one first derivative of every row and one second derivative of the
-Psi rows per stage; validated FieldSets are built only where a caller
-needs one (step's result, simulate's sample points and abort snapshots).
-Stationarity residuals, the weighted energy functionals, a statistical
-dissipativity probe of the cut-off linearized operator, and a Sobolev
-blow-up-rate diagnostic live alongside it.  Everything reduces the d = 8
-problem to its radial form: Lap f = f'' + 7 f'/R with the regular center
-value d f''(0), div U = Lap Psi for the gradient field U.
+explicit strong-stability-preserving third-order scheme on a RadialGrid:
+the uniform grid, or the stretch R = c sinh(x/c) that simulate uses, on
+which outgoing transport moves at about c in x instead of R_max, so the
+CFL step grows by about R_max/c.  Its stages run on plain arrays that
+stack runs along a leading axis (simulate's perturbed and reference runs
+step as one state), with one first derivative of every row and one second
+derivative of the Psi rows per stage; validated FieldSets are built only
+where a caller needs one (step's result, simulate's sample points and
+abort snapshots).  Stationarity residuals, the weighted energy
+functionals, a statistical dissipativity probe of the cut-off linearized
+operator, and a Sobolev blow-up-rate diagnostic live alongside it; each
+takes its R-derivatives and integrals from the grid it is given.
+Everything reduces the d = 8 problem to its radial form:
+Lap f = f'' + 7 f'/R with the regular center value d f''(0),
+div U = Lap Psi for the gradient field U.
 
 Desk scale means the configured derivative orders (m' = 3, k = 6) sit far
 below the asymptotic regime the estimates are stated for; reports carry
@@ -42,10 +46,9 @@ from .phase_portrait import ProfileParams
 from .profile_solver import ProfileTable, profile_operator
 from .selfsimilar_fields import (
     FieldSet,
-    _even_d1,
-    _even_d2,
+    RadialGrid,
+    _as_grid,
     _half_log_density,
-    _laplacian_from,
     _smooth_step,
     cutoff,
 )
@@ -149,12 +152,14 @@ def _tail_weight(R: np.ndarray, R0: float, exponent: float) -> np.ndarray:
     return np.exp(exponent * blend * np.log(safe))
 
 
-def build_weights(R: np.ndarray, cfg: EnergyConfig) -> Weights:
-    R = np.asarray(R, dtype=float)
+def build_weights(R, cfg: EnergyConfig) -> Weights:
+    """The weights on R, a RadialGrid or samples of a uniform grid."""
+    grid = _as_grid(R)
+    R = grid.R
     beta = _tail_weight(R, cfg.R0, cfg.beta_exponent)
     phi = _tail_weight(R, cfg.R0, cfg.phi_exponent)
     if len(R) > 8 and R[1] > R[0]:
-        dphi = derivative(phi, float(R[1] - R[0]), 1)
+        dphi = grid.dR(phi, 1)
         ratio = float(np.max(np.abs(dphi) / phi))
     else:
         ratio = 0.0
@@ -179,9 +184,10 @@ def _spline_to_grid(spl: BSpline, a: float, R_grid: np.ndarray
     return vals
 
 
-def profile_fieldset(table: ProfileTable, R_grid: np.ndarray,
+def profile_fieldset(table: ProfileTable, R_grid,
                      s: float) -> FieldSet:
-    """Evaluate the solved profile on a uniform grid containing R = 0.
+    """Evaluate the solved profile on a grid containing R = 0: a
+    RadialGrid, or samples of a uniform grid.
 
     Quintic splines over the table's log-spaced nodes, built once per
     table (ProfileTable.Psi_spline, S_spline), interpolate Psi and S; the
@@ -189,14 +195,15 @@ def profile_fieldset(table: ProfileTable, R_grid: np.ndarray,
     quadratic through the two innermost evaluations, consistent with the
     fields' regularity at the center.
     """
-    R_grid = np.asarray(R_grid, dtype=float)
-    if R_grid[-1] > table.R[-1] * (1.0 + 1e-12):
+    grid = _as_grid(R_grid, table.params.d)
+    R = grid.R
+    if R[-1] > table.R[-1] * (1.0 + 1e-12):
         raise RangeError(
-            f"grid reaches R = {R_grid[-1]:.4g} beyond table coverage "
+            f"grid reaches R = {R[-1]:.4g} beyond table coverage "
             f"{table.R[-1]:.4g}")
-    Psi = _spline_to_grid(table.Psi_spline, table.R[0], R_grid)
-    S = _spline_to_grid(table.S_spline, table.R[0], R_grid)
-    return FieldSet.from_Psi_S(table.params, R_grid, s, Psi, S)
+    Psi = _spline_to_grid(table.Psi_spline, table.R[0], R)
+    S = _spline_to_grid(table.S_spline, table.R[0], R)
+    return FieldSet.from_Psi_S(table.params, grid, s, Psi, S)
 
 
 # ---------------------------------------------------------------------------
@@ -224,43 +231,46 @@ def _require_finite_prefactor(r: float, s0: float, s_span: float) -> None:
             f"s_span) = {exponent:.6g} > {_EXP_MAX:.6g}; lower s0")
 
 
-def _rhs(X: np.ndarray, dX: np.ndarray, R: np.ndarray, h: float,
+def _rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
          params: ProfileParams, s: float, quantum: bool) -> np.ndarray:
-    """Right side of the (Psi, S) system for the stacked state X, given
-    dX, its first derivative; X[0] is Psi and X[1] is S, each holding one
-    row per run."""
-    d = params.d
+    """Right side of the (Psi, S) system for the stacked state X on the
+    grid, given dX, its first R-derivative; X[0] is Psi and X[1] is S,
+    each holding one row per run."""
     Psi, S = X
     dPsi, dS = dX
-    lapPsi = _laplacian_from(dPsi, _even_d2(Psi, h), R, d)
+    lapPsi = grid.laplacian(Psi, dPsi)
     qp = 0.0
     coef = np.exp((4.0 - 2.0 * params.r) * s) if quantum else 0.0
     if coef > QP_COEF_FLOOR and np.any(S > S_FLOOR):
         w = _half_log_density(np.maximum(S, S_FLOOR), params)
-        dw = _even_d1(w, h)
-        qp = coef * (_laplacian_from(dw, _even_d2(w, h), R, d) + dw * dw)
+        dw = grid.d1(w)
+        qp = coef * (grid.laplacian(w, dw) + dw * dw)
         qp = np.where(S > S_FLOOR, qp, 0.0)
-    N_Psi, N_S = profile_operator(params, R, Psi, dPsi, S, dS, lapPsi)
+    N_Psi, N_S = profile_operator(params, grid.R, Psi, dPsi, S, dS, lapPsi)
     return np.stack((N_Psi + qp, N_S))
 
 
-def _advance(X: np.ndarray, R: np.ndarray, h: float, params: ProfileParams,
-             s: float, ds: float, quantum: bool, cfl: float) -> np.ndarray:
-    """One SSP-RK3 step from s to s + ds of the runs stacked in X.
+def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
+             s: float, ds: float, quantum: bool,
+             cfl: float) -> tuple[np.ndarray, float]:
+    """One SSP-RK3 step from s to s + ds of the runs stacked in X; returns
+    the new state and the smallest stability bound on ds of its runs.
 
     X has shape (2, k, n): X[0] holds Psi and X[1] holds S, one row per
     run, and every row steps exactly as it would alone.  Each stage
     differentiates all rows once and takes the second derivative of the
     Psi rows; stage 1's dPsi is the gradient field U, so the CFL bounds
-    are read off it.  Run by run, in row order, the CFL bound, a NaN
-    density and positivity are checked, so the first error raised is the
-    one stepping the runs one after another would raise: CFLError,
-    DomainError (S turns NaN) or PositivityError.  An error about run
-    j > 0 carries the runs before it, advanced to s + ds, as `advanced`;
-    when run j breaks its CFL bound, those runs are stepped alone first.
+    are read off it, from the transport speed in x, |R + 2U|/R'.  Run by
+    run, in row order, the CFL bound, a NaN density and positivity are
+    checked, so the first error raised is the one stepping the runs one
+    after another would raise: CFLError, DomainError (S turns NaN) or
+    PositivityError.  An error about run j > 0 carries the runs before
+    it, advanced to s + ds, as `advanced`; when run j breaks its CFL
+    bound, those runs are stepped alone first.
     """
-    dX = _even_d1(X, h)
-    amax = np.max(np.abs(R + 2.0 * dX[0]), axis=-1)
+    h = grid.h
+    dX = grid.d1(X)
+    amax = np.max(grid.speed(dX[0]), axis=-1)
     bound = cfl * h / np.maximum(amax, 1e-30)
     coef = np.exp((4.0 - 2.0 * params.r) * s) if quantum else 0.0
     if coef > QP_COEF_FLOOR:
@@ -269,19 +279,18 @@ def _advance(X: np.ndarray, R: np.ndarray, h: float, params: ProfileParams,
     if over.size:
         j = over[0]
         err = CFLError(f"ds = {ds:.3e} exceeds the stability bound "
-                       f"{bound[j]:.3e} (max|y+2U| = {amax[j]:.3g})")
+                       f"{bound[j]:.3e} (max|y+2U|/R' = {amax[j]:.3g})")
         if j:
-            err.advanced = _advance(X[:, :j], R, h, params, s, ds, quantum,
-                                    cfl)
+            err.advanced = _advance(X[:, :j], grid, params, s, ds, quantum,
+                                    cfl)[0]
         raise err
 
     def F(X_, s_, dX_):
-        return _rhs(X_, dX_, R, h, params, s_, quantum)
+        return _rhs(X_, dX_, grid, params, s_, quantum)
 
     X1 = X + ds * F(X, s, dX)
-    X2 = 0.75 * X + 0.25 * (X1 + ds * F(X1, s + ds, _even_d1(X1, h)))
-    Xn = X / 3.0 + 2.0 / 3.0 * (X2 + ds * F(X2, s + 0.5 * ds,
-                                             _even_d1(X2, h)))
+    X2 = 0.75 * X + 0.25 * (X1 + ds * F(X1, s + ds, grid.d1(X1)))
+    Xn = X / 3.0 + 2.0 / 3.0 * (X2 + ds * F(X2, s + 0.5 * ds, grid.d1(X2)))
 
     for j, smin in enumerate(np.min(Xn[1], axis=-1)):
         if np.isnan(smin):
@@ -294,12 +303,13 @@ def _advance(X: np.ndarray, R: np.ndarray, h: float, params: ProfileParams,
         if j:
             err.advanced = Xn[:, :j]
         raise err
-    return Xn
+    return Xn, float(np.min(bound))
 
 
 def step(state: FieldSet, ds: float, quantum_pressure: bool = True,
          cfl: float = 0.9) -> FieldSet:
-    """One SSP-RK3 step of the (Psi, S) system from s to s + ds.
+    """One SSP-RK3 step of the (Psi, S) system from s to s + ds, on the
+    state's grid.
 
     The transport is outgoing at R_max (coefficient y + 2U > 0 there), so
     the boundary closure uses the one-sided stencils of the derivative
@@ -310,9 +320,9 @@ def step(state: FieldSet, ds: float, quantum_pressure: bool = True,
     """
     if quantum_pressure:
         _require_finite_prefactor(state.params.r, state.s, ds)
-    X = _advance(np.stack((state.Psi, state.S))[:, None], state.R, state.h,
-                 state.params, state.s, ds, quantum_pressure, cfl)
-    return FieldSet.from_Psi_S(state.params, state.R, state.s + ds,
+    X, _ = _advance(np.stack((state.Psi, state.S))[:, None], state.grid,
+                    state.params, state.s, ds, quantum_pressure, cfl)
+    return FieldSet.from_Psi_S(state.params, state.grid, state.s + ds,
                                X[0, 0], X[1, 0],
                                domain_mode=state.domain_mode)
 
@@ -335,17 +345,17 @@ def residual_stationary(state: FieldSet, acc: int = 8) -> StationaryResidual:
     term's supremum e^{(4-2r)s} sup|Lap sqrt(P)/sqrt(P)| at s = state.s is
     evaluated and reported separately.
     """
-    r, alpha, d = state.params.r, state.params.alpha, state.params.d
-    R, h, s = state.R, state.h, state.s
+    r, alpha = state.params.r, state.params.alpha
+    grid, R, s = state.grid, state.R, state.s
     Psi, P = state.Psi, state.P
-    dPsi = _even_d1(Psi, h, acc=acc)
-    dP = _even_d1(P, h, acc=acc)
-    lapPsi = _laplacian_from(dPsi, _even_d2(Psi, h, acc=acc), R, d)
+    dPsi = grid.d1(Psi, acc=acc)
+    dP = grid.d1(P, acc=acc)
+    lapPsi = grid.laplacian(Psi, dPsi, acc=acc)
     res_Psi = ((2.0 - r) * Psi - R * dPsi - dPsi * dPsi
                - r ** (-2.0 * alpha + 2.0) * P ** (2.0 * alpha))
     res_P = ((1.0 - r) / alpha * P - R * dP - 2.0 * dP * dPsi
              - 2.0 * P * lapPsi)
-    lapP = _laplacian_from(dP, _even_d2(P, h, acc=acc), R, d)
+    lapP = grid.laplacian(P, dP, acc=acc)
     with np.errstate(divide="ignore", invalid="ignore"):
         quantum = (np.exp((4.0 - 2.0 * r) * s)
                    * (lapP / (2.0 * P) - dP * dP / (4.0 * P * P)))
@@ -358,41 +368,39 @@ def residual_stationary(state: FieldSet, acc: int = 8) -> StationaryResidual:
 # energies
 # ---------------------------------------------------------------------------
 
-def _quad(f: np.ndarray, R: np.ndarray, d: int = 8) -> float:
-    return float(np.trapezoid(f * R ** (d - 1), R))
-
-
-def energy_low(U_tilde: np.ndarray, S_tilde: np.ndarray, R: np.ndarray,
+def energy_low(U_tilde: np.ndarray, S_tilde: np.ndarray, R,
                cfg: EnergyConfig, weights: Weights | None = None) -> float:
     """Low-derivative perturbation energy
-    (1/2)(||beta^m' grad^m' U~||^2 + ||beta^m' grad^m' S~||^2).
+    (1/2)(||beta^m' grad^m' U~||^2 + ||beta^m' grad^m' S~||^2) on R, a
+    RadialGrid or samples of a uniform grid.
 
     Squared-norm convention: the source display sums unsquared norms with a
     1/2, but its s-derivative is then manipulated as a quadratic form, so
     the squared version is the one the estimates actually use.
     """
+    grid = _as_grid(R)
     if weights is None:
-        weights = build_weights(R, cfg)
-    h = float(R[1] - R[0])
+        weights = build_weights(grid, cfg)
     m = cfg.m_prime
     acc = m + 2 + (m % 2)   # stencil order >= m' + 2
     bm = weights.beta ** m
-    du = derivative(np.asarray(U_tilde, dtype=float), h, m, acc=acc)
-    ds_ = derivative(np.asarray(S_tilde, dtype=float), h, m, acc=acc)
-    return 0.5 * (_quad((bm * du) ** 2, R) + _quad((bm * ds_) ** 2, R))
+    du = grid.dR(np.asarray(U_tilde, dtype=float), m, acc=acc)
+    ds_ = grid.dR(np.asarray(S_tilde, dtype=float), m, acc=acc)
+    return 0.5 * (grid.quad((bm * du) ** 2) + grid.quad((bm * ds_) ** 2))
 
 
-def energy_w(w: np.ndarray, R: np.ndarray, cfg: EnergyConfig,
+def energy_w(w: np.ndarray, R, cfg: EnergyConfig,
              weights: Weights | None = None) -> float:
-    """Log-density energy  int beta^{2m'} |grad^{m'-1} w|^2."""
+    """Log-density energy  int beta^{2m'} |grad^{m'-1} w|^2 on R, a
+    RadialGrid or samples of a uniform grid."""
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise VacuumError("w is not finite; vacuum in the density")
+    grid = _as_grid(R)
     if weights is None:
-        weights = build_weights(R, cfg)
-    h = float(R[1] - R[0])
-    dw = derivative(w, h, cfg.m_prime - 1)
-    return _quad(weights.beta ** (2 * cfg.m_prime) * dw * dw, R)
+        weights = build_weights(grid, cfg)
+    dw = grid.dR(w, cfg.m_prime - 1)
+    return grid.quad(weights.beta ** (2 * cfg.m_prime) * dw * dw)
 
 
 def energy_high(state: FieldSet, cfg: EnergyConfig, l: int | None = None,
@@ -407,19 +415,19 @@ def energy_high(state: FieldSet, cfg: EnergyConfig, l: int | None = None,
     n = cfg.k - l
     if n - 1 < 1:
         raise ConsistencyError("need k - l - 1 >= 1")
+    grid = state.grid
     if weights is None:
-        weights = build_weights(state.R, cfg)
-    R, h = state.R, state.h
+        weights = build_weights(grid, cfg)
     wgt = state.P * weights.phi ** l
-    dS = derivative(state.S, h, n - 1)
-    dPsi = derivative(state.Psi, h, n)
-    total = _quad(dS * dS * wgt, R) + _quad(dPsi * dPsi * wgt, R)
+    dS = grid.dR(state.S, n - 1)
+    dPsi = grid.dR(state.Psi, n)
+    total = grid.quad(dS * dS * wgt) + grid.quad(dPsi * dPsi * wgt)
     coef = np.exp((4.0 - 2.0 * state.params.r) * state.s)
     if coef > QP_COEF_FLOOR:
         if not np.all(np.isfinite(state.w)):
             raise VacuumError("w not finite while its energy term is active")
-        dw = derivative(state.w, h, n)
-        total += coef * _quad(dw * dw * wgt, R)
+        dw = grid.dR(state.w, n)
+        total += coef * grid.quad(dw * dw * wgt)
     return total
 
 
@@ -438,15 +446,6 @@ class DissipativityForm(NamedTuple):
     G_S: np.ndarray     # (N, N) <grad^m b_j, grad^m b_k>
 
 
-def _quad_weights(R: np.ndarray, d: int = 8) -> np.ndarray:
-    """Weights of _quad as a vector: trapezoid weights times R^(d-1)."""
-    half_dx = 0.5 * np.diff(R)
-    w = np.zeros_like(R)
-    w[:-1] += half_dx
-    w[1:] += half_dx
-    return w * R ** (d - 1)
-
-
 def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
@@ -460,15 +459,16 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     operator is quadratic in its fields, so L e = Im profile_operator(
     profile + i e), with the derivatives of the complex fields taken as
     real and imaginary stacks.  Every derivative is one stacked call over
-    all directions, and every inner product uses _quad's weights.
+    all directions, and every inner product uses the grid's quadrature
+    weights.
     """
     params = table.params
     d = params.d
-    R = np.linspace(0.0, 3.0 * C0, n)
-    h = R[1] - R[0]
-    base = profile_fieldset(table, R, 20.0)
-    dP = _even_d1(np.stack((base.Psi, base.S)), h)
-    lapPsi_p = _laplacian_from(dP[0], _even_d2(base.Psi, h), R, d)
+    grid = RadialGrid.uniform(np.linspace(0.0, 3.0 * C0, n), d)
+    R, h = grid.R, grid.h
+    base = profile_fieldset(table, grid, 20.0)
+    dP = grid.d1(np.stack((base.Psi, base.S)))
+    lapPsi_p = grid.laplacian(base.Psi, dP[0])
 
     chi1 = _smooth_step((1.4 * C0 - R) / (0.2 * C0))
     chi2 = _smooth_step((1.8 * C0 - R) / (0.2 * C0))
@@ -477,14 +477,14 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     b = env * np.cos(np.outer(modes, np.pi * R / (3.0 * C0)))
     E = np.zeros((2 * n_modes, 2, n))
     E[:n_modes, 0] = E[n_modes:, 1] = b
-    dE = _even_d1(E, h)
-    lapE = _laplacian_from(dE[:, 0], _even_d2(E[:, 0], h), R, d)
+    dE = grid.d1(E)
+    lapE = grid.laplacian(E[:, 0], dE[:, 0])
     N_Psi, N_S = profile_operator(
         params, R, base.Psi + 1j * E[:, 0], dP[0] + 1j * dE[:, 0],
         base.S + 1j * E[:, 1], dP[1] + 1j * dE[:, 1], lapPsi_p + 1j * lapE)
     Lt = chi2 * np.stack((N_Psi.imag, N_S.imag), axis=1) - J * (1.0 - chi1) * E
 
-    w = _quad_weights(R, d)
+    w = grid.weights
 
     def gram(F, G):
         return (F * w) @ G.T
@@ -590,10 +590,10 @@ def blowup_exponent(table: ProfileTable, s_exponent: int,
         raise DomainError("the desk diagnostic differentiates an integer "
                           "number of times")
     r, alpha, d = params.r, params.alpha, params.d
-    R = np.linspace(0.0, 1.0, n_grid)
-    base = profile_fieldset(table, R, 10.0)
+    grid = RadialGrid.uniform(np.linspace(0.0, 1.0, n_grid), d)
+    base = profile_fieldset(table, grid, 10.0)
     sqrtP = np.sqrt(base.P)
-    h = R[1] - R[0]
+    h = grid.h
     A = 1.0 / (alpha * r) - 1.0 / alpha - 2.0 * m / r + d / r
 
     log_Tt = np.linspace(*BLOWUP_LOG10_TT, BLOWUP_N_TIMES) * np.log(10.0)
@@ -603,7 +603,7 @@ def blowup_exponent(table: ProfileTable, s_exponent: int,
         v = sqrtP * np.exp(1j * c * base.Psi)
         g_re = derivative(v.real, h, m, even=True)
         g_im = derivative(v.imag, h, m, even=True)
-        I = _quad(g_re * g_re + g_im * g_im, R, d)
+        I = grid.quad(g_re * g_re + g_im * g_im)
         logN[i] = A * lt + np.log(I)
     return float(np.polyfit(log_Tt, logN, 1)[0])
 
@@ -620,6 +620,10 @@ class EnergyReport:
     and sup |residual_stationary(ref).P| on the reference run; the second
     is the P-form density residual, not an S residual, and keeps its name
     because it is a CSV header of the simulate artifact.
+
+    The stepper's record: n_steps steps of size ds, the smallest ratio of
+    a step's stability bound to ds over the steps taken (cfl_headroom,
+    None before the first step), and the grid's payload.
     """
 
     config: EnergyConfig
@@ -637,6 +641,10 @@ class EnergyReport:
     max_rel_Stilde: float = 0.0
     wall_time: float = 0.0
     input_hash: str = ""
+    n_steps: int = 0
+    ds: float = 0.0
+    cfl_headroom: float | None = None
+    grid: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -659,7 +667,9 @@ class EnergyReport:
                 "input_hash": self.input_hash,
                 "samples": len(self.s),
                 "max_rel_Stilde": self.max_rel_Stilde,
-                "wall_time": self.wall_time}
+                "wall_time": self.wall_time,
+                "n_steps": self.n_steps, "ds": self.ds,
+                "cfl_headroom": self.cfl_headroom, "grid": self.grid}
 
     def manifest(self) -> str:
         return json.dumps(self.payload(), indent=2, sort_keys=True)
@@ -673,8 +683,13 @@ def _hash_inputs(table: ProfileTable, cfg: EnergyConfig, extra: dict) -> str:
     return hsh.hexdigest()
 
 
+#: map scale c of simulate's grid R = c sinh(x/c); None steps on the
+#: uniform grid instead
+SIMULATE_GRID_C: float | None = 4.0
+
+
 def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
-             s_span: float = 1.0, n: int = 4096, R_max: float = 30.0,
+             s_span: float = 1.0, n: int = 2048, R_max: float = 30.0,
              quantum_pressure: bool = True, n_samples: int = 11,
              ds: float | None = None) -> EnergyReport:
     """Evolve damped profile + delta_low perturbation over [s0, s0+s_span].
@@ -687,6 +702,15 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     exciting the profile's unstable directions, the desk analogue of
     initial data prepared on the stable set.
 
+    The n nodes sit on the stretched grid R = c sinh(x/c) with
+    c = SIMULATE_GRID_C (see RadialGrid): spacing h at the centre and
+    about h R/c outward.  Outgoing self-similar transport is a translation
+    in log R, and its speed in x, |R + 2U|/R', stays near c where on the
+    uniform grid it reaches R_max, so at the same centre spacing the CFL
+    step is about R_max/c times longer.  Unless given, ds is the largest
+    step that divides s_span and stays within 0.9/1.1 of the initial CFL
+    bound.
+
     An unperturbed reference run is advanced in lockstep with the same
     discretization; perturbation fields are the difference of the two
     runs, so finite-resolution drift of the discrete profile (largest at
@@ -695,7 +719,9 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     reported per sample as drift_Linf_S, and the residual sups are taken
     on the reference run: together they are the residual-floor check for
     the zero-perturbation dynamics.  Energies, residual sups and the
-    (reported, unused) boundary flux are sampled n_samples times.
+    (reported, unused) boundary flux are sampled n_samples times, every
+    R-derivative and integral on the same grid.  The report records the
+    step count, ds, the smallest CFL headroom and the grid.
 
     Both runs step as one stacked (2, 2, n) array, (Psi, S) x (perturbed,
     reference), through one _advance call per step; every row is
@@ -716,29 +742,34 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
         cfg = EnergyConfig()
     params = table.params
     _require_finite_prefactor(params.r, cfg.s0, s_span)
-    R = np.linspace(0.0, R_max, n)
-    h = float(R[1] - R[0])
+    if SIMULATE_GRID_C is None:
+        grid = RadialGrid.uniform(np.linspace(0.0, R_max, n), params.d)
+    else:
+        grid = RadialGrid.sinh(n, R_max, SIMULATE_GRID_C, params.d)
+    R = grid.R
 
     def fields(s, Psi, S):
-        return FieldSet.from_Psi_S(params, R, s, Psi, S)
+        return FieldSet.from_Psi_S(params, grid, s, Psi, S)
 
-    base = profile_fieldset(table, R, cfg.s0)
-    weights = build_weights(R, cfg)
+    base = profile_fieldset(table, grid, cfg.s0)
+    weights = build_weights(grid, cfg)
     bump = cutoff("tilde", R / R_max) * cutoff("hat", R / (1.2 * R_max))
     state = fields(cfg.s0, base.Psi + cfg.delta_low * bump,
                    base.S * (1.0 + cfg.delta_low * bump))
 
-    amax = float(np.max(np.abs(R + 2.0 * base.U))) * 1.1
+    amax = float(np.max(grid.speed(base.U))) * 1.1
     if ds is None:
-        ds = 0.9 * cfg.cfl * h / amax
+        ds = 0.9 * cfg.cfl * grid.h / amax
     n_steps = int(np.ceil(s_span / ds))
     ds = s_span / n_steps
     sample_at = set(np.linspace(0, n_steps, n_samples).astype(int))
 
-    report = EnergyReport(config=cfg)
+    report = EnergyReport(config=cfg, n_steps=n_steps, ds=ds,
+                          grid=grid.payload())
     report.input_hash = _hash_inputs(
         table, cfg, {"n": n, "R_max": R_max, "s_span": s_span,
-                     "quantum": quantum_pressure, "ds": ds})
+                     "quantum": quantum_pressure, "ds": ds,
+                     "grid": grid.kind, "c": grid.c})
 
     def sample(st, ref):
         U_t = st.U - ref.U
@@ -746,13 +777,13 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
         res = residual_stationary(ref, acc=4)
         m = cfg.m_prime
         bm = weights.beta ** m
-        du = derivative(U_t, h, m)
-        dst = derivative(S_t, h, m)
+        du = grid.dR(U_t, m)
+        dst = grid.dR(S_t, m)
         flux = 0.5 * R_max ** st.params.d * ((bm[-1] * du[-1]) ** 2
                                              + (bm[-1] * dst[-1]) ** 2)
         report.s.append(st.s)
-        report.E_low.append(energy_low(U_t, S_t, R, cfg, weights))
-        report.E_w.append(energy_w(st.w, R, cfg, weights))
+        report.E_low.append(energy_low(U_t, S_t, grid, cfg, weights))
+        report.E_w.append(energy_w(st.w, grid, cfg, weights))
         report.E_high.append(energy_high(st, cfg, weights=weights))
         report.sup_residual_Psi.append(float(np.max(np.abs(res.Psi))))
         report.sup_residual_S.append(float(np.max(np.abs(res.P))))
@@ -769,8 +800,12 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     X = np.array([[state.Psi, base.Psi], [state.S, base.S]])
     try:
         for i in range(1, n_steps + 1):
-            X = _advance(X, R, h, params, s, ds, quantum_pressure, cfg.cfl)
+            X, bound = _advance(X, grid, params, s, ds, quantum_pressure,
+                                cfg.cfl)
             s = s + ds
+            headroom = bound / ds
+            if report.cfl_headroom is None or headroom < report.cfl_headroom:
+                report.cfl_headroom = headroom
             if i in sample_at:
                 sample(fields(s, X[0, 0], X[1, 0]),
                        fields(s, X[0, 1], X[1, 1]))

@@ -29,6 +29,7 @@ from .phase_portrait import ProfileParams
 from .profile_solver import ProfileTable, profile_operator
 
 __all__ = [
+    "RadialGrid",
     "FieldSet",
     "DampedProfileField",
     "ErrorTerms",
@@ -156,7 +157,7 @@ def inverse_madelung(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# radial calculus on a uniform grid containing R = 0
+# radial calculus on grids containing R = 0
 # ---------------------------------------------------------------------------
 
 def _even_d1(f: np.ndarray, h: float, acc: int = 4) -> np.ndarray:
@@ -190,6 +191,139 @@ def _laplacian_from(d1: np.ndarray, d2: np.ndarray, R: np.ndarray,
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class RadialGrid:
+    """Radial nodes R_j = R(x_j) over a uniform grid x_j = j h, in
+    dimension d.
+
+    The map is the identity (kind "uniform", c = None) or the stretch
+    R = c sinh(x/c) (kind "sinh"): spacing h at the centre, growing like
+    R/c outward, with R[-1] = R_max exactly.  Either map is odd in x, so
+    an even field stays even in x and the even-reflection derivative
+    applies in x unchanged; R-derivatives follow by the chain rule,
+    f_R = f_x / R' and f_RR = (f_xx - R'' f_R) / R'^2, and at R = 0
+    (R' = 1, R'' = 0) the Laplacian keeps its limit d f_xx(0).  On the
+    identity map every operator is the uniform-grid one, call for call.
+    The quadrature is the trapezoid rule in x with the measure
+    R' R^(d-1) dx.
+    """
+
+    x: np.ndarray
+    R: np.ndarray
+    h: float
+    c: float | None = None
+    d: int = 8
+
+    @classmethod
+    def uniform(cls, R: np.ndarray, d: int = 8) -> "RadialGrid":
+        """The identity map on uniform samples R (x is R itself)."""
+        R = np.asarray(R, dtype=float)
+        h = float(R[1] - R[0]) if len(R) > 1 else 0.0
+        return cls(x=R, R=R, h=h, d=d)
+
+    @classmethod
+    def sinh(cls, n: int, R_max: float, c: float,
+             d: int = 8) -> "RadialGrid":
+        """n nodes of R = c sinh(x/c) on [0, R_max]."""
+        x_max = c * float(np.arcsinh(R_max / c))
+        x = np.linspace(0.0, x_max, n)
+        R = c * np.sinh(x / c)
+        R[-1] = R_max
+        return cls(x=x, R=R, h=x_max / (n - 1), c=float(c), d=d)
+
+    @property
+    def kind(self) -> str:
+        return "uniform" if self.c is None else "sinh"
+
+    @functools.cached_property
+    def inv_dR(self) -> np.ndarray:
+        """1/R'."""
+        return 1.0 / np.cosh(self.x / self.c)
+
+    @functools.cached_property
+    def d2R(self) -> np.ndarray:
+        """R'' = R / c^2."""
+        return self.R / (self.c * self.c)
+
+    @functools.cached_property
+    def inv_dR2(self) -> np.ndarray:
+        """1/R'^2."""
+        return self.inv_dR * self.inv_dR
+
+    @functools.cached_property
+    def jac(self) -> np.ndarray:
+        """R' R^(d-1), the measure of the quadrature in x."""
+        vol = self.R ** (self.d - 1)
+        return vol if self.c is None else vol * np.cosh(self.x / self.c)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """quad as a vector: trapezoid weights in x times R' R^(d-1)."""
+        half_dx = 0.5 * np.diff(self.x)
+        w = np.zeros_like(self.x)
+        w[:-1] += half_dx
+        w[1:] += half_dx
+        return w * self.jac
+
+    def quad(self, f: np.ndarray) -> float:
+        """int f R^(d-1) dR over [0, R_max]."""
+        return float(np.trapezoid(f * self.jac, self.x))
+
+    def d1(self, f: np.ndarray, acc: int = 4) -> np.ndarray:
+        """f_R of an even field, along the last axis."""
+        fx = _even_d1(f, self.h, acc=acc)
+        return fx if self.c is None else fx * self.inv_dR
+
+    def d2(self, f: np.ndarray, d1: np.ndarray, acc: int = 4) -> np.ndarray:
+        """f_RR of an even field whose f_R is d1."""
+        fxx = _even_d2(f, self.h, acc=acc)
+        return fxx if self.c is None else (fxx - self.d2R * d1) * self.inv_dR2
+
+    def laplacian(self, f: np.ndarray, d1: np.ndarray,
+                  acc: int = 4) -> np.ndarray:
+        """f_RR + (d-1)/R f_R of an even field whose f_R is d1."""
+        return _laplacian_from(d1, self.d2(f, d1, acc=acc), self.R, self.d)
+
+    def dR(self, f: np.ndarray, m: int, acc: int = 4) -> np.ndarray:
+        """m-th R-derivative without reflection (one-sided at both ends):
+        on the stretch, (1/R') d_x applied m times."""
+        if self.c is None:
+            return derivative(f, self.h, m, acc=acc)
+        for _ in range(m):
+            f = derivative(f, self.h, 1, acc=acc) * self.inv_dR
+        return f
+
+    def speed(self, U: np.ndarray) -> np.ndarray:
+        """|R + 2U| / R', the transport speed in x."""
+        a = np.abs(self.R + 2.0 * U)
+        return a if self.c is None else a * self.inv_dR
+
+    def payload(self) -> dict:
+        """The map and its extreme physical spacings, JSON-ready."""
+        dR = np.diff(self.R)
+        return {"kind": self.kind, "c": self.c, "n": len(self.R),
+                "R_max": float(self.R[-1]), "dR_min": float(np.min(dR)),
+                "dR_max": float(np.max(dR))}
+
+    @classmethod
+    def from_payload(cls, grid: dict, R: np.ndarray,
+                     d: int = 8) -> "RadialGrid":
+        """The grid a payload names, refused unless it holds the nodes R."""
+        if grid["kind"] == "uniform":
+            return cls.uniform(R, d)
+        if grid["kind"] != "sinh":
+            raise DomainError(f"unknown grid kind {grid['kind']!r}")
+        out = cls.sinh(len(R), float(R[-1]), grid["c"], d)
+        if not np.array_equal(out.R, R):
+            raise DomainError("R column is not the sinh grid of its header")
+        return out
+
+
+def _as_grid(R, d: int = 8) -> RadialGrid:
+    """R itself when it is a RadialGrid, else the identity map on R."""
+    return R if isinstance(R, RadialGrid) else RadialGrid.uniform(R, d)
+
+
 # ---------------------------------------------------------------------------
 # field container and frame maps
 # ---------------------------------------------------------------------------
@@ -207,13 +341,14 @@ def _half_log_density(S: np.ndarray, params: ProfileParams) -> np.ndarray:
 class FieldSet:
     """Radial field snapshot in the self-similar frame.
 
-    The state is (Psi, S) with S the sound-speed variable; the density P,
-    the half log-density w and U = d_R Psi are derived on first use.
-    Exact vacuum (S = 0, so P = 0, w = -inf) is representable.
+    The state is (Psi, S) on a RadialGrid, with S the sound-speed
+    variable; the density P, the half log-density w and U = d_R Psi are
+    derived on first use.  Exact vacuum (S = 0, so P = 0, w = -inf) is
+    representable.
     """
 
     params: ProfileParams
-    R: np.ndarray
+    grid: RadialGrid
     s: float
     Psi: np.ndarray
     S: np.ndarray
@@ -224,6 +359,15 @@ class FieldSet:
             raise DomainError(f"unknown domain mode {self.domain_mode!r}")
         if not np.all(self.S >= 0):
             raise DomainError("S must be nonnegative (and not NaN)")
+
+    @property
+    def R(self) -> np.ndarray:
+        return self.grid.R
+
+    @property
+    def h(self) -> float:
+        """The grid's x spacing: the spacing in R at the centre."""
+        return self.grid.h
 
     @functools.cached_property
     def P(self) -> np.ndarray:
@@ -237,20 +381,16 @@ class FieldSet:
 
     @functools.cached_property
     def U(self) -> np.ndarray:
-        return _even_d1(self.Psi, self.h)
-
-    @property
-    def h(self) -> float:
-        return float(self.R[1] - self.R[0])
+        return self.grid.d1(self.Psi)
 
     def payload(self) -> dict:
-        """JSON-ready snapshot with the frame metadata header (s, mode, h,
-        R_max); to_json serializes it."""
+        """JSON-ready snapshot with the frame metadata header (s, mode and
+        the grid's map); to_json serializes it."""
         return {
             "schema_version": 1,
             "kind": "fieldset",
-            "frame": {"s": self.s, "mode": self.domain_mode, "h": self.h,
-                      "R_max": float(self.R[-1])},
+            "frame": {"s": self.s, "mode": self.domain_mode,
+                      "grid": self.grid.payload()},
             "params": {"r": self.params.r, "d": self.params.d,
                        "p": self.params.p},
             "columns": {"R": self.R.tolist(), "Psi": self.Psi.tolist(),
@@ -263,22 +403,28 @@ class FieldSet:
 
     @classmethod
     def from_json(cls, text: str) -> "FieldSet":
+        """The snapshot of payload(); a header without a grid (written
+        before grids had maps) reads as the uniform grid of its R."""
         import json
         payload = json.loads(text)
         if payload.get("kind") != "fieldset":
             raise DomainError("not a fieldset snapshot")
         params = ProfileParams(r=payload["params"]["r"])
         cols = payload["columns"]
-        return cls.from_Psi_S(params, np.asarray(cols["R"]),
-                              payload["frame"]["s"], np.asarray(cols["Psi"]),
-                              np.asarray(cols["S"]),
-                              domain_mode=payload["frame"]["mode"])
+        frame = payload["frame"]
+        grid = RadialGrid.from_payload(frame.get("grid", {"kind": "uniform"}),
+                                       np.asarray(cols["R"], dtype=float),
+                                       params.d)
+        return cls.from_Psi_S(params, grid, frame["s"],
+                              np.asarray(cols["Psi"]), np.asarray(cols["S"]),
+                              domain_mode=frame["mode"])
 
     @classmethod
-    def from_Psi_S(cls, params: ProfileParams, R: np.ndarray, s: float,
+    def from_Psi_S(cls, params: ProfileParams, R, s: float,
                    Psi: np.ndarray, S: np.ndarray,
                    domain_mode: str = "euclidean") -> "FieldSet":
-        return cls(params=params, R=np.asarray(R, dtype=float), s=float(s),
+        """R is a RadialGrid, or samples of a uniform grid."""
+        return cls(params=params, grid=_as_grid(R, params.d), s=float(s),
                    Psi=np.asarray(Psi, dtype=float),
                    S=np.asarray(S, dtype=float), domain_mode=domain_mode)
 

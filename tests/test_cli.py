@@ -9,9 +9,11 @@ import json
 import os
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import nls_implosion.cli as cli
+from nls_implosion import dynamics_lab
 from nls_implosion.cli import (
     EXIT_ABORT,
     EXIT_CHECK_FAILED,
@@ -23,6 +25,7 @@ from nls_implosion.cli import (
     main,
 )
 from nls_implosion.report import VerificationReport
+from nls_implosion.selfsimilar_fields import FieldSet, RadialGrid
 
 
 FAST = ["--n-points", "1024"]
@@ -204,6 +207,25 @@ class TestSimulateCommand:
         assert snap["artifact"]["kind"] == "fieldset"
         partial = read(tmp_path / "simulate_r2.01.partial.csv").decode()
         assert partial.count("\n") >= 4   # stamp + header + first sample
+
+    def test_abort_snapshot_reads_back_on_its_grid(self, tmp_path):
+        # the snapshot names its stretched grid instead of a uniform h, and
+        # reads back as a FieldSet on the same nodes
+        assert main(["simulate", "--r", "2.01", *SIM_FAST, "--ds", "0.05",
+                     "--out-dir", str(tmp_path)]) == EXIT_ABORT
+        snap = json.loads(read(tmp_path / "simulate_r2.01.lastgood.json"))
+        frame = snap["artifact"]["frame"]
+        assert "h" not in frame
+        assert frame["grid"]["kind"] == "sinh"
+        assert frame["grid"]["c"] == dynamics_lab.SIMULATE_GRID_C
+        assert frame["grid"]["n"] == 256
+        back = FieldSet.from_json(json.dumps(snap["artifact"]))
+        grid = RadialGrid.sinh(256, 30.0, dynamics_lab.SIMULATE_GRID_C)
+        np.testing.assert_array_equal(back.R, grid.R)
+        assert back.h == grid.h
+        assert back.s == frame["s"]
+        assert back.Psi.tolist() == snap["artifact"]["columns"]["Psi"]
+        assert back.S.tolist() == snap["artifact"]["columns"]["S"]
 
     def test_overflowing_quantum_prefactor_below_r2(self, tmp_path, capsys):
         # at r = 1.9 and s0 = 1e4, exp((4 - 2r) s) overflows: a domain

@@ -383,13 +383,65 @@ class TestSimulate:
         assert again.input_hash == small_report.input_hash
         assert again.E_low == small_report.E_low
 
+    def test_stepper_record(self, small_report):
+        # the manifest carries the step count, ds, the smallest CFL
+        # headroom of the steps taken and the grid
+        man = json.loads(small_report.manifest())
+        assert {"n_steps", "ds", "cfl_headroom", "grid"} <= set(man)
+        assert man["n_steps"] * man["ds"] == pytest.approx(0.5, rel=1e-12)
+        assert man["cfl_headroom"] >= 1.0
+        grid = man["grid"]
+        assert set(grid) == {"kind", "n", "R_max", "c", "dR_min", "dR_max"}
+        assert grid["kind"] == "sinh" and grid["c"] == dl.SIMULATE_GRID_C
+        assert grid["n"] == 512 and grid["R_max"] == 30.0
+        assert 0.0 < grid["dR_min"] < grid["dR_max"]
+
+
+def test_mapped_default_short_span_convergence(profile_r201, monkeypatch):
+    # over s_span = 0.05 the default stretched grid must be at least as
+    # close to the uniform n = 8192 run as the uniform n = 4096 run is, on
+    # the columns that converge with the grid: the reference drift, both
+    # residual sups and max_rel_Stilde.  (The Linf maxima hop with where
+    # nodes fall on the bump; CHANGES.md holds the full comparison.)
+    kwargs = dict(s_span=0.05, n_samples=3)
+    finals = []
+    advance = dl._advance
+
+    def recording(*args):
+        out = advance(*args)
+        finals[:] = [args[1], out[0]]
+        return out
+
+    monkeypatch.setattr(dl, "_advance", recording)
+    mapped = simulate(profile_r201, **kwargs)
+    grid, X = finals
+    monkeypatch.setattr(dl, "SIMULATE_GRID_C", None)
+    coarse = simulate(profile_r201, n=4096, **kwargs)
+    fine = simulate(profile_r201, n=8192, **kwargs)
+    assert grid.kind == "sinh" and mapped.grid["n"] == 2048
+    for col in ("drift_Linf_S", "sup_residual_Psi", "sup_residual_S"):
+        ours = np.abs(np.subtract(getattr(mapped, col), getattr(fine, col)))
+        today = np.abs(np.subtract(getattr(coarse, col), getattr(fine, col)))
+        assert np.all(ours <= today), col
+    assert (abs(mapped.max_rel_Stilde - fine.max_rel_Stilde)
+            <= abs(coarse.max_rel_Stilde - fine.max_rel_Stilde))
+    # the reference run's drift peaks in the sonic band, not at R = 0
+    base = profile_fieldset(profile_r201, grid, mapped.config.s0)
+    drift = np.abs(X[1, 1] - base.S)
+    assert np.max(drift) == mapped.drift_Linf_S[-1]
+    assert 1.0 <= grid.R[np.argmax(drift)] <= 2.0
+
 
 def _reference_probe_values(table, m=2, J=2000.0, C0=2.0, K=8, trials=200,
                             seed=0, n=1025, n_modes=16):
     """The probe before its form was assembled: the linearization applied
     to each trial's normalised pair on its own.  Returns each trial's
     (lhs, X-norm^2), NaN for a trial with a zero norm."""
-    derivative, _quad = dl.derivative, dl._quad
+    derivative = dl.derivative
+
+    def _quad(f, R, d):
+        return float(np.trapezoid(f * R ** (d - 1), R))
+
     r = table.params.r
     alpha = table.params.alpha
     d = table.params.d

@@ -6,6 +6,8 @@ axis nor the lean stepper may change a single bit: every reference below
 rebuilds the Fornberg weights for each row on each call, reflects even
 fields by hand, differentiates one row at a time, and steps each run alone
 through a validated FieldSet per step, which is what the code did before.
+The stepper's references run on simulate's stretched grid and on the
+uniform one.
 """
 
 import numpy as np
@@ -21,12 +23,7 @@ from nls_implosion.errors import (
     PositivityError,
     ResolutionError,
 )
-from nls_implosion.selfsimilar_fields import (
-    FieldSet,
-    _even_d1,
-    cutoff,
-    radial_laplacian,
-)
+from nls_implosion.selfsimilar_fields import FieldSet, RadialGrid, cutoff
 
 
 def uncached_derivative(f, h, m, acc=4, even=False):
@@ -140,8 +137,9 @@ def test_energy_report_identical_without_cache(profile_r201, monkeypatch):
         shapes.append(np.shape(f))
         return uncached_derivative(f, *args, **kwargs)
 
-    # the stepper differentiates through _even_d1/_even_d2, which look the
-    # operator up in selfsimilar_fields; the samples use dynamics_lab's
+    # the stepper and the samples differentiate through the grid, which
+    # looks the operator up in selfsimilar_fields; the probe and the
+    # blow-up fit also call dynamics_lab's
     for module in (dynamics_lab, selfsimilar_fields):
         monkeypatch.setattr(module, "derivative", counting)
     uncached = simulate(profile_r201, s_span=0.1, n=256, n_samples=3)
@@ -152,40 +150,41 @@ def test_energy_report_identical_without_cache(profile_r201, monkeypatch):
     assert cached.input_hash == uncached.input_hash
 
 
-def _reference_rhs(Psi, S, R, h, params, s, quantum):
+def _reference_rhs(Psi, S, grid, params, s, quantum):
     """The right side before it shared dPsi with the Laplacian."""
-    r, alpha, d = params.r, params.alpha, params.d
-    dPsi = _even_d1(Psi, h)
-    dS = _even_d1(S, h)
-    lapPsi = radial_laplacian(Psi, R, h, d=d)
+    r, alpha = params.r, params.alpha
+    dPsi = grid.d1(Psi)
+    dS = grid.d1(S)
+    lapPsi = grid.laplacian(Psi, grid.d1(Psi))
     qp = 0.0
     coef = np.exp((4.0 - 2.0 * r) * s)
     if quantum and coef > dynamics_lab.QP_COEF_FLOOR and np.any(S > 1e-300):
         Sf = np.maximum(S, 1e-300)
         w = np.log(Sf * np.sqrt(alpha) / r ** (1.0 - alpha)) / (2.0 * alpha)
-        dw = _even_d1(w, h)
-        qp = coef * (radial_laplacian(w, R, h, d=d) + dw * dw)
+        dw = grid.d1(w)
+        qp = coef * (grid.laplacian(w, grid.d1(w)) + dw * dw)
         qp = np.where(S > 1e-300, qp, 0.0)
-    rhs_Psi = -(r - 2.0) * Psi - R * dPsi - dPsi * dPsi - alpha * S * S + qp
-    rhs_S = (-(r - 1.0) * S - R * dS - 2.0 * dS * dPsi
+    rhs_Psi = -(r - 2.0) * Psi - grid.R * dPsi - dPsi * dPsi - alpha * S * S + qp
+    rhs_S = (-(r - 1.0) * S - grid.R * dS - 2.0 * dS * dPsi
              - 2.0 * alpha * S * lapPsi)
     return rhs_Psi, rhs_S
 
 
-def _reference_advance(Psi, S, R, h, params, s, ds, quantum, cfl):
+def _reference_advance(Psi, S, grid, params, s, ds, quantum, cfl):
     """The stepper before it ran on arrays: a validated FieldSet in and out
-    of every step, the CFL bound read off its U."""
-    state = FieldSet.from_Psi_S(params, R, s, Psi, S)
-    amax = float(np.max(np.abs(R + 2.0 * state.U)))
-    bound = cfl * h / max(amax, 1e-30)
+    of every step, the CFL bound read off its U.  Returns the new (Psi, S)
+    and the step's bound."""
+    state = FieldSet.from_Psi_S(params, grid, s, Psi, S)
+    amax = float(np.max(grid.speed(state.U)))
+    bound = cfl * grid.h / max(amax, 1e-30)
     coef = np.exp((4.0 - 2.0 * params.r) * s)
     if quantum and coef > dynamics_lab.QP_COEF_FLOOR:
-        bound = min(bound, cfl * h * h / (2.0 * params.d * coef))
+        bound = min(bound, cfl * grid.h ** 2 / (2.0 * params.d * coef))
     if ds > bound:
         raise CFLError("reference bound")
 
     def F(P_, S_, s_):
-        return _reference_rhs(P_, S_, R, h, params, s_, quantum)
+        return _reference_rhs(P_, S_, grid, params, s_, quantum)
 
     f1 = F(Psi, S, s)
     P1 = Psi + ds * f1[0]
@@ -198,30 +197,44 @@ def _reference_advance(Psi, S, R, h, params, s, ds, quantum, cfl):
     Sn = S / 3.0 + 2.0 / 3.0 * (S2 + ds * f3[1])
     if np.min(Sn) < 0.0 or (np.min(Sn) == 0.0 and np.min(S) > 0.0):
         raise PositivityError("reference positivity")
-    out = FieldSet.from_Psi_S(params, R, s + ds, Pn, Sn)
-    return out.Psi, out.S
+    out = FieldSet.from_Psi_S(params, grid, s + ds, Pn, Sn)
+    return out.Psi, out.S, bound
 
 
-def _reference_advance_rows(X, R, h, params, s, ds, quantum, cfl):
+def _reference_advance_rows(X, grid, params, s, ds, quantum, cfl):
     """The stacked stepper's contract through the reference: each run,
     row by row, stepped alone on 1-D arrays."""
-    rows = [_reference_advance(Psi, S, R, h, params, s, ds, quantum, cfl)
+    rows = [_reference_advance(Psi, S, grid, params, s, ds, quantum, cfl)
             for Psi, S in zip(X[0], X[1])]
-    return np.array([[Psi for Psi, _ in rows], [S for _, S in rows]])
+    return (np.array([[Psi for Psi, _, _ in rows], [S for _, S, _ in rows]]),
+            min(bound for _, _, bound in rows))
+
+
+def _assert_identical_to_fieldset_stepper(table, monkeypatch, quantum):
+    kwargs = dict(s_span=0.1, n=256, n_samples=3, quantum_pressure=quantum)
+    lean = simulate(table, **kwargs)
+    monkeypatch.setattr(dynamics_lab, "_advance", _reference_advance_rows)
+    for module in (dynamics_lab, selfsimilar_fields):
+        monkeypatch.setattr(module, "derivative", uncached_derivative)
+    reference = simulate(table, **kwargs)
+    assert lean.to_csv() == reference.to_csv()
+    assert lean.max_rel_Stilde == reference.max_rel_Stilde
+    assert lean.input_hash == reference.input_hash
+    assert lean.cfl_headroom == reference.cfl_headroom
 
 
 @pytest.mark.parametrize("quantum", [True, False])
 def test_energy_report_identical_to_fieldset_stepper(profile_r201,
                                                      monkeypatch, quantum):
-    kwargs = dict(s_span=0.1, n=256, n_samples=3, quantum_pressure=quantum)
-    lean = simulate(profile_r201, **kwargs)
-    monkeypatch.setattr(dynamics_lab, "_advance", _reference_advance_rows)
-    for module in (dynamics_lab, selfsimilar_fields):
-        monkeypatch.setattr(module, "derivative", uncached_derivative)
-    reference = simulate(profile_r201, **kwargs)
-    assert lean.to_csv() == reference.to_csv()
-    assert lean.max_rel_Stilde == reference.max_rel_Stilde
-    assert lean.input_hash == reference.input_hash
+    _assert_identical_to_fieldset_stepper(profile_r201, monkeypatch, quantum)
+
+
+@pytest.mark.parametrize("quantum", [True, False])
+def test_energy_report_identical_to_fieldset_stepper_uniform(profile_r201,
+                                                             monkeypatch,
+                                                             quantum):
+    monkeypatch.setattr(dynamics_lab, "SIMULATE_GRID_C", None)
+    _assert_identical_to_fieldset_stepper(profile_r201, monkeypatch, quantum)
 
 
 def test_nan_density_raises_at_its_step(profile_r201, monkeypatch):
@@ -246,11 +259,11 @@ def test_last_good_is_state_before_failing_step(profile_r201, monkeypatch):
     advance = dynamics_lab._advance
     inputs = []
 
-    def advance_until_third(X, R, h, params, s, ds, quantum, cfl):
+    def advance_until_third(X, grid, params, s, ds, quantum, cfl):
         inputs.append((s, X))
         if len(inputs) == 3:     # the third step
             ds = 1e3 * ds        # far beyond the stability bound
-        return advance(X, R, h, params, s, ds, quantum, cfl)
+        return advance(X, grid, params, s, ds, quantum, cfl)
 
     monkeypatch.setattr(dynamics_lab, "_advance", advance_until_third)
     with pytest.raises(CFLError) as info:
@@ -258,10 +271,11 @@ def test_last_good_is_state_before_failing_step(profile_r201, monkeypatch):
     good = info.value.last_good
     s, X = inputs[2]
     assert isinstance(good, FieldSet)
+    assert good.grid.kind == "sinh"
     assert good.s == s > inputs[0][0]
     np.testing.assert_array_equal(good.Psi, X[0, 0])   # the perturbed run
     np.testing.assert_array_equal(good.S, X[1, 0])
-    np.testing.assert_array_equal(good.U, _even_d1(X[0, 0], good.h))
+    np.testing.assert_array_equal(good.U, good.grid.d1(X[0, 0]))
     assert len(info.value.partial_report.s) == 1
 
 
@@ -274,11 +288,16 @@ def test_last_good_is_state_before_failing_step(profile_r201, monkeypatch):
 N_ABORT = 256
 
 
+def _abort_grid():
+    """simulate's grid at n = N_ABORT, R_max = 30."""
+    return RadialGrid.sinh(N_ABORT, 30.0, dynamics_lab.SIMULATE_GRID_C)
+
+
 def _perturbed_start(table, cfg, base):
     """The perturbed run's initial state, built as simulate builds it."""
     R = base.R
     bump = cutoff("tilde", R / R[-1]) * cutoff("hat", R / (1.2 * R[-1]))
-    return FieldSet.from_Psi_S(table.params, R, cfg.s0,
+    return FieldSet.from_Psi_S(table.params, base.grid, cfg.s0,
                                base.Psi + cfg.delta_low * bump,
                                base.S * (1.0 + cfg.delta_low * bump))
 
@@ -293,25 +312,23 @@ def _assert_last_good_is_perturbed_step(err, start, ds):
 
 
 def test_reference_only_cfl_abort(profile_r201, monkeypatch):
-    # a steep phase ramp inside the bump's falling flank makes max|y+2U|
-    # of the reference exceed the perturbed run's, where the bump lowers it
+    # a steep phase ramp inside the bump's falling flank makes the x-speed
+    # |y+2U|/R' of the reference exceed the perturbed run's, where the
+    # bump lowers it
     fieldset = dynamics_lab.profile_fieldset
 
-    def steep(table, R, s):
-        base = fieldset(table, R, s)
-        ramp = np.clip((R / R[-1] - 0.65) / 0.1, 0.0, 1.0)
-        return FieldSet.from_Psi_S(base.params, R, s,
+    def steep(table, grid, s):
+        base = fieldset(table, grid, s)
+        ramp = np.clip((base.R / base.R[-1] - 0.65) / 0.1, 0.0, 1.0)
+        return FieldSet.from_Psi_S(base.params, base.grid, s,
                                    base.Psi + 30.0 * ramp, base.S)
 
     cfg = EnergyConfig()
-    R = np.linspace(0.0, 30.0, N_ABORT)
-    h = R[1] - R[0]
-    base = steep(profile_r201, R, cfg.s0)
+    grid = _abort_grid()
+    base = steep(profile_r201, grid, cfg.s0)
     start = _perturbed_start(profile_r201, cfg, base)
-    amax_ref = np.max(np.abs(R + 2.0 * _even_d1(base.Psi, h)))
-    amax_pert = np.max(np.abs(R + 2.0 * _even_d1(start.Psi, h)))
-    bound_ref = cfg.cfl * h / amax_ref
-    bound_pert = cfg.cfl * h / amax_pert
+    bound_ref = cfg.cfl * grid.h / np.max(grid.speed(base.U))
+    bound_pert = cfg.cfl * grid.h / np.max(grid.speed(start.U))
     ds = 0.5 * (bound_ref + bound_pert)
     assert bound_ref < ds < bound_pert
 
@@ -319,8 +336,8 @@ def test_reference_only_cfl_abort(profile_r201, monkeypatch):
     with pytest.raises(CFLError) as info:
         simulate(profile_r201, cfg, s_span=ds, n=N_ABORT, n_samples=2,
                  ds=ds)
-    assert str(info.value) == ("ds = 2.405e-03 exceeds the stability bound "
-                               "2.405e-03 (max|y+2U| = 44)")
+    assert str(info.value) == ("ds = 4.664e-03 exceeds the stability bound "
+                               "4.664e-03 (max|y+2U|/R' = 8.21)")
     _assert_last_good_is_perturbed_step(info.value, start, ds)
 
 
@@ -328,8 +345,7 @@ def test_reference_only_positivity_abort(profile_r201, monkeypatch):
     # the reference starts on the profile's S, the perturbed run does not;
     # draining S wherever a run sits exactly on it breaks the reference
     cfg = EnergyConfig()
-    R = np.linspace(0.0, 30.0, N_ABORT)
-    base = profile_fieldset(profile_r201, R, cfg.s0)
+    base = profile_fieldset(profile_r201, _abort_grid(), cfg.s0)
     start = _perturbed_start(profile_r201, cfg, base)
     operator = dynamics_lab.profile_operator
 
