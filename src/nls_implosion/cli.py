@@ -6,9 +6,11 @@ format version, outputs carry no timestamps, and files are written
 atomically, so a fixed configuration reproduces its artifacts byte for
 byte.
 
-Exit codes: 0 success, 1 verification checks failed, 2 solver failure,
-3 precision-consistency failure, 4 CFL/positivity abort (with the last
-good snapshot dumped).
+Exit codes: 0 success, 1 verification checks failed, 2 configuration,
+solver or other workbench failure (a ConsistencyError from the solve
+included), 3 a ConsistencyError while checking a solved table (the
+special points, the refinement gate or the sign lemmas of `certify`),
+4 CFL/positivity abort (with the last good snapshot dumped).
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (CFLError, ConsistencyError, PositivityError,
                      WorkbenchError)
 from .phase_portrait import R_STAR, ProfileParams
 from .profile_solver import ProfileTable
-from .repulsivity_verifier import verify_all
+from .repulsivity_verifier import certify
 
 __all__ = ["RunConfig", "main"]
 
@@ -103,8 +105,12 @@ class RunConfig:
         bad = [e for e in self.emit if e not in ("csv", "json")]
         if bad:
             raise ConfigError(f"unknown emit formats: {bad}")
-        if self.window is not None and len(self.window) != 2:
-            raise ConfigError("window must be two values lo:hi")
+        if self.window is not None and not (
+                isinstance(self.window, list) and len(self.window) == 2
+                and all(isinstance(v, (int, float)) and 1.0 < v < R_STAR
+                        for v in self.window)):
+            raise ConfigError(f"window = {self.window!r}; need lo:hi with "
+                              f"both ends in (1, r*) = (1, {R_STAR:.6f})")
         if self.sample_r != 0 and self.sample_r < 2:
             raise ConfigError(f"sample_r = {self.sample_r}; need 0 or >= 2")
         for name, ok, need in (
@@ -225,47 +231,8 @@ def cmd_profile(cfg: RunConfig, table: ProfileTable) -> int:
     return EXIT_OK
 
 
-def _special_point_consistency(params: ProfileParams, tol: float = 1e-11):
-    """Closed-form special points must annihilate their defining polynomials."""
-    pts = phase_portrait.special_points(params)
-    vals = {}
-    polys = phase_portrait.eval_polys(pts.P_s, params)
-    vals["N_Z(P_s)"] = abs(polys.N_Z)
-    vals["D_Z(P_s)"] = abs(polys.D_Z)
-    star = phase_portrait.eval_polys(pts.P_star, params)
-    vals["N_W(P_star)"] = abs(star.N_W)
-    vals["N_Z(P_star)"] = abs(star.N_Z)
-    bad = {k: v for k, v in vals.items() if v > tol}
-    return vals, bad
-
-
 def cmd_verify(cfg: RunConfig, table: ProfileTable) -> int:
-    params = table.params
-
-    vals, bad = _special_point_consistency(params)
-    if bad:
-        print(f"precision-consistency failure: special points do not "
-              f"annihilate their polynomials: {bad}", file=sys.stderr)
-        return EXIT_PRECISION
-
-    report = verify_all(params, table, n_samples=cfg.verify_samples)
-    # well-separated outgoing-side margins must be stable under refinement;
-    # the Part I curve minima are sampled sups and tighten with sampling,
-    # so they are excluded from this gate
-    fine = verify_all(params, table, n_samples=2 * cfg.verify_samples)
-    for c, f in zip(report.checks, fine.checks):
-        if not c.name.startswith("partII"):
-            continue
-        if abs(c.margin) > 1e-10 and abs(f.margin - c.margin) > 0.10 * abs(c.margin):
-            print(f"precision-consistency failure: margin of {c.name} "
-                  f"moves from {c.margin:.6e} to {f.margin:.6e} under "
-                  f"refinement", file=sys.stderr)
-            return EXIT_PRECISION
-
-    aux = phase_portrait.auxiliary_signs(params)
-    report.extend(aux)
-
-    partII_present = any(c.name.startswith("partII") for c in report.checks)
+    report = certify(table.params, table, n_samples=cfg.verify_samples)
 
     if cfg.sample_r > 0:
         lo, hi = cfg.window if cfg.window else (R_STAR - 0.05, R_STAR - 0.001)
@@ -290,7 +257,8 @@ def cmd_verify(cfg: RunConfig, table: ProfileTable) -> int:
 
     if not report.all_passed:
         return EXIT_CHECK_FAILED
-    if cfg.require_window and not partII_present:
+    if cfg.require_window and not any(
+            c.name.startswith("partII") for c in report.checks):
         print("outgoing-side checks skipped below the near-r* window and "
               "--require-window is set", file=sys.stderr)
         return EXIT_CHECK_FAILED
@@ -312,9 +280,6 @@ def cmd_simulate(cfg: RunConfig, table: ProfileTable) -> int:
         print(f"evolution aborted: {exc}; last good snapshot written",
               file=sys.stderr)
         return EXIT_ABORT
-    except WorkbenchError as exc:
-        print(f"simulation failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
     if "csv" in cfg.emit:
         _write_atomic(_out(cfg, f"simulate_{tag}.csv"),
                       _stamp_csv(rep.to_csv(), cfg))
@@ -360,19 +325,17 @@ def cmd_phase_portrait(cfg: RunConfig, params: ProfileParams) -> int:
 # ---------------------------------------------------------------------------
 
 def _sweep_one(r: float, cfg: RunConfig) -> dict:
-    """One independent pipeline: solve and verify at a single r."""
+    """One independent pipeline: solve and certify at a single r."""
     try:
         table = _solve(cfg.override({"r": r}))
-        report = verify_all(table.params, table,
-                            n_samples=cfg.verify_samples)
-        row = {"r": r, "ok": True, "all_passed": report.all_passed,
-               "min_margin": min(c.margin for c in report.checks),
-               "checks": len(report.checks)}
+        report = certify(table.params, table, n_samples=cfg.verify_samples)
     except WorkbenchError as exc:
-        row = {"r": r, "ok": False, "all_passed": False,
-               "min_margin": float("nan"), "checks": 0,
-               "error": f"{type(exc).__name__}: {exc}"}
-    return row
+        return {"r": r, "ok": False, "all_passed": False,
+                "min_margin": float("nan"), "checks": 0,
+                "error": f"{type(exc).__name__}: {exc}"}
+    return {"r": r, "ok": True, "all_passed": report.all_passed,
+            "min_margin": min(c.margin for c in report.checks),
+            "checks": len(report.checks)}
 
 
 def cmd_sweep(cfg: RunConfig, values: list[float]) -> int:
@@ -546,7 +509,14 @@ def main(argv: list[str] | None = None) -> int:
     except WorkbenchError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
-    return command(cfg, subject)
+    try:
+        return command(cfg, subject)
+    except ConsistencyError as exc:
+        print(f"precision-consistency failure: {exc}", file=sys.stderr)
+        return EXIT_PRECISION
+    except WorkbenchError as exc:
+        print(f"{args.command} failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

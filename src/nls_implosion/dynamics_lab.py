@@ -139,10 +139,8 @@ class Weights:
     constant.  The gradient contract |phi'|/phi <= 2 is recorded at build.
     """
 
-    R: np.ndarray
     beta: np.ndarray
     phi: np.ndarray
-    R0: float
     max_grad_ratio_phi: float
 
 
@@ -163,8 +161,7 @@ def build_weights(R, cfg: EnergyConfig) -> Weights:
         ratio = float(np.max(np.abs(dphi) / phi))
     else:
         ratio = 0.0
-    return Weights(R=R, beta=beta, phi=phi, R0=cfg.R0,
-                   max_grad_ratio_phi=ratio)
+    return Weights(beta=beta, phi=phi, max_grad_ratio_phi=ratio)
 
 
 # ---------------------------------------------------------------------------

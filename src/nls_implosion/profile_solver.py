@@ -126,6 +126,9 @@ SERIES_DPS = 60
 #: r = 2.07, still keeps 50 digits, far more than the 17 a double needs
 SERIES_BITS = 320
 
+#: order of the sonic series that solve_profile sums on |xi| <= xi_switch
+SERIES_ORDER = 90
+
 
 @dataclass(frozen=True)
 class ProfileTable:
@@ -400,7 +403,7 @@ def _sonic_series_fixed(r: float, order: int) -> tuple[tuple[int, ...],
     return tuple(W), tuple(Z)
 
 
-def sonic_series(r: float, order: int = 90) -> tuple[np.ndarray, np.ndarray]:
+def sonic_series(r: float, order: int = SERIES_ORDER) -> tuple[np.ndarray, np.ndarray]:
     """Taylor coefficients (W_n, Z_n) of the smooth branch, W = sum W_n xi^n.
 
     Generated by matching powers of xi in W' D_W = N_W and Z' D_Z = N_Z in
@@ -534,9 +537,8 @@ def _build_grid(xi_min: float, xi_max: float, n_points: int) -> np.ndarray:
 
 
 def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7.0,
-                  tol: float = 1e-12, n_points: int = 4096,
-                  xi_switch: float = 0.2, blowup_bound: float | None = None,
-                  series_order: int = 90) -> ProfileTable:
+                  tol: float = 1e-12, n_points: int = 4096, xi_switch: float = 0.2,
+                  blowup_bound: float | None = None) -> ProfileTable:
     """Compute the orbit through the sonic point on a uniform xi grid.
 
     Four pieces, assembled so that the sonic point sits at xi = 0 exactly:
@@ -560,13 +562,12 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     r = params.r
     pts = special_points(params)
 
-    Wc, Zc = sonic_series(r, order=series_order)
+    Wc, Zc = sonic_series(r)
     tail = _series_tail(Wc, xi_switch) + _series_tail(Zc, xi_switch)
     if tail > 1e-14:
         raise ConsistencyError(
             f"sonic series does not converge at xi_switch = {xi_switch}: "
-            f"tail {tail:.3e} > 1e-14, {_kappa_text(r)}; reduce xi_switch "
-            f"or raise series_order")
+            f"tail {tail:.3e} > 1e-14, {_kappa_text(r)}; reduce xi_switch")
 
     rhs = _flow(r)
 

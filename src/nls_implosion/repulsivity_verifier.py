@@ -13,9 +13,10 @@ Two families of statements are covered:
     where the quadrilateral barriers only hold for scaling exponents near
     the upper endpoint r*.
 
-alpha = (p - 1)/2 is carried through symbolically from the parameter set
-so that a wrong constant surfaces as a failed check rather than being
-baked into two places at once.
+alpha = (p - 1)/4 = 1/2 is carried through symbolically from the parameter
+set so that a wrong constant surfaces as a failed check rather than being
+baked into two places at once.  `certify` is the one policy by which
+the CLI certifies a table.
 """
 
 from __future__ import annotations
@@ -27,9 +28,11 @@ import numpy as np
 from .errors import ConsistencyError, DomainError, WindowError
 from .phase_portrait import (
     ProfileParams,
+    auxiliary_signs,
     barrier_curves,
     d_w,
     d_z,
+    eval_polys,
     grad_b_normal_partI,
     n_w,
     n_z,
@@ -52,6 +55,7 @@ __all__ = [
     "check_partII",
     "check_integrated",
     "verify_all",
+    "certify",
 ]
 
 #: default lower edge of the r-window in which the outgoing-side barrier
@@ -66,6 +70,9 @@ N_SAMPLES = 512
 #: equality at segment corners (the Xi zero branches pass exactly through
 #: the sonic points, so the sampled slack is 0 there up to round-off)
 EQUALITY_TOL = 1e-12
+
+#: width of the collar (1, 1 + DELTA_C] the integrated ratio leaves out
+DELTA_C = 0.01
 
 
 class AngularMargins(NamedTuple):
@@ -152,28 +159,26 @@ def check_partI(params: ProfileParams, table: ProfileTable,
 
 
 def check_partII(params: ProfileParams, table: ProfileTable,
-                 n_samples: int = N_SAMPLES,
-                 r_window_min: float = R_WINDOW_MIN) -> VerificationReport:
+                 n_samples: int = N_SAMPLES) -> VerificationReport:
     """Outgoing-side (xi > 0) confinement checks.
 
     The quadrilateral Q = {D_Z >= 0, W <= W_0, W >= Z, U >= U(Pbar_s)} and
     the zero branches S_+(U) of Xi_1 and Xi_2 confine the trajectory after
     the sonic point.  These statements are only claimed for r near r*;
-    below ``r_window_min`` a WindowError is raised instead of reporting a
+    below R_WINDOW_MIN a WindowError is raised instead of reporting a
     meaningless margin.
     """
     r = params.r
-    if r < r_window_min:
+    if r < R_WINDOW_MIN:
         raise WindowError(
-            f"r = {r} below the near-r* window [{r_window_min}, r*); the "
+            f"r = {r} below the near-r* window [{R_WINDOW_MIN}, r*); the "
             "outgoing-side barrier statements are not claimed there")
     pts = special_points(params)
     W0, Z0 = pts.P_s.W, pts.P_s.Z
     Wb, Zb = pts.P_bar_s.W, pts.P_bar_s.Z
-    U_pbar = 0.5 * (Wb + Zb)
     report = VerificationReport(
         params={"r": r, "d": params.d, "p": params.p},
-        tolerances={"n_samples": n_samples, "r_window_min": r_window_min,
+        tolerances={"n_samples": n_samples, "r_window_min": R_WINDOW_MIN,
                     "equality_tol": EQUALITY_TOL})
 
     pos = table.xi_grid > 0
@@ -206,8 +211,7 @@ def check_partII(params: ProfileParams, table: ProfileTable,
                    "endpoint evaluation", xi3_parenthesis(t_val, params), tag)
 
     # S <= S_+(U) (upper zero of Xi_1) on each boundary piece of Q
-    for name, U_seg, S_seg, note in _quadrilateral_boundary(
-            params, n_samples):
+    for name, U_seg, S_seg, note in _quadrilateral_boundary(pts, n_samples):
         slack = xi1_splus(U_seg, r) - S_seg
         margin, where = _min_with_location(slack, U_seg, "U")
         report.add(f"partII_splus_dominates_{name}",
@@ -227,9 +231,8 @@ def check_partII(params: ProfileParams, table: ProfileTable,
     return report
 
 
-def _quadrilateral_boundary(params: ProfileParams, n_samples: int):
+def _quadrilateral_boundary(pts, n_samples: int):
     """(U, S) samples of the four boundary pieces of the quadrilateral Q."""
-    pts = special_points(params)
     W0, Z0 = pts.P_s.W, pts.P_s.Z
     Wb, Zb = pts.P_bar_s.W, pts.P_bar_s.Z
     U_pbar = 0.5 * (Wb + Zb)
@@ -253,7 +256,7 @@ def _quadrilateral_boundary(params: ProfileParams, n_samples: int):
            "U = U(Pbar_s) from the diagonal to Pbar_s")
 
 
-def check_integrated(table: ProfileTable, delta_c: float = 0.01,
+def check_integrated(table: ProfileTable, delta_c: float = DELTA_C,
                      R_hi: float | None = None, zero_tol: float = 1e-9,
                      require_critical: bool = True) -> float:
     """Worst ratio (R + Ubar_R - alpha Sbar)/(R - 1) over R > 1 + delta_c.
@@ -297,8 +300,7 @@ def check_integrated(table: ProfileTable, delta_c: float = 0.01,
 
 
 def verify_all(params: ProfileParams, table: ProfileTable,
-               n_samples: int = N_SAMPLES, delta_c: float = 0.01,
-               r_window_min: float = R_WINDOW_MIN) -> VerificationReport:
+               n_samples: int = N_SAMPLES) -> VerificationReport:
     """Run every repulsivity and confinement check into one report.
 
     Outgoing-side barrier checks are skipped (not failed) when r sits
@@ -306,8 +308,8 @@ def verify_all(params: ProfileParams, table: ProfileTable,
     """
     report = VerificationReport(
         params={"r": params.r, "d": params.d, "p": params.p},
-        tolerances={"n_samples": n_samples, "delta_c": delta_c,
-                    "r_window_min": r_window_min})
+        tolerances={"n_samples": n_samples, "delta_c": DELTA_C,
+                    "r_window_min": R_WINDOW_MIN})
 
     report.add("radial_repulsivity",
                "1 + 2 dR U_p,R - 2 alpha |dR S_p| > 0 on the grid",
@@ -322,12 +324,41 @@ def verify_all(params: ProfileParams, table: ProfileTable,
                f"{len(table.R)} grid points", angular.nls)
     report.add("integrated_repulsivity",
                "(R + Ubar_R - alpha Sbar)/(R - 1) > 0 outside the collar",
-               f"grid points with R > 1 + {delta_c}",
-               check_integrated(table, delta_c=delta_c))
+               f"grid points with R > 1 + {DELTA_C}",
+               check_integrated(table))
     report.extend(check_partI(params, table, n_samples=n_samples))
     try:
-        report.extend(check_partII(params, table, n_samples=n_samples,
-                                   r_window_min=r_window_min))
+        report.extend(check_partII(params, table, n_samples=n_samples))
     except WindowError:
         pass
+    return report
+
+
+def certify(params: ProfileParams, table: ProfileTable,
+            n_samples: int = N_SAMPLES) -> VerificationReport:
+    """`verify_all` at n_samples plus the sign lemmas, as one report.
+
+    Raises ConsistencyError, in this order, when the closed-form special
+    points leave a residual in their polynomials, when a well-separated
+    outgoing-side margin moves by over 10 % when the samples double (the
+    Part I curve minima are sampled sups that tighten with sampling, so
+    they are not gated), or when `auxiliary_signs` finds a disagreement.
+    """
+    pts = special_points(params)
+    ps, star = eval_polys(pts.P_s, params), eval_polys(pts.P_star, params)
+    residuals = {"N_Z(P_s)": abs(ps.N_Z), "D_Z(P_s)": abs(ps.D_Z),
+                 "N_W(P_star)": abs(star.N_W), "N_Z(P_star)": abs(star.N_Z)}
+    bad = {k: v for k, v in residuals.items() if v > 1e-11}
+    if bad:
+        raise ConsistencyError(
+            f"special points do not annihilate their polynomials: {bad}")
+    report = verify_all(params, table, n_samples=n_samples)
+    fine = verify_all(params, table, n_samples=2 * n_samples)
+    for c, f in zip(report.checks, fine.checks):
+        if (c.name.startswith("partII") and abs(c.margin) > 1e-10
+                and abs(f.margin - c.margin) > 0.10 * abs(c.margin)):
+            raise ConsistencyError(
+                f"margin of {c.name} moves from {c.margin:.6e} to "
+                f"{f.margin:.6e} under refinement")
+    report.extend(auxiliary_signs(params))
     return report

@@ -6,6 +6,7 @@ artifact files twice, they do not compare against frozen blobs.
 """
 
 import json
+import math
 import os
 from dataclasses import fields
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import nls_implosion.cli as cli
-from nls_implosion import dynamics_lab
+from nls_implosion import dynamics_lab, repulsivity_verifier
 from nls_implosion.cli import (
     EXIT_ABORT,
     EXIT_CHECK_FAILED,
@@ -24,6 +25,7 @@ from nls_implosion.cli import (
     RunConfig,
     main,
 )
+from nls_implosion.phase_portrait import R_STAR
 from nls_implosion.report import VerificationReport
 from nls_implosion.selfsimilar_fields import FieldSet, RadialGrid
 
@@ -150,11 +152,34 @@ class TestVerifyCommand:
                     f"{n_samples}", 1.0 if n_samples == 512 else 2.0)
             return rep
 
-        monkeypatch.setattr(cli, "verify_all", jittery)
+        monkeypatch.setattr(repulsivity_verifier, "verify_all", jittery)
         code = main(["verify", "--r", "2.01", *FAST,
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_PRECISION
         assert "precision-consistency" in capsys.readouterr().err
+
+    def test_sign_disagreement_in_the_sign_table_exits_3(self, tmp_path,
+                                                         capsys):
+        # next to r* the factored and extended-precision W1 + Z1 disagree
+        # in sign; the table is not written, nor is the report
+        top = repr(math.nextafter(R_STAR, 0))
+        code = main(["verify", "--r", "2.01", *FAST, "--sample-r", "2",
+                     "--window", f"2.06:{top}", "--out-dir", str(tmp_path)])
+        assert code == EXIT_PRECISION
+        err = capsys.readouterr().err
+        assert "precision-consistency failure: W1+Z1:" in err
+        assert "disagree in sign" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_table_without_origin_match_exits_2(self, tmp_path, capsys):
+        # xi_min = -2.5 leaves the origin fit no points, so Part I has no
+        # w0 to check: a workbench failure, not a traceback
+        code = main(["verify", "--r", "2.01", *FAST, "--xi-range=-2.5:7",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        assert ("verify failure: table carries no matched origin "
+                "coefficient w0" in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
 
 
 SIM_FAST = ["--n-points", "1024", "--n", "256", "--s-span", "0.1",
@@ -279,14 +304,38 @@ class TestSweepCommand:
         assert lin == pytest.approx([2.0, 2.05, 2.1])
 
     def test_sweep_summary(self, tmp_path):
+        # 128 samples leave r = 2.03's vertical-segment margin unconverged
         code = main(["sweep", "--values", "2.01,2.03", *FAST,
                      "--verify-samples", "128", "--out-dir", str(tmp_path)])
-        assert code == EXIT_OK
+        assert code == EXIT_CHECK_FAILED
         lines = read(tmp_path / "sweep.csv").decode().splitlines()
         assert lines[2] == "r,ok,all_passed,min_margin,checks"
         assert len(lines) == 3 + 2
         rows = json.loads(read(tmp_path / "sweep.json"))["artifact"]
-        assert all(row["all_passed"] for row in rows)
+        assert [row["all_passed"] for row in rows] == [True, False]
+
+    def test_sweep_row_passes_exactly_when_verify_exits_0(self, tmp_path,
+                                                          capsys):
+        settings = [*FAST, "--verify-samples", "128"]
+        assert main(["verify", "--r", "2.01", *settings,
+                     "--out-dir", str(tmp_path / "v")]) == EXIT_OK
+        assert main(["verify", "--r", "2.03", *settings,
+                     "--out-dir", str(tmp_path / "v")]) == EXIT_PRECISION
+        moves = ("margin of partII_vertical_segment_nw moves from "
+                 "2.869264e-01 to 2.581424e-01 under refinement")
+        assert moves in capsys.readouterr().err
+        code = main(["sweep", "--values", "2.01,2.03", *settings,
+                     "--out-dir", str(tmp_path / "s")])
+        assert code == EXIT_CHECK_FAILED
+        assert "1 passed, 1 failed" in capsys.readouterr().out
+        passed, failed = json.loads(
+            read(tmp_path / "s" / "sweep.json"))["artifact"]
+        assert passed["all_passed"] and passed["checks"] == 22
+        verify = json.loads(read(tmp_path / "v" / "verify_r2.01.json"))
+        assert passed["min_margin"] == min(
+            c["margin"] for c in verify["artifact"]["checks"])
+        assert not failed["ok"] and not failed["all_passed"]
+        assert failed["error"] == f"ConsistencyError: {moves}"
 
     def test_out_of_range_value(self, tmp_path, capsys):
         code = main(["sweep", "--values", "2.01,2.5",
@@ -376,6 +425,8 @@ class TestMainPlumbing:
             ("verify", "--sample-r", "-1", "sample_r"),
             ("verify", "--verify-samples", "0", "verify_samples"),
             ("verify", "--verify-samples", "-1", "verify_samples"),
+            # a sign table outside (1, r*) would fail after the solve
+            ("verify", "--window", "2.0:2.08", "window = [2.0, 2.08]"),
             ("phase-portrait", "--curve-samples", "-1", "curve_samples"),
             ("simulate", "--ds", "0", "ds"),
             ("simulate", "--ds", "-0.001", "ds"),
@@ -404,6 +455,8 @@ class TestMainPlumbing:
         ({"n": 256.0}, "n = 256.0; need an integer"),
         ({"s_span": True}, "s_span = True; need a number"),
         ({"ds": "0.01"}, "ds = '0.01'; need a number or null"),
+        ({"window": ["2.02", 2.06]}, "window = ['2.02', 2.06]; need lo:hi"),
+        ({"window": 2.05}, "window = 2.05; need lo:hi"),
     ])
     def test_config_file_types_checked(self, entry, message, tmp_path,
                                        capsys):
