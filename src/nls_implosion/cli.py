@@ -6,11 +6,20 @@ format version, outputs carry no timestamps, and files are written
 atomically, so a fixed configuration reproduces its artifacts byte for
 byte.
 
+`verify` and `simulate` take their table from the profile_<tag>.json in
+the output directory when its stamp carries this build's format version
+and the hash of their own configuration; otherwise (no such file, or
+another stamp) they solve again.  A file with a matching stamp is trusted
+as is, whichever build wrote it: delete it, or change a setting, to force
+a solve.  `profile` never reads it.
+
 Exit codes: 0 success, 1 verification checks failed, 2 configuration,
 solver or other workbench failure (a ConsistencyError from the solve
-included), 3 a ConsistencyError while checking a solved table (the
-special points, the refinement gate or the sign lemmas of `certify`),
-4 CFL/positivity abort (with the last good snapshot dumped).
+included, and a profile_<tag>.json that cannot be read as JSON or whose
+matching stamp sits on a table ProfileTable.from_payload refuses), 3 a
+ConsistencyError while checking a solved table (the special points, the
+refinement gate or the sign lemmas of `certify`), 4 CFL/positivity abort
+(with the last good snapshot dumped).
 """
 
 from __future__ import annotations
@@ -26,10 +35,11 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import dynamics_lab, phase_portrait, profile_solver
 from .dynamics_lab import EnergyConfig
-from .errors import (CFLError, ConsistencyError, PositivityError,
-                     WorkbenchError)
+from .errors import (CFLError, ConsistencyError, DomainError,
+                     PositivityError, WorkbenchError)
 from .phase_portrait import R_STAR, ProfileParams
 from .profile_solver import ProfileTable
+from .report import VerificationReport
 from .repulsivity_verifier import certify
 
 __all__ = ["RunConfig", "main"]
@@ -206,6 +216,38 @@ def _solve(cfg: RunConfig) -> ProfileTable:
     return profile_solver.to_physical(table)
 
 
+def _table(cfg: RunConfig) -> ProfileTable:
+    """The table `profile` wrote for this configuration, else a fresh solve.
+
+    A fixed configuration reproduces its artifacts byte for byte, so a
+    profile_<tag>.json in out_dir stamped with this build's format version
+    and cfg's hash holds the table _solve(cfg) returns, and is read back
+    instead.  A missing file or another stamp solves again.  A file that
+    cannot be read or is not JSON, or a matching stamp on a table that
+    from_payload refuses, is a DomainError naming the file: a bad file is
+    never solved over.
+    """
+    path = _out(cfg, f"profile_r{cfg.r:g}.json")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            wrapped = json.load(fh)
+    except FileNotFoundError:
+        return _solve(cfg)
+    except (OSError, ValueError) as exc:   # unreadable, or not JSON
+        raise DomainError(f"cannot use {path}: {type(exc).__name__}: {exc}; "
+                          "delete it to solve again") from None
+    stamp = ((wrapped.get("format_version"), wrapped.get("config_hash"))
+             if isinstance(wrapped, dict) else None)
+    if stamp != (FORMAT_VERSION, cfg.config_hash):
+        return _solve(cfg)
+    try:
+        table = ProfileTable.from_payload(wrapped["artifact"])
+    except (DomainError, KeyError, TypeError, AttributeError) as exc:
+        raise DomainError(f"cannot use {path}: {type(exc).__name__}: {exc}; "
+                          "delete it to solve again") from None
+    return profile_solver.to_physical(table)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -229,6 +271,24 @@ def cmd_profile(cfg: RunConfig, table: ProfileTable) -> int:
     print(f"profile r = {cfg.r}: residual sup (phase, sound) = "
           f"({res.phase:.3e}, {res.sound:.3e})")
     return EXIT_OK
+
+
+#: why a report whose checks all pass fails when require_window is set
+WINDOW_SKIPPED = ("outgoing-side checks skipped below the near-r* window "
+                  "and require_window is set")
+
+
+def _verdict(cfg: RunConfig, report: VerificationReport
+             ) -> tuple[bool, str | None]:
+    """The pass rule of `verify` and of each `sweep` row: every check
+    passed, and with require_window the outgoing-side checks ran.  The
+    second item is WINDOW_SKIPPED when that alone fails the report."""
+    if not report.all_passed:
+        return False, None
+    if cfg.require_window and not any(
+            c.name.startswith("partII") for c in report.checks):
+        return False, WINDOW_SKIPPED
+    return True, None
 
 
 def cmd_verify(cfg: RunConfig, table: ProfileTable) -> int:
@@ -255,14 +315,10 @@ def cmd_verify(cfg: RunConfig, table: ProfileTable) -> int:
                   _stamp_csv(text + "\n", cfg))
     print(text)
 
-    if not report.all_passed:
-        return EXIT_CHECK_FAILED
-    if cfg.require_window and not any(
-            c.name.startswith("partII") for c in report.checks):
-        print("outgoing-side checks skipped below the near-r* window and "
-              "--require-window is set", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    passed, reason = _verdict(cfg, report)
+    if reason is not None:
+        print(reason, file=sys.stderr)
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def cmd_simulate(cfg: RunConfig, table: ProfileTable) -> int:
@@ -333,9 +389,13 @@ def _sweep_one(r: float, cfg: RunConfig) -> dict:
         return {"r": r, "ok": False, "all_passed": False,
                 "min_margin": float("nan"), "checks": 0,
                 "error": f"{type(exc).__name__}: {exc}"}
-    return {"r": r, "ok": True, "all_passed": report.all_passed,
-            "min_margin": min(c.margin for c in report.checks),
-            "checks": len(report.checks)}
+    passed, reason = _verdict(cfg, report)
+    row = {"r": r, "ok": True, "all_passed": passed,
+           "min_margin": min(c.margin for c in report.checks),
+           "checks": len(report.checks)}
+    if reason is not None:
+        row["reason"] = reason
+    return row
 
 
 def cmd_sweep(cfg: RunConfig, values: list[float]) -> int:
@@ -376,7 +436,10 @@ def _parse_values(text: str) -> list[float]:
             raise argparse.ArgumentTypeError(
                 f"expected start:stop:count, got {text!r}")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 2:
+        if count < 1:
+            raise argparse.ArgumentTypeError(
+                f"count must be at least 1, got {text!r}")
+        if count == 1:
             return [start]
         return [start + (stop - start) * i / (count - 1)
                 for i in range(count)]
@@ -481,11 +544,12 @@ def _r_range_error(args: argparse.Namespace, cfg: RunConfig) -> str | None:
 
 
 #: command -> (artifact writer, what main hands it besides the config);
-#: a WorkbenchError while preparing that input is a solver failure
+#: a WorkbenchError while preparing that input (solving the table, or
+#: reading it back) is a solver failure
 COMMANDS = {
     "profile": (cmd_profile, lambda cfg, args: _solve(cfg)),
-    "verify": (cmd_verify, lambda cfg, args: _solve(cfg)),
-    "simulate": (cmd_simulate, lambda cfg, args: _solve(cfg)),
+    "verify": (cmd_verify, lambda cfg, args: _table(cfg)),
+    "simulate": (cmd_simulate, lambda cfg, args: _table(cfg)),
     "sweep": (cmd_sweep, lambda cfg, args: args.values),
     "phase-portrait": (cmd_phase_portrait,
                        lambda cfg, args: ProfileParams(r=cfg.r)),

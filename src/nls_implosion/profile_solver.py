@@ -252,9 +252,13 @@ class ProfileTable:
 
     @classmethod
     def from_json(cls, text: str) -> "ProfileTable":
-        """Table from its state columns; every derived column in the file
-        must equal the one the state gives, bit for bit."""
-        payload = json.loads(text)
+        return cls.from_payload(json.loads(text))
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "ProfileTable":
+        """Table from the state columns of a `payload` snapshot; every
+        derived column in it must equal the one the state gives, bit for
+        bit."""
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise DomainError(f"unsupported schema version {payload.get('schema_version')}")
         raw = payload["columns"]

@@ -5,16 +5,19 @@ grid so the whole file stays fast.  Byte-stability assertions read the
 artifact files twice, they do not compare against frozen blobs.
 """
 
+import argparse
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import nls_implosion.cli as cli
-from nls_implosion import dynamics_lab, repulsivity_verifier
+from nls_implosion import dynamics_lab, profile_solver, repulsivity_verifier
 from nls_implosion.cli import (
     EXIT_ABORT,
     EXIT_CHECK_FAILED,
@@ -297,11 +300,138 @@ class TestSimulateCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+def _written(out, prefix):
+    """The bytes of every file in `out` whose name starts with `prefix`."""
+    return {n: read(out / n) for n in sorted(os.listdir(out))
+            if n.startswith(prefix)}
+
+
+def _nudge_U_nls(text):
+    """The stamped profile artifact `text` with one U_nls value moved by
+    one ulp, so the column disagrees with the (W, Z) state."""
+    wrapped = json.loads(text)
+    column = wrapped["artifact"]["columns"]["U_nls"]
+    column[100] = math.nextafter(column[100], math.inf)
+    return json.dumps(wrapped, indent=2, sort_keys=True) + "\n"
+
+
+class TestProfileReuse:
+    """`verify` and `simulate` read the profile_<tag>.json that `profile`
+    stamped with their own configuration instead of solving again."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        solve = profile_solver.solve_profile
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(profile_solver, "solve_profile", counting)
+        return calls
+
+    @pytest.mark.parametrize("command", ["verify", "simulate"])
+    def test_reads_the_profile_of_its_configuration(self, command, tmp_path,
+                                                    monkeypatch, solves):
+        # simulate's settings sit in a config file that profile reads too,
+        # so both commands run under one configuration; the out-dir is the
+        # same relative path in both working directories, so the stamps
+        # agree and the artifacts can be compared byte for byte
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"n_points": 1024, "n": 256,
+                                      "s_span": 0.1, "n_samples": 3}))
+        argv = ["--r", "2.01", "--config", str(config), "--out-dir", "out"]
+        for where in ("after", "fresh"):
+            (tmp_path / where).mkdir()
+        monkeypatch.chdir(tmp_path / "after")
+        assert main(["profile", *argv]) == EXIT_OK
+        assert len(solves) == 1
+        assert main([command, *argv]) == EXIT_OK
+        assert len(solves) == 1
+        monkeypatch.chdir(tmp_path / "fresh")
+        assert main([command, *argv]) == EXIT_OK
+        assert len(solves) == 2
+        reused = _written(tmp_path / "after" / "out", command)
+        assert reused and reused == _written(tmp_path / "fresh" / "out",
+                                             command)
+
+    @pytest.mark.parametrize("profile_flags, verify_flags", [
+        ([], ["--verify-samples", "128"]),       # another configuration
+        (["--emit", "csv"], ["--emit", "csv"]),  # same one, no JSON written
+    ])
+    def test_other_stamp_or_no_json_solves_again(self, profile_flags,
+                                                 verify_flags, tmp_path,
+                                                 solves):
+        argv = ["--r", "2.01", *FAST, "--out-dir", str(tmp_path)]
+        assert main(["profile", *argv, *profile_flags]) == EXIT_OK
+        assert main(["verify", *argv, *verify_flags]) == EXIT_OK
+        assert len(solves) == 2
+
+    @pytest.mark.parametrize("tamper, message", [
+        pytest.param(_nudge_U_nls,
+                     "column U_nls disagrees with the (W, Z) state",
+                     id="derived-column-moved"),
+        pytest.param(lambda text: text[:1000], "JSONDecodeError",
+                     id="truncated"),
+    ])
+    def test_refused_artifact_exits_2_and_profile_rewrites_it(
+            self, tamper, message, tmp_path, capsys, solves):
+        argv = ["--r", "2.01", *FAST, "--out-dir", str(tmp_path)]
+        assert main(["profile", *argv]) == EXIT_OK
+        path = tmp_path / "profile_r2.01.json"
+        pristine = read(path)
+        path.write_text(tamper(pristine.decode()))
+        capsys.readouterr()
+        # a bad file is reported, not solved over
+        assert main(["verify", *argv]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert f"cannot use {path}" in err and message in err
+        assert not list(tmp_path.glob("verify_*"))
+        assert len(solves) == 1
+        # profile never reads its own output, so it restores the file
+        assert main(["profile", *argv]) == EXIT_OK
+        assert read(path) == pristine
+
+    def test_two_processes(self, tmp_path):
+        # the workflow as run from a shell: profile, then verify in a new
+        # process, against verify alone in an empty directory
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def run(where, command):
+            (tmp_path / where).mkdir(exist_ok=True)
+            done = subprocess.run(
+                [sys.executable, "-m", "nls_implosion.cli", command,
+                 "--r", "2.01", *FAST, "--out-dir", "out"],
+                cwd=tmp_path / where, env=env, capture_output=True,
+                text=True, timeout=300)
+            assert done.returncode == EXIT_OK, done.stderr
+            return done.stdout
+
+        run("after", "profile")
+        reused, fresh = run("after", "verify"), run("fresh", "verify")
+        assert reused == fresh
+        written = _written(tmp_path / "after" / "out", "verify_")
+        assert written and written == _written(tmp_path / "fresh" / "out",
+                                               "verify_")
+
+
 class TestSweepCommand:
-    def test_values_parsing(self):
+    def test_values_parsing(self, tmp_path):
         assert cli._parse_values("2.01,2.03") == [2.01, 2.03]
         lin = cli._parse_values("2.0:2.1:3")
         assert lin == pytest.approx([2.0, 2.05, 2.1])
+        assert cli._parse_values("2.0:2.05:1") == [2.0]
+        for count in ("0", "-1"):
+            with pytest.raises(argparse.ArgumentTypeError, match="count"):
+                cli._parse_values(f"2.0:2.05:{count}")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--values", "2.0:2.05:0",
+                  "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
     def test_sweep_summary(self, tmp_path):
         # 128 samples leave r = 2.03's vertical-segment margin unconverged
@@ -336,6 +466,25 @@ class TestSweepCommand:
             c["margin"] for c in verify["artifact"]["checks"])
         assert not failed["ok"] and not failed["all_passed"]
         assert failed["error"] == f"ConsistencyError: {moves}"
+
+    def test_sweep_honours_require_window(self, tmp_path, capsys):
+        # below the near-r* window the outgoing-side checks are skipped, so
+        # with require_window the row fails as verify does, with the reason
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"require_window": True}))
+        settings = ["--config", str(config), *FAST]
+        assert main(["verify", "--r", "1.89", *settings,
+                     "--out-dir", str(tmp_path / "v")]) == EXIT_CHECK_FAILED
+        assert cli.WINDOW_SKIPPED in capsys.readouterr().err
+        code = main(["sweep", "--values", "1.89,2.01", *settings,
+                     "--out-dir", str(tmp_path / "s")])
+        assert code == EXIT_CHECK_FAILED
+        assert "1 passed, 1 failed" in capsys.readouterr().out
+        below, above = json.loads(
+            read(tmp_path / "s" / "sweep.json"))["artifact"]
+        assert below["ok"] and not below["all_passed"]
+        assert below["reason"] == cli.WINDOW_SKIPPED
+        assert above["all_passed"] and "reason" not in above
 
     def test_out_of_range_value(self, tmp_path, capsys):
         code = main(["sweep", "--values", "2.01,2.5",
