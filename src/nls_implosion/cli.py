@@ -7,16 +7,18 @@ atomically, so a fixed configuration reproduces its artifacts byte for
 byte.
 
 `verify` and `simulate` take their table from the profile_<tag>.json in
-the output directory when its stamp carries this build's format version
-and the hash of their own configuration; otherwise (no such file, or
-another stamp) they solve again.  A file with a matching stamp is trusted
-as is, whichever build wrote it: delete it, or change a setting, to force
-a solve.  `profile` never reads it.
+the output directory when its table key matches theirs, and solve again
+otherwise (no such file, or another key).  The key hashes the settings
+the solve reads (r, the xi range, n_points, tol) and this build: the
+source of the package and the versions of Python, numpy, scipy and
+mpmath.  So `verify --sample-r 5` after `profile` reads the table, while
+a file written by another build, or under another n_points, is solved
+over.  `profile` never reads it.
 
 Exit codes: 0 success, 1 verification checks failed, 2 configuration,
 solver or other workbench failure (a ConsistencyError from the solve
 included, and a profile_<tag>.json that cannot be read as JSON or whose
-matching stamp sits on a table ProfileTable.from_payload refuses), 3 a
+matching key sits on a table ProfileTable.from_payload refuses), 3 a
 ConsistencyError while checking a solved table (the special points, the
 refinement gate or the sign lemmas of `certify`), 4 CFL/positivity abort
 (with the last good snapshot dumped).
@@ -25,6 +27,7 @@ refinement gate or the sign lemmas of `certify`), 4 CFL/positivity abort
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -32,6 +35,10 @@ import os
 import sys
 import tempfile
 from dataclasses import asdict, dataclass, field, fields
+
+import mpmath
+import numpy
+import scipy
 
 from . import dynamics_lab, phase_portrait, profile_solver
 from .dynamics_lab import EnergyConfig
@@ -198,10 +205,10 @@ def _stamp_csv(body: str, cfg: RunConfig) -> str:
     return head + body
 
 
-def _stamp_json(payload, cfg: RunConfig) -> str:
+def _stamp_json(payload, cfg: RunConfig, **stamps) -> str:
     wrapped = {"format_version": FORMAT_VERSION,
                "config_hash": cfg.config_hash,
-               "artifact": payload}
+               "artifact": payload, **stamps}
     return json.dumps(wrapped, indent=2, sort_keys=True) + "\n"
 
 
@@ -209,23 +216,54 @@ def _out(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
+def _table_settings(cfg: RunConfig) -> dict:
+    """The settings a profile table depends on; _solve passes the solver
+    these and no others."""
+    return {"r": cfg.r, "xi_min": cfg.xi_min, "xi_max": cfg.xi_max,
+            "n_points": cfg.n_points, "tol": cfg.tol}
+
+
 def _solve(cfg: RunConfig) -> ProfileTable:
+    settings = _table_settings(cfg)
     table = profile_solver.solve_profile(
-        ProfileParams(r=cfg.r), xi_min=cfg.xi_min, xi_max=cfg.xi_max,
-        tol=cfg.tol, n_points=cfg.n_points)
+        ProfileParams(r=settings.pop("r")), **settings)
     return profile_solver.to_physical(table)
 
 
-def _table(cfg: RunConfig) -> ProfileTable:
-    """The table `profile` wrote for this configuration, else a fresh solve.
+@functools.lru_cache(maxsize=None)
+def _build_id() -> str:
+    """Hash of this build: the source of every module of the package, and
+    the versions of the interpreter and the libraries the solve calls."""
+    h = hashlib.sha256()
+    package = os.path.dirname(os.path.abspath(__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                h.update(f"{name}\0".encode() + fh.read() + b"\0")
+    for version in (sys.version, numpy.__version__, scipy.__version__,
+                    mpmath.__version__):
+        h.update(f"{version}\0".encode())
+    return h.hexdigest()
 
-    A fixed configuration reproduces its artifacts byte for byte, so a
-    profile_<tag>.json in out_dir stamped with this build's format version
-    and cfg's hash holds the table _solve(cfg) returns, and is read back
-    instead.  A missing file or another stamp solves again.  A file that
-    cannot be read or is not JSON, or a matching stamp on a table that
-    from_payload refuses, is a DomainError naming the file: a bad file is
-    never solved over.
+
+def _table_key(cfg: RunConfig) -> str:
+    """Stamp of the table _solve(cfg) returns in this build: two configs
+    with one key get the same table, bit for bit."""
+    text = json.dumps({"build": _build_id(), **_table_settings(cfg)},
+                      sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _table(cfg: RunConfig) -> ProfileTable:
+    """The table `profile` wrote with this table key, else a fresh solve.
+
+    A profile_<tag>.json in out_dir whose table_key is _table_key(cfg)
+    holds the table _solve(cfg) returns, and is read back instead; the
+    verify-only and simulate-only settings do not enter the key.  A
+    missing file or another key solves again.  A file that cannot be read
+    or is not JSON, or a matching key on a table that from_payload
+    refuses, is a DomainError naming the file: a bad file is never solved
+    over.
     """
     path = _out(cfg, f"profile_r{cfg.r:g}.json")
     try:
@@ -236,9 +274,8 @@ def _table(cfg: RunConfig) -> ProfileTable:
     except (OSError, ValueError) as exc:   # unreadable, or not JSON
         raise DomainError(f"cannot use {path}: {type(exc).__name__}: {exc}; "
                           "delete it to solve again") from None
-    stamp = ((wrapped.get("format_version"), wrapped.get("config_hash"))
-             if isinstance(wrapped, dict) else None)
-    if stamp != (FORMAT_VERSION, cfg.config_hash):
+    if not (isinstance(wrapped, dict)
+            and wrapped.get("table_key") == _table_key(cfg)):
         return _solve(cfg)
     try:
         table = ProfileTable.from_payload(wrapped["artifact"])
@@ -260,7 +297,8 @@ def cmd_profile(cfg: RunConfig, table: ProfileTable) -> int:
                       _stamp_csv(table.to_csv(), cfg))
     if "json" in cfg.emit:
         _write_atomic(_out(cfg, f"profile_{tag}.json"),
-                      _stamp_json(table.payload(), cfg))
+                      _stamp_json(table.payload(), cfg,
+                                  table_key=_table_key(cfg)))
     log = {"r": cfg.r, "w0": table.w0,
            "residual_sup_phase": res.phase,
            "residual_sup_sound": res.sound,

@@ -251,10 +251,6 @@ class ProfileTable:
         return json.dumps(self.payload(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "ProfileTable":
-        return cls.from_payload(json.loads(text))
-
-    @classmethod
     def from_payload(cls, payload: dict) -> "ProfileTable":
         """Table from the state columns of a `payload` snapshot; every
         derived column in it must equal the one the state gives, bit for

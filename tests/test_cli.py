@@ -316,8 +316,9 @@ def _nudge_U_nls(text):
 
 
 class TestProfileReuse:
-    """`verify` and `simulate` read the profile_<tag>.json that `profile`
-    stamped with their own configuration instead of solving again."""
+    """`verify` and `simulate` read the profile_<tag>.json whose table key
+    (the solve's settings and the build) is theirs instead of solving
+    again."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -331,11 +332,17 @@ class TestProfileReuse:
         monkeypatch.setattr(profile_solver, "solve_profile", counting)
         return calls
 
-    @pytest.mark.parametrize("command", ["verify", "simulate"])
-    def test_reads_the_profile_of_its_configuration(self, command, tmp_path,
-                                                    monkeypatch, solves):
-        # simulate's settings sit in a config file that profile reads too,
-        # so both commands run under one configuration; the out-dir is the
+    @pytest.mark.parametrize("command, flags", [
+        ("verify", []),
+        ("verify", ["--verify-samples", "128", "--sample-r", "2"]),
+        ("simulate", []),
+        ("simulate", ["--n-samples", "2"]),
+    ])
+    def test_reads_the_profile_of_its_table_key(self, command, flags,
+                                                tmp_path, monkeypatch,
+                                                solves):
+        # simulate's settings sit in a config file that profile reads too;
+        # the flags are settings profile does not see.  The out-dir is the
         # same relative path in both working directories, so the stamps
         # agree and the artifacts can be compared byte for byte
         config = tmp_path / "run.json"
@@ -347,25 +354,49 @@ class TestProfileReuse:
         monkeypatch.chdir(tmp_path / "after")
         assert main(["profile", *argv]) == EXIT_OK
         assert len(solves) == 1
-        assert main([command, *argv]) == EXIT_OK
+        assert main([command, *argv, *flags]) == EXIT_OK
         assert len(solves) == 1
         monkeypatch.chdir(tmp_path / "fresh")
-        assert main([command, *argv]) == EXIT_OK
+        assert main([command, *argv, *flags]) == EXIT_OK
         assert len(solves) == 2
         reused = _written(tmp_path / "after" / "out", command)
         assert reused and reused == _written(tmp_path / "fresh" / "out",
                                              command)
 
+    def test_table_key_covers_exactly_the_solve_settings(self):
+        base = RunConfig(n_points=1024)
+        others = RunConfig(n_points=1024, out_dir="elsewhere",
+                           emit=["json"], s_span=0.5, n=256, n_samples=3,
+                           quantum_pressure=False, ds=0.01,
+                           energy={"delta_low": 0.002}, sample_r=3,
+                           window=[1.95, 2.0], require_window=True,
+                           verify_samples=128, curve_samples=8)
+        assert cli._table_key(others) == cli._table_key(base)
+        for change in ({"r": 2.02}, {"xi_min": -5.0}, {"xi_max": 6.0},
+                       {"n_points": 2048}, {"tol": 1e-11}):
+            assert cli._table_key(base.override(change)) \
+                != cli._table_key(base), change
+
     @pytest.mark.parametrize("profile_flags, verify_flags", [
-        ([], ["--verify-samples", "128"]),       # another configuration
+        ([], ["--n-points", "2048"]),            # another table
         (["--emit", "csv"], ["--emit", "csv"]),  # same one, no JSON written
     ])
-    def test_other_stamp_or_no_json_solves_again(self, profile_flags,
-                                                 verify_flags, tmp_path,
-                                                 solves):
+    def test_other_key_or_no_json_solves_again(self, profile_flags,
+                                               verify_flags, tmp_path,
+                                               solves):
         argv = ["--r", "2.01", *FAST, "--out-dir", str(tmp_path)]
         assert main(["profile", *argv, *profile_flags]) == EXIT_OK
         assert main(["verify", *argv, *verify_flags]) == EXIT_OK
+        assert len(solves) == 2
+
+    def test_file_of_another_build_solves_again(self, tmp_path, monkeypatch,
+                                                solves):
+        # a profile written by another build (other source, or other
+        # library versions) may hold another table under the same settings
+        argv = ["--r", "2.01", *FAST, "--out-dir", str(tmp_path)]
+        assert main(["profile", *argv]) == EXIT_OK
+        monkeypatch.setattr(cli, "_build_id", lambda: "another build")
+        assert main(["verify", *argv]) == EXIT_OK
         assert len(solves) == 2
 
     @pytest.mark.parametrize("tamper, message", [

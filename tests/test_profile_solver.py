@@ -429,7 +429,8 @@ class TestInvariants:
 
 class TestSerialization:
     def test_json_roundtrip_exact(self, profile_r201):
-        restored = ProfileTable.from_json(profile_r201.to_json())
+        restored = ProfileTable.from_payload(
+            json.loads(profile_r201.to_json()))
         for name in ("xi_grid", "W", "Z", "R", "Ubar_R", "Sbar",
                      "U_nls", "S_nls", "Psi_nls", "dR_Ubar", "dR_Sbar"):
             np.testing.assert_array_equal(getattr(restored, name),
@@ -445,17 +446,17 @@ class TestSerialization:
         payload = json.loads(profile_r201.to_json())
         payload["columns"][name][100] *= 1.0 + 1e-15
         with pytest.raises(DomainError, match=name):
-            ProfileTable.from_json(json.dumps(payload))
+            ProfileTable.from_payload(payload)
         payload["columns"][name] = None
         with pytest.raises(DomainError, match=name):
-            ProfileTable.from_json(json.dumps(payload))
+            ProfileTable.from_payload(payload)
 
     @pytest.mark.parametrize("name", ["xi", "W", "Z", "dR_Ubar", "dR_Sbar"])
     def test_json_missing_state_column_refused(self, profile_r201, name):
         payload = json.loads(profile_r201.to_json())
         del payload["columns"][name]
         with pytest.raises(DomainError, match=f"state column {name} "):
-            ProfileTable.from_json(json.dumps(payload))
+            ProfileTable.from_payload(payload)
 
     @pytest.mark.parametrize("name", ["xi", "W", "Z", "dR_Ubar", "dR_Sbar"])
     def test_json_malformed_state_column_refused(self, profile_r201, name):
@@ -469,18 +470,18 @@ class TestSerialization:
         with pytest.raises(DomainError,
                            match=f"state column {culprit} is malformed: "
                                  r"shape \("):
-            ProfileTable.from_json(json.dumps(payload))
+            ProfileTable.from_payload(payload)
         payload["columns"][name] = None
         with pytest.raises(DomainError,
                            match=f"state column {name} is malformed: "
                                  r"shape \(\)"):
-            ProfileTable.from_json(json.dumps(payload))
+            ProfileTable.from_payload(payload)
 
     def test_schema_version_enforced(self, profile_r201):
         payload = json.loads(profile_r201.to_json())
         payload["schema_version"] = 99
         with pytest.raises(DomainError):
-            ProfileTable.from_json(json.dumps(payload))
+            ProfileTable.from_payload(payload)
 
     def test_csv_header_and_shape(self, profile_r201):
         lines = profile_r201.to_csv().splitlines()
