@@ -12,8 +12,8 @@ otherwise (no such file, or another key).  The key hashes the settings
 the solve reads (r, the xi range, n_points, tol) and this build: the
 source of the package and the versions of Python, numpy, scipy and
 mpmath.  So `verify --sample-r 5` after `profile` reads the table, while
-a file written by another build, or under another n_points, is solved
-over.  `profile` never reads it.
+a file written by another build, or under another n_points, is not read.
+`profile` never reads it.
 
 Exit codes: 0 success, 1 verification checks failed, 2 configuration,
 solver or other workbench failure (a ConsistencyError from the solve
