@@ -4,7 +4,9 @@ Artifact plumbing only; the numerics live in the other modules.  Every
 output file embeds the hash of the effective run configuration and the
 format version, outputs carry no timestamps, and files are written
 atomically, so a fixed configuration reproduces its artifacts byte for
-byte.
+byte.  A JSON artifact is exactly json.dumps(..., indent=2,
+sort_keys=True) plus a newline; its float lists are encoded by json's C
+encoder and spliced into that layout, one item a line.
 
 `verify` and `simulate` take their table from the profile_<tag>.json in
 the output directory when its table key matches theirs, and solve again
@@ -205,11 +207,70 @@ def _stamp_csv(body: str, cfg: RunConfig) -> str:
     return head + body
 
 
+class _Column:
+    """A non-empty list of floats held out of the indented dump."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, values):
+        self.values = values
+
+
+def _hold_columns(obj, longest: list[int]):
+    """obj with every non-empty list of floats (np.float64 included) in a
+    _Column; longest[0] grows to the length of the longest string in it."""
+    if isinstance(obj, str):
+        longest[0] = max(longest[0], len(obj))
+        return obj
+    if isinstance(obj, dict):
+        for key in obj:
+            if isinstance(key, str):
+                longest[0] = max(longest[0], len(key))
+        return {key: _hold_columns(value, longest)
+                for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        if obj and all(issubclass(t, float) for t in set(map(type, obj))):
+            return _Column(obj)
+        return [_hold_columns(value, longest) for value in obj]
+    return obj
+
+
 def _stamp_json(payload, cfg: RunConfig, **stamps) -> str:
+    """json.dumps(wrapped, indent=2, sort_keys=True) + "\\n", byte for byte.
+
+    Only the pure-Python encoder indents, and it spends most of a profile
+    table's time on the floats.  So each float list is dumped by the C
+    encoder and spliced back one item a line at its depth: a float's JSON
+    text holds no ", ", and both encoders spell it with float.__repr__
+    (NaN and Infinity included).  The rest is dumped with the list's place
+    held by a string of NULs longer than any string in the payload, so its
+    quoted form occurs nowhere else.
+    """
     wrapped = {"format_version": FORMAT_VERSION,
                "config_hash": cfg.config_hash,
                "artifact": payload, **stamps}
-    return json.dumps(wrapped, indent=2, sort_keys=True) + "\n"
+    longest = [0]
+    held = _hold_columns(wrapped, longest)
+    placeholder = "\0" * (longest[0] + 1)
+    columns = []                      # in the order the dump writes them
+
+    def hold(obj):
+        if not isinstance(obj, _Column):
+            raise TypeError(f"Object of type {type(obj).__name__} "
+                            "is not JSON serializable")
+        columns.append(obj.values)
+        return placeholder
+
+    pieces = json.dumps(held, indent=2, sort_keys=True,
+                        default=hold).split(json.dumps(placeholder))
+    out = [pieces[0]]
+    for values, before, after in zip(columns, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1:]    # up to the placeholder
+        indent = line[:len(line) - len(line.lstrip(" "))]
+        pad = indent + "  "
+        body = json.dumps(values)[1:-1].replace(", ", ",\n" + pad)
+        out += ["[\n", pad, body, "\n", indent, "]", after]
+    return "".join(out) + "\n"
 
 
 def _out(cfg: RunConfig, name: str) -> str:
@@ -506,7 +567,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--emit", help="comma list of formats (csv,json)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="nls-implosion",
         description="Workbench for smooth self-similar imploding profiles: "

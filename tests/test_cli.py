@@ -15,6 +15,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import nls_implosion.cli as cli
 from nls_implosion import dynamics_lab, profile_solver, repulsivity_verifier
@@ -661,3 +663,93 @@ class TestMainPlumbing:
         assert code == EXIT_OK
         assert not (tmp_path / "profile_r2.01.csv").exists()
         assert (tmp_path / "profile_r2.01.json").exists()
+
+
+def _stamped(payload, cfg, **stamps):
+    """What cli._stamp_json must return: the indented, key-sorted dump of
+    the wrapped payload, by json's own encoder."""
+    wrapped = {"format_version": cli.FORMAT_VERSION,
+               "config_hash": cfg.config_hash, "artifact": payload,
+               **stamps}
+    return json.dumps(wrapped, indent=2, sort_keys=True) + "\n"
+
+
+def _same_text(got, want):
+    """True, else the first line where `got` and `want` differ: pytest's
+    own diff of two profile artifacts would take minutes."""
+    if got == want:
+        return True
+    a, b = got.splitlines(), want.splitlines()
+    i = next((i for i, pair in enumerate(zip(a, b)) if pair[0] != pair[1]),
+             min(len(a), len(b)))
+    return f"line {i}: {a[i:i + 1]} != {b[i:i + 1]}"
+
+
+_FLOATS = st.one_of(
+    st.floats(),                                  # NaN and +-inf included
+    st.sampled_from([-0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                     1e16, 1e-5, 0.1]),           # subnormals, repr edges
+    st.floats().map(np.float64))
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS,
+                     st.text())
+_PAYLOADS = st.recursive(
+    st.one_of(_SCALARS, st.lists(_FLOATS, max_size=6),
+              st.lists(st.one_of(st.integers(), _FLOATS), max_size=6)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestJsonArtifacts:
+    """Every JSON artifact is json.dumps(..., indent=2, sort_keys=True) and
+    a newline, although _stamp_json writes float lists by the C encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=_PAYLOADS,
+           stamps=st.dictionaries(
+               st.text().filter(lambda k: k not in ("payload", "cfg")),
+               _PAYLOADS, max_size=2))
+    @example(payload={"\0\0": [1.0, -0.0], "x": ["\0", [float("nan")]]},
+             stamps={"table_key": "\0" * 3})
+    @example(payload=[[float("inf"), -float("inf")], [], [1, 2.5], (0.5,),
+                      [np.float64(0.1), 3.0], [True, 1.0]], stamps={})
+    def test_stamp_json_is_the_indented_dump(self, payload, stamps):
+        cfg = RunConfig()
+        assert cli._stamp_json(payload, cfg, **stamps) \
+            == _stamped(payload, cfg, **stamps)
+
+    def test_stamp_json_of_the_profile_table(self, profile_r201):
+        cfg = RunConfig()
+        payload = profile_r201.payload()
+        key = cli._table_key(cfg)
+        assert _same_text(cli._stamp_json(payload, cfg, table_key=key),
+                          _stamped(payload, cfg, table_key=key)) is True
+
+    def test_stamp_json_refuses_what_json_refuses(self):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            cli._stamp_json({"a": [1.0], "b": object()}, RunConfig())
+
+    @pytest.mark.parametrize("argv, code", [
+        (["profile", "--r", "2.01", *FAST], EXIT_OK),
+        (["verify", "--r", "2.01", *FAST, "--verify-samples", "128"],
+         EXIT_OK),
+        (["simulate", "--r", "2.01", *SIM_FAST], EXIT_OK),
+        (["simulate", "--r", "2.01", *SIM_FAST, "--ds", "0.05"],
+         EXIT_ABORT),                             # the lastgood snapshot
+        # a row whose solve fails carries a NaN margin
+        (["sweep", "--values", "1.821837,2.01", *FAST,
+          "--verify-samples", "128"], EXIT_CHECK_FAILED),
+        (["phase-portrait", "--r", "2.01", "--curve-samples", "64"],
+         EXIT_OK),
+    ], ids=["profile", "verify", "simulate", "simulate-abort", "sweep",
+            "phase-portrait"])
+    def test_artifacts_are_the_indented_dump(self, argv, code, tmp_path):
+        assert main([*argv, "--out-dir", str(tmp_path)]) == code
+        names = sorted(n for n in os.listdir(tmp_path)
+                       if n.endswith(".json"))
+        assert names
+        for name in names:
+            text = read(tmp_path / name).decode()
+            assert _same_text(text, json.dumps(json.loads(text), indent=2,
+                                               sort_keys=True) + "\n") \
+                is True, name
