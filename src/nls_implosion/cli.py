@@ -5,8 +5,8 @@ output file embeds the hash of the effective run configuration and the
 format version, outputs carry no timestamps, and files are written
 atomically, so a fixed configuration reproduces its artifacts byte for
 byte.  A JSON artifact is exactly json.dumps(..., indent=2,
-sort_keys=True) plus a newline; its float lists are encoded by json's C
-encoder and spliced into that layout, one item a line.
+sort_keys=True) plus a newline.  The profile_<tag>.json table holds the
+state columns only (xi, W, Z, dR_Ubar, dR_Sbar); the CSV holds them all.
 
 `verify` and `simulate` take their table from the profile_<tag>.json in
 the output directory when its table key matches theirs, and solve again
@@ -66,11 +66,15 @@ class ConfigError(WorkbenchError, ValueError):
     pass
 
 
-#: the values each numeric field annotation of RunConfig admits, and the
-#: need a refusal names
-_NUMERIC = {"float": ((int, float), "a number"),
-            "float | None": ((int, float, type(None)), "a number or null"),
-            "int": ((int,), "an integer")}
+#: the values each field annotation of RunConfig admits, and the need a
+#: refusal names; window has a check of its own
+_TYPES = {"float": ((int, float), "a number"),
+          "float | None": ((int, float, type(None)), "a number or null"),
+          "int": ((int,), "an integer"),
+          "bool": ((bool,), "true or false"),
+          "str": ((str,), "a string"),
+          "list": ((list,), "a list"),
+          "dict": ((dict,), "an object")}
 
 
 @dataclass
@@ -107,15 +111,15 @@ class RunConfig:
     format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
-        # a config file can hold any JSON value; the numeric fields are
-        # compared below, so their types are checked first (bool is an
-        # int to Python, but not a number a config means)
+        # a config file can hold any JSON value, so the types are checked
+        # first (bool is an int to Python, but not a number a config means)
         for f in fields(self):
-            if f.type not in _NUMERIC:
+            if f.type not in _TYPES:
                 continue
-            allowed, need = _NUMERIC[f.type]
+            allowed, need = _TYPES[f.type]
             value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, allowed):
+            if not isinstance(value, allowed) or (
+                    isinstance(value, bool) and bool not in allowed):
                 raise ConfigError(f"{f.name} = {value!r}; need {need}")
         if self.format_version != FORMAT_VERSION:
             raise ConfigError(
@@ -207,70 +211,11 @@ def _stamp_csv(body: str, cfg: RunConfig) -> str:
     return head + body
 
 
-class _Column:
-    """A non-empty list of floats held out of the indented dump."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = values
-
-
-def _hold_columns(obj, longest: list[int]):
-    """obj with every non-empty list of floats (np.float64 included) in a
-    _Column; longest[0] grows to the length of the longest string in it."""
-    if isinstance(obj, str):
-        longest[0] = max(longest[0], len(obj))
-        return obj
-    if isinstance(obj, dict):
-        for key in obj:
-            if isinstance(key, str):
-                longest[0] = max(longest[0], len(key))
-        return {key: _hold_columns(value, longest)
-                for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        if obj and all(issubclass(t, float) for t in set(map(type, obj))):
-            return _Column(obj)
-        return [_hold_columns(value, longest) for value in obj]
-    return obj
-
-
 def _stamp_json(payload, cfg: RunConfig, **stamps) -> str:
-    """json.dumps(wrapped, indent=2, sort_keys=True) + "\\n", byte for byte.
-
-    Only the pure-Python encoder indents, and it spends most of a profile
-    table's time on the floats.  So each float list is dumped by the C
-    encoder and spliced back one item a line at its depth: a float's JSON
-    text holds no ", ", and both encoders spell it with float.__repr__
-    (NaN and Infinity included).  The rest is dumped with the list's place
-    held by a string of NULs longer than any string in the payload, so its
-    quoted form occurs nowhere else.
-    """
     wrapped = {"format_version": FORMAT_VERSION,
                "config_hash": cfg.config_hash,
                "artifact": payload, **stamps}
-    longest = [0]
-    held = _hold_columns(wrapped, longest)
-    placeholder = "\0" * (longest[0] + 1)
-    columns = []                      # in the order the dump writes them
-
-    def hold(obj):
-        if not isinstance(obj, _Column):
-            raise TypeError(f"Object of type {type(obj).__name__} "
-                            "is not JSON serializable")
-        columns.append(obj.values)
-        return placeholder
-
-    pieces = json.dumps(held, indent=2, sort_keys=True,
-                        default=hold).split(json.dumps(placeholder))
-    out = [pieces[0]]
-    for values, before, after in zip(columns, pieces, pieces[1:]):
-        line = before[before.rfind("\n") + 1:]    # up to the placeholder
-        indent = line[:len(line) - len(line.lstrip(" "))]
-        pad = indent + "  "
-        body = json.dumps(values)[1:-1].replace(", ", ",\n" + pad)
-        out += ["[\n", pad, body, "\n", indent, "]", after]
-    return "".join(out) + "\n"
+    return json.dumps(wrapped, indent=2, sort_keys=True) + "\n"
 
 
 def _out(cfg: RunConfig, name: str) -> str:

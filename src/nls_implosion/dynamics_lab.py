@@ -657,7 +657,7 @@ class EnergyReport:
         return buf.getvalue()
 
     def payload(self) -> dict:
-        """The JSON-ready run summary that manifest serializes."""
+        """The JSON-ready run summary."""
         return {"config": asdict(self.config),
                 "orders": {"m_prime": self.config.m_prime,
                            "k": self.config.k, "l": self.config.l},
@@ -667,9 +667,6 @@ class EnergyReport:
                 "wall_time": self.wall_time,
                 "n_steps": self.n_steps, "ds": self.ds,
                 "cfl_headroom": self.cfl_headroom, "grid": self.grid}
-
-    def manifest(self) -> str:
-        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
 
 def _hash_inputs(table: ProfileTable, cfg: EnergyConfig, extra: dict) -> str:

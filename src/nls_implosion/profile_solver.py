@@ -101,12 +101,15 @@ __all__ = [
     "sonic_series",
     "outgoing_anchor",
     "CSV_HEADER",
+    "STATE_COLUMNS",
     "SCHEMA_VERSION",
 ]
 
 CSV_HEADER = ["xi", "R", "W", "Z", "Ubar_R", "Sbar", "U_nls", "S_nls",
               "Psi_nls", "dR_Ubar", "dR_Sbar"]
-SCHEMA_VERSION = 1
+#: the columns of a JSON table: the state, from which the others follow
+STATE_COLUMNS = ("xi", "W", "Z", "dR_Ubar", "dR_Sbar")
+SCHEMA_VERSION = 2
 
 #: number of edge grid points excluded from finite-difference residual sups
 #: (one-sided stencils there have a larger error constant)
@@ -233,7 +236,8 @@ class ProfileTable:
             row % values for values in zip(*columns))
 
     def payload(self) -> dict:
-        """The JSON-ready snapshot that to_json serializes."""
+        """The JSON-ready snapshot that to_json serializes: the scalars and
+        the STATE_COLUMNS, from which from_payload rebuilds the rest."""
         return {
             "schema_version": SCHEMA_VERSION,
             "params": {"r": self.params.r, "d": self.params.d, "p": self.params.p},
@@ -244,7 +248,7 @@ class ProfileTable:
                        {"W": self.anchor.W, "Z": self.anchor.Z,
                         "xi": self.anchor.xi}),
             "columns": {name: self._column(name).tolist()
-                        for name in CSV_HEADER},
+                        for name in STATE_COLUMNS},
         }
 
     def to_json(self) -> str:
@@ -252,27 +256,23 @@ class ProfileTable:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ProfileTable":
-        """Table from the state columns of a `payload` snapshot; every
-        derived column in it must equal the one the state gives, bit for
-        bit."""
+        """Table from a `payload` snapshot; its columns must be exactly the
+        STATE_COLUMNS, so that no derived copy can disagree with them."""
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise DomainError(f"unsupported schema version {payload.get('schema_version')}")
         raw = payload["columns"]
+        extra = sorted(set(raw) - set(STATE_COLUMNS))
+        if extra:
+            raise DomainError(f"columns {extra} are not state columns")
         n = len(_state_column(raw, "xi"))
-        cols = {name: _state_column(raw, name, n)
-                for name in ("xi", "W", "Z", "dR_Ubar", "dR_Sbar")}
+        cols = {name: _state_column(raw, name, n) for name in STATE_COLUMNS}
         anchor = payload.get("anchor")
-        table = cls(params=ProfileParams(**payload["params"]),
-                    xi_grid=cols["xi"], W=cols["W"], Z=cols["Z"],
-                    dR_Ubar=cols["dR_Ubar"], dR_Sbar=cols["dR_Sbar"],
-                    w0=payload["w0"], w0_mismatch=payload["w0_mismatch"],
-                    tol=payload["tol"],
-                    anchor=None if anchor is None else PhasePoint(**anchor))
-        for name in CSV_HEADER:
-            if not np.array_equal(raw.get(name), table._column(name)):
-                raise DomainError(
-                    f"column {name} disagrees with the (W, Z) state")
-        return table
+        return cls(params=ProfileParams(**payload["params"]),
+                   xi_grid=cols["xi"], W=cols["W"], Z=cols["Z"],
+                   dR_Ubar=cols["dR_Ubar"], dR_Sbar=cols["dR_Sbar"],
+                   w0=payload["w0"], w0_mismatch=payload["w0_mismatch"],
+                   tol=payload["tol"],
+                   anchor=None if anchor is None else PhasePoint(**anchor))
 
 
 def _state_column(columns: dict, name: str, n: int | None = None

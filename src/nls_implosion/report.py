@@ -8,7 +8,6 @@ output.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, asdict
 
 
@@ -57,16 +56,13 @@ class VerificationReport:
         raise KeyError(name)
 
     def payload(self) -> dict:
-        """The JSON-ready report that to_json serializes."""
+        """The JSON-ready report."""
         return {
             "params": self.params,
             "tolerances": self.tolerances,
             "checks": [asdict(c) for c in self.checks],
             "all_passed": self.all_passed,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
     def to_text(self) -> str:
         lines = []

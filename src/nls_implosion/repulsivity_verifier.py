@@ -194,15 +194,14 @@ def check_partII(params: ProfileParams, table: ProfileTable,
     report.add("partII_xi2_trajectory", "Xi_2 > 0 on the outgoing trajectory",
                n_traj, margin, where)
 
-    # vertical barrier W = W_0: N_W < 0 for t in (0, W_0 - Z_0]
-    t = (np.arange(1, n_samples + 1) / n_samples) * (W0 - Z0)
+    # vertical barrier W = W_0: N_W < 0 for t in [0, W_0 - Z_0].  -N_W is
+    # concave in t, so its minimum is at an end, and both are samples
+    t = np.linspace(0.0, W0 - Z0, n_samples)
     values = -n_w(W0, Z0 + t, r)
     margin, where = _min_with_location(values, t, "t")
     report.add("partII_vertical_segment_nw",
-               "N_W < 0 on the segment W = W_0, Z in (Z_0, W_0]",
-               f"{n_samples} samples, endpoint included, t = 0 excluded "
-               "(N_W vanishes at P_s)",
-               margin, where)
+               "N_W < 0 on the segment W = W_0, Z in [Z_0, W_0]",
+               f"{n_samples} samples, endpoints included", margin, where)
 
     # Xi_3's affine parenthesis at the two endpoints used in the proof
     for t_val, tag in ((0.0, "t=0"), (0.5 * (Wb - Zb), "t=(Wbar0-Zbar0)/2")):

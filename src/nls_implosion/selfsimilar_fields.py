@@ -385,7 +385,7 @@ class FieldSet:
 
     def payload(self) -> dict:
         """JSON-ready snapshot with the frame metadata header (s, mode and
-        the grid's map); to_json serializes it."""
+        the grid's map); from_payload reads it back."""
         return {
             "schema_version": 1,
             "kind": "fieldset",
@@ -397,16 +397,10 @@ class FieldSet:
                         "S": self.S.tolist()},
         }
 
-    def to_json(self) -> str:
-        import json
-        return json.dumps(self.payload(), indent=2, sort_keys=True)
-
     @classmethod
-    def from_json(cls, text: str) -> "FieldSet":
+    def from_payload(cls, payload: dict) -> "FieldSet":
         """The snapshot of payload(); a header without a grid (written
         before grids had maps) reads as the uniform grid of its R."""
-        import json
-        payload = json.loads(text)
         if payload.get("kind") != "fieldset":
             raise DomainError("not a fieldset snapshot")
         params = ProfileParams(r=payload["params"]["r"])

@@ -7,7 +7,6 @@ stationarity residual of the interpolated profile, since at 4096-node
 desk resolution the corner region is only a few grid cells wide.
 """
 
-import json
 import math
 import warnings
 from dataclasses import replace
@@ -374,7 +373,7 @@ class TestSimulate:
         lines = rep.to_csv().strip().split("\n")
         assert lines[0].startswith("s,E_low,E_w")
         assert len(lines) == 1 + len(rep.s)
-        man = json.loads(rep.manifest())
+        man = rep.payload()
         assert man["input_hash"] == rep.input_hash
         assert man["orders"]["m_prime"] == rep.config.m_prime
 
@@ -386,7 +385,7 @@ class TestSimulate:
     def test_stepper_record(self, small_report):
         # the manifest carries the step count, ds, the smallest CFL
         # headroom of the steps taken and the grid
-        man = json.loads(small_report.manifest())
+        man = small_report.payload()
         assert {"n_steps", "ds", "cfl_headroom", "grid"} <= set(man)
         assert man["n_steps"] * man["ds"] == pytest.approx(0.5, rel=1e-12)
         assert man["cfl_headroom"] >= 1.0

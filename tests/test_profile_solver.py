@@ -42,6 +42,7 @@ from nls_implosion.profile_solver import (
     ANCHOR_LEVEL,
     CSV_HEADER,
     SERIES_DPS,
+    STATE_COLUMNS,
     ProfileTable,
     fit_decay,
     origin_slope,
@@ -429,8 +430,9 @@ class TestInvariants:
 
 class TestSerialization:
     def test_json_roundtrip_exact(self, profile_r201):
-        restored = ProfileTable.from_payload(
-            json.loads(profile_r201.to_json()))
+        payload = json.loads(profile_r201.to_json())
+        assert sorted(payload["columns"]) == sorted(STATE_COLUMNS)
+        restored = ProfileTable.from_payload(payload)
         for name in ("xi_grid", "W", "Z", "R", "Ubar_R", "Sbar",
                      "U_nls", "S_nls", "Psi_nls", "dR_Ubar", "dR_Sbar"):
             np.testing.assert_array_equal(getattr(restored, name),
@@ -440,15 +442,13 @@ class TestSerialization:
         assert restored.anchor == profile_r201.anchor
 
     @pytest.mark.parametrize("name", ["R", "Sbar", "Psi_nls"])
-    def test_json_edited_derived_column_refused(self, profile_r201, name):
-        # derived columns are rebuilt from (W, Z) on load; a file whose
-        # copy disagrees in one entry, or holds none, is refused
+    def test_json_non_state_column_refused(self, profile_r201, name):
+        # derived columns are rebuilt from (W, Z) on load; a file that
+        # carries a copy of one, even the exact one, is refused
         payload = json.loads(profile_r201.to_json())
-        payload["columns"][name][100] *= 1.0 + 1e-15
-        with pytest.raises(DomainError, match=name):
-            ProfileTable.from_payload(payload)
-        payload["columns"][name] = None
-        with pytest.raises(DomainError, match=name):
+        payload["columns"][name] = getattr(profile_r201, name).tolist()
+        with pytest.raises(DomainError,
+                           match=rf"columns \['{name}'\] are not state"):
             ProfileTable.from_payload(payload)
 
     @pytest.mark.parametrize("name", ["xi", "W", "Z", "dR_Ubar", "dR_Sbar"])

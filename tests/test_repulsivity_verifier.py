@@ -18,11 +18,14 @@ from nls_implosion.errors import ConsistencyError, DomainError, WindowError
 from nls_implosion.phase_portrait import (
     R_STAR,
     ProfileParams,
+    n_w,
+    special_points,
     xi1_us,
     xi1_poly,
 )
 from nls_implosion.profile_solver import ProfileTable, solve_profile, to_physical
 from nls_implosion.repulsivity_verifier import (
+    certify,
     check_angular_repulsivity,
     check_integrated,
     check_partI,
@@ -148,6 +151,21 @@ class TestPartII:
         assert a == pytest.approx(-984.0 + 764.0 * math.sqrt(2.0), abs=1e-4)
         assert b == pytest.approx(-492.0 + 382.0 * math.sqrt(2.0), abs=1e-4)
 
+    @pytest.mark.parametrize("r", [2.01, 2.068])
+    def test_vertical_segment_margin_is_n_w_at_p_s(self, r):
+        # -N_W is concave in t and smallest at t = 0, the sonic point, which
+        # the samples include: the margin does not depend on their number,
+        # so the refinement gate of certify passes at the top of the window
+        params = ProfileParams(r=r)
+        table = to_physical(solve_profile(params, n_points=1024))
+        P_s = special_points(params).P_s
+        for n_samples in (128, 512):
+            report = certify(params, table, n_samples=n_samples)
+            check = report["partII_vertical_segment_nw"]
+            assert check.margin == -n_w(P_s.W, P_s.Z, r)
+            assert check.worst_location == "t=0"
+            assert report.all_passed
+
     def test_xi1_trivial_point(self):
         # at U = S = 0 the (U,S)-form collapses to (U+1)^3 = 1
         assert xi1_us(0.0, 0.0, 2.01) == 1.0
@@ -197,7 +215,7 @@ class TestInvariantsAndReport:
     def test_report_deterministic(self, params_r201, profile_r201):
         a = verify_all(params_r201, profile_r201)
         b = verify_all(params_r201, profile_r201)
-        assert a.to_json() == b.to_json()
+        assert a.payload() == b.payload()
         assert a.to_text() == b.to_text()
 
     def test_refinement_stability(self, params_r201, profile_r201):
@@ -214,7 +232,8 @@ class TestInvariantsAndReport:
         assert report.all_passed
         text = report.to_text()
         assert "ALL PASS" in text
-        assert "radial_repulsivity" in report.to_json()
+        assert "radial_repulsivity" in [c["name"] for c in
+                                        report.payload()["checks"]]
 
     def test_verify_all_skips_partII_outside_window(self, profile_r201):
         # below the near-r* window the outgoing-side checks are skipped,

@@ -178,14 +178,14 @@ class TestFrameMaps:
                                       1.0 + 0.1 * R).payload()
         payload["columns"]["S"][5] = bad
         with pytest.raises(DomainError):
-            FieldSet.from_json(json.dumps(payload))
+            FieldSet.from_payload(payload)
 
     def test_json_roundtrip(self):
         params = ProfileParams(r=2.01)
         R = np.linspace(0.0, 3.0, 64)
         fs = FieldSet.from_Psi_S(params, R, 1.5, np.exp(-R), 1.0 + 0.1 * R,
                                  domain_mode="periodic")
-        fs2 = FieldSet.from_json(fs.to_json())
+        fs2 = FieldSet.from_payload(json.loads(json.dumps(fs.payload())))
         assert fs2.s == fs.s
         assert fs2.domain_mode == "periodic"
         assert np.array_equal(fs2.Psi, fs.Psi)
