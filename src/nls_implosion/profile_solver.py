@@ -12,7 +12,7 @@ factor.  The solver exploits this:
   * a high-order Taylor series of the smooth branch at P_s, generated once
     per parameter set by an order-by-order recurrence in fixed-point
     integers at SERIES_BITS, seeded from SERIES_DPS closed forms,
-    represents the orbit on |xi| <= xi_switch (inside the series'
+    represents the orbit between the two seams (inside the series'
     convergence disk),
   * the left piece (xi < -xi_switch) is integrated from deep inside the
     origin region toward the sonic point, which is strongly contracting; the
@@ -36,9 +36,11 @@ factor.  The solver exploits this:
     coefficient of the series at P_s, turns before the wall, and decays
     into the far-field node.
 
-Where a march meets the series, the series stands in for the march only
-where the non-analytic correction c |xi|^kappa is below the tolerance; the
-seam moves inward from xi_switch until the two agree.
+Where a march into P_s meets the series, one seam rule holds on both sides:
+the series stands in for the march only where its tail is below 1e-14 and
+the non-analytic correction c |xi|^kappa below 100 tol.  The seam starts
+at xi_switch and halves, at most six times, until both hold; near an
+integer kappa the tail is what moves it inward.
 
 Output lives on a uniform log-radius grid containing xi = 0 exactly.
 Physical columns come in two conventions: the scaled one used by the
@@ -463,18 +465,9 @@ def _leave_along(rhs, start: np.ndarray, direction: np.ndarray) -> np.ndarray:
     orbit enters D_Z > 0."""
     if GRAD_D_Z[0] * direction[0] + GRAD_D_Z[1] * direction[1] < 0.0:
         direction = -direction
-
-    def ev_level(xi, y):
-        return d_z(y[0], y[1]) - ANCHOR_LEVEL
-    ev_level.terminal = True
-
-    sol = solve_ivp(rhs, (0.0, 100.0), start + ANCHOR_EPS * direction,
-                    method="DOP853", rtol=ANCHOR_TOL, atol=ANCHOR_TOL * 1e-1,
-                    events=ev_level)
-    if not len(sol.t_events[0]):
-        raise SonicCrossingError(
-            f"boundary orbit from ({start[0]:.6f}, {start[1]:.6f}) never "
-            f"reached D_Z = {ANCHOR_LEVEL} ({sol.message})")
+    sol = _march(rhs, (0.0, 100.0), start + ANCHOR_EPS * direction,
+                 ANCHOR_TOL, f"boundary orbit from ({start[0]:.6f}, "
+                 f"{start[1]:.6f})", level=ANCHOR_LEVEL)
     return sol.y_events[0][0]
 
 
@@ -528,6 +521,12 @@ def outgoing_anchor(params: ProfileParams) -> PhasePoint:
 # solver
 # ---------------------------------------------------------------------------
 
+#: a march of solve_profile is a blow-up once |W| or |Z| exceeds
+#: BLOWUP_FACTOR e^{-xi_start}, a hundred times the amplitude at which the
+#: left march starts
+BLOWUP_FACTOR = 100.0
+
+
 def _build_grid(xi_min: float, xi_max: float, n_points: int) -> np.ndarray:
     """Uniform grid of spacing (xi_max-xi_min)/(n_points-1) containing 0."""
     h = (xi_max - xi_min) / (n_points - 1)
@@ -537,43 +536,36 @@ def _build_grid(xi_min: float, xi_max: float, n_points: int) -> np.ndarray:
 
 
 def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7.0,
-                  tol: float = 1e-12, n_points: int = 4096, xi_switch: float = 0.2,
-                  blowup_bound: float | None = None) -> ProfileTable:
+                  tol: float = 1e-12, n_points: int = 4096,
+                  xi_switch: float = 0.2) -> ProfileTable:
     """Compute the orbit through the sonic point on a uniform xi grid.
 
     Four pieces, assembled so that the sonic point sits at xi = 0 exactly:
-    the fixed-point Taylor series of the smooth branch (sonic_series) on
-    |xi| <= xi_switch; an inward integration from the origin region on the
+    the fixed-point Taylor series of the smooth branch (sonic_series)
+    around xi = 0; an inward integration from the origin region on the
     left (the arrival at D_Z = 0 pins the sonic location, and the
     contraction toward the sonic point makes this piece accurate to
     round-off); and on the right the outgoing member through
     outgoing_anchor(params), integrated backward from the anchor into the
     sonic point and forward from it into the far field.
-    Both sonic arrivals are labelled by matching W against the series at
-    the seam and cross-checked there in Z; the anchor's xi is reported on
-    the table.  A backward march that does not reach P_s raises
-    SonicCrossingError naming where it stopped.
+    Both marches into P_s meet the series under one seam rule (_arrive):
+    from xi_switch the seam halves, at most six times, until the series
+    tail is below 1e-14 and march and series agree to 100 tol.  The
+    anchor's xi is reported on the table.  A march that stops short, or
+    at the other sonic point P_bar_s, raises SonicCrossingError naming
+    where; a grid too coarse to give each march a node, DomainError.
     """
     if not (xi_min < 0.0 < xi_max):
         raise DomainError(f"need xi_min < 0 < xi_max, got [{xi_min}, {xi_max}]")
     if not (1e-14 < tol < 1e-4):
         raise DomainError(f"tol = {tol} outside (1e-14, 1e-4)")
+    if n_points < 2:
+        raise DomainError(f"n_points = {n_points}; need >= 2")
 
     r = params.r
     pts = special_points(params)
-
     Wc, Zc = sonic_series(r)
-    tail = _series_tail(Wc, xi_switch) + _series_tail(Zc, xi_switch)
-    if tail > 1e-14:
-        raise ConsistencyError(
-            f"sonic series does not converge at xi_switch = {xi_switch}: "
-            f"tail {tail:.3e} > 1e-14, {_kappa_text(r)}; reduce xi_switch")
-
     rhs = _flow(r)
-
-    def ev_sonic(xi, y):
-        return d_z(y[0], y[1])
-    ev_sonic.terminal = True
 
     # ---- left piece: march from the origin region into the sonic point ----
     # The start point uses the leading large-amplitude asymptote of the
@@ -582,23 +574,13 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     # orbit (and hence the tabulated left piece) is independent of the
     # starting depth.
     xi_start = min(xi_min - 3.0, 0.55 * np.log(tol))
-    if blowup_bound is None:
-        blowup_bound = 100.0 * np.exp(-xi_start)
-
-    def ev_blowup(xi, y):
-        return blowup_bound - max(abs(y[0]), abs(y[1]))
-    ev_blowup.terminal = True
-
+    bound = BLOWUP_FACTOR * np.exp(-xi_start)
     w1_origin = -(r - 1.0) / 4.0
     y_start = (np.exp(-xi_start) + w1_origin, -np.exp(-xi_start) + w1_origin)
-    sol_left = solve_ivp(rhs, (xi_start, 2.0), y_start, method="DOP853",
-                         rtol=tol, atol=tol * 1e-1,
-                         events=(ev_sonic, ev_blowup), dense_output=True)
-    if len(sol_left.t_events[1]):
-        raise BlowupError(f"left march exceeded bound {blowup_bound}")
-    xi_hit = _sonic_arrival(sol_left, pts, "left march")
-    seam_left, xi_hit = _seam(sol_left, xi_hit, -xi_switch, Wc, Zc, r, tol,
-                              "left march")
+    sol_left = _march(rhs, (xi_start, 2.0), y_start, tol, "left march",
+                      bound=bound)
+    seam_left, xi_hit = _arrive(sol_left, pts, Wc, Zc, r, tol, -xi_switch,
+                                "left march")
 
     # ---- right piece: the outgoing member through the anchor.  March from
     # the anchor back into the sonic point (contracting onto the slow
@@ -606,51 +588,43 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     # anchor into the far-field node (contracting as well). ----
     anchor = outgoing_anchor(params)
     y_anchor = (anchor.W, anchor.Z)
-    sol_back = solve_ivp(rhs, (0.0, -(xi_max - xi_min)), y_anchor,
-                         method="DOP853", rtol=tol, atol=tol * 1e-1,
-                         events=(ev_sonic, ev_blowup), dense_output=True)
-    xi_back = _sonic_arrival(sol_back, pts, "backward march from the anchor "
-                             "(xi counted from the anchor)")
-    if -xi_back <= xi_switch:
+    back = "backward march from the anchor (xi counted from the anchor)"
+    sol_back = _march(rhs, (0.0, -(xi_max - xi_min)), y_anchor, tol, back,
+                      bound=bound)
+    if -sol_back.t_events[0][0] <= xi_switch:
         raise DomainError(
-            f"anchor sits at xi = {-xi_back:.4f}, inside the series range "
-            f"|xi| <= {xi_switch}; reduce xi_switch")
-    seam_right, xi_back = _seam(sol_back, xi_back, xi_switch, Wc, Zc, r, tol,
-                                "backward march from the anchor")
+            f"anchor sits at xi = {-sol_back.t_events[0][0]:.4f}, inside the "
+            f"series range |xi| <= {xi_switch}; reduce xi_switch")
+    seam_right, xi_back = _arrive(sol_back, pts, Wc, Zc, r, tol, xi_switch,
+                                  back)
     xi_anchor = float(-xi_back)
 
     xi_grid = _build_grid(xi_min, xi_max, n_points)
-    n = len(xi_grid)
-    W = np.empty(n)
-    Z = np.empty(n)
-    near = (xi_grid >= seam_left - 1e-12) & (xi_grid <= seam_right + 1e-12)
-    W[near] = _series_eval(Wc, xi_grid[near])
-    Z[near] = _series_eval(Zc, xi_grid[near])
-
     left = xi_grid < seam_left + 1e-12
+    near = (xi_grid >= seam_left - 1e-12) & (xi_grid <= seam_right + 1e-12)
+    inner = (xi_grid > seam_right - 1e-12) & (xi_grid <= xi_anchor)
+    outer = xi_grid > xi_anchor
+    if not (np.any(left) and np.any(inner)):
+        raise DomainError(
+            f"n_points = {n_points} on [{xi_min}, {xi_max}] leaves the left "
+            f"march (xi < {seam_left}) or the backward march "
+            f"({seam_right} < xi <= {xi_anchor:.4f}) without a grid node")
     if xi_grid[left][0] + xi_hit < xi_start:
         raise DomainError(
             f"left coverage insufficient: sonic arrival at {xi_hit:.3f} "
             f"leaves the grid start outside the integrated range")
-    W[left], Z[left] = sol_left.sol(xi_grid[left] + xi_hit)
 
-    inner = (xi_grid > seam_right - 1e-12) & (xi_grid <= xi_anchor)
+    n = len(xi_grid)
+    W = np.empty(n)
+    Z = np.empty(n)
+    W[near] = _series_eval(Wc, xi_grid[near])
+    Z[near] = _series_eval(Zc, xi_grid[near])
+    W[left], Z[left] = sol_left.sol(xi_grid[left] + xi_hit)
     W[inner], Z[inner] = sol_back.sol(xi_grid[inner] + xi_back)
-    outer = xi_grid > xi_anchor
     if np.any(outer):
-        sol_fwd = solve_ivp(rhs, (xi_anchor, xi_grid[-1]), y_anchor,
-                            method="DOP853", rtol=tol, atol=tol * 1e-1,
-                            events=(ev_sonic, ev_blowup), dense_output=True)
-        if len(sol_fwd.t_events[1]):
-            raise BlowupError("forward march exceeded the blowup bound")
-        if len(sol_fwd.t_events[0]):
-            raise SonicCrossingError(
-                f"D_Z changed sign at xi = {sol_fwd.t_events[0][0]:.6f} "
-                "on the forward march from the anchor")
-        if not sol_fwd.success:
-            raise SonicCrossingError(
-                f"forward march from the anchor stopped at xi = "
-                f"{sol_fwd.t[-1]:.6f} ({sol_fwd.message})")
+        sol_fwd = _march(rhs, (xi_anchor, xi_grid[-1]), y_anchor, tol,
+                         "forward march from the anchor", level=None,
+                         bound=bound)
         W[outer], Z[outer] = sol_fwd.sol(xi_grid[outer])
 
     # ODE-consistent xi-derivatives; series derivatives where D_Z ~ 0
@@ -681,73 +655,98 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     return replace(table, w0=w0, w0_mismatch=w0_mismatch)
 
 
-def _sonic_arrival(sol, pts, what: str) -> float:
-    """March coordinate at which a march with events (sonic, blowup) hit P_s.
+def _march(rhs, span, y0, tol: float, what: str, level: float | None = 0.0,
+           bound: float | None = None):
+    """DOP853 march of the (W, Z) flow over `span` from y0, at rtol = tol
+    and atol = tol / 10; its failures are named errors.
 
-    A march that stops short of D_Z = 0, or meets D_Z = 0 away from the
-    sonic point, raises SonicCrossingError naming where it stopped.
+    With a `level` the march must stop where D_Z first reaches it; with
+    level=None it must run the whole span without D_Z changing sign.  With
+    a `bound` (the marches of solve_profile) max(|W|, |Z|) above it is a
+    BlowupError, and the solution carries dense output; the anchor's edge
+    orbits are only read at their event.  Any other stop raises
+    SonicCrossingError naming `what` and where it stopped.
     """
-    if not len(sol.t_events[0]):
-        reason = ("|W| or |Z| exceeded the blowup bound"
-                  if len(sol.t_events[1]) else sol.message)
+    target = 0.0 if level is None else level
+
+    def ev_level(xi, y):
+        return d_z(y[0], y[1]) - target
+    ev_level.terminal = True
+    events = [ev_level]
+    if bound is not None:
+        def ev_blowup(xi, y):
+            return bound - max(abs(y[0]), abs(y[1]))
+        ev_blowup.terminal = True
+        events.append(ev_blowup)
+
+    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=tol,
+                    atol=tol * 1e-1, events=events,
+                    dense_output=bound is not None)
+    if bound is not None and len(sol.t_events[1]):
+        raise BlowupError(f"{what} exceeded the blowup bound {bound:.6g} at "
+                          f"xi = {sol.t[-1]:.6f}")
+    reached = len(sol.t_events[0]) > 0
+    if level is None and reached:
+        raise SonicCrossingError(f"D_Z changed sign at xi = "
+                                 f"{sol.t_events[0][0]:.6f} on the {what}")
+    if not sol.success or (level is not None and not reached):
         raise SonicCrossingError(
             f"{what} stopped at xi = {sol.t[-1]:.6f} without reaching "
-            f"D_Z = 0 ({reason})")
+            f"D_Z = {target:g} ({sol.message})")
+    return sol
+
+
+def _arrive(sol, pts, Wc: np.ndarray, Zc: np.ndarray, r: float, tol: float,
+            xi_seam: float, what: str) -> tuple[float, float]:
+    """Seam between a march into P_s and the sonic series, and the march
+    coordinate of P_s.
+
+    The event root need only show that the march reached P_s and not the
+    other sonic point P_bar_s: the nearer one decides.  The root carries
+    the integrator's error, a shift along the autonomous orbit, so P_s is
+    relabelled by Newton-matching W against the series at the seam.  The
+    march follows series + c |xi|^kappa (1 + ...), so the series stands in
+    for it only where the series tail is below 1e-14 and the two agree to
+    100 tol.  From xi_seam the seam halves, at most six times, until both
+    hold; at the last seam a tail above 1e-14 (naming kappa) or a
+    disagreement above 1e-7 raises ConsistencyError.
+    """
     xi_hit = float(sol.t_events[0][0])
     y_hit = sol.y_events[0][0]
-    W0, Z0 = pts.P_s.W, pts.P_s.Z
-    if abs(y_hit[0] - W0) > 1e-7 or abs(y_hit[1] - Z0) > 1e-7:
+    P_s, P_bar = pts.P_s, pts.P_bar_s
+    if (np.hypot(y_hit[0] - P_bar.W, y_hit[1] - P_bar.Z)
+            < np.hypot(y_hit[0] - P_s.W, y_hit[1] - P_s.Z)):
         raise SonicCrossingError(
             f"{what} hit D_Z = 0 at ({y_hit[0]:.6f}, {y_hit[1]:.6f}), "
-            f"xi = {xi_hit:.6f}, not at the sonic point ({W0:.6f}, {Z0:.6f})")
-    return xi_hit
+            f"xi = {xi_hit:.6f}, nearer P_bar_s ({P_bar.W:.6f}, "
+            f"{P_bar.Z:.6f}) than the sonic point P_s ({P_s.W:.6f}, "
+            f"{P_s.Z:.6f})")
 
-
-def _match_series(sol, xi_hit: float, xi_seam: float, Wc: np.ndarray,
-                  r: float) -> float:
-    """Refine the march coordinate xi_hit of the sonic point.
-
-    Relabelling xi so the arrival is xi = 0 is legitimate because the orbit
-    is autonomous.  The event root carries the integrator's global error,
-    which for an autonomous orbit is (to leading order) a shift along the
-    trajectory, so Newton-match W against the series at the seam xi_seam.
-    """
-    w_seam = float(_series_eval(Wc, xi_seam))
-    for _ in range(3):
-        w_m, z_m = sol.sol(xi_seam + xi_hit)
-        slope = n_w(w_m, z_m, r) / d_w(w_m, z_m)
-        step = (w_seam - w_m) / slope
-        xi_hit += step
-        if abs(step) < 1e-15:
+    for k in range(7):
+        seam = xi_seam / 2 ** k
+        tail = _series_tail(Wc, abs(seam)) + _series_tail(Zc, abs(seam))
+        if tail > 1e-14:
+            continue
+        w_seam = float(_series_eval(Wc, seam))
+        for _ in range(3):
+            w_m, z_m = sol.sol(seam + xi_hit)
+            step = (w_seam - w_m) / (n_w(w_m, z_m, r) / d_w(w_m, z_m))
+            xi_hit += step
+            if abs(step) < 1e-15:
+                break
+        w_m, z_m = sol.sol(seam + xi_hit)
+        dev = max(abs(w_m - w_seam), abs(z_m - _series_eval(Zc, seam)))
+        if dev <= 100.0 * tol:
             break
-    return xi_hit
-
-
-def _seam(sol, xi_hit: float, xi_seam: float, Wc: np.ndarray,
-          Zc: np.ndarray, r: float, tol: float,
-          what: str) -> tuple[float, float]:
-    """Seam between a march into P_s and the series, and the refined xi_hit.
-
-    A march into the sonic point follows series + c |xi|^kappa (1 + ...),
-    the series itself only when c = 0, so the series may stand in for the
-    march only where that correction is negligible.  Starting at xi_seam,
-    the seam halves (at most six times) while the two disagree by more than
-    100 tol; a disagreement above 1e-7 at the final seam is an error.
-    """
-    floor = abs(xi_seam) / 64.0
-    while True:
-        xi_hit = _match_series(sol, xi_hit, xi_seam, Wc, r)
-        w_chk, z_chk = sol.sol(xi_seam + xi_hit)
-        dev = max(abs(w_chk - _series_eval(Wc, xi_seam)),
-                  abs(z_chk - _series_eval(Zc, xi_seam)))
-        if dev <= 100.0 * tol or abs(xi_seam) <= floor:
-            break
-        xi_seam *= 0.5
+    if tail > 1e-14:
+        raise ConsistencyError(
+            f"sonic series does not converge at the seam xi = {seam}: tail "
+            f"{tail:.3e} > 1e-14, {_kappa_text(r)}; reduce xi_switch")
     if dev > 1e-7:
         raise ConsistencyError(
-            f"{what} and sonic series disagree at xi = {xi_seam}: "
+            f"{what} and sonic series disagree at xi = {seam}: "
             f"deviation {dev:.3e}")
-    return xi_seam, xi_hit
+    return seam, xi_hit
 
 
 def _match_origin(R, Sbar):

@@ -480,16 +480,16 @@ class TestSweepCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_summary(self, tmp_path):
-        # the sonic series of the resonant r = 1.821837 (kappa an integer)
-        # degenerates, so its row fails
-        code = main(["sweep", "--values", "2.01,1.821837", *FAST,
+        # at r = 2.07 the left march never reaches the sonic point, so its
+        # row fails
+        code = main(["sweep", "--values", "2.07,2.01", *FAST,
                      "--verify-samples", "128", "--out-dir", str(tmp_path)])
         assert code == EXIT_CHECK_FAILED
         lines = read(tmp_path / "sweep.csv").decode().splitlines()
         assert lines[2] == "r,ok,all_passed,min_margin,checks"
         assert len(lines) == 3 + 2
         rows = json.loads(read(tmp_path / "sweep.json"))["artifact"]
-        assert [row["all_passed"] for row in rows] == [False, True]
+        assert [row["all_passed"] for row in rows] == [True, False]
 
     def test_sweep_row_passes_exactly_when_verify_exits_0(self, tmp_path,
                                                           monkeypatch,
@@ -578,23 +578,40 @@ class TestMainPlumbing:
         assert "r outside (1, r*)" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("command", ["profile", "verify", "simulate"])
-    def test_solver_failure_exit(self, command, tmp_path, capsys):
-        code = main([command, "--r", "2.01", "--tol", "1e-3",
+    @pytest.mark.parametrize("command, flag, value, message", [
+        # the tol cases keep the ids they were added under
+        pytest.param(*case, id=(case[0] if case[1] == "--tol"
+                                else f"{case[0]}{case[1]}={case[2]}"))
+        for case in [
+            *((command, "--tol", "1e-3", "tol = 0.001 outside")
+              for command in ("profile", "verify", "simulate")),
+            # grids too coarse to give each march a node
+            *(("profile", "--n-points", n, f"n_points = {n}")
+              for n in ("1", "2", "3", "4", "16", "22")),
+        ]])
+    def test_solver_failure_exit(self, command, flag, value, message,
+                                 tmp_path, capsys):
+        code = main([command, "--r", "2.01", flag, value,
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_SOLVER
-        assert ("solver failure: tol = 0.001 outside"
-                in capsys.readouterr().err)
+        assert f"solver failure: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_resonant_sonic_series_names_kappa(self, tmp_path, capsys):
-        # kappa = 11.0025 here: the series divides Z_n by a1 (n - kappa)
+    def test_resonant_sonic_series_names_kappa(self, tmp_path, capsys,
+                                               monkeypatch):
+        # kappa = 11.0025 here: the series divides Z_n by a1 (n - kappa).
+        # The seam halves until the series tail fits, so a tail pinned at
+        # 1e-13 stands in for a series that fits at no seam; the left one,
+        # xi_switch / 64 after six halvings, is refused first
+        monkeypatch.setattr(profile_solver, "_series_tail",
+                            lambda coeffs, xi: 5e-14)
         code = main(["profile", "--r", "1.821837", *FAST,
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_SOLVER
         err = capsys.readouterr().err
-        assert "sonic series does not converge" in err
-        assert "tail 8.743e-13 > 1e-14" in err
+        assert ("sonic series does not converge at the seam xi = -0.003125"
+                in err)
+        assert "tail 1.000e-13 > 1e-14" in err
         assert "kappa = (dN_Z/dZ - 3 Z1/4)/a1 = 11.002485" in err
         assert "nearest integer 11" in err
         assert list(tmp_path.iterdir()) == []
@@ -736,7 +753,7 @@ class TestJsonArtifacts:
         (["simulate", "--r", "2.01", *SIM_FAST, "--ds", "0.05"],
          EXIT_ABORT),                             # the lastgood snapshot
         # a row whose solve fails carries a NaN margin
-        (["sweep", "--values", "1.821837,2.01", *FAST,
+        (["sweep", "--values", "2.07,2.01", *FAST,
           "--verify-samples", "128"], EXIT_CHECK_FAILED),
         (["phase-portrait", "--r", "2.01", "--curve-samples", "64"],
          EXIT_OK),

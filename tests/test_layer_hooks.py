@@ -52,6 +52,10 @@ def test_traced_profile_counts_the_bytes_it_writes(tmp_path):
     trace = json.loads(proc.stdout.splitlines()[-1])
     assert trace["code"] == 0
     assert trace["calls"]["cli.main"] == 1
+    # the left, backward and forward marches and the anchor's two edge
+    # orbits, each through the wrapped profile_solver.solve_ivp
+    assert trace["calls"]["profile_solver.solve_ivp"] == 5
+    assert trace["counts"]["profile_solver.solve_ivp.nfev"] > 0
     written = sorted(out.iterdir())
     assert [p.name for p in written] == [
         "profile_r2.01.csv", "profile_r2.01.json", "profile_r2.01.log.json"]

@@ -11,6 +11,7 @@ import io
 import json
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -38,6 +39,7 @@ from nls_implosion.phase_portrait import (
     special_points,
 )
 from nls_implosion import profile_solver
+from nls_implosion.repulsivity_verifier import certify
 from nls_implosion.profile_solver import (
     ANCHOR_LEVEL,
     CSV_HEADER,
@@ -230,11 +232,41 @@ class TestSolveProfile:
         with pytest.raises(DomainError):
             solve_profile(params_r201, tol=1e-3)
 
-    def test_blowup_bound_trips(self, params_r201):
-        # the left march starts at large amplitude by construction, so a
-        # small bound must trip immediately
-        with pytest.raises(BlowupError):
-            solve_profile(params_r201, blowup_bound=10.0)
+    def test_blowup_bound_trips(self, params_r201, monkeypatch):
+        # the left march starts at amplitude e^{-xi_start}, so a bound a
+        # thousand times below it trips as the amplitude falls through it
+        monkeypatch.setattr(profile_solver, "BLOWUP_FACTOR", 1e-3)
+        with pytest.raises(BlowupError, match="left march exceeded"):
+            solve_profile(params_r201, n_points=1024)
+
+    @pytest.mark.parametrize("r", [1.2, 1.25, 1.32, 1.38, 1.821837, 1.84025])
+    def test_solves_near_integer_kappa_and_off_window_arrivals(self, r):
+        # near an integer kappa (1.2, 1.25, 1.821837) the series tail at
+        # xi_switch is far above 1e-14, so the seam moves inward; at 1.32,
+        # 1.38 and 1.84025 a march meets D_Z = 0 over 1e-7 from P_s
+        params = ProfileParams(r=r)
+        table = to_physical(solve_profile(params))
+        assert max(residual_profile(table, 0.01, 100.0)) <= 1e-7
+        assert certify(params, table).all_passed
+
+    def test_arrival_nearer_p_bar_s_is_refused(self, params_r201):
+        # a march whose D_Z root is the other sonic point
+        pts = special_points(params_r201)
+        root = [pts.P_bar_s.W, pts.P_bar_s.Z]
+        march = SimpleNamespace(t_events=[np.array([-0.4])],
+                                y_events=[np.array([root])])
+        Wc, Zc = sonic_series(2.01)
+        with pytest.raises(SonicCrossingError,
+                           match=r"left march hit D_Z = 0 .* nearer P_bar_s"):
+            profile_solver._arrive(march, pts, Wc, Zc, 2.01, 1e-12, -0.2,
+                                   "left march")
+
+    def test_left_march_short_of_the_sonic_point(self):
+        # at r = 2.07 the left march runs out its span before D_Z = 0
+        with pytest.raises(SonicCrossingError,
+                           match=r"left march stopped at xi = 2\.000000 "
+                                 r"without reaching D_Z = 0"):
+            solve_profile(ProfileParams(r=2.07), n_points=1024)
 
 
 class TestOutgoingAnchor:
