@@ -257,13 +257,14 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
     run, and every row steps exactly as it would alone.  Each stage
     differentiates all rows once and takes the second derivative of the
     Psi rows; stage 1's dPsi is the gradient field U, so the CFL bounds
-    are read off it, from the transport speed in x, |R + 2U|/R'.  Run by
-    run, in row order, the CFL bound, a NaN density and positivity are
-    checked, so the first error raised is the one stepping the runs one
-    after another would raise: CFLError, DomainError (S turns NaN) or
-    PositivityError.  An error about run j > 0 carries the runs before
-    it, advanced to s + ds, as `advanced`; when run j breaks its CFL
-    bound, those runs are stepped alone first.
+    are read off it, from the transport speed in x, |R + 2U|/R'.  The
+    runs before the first one whose bound ds breaks step as one stack.
+    Then, run by run in row order, a NaN density, positivity and the CFL
+    bound of that first breaking run are checked, so the first error
+    raised is the one stepping the runs one after another would raise:
+    DomainError (S turns NaN), PositivityError or CFLError.  The error
+    carries the runs before the failing one, advanced to s + ds, as
+    `advanced` (None when run 0 fails).
     """
     h = grid.h
     dX = grid.d1(X)
@@ -273,21 +274,17 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
     if coef > QP_COEF_FLOOR:
         bound = np.minimum(bound, cfl * h * h / (2.0 * params.d * coef))
     over = np.flatnonzero(ds > bound)
-    if over.size:
-        j = over[0]
-        err = CFLError(f"ds = {ds:.3e} exceeds the stability bound "
-                       f"{bound[j]:.3e} (max|y+2U|/R' = {amax[j]:.3g})")
-        if j:
-            err.advanced = _advance(X[:, :j], grid, params, s, ds, quantum,
-                                    cfl)[0]
-        raise err
+    k = over[0] if over.size else X.shape[1]
+    X = Xn = X[:, :k]
 
     def F(X_, s_, dX_):
         return _rhs(X_, dX_, grid, params, s_, quantum)
 
-    X1 = X + ds * F(X, s, dX)
-    X2 = 0.75 * X + 0.25 * (X1 + ds * F(X1, s + ds, grid.d1(X1)))
-    Xn = X / 3.0 + 2.0 / 3.0 * (X2 + ds * F(X2, s + 0.5 * ds, grid.d1(X2)))
+    if k:     # run 0 broke its bound; derivative refuses an empty stack
+        X1 = X + ds * F(X, s, dX[:, :k])
+        X2 = 0.75 * X + 0.25 * (X1 + ds * F(X1, s + ds, grid.d1(X1)))
+        Xn = X / 3.0 + 2.0 / 3.0 * (X2 + ds * F(X2, s + 0.5 * ds,
+                                                grid.d1(X2)))
 
     for j, smin in enumerate(np.min(Xn[1], axis=-1)):
         if np.isnan(smin):
@@ -297,8 +294,12 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
                 f"density lost positivity: min S = {smin:.3e} after step")
         else:
             continue
-        if j:
-            err.advanced = Xn[:, :j]
+        err.advanced = Xn[:, :j] if j else None
+        raise err
+    if over.size:
+        err = CFLError(f"ds = {ds:.3e} exceeds the stability bound "
+                       f"{bound[k]:.3e} (max|y+2U|/R' = {amax[k]:.3g})")
+        err.advanced = Xn if k else None
         raise err
     return Xn, float(np.min(bound))
 
@@ -320,8 +321,7 @@ def step(state: FieldSet, ds: float, quantum_pressure: bool = True,
     X, _ = _advance(np.stack((state.Psi, state.S))[:, None], state.grid,
                     state.params, state.s, ds, quantum_pressure, cfl)
     return FieldSet.from_Psi_S(state.params, state.grid, state.s + ds,
-                               X[0, 0], X[1, 0],
-                               domain_mode=state.domain_mode)
+                               X[0, 0], X[1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -720,15 +720,16 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     Both runs step as one stacked (2, 2, n) array, (Psi, S) x (perturbed,
     reference), through one _advance call per step; every row is
     bit-identical to stepping its run alone.  Within a step the perturbed
-    run's CFL, NaN and positivity checks come before the reference's.
-    Validated FieldSets are built only at the sample points and, on a CFL
-    or positivity abort, for the perturbed run's last good state (attached
-    to the error as `last_good`, with the samples so far as
-    `partial_report`): its state before the step, or after it when only
-    the reference run aborts.  A prefactor e^{(4-2r)s} that overflows on
-    the run's span (r < 2 at large s0) is a DomainError before any step,
-    with quantum pressure on or off: every sample's energy_high and
-    residual_stationary use it.
+    run's checks come before the reference's, and a reference run that
+    breaks its CFL bound is not stepped.  Validated FieldSets are built
+    only at the sample points and, on a CFL or positivity abort, for the
+    perturbed run's last good state (attached to the error as
+    `last_good`, with the samples so far as `partial_report`): its state
+    before the step, or the `advanced` state _advance attaches after it
+    when only the reference run aborts.  A prefactor e^{(4-2r)s} that
+    overflows on the run's span (r < 2 at large s0) is a DomainError
+    before any step, with quantum pressure on or off: every sample's
+    energy_high and residual_stationary use it.
     """
     import time
     t0 = time.perf_counter()
@@ -808,7 +809,7 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
         # samples collected so far; a reference-run abort comes with the
         # perturbed run advanced to s + ds
         report.wall_time = time.perf_counter() - t0
-        good = getattr(err, "advanced", None)
+        good = err.advanced
         err.last_good = (fields(s, X[0, 0], X[1, 0]) if good is None
                          else fields(s + ds, good[0, 0], good[1, 0]))
         err.partial_report = report

@@ -17,7 +17,7 @@ evaluation; a sign disagreement raises ConsistencyError instead of guessing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath
@@ -40,11 +40,9 @@ __all__ = [
     "eval_polys",
     "special_points",
     "sonic_slope",
-    "sonic_slope_quadratic_roots",
     "auxiliary_signs",
     "origin_coeffs",
     "barrier_curves",
-    "xi1_poly",
     "xi1_us",
     "xi2_us",
     "xi2_splus",
@@ -144,7 +142,8 @@ def n_z(W, Z, r):
     return -r * Z + (7.0 / 8.0) * W * W - 0.25 * W * Z - (13.0 / 8.0) * Z * Z
 
 
-# first partials (used for the L'Hopital slope and the barrier normals)
+# first partials (used for the eigenvalue ratio kappa at P_s and the
+# anchor's Jacobians)
 
 def grad_n_w(W, Z, r):
     return (-r - 3.25 * W - 0.25 * Z, -0.25 * W + 1.75 * Z)
@@ -154,7 +153,6 @@ def grad_n_z(W, Z, r):
     return (1.75 * W - 0.25 * Z, -r - 0.25 * W - 3.25 * Z)
 
 
-GRAD_D_W = (0.75, 0.25)
 GRAD_D_Z = (0.25, 0.75)
 
 
@@ -228,32 +226,6 @@ def special_points(params: ProfileParams) -> SpecialPoints:
 def sonic_slope(params: ProfileParams) -> tuple[float, float]:
     """First Taylor coefficients (W_1, Z_1) of the smooth branch at P_s."""
     return _sonic_closed_forms(params.r)[4:]
-
-
-def sonic_slope_quadratic_roots(params: ProfileParams) -> tuple[float, float]:
-    """Both roots of the L'Hopital quadratic for Z_1 at P_s.
-
-    dZ/dxi = N_Z/D_Z is 0/0 at the sonic point; L'Hopital gives
-
-        Z1 * grad(D_Z) . (W1, Z1) = grad(N_Z) . (W1, Z1)
-
-    with W1 known from the regular equation.  This is quadratic in Z1; the
-    smooth branch is the one matching the closed form of sonic_slope.  Kept
-    on purpose as an independent test cross-check of that closed form.
-    """
-    r = params.r
-    _, _, W0, Z0, W1, _ = _sonic_closed_forms(r)
-    nzw, nzz = grad_n_z(W0, Z0, r)
-    # Z1 * (GRAD_D_Z . (W1, Z1)) = nzw*W1 + nzz*Z1
-    # => 0.75*Z1^2 + (0.25*W1 - nzz)*Z1 - nzw*W1 = 0
-    a = GRAD_D_Z[1]
-    b = GRAD_D_Z[0] * W1 - nzz
-    c = -nzw * W1
-    disc = b * b - 4.0 * a * c
-    if disc < 0:
-        raise DomainError(f"L'Hopital quadratic has no real roots at r = {r}")
-    sq = math.sqrt(disc)
-    return (-b + sq) / (2.0 * a), (-b - sq) / (2.0 * a)
 
 
 # ---------------------------------------------------------------------------
@@ -358,15 +330,9 @@ def origin_coeffs(w0: float, params: ProfileParams) -> tuple[float, float]:
 # barrier quantities
 # ---------------------------------------------------------------------------
 
-def xi1_poly(W, Z, r, alpha=0.5):
-    """Xi_1 = D_W^2 D_Z + (alpha/2) N_W D_Z - (alpha/2) N_Z D_W; kept on
-    purpose as an independent test cross-check of xi1_us."""
-    DW, DZ = d_w(W, Z), d_z(W, Z)
-    return DW * DW * DZ + 0.5 * alpha * (n_w(W, Z, r) * DZ - n_z(W, Z, r) * DW)
-
-
 def xi1_us(U, S, r):
-    """Xi_1 in (U, S) coordinates (algebraically equal to xi1_poly)."""
+    """Xi_1 = D_W^2 D_Z + (alpha/2)(N_W D_Z - N_Z D_W) at alpha = 1/2, in
+    (U, S) coordinates."""
     return ((U + 1.0) ** 3
             - 0.25 * S * (r * (U + 2.0) + U * (7.0 * U + 6.0) - 2.0)
             - 0.25 * S * S * (U + 1.0))
@@ -413,33 +379,9 @@ def grad_b_normal_partI(W, Z, r):
     return -(W - Z) * (-1.0 + r + 2.0 * W + 2.0 * Z)
 
 
-def grad_b_normal_partI_expanded(W, Z, r):
-    """Same directional derivative by the product rule; kept on purpose as
-    an independent test cross-check of the closed form."""
-    nww, nwz = grad_n_w(W, Z, r)
-    nzw, nzz = grad_n_z(W, Z, r)
-    DW, DZ = d_w(W, Z), d_z(W, Z)
-    NW, NZ = n_w(W, Z, r), n_z(W, Z, r)
-    gW = nww * DZ + NW * GRAD_D_Z[0] + nzw * DW + NZ * GRAD_D_W[0]
-    gZ = nwz * DZ + NW * GRAD_D_Z[1] + nzz * DW + NZ * GRAD_D_W[1]
-    return -gW + gZ
-
-
 def grad_b_normal_partII(W, Z, r):
     """(-1, -1) . grad(N_W D_Z - N_Z D_W) = (1/2)(W-Z)(10+r+9W+9Z)."""
     return 0.5 * (W - Z) * (10.0 + r + 9.0 * W + 9.0 * Z)
-
-
-def grad_b_normal_partII_expanded(W, Z, r):
-    """Same directional derivative by the product rule; kept on purpose as
-    an independent test cross-check of the closed form."""
-    nww, nwz = grad_n_w(W, Z, r)
-    nzw, nzz = grad_n_z(W, Z, r)
-    DW, DZ = d_w(W, Z), d_z(W, Z)
-    NW, NZ = n_w(W, Z, r), n_z(W, Z, r)
-    gW = nww * DZ + NW * GRAD_D_Z[0] - nzw * DW - NZ * GRAD_D_W[0]
-    gZ = nwz * DZ + NW * GRAD_D_Z[1] - nzz * DW - NZ * GRAD_D_W[1]
-    return -gW - gZ
 
 
 @dataclass(frozen=True)
@@ -448,7 +390,6 @@ class BarrierCurve:
     param: np.ndarray       # curve parameter samples
     W: np.ndarray
     Z: np.ndarray
-    endpoints: dict = field(default_factory=dict)
 
 
 def barrier_curves(params: ProfileParams, n_samples: int = 512) -> dict[str, BarrierCurve]:
@@ -473,28 +414,22 @@ def barrier_curves(params: ProfileParams, n_samples: int = 512) -> dict[str, Bar
     b_u = U_ps + (U_p0 - U_ps) * t
     denom = 8.0 * b_u + 2.0 * (r - 1.0)
     b_s = 2.0 * np.sqrt(b_u + 1.0) * np.sqrt(r + b_u) * np.sqrt(b_u / denom)
-    curves["b_partI"] = BarrierCurve(
-        "b_partI", b_u, b_u + b_s, b_u - b_s,
-        endpoints={"P_s": pts.P_s, "U_P0": U_p0})
+    curves["b_partI"] = BarrierCurve("b_partI", b_u, b_u + b_s, b_u - b_s)
 
     # Hyperbola branch p_W(Z) for Z in [Z_i, 0].
     z = np.linspace(pts.P_i.Z, 0.0, n_samples)
-    curves["p_W"] = BarrierCurve(
-        "p_W", z, np.asarray(p_w_branch(z, r)), z,
-        endpoints={"P_i": pts.P_i, "origin": PhasePoint(0.0, 0.0)})
+    curves["p_W"] = BarrierCurve("p_W", z, np.asarray(p_w_branch(z, r)), z)
 
     # Xi_1 = 0 upper branch over the quadrilateral's U range.
     u1 = np.linspace(pts.P_bar_s.U, pts.P_s.W, n_samples)
     s1 = xi1_splus(u1, r)
     curves["Xi1_zero_branch"] = BarrierCurve(
-        "Xi1_zero_branch", u1, u1 + s1, u1 - s1,
-        endpoints={"P_bar_s": pts.P_bar_s})
+        "Xi1_zero_branch", u1, u1 + s1, u1 - s1)
 
     # Xi_2 = 0 branch from P_star to P_s.
     u2 = np.linspace(pts.P_star.U, pts.P_s.U, n_samples)
     s2 = xi2_splus(u2, r)
     curves["Xi2_zero_branch"] = BarrierCurve(
-        "Xi2_zero_branch", u2, u2 + s2, u2 - s2,
-        endpoints={"P_star": pts.P_star, "P_s": pts.P_s})
+        "Xi2_zero_branch", u2, u2 + s2, u2 - s2)
 
     return curves

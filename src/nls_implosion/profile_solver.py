@@ -99,7 +99,6 @@ __all__ = [
     "residual_profile",
     "profile_operator",
     "origin_slope",
-    "taylor_seed_coeffs",
     "sonic_series",
     "outgoing_anchor",
     "CSV_HEADER",
@@ -112,10 +111,6 @@ CSV_HEADER = ["xi", "R", "W", "Z", "Ubar_R", "Sbar", "U_nls", "S_nls",
 #: the columns of a JSON table: the state, from which the others follow
 STATE_COLUMNS = ("xi", "W", "Z", "dR_Ubar", "dR_Sbar")
 SCHEMA_VERSION = 2
-
-#: number of edge grid points excluded from finite-difference residual sups
-#: (one-sided stencils there have a larger error constant)
-EDGE_MARGIN = 6
 
 #: radius of the origin fit that reports w0 = Sbar(0)
 MATCH_RADIUS = 0.05
@@ -301,40 +296,6 @@ class ResidualPair(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# Taylor seed at the sonic point
-# ---------------------------------------------------------------------------
-
-def taylor_seed_coeffs(params: ProfileParams) -> tuple[float, float, float, float]:
-    """Coefficients (W1, Z1, W2, Z2) of W = W0 + W1 xi + W2 xi^2 at P_s.
-
-    W2 comes from differentiating the regular W equation along the orbit.
-    Z2 comes from the order-xi^2 balance of Z' * D_Z = N_Z, the next order
-    of the L'Hopital relation that fixed Z1.  Kept on purpose as an
-    independent test cross-check of the series recurrence.
-    """
-    r = params.r
-    pts = special_points(params)
-    W0, Z0 = pts.P_s.W, pts.P_s.Z
-    W1, Z1 = pts.W1, pts.Z1
-
-    nww, nwz = grad_n_w(W0, Z0, r)
-    DW0 = d_w(W0, Z0)
-    # d/dxi (N_W/D_W) along (W1, Z1); N_W/D_W = W1 at the sonic point
-    dNW = nww * W1 + nwz * Z1
-    dDW = 0.75 * W1 + 0.25 * Z1
-    W2 = 0.5 * (dNW - W1 * dDW) / DW0
-
-    nzw, nzz = grad_n_z(W0, Z0, r)
-    a1 = GRAD_D_Z[0] * W1 + GRAD_D_Z[1] * Z1
-    # quadratic form of N_Z along the tangent: Hess = [[7/4,-1/4],[-1/4,-13/4]]
-    q = 0.875 * W1 * W1 - 0.25 * W1 * Z1 - 1.625 * Z1 * Z1
-    # order xi^2: Z1*(grad D_Z . T2) + 2 Z2 a1 = grad N_Z . T2 + q
-    denom = 2.0 * a1 + GRAD_D_Z[1] * Z1 - nzz
-    Z2 = (nzw * W2 + q - GRAD_D_Z[0] * Z1 * W2) / denom
-    return W1, Z1, W2, Z2
-
-
-# ---------------------------------------------------------------------------
 # fixed-point Taylor series of the smooth branch at P_s
 # ---------------------------------------------------------------------------
 
@@ -483,16 +444,29 @@ def outgoing_anchor(params: ProfileParams) -> PhasePoint:
     unstable manifold of P_star; members near it linger at P_star, and
     every margin moves by a fixed amount per decade of their distance to
     it.  On the other edge lies the orbit leaving P_s along its fast
-    eigendirection: it takes the other root of the L'Hopital slope Z_1
-    (see sonic_slope_quadratic_roots), so glued to the left piece it would
-    put a corner at the sonic point.  The rule: the tabulated
+    eigendirection: it takes the other root of the quadratic that
+    L'Hopital's rule gives for the slope Z_1, so glued to the left piece
+    it would put a corner at the sonic point.  The rule: the tabulated
     member crosses the level D_Z = ANCHOR_LEVEL at the midpoint in W of
     the two edge orbits' crossings, as far from both degenerations as the
     strip allows.  It depends on r alone: the edge orbits are integrated at
     the fixed tolerance ANCHOR_TOL whatever the solver's settings.
+
+    The rule needs the saddle below the level: D_Z(P_star) = 1 - r/r*,
+    which is ANCHOR_LEVEL = 1/2 at r = r*/2.  For r <= r*/2 the unstable
+    manifold of P_star runs into the far-field node, where D_Z = 1,
+    without crossing the level, and the anchor is a DomainError before
+    any orbit is integrated.
     """
     r = params.r
     pts = special_points(params)
+    if r <= params.r_star / 2:
+        raise DomainError(
+            f"no outgoing anchor at r = {r}: the saddle P_star has "
+            f"D_Z = 1 - r/r* = {d_z(pts.P_star.W, pts.P_star.Z):.6f}, not "
+            f"below the anchor level D_Z = {ANCHOR_LEVEL}, so its unstable "
+            f"manifold never crosses it; the anchor rule needs r > r*/2 = "
+            f"{params.r_star / 2:.6f}")
     rhs = _flow(r)
 
     # lower edge: unstable manifold of the saddle P_star, whose Jacobian
@@ -809,7 +783,7 @@ def residual_profile(table: ProfileTable, R_lo: float | None = None,
                                   table.lapPsi_nls)
     res1, res2 = np.abs(N_Psi), np.abs(N_S)
 
-    margin = max(EDGE_MARGIN, acc // 2 + 1)
+    margin = acc // 2 + 1    # rows with one-sided first-difference stencils
     if R_lo is None and R_hi is None:
         mask = np.zeros(len(R), dtype=bool)
         mask[margin:len(R) - margin] = True

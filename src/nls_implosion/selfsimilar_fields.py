@@ -42,8 +42,6 @@ __all__ = [
     "damped_profile",
     "error_terms",
     "radial_laplacian",
-    "nls_rhs_complex",
-    "nls_rhs_polar",
 ]
 
 #: transition windows (inner edge, outer edge) of the cut-off families
@@ -339,12 +337,14 @@ def _half_log_density(S: np.ndarray, params: ProfileParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FieldSet:
-    """Radial field snapshot in the self-similar frame.
+    """Radial field snapshot in the self-similar frame, in the full space.
 
     The state is (Psi, S) on a RadialGrid, with S the sound-speed
     variable; the density P, the half log-density w and U = d_R Psi are
     derived on first use.  Exact vacuum (S = 0, so P = 0, w = -inf) is
-    representable.
+    representable.  The snapshot carries no domain label: the periodic
+    and euclidean cut-off families are a choice of damped_profile, not a
+    property of the fields.
     """
 
     params: ProfileParams
@@ -352,11 +352,8 @@ class FieldSet:
     s: float
     Psi: np.ndarray
     S: np.ndarray
-    domain_mode: str = "euclidean"
 
     def __post_init__(self):
-        if self.domain_mode not in ("periodic", "euclidean"):
-            raise DomainError(f"unknown domain mode {self.domain_mode!r}")
         if not np.all(self.S >= 0):
             raise DomainError("S must be nonnegative (and not NaN)")
 
@@ -384,13 +381,12 @@ class FieldSet:
         return self.grid.d1(self.Psi)
 
     def payload(self) -> dict:
-        """JSON-ready snapshot with the frame metadata header (s, mode and
-        the grid's map); from_payload reads it back."""
+        """JSON-ready snapshot with the frame metadata header (s and the
+        grid's map); from_payload reads it back."""
         return {
             "schema_version": 1,
             "kind": "fieldset",
-            "frame": {"s": self.s, "mode": self.domain_mode,
-                      "grid": self.grid.payload()},
+            "frame": {"s": self.s, "grid": self.grid.payload()},
             "params": {"r": self.params.r, "d": self.params.d,
                        "p": self.params.p},
             "columns": {"R": self.R.tolist(), "Psi": self.Psi.tolist(),
@@ -400,7 +396,9 @@ class FieldSet:
     @classmethod
     def from_payload(cls, payload: dict) -> "FieldSet":
         """The snapshot of payload(); a header without a grid (written
-        before grids had maps) reads as the uniform grid of its R."""
+        before grids had maps) reads as the uniform grid of its R, and a
+        header's domain label "mode" (written before it was dropped) is
+        ignored."""
         if payload.get("kind") != "fieldset":
             raise DomainError("not a fieldset snapshot")
         params = ProfileParams(r=payload["params"]["r"])
@@ -410,22 +408,19 @@ class FieldSet:
                                        np.asarray(cols["R"], dtype=float),
                                        params.d)
         return cls.from_Psi_S(params, grid, frame["s"],
-                              np.asarray(cols["Psi"]), np.asarray(cols["S"]),
-                              domain_mode=frame["mode"])
+                              np.asarray(cols["Psi"]), np.asarray(cols["S"]))
 
     @classmethod
     def from_Psi_S(cls, params: ProfileParams, R, s: float,
-                   Psi: np.ndarray, S: np.ndarray,
-                   domain_mode: str = "euclidean") -> "FieldSet":
+                   Psi: np.ndarray, S: np.ndarray) -> "FieldSet":
         """R is a RadialGrid, or samples of a uniform grid."""
         return cls(params=params, grid=_as_grid(R, params.d), s=float(s),
                    Psi=np.asarray(Psi, dtype=float),
-                   S=np.asarray(S, dtype=float), domain_mode=domain_mode)
+                   S=np.asarray(S, dtype=float))
 
 
 def to_selfsimilar(psi: np.ndarray, rho: np.ndarray, x: np.ndarray,
-                   T: float, t: float, params: ProfileParams,
-                   domain_mode: str = "euclidean") -> FieldSet:
+                   T: float, t: float, params: ProfileParams) -> FieldSet:
     """Map physical (psi, rho) on the grid x at time t to the frame fields.
 
     s = -log(T-t)/r and y = x e^s; the amplitude powers follow the ansatz
@@ -443,7 +438,7 @@ def to_selfsimilar(psi: np.ndarray, rho: np.ndarray, x: np.ndarray,
     P = r * Tt ** (1.0 / alpha - 1.0 / (alpha * r)) * rho
     R = np.asarray(x, dtype=float) * np.exp(s)
     S = r ** (1.0 - alpha) / np.sqrt(alpha) * P ** alpha
-    return FieldSet.from_Psi_S(params, R, s, Psi, S, domain_mode=domain_mode)
+    return FieldSet.from_Psi_S(params, R, s, Psi, S)
 
 
 def from_selfsimilar(fs: FieldSet, T: float, t: float
@@ -625,36 +620,3 @@ def error_terms(dp: DampedProfileField, table: ProfileTable) -> ErrorTerms:
         mismatch_Psi=float(np.max(np.abs(E_Psi - E_Psi_def))),
         mismatch_S=float(np.max(np.abs(E_S - E_S_def))),
         support_inner_x=inner_x, support_note=note)
-
-
-# ---------------------------------------------------------------------------
-# polar-equation consistency helpers
-# ---------------------------------------------------------------------------
-
-def nls_rhs_complex(v: np.ndarray, R: np.ndarray, h: float,
-                    p: int = 3, d: int = 8) -> np.ndarray:
-    """d v/dt for i d_t v = v |v|^(p-1) - Lap v, radial d-dimensional; kept on
-    purpose as an independent test cross-check of nls_rhs_polar."""
-    lap_re = radial_laplacian(v.real, R, h, d=d)
-    lap_im = radial_laplacian(v.imag, R, h, d=d)
-    lap = lap_re + 1j * lap_im
-    return -1j * (v * np.abs(v) ** (p - 1) - lap)
-
-
-def nls_rhs_polar(rho: np.ndarray, psi: np.ndarray, R: np.ndarray, h: float,
-                  p: int = 3, d: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Right sides of the polar system equivalent to the complex equation;
-    kept on purpose as the tests' physical-frame reference for `step`.
-
-    d_t psi = -rho^((p-1)/2) + Lap(rho)/(2 rho) - |grad rho|^2/(4 rho^2)
-              - |grad psi|^2
-    d_t rho = 2 (-grad rho . grad psi - rho Lap psi)
-    """
-    drho = _even_d1(rho, h)
-    dpsi = _even_d1(psi, h)
-    lap_rho = radial_laplacian(rho, R, h, d=d)
-    lap_psi = radial_laplacian(psi, R, h, d=d)
-    dt_psi = (-rho ** ((p - 1) / 2.0) + lap_rho / (2.0 * rho)
-              - drho ** 2 / (4.0 * rho ** 2) - dpsi ** 2)
-    dt_rho = 2.0 * (-drho * dpsi - rho * lap_psi)
-    return dt_psi, dt_rho

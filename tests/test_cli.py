@@ -597,6 +597,16 @@ class TestMainPlumbing:
         assert f"solver failure: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_anchor_refusal_below_half_r_star_exit(self, tmp_path, capsys):
+        code = main(["profile", "--r", "1.02", "--out-dir", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert ("solver failure: no outgoing anchor at r = 1.02: the saddle "
+                "P_star has D_Z = 1 - r/r* = 0.507500, not below the anchor "
+                "level D_Z = 0.5" in err)
+        assert "the anchor rule needs r > r*/2 = 1.035534" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_resonant_sonic_series_names_kappa(self, tmp_path, capsys,
                                                monkeypatch):
         # kappa = 11.0025 here: the series divides Z_n by a1 (n - kappa).

@@ -50,9 +50,9 @@ from nls_implosion.selfsimilar_fields import (
     _smooth_step,
     cutoff,
     from_selfsimilar,
-    nls_rhs_polar,
     radial_laplacian,
 )
+from oracles import nls_rhs_polar
 
 
 class TestEnergyConfig:

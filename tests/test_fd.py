@@ -311,28 +311,33 @@ def _assert_last_good_is_perturbed_step(err, start, ds):
     assert err.partial_report.s == [start.s]
 
 
-def test_reference_only_cfl_abort(profile_r201, monkeypatch):
-    # a steep phase ramp inside the bump's falling flank makes the x-speed
-    # |y+2U|/R' of the reference exceed the perturbed run's, where the
-    # bump lowers it
-    fieldset = dynamics_lab.profile_fieldset
+def _steep(table, grid, s):
+    """The profile's fields with a steep phase ramp inside the bump's
+    falling flank: the x-speed |y+2U|/R' of a reference run started on it
+    exceeds the perturbed run's, where the bump lowers it."""
+    base = profile_fieldset(table, grid, s)
+    ramp = np.clip((base.R / base.R[-1] - 0.65) / 0.1, 0.0, 1.0)
+    return FieldSet.from_Psi_S(base.params, base.grid, s,
+                               base.Psi + 30.0 * ramp, base.S)
 
-    def steep(table, grid, s):
-        base = fieldset(table, grid, s)
-        ramp = np.clip((base.R / base.R[-1] - 0.65) / 0.1, 0.0, 1.0)
-        return FieldSet.from_Psi_S(base.params, base.grid, s,
-                                   base.Psi + 30.0 * ramp, base.S)
 
-    cfg = EnergyConfig()
+def _ds_between_cfl_bounds(table, cfg):
+    """simulate's start on the _steep fields, and a ds that breaks the
+    reference run's CFL bound but not the perturbed run's."""
     grid = _abort_grid()
-    base = steep(profile_r201, grid, cfg.s0)
-    start = _perturbed_start(profile_r201, cfg, base)
+    base = _steep(table, grid, cfg.s0)
+    start = _perturbed_start(table, cfg, base)
     bound_ref = cfg.cfl * grid.h / np.max(grid.speed(base.U))
     bound_pert = cfg.cfl * grid.h / np.max(grid.speed(start.U))
     ds = 0.5 * (bound_ref + bound_pert)
     assert bound_ref < ds < bound_pert
+    return base, start, ds
 
-    monkeypatch.setattr(dynamics_lab, "profile_fieldset", steep)
+
+def test_reference_only_cfl_abort(profile_r201, monkeypatch):
+    cfg = EnergyConfig()
+    _, start, ds = _ds_between_cfl_bounds(profile_r201, cfg)
+    monkeypatch.setattr(dynamics_lab, "profile_fieldset", _steep)
     with pytest.raises(CFLError) as info:
         simulate(profile_r201, cfg, s_span=ds, n=N_ABORT, n_samples=2,
                  ds=ds)
@@ -362,3 +367,32 @@ def test_reference_only_positivity_abort(profile_r201, monkeypatch):
     assert str(info.value) == ("density lost positivity: min S = "
                                "-1.252e-01 after step")
     _assert_last_good_is_perturbed_step(info.value, start, ds)
+
+
+def test_perturbed_positivity_comes_before_reference_cfl(profile_r201,
+                                                         monkeypatch):
+    # in the same step the perturbed run loses positivity (S drained off
+    # the profile) and the reference breaks its CFL bound (the steep
+    # ramp): the perturbed run's error is raised, and last_good is the
+    # perturbed run before the step
+    cfg = EnergyConfig()
+    base, start, ds = _ds_between_cfl_bounds(profile_r201, cfg)
+    operator = dynamics_lab.profile_operator
+
+    def draining(params, R_, Psi, dPsi, S, dS, lapPsi):
+        N_Psi, N_S = operator(params, R_, Psi, dPsi, S, dS, lapPsi)
+        on_profile = np.all(S == base.S, axis=-1, keepdims=True)
+        return N_Psi, np.where(on_profile, N_S, N_S - 1e3)
+
+    monkeypatch.setattr(dynamics_lab, "profile_fieldset", _steep)
+    monkeypatch.setattr(dynamics_lab, "profile_operator", draining)
+    with pytest.raises(PositivityError) as info:
+        simulate(profile_r201, cfg, s_span=ds, n=N_ABORT, n_samples=2,
+                 ds=ds)
+    assert str(info.value) == ("density lost positivity: min S = "
+                               "-4.879e+00 after step")
+    good = info.value.last_good
+    assert good.s == start.s
+    np.testing.assert_array_equal(good.Psi, start.Psi)
+    np.testing.assert_array_equal(good.S, start.S)
+    assert info.value.partial_report.s == [start.s]

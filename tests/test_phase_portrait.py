@@ -21,8 +21,13 @@ from nls_implosion.phase_portrait import (
     eval_polys,
     origin_coeffs,
     sonic_slope,
-    sonic_slope_quadratic_roots,
     special_points,
+)
+from oracles import (
+    grad_b_normal_partI_expanded,
+    grad_b_normal_partII_expanded,
+    sonic_slope_quadratic_roots,
+    xi1_poly,
 )
 
 # interior r strategy, safely away from both endpoints
@@ -228,7 +233,7 @@ class TestBarrierIdentities:
     @settings(max_examples=200)
     def test_xi1_two_forms_agree(self, W, Z, r):
         U, S = 0.5 * (W + Z), 0.5 * (W - Z)
-        assert pp.xi1_poly(W, Z, r) == pytest.approx(pp.xi1_us(U, S, r), abs=1e-10)
+        assert xi1_poly(W, Z, r) == pytest.approx(pp.xi1_us(U, S, r), abs=1e-10)
 
     @given(W=coord, Z=coord, r=r_interior)
     @settings(max_examples=200)
@@ -241,13 +246,13 @@ class TestBarrierIdentities:
     @settings(max_examples=200)
     def test_normal_identity_part_one(self, W, Z, r):
         assert pp.grad_b_normal_partI(W, Z, r) == pytest.approx(
-            pp.grad_b_normal_partI_expanded(W, Z, r), abs=1e-10)
+            grad_b_normal_partI_expanded(W, Z, r), abs=1e-10)
 
     @given(W=coord, Z=coord, r=r_interior)
     @settings(max_examples=200)
     def test_normal_identity_part_two(self, W, Z, r):
         assert pp.grad_b_normal_partII(W, Z, r) == pytest.approx(
-            pp.grad_b_normal_partII_expanded(W, Z, r), abs=1e-10)
+            grad_b_normal_partII_expanded(W, Z, r), abs=1e-10)
 
     def test_xi3_constants_at_r_star(self):
         # endpoint values of Xi_3's parenthesis at the critical exponent
@@ -302,7 +307,7 @@ class TestBarrierCurves:
         r = 2.01
         c1 = curves["Xi1_zero_branch"]
         mask = np.isfinite(c1.W)
-        assert np.max(np.abs(pp.xi1_poly(c1.W[mask], c1.Z[mask], r))) < 1e-9
+        assert np.max(np.abs(xi1_poly(c1.W[mask], c1.Z[mask], r))) < 1e-9
         c2 = curves["Xi2_zero_branch"]
         U, S = 0.5 * (c2.W + c2.Z), 0.5 * (c2.W - c2.Z)
         assert np.max(np.abs(pp.xi2_us(U, S, r))) < 1e-9

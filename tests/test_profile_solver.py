@@ -52,9 +52,9 @@ from nls_implosion.profile_solver import (
     residual_profile,
     solve_profile,
     sonic_series,
-    taylor_seed_coeffs,
     to_physical,
 )
+from oracles import taylor_seed_coeffs
 
 r_interior = st.floats(min_value=1.5, max_value=2.06)
 
@@ -312,6 +312,29 @@ class TestOutgoingAnchor:
         with pytest.raises(SonicCrossingError,
                            match=r"backward march from the anchor.*xi = -"):
             solve_profile(params_r201)
+
+    @pytest.mark.parametrize("r, dz", [(1.02, "0.507500"), (1.03, "0.502672")])
+    def test_anchor_refused_at_or_below_half_r_star(self, r, dz,
+                                                    monkeypatch):
+        # D_Z(P_star) = 1 - r/r* sits above ANCHOR_LEVEL = 1/2 here, so the
+        # lower edge orbit could never cross the level: refused before any
+        # edge orbit is integrated
+        calls = []
+        monkeypatch.setattr(profile_solver, "solve_ivp",
+                            lambda *a, **k: calls.append(a))
+        with pytest.raises(DomainError,
+                           match=rf"D_Z = 1 - r/r\* = {dz}, not below the "
+                                 r"anchor level D_Z = 0\.5.*"
+                                 r"needs r > r\*/2 = 1\.035534"):
+            outgoing_anchor(ProfileParams(r=r))
+        assert calls == []
+
+    def test_anchor_just_above_half_r_star_unchanged(self):
+        # r = 1.04 > r*/2 = 1.035534 keeps the anchor it had before the
+        # refusal, bit for bit
+        anchor = outgoing_anchor(ProfileParams(r=1.04))
+        assert anchor.W.hex() == "0x1.ed75eba67f739p-1"
+        assert anchor.Z.hex() == "-0x1.f9d1f9377fd13p-1"
 
 
 class TestToPhysical:

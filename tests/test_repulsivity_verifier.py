@@ -21,7 +21,6 @@ from nls_implosion.phase_portrait import (
     n_w,
     special_points,
     xi1_us,
-    xi1_poly,
 )
 from nls_implosion.profile_solver import ProfileTable, solve_profile, to_physical
 from nls_implosion.repulsivity_verifier import (
@@ -33,6 +32,7 @@ from nls_implosion.repulsivity_verifier import (
     check_radial_repulsivity,
     verify_all,
 )
+from oracles import xi1_poly
 
 
 def make_table(r=2.01, n=257, xi_min=-4.0, xi_max=4.0, w0=float("nan"), **cols):

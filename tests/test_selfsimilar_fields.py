@@ -25,11 +25,10 @@ from nls_implosion.selfsimilar_fields import (
     from_selfsimilar,
     inverse_madelung,
     madelung,
-    nls_rhs_complex,
-    nls_rhs_polar,
     radial_laplacian,
     to_selfsimilar,
 )
+from oracles import nls_rhs_complex, nls_rhs_polar
 
 
 @pytest.fixture(scope="module")
@@ -183,13 +182,26 @@ class TestFrameMaps:
     def test_json_roundtrip(self):
         params = ProfileParams(r=2.01)
         R = np.linspace(0.0, 3.0, 64)
-        fs = FieldSet.from_Psi_S(params, R, 1.5, np.exp(-R), 1.0 + 0.1 * R,
-                                 domain_mode="periodic")
-        fs2 = FieldSet.from_payload(json.loads(json.dumps(fs.payload())))
+        fs = FieldSet.from_Psi_S(params, R, 1.5, np.exp(-R), 1.0 + 0.1 * R)
+        payload = fs.payload()
+        assert set(payload["frame"]) == {"s", "grid"}
+        fs2 = FieldSet.from_payload(json.loads(json.dumps(payload)))
         assert fs2.s == fs.s
-        assert fs2.domain_mode == "periodic"
         assert np.array_equal(fs2.Psi, fs.Psi)
         assert np.max(np.abs(fs2.P - fs.P)) < 1e-15
+
+    def test_snapshot_with_domain_label_loads(self):
+        # snapshots written while FieldSet carried a domain label have a
+        # frame "mode" key; it is ignored
+        params = ProfileParams(r=2.01)
+        R = np.linspace(0.0, 3.0, 64)
+        fs = FieldSet.from_Psi_S(params, R, 1.5, np.exp(-R), 1.0 + 0.1 * R)
+        payload = fs.payload()
+        payload["frame"]["mode"] = "periodic"
+        fs2 = FieldSet.from_payload(json.loads(json.dumps(payload)))
+        assert fs2.s == fs.s
+        assert np.array_equal(fs2.Psi, fs.Psi)
+        assert np.array_equal(fs2.S, fs.S)
 
 
 class TestDampedProfile:
