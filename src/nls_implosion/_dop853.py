@@ -1,0 +1,308 @@
+"""DOP853 on Python floats, for a system of two components.
+
+scipy's DOP853 spends most of a step of a two-component system in numpy
+calls sized for large states: two dot products per stage, a dense-output
+object per step, event scans over arrays and a per-segment lookup when the
+solution is evaluated.  This module runs the same method with the state as
+a pair of Python floats:
+
+  * the Butcher tableau is scipy's (scipy.integrate._ivp.dop853_coefficients),
+    of which only the non-zero entries are summed;
+  * the step controller is scipy's: the error norm that blends the 5th- and
+    3rd-order estimates, safety 0.9, a step factor between 0.2 and 10 with
+    exponent -1/8 and no growth right after a rejection, scipy's
+    initial-step rule, and failure once the step falls below 10 ulp of t;
+  * an event fires where its value changes sign between two steps, zeros
+    included; its root is brentq's at 4 eps on that step's interpolant, and
+    the march stops at the first root of a terminal event;
+  * the 7-term dense output of a step (three extra stages) is built for
+    every step when dense output is asked for, otherwise only for a step
+    in which an event fires.
+
+Sums run left to right over the tableau's non-zero entries, where scipy's
+follow the BLAS dot order, so the two differ in the last bits.  The
+interpolants of all steps are kept in flat arrays, and Solution.sol
+evaluates any set of points with one searchsorted and one Horner pass.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+from array import array
+from typing import NamedTuple
+
+import numpy as np
+from scipy.integrate._ivp import dop853_coefficients as _tableau
+from scipy.optimize import brentq
+
+__all__ = ["solve_ivp", "Solution", "DenseSolution"]
+
+EPS = sys.float_info.epsilon
+
+#: step-size controller: safety factor, bounds on the factor, and the
+#: exponent -1/(q + 1) of the order q = 7 error estimate
+SAFETY = 0.9
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10.0
+ERROR_EXPONENT = -1.0 / 8.0
+
+#: terms of the dense-output polynomial of a step
+N_DENSE = _tableau.INTERPOLATOR_POWER
+
+MESSAGES = {0: "reached the end of the span",
+            1: "a terminal event occurred",
+            -1: "the step size fell below 10 ulp of t"}
+
+
+def _nonzero(row) -> tuple[tuple[int, float], ...]:
+    """The (j, a_j) pairs of a tableau row whose a_j is not zero."""
+    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+
+
+_N_STAGES = _tableau.N_STAGES
+_C = [float(c) for c in _tableau.C]
+#: rows of stages 1 .. 11 of a step, and of the three extra dense stages
+_A = [_nonzero(_tableau.A[s, :s]) for s in range(1, _N_STAGES)]
+_A_EXTRA = [_nonzero(_tableau.A[s, :s])
+            for s in range(_N_STAGES + 1, _tableau.N_STAGES_EXTENDED)]
+_B = _nonzero(_tableau.B)
+_E5 = _nonzero(_tableau.E5)
+_E3 = _nonzero(_tableau.E3)
+_D = [_nonzero(row) for row in _tableau.D]
+
+
+def _sums(row, K) -> tuple[float, float]:
+    """sum_j a_j K_j of both components, left to right over the (j, a_j)
+    pairs of `row`."""
+    w = z = 0.0
+    for j, a in row:
+        kw, kz = K[j]
+        w += a * kw
+        z += a * kz
+    return w, z
+
+
+def _rms(u: float, v: float) -> float:
+    return math.sqrt(u * u + v * v) / 2 ** 0.5
+
+
+def _initial_step(fun, t0, y0, f0, t_bound, direction, rtol, atol) -> float:
+    """scipy's select_initial_step for an error estimate of order 7."""
+    interval = abs(t_bound - t0)
+    sw, sz = (atol + abs(v) * rtol for v in y0)
+    d0 = _rms(y0[0] / sw, y0[1] / sz)
+    d1 = _rms(f0[0] / sw, f0[1] / sz)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = fun(t0 + h0 * direction, (y0[0] + h0 * direction * f0[0],
+                                   y0[1] + h0 * direction * f0[1]))
+    d2 = _rms((f1[0] - f0[0]) / sw, (f1[1] - f0[1]) / sz) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, interval)
+
+
+def _rk_step(fun, t, y, h, K):
+    """One DOP853 step of size h from (t, y), with K[0] = f(t, y): the
+    stages 1 .. 12 go into K, and the new state is returned."""
+    W, Z = y
+    for s, row in enumerate(_A, start=1):
+        w, z = _sums(row, K)
+        K[s] = fun(t + _C[s] * h, (W + w * h, Z + z * h))
+    w, z = _sums(_B, K)
+    y_new = (W + h * w, Z + h * z)
+    K[_N_STAGES] = fun(t + h, y_new)
+    return y_new
+
+
+def _error_norm(K, h_abs, y, y_new, rtol, atol) -> float:
+    sw = atol + max(abs(y[0]), abs(y_new[0])) * rtol
+    sz = atol + max(abs(y[1]), abs(y_new[1])) * rtol
+    e5w, e5z = _sums(_E5, K)
+    e3w, e3z = _sums(_E3, K)
+    e5w, e5z, e3w, e3z = e5w / sw, e5z / sz, e3w / sw, e3z / sz
+    err5 = e5w * e5w + e5z * e5z
+    err3 = e3w * e3w + e3z * e3z
+    if err5 == 0.0 and err3 == 0.0:
+        return 0.0
+    return h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2)
+
+
+def _dense(fun, t_old, h, y_old, y, K) -> list[float]:
+    """Coefficients of the interpolant of the step of size h from
+    (t_old, y_old) to y, after three extra stages into K: F_k of W and of
+    Z at 2 k and 2 k + 1."""
+    W, Z = y_old
+    for s, row in enumerate(_A_EXTRA, start=_N_STAGES + 1):
+        w, z = _sums(row, K)
+        K[s] = fun(t_old + _C[s] * h, (W + w * h, Z + z * h))
+    (fw_old, fz_old), (fw, fz) = K[0], K[_N_STAGES]
+    dw, dz = y[0] - W, y[1] - Z
+    F = [dw, dz, h * fw_old - dw, h * fz_old - dz,
+         2 * dw - h * (fw + fw_old), 2 * dz - h * (fz + fz_old)]
+    for row in _D:
+        w, z = _sums(row, K)
+        F += (h * w, h * z)
+    return F
+
+
+def _horner(F, y_old, x: float) -> tuple[float, float]:
+    """The interpolant with coefficients F at the step fraction x."""
+    x1 = 1 - x
+    w = z = 0.0
+    for k in range(N_DENSE - 1, -1, -1):
+        c = x if k % 2 == 0 else x1
+        w = (w + F[2 * k]) * c
+        z = (z + F[2 * k + 1]) * c
+    return w + y_old[0], z + y_old[1]
+
+
+class DenseSolution:
+    """The march as one piecewise polynomial: segment k, from ts[k] to
+    ts[k + 1], is the interpolant of step k; a time on a breakpoint takes
+    the earlier segment, and times outside the span the end segments."""
+
+    def __init__(self, ts, direction: float, t_old, h, y_old, F):
+        self.ts = np.asarray(ts, dtype=float)
+        self._keys = direction * self.ts
+        self._direction = direction
+        self._t_old = np.frombuffer(t_old)
+        self._h = np.frombuffer(h)
+        self._y_old = np.frombuffer(y_old).reshape(-1, 2)
+        self._F = np.frombuffer(F).reshape(-1, N_DENSE, 2)
+
+    def __call__(self, t) -> np.ndarray:
+        """The state at t: shape (2,) for a scalar t, (2, m) for m times."""
+        t = np.asarray(t, dtype=float)
+        seg = np.searchsorted(self._keys, self._direction * t, side="left")
+        seg = np.clip(seg - 1, 0, len(self._h) - 1)
+        x = ((t - self._t_old[seg]) / self._h[seg])[..., None]
+        x1 = 1 - x
+        F = self._F[seg]
+        y = np.zeros(F.shape[:-2] + (2,))
+        for k in range(N_DENSE - 1, -1, -1):
+            y = (y + F[..., k, :]) * (x if k % 2 == 0 else x1)
+        return (y + self._y_old[seg]).T
+
+
+class Solution(NamedTuple):
+    t: np.ndarray                  # the accepted step ends, t_span[0] first
+    t_events: list[np.ndarray]     # roots of each event, in march order
+    y_events: list[np.ndarray]     # the state at each root, shape (m, 2)
+    sol: DenseSolution | None      # with dense_output, the whole march
+    success: bool                  # False when the step size collapsed
+    message: str
+    nfev: int                      # right-hand-side evaluations
+
+
+def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
+              events=(), dense_output: bool = False) -> Solution:
+    """March y' = fun(t, y) of a two-component state from y(t_span[0]) = y0
+    to t_span[1], by DOP853.
+
+    fun takes t and the state as a pair of floats and returns a pair.  An
+    event is a function of (t, y); one whose attribute `terminal` is true
+    stops the march at its first root.  rtol is raised to 100 eps, as
+    scipy does.
+    """
+    t0, t_bound = float(t_span[0]), float(t_span[1])
+    if t0 == t_bound:
+        raise ValueError(f"empty span [{t0}, {t_bound}]")
+    W0, Z0 = y0
+    y = (float(W0), float(Z0))
+    rtol = max(float(rtol), 100 * EPS)
+    atol = float(atol)
+    direction = 1.0 if t_bound > t0 else -1.0
+    events = list(events or ())
+    terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
+    g = [ev(t0, y) for ev in events]
+    t_events = [[] for _ in events]
+    y_events = [[] for _ in events]
+    # per step of the dense output: t_old, h, y_old and the coefficients
+    seg_t, seg_h, seg_y, seg_F = (array("d") for _ in range(4))
+
+    t = t0
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
+    nfev = 2
+    K = [None] * _tableau.N_STAGES_EXTENDED
+    ts = [t0]
+    status = None
+    while status is None:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                status = -1
+                break
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_bound) > 0:
+                t_new = t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            y_new = _rk_step(fun, t, y, h, K)
+            nfev += _N_STAGES
+            error = _error_norm(K, h_abs, y, y_new, rtol, atol)
+            if error < 1:
+                factor = (MAX_FACTOR if error == 0 else
+                          min(MAX_FACTOR, SAFETY * error ** ERROR_EXPONENT))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(MIN_FACTOR, SAFETY * error ** ERROR_EXPONENT)
+            rejected = True
+        if status == -1:
+            break
+
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, K[_N_STAGES]
+        if direction * (t - t_bound) >= 0:
+            status = 0
+        F = None
+        if dense_output:
+            F = _dense(fun, t_old, h, y_old, y, K)
+            nfev += 3
+            seg_t.append(t_old)
+            seg_h.append(h)
+            seg_y.extend(y_old)
+            seg_F.extend(F)
+
+        if events:
+            g_new = [ev(t, y) for ev in events]
+            active = [k for k in range(len(events))
+                      if (g[k] <= 0 <= g_new[k]) or (g[k] >= 0 >= g_new[k])]
+            if active:
+                if F is None:
+                    F = _dense(fun, t_old, h, y_old, y, K)
+                    nfev += 3
+
+                def interp(s):
+                    return _horner(F, y_old, (s - t_old) / h)
+
+                roots = sorted(
+                    (brentq(lambda s: events[k](s, interp(s)), t_old, t,
+                            xtol=4 * EPS, rtol=4 * EPS), k)
+                    for k in active)
+                if direction < 0:
+                    roots.reverse()
+                for root, k in roots:
+                    t_events[k].append(root)
+                    y_events[k].append(interp(root))
+                    if terminal[k]:
+                        status = 1
+                        t, y = root, interp(root)
+                        break
+            g = g_new
+
+        ts.append(t)
+
+    sol = (DenseSolution(ts, direction, seg_t, seg_h, seg_y, seg_F)
+           if dense_output and seg_t else None)
+    return Solution(
+        t=np.array(ts), t_events=[np.asarray(te) for te in t_events],
+        y_events=[np.asarray(ye) for ye in y_events], sol=sol,
+        success=status >= 0, message=MESSAGES[status], nfev=nfev)

@@ -36,6 +36,11 @@ factor.  The solver exploits this:
     coefficient of the series at P_s, turns before the wall, and decays
     into the far-field node.
 
+Every march of the (W, Z) flow runs through solve_ivp of _dop853: scipy's
+DOP853 tableau, step control and event rule on Python floats, with the
+interpolants of a march kept in arrays so that a grid is evaluated in one
+pass.
+
 Where a march into P_s meets the series, one seam rule holds on both sides:
 the series stands in for the march only where its tail is below 1e-14 and
 the non-analytic correction c |xi|^kappa below 100 tol.  The seam starts
@@ -64,9 +69,9 @@ from typing import NamedTuple
 
 import mpmath
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.interpolate import BSpline, make_interp_spline
 
+from ._dop853 import solve_ivp
 from ._fd import derivative
 from .errors import (
     BlowupError,
@@ -412,23 +417,34 @@ ANCHOR_EPS = 1e-7
 
 
 def _flow(r: float):
-    """Right side of the autonomous (W, Z) system in xi = log R, evaluated
-    on Python floats (the same IEEE operations as on numpy scalars)."""
+    """Right side of the autonomous (W, Z) system in xi = log R, on the
+    pair of Python floats that the DOP853 of _dop853 marches (the same
+    IEEE operations as on numpy scalars)."""
     def rhs(xi, y):
-        W, Z = y.tolist()
+        W, Z = y
         return (n_w(W, Z, r) / d_w(W, Z), n_z(W, Z, r) / d_z(W, Z))
     return rhs
 
 
-def _leave_along(rhs, start: np.ndarray, direction: np.ndarray) -> np.ndarray:
-    """Phase point where the orbit leaving `start` along `direction` first
-    reaches D_Z = ANCHOR_LEVEL; the eigenvector's sign is taken so the
-    orbit enters D_Z > 0."""
+def _leave_along(r: float, start: np.ndarray, direction: np.ndarray
+                 ) -> np.ndarray:
+    """Phase point where the orbit of the flow at r leaving `start` along
+    `direction` first reaches D_Z = ANCHOR_LEVEL; the eigenvector's sign
+    is taken so the orbit enters D_Z > 0.  An orbit that starts,
+    ANCHOR_EPS from `start`, already at or above the level cannot cross
+    it: a DomainError before any integration."""
     if GRAD_D_Z[0] * direction[0] + GRAD_D_Z[1] * direction[1] < 0.0:
         direction = -direction
-    sol = _march(rhs, (0.0, 100.0), start + ANCHOR_EPS * direction,
-                 ANCHOR_TOL, f"boundary orbit from ({start[0]:.6f}, "
-                 f"{start[1]:.6f})", level=ANCHOR_LEVEL)
+    y0 = start + ANCHOR_EPS * direction
+    what = f"boundary orbit from ({start[0]:.6f}, {start[1]:.6f})"
+    dz0 = d_z(y0[0], y0[1])
+    if dz0 >= ANCHOR_LEVEL:
+        raise DomainError(
+            f"no outgoing anchor at r = {r}: the {what} starts at D_Z = "
+            f"{dz0:.12f}, not below the anchor level D_Z = {ANCHOR_LEVEL}, "
+            f"so it never crosses it")
+    sol = _march(_flow(r), (0.0, 100.0), y0, ANCHOR_TOL, what,
+                 level=ANCHOR_LEVEL)
     return sol.y_events[0][0]
 
 
@@ -467,7 +483,6 @@ def outgoing_anchor(params: ProfileParams) -> PhasePoint:
             f"below the anchor level D_Z = {ANCHOR_LEVEL}, so its unstable "
             f"manifold never crosses it; the anchor rule needs r > r*/2 = "
             f"{params.r_star / 2:.6f}")
-    rhs = _flow(r)
 
     # lower edge: unstable manifold of the saddle P_star, whose Jacobian
     # is grad(N)/D there because N_W = N_Z = 0
@@ -475,7 +490,7 @@ def outgoing_anchor(params: ProfileParams) -> PhasePoint:
     jac = np.array([np.array(grad_n_w(Ws, Zs, r)) / d_w(Ws, Zs),
                     np.array(grad_n_z(Ws, Zs, r)) / d_z(Ws, Zs)])
     vals, vecs = np.linalg.eig(jac)
-    lower = _leave_along(rhs, np.array([Ws, Zs]), vecs[:, np.argmax(vals)])
+    lower = _leave_along(r, np.array([Ws, Zs]), vecs[:, np.argmax(vals)])
 
     # upper edge: fast eigendirection of P_s in the desingularized flow
     # (W', Z') = (N_W D_Z, N_Z D_W), whose Jacobian at P_s is
@@ -484,7 +499,7 @@ def outgoing_anchor(params: ProfileParams) -> PhasePoint:
     jac = np.array([n_w(W0, Z0, r) * np.array(GRAD_D_Z),
                     d_w(W0, Z0) * np.array(grad_n_z(W0, Z0, r))])
     vals, vecs = np.linalg.eig(jac)
-    upper = _leave_along(rhs, np.array([W0, Z0]), vecs[:, np.argmax(vals)])
+    upper = _leave_along(r, np.array([W0, Z0]), vecs[:, np.argmax(vals)])
 
     W_a = 0.5 * (lower[0] + upper[0])
     Z_a = (ANCHOR_LEVEL - 1.0 - GRAD_D_Z[0] * W_a) / GRAD_D_Z[1]
@@ -632,14 +647,17 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
 def _march(rhs, span, y0, tol: float, what: str, level: float | None = 0.0,
            bound: float | None = None):
     """DOP853 march of the (W, Z) flow over `span` from y0, at rtol = tol
-    and atol = tol / 10; its failures are named errors.
+    and atol = tol / 10, by solve_ivp of _dop853 (scipy's method and step
+    control on Python floats); its failures are named errors.
 
     With a `level` the march must stop where D_Z first reaches it; with
     level=None it must run the whole span without D_Z changing sign.  With
     a `bound` (the marches of solve_profile) max(|W|, |Z|) above it is a
     BlowupError, and the solution carries dense output; the anchor's edge
     orbits are only read at their event.  Any other stop raises
-    SonicCrossingError naming `what` and where it stopped.
+    SonicCrossingError naming `what`, where it stopped and the
+    integrator's reason ("reached the end of the span", or "the step size
+    fell below 10 ulp of t").
     """
     target = 0.0 if level is None else level
 
@@ -653,8 +671,7 @@ def _march(rhs, span, y0, tol: float, what: str, level: float | None = 0.0,
         ev_blowup.terminal = True
         events.append(ev_blowup)
 
-    sol = solve_ivp(rhs, span, y0, method="DOP853", rtol=tol,
-                    atol=tol * 1e-1, events=events,
+    sol = solve_ivp(rhs, span, y0, rtol=tol, atol=tol * 1e-1, events=events,
                     dense_output=bound is not None)
     if bound is not None and len(sol.t_events[1]):
         raise BlowupError(f"{what} exceeded the blowup bound {bound:.6g} at "

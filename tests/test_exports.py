@@ -56,3 +56,10 @@ def test_no_test_oracle_in_the_package(name):
 def test_oracles_live_in_the_tests():
     for name in ORACLES:
         assert getattr(oracles, name).__module__ == "oracles"
+
+
+def test_profile_solver_marches_with_the_in_house_dop853():
+    # scipy's solve_ivp is a test oracle only; a stray re-import of it
+    # into profile_solver would shadow the in-house integrator
+    from nls_implosion import profile_solver
+    assert profile_solver.solve_ivp.__module__ == "nls_implosion._dop853"

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import solve_ivp as scipy_solve_ivp
 
 from nls_implosion.errors import (
     BlowupError,
@@ -42,6 +43,7 @@ from nls_implosion import profile_solver
 from nls_implosion.repulsivity_verifier import certify
 from nls_implosion.profile_solver import (
     ANCHOR_LEVEL,
+    ANCHOR_TOL,
     CSV_HEADER,
     SERIES_DPS,
     STATE_COLUMNS,
@@ -330,11 +332,67 @@ class TestOutgoingAnchor:
         assert calls == []
 
     def test_anchor_just_above_half_r_star_unchanged(self):
-        # r = 1.04 > r*/2 = 1.035534 keeps the anchor it had before the
-        # refusal, bit for bit
+        # r = 1.04 > r*/2 = 1.035534 is left alone by both refusals near
+        # r*/2: its anchor, bit for bit
         anchor = outgoing_anchor(ProfileParams(r=1.04))
-        assert anchor.W.hex() == "0x1.ed75eba67f739p-1"
-        assert anchor.Z.hex() == "-0x1.f9d1f9377fd13p-1"
+        assert anchor.W.hex() == "0x1.ed75eba67f818p-1"
+        assert anchor.Z.hex() == "-0x1.f9d1f9377fd5dp-1"
+
+    @pytest.mark.parametrize("above", [1e-12, 1e-9])
+    def test_anchor_refused_where_the_edge_orbit_starts_above_the_level(
+            self, above, monkeypatch):
+        # just above r*/2 the saddle sits less than the start offset
+        # ANCHOR_EPS below the level, so the lower edge orbit would start
+        # above it and never cross it
+        calls = []
+        monkeypatch.setattr(profile_solver, "solve_ivp",
+                            lambda *a, **k: calls.append(a))
+        params = ProfileParams(r=ProfileParams(r=1.04).r_star / 2 + above)
+        with pytest.raises(DomainError,
+                           match=rf"no outgoing anchor at r = {params.r}: "
+                                 r"the boundary orbit from \(0\.378680, "
+                                 r"-0\.792893\) starts at D_Z = 0\.50000006\d+"
+                                 r", not below the anchor level D_Z = 0\.5"):
+            outgoing_anchor(params)
+        assert calls == []
+
+    def test_anchor_a_micro_above_half_r_star_solves(self):
+        params = ProfileParams(r=ProfileParams(r=1.04).r_star / 2 + 1e-6)
+        table = to_physical(solve_profile(params))
+        assert max(residual_profile(table, 0.01, 100.0)) <= 1e-7
+
+
+def _scipy_dop853(fun, t_span, y0, rtol, atol, events, dense_output):
+    """scipy's own DOP853, called as _march calls the in-house one."""
+    return scipy_solve_ivp(fun, t_span, y0, method="DOP853", rtol=rtol,
+                           atol=atol, events=events,
+                           dense_output=dense_output)
+
+
+class TestScipyReference:
+    """The in-house DOP853 runs scipy's method on Python floats, so the
+    tables agree with scipy's up to the order of the sums."""
+
+    @pytest.mark.parametrize("r", [1.05, 1.5, 1.9, 2.01, 2.05])
+    def test_tables_match_scipy_dop853(self, r, monkeypatch):
+        params = ProfileParams(r=r)
+        own = to_physical(solve_profile(params))
+        outgoing_anchor.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(profile_solver, "solve_ivp", _scipy_dop853)
+                ref = to_physical(solve_profile(params))
+        finally:
+            outgoing_anchor.cache_clear()
+        np.testing.assert_array_equal(own.xi_grid, ref.xi_grid)
+        np.testing.assert_allclose(own.W, ref.W, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(own.Z, ref.Z, rtol=1e-10, atol=0)
+        assert abs(own.anchor.W - ref.anchor.W) <= ANCHOR_TOL
+        assert abs(own.anchor.Z - ref.anchor.Z) <= ANCHOR_TOL
+        res_own = residual_profile(own, 0.01, 100.0)
+        res_ref = residual_profile(ref, 0.01, 100.0)
+        for a, b in zip(res_own, res_ref):
+            assert a == pytest.approx(b, rel=0.01)
 
 
 class TestToPhysical:
