@@ -6,7 +6,10 @@ format version, outputs carry no timestamps, and files are written
 atomically, so a fixed configuration reproduces its artifacts byte for
 byte.  A JSON artifact is exactly json.dumps(..., indent=2,
 sort_keys=True) plus a newline.  The profile_<tag>.json table holds the
-state columns only (xi, W, Z, dR_Ubar, dR_Sbar); the CSV holds them all.
+state columns only (xi, W, Z, dR_Ubar, dR_Sbar), each as one string: the
+standard padded base64 of the column's little-endian float64 bytes, which
+np.frombuffer(base64.b64decode(s), "<f8") reads back bit for bit.  The
+CSV is the human-readable table, with all eleven columns in %.17g.
 
 `verify` and `simulate` take their table from the profile_<tag>.json in
 the output directory when its table key matches theirs, and solve again

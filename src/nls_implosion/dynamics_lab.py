@@ -730,6 +730,13 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     overflows on the run's span (r < 2 at large s0) is a DomainError
     before any step, with quantum pressure on or off: every sample's
     energy_high and residual_stationary use it.
+
+    The run is ill-conditioned in its input table: at r = 2.01 and the
+    defaults, a change of at most 5e-11 in W and Z moved sup_residual_Psi
+    by 0.72 % and drift_Linf_S by 0.35 %, and boundary_flux from 3.56e-5
+    to 2.74e-4 at a sample where it is tiny against its peak of 711.
+    Digits of the report past about the third are not a property of the
+    profile.
     """
     import time
     t0 = time.perf_counter()

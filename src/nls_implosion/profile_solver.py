@@ -62,6 +62,7 @@ tabulated columns so the check is not a restatement of the construction.
 
 from __future__ import annotations
 
+import base64
 import functools
 import json
 from dataclasses import dataclass, replace
@@ -115,7 +116,8 @@ CSV_HEADER = ["xi", "R", "W", "Z", "Ubar_R", "Sbar", "U_nls", "S_nls",
               "Psi_nls", "dR_Ubar", "dR_Sbar"]
 #: the columns of a JSON table: the state, from which the others follow
 STATE_COLUMNS = ("xi", "W", "Z", "dR_Ubar", "dR_Sbar")
-SCHEMA_VERSION = 2
+#: 3: each state column is one base64 string of its "<f8" bytes
+SCHEMA_VERSION = 3
 
 #: radius of the origin fit that reports w0 = Sbar(0)
 MATCH_RADIUS = 0.05
@@ -239,7 +241,13 @@ class ProfileTable:
 
     def payload(self) -> dict:
         """The JSON-ready snapshot that to_json serializes: the scalars and
-        the STATE_COLUMNS, from which from_payload rebuilds the rest."""
+        the STATE_COLUMNS, from which from_payload rebuilds the rest.
+
+        Each state column is one string: the standard padded base64 of its
+        little-endian IEEE-754 float64 bytes, so it reads back bit for bit
+        with np.frombuffer(base64.b64decode(s), "<f8").  The CSV is the
+        human-readable table, with all eleven columns.
+        """
         return {
             "schema_version": SCHEMA_VERSION,
             "params": {"r": self.params.r, "d": self.params.d, "p": self.params.p},
@@ -249,8 +257,11 @@ class ProfileTable:
             "anchor": (None if self.anchor is None else
                        {"W": self.anchor.W, "Z": self.anchor.Z,
                         "xi": self.anchor.xi}),
-            "columns": {name: self._column(name).tolist()
-                        for name in STATE_COLUMNS},
+            "columns": {
+                name: base64.b64encode(
+                    self._column(name).astype("<f8", copy=False).tobytes()
+                ).decode("ascii")
+                for name in STATE_COLUMNS},
         }
 
     def to_json(self) -> str:
@@ -279,19 +290,27 @@ class ProfileTable:
 
 def _state_column(columns: dict, name: str, n: int | None = None
                   ) -> np.ndarray:
-    """State column `name` of a JSON table as a 1-D float array, of length
-    n when n is given; DomainError when it is missing or malformed."""
+    """State column `name` of a JSON table, decoded from its base64 "<f8"
+    bytes into a 1-D float array, of length n when n is given; DomainError
+    when it is missing or malformed."""
     if name not in columns:
         raise DomainError(f"state column {name} is missing")
+    text = columns[name]
+    if not isinstance(text, str):
+        raise DomainError(f"state column {name} is malformed: "
+                          f"{type(text).__name__}, need a base64 string")
     try:
-        col = np.asarray(columns[name], dtype=float)
-    except (TypeError, ValueError):
-        raise DomainError(f"state column {name} is malformed: not an "
-                          "array of numbers") from None
-    if col.ndim != 1 or (n is not None and len(col) != n):
-        need = "a 1-D array" if n is None else f"shape ({n},)"
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:   # binascii.Error, or a non-ASCII character
+        raise DomainError(f"state column {name} is malformed: not base64 "
+                          f"({exc})") from None
+    if len(raw) % 8:
+        raise DomainError(f"state column {name} is malformed: {len(raw)} "
+                          "bytes, not a whole number of float64")
+    col = np.frombuffer(raw, "<f8").astype(float)
+    if n is not None and len(col) != n:
         raise DomainError(f"state column {name} is malformed: shape "
-                          f"{col.shape}, need {need}")
+                          f"{col.shape}, need shape ({n},)")
     return col
 
 

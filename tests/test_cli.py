@@ -6,6 +6,7 @@ artifact files twice, they do not compare against frozen blobs.
 """
 
 import argparse
+import base64
 import json
 import math
 import os
@@ -438,6 +439,36 @@ class TestProfileReuse:
         # profile never reads its own output, so it restores the file
         assert main(["profile", *argv]) == EXIT_OK
         assert read(path) == pristine
+
+    @pytest.mark.parametrize("key", ["current", "foreign"])
+    def test_schema_2_file_refused_under_its_key_else_solved_over(
+            self, key, tmp_path, capsys, solves):
+        # the table of an older build, decimal columns under schema 2: its
+        # key never matches this build's, so only a file moved under the
+        # current key is read, and then refused by name
+        argv = ["--r", "2.01", *FAST, "--out-dir", str(tmp_path)]
+        assert main(["profile", *argv]) == EXIT_OK
+        path = tmp_path / "profile_r2.01.json"
+        wrapped = json.loads(read(path))
+        table = wrapped["artifact"]
+        table["schema_version"] = 2
+        table["columns"] = {
+            name: np.frombuffer(base64.b64decode(text), "<f8").tolist()
+            for name, text in table["columns"].items()}
+        if key == "foreign":
+            wrapped["table_key"] = "0" * 16
+        path.write_text(json.dumps(wrapped, indent=2, sort_keys=True) + "\n")
+        capsys.readouterr()
+        if key == "current":
+            assert main(["verify", *argv]) == EXIT_SOLVER
+            err = capsys.readouterr().err
+            assert f"cannot use {path}" in err
+            assert "unsupported schema version 2" in err
+            assert not list(tmp_path.glob("verify_*"))
+            assert len(solves) == 1
+        else:
+            assert main(["verify", *argv]) == EXIT_OK
+            assert len(solves) == 2
 
     def test_two_processes(self, tmp_path):
         # the workflow as run from a shell: profile, then verify in a new

@@ -6,6 +6,7 @@ independent extended-precision recurrence and are asserted as regression
 guards with tolerances reflecting how they were obtained.
 """
 
+import base64
 import csv
 import io
 import json
@@ -571,14 +572,23 @@ class TestSerialization:
         with pytest.raises(DomainError, match=f"state column {name} "):
             ProfileTable.from_payload(payload)
 
+    def test_json_columns_are_base64_of_little_endian_float64(
+            self, profile_r201):
+        # the one-liner the docs give reads each column back bit for bit
+        columns = json.loads(profile_r201.to_json())["columns"]
+        for name in STATE_COLUMNS:
+            back = np.frombuffer(base64.b64decode(columns[name]), "<f8")
+            want = profile_r201._column(name).astype("<f8")
+            assert back.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("name", ["xi", "W", "Z", "dR_Ubar", "dR_Sbar"])
     def test_json_malformed_state_column_refused(self, profile_r201, name):
-        # a column one entry short disagrees in length with xi (a short xi
+        # a column one float short disagrees in length with xi (a short xi
         # with W, the first column measured against it); a null column is
-        # no 1-D array at all
+        # no base64 string at all
         payload = json.loads(profile_r201.to_json())
-        column = payload["columns"][name]
-        payload["columns"][name] = column[:-1]
+        column = base64.b64decode(payload["columns"][name])
+        payload["columns"][name] = base64.b64encode(column[:-8]).decode()
         culprit = "W" if name == "xi" else name
         with pytest.raises(DomainError,
                            match=f"state column {culprit} is malformed: "
@@ -587,7 +597,33 @@ class TestSerialization:
         payload["columns"][name] = None
         with pytest.raises(DomainError,
                            match=f"state column {name} is malformed: "
-                                 r"shape \(\)"):
+                                 "NoneType, need a base64 string"):
+            ProfileTable.from_payload(payload)
+
+    @pytest.mark.parametrize("tamper, message", [
+        pytest.param(lambda text, col: "*" + text[1:],
+                     r"not base64 \(Only base64 data is allowed\)",
+                     id="outside-alphabet"),
+        pytest.param(lambda text, col: "\u00e9" + text[1:],
+                     r"not base64 \(string argument should contain only "
+                     r"ASCII characters\)", id="non-ascii"),
+        pytest.param(lambda text, col: text.rstrip("="),
+                     r"not base64 \(Incorrect padding\)", id="unpadded"),
+        pytest.param(lambda text, col: base64.b64encode(
+                         base64.b64decode(text)[:-4]).decode(),
+                     "32764 bytes, not a whole number of float64",
+                     id="partial-float"),
+        pytest.param(lambda text, col: col.tolist(),
+                     "list, need a base64 string", id="decimal-list"),
+    ])
+    def test_json_column_codec_refusals(self, profile_r201, tamper, message):
+        # schema 3 reads a column only as the base64 of whole "<f8" values:
+        # a schema 2 decimal list is refused, not parsed
+        payload = json.loads(profile_r201.to_json())
+        payload["columns"]["W"] = tamper(payload["columns"]["W"],
+                                         profile_r201.W)
+        with pytest.raises(DomainError,
+                           match=f"state column W is malformed: {message}"):
             ProfileTable.from_payload(payload)
 
     def test_schema_version_enforced(self, profile_r201):
