@@ -53,19 +53,20 @@ CUT_WINDOWS = {"hat": (0.5, 2.0 / 3.0), "tilde": (1.0 / 8.0, 1.0 / 4.0),
 # smooth cut-offs
 # ---------------------------------------------------------------------------
 
-def _bump(t):
-    """exp(-1/t) for t > 0, 0 otherwise; the standard C-infinity germ."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
 def _smooth_step(t):
-    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1."""
-    f = _bump(t)
-    return f / (f + _bump(1.0 - t))
+    """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1, NaN for NaN.
+
+    In between it is f(t) / (f(t) + f(1 - t)) with f(t) = exp(-1/t), the
+    standard C-infinity germ; the exponentials are taken only there, and
+    the plateaus get the exact 0.0 and 1.0 that quotient gives.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.where(t >= 1.0, 1.0, np.where(np.isnan(t), np.nan, 0.0))
+    inside = (t > 0.0) & (t < 1.0)
+    ti = t[inside]
+    f = np.exp(-1.0 / ti)
+    out[inside] = f / (f + np.exp(-1.0 / (1.0 - ti)))
+    return out[()]
 
 
 def cutoff(kind: str, x, n_d: int = 40):
@@ -76,11 +77,14 @@ def cutoff(kind: str, x, n_d: int = 40):
     poly:  1 on [0, 1/2], <x>^(-n_d) on [2/3, inf), value in (0, 1]
 
     All three use the same normalized bump-integral transition profile, so
-    they are C-infinity with monotone transitions.
+    they are C-infinity with monotone transitions.  Exponentials are taken
+    only inside a transition window (and, for poly, for the tail power),
+    so hat and tilde cost scales with the points inside their window, not
+    with the grid.
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise DomainError("cut-offs are defined for x >= 0")
+    if not np.all(x >= 0):
+        raise DomainError("cut-offs are defined for x >= 0 (and not NaN)")
     if kind == "hat":
         a, b = CUT_WINDOWS["hat"]
         return _smooth_step((b - x) / (b - a))
@@ -103,17 +107,33 @@ def cutoff_derivative(kind: str, x, n_d: int = 40, order: int = 1,
     The cut-offs are C-infinity with moderate derivatives, so an eighth
     order stencil at a fixed small step evaluates first and second
     derivatives far below the tolerances used anywhere in the package.
+    A stencil sitting entirely on a plateau gives exactly zero.  hat and
+    tilde are constant outside their CUT_WINDOWS interval, so their
+    stencils are evaluated only at points within 5 steps of it and cost
+    scales with those points, not with the grid; poly is not constant
+    past its window and is evaluated everywhere.
     """
     x = np.asarray(x, dtype=float)
     offsets = np.arange(-4, 5, dtype=float)
     w = fd_weights(offsets, 0.0, order)
-    samples = x[..., None] + offsets * step
+    if kind in ("hat", "tilde"):
+        a, b = CUT_WINDOWS[kind]
+        # written as "not far" so that NaN counts as near, and cutoff
+        # refuses it
+        near = ~((x <= a - 5.0 * step) | (x >= b + 5.0 * step))
+    else:
+        near = np.ones(x.shape, dtype=bool)
+    samples = x[near][..., None] + offsets * step
     # stencil points pushed below 0 land on the plateau anyway, where the
     # derivative vanishes; clipping keeps the evaluation defined
-    vals = cutoff(kind, np.clip(samples, 0.0, None), n_d=n_d)
+    near_vals = cutoff(kind, np.clip(samples, 0.0, None), n_d=n_d)
+    vals = np.zeros(x.shape + offsets.shape)
+    vals[near] = near_vals
+    # one product over the whole stack, in the layout of a dense
+    # evaluation: BLAS sums a row in an order set by the stack's shape
     out = (vals @ w) / step ** order
-    # a stencil sitting entirely on a plateau must give exactly zero
-    flat = np.ptp(vals, axis=-1) == 0.0
+    flat = np.ones(x.shape, dtype=bool)
+    flat[near] = np.ptp(near_vals, axis=-1) == 0.0
     return np.where(flat, 0.0, out)[()]
 
 

@@ -20,3 +20,11 @@ def params_r201():
 def profile_r201(params_r201):
     """Converged physical profile table at the reference scaling r = 2.01."""
     return to_physical(solve_profile(params_r201))
+
+
+@pytest.fixture(scope="session")
+def profile_r201_wide(params_r201):
+    """The r = 2.01 table on xi <= 12.6 at 8192 points: coverage out to
+    x = 2/3 at s = 12 needs the far tail of the profile."""
+    return to_physical(solve_profile(params_r201, xi_max=12.6,
+                                     n_points=8192))

@@ -3,15 +3,17 @@
 Each function recomputes a quantity the package computes another way: the
 L'Hopital quadratic against the closed-form sonic slope, the quadratic
 Taylor seed against the series recurrence, Xi_1 and the barrier normals
-by the product rule against their factored forms, and the complex radial
-NLS against its polar form.  No package code calls them, so they live
-with the tests.
+by the product rule against their factored forms, the complex radial
+NLS against its polar form, and the dense cut-offs, evaluated at every
+point, against the windowed ones.  No package code calls them, so they
+live with the tests.
 """
 
 import math
 
 import numpy as np
 
+from nls_implosion._fd import fd_weights
 from nls_implosion.errors import DomainError
 from nls_implosion.phase_portrait import (
     GRAD_D_Z,
@@ -25,7 +27,11 @@ from nls_implosion.phase_portrait import (
     n_z,
     special_points,
 )
-from nls_implosion.selfsimilar_fields import _even_d1, radial_laplacian
+from nls_implosion.selfsimilar_fields import (
+    CUT_WINDOWS,
+    _even_d1,
+    radial_laplacian,
+)
 
 #: grad D_W; the package itself only needs grad D_Z
 GRAD_D_W = (0.75, 0.25)
@@ -157,3 +163,57 @@ def nls_rhs_polar(rho: np.ndarray, psi: np.ndarray, R: np.ndarray, h: float,
               - drho ** 2 / (4.0 * rho ** 2) - dpsi ** 2)
     dt_rho = 2.0 * (-drho * dpsi - rho * lap_psi)
     return dt_psi, dt_rho
+
+
+# ---------------------------------------------------------------------------
+# dense cut-offs
+# ---------------------------------------------------------------------------
+
+def dense_bump(t):
+    """exp(-1/t) for t > 0, 0 otherwise; the standard C-infinity germ."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    pos = t > 0
+    out[pos] = np.exp(-1.0 / t[pos])
+    return out
+
+
+def dense_smooth_step(t):
+    """The step as f / (f + dense_bump(1 - t)), f = dense_bump(t), at
+    every point, plateaus included; kept on purpose as the reference the
+    windowed _smooth_step must match bit for bit."""
+    f = dense_bump(t)
+    return f / (f + dense_bump(1.0 - t))
+
+
+def dense_cutoff(kind: str, x, n_d: int = 40):
+    """The cut-offs through dense_smooth_step, for finite x >= 0."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0):
+        raise DomainError("cut-offs are defined for x >= 0")
+    if kind == "hat":
+        a, b = CUT_WINDOWS["hat"]
+        return dense_smooth_step((b - x) / (b - a))
+    if kind == "tilde":
+        a, b = CUT_WINDOWS["tilde"]
+        return dense_smooth_step((x - a) / (b - a))
+    if kind == "poly":
+        a, b = CUT_WINDOWS["poly"]
+        blend = dense_smooth_step((x - a) / (b - a))
+        return np.exp(-0.5 * n_d * blend * np.log1p(x * x))
+    raise DomainError(f"unknown cut-off kind {kind!r}")
+
+
+def dense_cutoff_derivative(kind: str, x, n_d: int = 40, order: int = 1,
+                            step: float = 1e-3):
+    """The 9-point stencil built at every point, plateaus included; kept
+    on purpose as the reference the windowed cutoff_derivative must match
+    bit for bit."""
+    x = np.asarray(x, dtype=float)
+    offsets = np.arange(-4, 5, dtype=float)
+    w = fd_weights(offsets, 0.0, order)
+    samples = x[..., None] + offsets * step
+    vals = dense_cutoff(kind, np.clip(samples, 0.0, None), n_d=n_d)
+    out = (vals @ w) / step ** order
+    flat = np.ptp(vals, axis=-1) == 0.0
+    return np.where(flat, 0.0, out)[()]

@@ -222,10 +222,8 @@ def test_criterion_08_roundtrips(params_r201):
                  worst_polar < 1e-12 and worst_frame < 1e-12)
 
 
-def test_criterion_09_error_term_suite(params_r201):
-    # coverage out to x = 2/3 at s = 12 needs the far tail of the profile
-    table = to_physical(solve_profile(params_r201, xi_max=12.6,
-                                      n_points=8192))
+def test_criterion_09_error_term_suite(profile_r201_wide):
+    table = profile_r201_wide
     res = residual_profile(table, R_lo=0.01, R_hi=100.0)
     floor = 10.0 * max(res.phase, res.sound)
 

@@ -3,8 +3,10 @@
 Closed-form targets (polynomial energies, the exponent formula, quadratic
 scaling) are checked exactly or at quadrature accuracy; dynamical bounds
 (profile drift, perturbation control) are calibrated from the measured
-stationarity residual of the interpolated profile, since at 4096-node
-desk resolution the corner region is only a few grid cells wide.
+stationarity residual of the interpolated profile, since at desk
+resolution (simulate's default of 2,048 nodes of R = 4 sinh(x/4) on
+[0, 30], spaced about 0.0055 near R = 1) the corner region is only a few
+grid cells wide.
 """
 
 import math

@@ -4,7 +4,9 @@ Plateau values of the cut-offs and the frame-change powers are pinned by
 closed forms; roundtrip identities are property-tested with randomized
 smooth fields; the damped-profile error fields are checked against the
 converged profile (zero on the inner plateau, finite weighted bounds, and
-an e^-s decay of the differentiated weighted norms).
+an e^-s decay of the differentiated weighted norms).  The windowed
+cut-offs are checked bit for bit against the dense ones in oracles.py,
+point by point and through every caller.
 """
 
 import json
@@ -14,10 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+from nls_implosion import dynamics_lab, selfsimilar_fields
 from nls_implosion.errors import DomainError, RangeError, VacuumError
 from nls_implosion.phase_portrait import ProfileParams
 from nls_implosion.selfsimilar_fields import (
+    CUT_WINDOWS,
     FieldSet,
+    _smooth_step,
     cutoff,
     cutoff_derivative,
     damped_profile,
@@ -79,6 +85,114 @@ class TestCutoffs:
             cutoff("hat", -0.1)
         with pytest.raises(DomainError):
             cutoff("fancy", 0.5)
+
+    def test_nan_rejected(self):
+        for kind in ("hat", "tilde", "poly"):
+            for x in (float("nan"), np.array([0.3, np.nan, 0.6])):
+                with pytest.raises(DomainError, match="not NaN"):
+                    cutoff(kind, x)
+                with pytest.raises(DomainError, match="not NaN"):
+                    cutoff_derivative(kind, x)
+
+    def test_smooth_step_keeps_nan(self):
+        assert np.isnan(_smooth_step(float("nan")))
+        out = _smooth_step(np.array([-1.0, np.nan, 0.5, 2.0]))
+        assert np.array_equal(np.isnan(out), [False, True, False, False])
+        assert out[0] == 0.0 and out[3] == 1.0
+
+
+def _same_bits(got, want):
+    """Same type, same shape, and the same bytes (so -0.0 and NaN count)."""
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _shaped(pts: np.ndarray, shape: str):
+    """A Python float, the row itself, or a (2, 3, n) stack of its
+    rotations, so every stack row holds the points in another order."""
+    if shape == "scalar":
+        return float(pts[0])
+    if shape == "row":
+        return pts
+    return np.stack([np.roll(pts, k) for k in range(6)]).reshape(2, 3, -1)
+
+
+class TestWindowedCutoffs:
+    """The windowed cut-offs against the dense ones of oracles.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(("hat", "tilde", "poly")),
+           order=st.sampled_from((1, 2)), step=st.sampled_from((1e-3, 1e-4)),
+           shape=st.sampled_from(("scalar", "row", "stack")),
+           data=st.data())
+    def test_equal_to_dense_bit_for_bit(self, kind, order, step, shape, data):
+        a, b = CUT_WINDOWS[kind]
+        edges = [0.0, 1e6] + [e + k * step for e in (a, b)
+                              for k in range(-6, 7)]
+        point = st.one_of(st.sampled_from(edges),
+                          st.floats(0.0, 1.0), st.floats(0.0, 1e6))
+        x = _shaped(np.array(data.draw(st.lists(point, min_size=1,
+                                                max_size=40))), shape)
+        _same_bits(cutoff(kind, x), oracles.dense_cutoff(kind, x))
+        _same_bits(cutoff_derivative(kind, x, order=order, step=step),
+                   oracles.dense_cutoff_derivative(kind, x, order=order,
+                                                   step=step))
+
+    @settings(max_examples=150, deadline=None)
+    @given(t=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, 5e-324, 1e-3, 1.0 - 2.0 ** -53,
+                         1.0 + 2.0 ** -52, -1e300, 1e300]),
+        st.floats(-2.0, 3.0)))
+    def test_smooth_step_equal_to_dense(self, t):
+        # both overflow -1/t to -inf at a subnormal t, and exp maps it to
+        # the exact 0
+        with np.errstate(over="ignore"):
+            _same_bits(_smooth_step(t), oracles.dense_smooth_step(t))
+
+    @pytest.mark.parametrize("shape", ["row", "stack"])
+    @pytest.mark.parametrize("kind", ["hat", "tilde", "poly"])
+    def test_long_grids_equal_to_dense(self, kind, shape):
+        # long stacks take other BLAS code paths than short ones
+        x = _shaped(np.linspace(0.0, 1.0, 4097), shape)
+        _same_bits(cutoff(kind, x), oracles.dense_cutoff(kind, x))
+        for order in (1, 2):
+            _same_bits(cutoff_derivative(kind, x, order=order),
+                       oracles.dense_cutoff_derivative(kind, x, order=order))
+
+
+def test_windowed_cutoffs_identical_through_callers(profile_r201,
+                                                   profile_r201_wide,
+                                                   monkeypatch):
+    def run():
+        terms = []
+        for s in (10.0, 11.0, 12.0):
+            dp = damped_profile(profile_r201_wide, s)
+            terms.append((dp.S_d, dp.Psi_d, dp.constants,
+                          *error_terms(dp, profile_r201_wide)))
+        probe = dynamics_lab.dissipativity_probe(profile_r201)
+        rep = dynamics_lab.simulate(profile_r201, s_span=0.1, n=256,
+                                    n_samples=3)
+        manifest = rep.payload()
+        manifest.pop("wall_time", None)
+        return terms, probe, rep.to_csv(), json.dumps(manifest)
+
+    windowed = run()
+    for module in (selfsimilar_fields, dynamics_lab):
+        monkeypatch.setattr(module, "_smooth_step",
+                            oracles.dense_smooth_step)
+        monkeypatch.setattr(module, "cutoff", oracles.dense_cutoff)
+    monkeypatch.setattr(selfsimilar_fields, "cutoff_derivative",
+                        oracles.dense_cutoff_derivative)
+    dense = run()
+
+    for got, want in zip(windowed[0], dense[0]):
+        for g, w in zip(got, want):
+            if isinstance(g, np.ndarray):
+                _same_bits(g, w)
+            else:
+                assert g == w
+    assert windowed[1:] == dense[1:]
 
 
 class TestMadelung:
