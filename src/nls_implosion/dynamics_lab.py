@@ -50,6 +50,7 @@ from .selfsimilar_fields import (
     _as_grid,
     _half_log_density,
     _smooth_step,
+    _smooth_step_derivative,
     cutoff,
 )
 
@@ -144,24 +145,19 @@ class Weights:
     max_grad_ratio_phi: float
 
 
-def _tail_weight(R: np.ndarray, R0: float, exponent: float) -> np.ndarray:
-    blend = _smooth_step((R - R0) / (3.0 * R0))
-    safe = np.maximum(R / R0, 1.0)
-    return np.exp(exponent * blend * np.log(safe))
-
-
 def build_weights(R, cfg: EnergyConfig) -> Weights:
-    """The weights on R, a RadialGrid or samples of a uniform grid."""
-    grid = _as_grid(R)
-    R = grid.R
-    beta = _tail_weight(R, cfg.R0, cfg.beta_exponent)
-    phi = _tail_weight(R, cfg.R0, cfg.phi_exponent)
-    if len(R) > 8 and R[1] > R[0]:
-        dphi = grid.dR(phi, 1)
-        ratio = float(np.max(np.abs(dphi) / phi))
-    else:
-        ratio = 0.0
-    return Weights(beta=beta, phi=phi, max_grad_ratio_phi=ratio)
+    """The weights on R, a RadialGrid or samples of a uniform grid: each
+    is exp(q B log max(R/R0, 1)) with B the blend, so |phi'|/phi is
+    |p (B' log max(R/R0, 1) + B/R)| in closed form, and B = 0 up to R0."""
+    R = _as_grid(R).R
+    t = (R - cfg.R0) / (3.0 * cfg.R0)
+    blend, log_r = _smooth_step(t), np.log(np.maximum(R / cfg.R0, 1.0))
+    grad_log = (_smooth_step_derivative(t, 1) / (3.0 * cfg.R0) * log_r
+                + blend / np.maximum(R, cfg.R0))
+    return Weights(
+        beta=np.exp(cfg.beta_exponent * blend * log_r),
+        phi=np.exp(cfg.phi_exponent * blend * log_r),
+        max_grad_ratio_phi=abs(cfg.phi_exponent) * float(np.max(grad_log)))
 
 
 # ---------------------------------------------------------------------------

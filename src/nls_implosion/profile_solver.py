@@ -585,8 +585,9 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     bound = BLOWUP_FACTOR * np.exp(-xi_start)
     w1_origin = -(r - 1.0) / 4.0
     y_start = (np.exp(-xi_start) + w1_origin, -np.exp(-xi_start) + w1_origin)
-    sol_left = _march(rhs, (xi_start, 2.0), y_start, tol, "left march",
-                      bound=bound)
+    # the D_Z = 0 event (or a blow-up) ends the march; the span only bounds it
+    sol_left = _march(rhs, (xi_start, xi_max - xi_min), y_start, tol,
+                      "left march", bound=bound)
     seam_left, xi_hit = _arrive(sol_left, pts, Wc, Zc, r, tol, -xi_switch,
                                 "left march")
 

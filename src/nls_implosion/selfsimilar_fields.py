@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._fd import derivative, fd_weights
+from ._fd import derivative
 from .errors import DomainError, RangeError, VacuumError
 from .phase_portrait import ProfileParams
 from .profile_solver import ProfileTable, profile_operator
@@ -76,11 +76,11 @@ def cutoff(kind: str, x, n_d: int = 40):
     tilde: 0 on [0, 1/8], 1 on [1/4, inf)
     poly:  1 on [0, 1/2], <x>^(-n_d) on [2/3, inf), value in (0, 1]
 
-    All three use the same normalized bump-integral transition profile, so
-    they are C-infinity with monotone transitions.  Exponentials are taken
-    only inside a transition window (and, for poly, for the tail power),
-    so hat and tilde cost scales with the points inside their window, not
-    with the grid.
+    All three make their transition with the C-infinity monotone step
+    f(t)/(f(t) + f(1 - t)), f(t) = exp(-1/t), of _smooth_step, taking
+    exponentials only inside a transition window (and, for poly, for the
+    tail power), so hat and tilde cost scales with the points inside
+    their window, not with the grid.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0):
@@ -100,41 +100,39 @@ def cutoff(kind: str, x, n_d: int = 40):
     raise DomainError(f"unknown cut-off kind {kind!r}")
 
 
-def cutoff_derivative(kind: str, x, n_d: int = 40, order: int = 1,
-                      step: float = 1e-3):
-    """Derivative of a cut-off by high-order central differencing.
+def _smooth_step_derivative(t: np.ndarray, order: int) -> np.ndarray:
+    """g' (order 1) or g'' (order 2) of the step g = _smooth_step, exact 0
+    off 0 < t < 1: with u = 1/t^2 + 1/(1 - t)^2, g' = u g (1 - g) and
+    g'' = g (1 - g) (u' + u^2 (1 - 2 g)), where g (1 - g) = a b/(a + b)^2
+    and 1 - 2 g = (b - a)/(a + b), a = f(t) and b = f(1 - t), have no
+    cancellation."""
+    out = np.zeros(t.shape)
+    inside = (t > 0.0) & (t < 1.0)
+    ti, si = t[inside], 1.0 - t[inside]
+    a, b = np.exp(-1.0 / ti), np.exp(-1.0 / si)
+    u = 1.0 / (ti * ti) + 1.0 / (si * si)
+    factor = u if order == 1 else (2.0 / si ** 3 - 2.0 / ti ** 3
+                                   + u * u * (b - a) / (a + b))
+    out[inside] = a * b / ((a + b) * (a + b)) * factor
+    return out
 
-    The cut-offs are C-infinity with moderate derivatives, so an eighth
-    order stencil at a fixed small step evaluates first and second
-    derivatives far below the tolerances used anywhere in the package.
-    A stencil sitting entirely on a plateau gives exactly zero.  hat and
-    tilde are constant outside their CUT_WINDOWS interval, so their
-    stencils are evaluated only at points within 5 steps of it and cost
-    scales with those points, not with the grid; poly is not constant
-    past its window and is evaluated everywhere.
-    """
+
+def cutoff_derivative(kind: str, x, order: int = 1):
+    """First or second x-derivative of the hat or tilde cut-off in closed
+    form, g^(order)(t) (dt/dx)^order for the step g at its argument t
+    (see cutoff), exactly 0 off the window.  Each point is computed
+    alone, so the bits do not depend on the array's shape.  poly and
+    orders other than 1 and 2 are refused."""
     x = np.asarray(x, dtype=float)
-    offsets = np.arange(-4, 5, dtype=float)
-    w = fd_weights(offsets, 0.0, order)
-    if kind in ("hat", "tilde"):
-        a, b = CUT_WINDOWS[kind]
-        # written as "not far" so that NaN counts as near, and cutoff
-        # refuses it
-        near = ~((x <= a - 5.0 * step) | (x >= b + 5.0 * step))
-    else:
-        near = np.ones(x.shape, dtype=bool)
-    samples = x[near][..., None] + offsets * step
-    # stencil points pushed below 0 land on the plateau anyway, where the
-    # derivative vanishes; clipping keeps the evaluation defined
-    near_vals = cutoff(kind, np.clip(samples, 0.0, None), n_d=n_d)
-    vals = np.zeros(x.shape + offsets.shape)
-    vals[near] = near_vals
-    # one product over the whole stack, in the layout of a dense
-    # evaluation: BLAS sums a row in an order set by the stack's shape
-    out = (vals @ w) / step ** order
-    flat = np.ones(x.shape, dtype=bool)
-    flat[near] = np.ptp(near_vals, axis=-1) == 0.0
-    return np.where(flat, 0.0, out)[()]
+    if not np.all(x >= 0):
+        raise DomainError("cut-offs are defined for x >= 0 (and not NaN)")
+    if kind not in ("hat", "tilde") or order not in (1, 2):
+        raise DomainError(f"cut-off derivatives are taken of hat or tilde "
+                          f"at order 1 or 2, not of {kind!r} at {order!r}")
+    a, b = CUT_WINDOWS[kind]
+    t = (b - x) / (b - a) if kind == "hat" else (x - a) / (b - a)
+    slope = (-1.0 if kind == "hat" else 1.0) / (b - a)
+    return (slope ** order * _smooth_step_derivative(t, order))[()]
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +326,10 @@ class RadialGrid:
                      d: int = 8) -> "RadialGrid":
         """The grid a payload names, refused unless it holds the nodes R."""
         if grid["kind"] == "uniform":
+            # the nodes of linspace(0, R_max, n), up to rounding
+            if not (len(R) > 1 and 0.0 < R[-1] < np.inf and np.allclose(
+                    R, np.linspace(0.0, R[-1], len(R)), rtol=1e-12, atol=0)):
+                raise DomainError("R column is not a uniform grid from 0")
             return cls.uniform(R, d)
         if grid["kind"] != "sinh":
             raise DomainError(f"unknown grid kind {grid['kind']!r}")

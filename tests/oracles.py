@@ -4,16 +4,17 @@ Each function recomputes a quantity the package computes another way: the
 L'Hopital quadratic against the closed-form sonic slope, the quadratic
 Taylor seed against the series recurrence, Xi_1 and the barrier normals
 by the product rule against their factored forms, the complex radial
-NLS against its polar form, and the dense cut-offs, evaluated at every
-point, against the windowed ones.  No package code calls them, so they
-live with the tests.
+NLS against its polar form, the dense cut-offs, evaluated at every
+point, against the windowed ones, and the cut-offs' derivatives by
+50-digit numerical differentiation against their closed forms.  No
+package code calls them, so they live with the tests.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
-from nls_implosion._fd import fd_weights
 from nls_implosion.errors import DomainError
 from nls_implosion.phase_portrait import (
     GRAD_D_Z,
@@ -204,16 +205,27 @@ def dense_cutoff(kind: str, x, n_d: int = 40):
     raise DomainError(f"unknown cut-off kind {kind!r}")
 
 
-def dense_cutoff_derivative(kind: str, x, n_d: int = 40, order: int = 1,
-                            step: float = 1e-3):
-    """The 9-point stencil built at every point, plateaus included; kept
-    on purpose as the reference the windowed cutoff_derivative must match
-    bit for bit."""
-    x = np.asarray(x, dtype=float)
-    offsets = np.arange(-4, 5, dtype=float)
-    w = fd_weights(offsets, 0.0, order)
-    samples = x[..., None] + offsets * step
-    vals = dense_cutoff(kind, np.clip(samples, 0.0, None), n_d=n_d)
-    out = (vals @ w) / step ** order
-    flat = np.ptp(vals, axis=-1) == 0.0
-    return np.where(flat, 0.0, out)[()]
+def mp_cutoff_derivative(kind: str, x, order: int = 1, dps: int = 50):
+    """The order-th x-derivative of the hat or tilde cut-off at each
+    double x, by mpmath's numerical differentiation at dps digits of the
+    cut-off's defining quotient f(t)/(f(t) + f(1 - t)), f(t) = exp(-1/t),
+    over the same double window edges; kept on purpose as the reference
+    the closed-form cutoff_derivative must match."""
+    with mpmath.workdps(dps):
+        a, b = (mpmath.mpf(e) for e in CUT_WINDOWS[kind])
+
+        def step(t):
+            if t <= 0:
+                return mpmath.mpf(0)
+            if t >= 1:
+                return mpmath.mpf(1)
+            f = mpmath.exp(-1 / t)
+            return f / (f + mpmath.exp(-1 / (1 - t)))
+
+        def cut(y):
+            return step((b - y) / (b - a) if kind == "hat"
+                        else (y - a) / (b - a))
+
+        vals = [float(mpmath.diff(cut, mpmath.mpf(float(v)), order))
+                for v in np.ravel(x)]
+    return np.array(vals).reshape(np.shape(x))

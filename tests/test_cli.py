@@ -122,6 +122,12 @@ class TestProfileCommand:
         loaded = profile_solver.ProfileTable.from_payload(table)
         assert loaded.to_csv() == body
 
+    def test_reaches_near_r_star(self, tmp_path):
+        # the left march's D_Z root sits at xi = 2.51 here; its span ends
+        # at the event, not at a fixed xi
+        assert main(["profile", "--r", "2.07", *FAST,
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+
     def test_byte_stable_across_reruns(self, tmp_path):
         argv = ["profile", "--r", "2.01", *FAST, "--out-dir", str(tmp_path)]
         assert main(argv) == EXIT_OK
@@ -511,16 +517,15 @@ class TestSweepCommand:
         assert list(tmp_path.iterdir()) == []
 
     def test_sweep_summary(self, tmp_path):
-        # at r = 2.07 the left march never reaches the sonic point, so its
-        # row fails
-        code = main(["sweep", "--values", "2.07,2.01", *FAST,
+        # at r = 1.02 <= r*/2 there is no outgoing anchor, so its row fails
+        code = main(["sweep", "--values", "2.01,1.02", *FAST,
                      "--verify-samples", "128", "--out-dir", str(tmp_path)])
         assert code == EXIT_CHECK_FAILED
         lines = read(tmp_path / "sweep.csv").decode().splitlines()
         assert lines[2] == "r,ok,all_passed,min_margin,checks"
         assert len(lines) == 3 + 2
         rows = json.loads(read(tmp_path / "sweep.json"))["artifact"]
-        assert [row["all_passed"] for row in rows] == [True, False]
+        assert [row["all_passed"] for row in rows] == [False, True]
 
     def test_sweep_row_passes_exactly_when_verify_exits_0(self, tmp_path,
                                                           monkeypatch,
@@ -794,7 +799,7 @@ class TestJsonArtifacts:
         (["simulate", "--r", "2.01", *SIM_FAST, "--ds", "0.05"],
          EXIT_ABORT),                             # the lastgood snapshot
         # a row whose solve fails carries a NaN margin
-        (["sweep", "--values", "2.07,2.01", *FAST,
+        (["sweep", "--values", "1.02,2.01", *FAST,
           "--verify-samples", "128"], EXIT_CHECK_FAILED),
         (["phase-portrait", "--r", "2.01", "--curve-samples", "64"],
          EXIT_OK),

@@ -117,6 +117,19 @@ class TestWeights:
         w = build_weights(R, cfg)
         assert w.max_grad_ratio_phi <= 2.0
 
+    def test_gradient_ratio_in_closed_form(self):
+        # |phi'|/phi agrees with differencing on a fine grid, and a coarse
+        # grid reads its value at its own nodes: on [0, 1.5 R0] the ratio
+        # peaks at the end, a node of either grid
+        cfg = EnergyConfig()
+        R = np.linspace(0.0, 8.0 * cfg.R0, 40001)
+        w = build_weights(R, cfg)
+        differenced = np.max(np.abs(np.gradient(w.phi, R)) / w.phi)
+        assert w.max_grad_ratio_phi == pytest.approx(differenced, rel=1e-6)
+        fine, coarse = (build_weights(np.linspace(0.0, 1.5 * cfg.R0, n), cfg)
+                        for n in (4096, 9))
+        assert coarse.max_grad_ratio_phi == fine.max_grad_ratio_phi
+
     def test_tail_powers(self):
         # from 4 R0 on the weights follow the stated powers, so doubling
         # the radius multiplies them by 2^q

@@ -117,6 +117,26 @@ def test_payload_round_trip_and_refusal():
         RadialGrid.from_payload(dict(payload, kind="log"), grid.R.copy())
 
 
+@pytest.mark.parametrize("R", [
+    np.linspace(0.5, 3.0, 64),                             # not from 0
+    np.concatenate([[0.0], np.logspace(-3.0, 0.5, 63)]),   # not even
+    np.zeros(64),                                          # h = 0
+], ids=["offset", "log-spaced", "all-zero"])
+def test_uniform_header_refuses_other_nodes(R):
+    # each loaded before and gave a wrong U (or a NaN one) for Psi = R^2
+    payload = FieldSet.from_Psi_S(ProfileParams(r=2.01), R, 1.5, R * R,
+                                  np.ones_like(R)).payload()
+    with pytest.raises(DomainError, match="not a uniform grid from 0"):
+        FieldSet.from_payload(json.loads(json.dumps(payload)))
+
+
+def test_uniform_header_loads_linspace_grids():
+    for R_max, n in [(3.0, 2), (3.0, 64), (7.123456, 4097), (1e4, 100001)]:
+        R = np.linspace(0.0, R_max, n)
+        grid = RadialGrid.from_payload({"kind": "uniform"}, R)
+        assert grid.h == R[1] - R[0]
+
+
 def test_fieldset_on_mapped_grid_round_trips():
     params = ProfileParams(r=2.01)
     grid = RadialGrid.sinh(200, 30.0, 4.0)

@@ -265,11 +265,13 @@ class TestSolveProfile:
                                    "left march")
 
     def test_left_march_short_of_the_sonic_point(self):
-        # at r = 2.07 the left march runs out its span before D_Z = 0
+        # at r = 2.07 the D_Z root sits at xi = 2.51, past the end of the
+        # span, xi_max - xi_min = 2, that a grid on [-1, 1] gives the march
         with pytest.raises(SonicCrossingError,
                            match=r"left march stopped at xi = 2\.000000 "
                                  r"without reaching D_Z = 0"):
-            solve_profile(ProfileParams(r=2.07), n_points=1024)
+            solve_profile(ProfileParams(r=2.07), xi_min=-1.0, xi_max=1.0,
+                          n_points=1024)
 
 
 class TestOutgoingAnchor:

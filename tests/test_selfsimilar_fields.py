@@ -6,9 +6,11 @@ smooth fields; the damped-profile error fields are checked against the
 converged profile (zero on the inner plateau, finite weighted bounds, and
 an e^-s decay of the differentiated weighted norms).  The windowed
 cut-offs are checked bit for bit against the dense ones in oracles.py,
-point by point and through every caller.
+point by point and through every caller, and the closed-form cut-off
+derivatives against 50-digit mpmath ones.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -123,21 +125,18 @@ class TestWindowedCutoffs:
 
     @settings(max_examples=150, deadline=None)
     @given(kind=st.sampled_from(("hat", "tilde", "poly")),
-           order=st.sampled_from((1, 2)), step=st.sampled_from((1e-3, 1e-4)),
            shape=st.sampled_from(("scalar", "row", "stack")),
            data=st.data())
-    def test_equal_to_dense_bit_for_bit(self, kind, order, step, shape, data):
+    def test_equal_to_dense_bit_for_bit(self, kind, shape, data):
         a, b = CUT_WINDOWS[kind]
         edges = [0.0, 1e6] + [e + k * step for e in (a, b)
+                              for step in (1e-3, 1e-4)
                               for k in range(-6, 7)]
         point = st.one_of(st.sampled_from(edges),
                           st.floats(0.0, 1.0), st.floats(0.0, 1e6))
         x = _shaped(np.array(data.draw(st.lists(point, min_size=1,
                                                 max_size=40))), shape)
         _same_bits(cutoff(kind, x), oracles.dense_cutoff(kind, x))
-        _same_bits(cutoff_derivative(kind, x, order=order, step=step),
-                   oracles.dense_cutoff_derivative(kind, x, order=order,
-                                                   step=step))
 
     @settings(max_examples=150, deadline=None)
     @given(t=st.one_of(
@@ -153,12 +152,84 @@ class TestWindowedCutoffs:
     @pytest.mark.parametrize("shape", ["row", "stack"])
     @pytest.mark.parametrize("kind", ["hat", "tilde", "poly"])
     def test_long_grids_equal_to_dense(self, kind, shape):
-        # long stacks take other BLAS code paths than short ones
+        # hundreds of points in each window, in every position of a stack
         x = _shaped(np.linspace(0.0, 1.0, 4097), shape)
         _same_bits(cutoff(kind, x), oracles.dense_cutoff(kind, x))
-        for order in (1, 2):
-            _same_bits(cutoff_derivative(kind, x, order=order),
-                       oracles.dense_cutoff_derivative(kind, x, order=order))
+
+
+def _ulps_from(edge: float, k: int) -> float:
+    """The double k steps of np.nextafter from edge (toward 0 for k < 0)."""
+    toward = np.inf if k > 0 else 0.0
+    for _ in range(abs(k)):
+        edge = np.nextafter(edge, toward)
+    return float(edge)
+
+
+@functools.cache
+def _sup_derivative(kind: str, order: int) -> float:
+    """sup over the window of |cut-off derivative|, from the oracle."""
+    a, b = CUT_WINDOWS[kind]
+    return float(np.max(np.abs(oracles.mp_cutoff_derivative(
+        kind, np.linspace(a, b, 401), order))))
+
+
+#: closed form against the 50-digit derivative, in units of its sup
+DERIVATIVE_TOL = {1: 1e-13, 2: 1e-11}
+
+
+def _assert_near_mp(kind: str, order: int, x) -> None:
+    got = cutoff_derivative(kind, x, order=order)
+    want = oracles.mp_cutoff_derivative(kind, x, order)
+    err = np.max(np.abs(got - want)) / _sup_derivative(kind, order)
+    assert err <= DERIVATIVE_TOL[order]
+
+
+class TestCutoffDerivatives:
+    """The closed-form derivatives against the mpmath ones of oracles.py."""
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", ["hat", "tilde"])
+    def test_matches_mpmath(self, kind, order):
+        a, b = CUT_WINDOWS[kind]
+        edges = [_ulps_from(e, k) for e in (a, b) for k in range(-8, 9)]
+        near = [e + sign * d for e in (a, b) for sign in (-1.0, 1.0)
+                for d in (1e-6, 1e-4, 1e-3, 1e-2)]
+        x = np.concatenate([np.linspace(a, b, 201), edges, near,
+                            [0.0, 0.3, 1.0, 1e6]])
+        assert len(x) >= 200
+        _assert_near_mp(kind, order, x)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(("hat", "tilde")),
+           order=st.sampled_from((1, 2)), data=st.data())
+    def test_edges_match_mpmath(self, kind, order, data):
+        a, b = CUT_WINDOWS[kind]
+        at_edge = st.builds(_ulps_from, st.sampled_from((a, b)),
+                            st.integers(-64, 64))
+        point = st.one_of(at_edge, st.floats(a, b), st.floats(0.0, 1.0))
+        x = np.array(data.draw(st.lists(point, min_size=1, max_size=8)))
+        _assert_near_mp(kind, order, x)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("kind", ["hat", "tilde"])
+    def test_same_bits_in_any_layout(self, kind, order):
+        pts = np.linspace(0.0, 0.8, 1001)
+        row = cutoff_derivative(kind, pts, order=order)
+        for i in range(0, 1001, 50):
+            _same_bits(cutoff_derivative(kind, float(pts[i]), order=order),
+                       row[i])
+        for part in (slice(3, 500), slice(1, None, 7), slice(998, 0, -3)):
+            _same_bits(cutoff_derivative(kind, pts[part], order=order),
+                       row[part])
+        stack = cutoff_derivative(kind, _shaped(pts, "stack"), order=order)
+        _same_bits(stack, _shaped(row, "stack"))
+
+    def test_poly_and_other_orders_refused(self):
+        with pytest.raises(DomainError, match="'poly'"):
+            cutoff_derivative("poly", 0.6)
+        for order in (0, 3):
+            with pytest.raises(DomainError, match=f"at {order}"):
+                cutoff_derivative("hat", 0.6, order=order)
 
 
 def test_windowed_cutoffs_identical_through_callers(profile_r201,
@@ -182,8 +253,6 @@ def test_windowed_cutoffs_identical_through_callers(profile_r201,
         monkeypatch.setattr(module, "_smooth_step",
                             oracles.dense_smooth_step)
         monkeypatch.setattr(module, "cutoff", oracles.dense_cutoff)
-    monkeypatch.setattr(selfsimilar_fields, "cutoff_derivative",
-                        oracles.dense_cutoff_derivative)
     dense = run()
 
     for got, want in zip(windowed[0], dense[0]):
