@@ -228,19 +228,25 @@ def _rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
          params: ProfileParams, s: float, quantum: bool) -> np.ndarray:
     """Right side of the (Psi, S) system for the stacked state X on the
     grid, given dX, its first R-derivative; X[0] is Psi and X[1] is S,
-    each holding one row per run."""
+    each holding one row per run.
+
+    The result is the new array profile_operator returns, of X's shape;
+    when the quantum term is on, it is added into the Psi rows in place.
+    Nothing is written into X or dX, and the result shares no memory with
+    them or with any scratch array.
+    """
     Psi, S = X
     dPsi, dS = dX
-    lapPsi = grid.laplacian(Psi, dPsi)
-    qp = 0.0
+    # asarray: an operator that returns the pair (N_Psi, N_S) stacks here
+    out = np.asarray(profile_operator(params, grid.R, Psi, dPsi, S, dS,
+                                      grid.laplacian(Psi, dPsi)))
     coef = np.exp((4.0 - 2.0 * params.r) * s) if quantum else 0.0
     if coef > QP_COEF_FLOOR and np.any(S > S_FLOOR):
         w = _half_log_density(np.maximum(S, S_FLOOR), params)
         dw = grid.d1(w)
         qp = coef * (grid.laplacian(w, dw) + dw * dw)
-        qp = np.where(S > S_FLOOR, qp, 0.0)
-    N_Psi, N_S = profile_operator(params, grid.R, Psi, dPsi, S, dS, lapPsi)
-    return np.stack((N_Psi + qp, N_S))
+        out[0] += np.where(S > S_FLOOR, qp, 0.0)
+    return out
 
 
 def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
@@ -261,6 +267,14 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
     DomainError (S turns NaN), PositivityError or CFLError.  The error
     carries the runs before the failing one, advanced to s + ds, as
     `advanced` (None when run 0 fails).
+
+    The three stage combinations are formed in place, in the order of
+    X1 = X + ds F1, X2 = 0.75 X + 0.25 (X1 + ds F2) and
+    X/3 + 2/3 (X2 + ds F3), so the bits are those of the plain
+    expressions.  Each F is the array _rhs returns, scaled and summed in
+    place; the stage states live in one array allocated per step, which
+    is the state returned.  X is only read, and the result shares no
+    memory with X or with any array _rhs returned.
     """
     h = grid.h
     dX = grid.d1(X)
@@ -277,10 +291,22 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
         return _rhs(X_, dX_, grid, params, s_, quantum)
 
     if k:     # run 0 broke its bound; derivative refuses an empty stack
-        X1 = X + ds * F(X, s, dX[:, :k])
-        X2 = 0.75 * X + 0.25 * (X1 + ds * F(X1, s + ds, grid.d1(X1)))
-        Xn = X / 3.0 + 2.0 / 3.0 * (X2 + ds * F(X2, s + 0.5 * ds,
-                                                grid.d1(X2)))
+        Xn = np.empty_like(X)
+        f = F(X, s, dX[:, :k])
+        np.multiply(f, ds, out=Xn)
+        Xn += X                                     # X1
+        f = F(Xn, s + ds, grid.d1(Xn))
+        f *= ds
+        f += Xn
+        f *= 0.25
+        np.multiply(X, 0.75, out=Xn)
+        Xn += f                                     # X2
+        f = F(Xn, s + 0.5 * ds, grid.d1(Xn))
+        f *= ds
+        f += Xn
+        f *= 2.0 / 3.0
+        np.divide(X, 3.0, out=Xn)
+        Xn += f                                     # the new state
 
     for j, smin in enumerate(np.min(Xn[1], axis=-1)):
         if np.isnan(smin):
@@ -710,8 +736,11 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     on the reference run: together they are the residual-floor check for
     the zero-perturbation dynamics.  Energies, residual sups and the
     (reported, unused) boundary flux are sampled n_samples times, every
-    R-derivative and integral on the same grid.  The report records the
-    step count, ds, the smallest CFL headroom and the grid.
+    R-derivative and integral on the same grid: at s0, at the end of the
+    run and at distinct steps between, so n_samples outside
+    2 <= n_samples <= n_steps + 1 is a DomainError before the first
+    step.  The report records the step count, ds, the smallest CFL
+    headroom and the grid.
 
     Both runs step as one stacked (2, 2, n) array, (Psi, S) x (perturbed,
     reference), through one _advance call per step; every row is
@@ -760,6 +789,11 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
         ds = 0.9 * cfg.cfl * grid.h / amax
     n_steps = int(np.ceil(s_span / ds))
     ds = s_span / n_steps
+    if not 2 <= n_samples <= n_steps + 1:
+        raise DomainError(
+            f"n_samples = {n_samples} needs 2 <= n_samples <= n_steps + 1 "
+            f"with n_steps = {n_steps}: the samples are distinct steps, "
+            f"the first and the last among them")
     sample_at = set(np.linspace(0, n_steps, n_samples).astype(int))
 
     report = EnergyReport(config=cfg, n_steps=n_steps, ds=ds,

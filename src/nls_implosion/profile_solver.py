@@ -784,14 +784,37 @@ def to_physical(table: ProfileTable) -> ProfileTable:
 # ---------------------------------------------------------------------------
 
 def profile_operator(params: ProfileParams, R, Psi, dPsi, S, dS, lapPsi
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Right sides (N_Psi, N_S) of the two stationary profile equations,
-    zero on an exact profile; the caller supplies the derivatives."""
+                     ) -> np.ndarray:
+    """Right sides of the two stationary profile equations, zero on an
+    exact profile, as one new array of shape (2, *shape): N_Psi in row 0
+    and N_S in row 1, where shape broadcasts the inputs (complex inputs
+    give a complex array); the caller supplies the derivatives.
+
+    Both rows are written in place through one scratch array, in the
+    order the two right sides read from left to right, so every value has
+    the bits of the plain expression.  The result shares no memory with
+    the inputs or the scratch, and unpacks as (N_Psi, N_S).
+    """
     r, alpha = params.r, params.alpha
-    N_Psi = -(r - 2.0) * Psi - R * dPsi - dPsi * dPsi - alpha * S * S
-    N_S = (-(r - 1.0) * S - R * dS - 2.0 * dS * dPsi
-           - 2.0 * alpha * S * lapPsi)
-    return N_Psi, N_S
+    args = (R, Psi, dPsi, S, dS, lapPsi)
+    shape = np.broadcast(*args).shape
+    out = np.empty((2, *shape), np.result_type(*args))
+    N_Psi, N_S = out
+    tmp = np.empty(shape, out.dtype)
+    # -(r - 2) Psi - R dPsi - dPsi^2 - alpha S^2
+    np.multiply(-(r - 2.0), Psi, out=N_Psi)
+    N_Psi -= np.multiply(R, dPsi, out=tmp)
+    N_Psi -= np.multiply(dPsi, dPsi, out=tmp)
+    np.multiply(alpha, S, out=tmp)
+    N_Psi -= np.multiply(tmp, S, out=tmp)
+    # -(r - 1) S - R dS - 2 dS dPsi - 2 alpha S lapPsi
+    np.multiply(-(r - 1.0), S, out=N_S)
+    N_S -= np.multiply(R, dS, out=tmp)
+    np.multiply(2.0, dS, out=tmp)
+    N_S -= np.multiply(tmp, dPsi, out=tmp)
+    np.multiply(2.0 * alpha, S, out=tmp)
+    N_S -= np.multiply(tmp, lapPsi, out=tmp)
+    return out
 
 
 def residual_profile(table: ProfileTable, R_lo: float | None = None,

@@ -192,18 +192,25 @@ def radial_laplacian(f: np.ndarray, R: np.ndarray, h: float, d: int = 8,
     At the regular center the limit is d * f''(0).
     """
     return _laplacian_from(_even_d1(f, h, acc=acc), _even_d2(f, h, acc=acc),
-                           R, d)
+                           _laplacian_coef(R, d), d)
 
 
-def _laplacian_from(d1: np.ndarray, d2: np.ndarray, R: np.ndarray,
+def _laplacian_coef(R: np.ndarray, d: int) -> np.ndarray:
+    """(d-1)/R, the Laplacian's coefficient of f', with 0 at a centre node
+    R = 0."""
+    return (d - 1) / np.where(R == 0.0, np.inf, R)
+
+
+def _laplacian_from(d1: np.ndarray, d2: np.ndarray, coef: np.ndarray,
                     d: int) -> np.ndarray:
     """f'' + (d-1)/R f' assembled from f' = d1 and f'' = d2, along the
-    last axis (R is the grid of that axis)."""
-    if R[0] != 0.0:
-        return d2 + (d - 1) / R * d1
-    out = np.empty_like(d1)
-    out[..., 0] = d * d2[..., 0]
-    out[..., 1:] = d2[..., 1:] + (d - 1) / R[1:] * d1[..., 1:]
+    last axis, in one new array; coef is _laplacian_coef of the grid of
+    that axis.  A first node with coef 0 is the centre R = 0, and its row
+    is overwritten with the limit d f''(0)."""
+    out = np.multiply(coef, d1)
+    out += d2
+    if coef[0] == 0.0:
+        np.multiply(d, d2[..., 0], out=out[..., 0])
     return out
 
 
@@ -285,6 +292,11 @@ class RadialGrid:
         """int f R^(d-1) dR over [0, R_max]."""
         return float(np.trapezoid(f * self.jac, self.x))
 
+    @functools.cached_property
+    def lap_coef(self) -> np.ndarray:
+        """(d-1)/R, 0 at the centre (see _laplacian_coef)."""
+        return _laplacian_coef(self.R, self.d)
+
     def d1(self, f: np.ndarray, acc: int = 4) -> np.ndarray:
         """f_R of an even field, along the last axis."""
         fx = _even_d1(f, self.h, acc=acc)
@@ -293,12 +305,22 @@ class RadialGrid:
     def d2(self, f: np.ndarray, d1: np.ndarray, acc: int = 4) -> np.ndarray:
         """f_RR of an even field whose f_R is d1."""
         fxx = _even_d2(f, self.h, acc=acc)
-        return fxx if self.c is None else (fxx - self.d2R * d1) * self.inv_dR2
+        if self.c is None:
+            return fxx
+        # (fxx - R'' d1) / R'^2, in one new array
+        out = np.multiply(self.d2R, d1)
+        np.subtract(fxx, out, out=out)
+        out *= self.inv_dR2
+        return out
 
     def laplacian(self, f: np.ndarray, d1: np.ndarray,
                   acc: int = 4) -> np.ndarray:
-        """f_RR + (d-1)/R f_R of an even field whose f_R is d1."""
-        return _laplacian_from(d1, self.d2(f, d1, acc=acc), self.R, self.d)
+        """f_RR + (d-1)/R f_R of an even field whose f_R is d1, as one new
+        array: the cached lap_coef times d1, plus f_RR in place, with the
+        centre row d f_RR(0) written into the same array (see
+        _laplacian_from).  It shares no memory with f, d1 or f_RR."""
+        return _laplacian_from(d1, self.d2(f, d1, acc=acc), self.lap_coef,
+                               self.d)
 
     def dR(self, f: np.ndarray, m: int, acc: int = 4) -> np.ndarray:
         """m-th R-derivative without reflection (one-sided at both ends):
@@ -541,7 +563,10 @@ class ErrorTerms(NamedTuple):
     E_S_defining: np.ndarray
     bracket_Psi: np.ndarray    # under-braced profile combination (expect ~0)
     bracket_S: np.ndarray
-    mismatch_Psi: float        # sup |expanded - defining|
+    # sup |expanded - defining|; for Psi that is the round-off of the
+    # defining route's cancellation, a few eps times its terms' sup (see
+    # error_terms), not a transcription
+    mismatch_Psi: float
     mismatch_S: float
     support_inner_x: float     # smallest y e^-s with non-negligible error
     support_note: str
@@ -554,11 +579,17 @@ def error_terms(dp: DampedProfileField, table: ProfileTable) -> ErrorTerms:
     Two routes are taken for each field: the expanded closed form,
     transcribed term by term, and the defining combination
     -d_s(damped) + (stationary operator applied to the damped fields).
-    Their sup-norm mismatch is reported, not reconciled: the expanded E_S
-    display contains a cut-off-derivative term whose argument looks like a
-    transcription slip at source, and the mismatch quantifies exactly the
-    effect of evaluating it verbatim.  The under-braced profile brackets
-    (zero for an exact profile) are returned as a consistency output.
+    Their sup-norm mismatch is reported, not reconciled.  For E_S it
+    measures a transcription: the expanded E_S display contains a
+    cut-off-derivative term whose argument looks like a transcription
+    slip at source, and mismatch_S quantifies exactly the effect of
+    evaluating it verbatim.  For E_Psi it measures round-off: the defining
+    E_Psi is N_Psi_d - d_s Psi_d, two fields whose sups are about 29 on
+    the wide r = 2.01 table, cancelling to 5.2e-6, 6.9e-7 and 9.1e-8 at
+    s = 10, 11 and 12, and mismatch_Psi (7.6e-15, 7.3e-15 and 9.3e-15
+    there) is 1.13 to 1.45 eps times that scale of 29.  The under-braced
+    profile brackets (zero for an exact profile) are returned as a
+    consistency output.
     """
     if dp.mode != "periodic":
         raise DomainError("error terms are implemented for the periodic "

@@ -47,8 +47,6 @@ from nls_implosion.profile_solver import profile_operator
 from nls_implosion.selfsimilar_fields import (
     FieldSet,
     _even_d1,
-    _even_d2,
-    _laplacian_from,
     _smooth_step,
     cutoff,
     from_selfsimilar,
@@ -410,6 +408,28 @@ class TestSimulate:
         assert grid["n"] == 512 and grid["R_max"] == 30.0
         assert 0.0 < grid["dR_min"] < grid["dR_max"]
 
+    @pytest.mark.parametrize("s_span, n_samples, n_steps", [
+        (0.1, 1, 13), (0.1, 0, 13), (0.002, 11, 1), (0.1, 15, 13)])
+    def test_sample_count_out_of_range_refused(self, profile_r201,
+                                               monkeypatch, s_span,
+                                               n_samples, n_steps):
+        # the samples are distinct steps with both ends among them, so at
+        # least 2 and at most n_steps + 1; refused before the first step
+        steps = []
+        monkeypatch.setattr(dl, "_advance", lambda *a: steps.append(a))
+        with pytest.raises(DomainError, match=(
+                f"n_samples = {n_samples} .*n_steps = {n_steps}:")):
+            simulate(profile_r201, s_span=s_span, n=256, n_samples=n_samples)
+        assert steps == []
+
+    @pytest.mark.parametrize("s_span, n_samples", [(0.002, 2), (0.1, 14)])
+    def test_every_sample_taken(self, profile_r201, s_span, n_samples):
+        rep = simulate(profile_r201, s_span=s_span, n=256,
+                       n_samples=n_samples)
+        assert rep.n_steps == n_samples - 1
+        assert len(rep.s) == n_samples
+        assert rep.s[-1] == pytest.approx(rep.config.s0 + s_span, abs=1e-9)
+
 
 def test_mapped_default_short_span_convergence(profile_r201, monkeypatch):
     # over s_span = 0.05 the default stretched grid must be at least as
@@ -465,7 +485,7 @@ def _reference_probe_values(table, m=2, J=2000.0, C0=2.0, K=8, trials=200,
     S_p = base.S
     dPsi_p = _even_d1(base.Psi, h)
     dS_p = _even_d1(S_p, h)
-    lapPsi_p = _laplacian_from(dPsi_p, _even_d2(base.Psi, h), R, d)
+    lapPsi_p = radial_laplacian(base.Psi, R, h, d=d)
 
     chi1 = _smooth_step((1.4 * C0 - R) / (0.2 * C0))
     chi2 = _smooth_step((1.8 * C0 - R) / (0.2 * C0))
@@ -485,7 +505,7 @@ def _reference_probe_values(table, m=2, J=2000.0, C0=2.0, K=8, trials=200,
         Psi_t, S_t = Psi_t / nP, S_t / nS
         dPsi_t = _even_d1(Psi_t, h)
         dS_t = _even_d1(S_t, h)
-        lapPsi_t = _laplacian_from(dPsi_t, _even_d2(Psi_t, h), R, d)
+        lapPsi_t = radial_laplacian(Psi_t, R, h, d=d)
         L_psi = (-(r - 2.0) * Psi_t - R * dPsi_t - 2.0 * dPsi_p * dPsi_t
                  - 2.0 * alpha * S_p * S_t)
         L_s = (-(r - 1.0) * S_t - R * dS_t - 2.0 * dS_p * dPsi_t

@@ -237,6 +237,63 @@ def test_energy_report_identical_to_fieldset_stepper_uniform(profile_r201,
     _assert_identical_to_fieldset_stepper(profile_r201, monkeypatch, quantum)
 
 
+@pytest.mark.parametrize("kind", ["uniform", "sinh"])
+def test_quantum_step_identical_to_fieldset_stepper(profile_r201, kind):
+    # at s = 1 the prefactor e^{(4-2r)s} is about 1, so the quantum term
+    # is live (at simulate's s0 it sits below QP_COEF_FLOOR)
+    grid = (RadialGrid.uniform(np.linspace(0.0, 30.0, 256)) if kind ==
+            "uniform" else RadialGrid.sinh(256, 30.0, 4.0))
+    params = profile_r201.params
+    state = profile_fieldset(profile_r201, grid, 1.0)
+    assert np.exp((4.0 - 2.0 * params.r)) > dynamics_lab.QP_COEF_FLOOR
+    out = step(state, 1e-5, quantum_pressure=True)
+    Psi, S, _ = _reference_advance(state.Psi, state.S, grid, params, 1.0,
+                                   1e-5, True, 0.9)
+    np.testing.assert_array_equal(out.Psi, Psi)
+    np.testing.assert_array_equal(out.S, S)
+    assert not np.array_equal(step(state, 1e-5, quantum_pressure=False).Psi,
+                              Psi)
+    # at this ds a last-bit change of the right side leaves the step's
+    # bits alone, so the right side is compared on its own too
+    X = np.stack((state.Psi, state.S))[:, None]
+    rhs = dynamics_lab._rhs(X, grid.d1(X), grid, params, 1.0, True)
+    np.testing.assert_array_equal(
+        rhs[:, 0], _reference_rhs(state.Psi, state.S, grid, params, 1.0,
+                                  True))
+
+
+@pytest.mark.parametrize("runs", [1, 2])
+def test_advance_result_aliases_nothing(profile_r201, monkeypatch, runs):
+    # the stages are formed in place; the step must leave its input alone
+    # and hand back memory of its own, not X, not the last step's result
+    # and not an array _rhs returned
+    grid = RadialGrid.sinh(256, 30.0, dynamics_lab.SIMULATE_GRID_C)
+    base = profile_fieldset(profile_r201, grid, 1e4)
+    bump = np.exp(-(base.R - 8.0) ** 2)
+    X = np.array([[base.Psi + 1e-3 * bump, base.Psi][:runs],
+                  [base.S, base.S * (1.0 + 1e-3 * bump)][:runs]])
+    rhs = dynamics_lab._rhs
+    returned = []
+
+    def spy(*args):
+        returned.append(rhs(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(dynamics_lab, "_rhs", spy)
+    ds, results = 1e-3, [X]
+    for i in range(2):
+        X = results[-1]
+        before = X.copy()
+        Xn, _ = dynamics_lab._advance(X, grid, profile_r201.params,
+                                      1e4 + i * ds, ds, True, 0.9)
+        np.testing.assert_array_equal(X, before)
+        assert Xn.shape == X.shape
+        assert len(returned) == 3 * (i + 1)
+        for other in (*results, *returned):
+            assert not np.shares_memory(Xn, other)
+        results.append(Xn)
+
+
 def test_nan_density_raises_at_its_step(profile_r201, monkeypatch):
     rhs = dynamics_lab._rhs
     calls = []

@@ -13,7 +13,6 @@ from nls_implosion.phase_portrait import ProfileParams
 from nls_implosion.selfsimilar_fields import (
     FieldSet,
     RadialGrid,
-    _laplacian_from,
     radial_laplacian,
 )
 
@@ -85,8 +84,11 @@ def test_identity_map_bit_identical(n):
     np.testing.assert_array_equal(grid.d1(f), d1)
     d2 = derivative(f, h, 2, even=True)
     np.testing.assert_array_equal(grid.d2(f, d1), d2)
-    np.testing.assert_array_equal(grid.laplacian(f, d1),
-                                  _laplacian_from(d1, d2, R, D))
+    # the centre limit and f'' + (D-1)/R f', as plain expressions
+    lap = np.empty_like(d1)
+    lap[..., 0] = D * d2[..., 0]
+    lap[..., 1:] = d2[..., 1:] + (D - 1) / R[1:] * d1[..., 1:]
+    np.testing.assert_array_equal(grid.laplacian(f, d1), lap)
     np.testing.assert_array_equal(grid.laplacian(f[0], d1[0]),
                                   radial_laplacian(f[0], R, h))
     for m, acc in ((1, 4), (3, 6), (6, 4)):
@@ -100,6 +102,28 @@ def test_identity_map_bit_identical(n):
     w[:-1] += half_dx
     w[1:] += half_dx
     np.testing.assert_array_equal(grid.weights, w * R ** (D - 1))
+
+
+def test_mapped_operators_are_the_plain_expressions():
+    # the stretch's f_RR and Laplacian are assembled in place, but every
+    # value keeps the bits of the chain rule written out
+    grid = RadialGrid.sinh(513, 30.0, 4.0)
+    R, h = grid.R, grid.h
+    rng = np.random.default_rng(513)
+    f = np.exp(-0.1 * R) * np.cos(R) + 1e-3 * rng.standard_normal((2, 513))
+    inv_dR = 1.0 / np.cosh(grid.x / 4.0)
+    d1 = derivative(f, h, 1, even=True) * inv_dR
+    d2 = ((derivative(f, h, 2, even=True) - R / 16.0 * d1)
+          * (inv_dR * inv_dR))
+    lap = np.empty_like(d1)
+    lap[..., 0] = D * d2[..., 0]
+    lap[..., 1:] = d2[..., 1:] + (D - 1) / R[1:] * d1[..., 1:]
+    np.testing.assert_array_equal(grid.d1(f), d1)
+    np.testing.assert_array_equal(grid.d2(f, d1), d2)
+    np.testing.assert_array_equal(grid.laplacian(f, d1), lap)
+    np.testing.assert_array_equal(grid.laplacian(f[1], d1[1]), lap[1])
+    np.testing.assert_array_equal(grid.speed(f),
+                                  np.abs(R + 2.0 * f) * inv_dR)
 
 
 def test_payload_round_trip_and_refusal():

@@ -446,6 +446,20 @@ class TestErrorTerms:
         et = error_terms(dp6, profile_r201)
         assert et.mismatch_Psi < 1e-6
 
+    @pytest.mark.parametrize("s", [10.0, 11.0, 12.0])
+    def test_psi_mismatch_is_round_off(self, profile_r201_wide, s):
+        # the defining E_Psi is N_Psi_d - d_s Psi_d, two fields of size
+        # about 29 that cancel to a sup far below them, so the two routes
+        # can agree only to round-off of that size
+        table = profile_r201_wide
+        et = error_terms(damped_profile(table, s), table)
+        x = table.R * np.exp(-s)
+        ds_Psi_d = -table.Psi_nls * cutoff_derivative("hat", x, 1) * x
+        N_Psi_d = et.E_Psi_defining + ds_Psi_d
+        scale = max(np.max(np.abs(N_Psi_d)), np.max(np.abs(ds_Psi_d)))
+        assert scale > 1e6 * np.max(np.abs(et.E_Psi_defining))
+        assert et.mismatch_Psi <= 16.0 * np.finfo(float).eps * scale
+
     def test_s_mismatch_reported(self, profile_r201, dp6):
         # the displayed E_S contains a cut-off derivative whose argument
         # does not match the product-rule expansion; the discrepancy is
