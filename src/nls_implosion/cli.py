@@ -141,7 +141,7 @@ class RunConfig:
             raise ConfigError(f"sample_r = {self.sample_r}; need 0 or >= 2")
         for name, ok, need in (
                 ("ds", self.ds is None or self.ds > 0, "> 0"),
-                ("s_span", self.s_span > 0, "> 0"),
+                ("s_span", 0 < self.s_span < numpy.inf, "finite and > 0"),
                 ("R_max", self.R_max > 0, "> 0"),
                 ("n", self.n >= 2, ">= 2"),
                 ("n_samples", self.n_samples >= 2, ">= 2"),
@@ -150,6 +150,12 @@ class RunConfig:
             if not ok:
                 raise ConfigError(
                     f"{name} = {getattr(self, name)}; need {need}")
+        if self.ds is not None:
+            # without ds the step count waits for the table's U
+            try:
+                dynamics_lab._step_plan(self.s_span, self.ds, self.n_samples)
+            except DomainError as exc:
+                raise ConfigError(str(exc)) from None
         try:
             EnergyConfig(**self.energy)
         except (TypeError, ConsistencyError) as exc:
@@ -222,7 +228,9 @@ def _stamp_json(payload, cfg: RunConfig, **stamps) -> str:
 
 
 def _out(cfg: RunConfig, name: str) -> str:
-    return os.path.join(cfg.out_dir, name)
+    """The path in out_dir of the artifact `name`, whose {tag} becomes the
+    tag of r, r<r> with r in %g (r2.01)."""
+    return os.path.join(cfg.out_dir, name.format(tag=f"r{cfg.r:g}"))
 
 
 def _table_settings(cfg: RunConfig) -> dict:
@@ -274,7 +282,7 @@ def _table(cfg: RunConfig) -> ProfileTable:
     refuses, is a DomainError naming the file: a bad file is never solved
     over.
     """
-    path = _out(cfg, f"profile_r{cfg.r:g}.json")
+    path = _out(cfg, "profile_{tag}.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             wrapped = json.load(fh)
@@ -300,12 +308,11 @@ def _table(cfg: RunConfig) -> ProfileTable:
 
 def cmd_profile(cfg: RunConfig, table: ProfileTable) -> int:
     res = profile_solver.residual_profile(table)
-    tag = f"r{cfg.r:g}"
     if "csv" in cfg.emit:
-        _write_atomic(_out(cfg, f"profile_{tag}.csv"),
+        _write_atomic(_out(cfg, "profile_{tag}.csv"),
                       _stamp_csv(table.to_csv(), cfg))
     if "json" in cfg.emit:
-        _write_atomic(_out(cfg, f"profile_{tag}.json"),
+        _write_atomic(_out(cfg, "profile_{tag}.json"),
                       _stamp_json(table.payload(), cfg,
                                   table_key=_table_key(cfg)))
     log = {"r": cfg.r, "w0": table.w0,
@@ -314,7 +321,7 @@ def cmd_profile(cfg: RunConfig, table: ProfileTable) -> int:
            "grid": {"xi_min": cfg.xi_min, "xi_max": cfg.xi_max,
                     "n_points": cfg.n_points},
            "config": asdict(cfg)}
-    _write_atomic(_out(cfg, f"profile_{tag}.log.json"), _stamp_json(log, cfg))
+    _write_atomic(_out(cfg, "profile_{tag}.log.json"), _stamp_json(log, cfg))
     print(f"profile r = {cfg.r}: residual sup (phase, sound) = "
           f"({res.phase:.3e}, {res.sound:.3e})")
     return EXIT_OK
@@ -351,14 +358,14 @@ def cmd_verify(cfg: RunConfig, table: ProfileTable) -> int:
             nwps = -s["N_W_Ps_negative"].margin
             rows.append(f"{rv:.17g},{w1z1:.17g},{nwps:.17g},"
                         f"{int(w1z1 < 0 and nwps < 0)}")
-        _write_atomic(_out(cfg, f"verify_signs_r{cfg.r:g}.csv"),
+        _write_atomic(_out(cfg, "verify_signs_{tag}.csv"),
                       _stamp_csv("\n".join(rows) + "\n", cfg))
 
     if "json" in cfg.emit:
-        _write_atomic(_out(cfg, f"verify_r{cfg.r:g}.json"),
+        _write_atomic(_out(cfg, "verify_{tag}.json"),
                       _stamp_json(report.payload(), cfg))
     text = report.to_text()
-    _write_atomic(_out(cfg, f"verify_r{cfg.r:g}.txt"),
+    _write_atomic(_out(cfg, "verify_{tag}.txt"),
                   _stamp_csv(text + "\n", cfg))
     print(text)
 
@@ -369,27 +376,26 @@ def cmd_verify(cfg: RunConfig, table: ProfileTable) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, table: ProfileTable) -> int:
-    tag = f"r{cfg.r:g}"
     try:
         rep = dynamics_lab.simulate(
             table, EnergyConfig(**cfg.energy), s_span=cfg.s_span, n=cfg.n,
             R_max=cfg.R_max, quantum_pressure=cfg.quantum_pressure,
             n_samples=cfg.n_samples, ds=cfg.ds)
     except (CFLError, PositivityError) as exc:
-        _write_atomic(_out(cfg, f"simulate_{tag}.lastgood.json"),
+        _write_atomic(_out(cfg, "simulate_{tag}.lastgood.json"),
                       _stamp_json(exc.last_good.payload(), cfg))
-        _write_atomic(_out(cfg, f"simulate_{tag}.partial.csv"),
+        _write_atomic(_out(cfg, "simulate_{tag}.partial.csv"),
                       _stamp_csv(exc.partial_report.to_csv(), cfg))
         print(f"evolution aborted: {exc}; last good snapshot written",
               file=sys.stderr)
         return EXIT_ABORT
     if "csv" in cfg.emit:
-        _write_atomic(_out(cfg, f"simulate_{tag}.csv"),
+        _write_atomic(_out(cfg, "simulate_{tag}.csv"),
                       _stamp_csv(rep.to_csv(), cfg))
     manifest = rep.payload()
     manifest.pop("wall_time", None)   # byte-stable artifacts
     manifest["run_config"] = asdict(cfg)
-    _write_atomic(_out(cfg, f"simulate_{tag}.manifest.json"),
+    _write_atomic(_out(cfg, "simulate_{tag}.manifest.json"),
                   _stamp_json(manifest, cfg))
     print(f"simulate r = {cfg.r}: {len(rep.s)} samples over "
           f"s in [{rep.s[0]:g}, {rep.s[-1]:g}], "
@@ -407,7 +413,7 @@ def cmd_phase_portrait(cfg: RunConfig, params: ProfileParams) -> int:
         for t, w, z in zip(c.param, c.W, c.Z):
             buf.write(f"{name},{t:.17g},{w:.17g},{z:.17g}\n")
     if "csv" in cfg.emit:
-        _write_atomic(_out(cfg, f"phase_portrait_r{cfg.r:g}.csv"),
+        _write_atomic(_out(cfg, "phase_portrait_{tag}.csv"),
                       _stamp_csv(buf.getvalue(), cfg))
     pts = phase_portrait.special_points(params)
     payload = {"special_points": {
@@ -416,7 +422,7 @@ def cmd_phase_portrait(cfg: RunConfig, params: ProfileParams) -> int:
                         ("P_star", pts.P_star))},
         "curves": sorted(curves)}
     if "json" in cfg.emit:
-        _write_atomic(_out(cfg, f"phase_portrait_r{cfg.r:g}.json"),
+        _write_atomic(_out(cfg, "phase_portrait_{tag}.json"),
                       _stamp_json(payload, cfg))
     print(f"phase portrait r = {cfg.r}: {len(curves)} curves, "
           f"{cfg.curve_samples} samples each")

@@ -47,7 +47,6 @@ from .profile_solver import ProfileTable, profile_operator
 from .selfsimilar_fields import (
     FieldSet,
     RadialGrid,
-    _as_grid,
     _half_log_density,
     _smooth_step,
     _smooth_step_derivative,
@@ -145,11 +144,11 @@ class Weights:
     max_grad_ratio_phi: float
 
 
-def build_weights(R, cfg: EnergyConfig) -> Weights:
-    """The weights on R, a RadialGrid or samples of a uniform grid: each
-    is exp(q B log max(R/R0, 1)) with B the blend, so |phi'|/phi is
-    |p (B' log max(R/R0, 1) + B/R)| in closed form, and B = 0 up to R0."""
-    R = _as_grid(R).R
+def build_weights(grid: RadialGrid, cfg: EnergyConfig) -> Weights:
+    """The weights on the grid's nodes R: each is exp(q B log max(R/R0, 1))
+    with B the blend, so |phi'|/phi is |p (B' log max(R/R0, 1) + B/R)| in
+    closed form, and B = 0 up to R0."""
+    R = grid.R
     t = (R - cfg.R0) / (3.0 * cfg.R0)
     blend, log_r = _smooth_step(t), np.log(np.maximum(R / cfg.R0, 1.0))
     grad_log = (_smooth_step_derivative(t, 1) / (3.0 * cfg.R0) * log_r
@@ -177,10 +176,9 @@ def _spline_to_grid(spl: BSpline, a: float, R_grid: np.ndarray
     return vals
 
 
-def profile_fieldset(table: ProfileTable, R_grid,
+def profile_fieldset(table: ProfileTable, grid: RadialGrid,
                      s: float) -> FieldSet:
-    """Evaluate the solved profile on a grid containing R = 0: a
-    RadialGrid, or samples of a uniform grid.
+    """Evaluate the solved profile on the grid, which contains R = 0.
 
     Quintic splines over the table's log-spaced nodes, built once per
     table (ProfileTable.Psi_spline, S_spline), interpolate Psi and S; the
@@ -188,7 +186,6 @@ def profile_fieldset(table: ProfileTable, R_grid,
     quadratic through the two innermost evaluations, consistent with the
     fields' regularity at the center.
     """
-    grid = _as_grid(R_grid, table.params.d)
     R = grid.R
     if R[-1] > table.R[-1] * (1.0 + 1e-12):
         raise RangeError(
@@ -387,17 +384,15 @@ def residual_stationary(state: FieldSet, acc: int = 8) -> StationaryResidual:
 # energies
 # ---------------------------------------------------------------------------
 
-def energy_low(U_tilde: np.ndarray, S_tilde: np.ndarray, R,
+def energy_low(U_tilde: np.ndarray, S_tilde: np.ndarray, grid: RadialGrid,
                cfg: EnergyConfig, weights: Weights | None = None) -> float:
     """Low-derivative perturbation energy
-    (1/2)(||beta^m' grad^m' U~||^2 + ||beta^m' grad^m' S~||^2) on R, a
-    RadialGrid or samples of a uniform grid.
+    (1/2)(||beta^m' grad^m' U~||^2 + ||beta^m' grad^m' S~||^2) on the grid.
 
     Squared-norm convention: the source display sums unsquared norms with a
     1/2, but its s-derivative is then manipulated as a quadratic form, so
     the squared version is the one the estimates actually use.
     """
-    grid = _as_grid(R)
     if weights is None:
         weights = build_weights(grid, cfg)
     m = cfg.m_prime
@@ -408,14 +403,12 @@ def energy_low(U_tilde: np.ndarray, S_tilde: np.ndarray, R,
     return 0.5 * (grid.quad((bm * du) ** 2) + grid.quad((bm * ds_) ** 2))
 
 
-def energy_w(w: np.ndarray, R, cfg: EnergyConfig,
+def energy_w(w: np.ndarray, grid: RadialGrid, cfg: EnergyConfig,
              weights: Weights | None = None) -> float:
-    """Log-density energy  int beta^{2m'} |grad^{m'-1} w|^2 on R, a
-    RadialGrid or samples of a uniform grid."""
+    """Log-density energy  int beta^{2m'} |grad^{m'-1} w|^2 on the grid."""
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise VacuumError("w is not finite; vacuum in the density")
-    grid = _as_grid(R)
     if weights is None:
         weights = build_weights(grid, cfg)
     dw = grid.dR(w, cfg.m_prime - 1)
@@ -482,8 +475,7 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     weights.
     """
     params = table.params
-    d = params.d
-    grid = RadialGrid.uniform(np.linspace(0.0, 3.0 * C0, n), d)
+    grid = RadialGrid.uniform(n, 3.0 * C0, params.d)
     R, h = grid.R, grid.h
     base = profile_fieldset(table, grid, 20.0)
     dP = grid.d1(np.stack((base.Psi, base.S)))
@@ -609,7 +601,7 @@ def blowup_exponent(table: ProfileTable, s_exponent: int,
         raise DomainError("the desk diagnostic differentiates an integer "
                           "number of times")
     r, alpha, d = params.r, params.alpha, params.d
-    grid = RadialGrid.uniform(np.linspace(0.0, 1.0, n_grid), d)
+    grid = RadialGrid.uniform(n_grid, 1.0, d)
     base = profile_fieldset(table, grid, 10.0)
     sqrtP = np.sqrt(base.P)
     h = grid.h
@@ -699,6 +691,20 @@ def _hash_inputs(table: ProfileTable, cfg: EnergyConfig, extra: dict) -> str:
     return hsh.hexdigest()
 
 
+def _step_plan(s_span: float, ds: float,
+               n_samples: int) -> tuple[int, float]:
+    """simulate's step count n_steps = ceil(s_span/ds) and the step
+    s_span/n_steps that divides s_span; a DomainError unless
+    2 <= n_samples <= n_steps + 1."""
+    n_steps = int(np.ceil(s_span / ds))
+    if not 2 <= n_samples <= n_steps + 1:
+        raise DomainError(
+            f"n_samples = {n_samples} needs 2 <= n_samples <= n_steps + 1 "
+            f"with n_steps = {n_steps}: the samples are distinct steps, "
+            f"the first and the last among them")
+    return n_steps, s_span / n_steps
+
+
 #: map scale c of simulate's grid R = c sinh(x/c); None steps on the
 #: uniform grid instead
 SIMULATE_GRID_C: float | None = 4.0
@@ -770,7 +776,7 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     params = table.params
     _require_finite_prefactor(params.r, cfg.s0, s_span)
     if SIMULATE_GRID_C is None:
-        grid = RadialGrid.uniform(np.linspace(0.0, R_max, n), params.d)
+        grid = RadialGrid.uniform(n, R_max, params.d)
     else:
         grid = RadialGrid.sinh(n, R_max, SIMULATE_GRID_C, params.d)
     R = grid.R
@@ -787,13 +793,7 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     amax = float(np.max(grid.speed(base.U))) * 1.1
     if ds is None:
         ds = 0.9 * cfg.cfl * grid.h / amax
-    n_steps = int(np.ceil(s_span / ds))
-    ds = s_span / n_steps
-    if not 2 <= n_samples <= n_steps + 1:
-        raise DomainError(
-            f"n_samples = {n_samples} needs 2 <= n_samples <= n_steps + 1 "
-            f"with n_steps = {n_steps}: the samples are distinct steps, "
-            f"the first and the last among them")
+    n_steps, ds = _step_plan(s_span, ds, n_samples)
     sample_at = set(np.linspace(0, n_steps, n_samples).astype(int))
 
     report = EnergyReport(config=cfg, n_steps=n_steps, ds=ds,

@@ -185,50 +185,25 @@ def _even_d2(f: np.ndarray, h: float, acc: int = 4) -> np.ndarray:
     return derivative(f, h, 2, acc=acc, even=True)
 
 
-def radial_laplacian(f: np.ndarray, R: np.ndarray, h: float, d: int = 8,
-                     acc: int = 4) -> np.ndarray:
-    """d-dimensional radial Laplacian f'' + (d-1)/R f' on [0, R_max].
-
-    At the regular center the limit is d * f''(0).
-    """
-    return _laplacian_from(_even_d1(f, h, acc=acc), _even_d2(f, h, acc=acc),
-                           _laplacian_coef(R, d), d)
-
-
-def _laplacian_coef(R: np.ndarray, d: int) -> np.ndarray:
-    """(d-1)/R, the Laplacian's coefficient of f', with 0 at a centre node
-    R = 0."""
-    return (d - 1) / np.where(R == 0.0, np.inf, R)
-
-
-def _laplacian_from(d1: np.ndarray, d2: np.ndarray, coef: np.ndarray,
-                    d: int) -> np.ndarray:
-    """f'' + (d-1)/R f' assembled from f' = d1 and f'' = d2, along the
-    last axis, in one new array; coef is _laplacian_coef of the grid of
-    that axis.  A first node with coef 0 is the centre R = 0, and its row
-    is overwritten with the limit d f''(0)."""
-    out = np.multiply(coef, d1)
-    out += d2
-    if coef[0] == 0.0:
-        np.multiply(d, d2[..., 0], out=out[..., 0])
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Radial nodes R_j = R(x_j) over a uniform grid x_j = j h, in
-    dimension d.
+    """Radial nodes R_j = R(x_j) over a uniform grid x_j = j h from the
+    centre R = 0, in dimension d.
 
-    The map is the identity (kind "uniform", c = None) or the stretch
-    R = c sinh(x/c) (kind "sinh"): spacing h at the centre, growing like
-    R/c outward, with R[-1] = R_max exactly.  Either map is odd in x, so
-    an even field stays even in x and the even-reflection derivative
-    applies in x unchanged; R-derivatives follow by the chain rule,
-    f_R = f_x / R' and f_RR = (f_xx - R'' f_R) / R'^2, and at R = 0
+    Two constructors build every grid, from its node count n and its
+    radius R_max: uniform(n, R_max), the identity map (kind "uniform",
+    c = None, R = x = linspace(0, R_max, n)), and sinh(n, R_max, c), the
+    stretch R = c sinh(x/c) (kind "sinh"): spacing h at the centre,
+    growing like R/c outward, with R[-1] = R_max exactly.  Either map is
+    odd in x, so an even field stays even in x and the even-reflection
+    derivative applies in x unchanged; R-derivatives follow by the chain
+    rule, f_R = f_x / R' and f_RR = (f_xx - R'' f_R) / R'^2, and at R = 0
     (R' = 1, R'' = 0) the Laplacian keeps its limit d f_xx(0).  On the
     identity map every operator is the uniform-grid one, call for call.
     The quadrature is the trapezoid rule in x with the measure
-    R' R^(d-1) dx.
+    R' R^(d-1) dx.  Every radial routine of the package takes its nodes
+    as a RadialGrid; from_payload rebuilds a stored grid through its
+    kind's constructor.
     """
 
     x: np.ndarray
@@ -238,16 +213,24 @@ class RadialGrid:
     d: int = 8
 
     @classmethod
-    def uniform(cls, R: np.ndarray, d: int = 8) -> "RadialGrid":
-        """The identity map on uniform samples R (x is R itself)."""
-        R = np.asarray(R, dtype=float)
-        h = float(R[1] - R[0]) if len(R) > 1 else 0.0
-        return cls(x=R, R=R, h=h, d=d)
+    def uniform(cls, n: int, R_max: float, d: int = 8) -> "RadialGrid":
+        """n nodes of the identity map on [0, R_max]: R = x =
+        linspace(0, R_max, n), h = R[1] - R[0].  A DomainError naming the
+        values unless n >= 2 and R_max is finite and > 0."""
+        if not (n >= 2 and 0.0 < R_max < np.inf):
+            raise DomainError(f"n = {n}, R_max = {R_max}; a radial grid "
+                              f"needs n >= 2 and a finite R_max > 0")
+        R = np.linspace(0.0, R_max, n)
+        return cls(x=R, R=R, h=float(R[1] - R[0]), d=d)
 
     @classmethod
     def sinh(cls, n: int, R_max: float, c: float,
              d: int = 8) -> "RadialGrid":
-        """n nodes of R = c sinh(x/c) on [0, R_max]."""
+        """n nodes of R = c sinh(x/c) on [0, R_max].  A DomainError naming
+        the values unless n >= 2 and R_max and c are finite and > 0."""
+        if not (n >= 2 and 0.0 < R_max < np.inf and 0.0 < c < np.inf):
+            raise DomainError(f"n = {n}, R_max = {R_max}, c = {c}; a sinh "
+                              f"grid needs n >= 2 and finite R_max, c > 0")
         x_max = c * float(np.arcsinh(R_max / c))
         x = np.linspace(0.0, x_max, n)
         R = c * np.sinh(x / c)
@@ -294,8 +277,9 @@ class RadialGrid:
 
     @functools.cached_property
     def lap_coef(self) -> np.ndarray:
-        """(d-1)/R, 0 at the centre (see _laplacian_coef)."""
-        return _laplacian_coef(self.R, self.d)
+        """(d-1)/R, the Laplacian's coefficient of f_R, with 0 at the
+        centre R = 0."""
+        return (self.d - 1) / np.where(self.R == 0.0, np.inf, self.R)
 
     def d1(self, f: np.ndarray, acc: int = 4) -> np.ndarray:
         """f_R of an even field, along the last axis."""
@@ -315,12 +299,15 @@ class RadialGrid:
 
     def laplacian(self, f: np.ndarray, d1: np.ndarray,
                   acc: int = 4) -> np.ndarray:
-        """f_RR + (d-1)/R f_R of an even field whose f_R is d1, as one new
-        array: the cached lap_coef times d1, plus f_RR in place, with the
-        centre row d f_RR(0) written into the same array (see
-        _laplacian_from).  It shares no memory with f, d1 or f_RR."""
-        return _laplacian_from(d1, self.d2(f, d1, acc=acc), self.lap_coef,
-                               self.d)
+        """f_RR + (d-1)/R f_R of an even field whose f_R is d1, along the
+        last axis, as one new array: the cached lap_coef times d1, plus
+        f_RR in place, with the centre row overwritten by its limit
+        d f_RR(0).  It shares no memory with f, d1 or f_RR."""
+        d2 = self.d2(f, d1, acc=acc)
+        out = np.multiply(self.lap_coef, d1)
+        out += d2
+        np.multiply(self.d, d2[..., 0], out=out[..., 0])
+        return out
 
     def dR(self, f: np.ndarray, m: int, acc: int = 4) -> np.ndarray:
         """m-th R-derivative without reflection (one-sided at both ends):
@@ -346,24 +333,27 @@ class RadialGrid:
     @classmethod
     def from_payload(cls, grid: dict, R: np.ndarray,
                      d: int = 8) -> "RadialGrid":
-        """The grid a payload names, refused unless it holds the nodes R."""
-        if grid["kind"] == "uniform":
-            # the nodes of linspace(0, R_max, n), up to rounding
-            if not (len(R) > 1 and 0.0 < R[-1] < np.inf and np.allclose(
-                    R, np.linspace(0.0, R[-1], len(R)), rtol=1e-12, atol=0)):
-                raise DomainError("R column is not a uniform grid from 0")
-            return cls.uniform(R, d)
-        if grid["kind"] != "sinh":
-            raise DomainError(f"unknown grid kind {grid['kind']!r}")
-        out = cls.sinh(len(R), float(R[-1]), grid["c"], d)
+        """The grid a payload names, rebuilt by its kind's constructor from
+        (len(R), R[-1], c), which refuses a degenerate one, and refused
+        unless its nodes are R bit for bit."""
+        kind = grid["kind"]
+        n, R_max = len(R), float(R[-1]) if len(R) else np.nan
+        if kind == "uniform":
+            out = cls.uniform(n, R_max, d)
+        elif kind == "sinh":
+            out = cls.sinh(n, R_max, grid["c"], d)
+        else:
+            raise DomainError(f"unknown grid kind {kind!r}")
         if not np.array_equal(out.R, R):
-            raise DomainError("R column is not the sinh grid of its header")
+            raise DomainError(f"R column is not the {kind} grid of its header")
         return out
 
 
-def _as_grid(R, d: int = 8) -> RadialGrid:
-    """R itself when it is a RadialGrid, else the identity map on R."""
-    return R if isinstance(R, RadialGrid) else RadialGrid.uniform(R, d)
+def radial_laplacian(f: np.ndarray, grid: RadialGrid,
+                     acc: int = 4) -> np.ndarray:
+    """d-dimensional radial Laplacian f_RR + (d-1)/R f_R of an even field
+    on the grid, with the centre limit d f_RR(0)."""
+    return grid.laplacian(f, grid.d1(f, acc=acc), acc=acc)
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +395,6 @@ class FieldSet:
     def R(self) -> np.ndarray:
         return self.grid.R
 
-    @property
-    def h(self) -> float:
-        """The grid's x spacing: the spacing in R at the centre."""
-        return self.grid.h
-
     @functools.cached_property
     def P(self) -> np.ndarray:
         alpha = self.params.alpha
@@ -439,10 +424,11 @@ class FieldSet:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "FieldSet":
-        """The snapshot of payload(); a header without a grid (written
-        before grids had maps) reads as the uniform grid of its R, and a
-        header's domain label "mode" (written before it was dropped) is
-        ignored."""
+        """The snapshot of payload(); its R column must be the nodes of the
+        grid its header names (see RadialGrid.from_payload).  A header
+        without a grid (written before grids had maps) names the uniform
+        grid, and a header's domain label "mode" (written before it was
+        dropped) is ignored."""
         if payload.get("kind") != "fieldset":
             raise DomainError("not a fieldset snapshot")
         params = ProfileParams(r=payload["params"]["r"])
@@ -455,23 +441,30 @@ class FieldSet:
                               np.asarray(cols["Psi"]), np.asarray(cols["S"]))
 
     @classmethod
-    def from_Psi_S(cls, params: ProfileParams, R, s: float,
+    def from_Psi_S(cls, params: ProfileParams, grid: RadialGrid, s: float,
                    Psi: np.ndarray, S: np.ndarray) -> "FieldSet":
-        """R is a RadialGrid, or samples of a uniform grid."""
-        return cls(params=params, grid=_as_grid(R, params.d), s=float(s),
+        """The snapshot of Psi and S at frame time s on the grid, which
+        RadialGrid.uniform or RadialGrid.sinh built."""
+        return cls(params=params, grid=grid, s=float(s),
                    Psi=np.asarray(Psi, dtype=float),
                    S=np.asarray(S, dtype=float))
 
 
 def to_selfsimilar(psi: np.ndarray, rho: np.ndarray, x: np.ndarray,
                    T: float, t: float, params: ProfileParams) -> FieldSet:
-    """Map physical (psi, rho) on the grid x at time t to the frame fields.
+    """Map physical (psi, rho) on the nodes x at time t to the frame fields.
 
     s = -log(T-t)/r and y = x e^s; the amplitude powers follow the ansatz
-    exactly, so composing with from_selfsimilar is the identity.
+    exactly, so composing with from_selfsimilar is the identity up to
+    rounding.  x must be uniform from 0, linspace(0, x[-1], len(x)) to
+    rtol 1e-12, or it is a DomainError naming x; the frame grid is
+    RadialGrid.uniform(len(x), x[-1] e^s).
     """
     if not 0.0 <= t < T:
         raise DomainError(f"need 0 <= t < T, got t = {t}, T = {T}")
+    if not (len(x) > 1 and 0.0 < x[-1] < np.inf and np.allclose(
+            x, np.linspace(0.0, x[-1], len(x)), rtol=1e-12, atol=0)):
+        raise DomainError("x is not a uniform grid from 0 with x[-1] > 0")
     rho = np.asarray(rho, dtype=float)
     if not np.all(rho >= 0):
         raise DomainError("rho must be nonnegative (and not NaN)")
@@ -480,9 +473,9 @@ def to_selfsimilar(psi: np.ndarray, rho: np.ndarray, x: np.ndarray,
     s = -np.log(Tt) / r
     Psi = r * Tt ** (1.0 - 2.0 / r) * np.asarray(psi, dtype=float)
     P = r * Tt ** (1.0 / alpha - 1.0 / (alpha * r)) * rho
-    R = np.asarray(x, dtype=float) * np.exp(s)
+    grid = RadialGrid.uniform(len(x), x[-1] * np.exp(s), params.d)
     S = r ** (1.0 - alpha) / np.sqrt(alpha) * P ** alpha
-    return FieldSet.from_Psi_S(params, R, s, Psi, S)
+    return FieldSet.from_Psi_S(params, grid, s, Psi, S)
 
 
 def from_selfsimilar(fs: FieldSet, T: float, t: float

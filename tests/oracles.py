@@ -30,6 +30,7 @@ from nls_implosion.phase_portrait import (
 )
 from nls_implosion.selfsimilar_fields import (
     CUT_WINDOWS,
+    RadialGrid,
     _even_d1,
     radial_laplacian,
 )
@@ -137,18 +138,19 @@ def taylor_seed_coeffs(params: ProfileParams) -> tuple[float, float, float, floa
 # polar-equation consistency
 # ---------------------------------------------------------------------------
 
-def nls_rhs_complex(v: np.ndarray, R: np.ndarray, h: float,
-                    p: int = 3, d: int = 8) -> np.ndarray:
-    """d v/dt for i d_t v = v |v|^(p-1) - Lap v, radial d-dimensional; kept on
-    purpose as an independent test cross-check of nls_rhs_polar."""
-    lap_re = radial_laplacian(v.real, R, h, d=d)
-    lap_im = radial_laplacian(v.imag, R, h, d=d)
+def nls_rhs_complex(v: np.ndarray, grid: RadialGrid,
+                    p: int = 3) -> np.ndarray:
+    """d v/dt for i d_t v = v |v|^(p-1) - Lap v, radial in the grid's
+    dimension; kept on purpose as an independent test cross-check of
+    nls_rhs_polar."""
+    lap_re = radial_laplacian(v.real, grid)
+    lap_im = radial_laplacian(v.imag, grid)
     lap = lap_re + 1j * lap_im
     return -1j * (v * np.abs(v) ** (p - 1) - lap)
 
 
-def nls_rhs_polar(rho: np.ndarray, psi: np.ndarray, R: np.ndarray, h: float,
-                  p: int = 3, d: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def nls_rhs_polar(rho: np.ndarray, psi: np.ndarray, grid: RadialGrid,
+                  p: int = 3) -> tuple[np.ndarray, np.ndarray]:
     """Right sides of the polar system equivalent to the complex equation;
     kept on purpose as the tests' physical-frame reference for `step`.
 
@@ -156,10 +158,10 @@ def nls_rhs_polar(rho: np.ndarray, psi: np.ndarray, R: np.ndarray, h: float,
               - |grad psi|^2
     d_t rho = 2 (-grad rho . grad psi - rho Lap psi)
     """
-    drho = _even_d1(rho, h)
-    dpsi = _even_d1(psi, h)
-    lap_rho = radial_laplacian(rho, R, h, d=d)
-    lap_psi = radial_laplacian(psi, R, h, d=d)
+    drho = _even_d1(rho, grid.h)
+    dpsi = _even_d1(psi, grid.h)
+    lap_rho = radial_laplacian(rho, grid)
+    lap_psi = radial_laplacian(psi, grid)
     dt_psi = (-rho ** ((p - 1) / 2.0) + lap_rho / (2.0 * rho)
               - drho ** 2 / (4.0 * rho ** 2) - dpsi ** 2)
     dt_rho = 2.0 * (-drho * dpsi - rho * lap_psi)

@@ -273,7 +273,7 @@ class TestSimulateCommand:
         back = FieldSet.from_payload(snap["artifact"])
         grid = RadialGrid.sinh(256, 30.0, dynamics_lab.SIMULATE_GRID_C)
         np.testing.assert_array_equal(back.R, grid.R)
-        assert back.h == grid.h
+        assert back.grid.h == grid.h
         assert back.s == frame["s"]
         assert back.Psi.tolist() == snap["artifact"]["columns"]["Psi"]
         assert back.S.tolist() == snap["artifact"]["columns"]["S"]
@@ -697,6 +697,7 @@ class TestMainPlumbing:
             ("simulate", "--ds", "0", "ds"),
             ("simulate", "--ds", "-0.001", "ds"),
             ("simulate", "--s-span", "0", "s_span"),
+            ("simulate", "--s-span", "inf", "s_span = inf; need finite"),
             ("simulate", "--r-max", "-5", "R_max"),
             ("simulate", "--n", "1", "n = 1"),
             ("simulate", "--n-samples", "0", "n_samples"),
@@ -714,6 +715,25 @@ class TestMainPlumbing:
         assert (f"configuration error: {message}"
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
+
+    def test_n_samples_beyond_the_steps_of_ds_refused_before_the_solve(
+            self, tmp_path, capsys, monkeypatch):
+        # with ds given the step count needs no table: ceil(0.002/0.001)
+        # = 2 steps hold at most 3 samples
+        calls = []
+        monkeypatch.setattr(profile_solver, "solve_profile",
+                            lambda *args, **kw: calls.append(args))
+        code = main(["simulate", "--r", "2.01", "--ds", "0.001",
+                     "--s-span", "0.002", "--n-samples", "11",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        assert ("configuration error: n_samples = 11 needs 2 <= n_samples "
+                "<= n_steps + 1 with n_steps = 2" in capsys.readouterr().err)
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+        RunConfig(ds=0.001, s_span=0.002, n_samples=3)
+        with pytest.raises(ConfigError, match="n_steps = 2"):
+            RunConfig(ds=0.001, s_span=0.002, n_samples=4)
 
     @pytest.mark.parametrize("entry, message", [
         ({"r": "2.01"}, "r = '2.01'; need a number"),

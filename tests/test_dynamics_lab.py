@@ -46,6 +46,7 @@ from nls_implosion.phase_portrait import ProfileParams
 from nls_implosion.profile_solver import profile_operator
 from nls_implosion.selfsimilar_fields import (
     FieldSet,
+    RadialGrid,
     _even_d1,
     _smooth_step,
     cutoff,
@@ -102,7 +103,7 @@ class TestWeights:
     def test_plateau_exact_and_monotone(self):
         cfg = EnergyConfig()
         R = np.linspace(0.0, 8.0 * cfg.R0, 4001)
-        w = build_weights(R, cfg)
+        w = build_weights(RadialGrid.uniform(4001, 8.0 * cfg.R0), cfg)
         plateau = R <= cfg.R0
         assert np.all(w.beta[plateau] == 1.0)
         assert np.all(w.phi[plateau] == 1.0)
@@ -111,8 +112,7 @@ class TestWeights:
 
     def test_gradient_contract(self):
         cfg = EnergyConfig()
-        R = np.linspace(0.0, 8.0 * cfg.R0, 4001)
-        w = build_weights(R, cfg)
+        w = build_weights(RadialGrid.uniform(4001, 8.0 * cfg.R0), cfg)
         assert w.max_grad_ratio_phi <= 2.0
 
     def test_gradient_ratio_in_closed_form(self):
@@ -121,19 +121,18 @@ class TestWeights:
         # peaks at the end, a node of either grid
         cfg = EnergyConfig()
         R = np.linspace(0.0, 8.0 * cfg.R0, 40001)
-        w = build_weights(R, cfg)
+        w = build_weights(RadialGrid.uniform(40001, 8.0 * cfg.R0), cfg)
         differenced = np.max(np.abs(np.gradient(w.phi, R)) / w.phi)
         assert w.max_grad_ratio_phi == pytest.approx(differenced, rel=1e-6)
-        fine, coarse = (build_weights(np.linspace(0.0, 1.5 * cfg.R0, n), cfg)
-                        for n in (4096, 9))
+        fine, coarse = (build_weights(RadialGrid.uniform(n, 1.5 * cfg.R0),
+                                      cfg) for n in (4096, 9))
         assert coarse.max_grad_ratio_phi == fine.max_grad_ratio_phi
 
     def test_tail_powers(self):
         # from 4 R0 on the weights follow the stated powers, so doubling
         # the radius multiplies them by 2^q
         cfg = EnergyConfig()
-        R = np.array([0.0, 4.0 * cfg.R0, 8.0 * cfg.R0])
-        w = build_weights(R, cfg)
+        w = build_weights(RadialGrid.uniform(3, 8.0 * cfg.R0), cfg)
         assert w.phi[2] / w.phi[1] == pytest.approx(2.0 ** 2, rel=1e-10)
         assert w.beta[2] / w.beta[1] == pytest.approx(2.0 ** 0.1, rel=1e-10)
 
@@ -142,11 +141,11 @@ class TestProfileFieldset:
     def test_coverage_guard(self, profile_r201):
         beyond = 2.0 * profile_r201.R[-1]
         with pytest.raises(RangeError):
-            profile_fieldset(profile_r201, np.linspace(0.0, beyond, 65), 1e4)
+            profile_fieldset(profile_r201, RadialGrid.uniform(65, beyond),
+                             1e4)
 
     def test_center_regularity(self, profile_r201):
-        R = np.linspace(0.0, 4.0, 2049)
-        fs = profile_fieldset(profile_r201, R, 1e4)
+        fs = profile_fieldset(profile_r201, RadialGrid.uniform(2049, 4.0), 1e4)
         assert np.all(fs.S > 0.0)
         # even fields: first derivative vanishes at the center
         assert abs(fs.S[1] - fs.S[0]) < 1e-5 * fs.S[0]
@@ -157,8 +156,8 @@ class TestProfileFieldset:
         # their own: differencing the spline-sampled fields could not beat
         # the integrator's node noise divided by h
         t = profile_r201
-        R = np.linspace(0.0, 30.0, 4096)
-        fs = profile_fieldset(t, R, 1e4)
+        fs = profile_fieldset(t, RadialGrid.uniform(4096, 30.0), 1e4)
+        R = fs.R
         inside = R >= t.R[0]
         dPsi, dS, lapPsi = (make_interp_spline(t.R, col, k=5)(R[inside])
                             for col in (t.U_nls, t.dR_S_nls, t.lapPsi_nls))
@@ -171,9 +170,9 @@ class TestProfileFieldset:
 class TestStep:
     def test_zero_data_fixed_point(self):
         params = ProfileParams(r=2.01)
-        R = np.linspace(0.0, 10.0, 257)
-        zero = np.zeros_like(R)
-        state = FieldSet.from_Psi_S(params, R, 1e4, zero, zero)
+        grid = RadialGrid.uniform(257, 10.0)
+        zero = np.zeros_like(grid.R)
+        state = FieldSet.from_Psi_S(params, grid, 1e4, zero, zero)
         out = step(state, 1e-4)
         assert np.all(out.Psi == 0.0)
         assert np.all(out.S == 0.0)
@@ -181,8 +180,9 @@ class TestStep:
 
     def test_cfl_guard(self):
         params = ProfileParams(r=2.01)
-        R = np.linspace(0.0, 10.0, 257)
-        state = FieldSet.from_Psi_S(params, R, 1e4, np.zeros_like(R),
+        grid = RadialGrid.uniform(257, 10.0)
+        R = grid.R
+        state = FieldSet.from_Psi_S(params, grid, 1e4, np.zeros_like(R),
                                     np.exp(-R * R))
         with pytest.raises(CFLError):
             step(state, 1.0)
@@ -191,8 +191,9 @@ class TestStep:
         # at r = 1.9 and s = 1e4, exp((4 - 2r) s) overflows: a domain error
         # before the step, not an overflow warning and a CFL bound of 0
         params = ProfileParams(r=1.9)
-        R = np.linspace(0.0, 10.0, 257)
-        state = FieldSet.from_Psi_S(params, R, 1e4, np.zeros_like(R),
+        grid = RadialGrid.uniform(257, 10.0)
+        R = grid.R
+        state = FieldSet.from_Psi_S(params, grid, 1e4, np.zeros_like(R),
                                     np.exp(-R * R))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -203,8 +204,9 @@ class TestStep:
         # with the term off the overflowing prefactor is never evaluated:
         # no overflow warning, and the step goes through
         params = ProfileParams(r=1.9)
-        R = np.linspace(0.0, 10.0, 257)
-        state = FieldSet.from_Psi_S(params, R, 1e4, np.zeros_like(R),
+        grid = RadialGrid.uniform(257, 10.0)
+        R = grid.R
+        state = FieldSet.from_Psi_S(params, grid, 1e4, np.zeros_like(R),
                                     np.exp(-R * R))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -215,9 +217,10 @@ class TestStep:
         # a vacuum band against a rising ramp: at band nodes the density
         # equation reduces to -R dS < 0 and the step must flag the sign
         params = ProfileParams(r=2.01)
-        R = np.linspace(0.0, 10.0, 257)
+        grid = RadialGrid.uniform(257, 10.0)
+        R = grid.R
         S = np.maximum(0.0, R - 5.0)
-        state = FieldSet.from_Psi_S(params, R, 1e4, np.zeros_like(R), S)
+        state = FieldSet.from_Psi_S(params, grid, 1e4, np.zeros_like(R), S)
         with pytest.raises(PositivityError):
             step(state, 1e-3)
 
@@ -225,11 +228,12 @@ class TestStep:
         # the interpolated profile is stationary up to its discrete
         # residual; over one frame-time unit the accumulated drift stays
         # within 10x residual x e^2 (measured local growth is ~ e^1.6)
-        R = np.linspace(0.0, 30.0, 1025)
-        fs = profile_fieldset(profile_r201, R, 1e4)
+        grid = RadialGrid.uniform(1025, 30.0)
+        R = grid.R
+        fs = profile_fieldset(profile_r201, grid, 1e4)
         res0 = residual_stationary(fs, acc=4)
         floor = max(np.max(np.abs(res0.Psi)), np.max(np.abs(res0.P)))
-        ds = 0.8 * fs.h / float(np.max(R + 2.0 * fs.U))
+        ds = 0.8 * fs.grid.h / float(np.max(R + 2.0 * fs.U))
         n_steps = int(np.ceil(1.0 / ds))
         ds = 1.0 / n_steps
         state = fs
@@ -243,17 +247,17 @@ class TestStep:
 class TestResidual:
     def test_zero_fields(self):
         params = ProfileParams(r=2.01)
-        R = np.linspace(0.0, 5.0, 129)
-        zero = np.zeros_like(R)
-        state = FieldSet.from_Psi_S(params, R, 1e4, zero, zero)
+        grid = RadialGrid.uniform(129, 5.0)
+        zero = np.zeros_like(grid.R)
+        state = FieldSet.from_Psi_S(params, grid, 1e4, zero, zero)
         res = residual_stationary(state)
         assert np.all(res.Psi == 0.0)
         assert np.all(res.P == 0.0)
         assert res.quantum_sup == 0.0
 
     def test_quantum_term_reported_and_scales(self, profile_r201):
-        R = np.linspace(0.0, 10.0, 1025)
-        fs = profile_fieldset(profile_r201, R, 1e4)
+        fs = profile_fieldset(profile_r201, RadialGrid.uniform(1025, 10.0),
+                              1e4)
         r = fs.params.r
         a = residual_stationary(replace(fs, s=5.0))
         b = residual_stationary(replace(fs, s=6.0))
@@ -265,44 +269,48 @@ class TestResidual:
 class TestEnergies:
     def test_zero_perturbation(self):
         cfg = EnergyConfig()
-        R = np.linspace(0.0, 30.0, 513)
-        z = np.zeros_like(R)
-        assert energy_low(z, z, R, cfg) == 0.0
+        grid = RadialGrid.uniform(513, 30.0)
+        z = np.zeros_like(grid.R)
+        assert energy_low(z, z, grid, cfg) == 0.0
 
     def test_polynomial_low_energy_on_plateau(self):
         # S~ = c R^3 on [0, R0] where beta = 1: grad^3 S~ = 6c exactly
         # (the stencil is exact on cubics), so
         # E_low = (1/2)(6c)^2 R0^8/8
         cfg = EnergyConfig()
-        R = np.linspace(0.0, cfg.R0, 2001)
+        grid = RadialGrid.uniform(2001, cfg.R0)
+        R = grid.R
         c = 0.37
         expected = 0.5 * (6.0 * c) ** 2 * cfg.R0 ** 8 / 8.0
-        got = energy_low(np.zeros_like(R), c * R ** 3, R, cfg)
+        got = energy_low(np.zeros_like(R), c * R ** 3, grid, cfg)
         assert got == pytest.approx(expected, rel=1e-2)
 
     def test_low_energy_quadratic_scaling(self):
         cfg = EnergyConfig()
-        R = np.linspace(0.0, 50.0, 513)
+        grid = RadialGrid.uniform(513, 50.0)
+        R = grid.R
         rng = np.random.default_rng(3)
         U = np.cos(R) * np.exp(-0.1 * R) + 0.01 * rng.standard_normal(len(R))
         S = np.sin(0.5 * R)
-        e1 = energy_low(U, S, R, cfg)
-        e3 = energy_low(3.0 * U, 3.0 * S, R, cfg)
+        e1 = energy_low(U, S, grid, cfg)
+        e3 = energy_low(3.0 * U, 3.0 * S, grid, cfg)
         assert e3 == pytest.approx(9.0 * e1, rel=1e-12)
 
     def test_under_resolved_grid(self):
         cfg = EnergyConfig()
-        R = np.linspace(0.0, 1.0, 5)
+        grid = RadialGrid.uniform(5, 1.0)
+        R = grid.R
         with pytest.raises(ResolutionError):
-            energy_low(R, R, R, cfg)
+            energy_low(R, R, grid, cfg)
 
     def test_energy_w_vacuum_and_value(self):
         cfg = EnergyConfig()
-        R = np.linspace(0.0, cfg.R0, 2001)
+        grid = RadialGrid.uniform(2001, cfg.R0)
+        R = grid.R
         with pytest.raises(VacuumError):
-            energy_w(np.full_like(R, -np.inf), R, cfg)
+            energy_w(np.full_like(R, -np.inf), grid, cfg)
         # w = R^2 on the plateau: grad^{m'-1} w = 2, E_w = 4 R0^8/8
-        got = energy_w(R ** 2, R, cfg)
+        got = energy_w(R ** 2, grid, cfg)
         assert got == pytest.approx(4.0 * cfg.R0 ** 8 / 8.0, rel=1e-2)
 
     def test_high_energy_zero_and_polynomial(self):
@@ -313,15 +321,16 @@ class TestEnergies:
         cfg = EnergyConfig()
         params = ProfileParams(r=2.01)
         L = 10.0
-        R = np.linspace(0.0, L, 101)
+        grid = RadialGrid.uniform(101, L)
+        R = grid.R
         n = cfg.k - cfg.l
         c = 1e-4
         S_flat = np.full_like(R, params.r ** (1.0 - params.alpha)
                               / math.sqrt(params.alpha))   # P = 1
-        zero_state = FieldSet.from_Psi_S(params, R, 1e4, np.zeros_like(R),
+        zero_state = FieldSet.from_Psi_S(params, grid, 1e4, np.zeros_like(R),
                                          np.zeros_like(R))
         assert energy_high(zero_state, cfg) == 0.0
-        state = FieldSet.from_Psi_S(params, R, 1e4, c * R ** n, S_flat)
+        state = FieldSet.from_Psi_S(params, grid, 1e4, c * R ** n, S_flat)
         lead = c * math.factorial(n)
         expected = lead ** 2 * L ** 8 / 8.0
         assert energy_high(state, cfg) == pytest.approx(expected, rel=1e-2)
@@ -330,13 +339,14 @@ class TestEnergies:
         # scaling Psi with S (hence P) fixed scales the Psi term by c^2
         cfg = EnergyConfig()
         params = ProfileParams(r=2.01)
-        R = np.linspace(0.0, 10.0, 513)
+        grid = RadialGrid.uniform(513, 10.0)
+        R = grid.R
         S = 1.0 + 0.3 * np.exp(-0.5 * R ** 2)
         Psi = 0.1 * np.exp(-0.25 * R ** 2)
-        e0 = energy_high(FieldSet.from_Psi_S(params, R, 1e4,
+        e0 = energy_high(FieldSet.from_Psi_S(params, grid, 1e4,
                                              np.zeros_like(R), S), cfg)
-        e1 = energy_high(FieldSet.from_Psi_S(params, R, 1e4, Psi, S), cfg)
-        e2 = energy_high(FieldSet.from_Psi_S(params, R, 1e4, 2.0 * Psi, S),
+        e1 = energy_high(FieldSet.from_Psi_S(params, grid, 1e4, Psi, S), cfg)
+        e2 = energy_high(FieldSet.from_Psi_S(params, grid, 1e4, 2.0 * Psi, S),
                          cfg)
         assert e2 - e0 == pytest.approx(4.0 * (e1 - e0), rel=1e-9)
 
@@ -344,13 +354,14 @@ class TestEnergies:
         # initialized within E_l0 / 2, a short run stays below E_l0
         cfg = EnergyConfig()
         params = ProfileParams(r=2.01)
-        R = np.linspace(0.0, 10.0, 513)
+        grid = RadialGrid.uniform(513, 10.0)
+        R = grid.R
         S = 0.05 * (1.0 + np.exp(-0.5 * R ** 2))
         Psi = 0.02 * np.exp(-0.25 * R ** 2)
-        state = FieldSet.from_Psi_S(params, R, 1e4, Psi, S)
+        state = FieldSet.from_Psi_S(params, grid, 1e4, Psi, S)
         e0 = energy_high(state, cfg)
         assert e0 <= cfg.E_l0[cfg.l] / 2.0
-        ds = 0.5 * state.h / float(np.max(R + 2.0 * state.U))
+        ds = 0.5 * state.grid.h / float(np.max(R + 2.0 * state.U))
         for _ in range(50):
             state = step(state, ds)
             assert energy_high(state, cfg) <= cfg.E_l0[cfg.l]
@@ -479,13 +490,13 @@ def _reference_probe_values(table, m=2, J=2000.0, C0=2.0, K=8, trials=200,
     r = table.params.r
     alpha = table.params.alpha
     d = table.params.d
-    R = np.linspace(0.0, 3.0 * C0, n)
-    h = R[1] - R[0]
-    base = profile_fieldset(table, R, 20.0)
+    grid = RadialGrid.uniform(n, 3.0 * C0, d)
+    R, h = grid.R, grid.h
+    base = profile_fieldset(table, grid, 20.0)
     S_p = base.S
     dPsi_p = _even_d1(base.Psi, h)
     dS_p = _even_d1(S_p, h)
-    lapPsi_p = radial_laplacian(base.Psi, R, h, d=d)
+    lapPsi_p = radial_laplacian(base.Psi, grid)
 
     chi1 = _smooth_step((1.4 * C0 - R) / (0.2 * C0))
     chi2 = _smooth_step((1.8 * C0 - R) / (0.2 * C0))
@@ -505,7 +516,7 @@ def _reference_probe_values(table, m=2, J=2000.0, C0=2.0, K=8, trials=200,
         Psi_t, S_t = Psi_t / nP, S_t / nS
         dPsi_t = _even_d1(Psi_t, h)
         dS_t = _even_d1(S_t, h)
-        lapPsi_t = radial_laplacian(Psi_t, R, h, d=d)
+        lapPsi_t = radial_laplacian(Psi_t, grid)
         L_psi = (-(r - 2.0) * Psi_t - R * dPsi_t - 2.0 * dPsi_p * dPsi_t
                  - 2.0 * alpha * S_p * S_t)
         L_s = (-(r - 1.0) * S_t - R * dS_t - 2.0 * dS_p * dPsi_t
@@ -648,11 +659,10 @@ def _frame_gap(state0, T, ds, quantum, quantum_factor):
     params = state0.params
     t0 = T - math.exp(-params.r * state0.s)
     psi0, rho0, x0 = from_selfsimilar(state0, T, t0)
-    hx = float(x0[1] - x0[0])
-    dt_psi, dt_rho = nls_rhs_polar(rho0, psi0, x0, hx, p=params.p,
-                                   d=params.d)
-    drho = _even_d1(rho0, hx)
-    q_phys = (radial_laplacian(rho0, x0, hx, d=params.d) / (2.0 * rho0)
+    xgrid = RadialGrid.uniform(len(x0), x0[-1], params.d)
+    dt_psi, dt_rho = nls_rhs_polar(rho0, psi0, xgrid, p=params.p)
+    drho = _even_d1(rho0, xgrid.h)
+    q_phys = (radial_laplacian(rho0, xgrid) / (2.0 * rho0)
               - drho * drho / (4.0 * rho0 * rho0))
     dt_psi = dt_psi - q_phys + quantum_factor * q_phys
 
@@ -675,10 +685,11 @@ class TestFrameConsistency:
     @staticmethod
     def _state():
         params = ProfileParams(r=2.01)
-        R = np.linspace(0.0, 6.0, 301)
+        grid = RadialGrid.uniform(301, 6.0)
+        R = grid.R
         Psi = 0.2 * np.exp(-R * R / 4.0)
         S = 0.6 + 0.2 * np.exp(-R * R / 3.0)
-        return FieldSet.from_Psi_S(params, R, 1.0, Psi, S)
+        return FieldSet.from_Psi_S(params, grid, 1.0, Psi, S)
 
     def test_step_matches_physical_evolution(self):
         # with quantum pressure off on both sides the frame step and the

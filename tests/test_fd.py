@@ -241,7 +241,7 @@ def test_energy_report_identical_to_fieldset_stepper_uniform(profile_r201,
 def test_quantum_step_identical_to_fieldset_stepper(profile_r201, kind):
     # at s = 1 the prefactor e^{(4-2r)s} is about 1, so the quantum term
     # is live (at simulate's s0 it sits below QP_COEF_FLOOR)
-    grid = (RadialGrid.uniform(np.linspace(0.0, 30.0, 256)) if kind ==
+    grid = (RadialGrid.uniform(256, 30.0) if kind ==
             "uniform" else RadialGrid.sinh(256, 30.0, 4.0))
     params = profile_r201.params
     state = profile_fieldset(profile_r201, grid, 1.0)

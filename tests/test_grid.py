@@ -1,6 +1,7 @@
-"""Tests for RadialGrid: the stretched map R = c sinh(x/c), its chain-rule
-derivatives and quadrature, and the identity map, which must reproduce the
-uniform-grid operators bit for bit."""
+"""Tests for RadialGrid: its two constructors, the stretched map
+R = c sinh(x/c) with its chain-rule derivatives and quadrature, the
+identity map, which must reproduce the uniform-grid operators bit for bit,
+and the payload rule that rebuilds a stored grid."""
 
 import json
 
@@ -14,6 +15,7 @@ from nls_implosion.selfsimilar_fields import (
     FieldSet,
     RadialGrid,
     radial_laplacian,
+    to_selfsimilar,
 )
 
 D = 8
@@ -76,7 +78,8 @@ def test_mapped_quadrature(n):
 def test_identity_map_bit_identical(n):
     R = np.linspace(0.0, 30.0, n)
     h = R[1] - R[0]
-    grid = RadialGrid.uniform(R)
+    grid = RadialGrid.uniform(n, 30.0)
+    np.testing.assert_array_equal(grid.R, R)
     assert grid.kind == "uniform" and grid.h == h
     rng = np.random.default_rng(n)
     f = np.exp(-0.1 * R) * np.cos(R) + 1e-3 * rng.standard_normal((2, n))
@@ -89,8 +92,7 @@ def test_identity_map_bit_identical(n):
     lap[..., 0] = D * d2[..., 0]
     lap[..., 1:] = d2[..., 1:] + (D - 1) / R[1:] * d1[..., 1:]
     np.testing.assert_array_equal(grid.laplacian(f, d1), lap)
-    np.testing.assert_array_equal(grid.laplacian(f[0], d1[0]),
-                                  radial_laplacian(f[0], R, h))
+    np.testing.assert_array_equal(radial_laplacian(f[0], grid), lap[0])
     for m, acc in ((1, 4), (3, 6), (6, 4)):
         np.testing.assert_array_equal(grid.dR(f, m, acc=acc),
                                       derivative(f, h, m, acc=acc))
@@ -147,11 +149,21 @@ def test_payload_round_trip_and_refusal():
     np.zeros(64),                                          # h = 0
 ], ids=["offset", "log-spaced", "all-zero"])
 def test_uniform_header_refuses_other_nodes(R):
-    # each loaded before and gave a wrong U (or a NaN one) for Psi = R^2
-    payload = FieldSet.from_Psi_S(ProfileParams(r=2.01), R, 1.5, R * R,
-                                  np.ones_like(R)).payload()
-    with pytest.raises(DomainError, match="not a uniform grid from 0"):
+    # each loaded before and gave a wrong U (or a NaN one) for Psi = R^2;
+    # no API builds a FieldSet on these nodes, so the payload is written
+    # by hand, and to_selfsimilar refuses the same nodes as physical x
+    payload = {"schema_version": 1, "kind": "fieldset",
+               "frame": {"s": 1.5, "grid": {"kind": "uniform", "c": None}},
+               "params": {"r": 2.01, "d": D, "p": 3},
+               "columns": {"R": R.tolist(), "Psi": (R * R).tolist(),
+                           "S": np.ones_like(R).tolist()}}
+    # the all-zero column is refused by the constructor, naming R_max
+    with pytest.raises(DomainError,
+                       match=r"not the uniform grid|R_max = 0\.0;"):
         FieldSet.from_payload(json.loads(json.dumps(payload)))
+    with pytest.raises(DomainError, match="x is not a uniform grid from 0"):
+        to_selfsimilar(R * R, np.ones_like(R), R, 1.0, 0.0,
+                       ProfileParams(r=2.01))
 
 
 def test_uniform_header_loads_linspace_grids():
@@ -167,7 +179,7 @@ def test_fieldset_on_mapped_grid_round_trips():
     fs = FieldSet.from_Psi_S(params, grid, 1e4, np.exp(-grid.R ** 2),
                              1.0 + 0.1 * np.exp(-grid.R))
     np.testing.assert_array_equal(fs.U, grid.d1(fs.Psi))
-    assert fs.h == grid.h
+    assert fs.grid.h == grid.h
     header = fs.payload()["frame"]
     assert "h" not in header
     assert header["grid"]["kind"] == "sinh" and header["grid"]["c"] == 4.0
@@ -180,11 +192,41 @@ def test_fieldset_on_mapped_grid_round_trips():
 def test_fieldset_header_without_grid_reads_uniform():
     # snapshots written before grids had maps carry a uniform h instead
     params = ProfileParams(r=2.01)
-    R = np.linspace(0.0, 3.0, 64)
-    payload = FieldSet.from_Psi_S(params, R, 1.5, np.exp(-R),
+    grid = RadialGrid.uniform(64, 3.0)
+    R = grid.R
+    payload = FieldSet.from_Psi_S(params, grid, 1.5, np.exp(-R),
                                   1.0 + 0.1 * R).payload()
     payload["frame"].pop("grid")
     payload["frame"]["h"] = float(R[1] - R[0])
     back = FieldSet.from_payload(payload)
     assert back.grid.kind == "uniform"
     np.testing.assert_array_equal(back.R, R)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: RadialGrid.uniform(1, 30.0),
+    lambda: RadialGrid.uniform(256, 0.0),
+    lambda: RadialGrid.uniform(256, np.inf),
+    lambda: RadialGrid.sinh(1, 30.0, 4.0),
+    lambda: RadialGrid.sinh(256, 30.0, 0.0),
+    lambda: RadialGrid.sinh(256, 30.0, -4.0),
+    lambda: RadialGrid.sinh(256, -30.0, 4.0),
+    lambda: RadialGrid.sinh(256, np.nan, 4.0),
+], ids=["uniform-n1", "uniform-Rmax0", "uniform-Rmax-inf", "sinh-n1",
+        "sinh-c0", "sinh-c-neg", "sinh-Rmax-neg", "sinh-Rmax-nan"])
+def test_degenerate_grids_fail_by_name(build):
+    with pytest.raises(DomainError, match=r"^n = \d+, R_max = "):
+        build()
+
+
+def test_uniform_payload_rule_is_bit_for_bit():
+    # the uniform kind rebuilds its nodes as the sinh kind does, and a
+    # node one ulp off is refused
+    grid = RadialGrid.uniform(64, 3.0)
+    again = RadialGrid.from_payload(grid.payload(), grid.R.copy())
+    np.testing.assert_array_equal(again.R, grid.R)
+    assert again.h == grid.h
+    R = grid.R.copy()
+    R[7] = np.nextafter(R[7], np.inf)
+    with pytest.raises(DomainError, match="not the uniform grid"):
+        RadialGrid.from_payload(grid.payload(), R)

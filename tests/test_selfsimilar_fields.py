@@ -25,6 +25,7 @@ from nls_implosion.phase_portrait import ProfileParams
 from nls_implosion.selfsimilar_fields import (
     CUT_WINDOWS,
     FieldSet,
+    RadialGrid,
     _smooth_step,
     cutoff,
     cutoff_derivative,
@@ -351,12 +352,13 @@ class TestFrameMaps:
     @pytest.mark.parametrize("bad", [-1e-12, np.nan])
     def test_fieldset_rejects_negative_or_nan_S(self, bad):
         params = ProfileParams(r=2.01)
-        R = np.linspace(0.0, 3.0, 64)
+        grid = RadialGrid.uniform(64, 3.0)
+        R = grid.R
         S = 1.0 + 0.1 * R
         S[5] = bad
         with pytest.raises(DomainError):
-            FieldSet.from_Psi_S(params, R, 1.0, np.exp(-R), S)
-        payload = FieldSet.from_Psi_S(params, R, 1.0, np.exp(-R),
+            FieldSet.from_Psi_S(params, grid, 1.0, np.exp(-R), S)
+        payload = FieldSet.from_Psi_S(params, grid, 1.0, np.exp(-R),
                                       1.0 + 0.1 * R).payload()
         payload["columns"]["S"][5] = bad
         with pytest.raises(DomainError):
@@ -364,8 +366,9 @@ class TestFrameMaps:
 
     def test_json_roundtrip(self):
         params = ProfileParams(r=2.01)
-        R = np.linspace(0.0, 3.0, 64)
-        fs = FieldSet.from_Psi_S(params, R, 1.5, np.exp(-R), 1.0 + 0.1 * R)
+        grid = RadialGrid.uniform(64, 3.0)
+        R = grid.R
+        fs = FieldSet.from_Psi_S(params, grid, 1.5, np.exp(-R), 1.0 + 0.1 * R)
         payload = fs.payload()
         assert set(payload["frame"]) == {"s", "grid"}
         fs2 = FieldSet.from_payload(json.loads(json.dumps(payload)))
@@ -377,8 +380,9 @@ class TestFrameMaps:
         # snapshots written while FieldSet carried a domain label have a
         # frame "mode" key; it is ignored
         params = ProfileParams(r=2.01)
-        R = np.linspace(0.0, 3.0, 64)
-        fs = FieldSet.from_Psi_S(params, R, 1.5, np.exp(-R), 1.0 + 0.1 * R)
+        grid = RadialGrid.uniform(64, 3.0)
+        R = grid.R
+        fs = FieldSet.from_Psi_S(params, grid, 1.5, np.exp(-R), 1.0 + 0.1 * R)
         payload = fs.payload()
         payload["frame"]["mode"] = "periodic"
         fs2 = FieldSet.from_payload(json.loads(json.dumps(payload)))
@@ -519,15 +523,15 @@ class TestPolarConsistency:
         # system, on smooth synthetic data: agreement within O(h^2)
         errs = []
         for n in (101, 401):
-            R = np.linspace(0.0, 4.0, n)
-            h = R[1] - R[0]
+            grid = RadialGrid.uniform(n, 4.0)
+            R = grid.R
             rho = 1.0 + 0.5 * np.exp(-R * R)
             psi = 0.3 * np.cos(R * R / 4.0)
             v = inverse_madelung(rho, psi)
-            dv = nls_rhs_complex(v, R, h)
+            dv = nls_rhs_complex(v, grid)
             dt_rho_c = 2.0 * np.real(np.conj(v) * dv)
             dt_psi_c = np.imag(np.conj(v) * dv) / rho
-            dt_psi, dt_rho = nls_rhs_polar(rho, psi, R, h)
+            dt_psi, dt_rho = nls_rhs_polar(rho, psi, grid)
             interior = slice(5, -5)
             errs.append(max(np.max(np.abs(dt_psi - dt_psi_c)[interior]),
                             np.max(np.abs(dt_rho - dt_rho_c)[interior])))
@@ -537,8 +541,8 @@ class TestPolarConsistency:
         assert errs[1] < max(errs[0], 1e-9)
 
     def test_laplacian_center_regularization(self):
-        R = np.linspace(0.0, 1.0, 101)
-        f = R * R
-        lap = radial_laplacian(f, R, R[1] - R[0], d=8)
+        grid = RadialGrid.uniform(101, 1.0, d=8)
+        f = grid.R * grid.R
+        lap = radial_laplacian(f, grid)
         # Lap R^2 = 2d in d dimensions
         assert lap == pytest.approx(np.full(101, 16.0), abs=1e-8)
