@@ -140,8 +140,6 @@ class RunConfig:
         if self.sample_r != 0 and self.sample_r < 2:
             raise ConfigError(f"sample_r = {self.sample_r}; need 0 or >= 2")
         for name, ok, need in (
-                ("ds", self.ds is None or self.ds > 0, "> 0"),
-                ("s_span", 0 < self.s_span < numpy.inf, "finite and > 0"),
                 ("R_max", self.R_max > 0, "> 0"),
                 ("n", self.n >= 2, ">= 2"),
                 ("n_samples", self.n_samples >= 2, ">= 2"),
@@ -150,12 +148,13 @@ class RunConfig:
             if not ok:
                 raise ConfigError(
                     f"{name} = {getattr(self, name)}; need {need}")
-        if self.ds is not None:
-            # without ds the step count waits for the table's U
-            try:
+        try:
+            dynamics_lab._require_finite_positive(self.s_span, self.ds)
+            if self.ds is not None:
+                # without ds the step count waits for the table's U
                 dynamics_lab._step_plan(self.s_span, self.ds, self.n_samples)
-            except DomainError as exc:
-                raise ConfigError(str(exc)) from None
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         try:
             EnergyConfig(**self.energy)
         except (TypeError, ConsistencyError) as exc:

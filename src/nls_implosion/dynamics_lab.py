@@ -221,6 +221,33 @@ def _require_finite_prefactor(r: float, s0: float, s_span: float) -> None:
             f"s_span) = {exponent:.6g} > {_EXP_MAX:.6g}; lower s0")
 
 
+def _require_finite_positive(s_span: float, ds: float | None) -> None:
+    """DomainError unless s_span, and ds when given, are finite and > 0."""
+    for name, value in (("s_span", s_span), ("ds", ds)):
+        if value is not None and not 0.0 < value < np.inf:
+            raise DomainError(f"{name} = {value}; need finite and > 0")
+
+
+def _quantum_prefactor(params: ProfileParams, s: float) -> float:
+    """The quantum-pressure prefactor e^{(4-2r)s}, or 0.0 when it is not
+    above QP_COEF_FLOOR."""
+    coef = np.exp((4.0 - 2.0 * params.r) * s)
+    return coef if coef > QP_COEF_FLOOR else 0.0
+
+
+def _stability_bound(U: np.ndarray, grid: RadialGrid, params: ProfileParams,
+                     s: float, quantum: bool, cfl: float) -> np.ndarray:
+    """The largest stable step of each run whose gradient field is a row of
+    U: cfl h over the largest transport speed in x, |R + 2U|/R', and, with
+    the quantum term on, at most cfl h^2 / (2 d e^{(4-2r)s})."""
+    h = grid.h
+    bound = cfl * h / np.maximum(np.max(grid.speed(U), axis=-1), 1e-30)
+    coef = _quantum_prefactor(params, s) if quantum else 0.0
+    if coef:
+        bound = np.minimum(bound, cfl * h * h / (2.0 * params.d * coef))
+    return bound
+
+
 def _rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
          params: ProfileParams, s: float, quantum: bool) -> np.ndarray:
     """Right side of the (Psi, S) system for the stacked state X on the
@@ -234,11 +261,10 @@ def _rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
     """
     Psi, S = X
     dPsi, dS = dX
-    # asarray: an operator that returns the pair (N_Psi, N_S) stacks here
-    out = np.asarray(profile_operator(params, grid.R, Psi, dPsi, S, dS,
-                                      grid.laplacian(Psi, dPsi)))
-    coef = np.exp((4.0 - 2.0 * params.r) * s) if quantum else 0.0
-    if coef > QP_COEF_FLOOR and np.any(S > S_FLOOR):
+    out = profile_operator(params, grid.R, Psi, dPsi, S, dS,
+                           grid.laplacian(Psi, dPsi))
+    coef = _quantum_prefactor(params, s) if quantum else 0.0
+    if coef and np.any(S > S_FLOOR):
         w = _half_log_density(np.maximum(S, S_FLOOR), params)
         dw = grid.d1(w)
         qp = coef * (grid.laplacian(w, dw) + dw * dw)
@@ -253,92 +279,84 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
     the new state and the smallest stability bound on ds of its runs.
 
     X has shape (2, k, n): X[0] holds Psi and X[1] holds S, one row per
-    run, and every row steps exactly as it would alone.  Each stage
-    differentiates all rows once and takes the second derivative of the
-    Psi rows; stage 1's dPsi is the gradient field U, so the CFL bounds
-    are read off it, from the transport speed in x, |R + 2U|/R'.  The
-    runs before the first one whose bound ds breaks step as one stack.
-    Then, run by run in row order, a NaN density, positivity and the CFL
-    bound of that first breaking run are checked, so the first error
-    raised is the one stepping the runs one after another would raise:
-    DomainError (S turns NaN), PositivityError or CFLError.  The error
-    carries the runs before the failing one, advanced to s + ds, as
-    `advanced` (None when run 0 fails).
+    run, and every row steps exactly as it would alone.  One rule decides
+    a failed step, for all runs at once:
+      * every run's stability bound is read off X (see _stability_bound;
+        the first derivative of the Psi rows is the gradient field U),
+        and a ds above any of them is a CFLError before any stage runs;
+      * otherwise all rows step;
+      * then the rows are checked in order: a NaN density is a
+        DomainError, a density that turns negative (or reaches zero from
+        positive) a PositivityError.
+    Each error names the row of the first run that fails, and no run
+    steps alone: after any error, every run's last valid state is X.
 
-    The three stage combinations are formed in place, in the order of
-    X1 = X + ds F1, X2 = 0.75 X + 0.25 (X1 + ds F2) and
-    X/3 + 2/3 (X2 + ds F3), so the bits are those of the plain
-    expressions.  Each F is the array _rhs returns, scaled and summed in
-    place; the stage states live in one array allocated per step, which
-    is the state returned.  X is only read, and the result shares no
-    memory with X or with any array _rhs returned.
+    Each stage differentiates all rows once and takes the second
+    derivative of the Psi rows.  The three stage combinations are formed
+    in place, in the order of X1 = X + ds F1,
+    X2 = 0.75 X + 0.25 (X1 + ds F2) and X/3 + 2/3 (X2 + ds F3), so the
+    bits are those of the plain expressions.  Each F is the array _rhs
+    returns, scaled and summed in place; the stage states live in one
+    array allocated per step, which is the state returned.  X is only
+    read, and the result shares no memory with X or with any array _rhs
+    returned.
     """
-    h = grid.h
     dX = grid.d1(X)
-    amax = np.max(grid.speed(dX[0]), axis=-1)
-    bound = cfl * h / np.maximum(amax, 1e-30)
-    coef = np.exp((4.0 - 2.0 * params.r) * s) if quantum else 0.0
-    if coef > QP_COEF_FLOOR:
-        bound = np.minimum(bound, cfl * h * h / (2.0 * params.d * coef))
+    bound = _stability_bound(dX[0], grid, params, s, quantum, cfl)
     over = np.flatnonzero(ds > bound)
-    k = over[0] if over.size else X.shape[1]
-    X = Xn = X[:, :k]
+    if over.size:
+        j = over[0]
+        raise CFLError(
+            f"ds = {ds:.3e} exceeds the stability bound {bound[j]:.3e} of "
+            f"row {j} (max|y+2U|/R' = {np.max(grid.speed(dX[0, j])):.3g})")
 
-    def F(X_, s_, dX_):
-        return _rhs(X_, dX_, grid, params, s_, quantum)
-
-    if k:     # run 0 broke its bound; derivative refuses an empty stack
-        Xn = np.empty_like(X)
-        f = F(X, s, dX[:, :k])
-        np.multiply(f, ds, out=Xn)
-        Xn += X                                     # X1
-        f = F(Xn, s + ds, grid.d1(Xn))
-        f *= ds
-        f += Xn
-        f *= 0.25
-        np.multiply(X, 0.75, out=Xn)
-        Xn += f                                     # X2
-        f = F(Xn, s + 0.5 * ds, grid.d1(Xn))
-        f *= ds
-        f += Xn
-        f *= 2.0 / 3.0
-        np.divide(X, 3.0, out=Xn)
-        Xn += f                                     # the new state
+    Xn = np.empty_like(X)
+    f = _rhs(X, dX, grid, params, s, quantum)
+    np.multiply(f, ds, out=Xn)
+    Xn += X                                         # X1
+    f = _rhs(Xn, grid.d1(Xn), grid, params, s + ds, quantum)
+    f *= ds
+    f += Xn
+    f *= 0.25
+    np.multiply(X, 0.75, out=Xn)
+    Xn += f                                         # X2
+    f = _rhs(Xn, grid.d1(Xn), grid, params, s + 0.5 * ds, quantum)
+    f *= ds
+    f += Xn
+    f *= 2.0 / 3.0
+    np.divide(X, 3.0, out=Xn)
+    Xn += f                                         # the new state
 
     for j, smin in enumerate(np.min(Xn[1], axis=-1)):
         if np.isnan(smin):
-            err = DomainError(f"density is NaN after the step from s = {s!r}")
-        elif smin < 0.0 or (smin == 0.0 and np.min(X[1, j]) > 0.0):
-            err = PositivityError(
-                f"density lost positivity: min S = {smin:.3e} after step")
-        else:
-            continue
-        err.advanced = Xn[:, :j] if j else None
-        raise err
-    if over.size:
-        err = CFLError(f"ds = {ds:.3e} exceeds the stability bound "
-                       f"{bound[k]:.3e} (max|y+2U|/R' = {amax[k]:.3g})")
-        err.advanced = Xn if k else None
-        raise err
+            raise DomainError(f"density of row {j} is NaN after the step "
+                              f"from s = {s!r}")
+        if smin < 0.0 or (smin == 0.0 and np.min(X[1, j]) > 0.0):
+            raise PositivityError(f"density of row {j} lost positivity: "
+                                  f"min S = {smin:.3e} after step")
     return Xn, float(np.min(bound))
 
 
-def step(state: FieldSet, ds: float, quantum_pressure: bool = True,
-         cfl: float = 0.9) -> FieldSet:
+def step(state: FieldSet, ds: float,
+         quantum_pressure: bool = True) -> FieldSet:
     """One SSP-RK3 step of the (Psi, S) system from s to s + ds, on the
-    state's grid.
+    state's grid, under the stability bound of EnergyConfig.cfl.
 
     The transport is outgoing at R_max (coefficient y + 2U > 0 there), so
     the boundary closure uses the one-sided stencils of the derivative
     operator; the center uses even reflection.  The stages run on plain
-    arrays (see _advance, here with one run); only the result is built and
-    validated as a FieldSet.  With quantum pressure on, a prefactor
-    e^{(4-2r)s} that overflows by s + ds is a DomainError before the step.
+    arrays (see _advance, here with one run, in row 0); only the result
+    is built and validated as a FieldSet.  A ds above the bound is
+    a CFLError before the step, a NaN or negative density after it a
+    DomainError or PositivityError.  With quantum pressure on, a
+    prefactor e^{(4-2r)s} that overflows by s + ds is a DomainError
+    before the step.
     """
     if quantum_pressure:
         _require_finite_prefactor(state.params.r, state.s, ds)
     X, _ = _advance(np.stack((state.Psi, state.S))[:, None], state.grid,
-                    state.params, state.s, ds, quantum_pressure, cfl)
+                    state.params, state.s, ds, quantum_pressure,
+                    EnergyConfig.cfl)
     return FieldSet.from_Psi_S(state.params, state.grid, state.s + ds,
                                X[0, 0], X[1, 0])
 
@@ -415,27 +433,24 @@ def energy_w(w: np.ndarray, grid: RadialGrid, cfg: EnergyConfig,
     return grid.quad(weights.beta ** (2 * cfg.m_prime) * dw * dw)
 
 
-def energy_high(state: FieldSet, cfg: EnergyConfig, l: int | None = None,
+def energy_high(state: FieldSet, cfg: EnergyConfig,
                 weights: Weights | None = None) -> float:
-    """High-derivative energy E_{k-l} with weight P phi^l.
+    """High-derivative energy E_{k-l} with weight P phi^l, l = cfg.l.
 
     E_{k-l} = int |grad^{k-l-1} S|^2 P phi^l + int |grad^{k-l} Psi|^2 P phi^l
-              + e^{(4-2r)s} int |grad^{k-l} w|^2 P phi^l.
+              + e^{(4-2r)s} int |grad^{k-l} w|^2 P phi^l,
+    the last term dropped while its prefactor is not above QP_COEF_FLOOR.
     """
-    if l is None:
-        l = cfg.l
-    n = cfg.k - l
-    if n - 1 < 1:
-        raise ConsistencyError("need k - l - 1 >= 1")
+    n = cfg.k - cfg.l
     grid = state.grid
     if weights is None:
         weights = build_weights(grid, cfg)
-    wgt = state.P * weights.phi ** l
+    wgt = state.P * weights.phi ** cfg.l
     dS = grid.dR(state.S, n - 1)
     dPsi = grid.dR(state.Psi, n)
     total = grid.quad(dS * dS * wgt) + grid.quad(dPsi * dPsi * wgt)
-    coef = np.exp((4.0 - 2.0 * state.params.r) * state.s)
-    if coef > QP_COEF_FLOOR:
+    coef = _quantum_prefactor(state.params, state.s)
+    if coef:
         if not np.all(np.isfinite(state.w)):
             raise VacuumError("w not finite while its energy term is active")
         dw = grid.dR(state.w, n)
@@ -729,11 +744,13 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     about h R/c outward.  Outgoing self-similar transport is a translation
     in log R, and its speed in x, |R + 2U|/R', stays near c where on the
     uniform grid it reaches R_max, so at the same centre spacing the CFL
-    step is about R_max/c times longer.  Unless given, ds is the largest
-    step that divides s_span and stays within 0.9/1.1 of the initial CFL
-    bound.
+    step is about R_max/c times longer.  s_span, and ds when given, must
+    be finite and > 0 (a DomainError before the profile is sampled).
+    Unless given, ds is the largest step that divides s_span and stays
+    within 0.9/1.1 of the reference run's initial stability bound with
+    the quantum term off (_stability_bound).
 
-    An unperturbed reference run is advanced in lockstep with the same
+    An unperturbed reference run is stepped in lockstep with the same
     discretization; perturbation fields are the difference of the two
     runs, so finite-resolution drift of the discrete profile (largest at
     the corner, where the grid barely resolves the matching region) does
@@ -750,14 +767,15 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
 
     Both runs step as one stacked (2, 2, n) array, (Psi, S) x (perturbed,
     reference), through one _advance call per step; every row is
-    bit-identical to stepping its run alone.  Within a step the perturbed
-    run's checks come before the reference's, and a reference run that
-    breaks its CFL bound is not stepped.  Validated FieldSets are built
-    only at the sample points and, on a CFL or positivity abort, for the
-    perturbed run's last good state (attached to the error as
-    `last_good`, with the samples so far as `partial_report`): its state
-    before the step, or the `advanced` state _advance attaches after it
-    when only the reference run aborts.  A prefactor e^{(4-2r)s} that
+    bit-identical to stepping its run alone.  A step fails as a whole
+    under _advance's one rule, and its error names the failing run's
+    row: 0 for the perturbed run, 1 for the reference.  The perturbation
+    exists only where both runs are valid, so on a CFL or positivity
+    abort the perturbed run's last good state is its state at the start
+    of the failing step, whichever run failed; it is attached to the
+    error as `last_good`, with the samples so far as `partial_report`.
+    Validated FieldSets are built only at the sample points and for
+    `last_good`.  A prefactor e^{(4-2r)s} that
     overflows on the run's span (r < 2 at large s0) is a DomainError
     before any step, with quantum pressure on or off: every sample's
     energy_high and residual_stationary use it.
@@ -774,6 +792,7 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     if cfg is None:
         cfg = EnergyConfig()
     params = table.params
+    _require_finite_positive(s_span, ds)
     _require_finite_prefactor(params.r, cfg.s0, s_span)
     if SIMULATE_GRID_C is None:
         grid = RadialGrid.uniform(n, R_max, params.d)
@@ -790,9 +809,9 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     state = fields(cfg.s0, base.Psi + cfg.delta_low * bump,
                    base.S * (1.0 + cfg.delta_low * bump))
 
-    amax = float(np.max(grid.speed(base.U))) * 1.1
     if ds is None:
-        ds = 0.9 * cfg.cfl * grid.h / amax
+        ds = 0.9 / 1.1 * float(_stability_bound(base.U, grid, params,
+                                                cfg.s0, False, cfg.cfl))
     n_steps, ds = _step_plan(s_span, ds, n_samples)
     sample_at = set(np.linspace(0, n_steps, n_samples).astype(int))
 
@@ -843,12 +862,9 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
                        fields(s, X[0, 1], X[1, 1]))
     except (CFLError, PositivityError) as err:
         # callers that write artifacts want the last valid state and the
-        # samples collected so far; a reference-run abort comes with the
-        # perturbed run advanced to s + ds
+        # samples collected so far; X is still the failing step's start
         report.wall_time = time.perf_counter() - t0
-        good = err.advanced
-        err.last_good = (fields(s, X[0, 0], X[1, 0]) if good is None
-                         else fields(s + ds, good[0, 0], good[1, 0]))
+        err.last_good = fields(s, X[0, 0], X[1, 0])
         err.partial_report = report
         raise
     report.wall_time = time.perf_counter() - t0

@@ -433,6 +433,22 @@ class TestSimulate:
             simulate(profile_r201, s_span=s_span, n=256, n_samples=n_samples)
         assert steps == []
 
+    @pytest.mark.parametrize("s_span, ds, name", [
+        (math.inf, None, "s_span = inf"), (math.nan, None, "s_span = nan"),
+        (-1.0, None, "s_span = -1.0"), (0.0, None, "s_span = 0.0"),
+        (0.1, 0.0, "ds = 0.0"), (0.1, math.nan, "ds = nan"),
+        (0.1, math.inf, "ds = inf"), (0.1, -0.01, "ds = -0.01")])
+    def test_span_and_step_must_be_finite_and_positive(
+            self, profile_r201, monkeypatch, s_span, ds, name):
+        # one rule for both, refused before the profile is sampled
+        sampled = []
+        monkeypatch.setattr(dl, "profile_fieldset",
+                            lambda *a: sampled.append(a))
+        with pytest.raises(DomainError,
+                           match=f"^{name}; need finite and > 0$"):
+            simulate(profile_r201, s_span=s_span, n=256, ds=ds)
+        assert sampled == []
+
     @pytest.mark.parametrize("s_span, n_samples", [(0.002, 2), (0.1, 14)])
     def test_every_sample_taken(self, profile_r201, s_span, n_samples):
         rep = simulate(profile_r201, s_span=s_span, n=256,

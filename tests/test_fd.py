@@ -336,11 +336,14 @@ def test_last_good_is_state_before_failing_step(profile_r201, monkeypatch):
     assert len(info.value.partial_report.s) == 1
 
 
-# Aborts caused by the reference run alone.  The perturbed run has then
-# completed the step, so last_good is it at s0 + ds.  Both tests reach the
-# reference through names simulate looks up in dynamics_lab
-# (profile_fieldset, profile_operator) rather than through the stepper's
-# own signature, so they do not depend on how the stepper stacks the runs.
+# Aborts of one run in a step.  A step fails as a whole: a CFL break is
+# refused before its first stage and a lost density is found after every
+# row stepped, so last_good is the perturbed run at the failing step's
+# start, the last state where both runs, and so the perturbation, are
+# valid.  The tests reach the runs through names simulate looks up in
+# dynamics_lab (profile_fieldset, profile_operator) rather than through
+# the stepper's own signature, so they do not depend on how the stepper
+# stacks the runs.  Row 0 is the perturbed run, row 1 the reference.
 
 N_ABORT = 256
 
@@ -359,97 +362,112 @@ def _perturbed_start(table, cfg, base):
                                base.S * (1.0 + cfg.delta_low * bump))
 
 
-def _assert_last_good_is_perturbed_step(err, start, ds):
-    expected = step(start, ds)
+def _assert_last_good_is_perturbed_start(err, start):
     good = err.last_good
-    assert good.s == start.s + ds
-    np.testing.assert_array_equal(good.Psi, expected.Psi)
-    np.testing.assert_array_equal(good.S, expected.S)
-    assert err.partial_report.s == [start.s]
-
-
-def _steep(table, grid, s):
-    """The profile's fields with a steep phase ramp inside the bump's
-    falling flank: the x-speed |y+2U|/R' of a reference run started on it
-    exceeds the perturbed run's, where the bump lowers it."""
-    base = profile_fieldset(table, grid, s)
-    ramp = np.clip((base.R / base.R[-1] - 0.65) / 0.1, 0.0, 1.0)
-    return FieldSet.from_Psi_S(base.params, base.grid, s,
-                               base.Psi + 30.0 * ramp, base.S)
-
-
-def _ds_between_cfl_bounds(table, cfg):
-    """simulate's start on the _steep fields, and a ds that breaks the
-    reference run's CFL bound but not the perturbed run's."""
-    grid = _abort_grid()
-    base = _steep(table, grid, cfg.s0)
-    start = _perturbed_start(table, cfg, base)
-    bound_ref = cfg.cfl * grid.h / np.max(grid.speed(base.U))
-    bound_pert = cfg.cfl * grid.h / np.max(grid.speed(start.U))
-    ds = 0.5 * (bound_ref + bound_pert)
-    assert bound_ref < ds < bound_pert
-    return base, start, ds
-
-
-def test_reference_only_cfl_abort(profile_r201, monkeypatch):
-    cfg = EnergyConfig()
-    _, start, ds = _ds_between_cfl_bounds(profile_r201, cfg)
-    monkeypatch.setattr(dynamics_lab, "profile_fieldset", _steep)
-    with pytest.raises(CFLError) as info:
-        simulate(profile_r201, cfg, s_span=ds, n=N_ABORT, n_samples=2,
-                 ds=ds)
-    assert str(info.value) == ("ds = 4.664e-03 exceeds the stability bound "
-                               "4.664e-03 (max|y+2U|/R' = 8.21)")
-    _assert_last_good_is_perturbed_step(info.value, start, ds)
-
-
-def test_reference_only_positivity_abort(profile_r201, monkeypatch):
-    # the reference starts on the profile's S, the perturbed run does not;
-    # draining S wherever a run sits exactly on it breaks the reference
-    cfg = EnergyConfig()
-    base = profile_fieldset(profile_r201, _abort_grid(), cfg.s0)
-    start = _perturbed_start(profile_r201, cfg, base)
-    operator = dynamics_lab.profile_operator
-
-    def draining(params, R_, Psi, dPsi, S, dS, lapPsi):
-        N_Psi, N_S = operator(params, R_, Psi, dPsi, S, dS, lapPsi)
-        on_profile = np.all(S == base.S, axis=-1, keepdims=True)
-        return N_Psi, np.where(on_profile, N_S - 1e3, N_S)
-
-    monkeypatch.setattr(dynamics_lab, "profile_operator", draining)
-    ds = 1e-3
-    with pytest.raises(PositivityError) as info:
-        simulate(profile_r201, cfg, s_span=ds, n=N_ABORT, n_samples=2,
-                 ds=ds)
-    assert str(info.value) == ("density lost positivity: min S = "
-                               "-1.252e-01 after step")
-    _assert_last_good_is_perturbed_step(info.value, start, ds)
-
-
-def test_perturbed_positivity_comes_before_reference_cfl(profile_r201,
-                                                         monkeypatch):
-    # in the same step the perturbed run loses positivity (S drained off
-    # the profile) and the reference breaks its CFL bound (the steep
-    # ramp): the perturbed run's error is raised, and last_good is the
-    # perturbed run before the step
-    cfg = EnergyConfig()
-    base, start, ds = _ds_between_cfl_bounds(profile_r201, cfg)
-    operator = dynamics_lab.profile_operator
-
-    def draining(params, R_, Psi, dPsi, S, dS, lapPsi):
-        N_Psi, N_S = operator(params, R_, Psi, dPsi, S, dS, lapPsi)
-        on_profile = np.all(S == base.S, axis=-1, keepdims=True)
-        return N_Psi, np.where(on_profile, N_S, N_S - 1e3)
-
-    monkeypatch.setattr(dynamics_lab, "profile_fieldset", _steep)
-    monkeypatch.setattr(dynamics_lab, "profile_operator", draining)
-    with pytest.raises(PositivityError) as info:
-        simulate(profile_r201, cfg, s_span=ds, n=N_ABORT, n_samples=2,
-                 ds=ds)
-    assert str(info.value) == ("density lost positivity: min S = "
-                               "-4.879e+00 after step")
-    good = info.value.last_good
     assert good.s == start.s
     np.testing.assert_array_equal(good.Psi, start.Psi)
     np.testing.assert_array_equal(good.S, start.S)
-    assert info.value.partial_report.s == [start.s]
+    assert err.partial_report.s == [start.s]
+
+
+def _steep(table, grid, s, height=30.0):
+    """The profile's fields with a steep phase ramp of the given height
+    inside the bump's falling flank, where the bump lowers U.  At height
+    30 the x-speed |y+2U|/R' of a reference run started on them exceeds
+    the perturbed run's; at height -100 R + 2U is negative on the ramp, so
+    the perturbed run's speed exceeds the reference's."""
+    base = profile_fieldset(table, grid, s)
+    ramp = np.clip((base.R / base.R[-1] - 0.65) / 0.1, 0.0, 1.0)
+    return FieldSet.from_Psi_S(base.params, base.grid, s,
+                               base.Psi + height * ramp, base.S)
+
+
+def _ds_between_cfl_bounds(table, cfg, height):
+    """simulate's start on the _steep fields of that height, a ds between
+    the two runs' CFL bounds, and the row of the run whose bound it
+    breaks."""
+    grid = _abort_grid()
+    base = _steep(table, grid, cfg.s0, height)
+    start = _perturbed_start(table, cfg, base)
+    bounds = [cfg.cfl * grid.h / np.max(grid.speed(run.U))
+              for run in (start, base)]
+    ds = 0.5 * sum(bounds)
+    assert min(bounds) < ds < max(bounds)
+    return base, start, ds, int(np.argmin(bounds))
+
+
+def _draining(S0):
+    """profile_operator, with S drained in stage 1 of the run that starts
+    on the density S0."""
+    operator = dynamics_lab.profile_operator
+
+    def draining(params, R_, Psi, dPsi, S, dS, lapPsi):
+        out = operator(params, R_, Psi, dPsi, S, dS, lapPsi)
+        out[1] -= np.where(np.all(S == S0, axis=-1, keepdims=True), 1e3, 0.0)
+        return out
+
+    return draining
+
+
+def _rhs_calls(monkeypatch):
+    """The list that records every _rhs call from now on."""
+    rhs, calls = dynamics_lab._rhs, []
+
+    def spy(*args):
+        calls.append(args)
+        return rhs(*args)
+
+    monkeypatch.setattr(dynamics_lab, "_rhs", spy)
+    return calls
+
+
+@pytest.mark.parametrize("row", [0, 1])
+@pytest.mark.parametrize("cause", ["cfl", "positivity"])
+def test_one_run_aborts_the_step(profile_r201, monkeypatch, cause, row):
+    cfg = EnergyConfig()
+    if cause == "cfl":
+        height = {0: -100.0, 1: 30.0}[row]
+        _, start, ds, failing = _ds_between_cfl_bounds(profile_r201, cfg,
+                                                       height)
+        assert failing == row
+        monkeypatch.setattr(dynamics_lab, "profile_fieldset",
+                            lambda table, grid, s: _steep(table, grid, s,
+                                                          height))
+        error = CFLError
+        match = rf"^ds = .* exceeds the stability bound .* of row {row} \("
+    else:
+        base = profile_fieldset(profile_r201, _abort_grid(), cfg.s0)
+        start = _perturbed_start(profile_r201, cfg, base)
+        ds = 1e-3
+        monkeypatch.setattr(dynamics_lab, "profile_operator",
+                            _draining((start, base)[row].S))
+        error = PositivityError
+        match = rf"^density of row {row} lost positivity: min S = -"
+    calls = _rhs_calls(monkeypatch)
+    with pytest.raises(error, match=match) as info:
+        simulate(profile_r201, cfg, s_span=ds, n=N_ABORT, n_samples=2,
+                 ds=ds)
+    _assert_last_good_is_perturbed_start(info.value, start)
+    # a CFL break is refused before the step's first stage
+    assert len(calls) == {"cfl": 0, "positivity": 3}[cause]
+
+
+def test_cfl_abort_comes_before_a_lost_density(profile_r201, monkeypatch):
+    # in the same step the reference breaks its CFL bound (the steep ramp)
+    # and the drained perturbed run would lose positivity: the step is
+    # refused before it runs, so the error is the reference's CFLError
+    cfg = EnergyConfig()
+    base, start, ds, _ = _ds_between_cfl_bounds(profile_r201, cfg, 30.0)
+    monkeypatch.setattr(dynamics_lab, "profile_fieldset", _steep)
+    monkeypatch.setattr(dynamics_lab, "profile_operator",
+                        _draining(start.S))
+    X = np.array([[start.Psi, base.Psi], [start.S, base.S]])
+    with pytest.raises(PositivityError, match="density of row 0 lost"):
+        dynamics_lab._advance(X, start.grid, start.params, start.s, ds,
+                              True, 1e9)     # no bound: the step runs
+    calls = _rhs_calls(monkeypatch)
+    with pytest.raises(CFLError, match=r"of row 1 \(") as info:
+        simulate(profile_r201, cfg, s_span=ds, n=N_ABORT, n_samples=2,
+                 ds=ds)
+    _assert_last_good_is_perturbed_start(info.value, start)
+    assert calls == []
