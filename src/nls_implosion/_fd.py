@@ -101,7 +101,22 @@ def derivative(f: np.ndarray, h: float, m: int, acc: int = 4,
     broadcast np.vecdot against the stencil blocks of _stencils, whose
     rows keep a stride of m + 1 doubles so each dot sums in the order of
     the 1-D one.
+
+    A complex f is differentiated as its real and imaginary parts, each
+    written into its half of the complex result, so each part is bit for
+    bit the derivative of that part alone.
     """
+    if not np.iscomplexobj(f):
+        return _real_derivative(f, h, m, acc, even)
+    out = np.empty(np.shape(f), complex)
+    out.real = _real_derivative(np.real(f), h, m, acc, even)
+    out.imag = _real_derivative(np.imag(f), h, m, acc, even)
+    return out
+
+
+def _real_derivative(f: np.ndarray, h: float, m: int, acc: int,
+                     even: bool) -> np.ndarray:
+    """derivative() of real samples f, taken as float64."""
     f = np.asarray(f, dtype=float)
     if m == 0:
         return f.copy()

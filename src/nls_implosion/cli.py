@@ -549,7 +549,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n", type=int,
                    help="radial nodes of the stretched grid R = c sinh(x/c)")
     s.add_argument("--r-max", dest="R_max", type=float, help="domain radius")
-    s.add_argument("--n-samples", type=int, help="report samples")
+    s.add_argument("--n-samples", type=int, help="report samples, 2 <= "
+                   "n_samples <= n_steps + 1; without --ds, n_steps needs the "
+                   "table's U, so the upper end is checked after it is read")
     s.add_argument("--ds", type=float, help="fixed step (default: CFL-derived)")
     s.add_argument("--quantum-pressure", dest="quantum_pressure",
                    action=argparse.BooleanOptionalAction, default=None,

@@ -9,10 +9,13 @@ stack runs along a leading axis (simulate's perturbed and reference runs
 step as one state), with one first derivative of every row and one second
 derivative of the Psi rows per stage; validated FieldSets are built only
 where a caller needs one (step's result, simulate's sample points and
-abort snapshots).  Stationarity residuals, the weighted energy
-functionals, a statistical dissipativity probe of the cut-off linearized
-operator, and a Sobolev blow-up-rate diagnostic live alongside it; each
-takes its R-derivatives and integrals from the grid it is given.
+abort snapshots).  The stepper's right side is written once, as its
+stationary part and its quantum term: the stationarity residual applies
+the first at a state, and a statistical dissipativity probe of the
+cut-off linearized operator takes the operator as its complex-step
+linearization.  They, the weighted energy functionals and a Sobolev
+blow-up-rate diagnostic live alongside the stepper; each takes its
+R-derivatives and integrals from the grid it is given.
 Everything reduces the d = 8 problem to its radial form:
 Lap f = f'' + 7 f'/R with the regular center value d f''(0),
 div U = Lap Psi for the gradient field U.
@@ -248,27 +251,41 @@ def _stability_bound(U: np.ndarray, grid: RadialGrid, params: ProfileParams,
     return bound
 
 
+def _stationary_rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
+                    params: ProfileParams) -> np.ndarray:
+    """The stationary part of _rhs: profile_operator at the stacked state X
+    (X[0] Psi, X[1] S, one row per run) on the grid, given dX, its first
+    R-derivative, with the grid's Laplacian of the Psi rows.  A new array
+    of X's shape; a complex X gives a complex one."""
+    return profile_operator(params, grid.R, X[0], dX[0], X[1], dX[1],
+                            grid.laplacian(X[0], dX[0]))
+
+
+def _quantum_term(S: np.ndarray, grid: RadialGrid,
+                  params: ProfileParams) -> np.ndarray:
+    """The quantum term of _rhs without its prefactor: Lap w + |grad w|^2
+    for the half log-density w of each row of S where S > S_FLOOR, and 0
+    elsewhere; w is taken at max(S, S_FLOOR), so it is finite."""
+    w = _half_log_density(np.maximum(S, S_FLOOR), params)
+    dw = grid.d1(w)
+    return np.where(S > S_FLOOR, grid.laplacian(w, dw) + dw * dw, 0.0)
+
+
 def _rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
          params: ProfileParams, s: float, quantum: bool) -> np.ndarray:
     """Right side of the (Psi, S) system for the stacked state X on the
     grid, given dX, its first R-derivative; X[0] is Psi and X[1] is S,
     each holding one row per run.
 
-    The result is the new array profile_operator returns, of X's shape;
-    when the quantum term is on, it is added into the Psi rows in place.
-    Nothing is written into X or dX, and the result shares no memory with
-    them or with any scratch array.
+    The result is the new array _stationary_rhs returns, of X's shape;
+    when the quantum term is on, e^{(4-2r)s} times _quantum_term is added
+    into the Psi rows in place.  Nothing is written into X or dX, and the
+    result shares no memory with them or with any scratch array.
     """
-    Psi, S = X
-    dPsi, dS = dX
-    out = profile_operator(params, grid.R, Psi, dPsi, S, dS,
-                           grid.laplacian(Psi, dPsi))
+    out = _stationary_rhs(X, dX, grid, params)
     coef = _quantum_prefactor(params, s) if quantum else 0.0
-    if coef and np.any(S > S_FLOOR):
-        w = _half_log_density(np.maximum(S, S_FLOOR), params)
-        dw = grid.d1(w)
-        qp = coef * (grid.laplacian(w, dw) + dw * dw)
-        out[0] += np.where(S > S_FLOOR, qp, 0.0)
+    if coef and np.any(X[1] > S_FLOOR):
+        out[0] += coef * _quantum_term(X[1], grid, params)
     return out
 
 
@@ -306,9 +323,13 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
     over = np.flatnonzero(ds > bound)
     if over.size:
         j = over[0]
-        raise CFLError(
-            f"ds = {ds:.3e} exceeds the stability bound {bound[j]:.3e} of "
-            f"row {j} (max|y+2U|/R' = {np.max(grid.speed(dX[0, j])):.3g})")
+        # name the bound that binds: transport, unless the quantum one is less
+        why = (f"transport: max|y+2U|/R' = {np.max(grid.speed(dX[0, j])):.3g}"
+               if bound[j] == _stability_bound(dX[0, j], grid, params, s,
+                                               False, cfl) else
+               f"quantum: e^((4-2r)s) = {_quantum_prefactor(params, s):.4g}")
+        raise CFLError(f"ds = {ds:.3e} exceeds the stability bound "
+                       f"{bound[j]:.3e} of row {j} ({why})")
 
     Xn = np.empty_like(X)
     f = _rhs(X, dX, grid, params, s, quantum)
@@ -371,31 +392,27 @@ class StationaryResidual(NamedTuple):
     quantum_sup: float   # sup of the e^{(4-2r)s} term, reported either way
 
 
-def residual_stationary(state: FieldSet, acc: int = 8) -> StationaryResidual:
-    """Right sides of the stationary (Psi, P) system on the state's grid,
-    by finite differences of order `acc`.
+def residual_stationary(state: FieldSet) -> StationaryResidual:
+    """The stepper's stationary right side at the state, on its grid: the
+    rows of _stationary_rhs, with the derivatives _rhs takes.
 
-    These exclude the e^{(4-2r)s} term and vanish exactly on a profile; the
-    term's supremum e^{(4-2r)s} sup|Lap sqrt(P)/sqrt(P)| at s = state.s is
-    evaluated and reported separately.
+    Psi is the N_Psi row.  P is the density residual, the N_S row mapped by
+    the exact change of variables N_P = dP/dS N_S = P/(alpha S) N_S, with
+    dP/dS = k (k S)^{1/alpha - 1}/alpha for P = (k S)^{1/alpha}, which
+    stays finite at S = 0.  Both exclude the quantum term and vanish
+    exactly on a profile.  quantum_sup is the term _rhs adds at s =
+    state.s, reported separately: the unfloored e^{(4-2r)s} times the sup
+    of _quantum_term, Lap w + |grad w|^2.
     """
-    r, alpha = state.params.r, state.params.alpha
-    grid, R, s = state.grid, state.R, state.s
-    Psi, P = state.Psi, state.P
-    dPsi = grid.d1(Psi, acc=acc)
-    dP = grid.d1(P, acc=acc)
-    lapPsi = grid.laplacian(Psi, dPsi, acc=acc)
-    res_Psi = ((2.0 - r) * Psi - R * dPsi - dPsi * dPsi
-               - r ** (-2.0 * alpha + 2.0) * P ** (2.0 * alpha))
-    res_P = ((1.0 - r) / alpha * P - R * dP - 2.0 * dP * dPsi
-             - 2.0 * P * lapPsi)
-    lapP = grid.laplacian(P, dP, acc=acc)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quantum = (np.exp((4.0 - 2.0 * r) * s)
-                   * (lapP / (2.0 * P) - dP * dP / (4.0 * P * P)))
-    quantum = np.where(P > 0.0, quantum, 0.0)
-    return StationaryResidual(Psi=res_Psi, P=res_P,
-                              quantum_sup=float(np.max(np.abs(quantum))))
+    params, grid, S = state.params, state.grid, state.S
+    X = np.stack((state.Psi, S))
+    N_Psi, N_S = _stationary_rhs(X, grid.d1(X), grid, params)
+    k = np.sqrt(params.alpha) / params.r ** (1.0 - params.alpha)
+    dP_dS = k * (k * S) ** (1.0 / params.alpha - 1.0) / params.alpha
+    quantum_sup = (np.exp((4.0 - 2.0 * params.r) * state.s)
+                   * np.max(np.abs(_quantum_term(S, grid, params))))
+    return StationaryResidual(Psi=N_Psi, P=dP_dS * N_S,
+                              quantum_sup=float(quantum_sup))
 
 
 # ---------------------------------------------------------------------------
@@ -482,19 +499,18 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     """Assemble the probe's forms on the grid [0, 3 C0] of n points.
 
     The cut-off linearized operator is Lt e = chi2 L e - J (1 - chi1) e,
-    with L the linearization of profile_operator at the profile: the
-    operator is quadratic in its fields, so L e = Im profile_operator(
-    profile + i e), with the derivatives of the complex fields taken as
-    real and imaginary stacks.  Every derivative is one stacked call over
-    all directions, and every inner product uses the grid's quadrature
-    weights.
+    with L the linearization at the profile of the stepper's stationary
+    right side, _stationary_rhs: it is quadratic in its fields, so
+    L e = Im _stationary_rhs(profile + i e), with every direction a run of
+    one complex stacked state, whose derivatives the derivative operator
+    takes as real and imaginary parts.  Every derivative is one stacked
+    call over all directions, and every inner product uses the grid's
+    quadrature weights.
     """
     params = table.params
     grid = RadialGrid.uniform(n, 3.0 * C0, params.d)
     R, h = grid.R, grid.h
     base = profile_fieldset(table, grid, 20.0)
-    dP = grid.d1(np.stack((base.Psi, base.S)))
-    lapPsi_p = grid.laplacian(base.Psi, dP[0])
 
     chi1 = _smooth_step((1.4 * C0 - R) / (0.2 * C0))
     chi2 = _smooth_step((1.8 * C0 - R) / (0.2 * C0))
@@ -503,12 +519,12 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     b = env * np.cos(np.outer(modes, np.pi * R / (3.0 * C0)))
     E = np.zeros((2 * n_modes, 2, n))
     E[:n_modes, 0] = E[n_modes:, 1] = b
-    dE = grid.d1(E)
-    lapE = grid.laplacian(E[:, 0], dE[:, 0])
-    N_Psi, N_S = profile_operator(
-        params, R, base.Psi + 1j * E[:, 0], dP[0] + 1j * dE[:, 0],
-        base.S + 1j * E[:, 1], dP[1] + 1j * dE[:, 1], lapPsi_p + 1j * lapE)
-    Lt = chi2 * np.stack((N_Psi.imag, N_S.imag), axis=1) - J * (1.0 - chi1) * E
+    # profile + i e, with the profile added in place: one complex
+    # temporary, not two, and the bits of profile + 1j * e
+    X = np.moveaxis(E, 1, 0) * 1j
+    X += np.stack((base.Psi, base.S))[:, None]
+    L = np.moveaxis(_stationary_rhs(X, grid.d1(X), grid, params).imag, 0, 1)
+    Lt = chi2 * L - J * (1.0 - chi1) * E
 
     w = grid.weights
 
@@ -618,19 +634,14 @@ def blowup_exponent(table: ProfileTable, s_exponent: int,
     r, alpha, d = params.r, params.alpha, params.d
     grid = RadialGrid.uniform(n_grid, 1.0, d)
     base = profile_fieldset(table, grid, 10.0)
-    sqrtP = np.sqrt(base.P)
-    h = grid.h
     A = 1.0 / (alpha * r) - 1.0 / alpha - 2.0 * m / r + d / r
 
     log_Tt = np.linspace(*BLOWUP_LOG10_TT, BLOWUP_N_TIMES) * np.log(10.0)
-    logN = np.empty(BLOWUP_N_TIMES)
-    for i, lt in enumerate(log_Tt):
-        c = np.exp((2.0 / r - 1.0) * lt) / r
-        v = sqrtP * np.exp(1j * c * base.Psi)
-        g_re = derivative(v.real, h, m, even=True)
-        g_im = derivative(v.imag, h, m, even=True)
-        I = grid.quad(g_re * g_re + g_im * g_im)
-        logN[i] = A * lt + np.log(I)
+    c = np.exp((2.0 / r - 1.0) * log_Tt) / r
+    g = derivative(np.sqrt(base.P) * np.exp(1j * c[:, None] * base.Psi),
+                   grid.h, m, even=True)
+    I = [grid.quad(gi.real * gi.real + gi.imag * gi.imag) for gi in g]
+    logN = A * log_Tt + np.log(I)
     return float(np.polyfit(log_Tt, logN, 1)[0])
 
 
@@ -643,9 +654,13 @@ class EnergyReport:
     """Time series of energies and residuals for one evolution run.
 
     sup_residual_Psi and sup_residual_S are sup |residual_stationary(ref).Psi|
-    and sup |residual_stationary(ref).P| on the reference run; the second
-    is the P-form density residual, not an S residual, and keeps its name
-    because it is a CSV header of the simulate artifact.
+    and sup |residual_stationary(ref).P| on the reference run: the N_Psi
+    row of the stepper's stationary right side, and its N_S row mapped to
+    the density residual P/(alpha S) N_S.  The second is a density
+    residual, not an S residual, and keeps its name because it is a CSV
+    header of the simulate artifact.  quantum_sup is residual_stationary's:
+    the sup of _rhs's quantum term at the sample's s, its prefactor
+    unfloored.
 
     The stepper's record: n_steps steps of size ds, the smallest ratio of
     a step's stability bound to ds over the steps taken (cfl_headroom,
@@ -825,7 +840,7 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     def sample(st, ref):
         U_t = st.U - ref.U
         S_t = st.S - ref.S
-        res = residual_stationary(ref, acc=4)
+        res = residual_stationary(ref)
         m = cfg.m_prime
         bm = weights.beta ** m
         du = grid.dR(U_t, m)

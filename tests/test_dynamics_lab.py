@@ -231,7 +231,7 @@ class TestStep:
         grid = RadialGrid.uniform(1025, 30.0)
         R = grid.R
         fs = profile_fieldset(profile_r201, grid, 1e4)
-        res0 = residual_stationary(fs, acc=4)
+        res0 = residual_stationary(fs)
         floor = max(np.max(np.abs(res0.Psi)), np.max(np.abs(res0.P)))
         ds = 0.8 * fs.grid.h / float(np.max(R + 2.0 * fs.U))
         n_steps = int(np.ceil(1.0 / ds))
@@ -254,6 +254,35 @@ class TestResidual:
         assert np.all(res.Psi == 0.0)
         assert np.all(res.P == 0.0)
         assert res.quantum_sup == 0.0
+
+    @pytest.mark.parametrize("kind", ["uniform", "sinh"])
+    def test_rows_are_the_steppers_stationary_part(self, profile_r201, kind):
+        grid = (RadialGrid.uniform(513, 30.0) if kind == "uniform"
+                else RadialGrid.sinh(513, 30.0, 4.0))
+        fs = profile_fieldset(profile_r201, grid, 1.0)
+        params = fs.params
+        res = residual_stationary(fs)
+        X = np.stack((fs.Psi, fs.S))
+        N_Psi, N_S = dl._stationary_rhs(X, grid.d1(X), grid, params)
+        # bit for bit the Psi row, and the stepper's right side with the
+        # quantum term off
+        np.testing.assert_array_equal(res.Psi, N_Psi)
+        np.testing.assert_array_equal(
+            res.Psi, dl._rhs(X, grid.d1(X), grid, params, 1.0, False)[0])
+        # the density row is N_S through N_P = P/(alpha S) N_S
+        np.testing.assert_allclose(res.P, fs.P / (params.alpha * fs.S) * N_S,
+                                   rtol=1e-12, atol=0)
+        # the quantum term _rhs adds, at its prefactor
+        term = (dl._rhs(X, grid.d1(X), grid, params, 1.0, True)[0] - N_Psi)
+        assert res.quantum_sup == pytest.approx(np.max(np.abs(term)),
+                                                rel=1e-12)
+
+    def test_density_row_finite_at_vacuum(self, profile_r201):
+        grid = RadialGrid.uniform(257, 10.0)
+        fs = profile_fieldset(profile_r201, grid, 1e4)
+        S = np.where(grid.R > 5.0, 0.0, fs.S)
+        res = residual_stationary(replace(fs, S=S))
+        assert np.all(np.isfinite(res.P)) and np.all(res.P[grid.R > 5.0] == 0)
 
     def test_quantum_term_reported_and_scales(self, profile_r201):
         fs = profile_fieldset(profile_r201, RadialGrid.uniform(1025, 10.0),

@@ -109,6 +109,27 @@ def test_stacked_non_contiguous_input(even):
         stacked, [uncached_derivative(row, 0.05, 2, 4, even) for row in f])
 
 
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("even", [False, True])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+def test_complex_is_its_real_and_imaginary_parts(m, even, lead):
+    # a complex array is differentiated as its two parts, bit for bit,
+    # signed zeros included
+    rng = np.random.default_rng(31 * m + len(lead))
+    f = (rng.standard_normal(lead + (257,))
+         + 1j * rng.standard_normal(lead + (257,)))
+    f.real[..., 40] = -0.0
+    out = derivative(f, 0.05, m, even=even)
+    assert out.dtype == complex and out.shape == f.shape
+    for part, got in ((f.real, out.real), (f.imag, out.imag)):
+        np.testing.assert_array_equal(
+            _bits(got), _bits(derivative(part.copy(), 0.05, m, even=even)))
+
+
 def hand_padded(f, h, m, acc, k):
     ext = np.concatenate([f[k:0:-1], f])
     return derivative(ext, h, m, acc=acc)[k:]
@@ -471,3 +492,32 @@ def test_cfl_abort_comes_before_a_lost_density(profile_r201, monkeypatch):
                  ds=ds)
     _assert_last_good_is_perturbed_start(info.value, start)
     assert calls == []
+
+
+@pytest.mark.parametrize("broken", ["quantum", "transport"])
+def test_cfl_error_names_the_bound_it_breaks(profile_r201, broken):
+    # at s = 1 the quantum prefactor e^{(4-2r)s} = 0.9802 is live.  On 256
+    # nodes the quantum bound, which scales with h^2, is the tighter one;
+    # on 33 nodes the transport bound is.  ds lies between the two, so only
+    # the tighter one is broken, and the message names it with its own
+    # quantity
+    n = {"quantum": 256, "transport": 33}[broken]
+    grid = RadialGrid.uniform(n, 30.0)
+    params = profile_r201.params
+    state = profile_fieldset(profile_r201, grid, 1.0)
+    speed = np.max(grid.speed(state.U))
+    transport = 0.9 * grid.h / speed
+    quantum = 0.9 * grid.h ** 2 / (2.0 * params.d
+                                   * np.exp(4.0 - 2.0 * params.r))
+    low, high = sorted((transport, quantum))
+    assert (low == quantum) == (broken == "quantum")
+    assert low == pytest.approx(dynamics_lab._stability_bound(
+        state.U, grid, params, 1.0, True, 0.9), rel=1e-14)
+    ds = (low * high) ** 0.5
+    why = {"quantum": "quantum: e^((4-2r)s) = 0.9802",
+           "transport": f"transport: max|y+2U|/R' = {speed:.3g}"}[broken]
+    X = np.stack((state.Psi, state.S))[:, None]
+    with pytest.raises(CFLError) as info:
+        dynamics_lab._advance(X, grid, params, 1.0, ds, True, 0.9)
+    assert str(info.value) == (f"ds = {ds:.3e} exceeds the stability bound "
+                               f"{low:.3e} of row 0 ({why})")
