@@ -14,7 +14,11 @@ a pair of Python floats:
     initial-step rule, and failure once the step falls below 10 ulp of t;
   * an event fires where its value changes sign between two steps, zeros
     included; its root is brentq's at 4 eps on that step's interpolant, and
-    the march stops at the first root of a terminal event;
+    the march stops at the first root of a terminal event.  An event may
+    instead decide at each of its roots: its attribute `stop`, a function
+    of the root and the march so far, stops the march there when it
+    returns true, and otherwise the march goes on, every step as it would
+    have been (scipy's solve_ivp ignores the attribute);
   * the 7-term dense output of a step (three extra stages) is built for
     every step when dense output is asked for, otherwise only for a step
     in which an event fires.
@@ -189,10 +193,12 @@ class DenseSolution:
 
 
 class Solution(NamedTuple):
-    t: np.ndarray                  # the accepted step ends, t_span[0] first
+    t: np.ndarray                  # the accepted step ends, t_span[0] first,
+                                   # and the root where an event stopped it
     t_events: list[np.ndarray]     # roots of each event, in march order
     y_events: list[np.ndarray]     # the state at each root, shape (m, 2)
     sol: DenseSolution | None      # with dense_output, the whole march
+    status: int                    # a key of MESSAGES, as scipy's status
     success: bool                  # False when the step size collapsed
     message: str
     nfev: int                      # right-hand-side evaluations
@@ -205,8 +211,10 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
 
     fun takes t and the state as a pair of floats and returns a pair.  An
     event is a function of (t, y); one whose attribute `terminal` is true
-    stops the march at its first root.  rtol is raised to 100 eps, as
-    scipy does.
+    stops the march at its first root.  One whose attribute `stop` is set
+    needs dense output: at each of its roots t, stop(t, sol) stops the
+    march when it returns true, where sol is the DenseSolution of the march
+    through the current step.  rtol is raised to 100 eps, as scipy does.
     """
     t0, t_bound = float(t_span[0]), float(t_span[1])
     if t0 == t_bound:
@@ -218,6 +226,9 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
     direction = 1.0 if t_bound > t0 else -1.0
     events = list(events or ())
     terminal = [bool(getattr(ev, "terminal", False)) for ev in events]
+    stops = [getattr(ev, "stop", None) for ev in events]
+    if not dense_output and any(stops):
+        raise ValueError("an event with a stop rule needs dense output")
     g = [ev(t0, y) for ev in events]
     t_events = [[] for _ in events]
     y_events = [[] for _ in events]
@@ -292,7 +303,9 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
                 for root, k in roots:
                     t_events[k].append(root)
                     y_events[k].append(interp(root))
-                    if terminal[k]:
+                    if terminal[k] or (stops[k] is not None and stops[k](
+                            root, DenseSolution(ts + [t], direction, seg_t[:],
+                                                seg_h[:], seg_y[:], seg_F[:]))):
                         status = 1
                         t, y = root, interp(root)
                         break
@@ -305,4 +318,5 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
     return Solution(
         t=np.array(ts), t_events=[np.asarray(te) for te in t_events],
         y_events=[np.asarray(ye) for ye in y_events], sol=sol,
-        success=status >= 0, message=MESSAGES[status], nfev=nfev)
+        status=status, success=status >= 0, message=MESSAGES[status],
+        nfev=nfev)

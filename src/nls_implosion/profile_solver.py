@@ -16,7 +16,8 @@ factor.  The solver exploits this:
     convergence disk),
   * the left piece (xi < -xi_switch) is integrated from deep inside the
     origin region toward the sonic point, which is strongly contracting; the
-    arrival time at D_Z = 0 is used to place the sonic point at xi = 0,
+    march stops at the seam, where it is matched to the series to place
+    the sonic point at xi = 0,
   * the right piece (xi > xi_switch) is one member of a family.  Orbits
     leaving P_s into xi > 0 form a one-parameter family, series +
     c xi^kappa (1 + ...).  The members that reach the far-field node lie
@@ -43,9 +44,14 @@ pass.
 
 Where a march into P_s meets the series, one seam rule holds on both sides:
 the series stands in for the march only where its tail is below 1e-14 and
-the non-analytic correction c |xi|^kappa below 100 tol.  The seam starts
-at xi_switch and halves, at most six times, until both hold; near an
-integer kappa the tail is what moves it inward.
+the non-analytic correction c |xi|^kappa below 100 tol.  The candidate
+seams are xi_switch / 2^k, k = 0 .. 6, where the tail rule holds, decided
+from the series before any march; near an integer kappa the tail is what
+moves them inward.  Each march stops where D_Z first reaches the series'
+D_Z at the first candidate and goes on to the next one's level while
+march and series disagree, so that it never steps through the approach
+to P_s.  There an explicit step is held to about |xi|/kappa, and kappa
+reaches 3e4 near r*.
 
 Output lives on a uniform log-radius grid containing xi = 0 exactly.
 Physical columns come in two conventions: the scaled one used by the
@@ -551,17 +557,19 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     Four pieces, assembled so that the sonic point sits at xi = 0 exactly:
     the fixed-point Taylor series of the smooth branch (sonic_series)
     around xi = 0; an inward integration from the origin region on the
-    left (the arrival at D_Z = 0 pins the sonic location, and the
-    contraction toward the sonic point makes this piece accurate to
-    round-off); and on the right the outgoing member through
+    left (its match to the series at the seam pins the sonic location,
+    and the contraction toward the sonic point makes this piece accurate
+    to round-off); and on the right the outgoing member through
     outgoing_anchor(params), integrated backward from the anchor into the
     sonic point and forward from it into the far field.
-    Both marches into P_s meet the series under one seam rule (_arrive):
-    from xi_switch the seam halves, at most six times, until the series
-    tail is below 1e-14 and march and series agree to 100 tol.  The
-    anchor's xi is reported on the table.  A march that stops short, or
-    at the other sonic point P_bar_s, raises SonicCrossingError naming
-    where; a grid too coarse to give each march a node, DomainError.
+    Both marches into P_s stop at the seam under one rule (_arrive): of
+    the seams xi_switch / 2^k, k = 0 .. 6, where the series tail is below
+    1e-14 (_seams, checked before any march), the first where march and
+    series agree to 100 tol.  The anchor's xi is reported on the table.  A
+    march that stops short, or meets a seam's level nearer the other
+    sonic point P_bar_s, raises SonicCrossingError naming where; a grid
+    too coarse to give each march a node, or an anchor inside the series
+    range, DomainError.
     """
     if not (xi_min < 0.0 < xi_max):
         raise DomainError(f"need xi_min < 0 < xi_max, got [{xi_min}, {xi_max}]")
@@ -573,6 +581,7 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     r = params.r
     pts = special_points(params)
     Wc, Zc = sonic_series(r)
+    seams = _seams(Wc, Zc, r, xi_switch)
     rhs = _flow(r)
 
     # ---- left piece: march from the origin region into the sonic point ----
@@ -585,11 +594,10 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     bound = BLOWUP_FACTOR * np.exp(-xi_start)
     w1_origin = -(r - 1.0) / 4.0
     y_start = (np.exp(-xi_start) + w1_origin, -np.exp(-xi_start) + w1_origin)
-    # the D_Z = 0 event (or a blow-up) ends the march; the span only bounds it
-    sol_left = _march(rhs, (xi_start, xi_max - xi_min), y_start, tol,
-                      "left march", bound=bound)
-    seam_left, xi_hit = _arrive(sol_left, pts, Wc, Zc, r, tol, -xi_switch,
-                                "left march")
+    # the seam (or a blow-up) ends the march; the span only bounds it
+    sol_left, seam_left, xi_hit = _arrive(
+        rhs, (xi_start, xi_max - xi_min), y_start, tol, "left march", bound,
+        [-seam for seam in seams], pts, Wc, Zc, r)
 
     # ---- right piece: the outgoing member through the anchor.  March from
     # the anchor back into the sonic point (contracting onto the slow
@@ -598,15 +606,14 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     anchor = outgoing_anchor(params)
     y_anchor = (anchor.W, anchor.Z)
     back = "backward march from the anchor (xi counted from the anchor)"
-    sol_back = _march(rhs, (0.0, -(xi_max - xi_min)), y_anchor, tol, back,
-                      bound=bound)
-    if -sol_back.t_events[0][0] <= xi_switch:
-        raise DomainError(
-            f"anchor sits at xi = {-sol_back.t_events[0][0]:.4f}, inside the "
-            f"series range |xi| <= {xi_switch}; reduce xi_switch")
-    seam_right, xi_back = _arrive(sol_back, pts, Wc, Zc, r, tol, xi_switch,
-                                  back)
+    sol_back, seam_right, xi_back = _arrive(
+        rhs, (0.0, -(xi_max - xi_min)), y_anchor, tol, back, bound, seams,
+        pts, Wc, Zc, r)
     xi_anchor = float(-xi_back)
+    if xi_anchor <= xi_switch:
+        raise DomainError(
+            f"anchor sits at xi = {xi_anchor:.4f}, inside the series range "
+            f"|xi| <= {xi_switch}; reduce xi_switch")
 
     xi_grid = _build_grid(xi_min, xi_max, n_points)
     left = xi_grid < seam_left + 1e-12
@@ -664,27 +671,45 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     return replace(table, w0=w0, w0_mismatch=w0_mismatch)
 
 
+def _seams(Wc: np.ndarray, Zc: np.ndarray, r: float, xi_switch: float
+           ) -> list[float]:
+    """The candidate seams |xi| = xi_switch / 2^k, k = 0 .. 6, outermost
+    first, at which the series tail is below 1e-14: a property of the
+    series alone, so it is decided before any march.  None passing is a
+    ConsistencyError naming kappa, at the left march's innermost seam."""
+    seams = [xi_switch / 2 ** k for k in range(7)]
+    tails = [_series_tail(Wc, seam) + _series_tail(Zc, seam)
+             for seam in seams]
+    if tails[-1] > 1e-14:
+        raise ConsistencyError(
+            f"sonic series does not converge at the seam xi = {-seams[-1]}: "
+            f"tail {tails[-1]:.3e} > 1e-14, {_kappa_text(r)}; reduce "
+            f"xi_switch")
+    return [seam for seam, tail in zip(seams, tails) if tail <= 1e-14]
+
+
 def _march(rhs, span, y0, tol: float, what: str, level: float | None = 0.0,
-           bound: float | None = None):
+           bound: float | None = None, stops=()):
     """DOP853 march of the (W, Z) flow over `span` from y0, at rtol = tol
     and atol = tol / 10, by solve_ivp of _dop853 (scipy's method and step
     control on Python floats); its failures are named errors.
 
     With a `level` the march must stop where D_Z first reaches it; with
-    level=None it must run the whole span without D_Z changing sign.  With
-    a `bound` (the marches of solve_profile) max(|W|, |Z|) above it is a
-    BlowupError, and the solution carries dense output; the anchor's edge
+    level=None it must run the whole span without D_Z changing sign.  The
+    `stops`, (seam, level, rule) triples, are the levels of D_Z at seams
+    that the march meets before `level`: at each root of one, rule(root,
+    sol) with the march so far decides whether it stops there or goes on.
+    With a `bound` (the marches of solve_profile) max(|W|, |Z|) above it is
+    a BlowupError, and the solution carries dense output; the anchor's edge
     orbits are only read at their event.  Any other stop raises
-    SonicCrossingError naming `what`, where it stopped and the
-    integrator's reason ("reached the end of the span", or "the step size
-    fell below 10 ulp of t").
+    SonicCrossingError naming `what`, where it stopped, the level it was
+    heading for and the integrator's reason ("reached the end of the
+    span", or "the step size fell below 10 ulp of t").
     """
     target = 0.0 if level is None else level
-
-    def ev_level(xi, y):
-        return d_z(y[0], y[1]) - target
-    ev_level.terminal = True
-    events = [ev_level]
+    events = [_level_event(lvl, rule) for _, lvl, rule in stops]
+    events.append(_level_event(target))
+    events[-1].terminal = True
     if bound is not None:
         def ev_blowup(xi, y):
             return bound - max(abs(y[0]), abs(y[1]))
@@ -693,71 +718,112 @@ def _march(rhs, span, y0, tol: float, what: str, level: float | None = 0.0,
 
     sol = solve_ivp(rhs, span, y0, rtol=tol, atol=tol * 1e-1, events=events,
                     dense_output=bound is not None)
-    if bound is not None and len(sol.t_events[1]):
+    if bound is not None and len(sol.t_events[-1]):
         raise BlowupError(f"{what} exceeded the blowup bound {bound:.6g} at "
                           f"xi = {sol.t[-1]:.6f}")
-    reached = len(sol.t_events[0]) > 0
-    if level is None and reached:
+    at_level = sol.t_events[len(stops)]
+    if level is None and len(at_level):
         raise SonicCrossingError(f"D_Z changed sign at xi = "
-                                 f"{sol.t_events[0][0]:.6f} on the {what}")
-    if not sol.success or (level is not None and not reached):
+                                 f"{at_level[0]:.6f} on the {what}")
+    if not sol.success or (level is not None and sol.status != 1):
+        # the first level not yet crossed
+        ahead = [f"{lvl:.6g}, the series' level at the seam xi = {xi:g}"
+                 for (xi, lvl, _), roots in zip(stops, sol.t_events)
+                 if not len(roots)]
         raise SonicCrossingError(
             f"{what} stopped at xi = {sol.t[-1]:.6f} without reaching "
-            f"D_Z = {target:g} ({sol.message})")
+            f"D_Z = {(ahead + [f'{target:g}'])[0]} ({sol.message})")
     return sol
 
 
-def _arrive(sol, pts, Wc: np.ndarray, Zc: np.ndarray, r: float, tol: float,
-            xi_seam: float, what: str) -> tuple[float, float]:
-    """Seam between a march into P_s and the sonic series, and the march
-    coordinate of P_s.
+def _level_event(level: float, rule=None):
+    """The event D_Z - level of a march, with its stop rule."""
+    def event(xi, y):
+        return d_z(y[0], y[1]) - level
+    if rule is not None:
+        event.stop = rule
+    return event
 
-    The event root need only show that the march reached P_s and not the
-    other sonic point P_bar_s: the nearer one decides.  The root carries
-    the integrator's error, a shift along the autonomous orbit, so P_s is
-    relabelled by Newton-matching W against the series at the seam.  The
-    march follows series + c |xi|^kappa (1 + ...), so the series stands in
-    for it only where the series tail is below 1e-14 and the two agree to
-    100 tol.  From xi_seam the seam halves, at most six times, until both
-    hold; at the last seam a tail above 1e-14 (naming kappa) or a
-    disagreement above 1e-7 raises ConsistencyError.
+
+def _arrive(rhs, span, y0, tol: float, what: str, bound: float,
+            seams: list[float], pts, Wc: np.ndarray, Zc: np.ndarray,
+            r: float):
+    """March from y0 into P_s that stops where the sonic series takes over:
+    the solution, the seam and the march coordinate of P_s.
+
+    The march follows series + c |xi|^kappa (1 + ...), so the series
+    stands in for it only where the two agree to 100 tol.  It stops where
+    D_Z first reaches the series' D_Z at the first candidate seam (_seams,
+    signed for this side).  There P_s is relabelled by Newton-matching W
+    against the series at the seam, from the event root minus the seam, for
+    the root carries the integrator's error, a shift along the autonomous
+    orbit.  If the two disagree, the same march goes on to the next
+    candidate's level, every step as before; if none agrees, it runs on to
+    D_Z = 0 as a plain march would, and the innermost seam is relabelled
+    from that root, where a disagreement above 1e-7 is a ConsistencyError.
+    At every root the march must be nearer the series' point there (P_s
+    itself at D_Z = 0) than the other sonic point P_bar_s, or it is a
+    SonicCrossingError naming both.  The decision at a root stands: the
+    seam is read off the roots and their decisions, and a march by scipy's
+    DOP853, which ignores the stop rule and runs on to D_Z = 0, reads the
+    same seam.
     """
-    xi_hit = float(sol.t_events[0][0])
-    y_hit = sol.y_events[0][0]
-    P_s, P_bar = pts.P_s, pts.P_bar_s
-    if (np.hypot(y_hit[0] - P_bar.W, y_hit[1] - P_bar.Z)
-            < np.hypot(y_hit[0] - P_s.W, y_hit[1] - P_s.Z)):
-        raise SonicCrossingError(
-            f"{what} hit D_Z = 0 at ({y_hit[0]:.6f}, {y_hit[1]:.6f}), "
-            f"xi = {xi_hit:.6f}, nearer P_bar_s ({P_bar.W:.6f}, "
-            f"{P_bar.Z:.6f}) than the sonic point P_s ({P_s.W:.6f}, "
-            f"{P_s.Z:.6f})")
+    goals = list(zip(_series_eval(Wc, seams).tolist(),
+                     _series_eval(Zc, seams).tolist())) + [(pts.P_s.W,
+                                                            pts.P_s.Z)]
+    levels = [d_z(gw, gz) for gw, gz in goals[:-1]] + [0.0]
+    origins = seams + [0.0]
+    P_bar = pts.P_bar_s
+    relabelled = {}
 
-    for k in range(7):
-        seam = xi_seam / 2 ** k
-        tail = _series_tail(Wc, abs(seam)) + _series_tail(Zc, abs(seam))
-        if tail > 1e-14:
-            continue
-        w_seam = float(_series_eval(Wc, seam))
+    def relabel(i: int, root: float, sol) -> tuple[float, float]:
+        """(march coordinate of P_s, deviation from the series) at the seam
+        of level i, from its root, once per root; the P_bar_s refusal
+        first."""
+        if (i, root) in relabelled:
+            return relabelled[i, root]
+        W, Z = sol(root)
+        gw, gz = goals[i]
+        if np.hypot(W - P_bar.W, Z - P_bar.Z) < np.hypot(W - gw, Z - gz):
+            goal = ("the sonic point P_s" if i == len(seams) else
+                    f"the series at the seam xi = {seams[i]:g}")
+            raise SonicCrossingError(
+                f"{what} reached D_Z = {levels[i]:.6g} at ({W:.6f}, "
+                f"{Z:.6f}), xi = {root:.6f}, nearer P_bar_s ({P_bar.W:.6f}, "
+                f"{P_bar.Z:.6f}) than {goal} ({gw:.6f}, {gz:.6f})")
+        k = min(i, len(seams) - 1)
+        seam, (w_seam, z_seam) = seams[k], goals[k]
+        xi_hit = root - origins[i]
         for _ in range(3):
-            w_m, z_m = sol.sol(seam + xi_hit)
+            w_m, z_m = sol(seam + xi_hit)
             step = (w_seam - w_m) / (n_w(w_m, z_m, r) / d_w(w_m, z_m))
             xi_hit += step
             if abs(step) < 1e-15:
                 break
-        w_m, z_m = sol.sol(seam + xi_hit)
-        dev = max(abs(w_m - w_seam), abs(z_m - _series_eval(Zc, seam)))
+        w_m, z_m = sol(seam + xi_hit)
+        relabelled[i, root] = xi_hit, max(abs(w_m - w_seam),
+                                          abs(z_m - z_seam))
+        return relabelled[i, root]
+
+    def agrees(i):
+        return lambda root, sol: relabel(i, root, sol)[1] <= 100.0 * tol
+
+    sol = _march(rhs, span, y0, tol, what, bound=bound,
+                 stops=[(seam, level, agrees(i))
+                        for i, (seam, level) in enumerate(zip(seams, levels))])
+    # the roots in march order, as the stop rules met them
+    crossings = sorted((abs(root - span[0]), i, root)
+                       for i in range(len(seams)) for root in sol.t_events[i])
+    for _, i, root in crossings:
+        xi_hit, dev = relabel(i, root, sol.sol)
         if dev <= 100.0 * tol:
-            break
-    if tail > 1e-14:
-        raise ConsistencyError(
-            f"sonic series does not converge at the seam xi = {seam}: tail "
-            f"{tail:.3e} > 1e-14, {_kappa_text(r)}; reduce xi_switch")
+            return sol, seams[i], xi_hit
+    xi_hit, dev = relabel(len(seams), sol.t_events[len(seams)][0], sol.sol)
     if dev > 1e-7:
         raise ConsistencyError(
-            f"{what} and sonic series disagree at xi = {seam}: "
+            f"{what} and sonic series disagree at xi = {seams[-1]}: "
             f"deviation {dev:.3e}")
-    return seam, xi_hit
+    return sol, seams[-1], xi_hit
 
 
 def _match_origin(R, Sbar):

@@ -100,3 +100,43 @@ def test_stops_short_where_the_flow_ends():
 def test_empty_span_refused():
     with pytest.raises(ValueError, match="empty span"):
         solve_ivp(flow, (1.0, 1.0), (1.0, 0.0))
+
+
+def test_stop_rule_decides_at_each_root():
+    # the first component crosses zero at pi/2 and 3 pi/2: the rule goes on
+    # at the first root and stops at the second, and every step up to it
+    # is the step of the march that no event stops
+    seen = []
+
+    def stop(t, sol):
+        seen.append(sol(t))
+        return len(seen) == 2
+
+    def crossing_twice(t, y):
+        return y[0]
+
+    crossing_twice.stop = stop
+    own = solve_ivp(flow, (0.0, 10.0), (1.0, 0.0), rtol=RTOL, atol=ATOL,
+                    events=[crossing_twice], dense_output=True)
+    full = solve_ivp(flow, (0.0, 10.0), (1.0, 0.0), rtol=RTOL, atol=ATOL,
+                     dense_output=True)
+    assert own.status == 1 and own.message == MESSAGES[1]
+    assert own.t_events[0] == pytest.approx([math.pi / 2, 3 * math.pi / 2],
+                                            abs=1e-9)
+    assert own.t[-1] == own.t_events[0][1]
+    n = len(own.t) - 1
+    assert len(full.t) - 1 > n
+    np.testing.assert_array_equal(own.t[:-1], full.t[:n])
+    np.testing.assert_array_equal(own.sol._F, full.sol._F[:n])
+    np.testing.assert_array_equal(own.sol._y_old, full.sol._y_old[:n])
+    # the rule read the march so far at each root
+    np.testing.assert_array_equal(seen, own.y_events[0])
+
+
+def test_stop_rule_needs_dense_output():
+    def crossing_stop(t, y):
+        return y[0]
+
+    crossing_stop.stop = lambda t, sol: True
+    with pytest.raises(ValueError, match="needs dense output"):
+        solve_ivp(flow, (0.0, 10.0), (1.0, 0.0), events=[crossing_stop])

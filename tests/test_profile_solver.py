@@ -12,7 +12,6 @@ import io
 import json
 import math
 from dataclasses import replace
-from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -252,26 +251,112 @@ class TestSolveProfile:
         assert max(residual_profile(table, 0.01, 100.0)) <= 1e-7
         assert certify(params, table).all_passed
 
-    def test_arrival_nearer_p_bar_s_is_refused(self, params_r201):
-        # a march whose D_Z root is the other sonic point
-        pts = special_points(params_r201)
-        root = [pts.P_bar_s.W, pts.P_bar_s.Z]
-        march = SimpleNamespace(t_events=[np.array([-0.4])],
-                                y_events=[np.array([root])])
-        Wc, Zc = sonic_series(2.01)
-        with pytest.raises(SonicCrossingError,
-                           match=r"left march hit D_Z = 0 .* nearer P_bar_s"):
-            profile_solver._arrive(march, pts, Wc, Zc, 2.01, 1e-12, -0.2,
-                                   "left march")
-
     def test_left_march_short_of_the_sonic_point(self):
-        # at r = 2.07 the D_Z root sits at xi = 2.51, past the end of the
-        # span, xi_max - xi_min = 2, that a grid on [-1, 1] gives the march
+        # at r = 2.07 the first seam's level sits at xi = 2.31, past the end
+        # of the span, xi_max - xi_min = 2, that a grid on [-1, 1] gives the
+        # march
         with pytest.raises(SonicCrossingError,
-                           match=r"left march stopped at xi = 2\.000000 "
-                                 r"without reaching D_Z = 0"):
+                           match=r"^left march stopped at xi = 2\.000000 "
+                                 r"without reaching D_Z = -0\.000257902, "
+                                 r"the series' level at the seam xi = -0\.2 "
+                                 r"\(reached the end of the span\)$"):
             solve_profile(ProfileParams(r=2.07), xi_min=-1.0, xi_max=1.0,
                           n_points=1024)
+
+
+def _spy_arrivals(monkeypatch):
+    """Record each march into P_s that solve_profile makes: its _march
+    arguments, its solution, and the seam it stopped at."""
+    arrivals = []
+    march, arrive = profile_solver._march, profile_solver._arrive
+
+    def spy_march(*args, **kwargs):
+        sol = march(*args, **kwargs)
+        if kwargs.get("stops"):
+            arrivals.append({"args": args, "bound": kwargs["bound"],
+                             "sol": sol})
+        return sol
+
+    def spy_arrive(*args):
+        sol, seam, xi_hit = arrive(*args)
+        arrivals[-1]["seam"] = seam
+        return sol, seam, xi_hit
+
+    monkeypatch.setattr(profile_solver, "_march", spy_march)
+    monkeypatch.setattr(profile_solver, "_arrive", spy_arrive)
+    return arrivals
+
+
+class TestSeamStop:
+    """Each march into P_s stops at the seam where the series takes over,
+    as one march that goes on past every seam where the two disagree."""
+
+    @pytest.mark.parametrize("r, seam, steps", [
+        (1.81, 0.05, (163, 56)), (2.01, 0.2, (217, 58)),
+        (2.068, 0.2, (621, 158))])
+    def test_stop_keeps_the_steps_of_the_full_march(self, r, seam, steps,
+                                                    monkeypatch):
+        # at r = 1.81 the left march meets the levels of xi = -0.2 and -0.1
+        # first, disagrees with the series there, and goes on to -0.05
+        arrivals = _spy_arrivals(monkeypatch)
+        solve_profile(ProfileParams(r=r))
+        assert [abs(a["seam"]) for a in arrivals] == [seam, seam]
+        for arrival, n_steps in zip(arrivals, steps):
+            stopped = arrival["sol"]
+            full = profile_solver._march(*arrival["args"], level=0.0,
+                                         bound=arrival["bound"])
+            assert len(stopped.t) - 1 == n_steps
+            # the stopped march ends at its root, inside its last step
+            np.testing.assert_array_equal(stopped.t[:-1], full.t[:n_steps])
+            for name in ("_t_old", "_h", "_y_old", "_F"):
+                np.testing.assert_array_equal(
+                    getattr(stopped.sol, name),
+                    getattr(full.sol, name)[:n_steps])
+            assert len(full.t) - 1 > n_steps
+
+    def test_evaluation_counts_near_r_star(self, monkeypatch):
+        # r* - 1e-4, where kappa ~ 3e4 holds an explicit step to about
+        # |xi|/kappa: a march on to D_Z = 0 takes 945,353 and 961,667
+        # evaluations; the stop takes a tenth and a sixteenth of them
+        arrivals = _spy_arrivals(monkeypatch)
+        solve_profile(ProfileParams(r=ProfileParams(r=2.0).r_star - 1e-4))
+        left, back = (a["sol"].nfev for a in arrivals)
+        assert left <= 94_500
+        assert back <= 57_700
+
+    def test_series_checked_before_any_march(self, monkeypatch):
+        # a tail above 1e-14 at every candidate seam is refused by the
+        # series alone: no march, not even the anchor's edge orbits
+        calls = []
+        monkeypatch.setattr(profile_solver, "_series_tail",
+                            lambda coeffs, xi: 1.0)
+        monkeypatch.setattr(profile_solver, "solve_ivp",
+                            lambda *a, **k: calls.append(a))
+        outgoing_anchor.cache_clear()
+        try:
+            with pytest.raises(ConsistencyError,
+                               match=r"^sonic series does not converge at "
+                                     r"the seam xi = -0\.003125: tail "
+                                     r"2\.000e\+00 > 1e-14, kappa = "):
+                solve_profile(ProfileParams(r=2.01))
+        finally:
+            outgoing_anchor.cache_clear()
+        assert calls == []
+
+    def test_seam_nearer_p_bar_s_is_refused(self, params_r201, monkeypatch):
+        # the backward march from (0.5, -1.2) meets the first seam's level
+        # next to the other sonic point: refused there, not relabelled
+        monkeypatch.setattr(profile_solver, "outgoing_anchor",
+                            lambda params: PhasePoint(0.5, -1.2))
+        with pytest.raises(
+                SonicCrossingError,
+                match=r"^backward march from the anchor \(xi counted from "
+                      r"the anchor\) reached D_Z = 0\.0102028 at "
+                      r"\(-0\.279201, -1\.226663\), xi = -0\.662195, "
+                      r"nearer P_bar_s \(-0\.307177, -1\.230941\) than "
+                      r"the series at the seam xi = 0\.2 \(0\.829610, "
+                      r"-1\.596266\)$"):
+            solve_profile(params_r201)
 
 
 class TestOutgoingAnchor:
