@@ -7,7 +7,8 @@ solution is evaluated.  This module runs the same method with the state as
 a pair of Python floats:
 
   * the Butcher tableau is scipy's (scipy.integrate._ivp.dop853_coefficients),
-    of which only the non-zero entries are summed;
+    held here as float literals, each the repr of scipy's float64, as the
+    (j, a_j) pairs of its non-zero entries, which alone are summed;
   * the step controller is scipy's: the error norm that blends the 5th- and
     3rd-order estimates, safety 0.9, a step factor between 0.2 and 10 with
     exponent -1/8 and no growth right after a rejection, scipy's
@@ -27,6 +28,12 @@ Sums run left to right over the tableau's non-zero entries, where scipy's
 follow the BLAS dot order, so the two differ in the last bits.  The
 interpolants of all steps are kept in flat arrays, and Solution.sol
 evaluates any set of points with one searchsorted and one Horner pass.
+
+The roots come from _brentq, a port to Python floats of scipy's brentq
+(Brent 1973; scipy/optimize/Zeros/brentq.c), step for step, with the
+contracts of scipy's wrapper.  So neither the march nor its events import
+scipy.  The tests keep scipy as the reference: the tableau must equal
+scipy's entry for entry, and _brentq must return scipy's brentq bit for bit.
 """
 
 from __future__ import annotations
@@ -37,8 +44,6 @@ from array import array
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as _tableau
-from scipy.optimize import brentq
 
 __all__ = ["solve_ivp", "Solution", "DenseSolution"]
 
@@ -51,29 +56,178 @@ MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1.0 / 8.0
 
-#: terms of the dense-output polynomial of a step
-N_DENSE = _tableau.INTERPOLATOR_POWER
+#: stages of a step, stages with the three extra dense ones, and terms of
+#: the dense-output polynomial of a step
+_N_STAGES = 12
+_N_STAGES_EXTENDED = 16
+N_DENSE = 7
 
 MESSAGES = {0: "reached the end of the span",
             1: "a terminal event occurred",
             -1: "the step size fell below 10 ulp of t"}
 
+# The tableau, scipy's entry for entry: the nodes C, and each row of A, B,
+# E5, E3 and D as the (j, a_j) pairs of its non-zero entries.
+_C = (0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+      0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+      0.6512820512820513, 0.6, 0.8571428571428571, 1.0, 1.0, 0.1, 0.2,
+      0.7777777777777778)
+#: rows of stages 1 .. 11 of a step
+_A = (
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861),
+     (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386),
+     (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+     (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998),
+     (4, 0.10726203044637328), (5, -0.015319437748624402),
+     (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414),
+     (4, -0.868219346841726), (5, 27.59209969944671),
+     (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677),
+     (4, -0.590290826836843), (5, 21.230051448181193),
+     (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064),
+     (4, 1.0914373489967295), (5, -8.149787010746927),
+     (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725),
+     (4, -2.0008720582248625), (5, -17.9589318631188),
+     (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303),
+     (10, 0.6433927460157636)),
+)
+#: rows of the three extra dense stages 13 .. 15
+_A_EXTRA = (
+    ((0, 0.056167502283047954), (6, 0.25350021021662483),
+     (7, -0.2462390374708025), (8, -0.12419142326381637),
+     (9, 0.15329179827876568), (10, 0.00820105229563469),
+     (11, 0.007567897660545699), (12, -0.008298)),
+    ((0, 0.03183464816350214), (5, 0.028300909672366776),
+     (6, 0.053541988307438566), (7, -0.05492374857139099),
+     (10, -0.00010834732869724932), (11, 0.0003825710908356584),
+     (12, -0.00034046500868740456), (13, 0.1413124436746325)),
+    ((0, -0.42889630158379194), (5, -4.697621415361164),
+     (6, 7.683421196062599), (7, 4.06898981839711), (8, 0.3567271874552811),
+     (12, -0.0013990241651590145), (13, 2.9475147891527724),
+     (14, -9.15095847217987)),
+)
+_B = ((0, 0.054293734116568765), (5, 4.450312892752409),
+      (6, 1.8915178993145003), (7, -5.801203960010585),
+      (8, 0.3111643669578199), (9, -0.1521609496625161),
+      (10, 0.20136540080403034), (11, 0.04471061572777259))
+_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044),
+       (6, -0.4957589496572502), (7, 1.6643771824549864),
+       (8, -0.35032884874997366), (9, 0.3341791187130175),
+       (10, 0.08192320648511571), (11, -0.022355307863886294))
+_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409),
+       (6, 1.8915178993145003), (7, -5.801203960010585),
+       (8, -0.4226823213237919), (9, -0.1521609496625161),
+       (10, 0.20136540080403034), (11, 0.02265179219836082))
+#: rows of the last four terms of the dense-output polynomial
+_D = (
+    ((0, -8.428938276109013), (5, 0.5667149535193777),
+     (6, -3.0689499459498917), (7, 2.38466765651207), (8, 2.117034582445028),
+     (9, -0.871391583777973), (10, 2.2404374302607883),
+     (11, 0.6315787787694688), (12, -0.08899033645133331),
+     (13, 18.148505520854727), (14, -9.194632392478356),
+     (15, -4.436036387594894)),
+    ((0, 10.427508642579134), (5, 242.28349177525817),
+     (6, 165.20045171727028), (7, -374.5467547226902),
+     (8, -22.113666853125306), (9, 7.733432668472264),
+     (10, -30.674084731089398), (11, -9.332130526430229),
+     (12, 15.697238121770845), (13, -31.139403219565178),
+     (14, -9.35292435884448), (15, 35.81684148639408)),
+    ((0, 19.985053242002433), (5, -387.0373087493518),
+     (6, -189.17813819516758), (7, 527.8081592054236),
+     (8, -11.57390253995963), (9, 6.8812326946963),
+     (10, -1.0006050966910838), (11, 0.7777137798053443),
+     (12, -2.778205752353508), (13, -60.19669523126412),
+     (14, 84.32040550667716), (15, 11.99229113618279)),
+    ((0, -25.69393346270375), (5, -154.18974869023643),
+     (6, -231.5293791760455), (7, 357.6391179106141), (8, 93.40532418362432),
+     (9, -37.45832313645163), (10, 104.0996495089623),
+     (11, 29.8402934266605), (12, -43.53345659001114),
+     (13, 96.32455395918828), (14, -39.17726167561544),
+     (15, -149.72683625798564)),
+)
 
-def _nonzero(row) -> tuple[tuple[int, float], ...]:
-    """The (j, a_j) pairs of a tableau row whose a_j is not zero."""
-    return tuple((j, float(a)) for j, a in enumerate(row) if a != 0.0)
+#: iterations of _brentq before it gives up, as scipy's brentq
+_BRENTQ_MAXITER = 100
 
 
-_N_STAGES = _tableau.N_STAGES
-_C = [float(c) for c in _tableau.C]
-#: rows of stages 1 .. 11 of a step, and of the three extra dense stages
-_A = [_nonzero(_tableau.A[s, :s]) for s in range(1, _N_STAGES)]
-_A_EXTRA = [_nonzero(_tableau.A[s, :s])
-            for s in range(_N_STAGES + 1, _tableau.N_STAGES_EXTENDED)]
-_B = _nonzero(_tableau.B)
-_E5 = _nonzero(_tableau.E5)
-_E3 = _nonzero(_tableau.E3)
-_D = [_nonzero(row) for row in _tableau.D]
+def _brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of f in [a, b] to within xtol + rtol |root|: scipy's brentq
+    (scipy/optimize/Zeros/brentq.c) on Python floats, step for step, so
+    the two return the same bits.
+
+    As scipy's wrapper: a NaN value of f is a ValueError, and so is a
+    bracket whose ends have values of one sign; an end where f is exactly
+    zero is returned at once; and no convergence in 100 iterations is a
+    RuntimeError.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x = {x:.17g} is NaN")
+        return fx
+
+    xpre, xcur = a, b
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError(f"f({a!r}) and f({b!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENTQ_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # where C divides by zero it gets an inf or a NaN, and
+                # either fails the test below: bisect
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"no convergence after {_BRENTQ_MAXITER} iterations; "
+                       f"the last iterate is {xcur!r}")
 
 
 def _sums(row, K) -> tuple[float, float]:
@@ -239,7 +393,7 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
     f = fun(t, y)
     h_abs = _initial_step(fun, t, y, f, t_bound, direction, rtol, atol)
     nfev = 2
-    K = [None] * _tableau.N_STAGES_EXTENDED
+    K = [None] * _N_STAGES_EXTENDED
     ts = [t0]
     status = None
     while status is None:
@@ -295,8 +449,8 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
                     return _horner(F, y_old, (s - t_old) / h)
 
                 roots = sorted(
-                    (brentq(lambda s: events[k](s, interp(s)), t_old, t,
-                            xtol=4 * EPS, rtol=4 * EPS), k)
+                    (_brentq(lambda s: events[k](s, interp(s)), t_old, t,
+                             4 * EPS, 4 * EPS), k)
                     for k in active)
                 if direction < 0:
                     roots.reverse()

@@ -15,9 +15,10 @@ CSV is the human-readable table, with all eleven columns in %.17g.
 the output directory when its table key matches theirs, and solve again
 otherwise (no such file, or another key).  The key hashes the settings
 the solve reads (r, the xi range, n_points, tol) and this build: the
-source of the package and the versions of Python, numpy, scipy and
-mpmath.  So `verify --sample-r 5` after `profile` reads the table, while
-a file written by another build, or under another n_points, is not read.
+source of the package and the versions of Python, numpy and mpmath; the
+solve calls no scipy, so a scipy upgrade keeps every stamped table.  So
+`verify --sample-r 5` after `profile` reads the table, while a file
+written by another build, or under another n_points, is not read.
 `profile` never reads it.
 
 Exit codes: 0 success, 1 verification checks failed, 2 configuration,
@@ -43,7 +44,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 import mpmath
 import numpy
-import scipy
 
 from . import dynamics_lab, phase_portrait, profile_solver
 from .dynamics_lab import EnergyConfig
@@ -256,8 +256,7 @@ def _build_id() -> str:
         if name.endswith(".py"):
             with open(os.path.join(package, name), "rb") as fh:
                 h.update(f"{name}\0".encode() + fh.read() + b"\0")
-    for version in (sys.version, numpy.__version__, scipy.__version__,
-                    mpmath.__version__):
+    for version in (sys.version, numpy.__version__, mpmath.__version__):
         h.update(f"{version}\0".encode())
     return h.hexdigest()
 

@@ -31,10 +31,9 @@ import hashlib
 import io
 import json
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from ._fd import derivative
 from .errors import (
@@ -55,6 +54,9 @@ from .selfsimilar_fields import (
     _smooth_step_derivative,
     cutoff,
 )
+
+if TYPE_CHECKING:
+    from scipy.interpolate import BSpline
 
 __all__ = [
     "EnergyConfig",
@@ -187,7 +189,9 @@ def profile_fieldset(table: ProfileTable, grid: RadialGrid,
     table (ProfileTable.Psi_spline, S_spline), interpolate Psi and S; the
     (at most one) node below the table's reach is filled by the even
     quadratic through the two innermost evaluations, consistent with the
-    fields' regularity at the center.
+    fields' regularity at the center.  The first call on a table builds
+    its splines, and the first in a process imports scipy.interpolate,
+    the package's one use of scipy.
     """
     R = grid.R
     if R[-1] > table.R[-1] * (1.0 + 1e-12):

@@ -40,7 +40,8 @@ factor.  The solver exploits this:
 Every march of the (W, Z) flow runs through solve_ivp of _dop853: scipy's
 DOP853 tableau, step control and event rule on Python floats, with the
 interpolants of a march kept in arrays so that a grid is evaluated in one
-pass.
+pass.  The solve imports no scipy; only the splines of Psi_spline and
+S_spline do, when first built.
 
 Where a march into P_s meets the series, one seam rule holds on both sides:
 the series stands in for the march only where its tail is below 1e-14 and
@@ -72,11 +73,10 @@ import base64
 import functools
 import json
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import mpmath
 import numpy as np
-from scipy.interpolate import BSpline, make_interp_spline
 
 from ._dop853 import solve_ivp
 from ._fd import derivative
@@ -101,6 +101,9 @@ from .phase_portrait import (
     n_z,
     special_points,
 )
+
+if TYPE_CHECKING:
+    from scipy.interpolate import BSpline
 
 __all__ = [
     "ProfileTable",
@@ -199,13 +202,15 @@ class ProfileTable:
 
     @functools.cached_property
     def Psi_spline(self) -> BSpline:
-        """Quintic interpolating spline of Psi_nls over R."""
-        return make_interp_spline(self.R, self.Psi_nls, k=5)
+        """Quintic interpolating spline of Psi_nls over R (scipy's), built
+        on first use: only profile_fieldset reads it."""
+        return _quintic_spline(self.R, self.Psi_nls)
 
     @functools.cached_property
     def S_spline(self) -> BSpline:
-        """Quintic interpolating spline of S_nls over R."""
-        return make_interp_spline(self.R, self.S_nls, k=5)
+        """Quintic interpolating spline of S_nls over R (scipy's), built on
+        first use: only profile_fieldset reads it."""
+        return _quintic_spline(self.R, self.S_nls)
 
     @property
     def h(self) -> float:
@@ -292,6 +297,15 @@ class ProfileTable:
                    w0=payload["w0"], w0_mismatch=payload["w0_mismatch"],
                    tol=payload["tol"],
                    anchor=None if anchor is None else PhasePoint(**anchor))
+
+
+def _quintic_spline(x: np.ndarray, y: np.ndarray) -> BSpline:
+    """Quintic interpolating spline of y over x."""
+    # scipy.interpolate is imported here, not with the module: it costs
+    # more than half a second, and nothing but these splines uses scipy.
+    # ROADMAP item 4 deletes the splines.
+    from scipy.interpolate import make_interp_spline
+    return make_interp_spline(x, y, k=5)
 
 
 def _state_column(columns: dict, name: str, n: int | None = None

@@ -411,6 +411,18 @@ class TestProfileReuse:
         assert main(["verify", *argv, *verify_flags]) == EXIT_OK
         assert len(solves) == 2
 
+    def test_build_ignores_scipy(self, monkeypatch):
+        # the solve calls no scipy, so a scipy upgrade keeps every table
+        import scipy
+        cli._build_id.cache_clear()
+        before = cli._build_id()
+        with monkeypatch.context() as m:
+            m.setattr(scipy, "__version__", "0.0.0")
+            cli._build_id.cache_clear()
+            after = cli._build_id()
+        cli._build_id.cache_clear()
+        assert after == before
+
     def test_file_of_another_build_solves_again(self, tmp_path, monkeypatch,
                                                 solves):
         # a profile written by another build (other source, or other
@@ -499,6 +511,49 @@ class TestProfileReuse:
         written = _written(tmp_path / "after" / "out", "verify_")
         assert written and written == _written(tmp_path / "fresh" / "out",
                                                "verify_")
+
+
+#: in a fresh interpreter, the solve path (profile, verify, sweep and
+#: phase-portrait), then simulate; prints the scipy modules loaded after
+#: each of the two
+IMPORT_GRAPH = """
+import json, sys
+from nls_implosion import cli
+
+out = sys.argv[1]
+fast = ["--n-points", "1024", "--out-dir", out]
+for argv in (["profile", "--r", "2.01"], ["verify", "--r", "2.01"],
+             ["sweep", "--values", "2.01,2.03"],
+             ["phase-portrait", "--r", "2.01", "--curve-samples", "8"]):
+    assert cli.main([*argv, *fast]) == 0, argv
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+solve = scipy_modules()
+assert cli.main(["simulate", "--r", "2.01", "--n", "256", "--s-span",
+                 "0.05", "--n-samples", "3", *fast]) == 0
+print(json.dumps([solve, scipy_modules()]))
+"""
+
+
+class TestImportGraph:
+    def test_solve_path_imports_no_scipy(self, tmp_path):
+        # scipy serves only the splines behind simulate and the
+        # diagnostics (ROADMAP item 4 deletes them); a module-level scipy
+        # import anywhere on the solve path costs every command its load
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        done = subprocess.run(
+            [sys.executable, "-c", IMPORT_GRAPH, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+            text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        solve, simulate = json.loads(done.stdout.splitlines()[-1])
+        assert solve == []
+        assert "scipy.interpolate" in simulate
 
 
 class TestSweepCommand:
