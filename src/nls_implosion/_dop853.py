@@ -27,7 +27,8 @@ a pair of Python floats:
 Sums run left to right over the tableau's non-zero entries, where scipy's
 follow the BLAS dot order, so the two differ in the last bits.  The
 interpolants of all steps are kept in flat arrays, and Solution.sol
-evaluates any set of points with one searchsorted and one Horner pass.
+evaluates any set of points with one searchsorted and one Horner pass;
+DenseSolution.arrays and from_arrays store and rebuild it bit for bit.
 
 The roots come from _brentq, a port to Python floats of scipy's brentq
 (Brent 1973; scipy/optimize/Zeros/brentq.c), step for step, with the
@@ -325,18 +326,40 @@ class DenseSolution:
 
     def __init__(self, ts, direction: float, t_old, h, y_old, F):
         self.ts = np.asarray(ts, dtype=float)
-        self._keys = direction * self.ts
+        # the inner breakpoints in the march's direction: the segment of t
+        # is the number of them before it
+        self._inner = direction * self.ts[1:-1]
         self._direction = direction
         self._t_old = np.frombuffer(t_old)
         self._h = np.frombuffer(h)
         self._y_old = np.frombuffer(y_old).reshape(-1, 2)
         self._F = np.frombuffer(F).reshape(-1, N_DENSE, 2)
 
+    @staticmethod
+    def shapes(m: int) -> dict[str, tuple[int, ...]]:
+        """The shape of each of arrays() for a march of m steps."""
+        return {"ts": (m + 1,), "t_old": (m,), "h": (m,), "y_old": (m, 2),
+                "F": (m, N_DENSE, 2)}
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The arrays that define the march, by name: the breakpoints ts,
+        and each step's start t_old, size h, state y_old and interpolant
+        coefficients F.  from_arrays rebuilds the march from them."""
+        return {"ts": self.ts, "t_old": self._t_old, "h": self._h,
+                "y_old": self._y_old, "F": self._F}
+
+    @classmethod
+    def from_arrays(cls, ts, t_old, h, y_old, F) -> "DenseSolution":
+        """The march whose arrays() these are, bit for bit; its direction
+        is the sign of its steps."""
+        flat = (np.ascontiguousarray(a, dtype=float).ravel()
+                for a in (t_old, h, y_old, F))
+        return cls(ts, 1.0 if h[0] > 0 else -1.0, *flat)
+
     def __call__(self, t) -> np.ndarray:
         """The state at t: shape (2,) for a scalar t, (2, m) for m times."""
         t = np.asarray(t, dtype=float)
-        seg = np.searchsorted(self._keys, self._direction * t, side="left")
-        seg = np.clip(seg - 1, 0, len(self._h) - 1)
+        seg = np.searchsorted(self._inner, self._direction * t, side="left")
         x = ((t - self._t_old[seg]) / self._h[seg])[..., None]
         x1 = 1 - x
         F = self._F[seg]

@@ -5,11 +5,13 @@ output file embeds the hash of the effective run configuration and the
 format version, outputs carry no timestamps, and files are written
 atomically, so a fixed configuration reproduces its artifacts byte for
 byte.  A JSON artifact is exactly json.dumps(..., indent=2,
-sort_keys=True) plus a newline.  The profile_<tag>.json table holds the
-state columns only (xi, W, Z, dR_Ubar, dR_Sbar), each as one string: the
-standard padded base64 of the column's little-endian float64 bytes, which
-np.frombuffer(base64.b64decode(s), "<f8") reads back bit for bit.  The
-CSV is the human-readable table, with all eleven columns in %.17g.
+sort_keys=True) plus a newline.  The profile_<tag>.json table (schema 4)
+holds the solved orbit and the grid's (xi_min, xi_max, n_points), no
+column; each orbit array is one string, the standard padded base64 of its
+little-endian float64 bytes, which np.frombuffer(base64.b64decode(s),
+"<f8") reads back bit for bit, and loading evaluates the orbit on the
+grid.  The CSV is the human-readable table, with all eleven columns in
+%.17g.
 
 `verify` and `simulate` take their table from the profile_<tag>.json in
 the output directory when its table key matches theirs, and solve again
@@ -294,7 +296,8 @@ def _table(cfg: RunConfig) -> ProfileTable:
         return _solve(cfg)
     try:
         table = ProfileTable.from_payload(wrapped["artifact"])
-    except (DomainError, KeyError, TypeError, AttributeError) as exc:
+    except (DomainError, KeyError, TypeError, ValueError,
+            AttributeError) as exc:
         raise DomainError(f"cannot use {path}: {type(exc).__name__}: {exc}; "
                           "delete it to solve again") from None
     return profile_solver.to_physical(table)

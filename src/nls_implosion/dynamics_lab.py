@@ -27,11 +27,12 @@ the configured orders so no number is mistaken for the continuum claim.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from .errors import (
     VacuumError,
 )
 from .phase_portrait import ProfileParams
-from .profile_solver import ProfileTable, profile_operator
+from .profile_solver import Orbit, ProfileTable, nls_fields, profile_operator
 from .selfsimilar_fields import (
     FieldSet,
     RadialGrid,
@@ -54,9 +55,6 @@ from .selfsimilar_fields import (
     _smooth_step_derivative,
     cutoff,
 )
-
-if TYPE_CHECKING:
-    from scipy.interpolate import BSpline
 
 __all__ = [
     "EnergyConfig",
@@ -165,42 +163,55 @@ def build_weights(grid: RadialGrid, cfg: EnergyConfig) -> Weights:
 
 
 # ---------------------------------------------------------------------------
-# profile interpolation onto evolution grids
+# the profile on evolution grids
 # ---------------------------------------------------------------------------
-
-def _spline_to_grid(spl: BSpline, a: float, R_grid: np.ndarray
-                    ) -> np.ndarray:
-    """spl on R_grid, with the even quadratic below the table's reach a."""
-    vals = np.empty_like(R_grid)
-    inside = R_grid >= a
-    vals[inside] = spl(R_grid[inside])
-    if np.any(~inside):
-        fa, fb = float(spl(a)), float(spl(2.0 * a))
-        c1 = (fb - fa) / (3.0 * a * a)
-        vals[~inside] = fa - c1 * a * a + c1 * R_grid[~inside] ** 2
-    return vals
-
 
 def profile_fieldset(table: ProfileTable, grid: RadialGrid,
                      s: float) -> FieldSet:
     """Evaluate the solved profile on the grid, which contains R = 0.
 
-    Quintic splines over the table's log-spaced nodes, built once per
-    table (ProfileTable.Psi_spline, S_spline), interpolate Psi and S; the
-    (at most one) node below the table's reach is filled by the even
-    quadratic through the two innermost evaluations, consistent with the
-    fields' regularity at the center.  The first call on a table builds
-    its splines, and the first in a process imports scipy.interpolate,
-    the package's one use of scipy.
+    The table's orbit gives (W, Z) at xi = log R, which nls_fields maps to
+    Psi and S by the table's own arithmetic; the (at most one) node below
+    the table's reach a = R[0] is filled by the even quadratic through the
+    values at a and 2a, consistent with the fields' regularity at the
+    center.  The values are cached per orbit and nodes (the last eight),
+    since the diagnostics put one table on one grid at every call; each
+    FieldSet gets its own copy.  A table without its orbit is a
+    DomainError.
     """
     R = grid.R
     if R[-1] > table.R[-1] * (1.0 + 1e-12):
         raise RangeError(
             f"grid reaches R = {R[-1]:.4g} beyond table coverage "
             f"{table.R[-1]:.4g}")
-    Psi = _spline_to_grid(table.Psi_spline, table.R[0], R)
-    S = _spline_to_grid(table.S_spline, table.R[0], R)
-    return FieldSet.from_Psi_S(table.params, grid, s, Psi, S)
+    if table.orbit is None:
+        raise DomainError("profile_fieldset needs the table's orbit; this "
+                          "table has none")
+    Psi, S = _profile_on(table.orbit, table.params, float(table.R[0]),
+                         R.tobytes())
+    return FieldSet.from_Psi_S(table.params, grid, s, Psi.copy(), S.copy())
+
+
+@functools.lru_cache(maxsize=8)
+def _profile_on(orbit: Orbit, params: ProfileParams, a: float,
+                nodes: bytes) -> list[np.ndarray]:
+    """Psi and S of the orbit at the radii whose float64 bytes are
+    `nodes`, with the even quadratic below the reach a."""
+    R = np.frombuffer(nodes)
+    inside = R >= a
+    n = np.count_nonzero(inside)
+    # the nodes inside, then a and 2a for the even quadratic below
+    at = np.append(R[inside], [a, 2.0 * a])
+    W, Z, _, _ = orbit(np.log(at))
+    fields = []
+    for f in nls_fields(params, at, W, Z):
+        fa, fb = f[n:]
+        c1 = (fb - fa) / (3.0 * a * a)
+        out = np.empty_like(R)
+        out[inside] = f[:n]
+        out[~inside] = fa - c1 * a * a + c1 * R[~inside] ** 2
+        fields.append(out)
+    return fields
 
 
 # ---------------------------------------------------------------------------

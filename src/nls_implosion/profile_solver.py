@@ -40,8 +40,14 @@ factor.  The solver exploits this:
 Every march of the (W, Z) flow runs through solve_ivp of _dop853: scipy's
 DOP853 tableau, step control and event rule on Python floats, with the
 interpolants of a march kept in arrays so that a grid is evaluated in one
-pass.  The solve imports no scipy; only the splines of Psi_spline and
-S_spline do, when first built.
+pass.  The package imports no scipy at run time; the tests keep it as a
+reference.
+
+The solved orbit is an Orbit: the series and the dense output of the
+left, backward and forward marches, joined at the seams and the anchor.
+It evaluates W, Z and their xi-derivatives at any xi; the table's columns
+are its values on the grid, and the JSON table (schema 4) stores the
+orbit, not the columns.
 
 Where a march into P_s meets the series, one seam rule holds on both sides:
 the series stands in for the march only where its tail is below 1e-14 and
@@ -73,12 +79,12 @@ import base64
 import functools
 import json
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
 
-from ._dop853 import solve_ivp
+from ._dop853 import DenseSolution, solve_ivp
 from ._fd import derivative
 from .errors import (
     BlowupError,
@@ -102,10 +108,8 @@ from .phase_portrait import (
     special_points,
 )
 
-if TYPE_CHECKING:
-    from scipy.interpolate import BSpline
-
 __all__ = [
+    "Orbit",
     "ProfileTable",
     "ResidualPair",
     "solve_profile",
@@ -113,20 +117,19 @@ __all__ = [
     "fit_decay",
     "residual_profile",
     "profile_operator",
+    "nls_fields",
     "origin_slope",
     "sonic_series",
     "outgoing_anchor",
     "CSV_HEADER",
-    "STATE_COLUMNS",
     "SCHEMA_VERSION",
 ]
 
 CSV_HEADER = ["xi", "R", "W", "Z", "Ubar_R", "Sbar", "U_nls", "S_nls",
               "Psi_nls", "dR_Ubar", "dR_Sbar"]
-#: the columns of a JSON table: the state, from which the others follow
-STATE_COLUMNS = ("xi", "W", "Z", "dR_Ubar", "dR_Sbar")
-#: 3: each state column is one base64 string of its "<f8" bytes
-SCHEMA_VERSION = 3
+#: 4: the JSON table stores the orbit, each array one base64 string of
+#: its "<f8" bytes, and the grid; every column follows from them
+SCHEMA_VERSION = 4
 
 #: radius of the origin fit that reports w0 = Sbar(0)
 MATCH_RADIUS = 0.05
@@ -146,6 +149,194 @@ SERIES_BITS = 320
 SERIES_ORDER = 90
 
 
+@dataclass(frozen=True, eq=False)
+class Orbit:
+    """The solved orbit (W, Z) as a function of xi, held as its pieces.
+
+    The sonic series (coefficients Wc, Zc) covers [seam_left, seam_right].
+    The left march covers xi below seam_left and the backward march from
+    the anchor (seam_right, xi_anchor]; each is evaluated in its own march
+    coordinate, xi plus the march coordinate of P_s (left_origin,
+    back_origin).  The forward march from the anchor covers xi beyond
+    xi_anchor, in xi itself; it is None when the table ends at the anchor,
+    and the backward march then covers xi beyond it too.
+    """
+
+    r: float
+    Wc: np.ndarray
+    Zc: np.ndarray
+    seam_left: float
+    seam_right: float
+    left: DenseSolution
+    left_origin: float
+    back: DenseSolution
+    back_origin: float
+    fwd: DenseSolution | None = None
+
+    @property
+    def xi_anchor(self) -> float:
+        return -self.back_origin
+
+    @functools.cached_property
+    def _series(self) -> list[np.ndarray]:
+        """The columns of the series' coefficients in the rows W, Z, dW/dxi
+        and dZ/dxi, from the top order down; the derivative rows are
+        padded with a zero as their top coefficient."""
+        k = np.arange(len(self.Wc))
+        rows = np.stack((self.Wc, self.Zc,
+                         np.append(self.Wc[1:] * k[1:], 0.0),
+                         np.append(self.Zc[1:] * k[1:], 0.0)))
+        return [rows[:, j, None] for j in range(len(k) - 1, -1, -1)]
+
+    def __call__(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                                    np.ndarray]:
+        """W, Z, dW/dxi and dZ/dxi at the points xi.
+
+        The pieces are written in order, each on its range widened by
+        1e-12 at the seams and a later one over an earlier: the series,
+        the left march, the backward march and the forward march.  The
+        derivatives are the flow's, N/D, except on the series' range,
+        where D_Z vanishes at P_s and they are the series' own.  The
+        series is summed by Horner's rule, its four rows at once, with the
+        bits of summing each alone.
+        """
+        xi = np.asarray(xi, dtype=float)
+        left = xi < self.seam_left + 1e-12
+        near = (xi >= self.seam_left - 1e-12) & (xi <= self.seam_right + 1e-12)
+        inner = xi > self.seam_right - 1e-12
+        outer = xi > self.xi_anchor
+        if self.fwd is not None:
+            inner &= ~outer
+        top, *columns = self._series
+        x = xi[near]
+        series = np.repeat(top, len(x), axis=1)
+        for c in columns:
+            np.multiply(series, x, out=series)
+            np.add(series, c, out=series)
+
+        W = np.empty(xi.shape)
+        Z = np.empty(xi.shape)
+        W[near], Z[near] = series[:2]
+        W[left], Z[left] = self.left(xi[left] + self.left_origin)
+        W[inner], Z[inner] = self.back(xi[inner] + self.back_origin)
+        if self.fwd is not None:
+            W[outer], Z[outer] = self.fwd(xi[outer])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dW = n_w(W, Z, self.r) / d_w(W, Z)
+            dZ = n_z(W, Z, self.r) / d_z(W, Z)
+        dW[near], dZ[near] = series[2:]
+        return W, Z, dW, dZ
+
+    def payload(self) -> dict:
+        """The JSON-ready orbit: the seams and the march origins as
+        numbers, every array as the base64 string of its "<f8" bytes."""
+        def arrays(sol: DenseSolution) -> dict:
+            return {name: _b64(a) for name, a in sol.arrays().items()}
+        return {"seams": [self.seam_left, self.seam_right],
+                "series": {"W": _b64(self.Wc), "Z": _b64(self.Zc)},
+                "left": {"origin": self.left_origin, **arrays(self.left)},
+                "back": {"origin": self.back_origin, **arrays(self.back)},
+                "fwd": None if self.fwd is None else arrays(self.fwd)}
+
+    @classmethod
+    def from_payload(cls, r: float, payload: dict) -> "Orbit":
+        """The orbit of a `payload` snapshot.  An array that is missing,
+        not base64, not a whole number of float64 or of the wrong shape is
+        a DomainError naming it, and so is an entry the orbit does not
+        have."""
+        _only(payload, ("seams", "series", "left", "back", "fwd"), "orbit")
+        series = _only(payload["series"], ("W", "Z"), "orbit series")
+        Wc = _orbit_array(series, "series.W")
+        Zc = _orbit_array(series, "series.Z", Wc.shape)
+
+        def march(name: str, *scalars: str) -> DenseSolution:
+            # h sets the step count m, and with it the other shapes
+            piece = _only(payload[name], (*scalars, *DenseSolution.shapes(0)),
+                          f"orbit {name}")
+            h = _orbit_array(piece, f"{name}.h")
+            if not len(h):
+                raise DomainError(f"orbit array {name}.h is malformed: no "
+                                  "steps")
+            return DenseSolution.from_arrays(h=h, **{
+                key: _orbit_array(piece, f"{name}.{key}", shape)
+                for key, shape in DenseSolution.shapes(len(h)).items()
+                if key != "h"})
+
+        seam_left, seam_right = payload["seams"]
+        return cls(r=r, Wc=Wc, Zc=Zc, seam_left=seam_left,
+                   seam_right=seam_right,
+                   left=march("left", "origin"),
+                   left_origin=payload["left"]["origin"],
+                   back=march("back", "origin"),
+                   back_origin=payload["back"]["origin"],
+                   fwd=None if payload["fwd"] is None else march("fwd"))
+
+
+def _b64(a: np.ndarray) -> str:
+    """The standard padded base64 of the little-endian float64 bytes of a."""
+    return base64.b64encode(
+        np.asarray(a).astype("<f8", copy=False).tobytes()).decode("ascii")
+
+
+def _only(entries, keys, what: str) -> dict:
+    """`entries`, a DomainError unless it is a dict whose keys are among
+    `keys`."""
+    if not isinstance(entries, dict):
+        raise DomainError(f"{what} is malformed: {type(entries).__name__}, "
+                          "need an object")
+    extra = sorted(set(entries) - set(keys))
+    if extra:
+        raise DomainError(f"{what} entries {extra} are not part of a "
+                          f"schema-{SCHEMA_VERSION} table")
+    return entries
+
+
+def _orbit_array(entries: dict, name: str,
+                 shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """Orbit array `name` (piece.key) of a JSON table, decoded from its
+    base64 "<f8" bytes, of `shape` when it is given and 1-D otherwise; a
+    DomainError naming it when it is missing or malformed."""
+    key = name.split(".")[-1]
+    if key not in entries:
+        raise DomainError(f"orbit array {name} is missing")
+    text = entries[key]
+    if not isinstance(text, str):
+        raise DomainError(f"orbit array {name} is malformed: "
+                          f"{type(text).__name__}, need a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:   # binascii.Error, or a non-ASCII character
+        raise DomainError(f"orbit array {name} is malformed: not base64 "
+                          f"({exc})") from None
+    if len(raw) % 8:
+        raise DomainError(f"orbit array {name} is malformed: {len(raw)} "
+                          "bytes, not a whole number of float64")
+    values = np.frombuffer(raw, "<f8").astype(float)
+    if shape is None:
+        return values
+    if values.size != np.prod(shape, dtype=int):
+        raise DomainError(f"orbit array {name} is malformed: shape "
+                          f"{values.shape}, need shape {shape}")
+    return values.reshape(shape)
+
+
+def nls_fields(params: ProfileParams, R, W, Z) -> tuple[np.ndarray,
+                                                        np.ndarray]:
+    """(Psi_p, S_p) in the halved convention at radii R of the state
+    (W, Z): U_p and S_p are half of R (W + Z)/2 and R (W - Z)/2, and Psi_p
+    is reconstructed algebraically from its own profile equation, which
+    is solvable pointwise for Psi when r != 2; this avoids an integration
+    constant.  Consistency with quadrature of U_p is a test, not the
+    definition.  ProfileTable.Psi_nls is this map on the table's nodes."""
+    r, alpha = params.r, params.alpha
+    if r == 2.0:
+        raise DomainError(
+            "Psi reconstruction divides by r - 2; r = 2 excluded")
+    U = 0.5 * (R * (0.5 * (W + Z)))
+    S = 0.5 * (R * (0.5 * (W - Z)))
+    return (-R * U - U ** 2 - alpha * S ** 2) / (r - 2.0), S
+
+
 @dataclass(frozen=True)
 class ProfileTable:
     """Solved profile on a uniform xi = log R grid.
@@ -153,7 +344,10 @@ class ProfileTable:
     The state is the orbit (W, Z) with its ODE-consistent radial derivative
     columns dR_Ubar and dR_Sbar.  R and the physical columns are derived on
     first use: Ubar_R and Sbar in the scaled convention of the autonomous
-    system, U_nls, S_nls and Psi_nls in the halved one.
+    system, U_nls, S_nls and Psi_nls in the halved one.  A solved table
+    also carries its Orbit, whose values on the grid the columns are, and
+    the grid's (xi_min, xi_max, n_points); the JSON table stores these,
+    and profile_fieldset evaluates the orbit off the grid.
     """
 
     params: ProfileParams
@@ -166,6 +360,23 @@ class ProfileTable:
     w0_mismatch: float = float("nan")
     tol: float = float("nan")
     anchor: PhasePoint | None = None
+    orbit: Orbit | None = None
+    grid: tuple[float, float, int] | None = None
+
+    @classmethod
+    def from_orbit(cls, params: ProfileParams, orbit: Orbit,
+                   grid: tuple[float, float, int], **scalars
+                   ) -> "ProfileTable":
+        """The table of `orbit` on the grid of (xi_min, xi_max, n_points):
+        the state (W, Z) and, from the orbit's xi-derivatives, dR_Ubar and
+        dR_Sbar."""
+        xi_grid = _build_grid(*grid)
+        W, Z, dW, dZ = orbit(xi_grid)
+        U = 0.5 * (W + Z)
+        S = 0.5 * (W - Z)
+        return cls(params=params, xi_grid=xi_grid, W=W, Z=Z,
+                   dR_Ubar=U + 0.5 * (dW + dZ), dR_Sbar=S + 0.5 * (dW - dZ),
+                   orbit=orbit, grid=grid, **scalars)
 
     @functools.cached_property
     def R(self) -> np.ndarray:
@@ -189,28 +400,8 @@ class ProfileTable:
 
     @functools.cached_property
     def Psi_nls(self) -> np.ndarray:
-        """Psi_p, reconstructed algebraically from its own profile equation,
-        which is solvable pointwise for Psi when r != 2; this avoids an
-        integration constant.  Consistency with quadrature of U_nls is a
-        test, not the definition."""
-        r, alpha = self.params.r, self.params.alpha
-        if r == 2.0:
-            raise DomainError(
-                "Psi reconstruction divides by r - 2; r = 2 excluded")
-        U_nls, S_nls = self.U_nls, self.S_nls
-        return (-self.R * U_nls - U_nls ** 2 - alpha * S_nls ** 2) / (r - 2.0)
-
-    @functools.cached_property
-    def Psi_spline(self) -> BSpline:
-        """Quintic interpolating spline of Psi_nls over R (scipy's), built
-        on first use: only profile_fieldset reads it."""
-        return _quintic_spline(self.R, self.Psi_nls)
-
-    @functools.cached_property
-    def S_spline(self) -> BSpline:
-        """Quintic interpolating spline of S_nls over R (scipy's), built on
-        first use: only profile_fieldset reads it."""
-        return _quintic_spline(self.R, self.S_nls)
+        """Psi_p, by nls_fields; DomainError at r = 2."""
+        return nls_fields(self.params, self.R, self.W, self.Z)[0]
 
     @property
     def h(self) -> float:
@@ -251,14 +442,20 @@ class ProfileTable:
             row % values for values in zip(*columns))
 
     def payload(self) -> dict:
-        """The JSON-ready snapshot that to_json serializes: the scalars and
-        the STATE_COLUMNS, from which from_payload rebuilds the rest.
+        """The JSON-ready snapshot that to_json serializes: the scalars,
+        the grid's (xi_min, xi_max, n_points) and the orbit
+        (Orbit.payload), from which from_payload rebuilds every column.
 
-        Each state column is one string: the standard padded base64 of its
+        Each orbit array is one string: the standard padded base64 of its
         little-endian IEEE-754 float64 bytes, so it reads back bit for bit
         with np.frombuffer(base64.b64decode(s), "<f8").  The CSV is the
-        human-readable table, with all eleven columns.
+        human-readable table, with all eleven columns.  A table without
+        its orbit has no payload: a DomainError.
         """
+        if self.orbit is None or self.grid is None:
+            raise DomainError("a table without its orbit and grid has no "
+                              "JSON payload")
+        xi_min, xi_max, n_points = self.grid
         return {
             "schema_version": SCHEMA_VERSION,
             "params": {"r": self.params.r, "d": self.params.d, "p": self.params.p},
@@ -268,11 +465,9 @@ class ProfileTable:
             "anchor": (None if self.anchor is None else
                        {"W": self.anchor.W, "Z": self.anchor.Z,
                         "xi": self.anchor.xi}),
-            "columns": {
-                name: base64.b64encode(
-                    self._column(name).astype("<f8", copy=False).tobytes()
-                ).decode("ascii")
-                for name in STATE_COLUMNS},
+            "grid": {"xi_min": xi_min, "xi_max": xi_max,
+                     "n_points": n_points},
+            "orbit": self.orbit.payload(),
         }
 
     def to_json(self) -> str:
@@ -280,58 +475,22 @@ class ProfileTable:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "ProfileTable":
-        """Table from a `payload` snapshot; its columns must be exactly the
-        STATE_COLUMNS, so that no derived copy can disagree with them."""
+        """Table from a `payload` snapshot, its columns the orbit's values
+        on its grid.  It must hold exactly the entries payload writes, so
+        that no stored copy of a column can disagree with the orbit."""
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise DomainError(f"unsupported schema version {payload.get('schema_version')}")
-        raw = payload["columns"]
-        extra = sorted(set(raw) - set(STATE_COLUMNS))
-        if extra:
-            raise DomainError(f"columns {extra} are not state columns")
-        n = len(_state_column(raw, "xi"))
-        cols = {name: _state_column(raw, name, n) for name in STATE_COLUMNS}
+        _only(payload, ("schema_version", "params", "w0", "w0_mismatch",
+                        "tol", "anchor", "grid", "orbit"), "table")
+        params = ProfileParams(**payload["params"])
+        grid = payload["grid"]
         anchor = payload.get("anchor")
-        return cls(params=ProfileParams(**payload["params"]),
-                   xi_grid=cols["xi"], W=cols["W"], Z=cols["Z"],
-                   dR_Ubar=cols["dR_Ubar"], dR_Sbar=cols["dR_Sbar"],
-                   w0=payload["w0"], w0_mismatch=payload["w0_mismatch"],
-                   tol=payload["tol"],
-                   anchor=None if anchor is None else PhasePoint(**anchor))
-
-
-def _quintic_spline(x: np.ndarray, y: np.ndarray) -> BSpline:
-    """Quintic interpolating spline of y over x."""
-    # scipy.interpolate is imported here, not with the module: it costs
-    # more than half a second, and nothing but these splines uses scipy.
-    # ROADMAP item 4 deletes the splines.
-    from scipy.interpolate import make_interp_spline
-    return make_interp_spline(x, y, k=5)
-
-
-def _state_column(columns: dict, name: str, n: int | None = None
-                  ) -> np.ndarray:
-    """State column `name` of a JSON table, decoded from its base64 "<f8"
-    bytes into a 1-D float array, of length n when n is given; DomainError
-    when it is missing or malformed."""
-    if name not in columns:
-        raise DomainError(f"state column {name} is missing")
-    text = columns[name]
-    if not isinstance(text, str):
-        raise DomainError(f"state column {name} is malformed: "
-                          f"{type(text).__name__}, need a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:   # binascii.Error, or a non-ASCII character
-        raise DomainError(f"state column {name} is malformed: not base64 "
-                          f"({exc})") from None
-    if len(raw) % 8:
-        raise DomainError(f"state column {name} is malformed: {len(raw)} "
-                          "bytes, not a whole number of float64")
-    col = np.frombuffer(raw, "<f8").astype(float)
-    if n is not None and len(col) != n:
-        raise DomainError(f"state column {name} is malformed: shape "
-                          f"{col.shape}, need shape ({n},)")
-    return col
+        return cls.from_orbit(
+            params, Orbit.from_payload(params.r, payload["orbit"]),
+            (grid["xi_min"], grid["xi_max"], grid["n_points"]),
+            w0=payload["w0"], w0_mismatch=payload["w0_mismatch"],
+            tol=payload["tol"],
+            anchor=None if anchor is None else PhasePoint(**anchor))
 
 
 class ResidualPair(NamedTuple):
@@ -583,7 +742,8 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     march that stops short, or meets a seam's level nearer the other
     sonic point P_bar_s, raises SonicCrossingError naming where; a grid
     too coarse to give each march a node, or an anchor inside the series
-    range, DomainError.
+    range, DomainError.  The table carries the Orbit of the four pieces,
+    and its columns are the orbit's values on the grid.
     """
     if not (xi_min < 0.0 < xi_max):
         raise DomainError(f"need xi_min < 0 < xi_max, got [{xi_min}, {xi_max}]")
@@ -631,9 +791,7 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
 
     xi_grid = _build_grid(xi_min, xi_max, n_points)
     left = xi_grid < seam_left + 1e-12
-    near = (xi_grid >= seam_left - 1e-12) & (xi_grid <= seam_right + 1e-12)
     inner = (xi_grid > seam_right - 1e-12) & (xi_grid <= xi_anchor)
-    outer = xi_grid > xi_anchor
     if not (np.any(left) and np.any(inner)):
         raise DomainError(
             f"n_points = {n_points} on [{xi_min}, {xi_max}] leaves the left "
@@ -644,26 +802,20 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
             f"left coverage insufficient: sonic arrival at {xi_hit:.3f} "
             f"leaves the grid start outside the integrated range")
 
-    n = len(xi_grid)
-    W = np.empty(n)
-    Z = np.empty(n)
-    W[near] = _series_eval(Wc, xi_grid[near])
-    Z[near] = _series_eval(Zc, xi_grid[near])
-    W[left], Z[left] = sol_left.sol(xi_grid[left] + xi_hit)
-    W[inner], Z[inner] = sol_back.sol(xi_grid[inner] + xi_back)
-    if np.any(outer):
+    # the forward march ends at the last node
+    sol_fwd = None
+    if xi_grid[-1] > xi_anchor:
         sol_fwd = _march(rhs, (xi_anchor, xi_grid[-1]), y_anchor, tol,
                          "forward march from the anchor", level=None,
-                         bound=bound)
-        W[outer], Z[outer] = sol_fwd.sol(xi_grid[outer])
-
-    # ODE-consistent xi-derivatives; series derivatives where D_Z ~ 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dW = n_w(W, Z, r) / d_w(W, Z)
-        dZ = n_z(W, Z, r) / d_z(W, Z)
-    kc = np.arange(len(Wc))
-    dW[near] = _series_eval(Wc[1:] * kc[1:], xi_grid[near])
-    dZ[near] = _series_eval(Zc[1:] * kc[1:], xi_grid[near])
+                         bound=bound).sol
+    orbit = Orbit(r=r, Wc=Wc, Zc=Zc, seam_left=seam_left,
+                  seam_right=seam_right, left=sol_left.sol,
+                  left_origin=float(xi_hit), back=sol_back.sol,
+                  back_origin=float(xi_back), fwd=sol_fwd)
+    table = ProfileTable.from_orbit(
+        params, orbit, (xi_min, xi_max, n_points), tol=tol,
+        anchor=PhasePoint(anchor.W, anchor.Z, xi_anchor))
+    W, Z = table.W, table.Z
 
     # invariants of the solved branch
     if not np.all(d_w(W, Z) > 0):
@@ -675,12 +827,6 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     if not np.all(np.sign(dz_vals[off]) == np.sign(xi_grid[off])):
         raise SonicCrossingError("sign(D_Z) != sign(xi) off the sonic point")
 
-    U = 0.5 * (W + Z)
-    S = 0.5 * (W - Z)
-    table = ProfileTable(params=params, xi_grid=xi_grid, W=W, Z=Z,
-                         dR_Ubar=U + 0.5 * (dW + dZ),
-                         dR_Sbar=S + 0.5 * (dW - dZ), tol=tol,
-                         anchor=PhasePoint(anchor.W, anchor.Z, xi_anchor))
     w0, w0_mismatch = _match_origin(table.R, table.Sbar)
     return replace(table, w0=w0, w0_mismatch=w0_mismatch)
 

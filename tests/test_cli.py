@@ -6,7 +6,6 @@ artifact files twice, they do not compare against frozen blobs.
 """
 
 import argparse
-import base64
 import json
 import math
 import os
@@ -109,13 +108,14 @@ class TestProfileCommand:
         assert head[1].startswith("# config_hash: ")
 
     def test_json_state_rebuilds_the_csv_bit_for_bit(self, tmp_path):
-        # the JSON table holds the five state columns; the eleven columns
-        # of the CSV, each in %.17g, follow from them on load
+        # the JSON table holds the orbit and the grid, no column; the
+        # eleven columns of the CSV, each in %.17g, follow from them on load
         assert main(["profile", "--r", "2.01", *FAST,
                      "--out-dir", str(tmp_path)]) == EXIT_OK
         table = json.loads(read(tmp_path / "profile_r2.01.json"))["artifact"]
-        assert sorted(table["columns"]) == sorted(
-            profile_solver.STATE_COLUMNS)
+        assert "columns" not in table
+        assert sorted(table["orbit"]) == ["back", "fwd", "left", "seams",
+                                          "series"]
         csv = read(tmp_path / "profile_r2.01.csv").decode()
         body = "".join(line for line in csv.splitlines(keepends=True)
                        if not line.startswith("#"))
@@ -331,9 +331,16 @@ def _written(out, prefix):
 
 def _add_U_nls(text):
     """The stamped profile artifact `text` with a U_nls column, one that
-    the state alone defines, next to the state columns."""
+    the orbit alone defines, next to the orbit's pieces."""
     wrapped = json.loads(text)
-    wrapped["artifact"]["columns"]["U_nls"] = [0.0]
+    wrapped["artifact"]["orbit"]["U_nls"] = [0.0]
+    return json.dumps(wrapped, indent=2, sort_keys=True) + "\n"
+
+
+def _set_seams(text, seams):
+    """The stamped profile artifact `text` with its orbit's seams set."""
+    wrapped = json.loads(text)
+    wrapped["artifact"]["orbit"]["seams"] = seams
     return json.dumps(wrapped, indent=2, sort_keys=True) + "\n"
 
 
@@ -435,10 +442,14 @@ class TestProfileReuse:
 
     @pytest.mark.parametrize("tamper, message", [
         pytest.param(_add_U_nls,
-                     "columns ['U_nls'] are not state columns",
+                     "orbit entries ['U_nls'] are not part of a schema-4 "
+                     "table",
                      id="extra-column"),
         pytest.param(lambda text: text[:1000], "JSONDecodeError",
                      id="truncated"),
+        pytest.param(lambda text: _set_seams(text, [-0.2]),
+                     "ValueError: not enough values to unpack",
+                     id="one-seam"),
     ])
     def test_refused_artifact_exits_2_and_profile_rewrites_it(
             self, tamper, message, tmp_path, capsys, solves):
@@ -469,10 +480,12 @@ class TestProfileReuse:
         path = tmp_path / "profile_r2.01.json"
         wrapped = json.loads(read(path))
         table = wrapped["artifact"]
+        loaded = profile_solver.ProfileTable.from_payload(table)
+        del table["grid"], table["orbit"]
         table["schema_version"] = 2
         table["columns"] = {
-            name: np.frombuffer(base64.b64decode(text), "<f8").tolist()
-            for name, text in table["columns"].items()}
+            name: loaded._column(name).tolist()
+            for name in ("xi", "W", "Z", "dR_Ubar", "dR_Sbar")}
         if key == "foreign":
             wrapped["table_key"] = "0" * 16
         path.write_text(json.dumps(wrapped, indent=2, sort_keys=True) + "\n")
@@ -514,11 +527,13 @@ class TestProfileReuse:
 
 
 #: in a fresh interpreter, the solve path (profile, verify, sweep and
-#: phase-portrait), then simulate; prints the scipy modules loaded after
-#: each of the two
+#: phase-portrait), then simulate, then the dissipativity probe and the
+#: blow-up exponent in process; prints the scipy modules loaded after each
+#: of the three
 IMPORT_GRAPH = """
 import json, sys
-from nls_implosion import cli
+from nls_implosion import cli, dynamics_lab, profile_solver
+from nls_implosion.phase_portrait import ProfileParams
 
 out = sys.argv[1]
 fast = ["--n-points", "1024", "--out-dir", out]
@@ -535,15 +550,18 @@ def scipy_modules():
 solve = scipy_modules()
 assert cli.main(["simulate", "--r", "2.01", "--n", "256", "--s-span",
                  "0.05", "--n-samples", "3", *fast]) == 0
-print(json.dumps([solve, scipy_modules()]))
+simulate = scipy_modules()
+table = profile_solver.solve_profile(ProfileParams(r=2.01), n_points=1024)
+dynamics_lab.dissipativity_probe(table, trials=4, n=257, n_modes=4)
+dynamics_lab.blowup_exponent(table, 4, n_grid=129)
+print(json.dumps([solve, simulate, scipy_modules()]))
 """
 
 
 class TestImportGraph:
     def test_solve_path_imports_no_scipy(self, tmp_path):
-        # scipy serves only the splines behind simulate and the
-        # diagnostics (ROADMAP item 4 deletes them); a module-level scipy
-        # import anywhere on the solve path costs every command its load
+        # the package uses no scipy at run time: a scipy import anywhere
+        # costs the command that reaches it about half a second
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         done = subprocess.run(
@@ -551,9 +569,9 @@ class TestImportGraph:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True,
             text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        solve, simulate = json.loads(done.stdout.splitlines()[-1])
-        assert solve == []
-        assert "scipy.interpolate" in simulate
+        solve, simulate, diagnostics = json.loads(
+            done.stdout.splitlines()[-1])
+        assert solve == simulate == diagnostics == []
 
 
 class TestSweepCommand:

@@ -144,6 +144,11 @@ class TestProfileFieldset:
             profile_fieldset(profile_r201, RadialGrid.uniform(65, beyond),
                              1e4)
 
+    def test_table_without_orbit_refused(self, profile_r201):
+        columns = replace(profile_r201, orbit=None)
+        with pytest.raises(DomainError, match="needs the table's orbit"):
+            profile_fieldset(columns, RadialGrid.uniform(65, 4.0), 1e4)
+
     def test_center_regularity(self, profile_r201):
         fs = profile_fieldset(profile_r201, RadialGrid.uniform(2049, 4.0), 1e4)
         assert np.all(fs.S > 0.0)
@@ -151,20 +156,24 @@ class TestProfileFieldset:
         assert abs(fs.S[1] - fs.S[0]) < 1e-5 * fs.S[0]
 
     def test_consistent_gradients_residual(self, profile_r201):
-        # the stationary operator on the interpolated fields, with
-        # derivatives from the table's ODE-consistent columns splined on
-        # their own: differencing the spline-sampled fields could not beat
-        # the integrator's node noise divided by h
+        # the stationary operator on the evaluated fields, with
+        # derivatives from the orbit's dW/dxi and dZ/dxi at the same
+        # nodes, mapped to R as the table maps its columns: the fields
+        # are the orbit itself, so the operator vanishes to round-off
+        # (2e-15 measured)
         t = profile_r201
         fs = profile_fieldset(t, RadialGrid.uniform(4096, 30.0), 1e4)
-        R = fs.R
-        inside = R >= t.R[0]
-        dPsi, dS, lapPsi = (make_interp_spline(t.R, col, k=5)(R[inside])
-                            for col in (t.U_nls, t.dR_S_nls, t.lapPsi_nls))
-        N_Psi, N_S = profile_operator(t.params, R[inside], fs.Psi[inside],
-                                      dPsi, fs.S[inside], dS, lapPsi)
-        assert np.max(np.abs(N_Psi)) < 1e-6
-        assert np.max(np.abs(N_S)) < 1e-6
+        inside = fs.R >= t.R[0]
+        R = fs.R[inside]
+        W, Z, dW, dZ = t.orbit(np.log(R))
+        U, S = 0.5 * (W + Z), 0.5 * (W - Z)
+        dPsi = 0.5 * (R * U)                      # U_nls
+        dS = 0.5 * (S + 0.5 * (dW - dZ))          # dR_S_nls
+        lapPsi = 0.5 * (U + 0.5 * (dW + dZ)) + (t.params.d - 1) / R * dPsi
+        N_Psi, N_S = profile_operator(t.params, R, fs.Psi[inside], dPsi,
+                                      fs.S[inside], dS, lapPsi)
+        assert np.max(np.abs(N_Psi)) < 1e-12
+        assert np.max(np.abs(N_S)) < 1e-12
 
 
 class TestStep:

@@ -46,7 +46,6 @@ from nls_implosion.profile_solver import (
     ANCHOR_TOL,
     CSV_HEADER,
     SERIES_DPS,
-    STATE_COLUMNS,
     ProfileTable,
     fit_decay,
     origin_slope,
@@ -221,6 +220,37 @@ class TestSolveProfile:
         assert np.all(t.Sbar > 0)
         off = np.abs(t.xi_grid) > 1e-12
         assert np.all(np.sign(d_z(t.W, t.Z)[off]) == np.sign(t.xi_grid[off]))
+
+    def test_orbit_pieces(self, profile_r201):
+        # the series on the seams' range, each coefficient row summed
+        # alone; each march over it on its own range, in its march
+        # coordinate.  The ranges overlap by 1e-12 at the seams, and
+        # xi = -0.2 is a node here: the left march gives its W and Z, the
+        # series its derivatives.  Off the series' range the derivatives
+        # are the flow's, N/D
+        o, xi = profile_r201.orbit, profile_r201.xi_grid
+        W, Z, dW, dZ = o(xi)
+        near = (xi >= o.seam_left - 1e-12) & (xi <= o.seam_right + 1e-12)
+        left = xi < o.seam_left + 1e-12
+        inner = (xi > o.seam_right - 1e-12) & (xi <= o.xi_anchor)
+        outer = xi > o.xi_anchor
+        assert np.count_nonzero(near & left) == 1
+        k = np.arange(len(o.Wc))
+        for got, coeffs, where in (
+                (W, o.Wc, near & ~left & ~inner),
+                (Z, o.Zc, near & ~left & ~inner),
+                (dW, o.Wc[1:] * k[1:], near), (dZ, o.Zc[1:] * k[1:], near)):
+            want = profile_solver._series_eval(coeffs, xi[where])
+            assert got[where].tobytes() == want.tobytes()
+        for piece, where, at in ((o.left, left, xi + o.left_origin),
+                                 (o.back, inner, xi + o.back_origin),
+                                 (o.fwd, outer, xi)):
+            assert np.any(where)
+            np.testing.assert_array_equal(np.stack((W, Z))[:, where],
+                                          piece(at[where]))
+        np.testing.assert_array_equal(
+            dW[~near], n_w(W[~near], Z[~near], 2.01) / d_w(W[~near],
+                                                           Z[~near]))
 
     def test_matched_origin_coefficient(self, profile_r201):
         assert abs(profile_r201.w0 - 0.5789672787) < 1e-8
@@ -629,61 +659,112 @@ class TestInvariants:
         assert e1 < 50.0 * h * h
 
 
+#: the arrays of a schema-4 table, as piece.key: the series'
+#: coefficients and each march's DenseSolution arrays
+ORBIT_ARRAYS = ["series.W", "series.Z"] + [
+    f"{piece}.{key}" for piece in ("left", "back", "fwd")
+    for key in ("ts", "t_old", "h", "y_old", "F")]
+
+
+def _orbit_values(table, name):
+    """The values the orbit array `name` of the table's payload holds."""
+    piece, key = name.split(".")
+    if piece == "series":
+        return getattr(table.orbit, key + "c")
+    return getattr(table.orbit, piece).arrays()[key]
+
+
 class TestSerialization:
     def test_json_roundtrip_exact(self, profile_r201):
+        # schema 4 stores the grid and the orbit, no column; every column
+        # is rebuilt on load bit for bit, and so is every orbit array
         payload = json.loads(profile_r201.to_json())
-        assert sorted(payload["columns"]) == sorted(STATE_COLUMNS)
+        assert "columns" not in payload and payload["schema_version"] == 4
         restored = ProfileTable.from_payload(payload)
         for name in ("xi_grid", "W", "Z", "R", "Ubar_R", "Sbar",
                      "U_nls", "S_nls", "Psi_nls", "dR_Ubar", "dR_Sbar"):
             np.testing.assert_array_equal(getattr(restored, name),
                                           getattr(profile_r201, name))
+        for name in ORBIT_ARRAYS:
+            back, want = (_orbit_values(t, name)
+                          for t in (restored, profile_r201))
+            assert back.shape == want.shape
+            assert back.tobytes() == want.tobytes()
+        for name in ("seam_left", "seam_right", "left_origin",
+                     "back_origin", "r"):
+            assert (getattr(restored.orbit, name)
+                    == getattr(profile_r201.orbit, name))
+        assert restored.grid == profile_r201.grid == (-6.0, 7.0, 4096)
         assert restored.w0 == profile_r201.w0
         assert restored.params == profile_r201.params
         assert restored.anchor == profile_r201.anchor
 
+    @pytest.mark.parametrize("r", [1.5, 2.01, 2.068])
+    def test_columns_are_the_orbit_on_the_grid(self, r):
+        # the table's columns are the orbit's values at its nodes, and a
+        # table read back from its payload has the same columns and CSV
+        table = to_physical(solve_profile(ProfileParams(r=r)))
+        W, Z, dW, dZ = table.orbit(table.xi_grid)
+        U, S = 0.5 * (W + Z), 0.5 * (W - Z)
+        for col, want in ((table.W, W), (table.Z, Z),
+                          (table.dR_Ubar, U + 0.5 * (dW + dZ)),
+                          (table.dR_Sbar, S + 0.5 * (dW - dZ))):
+            assert col.tobytes() == want.tobytes()
+        back = ProfileTable.from_payload(json.loads(table.to_json()))
+        for name in ("xi_grid", "W", "Z", "dR_Ubar", "dR_Sbar"):
+            assert (getattr(back, name).tobytes()
+                    == getattr(table, name).tobytes())
+        assert back.to_csv().encode() == table.to_csv().encode()
+
     @pytest.mark.parametrize("name", ["R", "Sbar", "Psi_nls"])
     def test_json_non_state_column_refused(self, profile_r201, name):
-        # derived columns are rebuilt from (W, Z) on load; a file that
+        # every column is rebuilt from the orbit on load; a file that
         # carries a copy of one, even the exact one, is refused
         payload = json.loads(profile_r201.to_json())
-        payload["columns"][name] = getattr(profile_r201, name).tolist()
+        payload["orbit"][name] = base64.b64encode(
+            getattr(profile_r201, name).astype("<f8").tobytes()).decode()
         with pytest.raises(DomainError,
-                           match=rf"columns \['{name}'\] are not state"):
+                           match=rf"orbit entries \['{name}'\] are not part"):
             ProfileTable.from_payload(payload)
 
-    @pytest.mark.parametrize("name", ["xi", "W", "Z", "dR_Ubar", "dR_Sbar"])
-    def test_json_missing_state_column_refused(self, profile_r201, name):
+    @pytest.mark.parametrize("name", ORBIT_ARRAYS)
+    def test_json_missing_orbit_array_refused(self, profile_r201, name):
         payload = json.loads(profile_r201.to_json())
-        del payload["columns"][name]
-        with pytest.raises(DomainError, match=f"state column {name} "):
+        piece, key = name.split(".")
+        del payload["orbit"][piece][key]
+        with pytest.raises(DomainError,
+                           match=rf"orbit array {name} is missing"):
             ProfileTable.from_payload(payload)
 
     def test_json_columns_are_base64_of_little_endian_float64(
             self, profile_r201):
-        # the one-liner the docs give reads each column back bit for bit
-        columns = json.loads(profile_r201.to_json())["columns"]
-        for name in STATE_COLUMNS:
-            back = np.frombuffer(base64.b64decode(columns[name]), "<f8")
-            want = profile_r201._column(name).astype("<f8")
+        # the one-liner the docs give reads each orbit array back bit for
+        # bit, flattened in C order
+        orbit = json.loads(profile_r201.to_json())["orbit"]
+        for name in ORBIT_ARRAYS:
+            piece, key = name.split(".")
+            back = np.frombuffer(base64.b64decode(orbit[piece][key]), "<f8")
+            want = _orbit_values(profile_r201, name).astype("<f8").ravel()
             assert back.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("name", ["xi", "W", "Z", "dR_Ubar", "dR_Sbar"])
-    def test_json_malformed_state_column_refused(self, profile_r201, name):
-        # a column one float short disagrees in length with xi (a short xi
-        # with W, the first column measured against it); a null column is
-        # no base64 string at all
+    @pytest.mark.parametrize("name", ORBIT_ARRAYS)
+    def test_json_malformed_orbit_array_refused(self, profile_r201, name):
+        # an array one float short disagrees in shape with the one that
+        # sets the length of its piece (a short series.W with series.Z, a
+        # short h of a march with its ts); a null array is no base64
+        # string at all
         payload = json.loads(profile_r201.to_json())
-        column = base64.b64decode(payload["columns"][name])
-        payload["columns"][name] = base64.b64encode(column[:-8]).decode()
-        culprit = "W" if name == "xi" else name
+        piece, key = name.split(".")
+        raw = base64.b64decode(payload["orbit"][piece][key])
+        payload["orbit"][piece][key] = base64.b64encode(raw[:-8]).decode()
+        culprit = {"W": "series.Z", "h": f"{piece}.ts"}.get(key, name)
         with pytest.raises(DomainError,
-                           match=f"state column {culprit} is malformed: "
+                           match=f"orbit array {culprit} is malformed: "
                                  r"shape \("):
             ProfileTable.from_payload(payload)
-        payload["columns"][name] = None
+        payload["orbit"][piece][key] = None
         with pytest.raises(DomainError,
-                           match=f"state column {name} is malformed: "
+                           match=f"orbit array {name} is malformed: "
                                  "NoneType, need a base64 string"):
             ProfileTable.from_payload(payload)
 
@@ -698,19 +779,21 @@ class TestSerialization:
                      r"not base64 \(Incorrect padding\)", id="unpadded"),
         pytest.param(lambda text, col: base64.b64encode(
                          base64.b64decode(text)[:-4]).decode(),
-                     "32764 bytes, not a whole number of float64",
+                     "{partial} bytes, not a whole number of float64",
                      id="partial-float"),
         pytest.param(lambda text, col: col.tolist(),
                      "list, need a base64 string", id="decimal-list"),
     ])
     def test_json_column_codec_refusals(self, profile_r201, tamper, message):
-        # schema 3 reads a column only as the base64 of whole "<f8" values:
-        # a schema 2 decimal list is refused, not parsed
+        # schema 4 reads an orbit array only as the base64 of whole "<f8"
+        # values: a decimal list is refused, not parsed
         payload = json.loads(profile_r201.to_json())
-        payload["columns"]["W"] = tamper(payload["columns"]["W"],
-                                         profile_r201.W)
+        F = profile_r201.orbit.left.arrays()["F"]
+        payload["orbit"]["left"]["F"] = tamper(payload["orbit"]["left"]["F"],
+                                               F)
+        message = message.format(partial=F.nbytes - 4)
         with pytest.raises(DomainError,
-                           match=f"state column W is malformed: {message}"):
+                           match=f"orbit array left.F is malformed: {message}"):
             ProfileTable.from_payload(payload)
 
     def test_schema_version_enforced(self, profile_r201):
@@ -718,6 +801,22 @@ class TestSerialization:
         payload["schema_version"] = 99
         with pytest.raises(DomainError):
             ProfileTable.from_payload(payload)
+
+    def test_schema_3_payload_refused(self, profile_r201):
+        # the columns of schema 3, each base64 "<f8", are not read
+        payload = json.loads(profile_r201.to_json())
+        del payload["grid"], payload["orbit"]
+        payload["schema_version"] = 3
+        payload["columns"] = {
+            name: base64.b64encode(profile_r201._column(name).astype(
+                "<f8").tobytes()).decode()
+            for name in ("xi", "W", "Z", "dR_Ubar", "dR_Sbar")}
+        with pytest.raises(DomainError, match="unsupported schema version 3"):
+            ProfileTable.from_payload(payload)
+
+    def test_table_without_orbit_has_no_payload(self):
+        with pytest.raises(DomainError, match="without its orbit"):
+            synthetic_table().payload()
 
     def test_csv_header_and_shape(self, profile_r201):
         lines = profile_r201.to_csv().splitlines()
