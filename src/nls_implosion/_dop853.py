@@ -324,13 +324,13 @@ class DenseSolution:
     ts[k + 1], is the interpolant of step k; a time on a breakpoint takes
     the earlier segment, and times outside the span the end segments."""
 
-    def __init__(self, ts, direction: float, t_old, h, y_old, F):
+    def __init__(self, ts, direction: float, h, y_old, F):
         self.ts = np.asarray(ts, dtype=float)
         # the inner breakpoints in the march's direction: the segment of t
         # is the number of them before it
         self._inner = direction * self.ts[1:-1]
         self._direction = direction
-        self._t_old = np.frombuffer(t_old)
+        self._t_old = self.ts[:-1]     # each step's start
         self._h = np.frombuffer(h)
         self._y_old = np.frombuffer(y_old).reshape(-1, 2)
         self._F = np.frombuffer(F).reshape(-1, N_DENSE, 2)
@@ -338,22 +338,23 @@ class DenseSolution:
     @staticmethod
     def shapes(m: int) -> dict[str, tuple[int, ...]]:
         """The shape of each of arrays() for a march of m steps."""
-        return {"ts": (m + 1,), "t_old": (m,), "h": (m,), "y_old": (m, 2),
+        return {"ts": (m + 1,), "h": (m,), "y_old": (m, 2),
                 "F": (m, N_DENSE, 2)}
 
     def arrays(self) -> dict[str, np.ndarray]:
         """The arrays that define the march, by name: the breakpoints ts,
-        and each step's start t_old, size h, state y_old and interpolant
-        coefficients F.  from_arrays rebuilds the march from them."""
-        return {"ts": self.ts, "t_old": self._t_old, "h": self._h,
-                "y_old": self._y_old, "F": self._F}
+        each step's start but the last's end, and each step's size h,
+        state y_old and interpolant coefficients F.  from_arrays rebuilds
+        the march from them."""
+        return {"ts": self.ts, "h": self._h, "y_old": self._y_old,
+                "F": self._F}
 
     @classmethod
-    def from_arrays(cls, ts, t_old, h, y_old, F) -> "DenseSolution":
+    def from_arrays(cls, ts, h, y_old, F) -> "DenseSolution":
         """The march whose arrays() these are, bit for bit; its direction
         is the sign of its steps."""
         flat = (np.ascontiguousarray(a, dtype=float).ravel()
-                for a in (t_old, h, y_old, F))
+                for a in (h, y_old, F))
         return cls(ts, 1.0 if h[0] > 0 else -1.0, *flat)
 
     def __call__(self, t) -> np.ndarray:
@@ -409,8 +410,8 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
     g = [ev(t0, y) for ev in events]
     t_events = [[] for _ in events]
     y_events = [[] for _ in events]
-    # per step of the dense output: t_old, h, y_old and the coefficients
-    seg_t, seg_h, seg_y, seg_F = (array("d") for _ in range(4))
+    # per step of the dense output: h, y_old and the coefficients
+    seg_h, seg_y, seg_F = (array("d") for _ in range(3))
 
     t = t0
     f = fun(t, y)
@@ -454,7 +455,6 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
         if dense_output:
             F = _dense(fun, t_old, h, y_old, y, K)
             nfev += 3
-            seg_t.append(t_old)
             seg_h.append(h)
             seg_y.extend(y_old)
             seg_F.extend(F)
@@ -481,8 +481,8 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
                     t_events[k].append(root)
                     y_events[k].append(interp(root))
                     if terminal[k] or (stops[k] is not None and stops[k](
-                            root, DenseSolution(ts + [t], direction, seg_t[:],
-                                                seg_h[:], seg_y[:], seg_F[:]))):
+                            root, DenseSolution(ts + [t], direction, seg_h[:],
+                                                seg_y[:], seg_F[:]))):
                         status = 1
                         t, y = root, interp(root)
                         break
@@ -490,8 +490,8 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3, atol: float = 1e-6,
 
         ts.append(t)
 
-    sol = (DenseSolution(ts, direction, seg_t, seg_h, seg_y, seg_F)
-           if dense_output and seg_t else None)
+    sol = (DenseSolution(ts, direction, seg_h, seg_y, seg_F)
+           if dense_output and seg_h else None)
     return Solution(
         t=np.array(ts), t_events=[np.asarray(te) for te in t_events],
         y_events=[np.asarray(ye) for ye in y_events], sol=sol,

@@ -5,31 +5,32 @@ output file embeds the hash of the effective run configuration and the
 format version, outputs carry no timestamps, and files are written
 atomically, so a fixed configuration reproduces its artifacts byte for
 byte.  A JSON artifact is exactly json.dumps(..., indent=2,
-sort_keys=True) plus a newline.  The profile_<tag>.json table (schema 4)
-holds the solved orbit and the grid's (xi_min, xi_max, n_points), no
+sort_keys=True) plus a newline.  The profile_<tag>.json table (schema 5)
+holds the solved orbit, tol and the grid's (xi_min, xi_max, n_points), no
 column; each orbit array is one string, the standard padded base64 of its
 little-endian float64 bytes, which np.frombuffer(base64.b64decode(s),
-"<f8") reads back bit for bit, and loading evaluates the orbit on the
+"<f8") reads back bit for bit, and loading evaluates the orbit on a
 grid.  The CSV is the human-readable table, with all eleven columns in
 %.17g.
 
 `verify` and `simulate` take their table from the profile_<tag>.json in
 the output directory when its table key matches theirs, and solve again
 otherwise (no such file, or another key).  The key hashes the settings
-the solve reads (r, the xi range, n_points, tol) and this build: the
-source of the package and the versions of Python, numpy and mpmath; the
-solve calls no scipy, so a scipy upgrade keeps every stamped table.  So
-`verify --sample-r 5` after `profile` reads the table, while a file
-written by another build, or under another n_points, is not read.
-`profile` never reads it.
+the orbit depends on (r, the xi range, tol) and this build: the source
+of the package and the versions of Python, numpy and mpmath; the solve
+calls no scipy, so a scipy upgrade keeps every stamped table.  The
+table is the stored orbit on the run's own grid, so `verify --sample-r
+5` after `profile` reads the file, and `verify` under another
+--n-points evaluates the stored orbit, while a file written by another
+build is not read.  `profile` never reads it.
 
 Exit codes: 0 success, 1 verification checks failed, 2 configuration,
 solver or other workbench failure (a ConsistencyError from the solve
 included, and a profile_<tag>.json that cannot be read as JSON or whose
-matching key sits on a table ProfileTable.from_payload refuses), 3 a
-ConsistencyError while checking a solved table (the special points, the
-refinement gate or the sign lemmas of `certify`), 4 CFL/positivity abort
-(with the last good snapshot dumped).
+matching key sits on a table ProfileTable.from_payload refuses on the
+run's grid), 3 a ConsistencyError while checking a solved table (the
+special points, the refinement gate or the sign lemmas of `certify`), 4
+CFL/positivity abort (with the last good snapshot dumped).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy
 from . import dynamics_lab, phase_portrait, profile_solver
 from .dynamics_lab import EnergyConfig
 from .errors import (CFLError, ConsistencyError, DomainError,
-                     PositivityError, WorkbenchError)
+                     PositivityError, SonicCrossingError, WorkbenchError)
 from .phase_portrait import R_STAR, ProfileParams
 from .profile_solver import ProfileTable
 from .report import VerificationReport
@@ -235,16 +236,16 @@ def _out(cfg: RunConfig, name: str) -> str:
 
 
 def _table_settings(cfg: RunConfig) -> dict:
-    """The settings a profile table depends on; _solve passes the solver
-    these and no others."""
+    """The settings the solved orbit depends on; _solve passes the solver
+    these and the grid's n_points, which only tabulates the orbit."""
     return {"r": cfg.r, "xi_min": cfg.xi_min, "xi_max": cfg.xi_max,
-            "n_points": cfg.n_points, "tol": cfg.tol}
+            "tol": cfg.tol}
 
 
 def _solve(cfg: RunConfig) -> ProfileTable:
     settings = _table_settings(cfg)
     table = profile_solver.solve_profile(
-        ProfileParams(r=settings.pop("r")), **settings)
+        ProfileParams(r=settings.pop("r")), n_points=cfg.n_points, **settings)
     return profile_solver.to_physical(table)
 
 
@@ -264,23 +265,26 @@ def _build_id() -> str:
 
 
 def _table_key(cfg: RunConfig) -> str:
-    """Stamp of the table _solve(cfg) returns in this build: two configs
-    with one key get the same table, bit for bit."""
+    """Stamp of the orbit _solve(cfg) tabulates in this build: two configs
+    with one key get the same orbit, bit for bit, and so the same table on
+    one grid."""
     text = json.dumps({"build": _build_id(), **_table_settings(cfg)},
                       sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _table(cfg: RunConfig) -> ProfileTable:
-    """The table `profile` wrote with this table key, else a fresh solve.
+    """The orbit `profile` wrote with this table key on cfg's grid, else
+    a fresh solve.
 
     A profile_<tag>.json in out_dir whose table_key is _table_key(cfg)
-    holds the table _solve(cfg) returns, and is read back instead; the
+    holds the orbit _solve(cfg) tabulates, and from_payload tabulates it
+    on cfg's grid instead, whatever n_points the file was written at; the
     verify-only and simulate-only settings do not enter the key.  A
     missing file or another key solves again.  A file that cannot be read
     or is not JSON, or a matching key on a table that from_payload
-    refuses, is a DomainError naming the file: a bad file is never solved
-    over.
+    refuses on cfg's grid, is a DomainError naming the file: a bad file
+    is never solved over.
     """
     path = _out(cfg, "profile_{tag}.json")
     try:
@@ -295,9 +299,10 @@ def _table(cfg: RunConfig) -> ProfileTable:
             and wrapped.get("table_key") == _table_key(cfg)):
         return _solve(cfg)
     try:
-        table = ProfileTable.from_payload(wrapped["artifact"])
-    except (DomainError, KeyError, TypeError, ValueError,
-            AttributeError) as exc:
+        table = ProfileTable.from_payload(
+            wrapped["artifact"], (cfg.xi_min, cfg.xi_max, cfg.n_points))
+    except (DomainError, ConsistencyError, SonicCrossingError, KeyError,
+            TypeError, ValueError, AttributeError) as exc:
         raise DomainError(f"cannot use {path}: {type(exc).__name__}: {exc}; "
                           "delete it to solve again") from None
     return profile_solver.to_physical(table)

@@ -43,11 +43,13 @@ interpolants of a march kept in arrays so that a grid is evaluated in one
 pass.  The package imports no scipy at run time; the tests keep it as a
 reference.
 
-The solved orbit is an Orbit: the series and the dense output of the
-left, backward and forward marches, joined at the seams and the anchor.
-It evaluates W, Z and their xi-derivatives at any xi; the table's columns
-are its values on the grid, and the JSON table (schema 4) stores the
-orbit, not the columns.
+The solved orbit is an Orbit (solve_orbit): the series and the dense
+output of the left, backward and forward marches, joined at the seams and
+the anchor, over the xi range and at the tolerance of the solve but on no
+grid.  It evaluates W, Z and their xi-derivatives at any xi.
+ProfileTable.from_orbit tabulates it on a grid of any n_points; the JSON
+table (schema 5) stores the orbit and the grid, and loading it tabulates
+the orbit again, on its own grid or on another.
 
 Where a march into P_s meets the series, one seam rule holds on both sides:
 the series stands in for the march only where its tail is below 1e-14 and
@@ -78,7 +80,7 @@ from __future__ import annotations
 import base64
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import mpmath
@@ -112,6 +114,7 @@ __all__ = [
     "Orbit",
     "ProfileTable",
     "ResidualPair",
+    "solve_orbit",
     "solve_profile",
     "to_physical",
     "fit_decay",
@@ -127,9 +130,9 @@ __all__ = [
 
 CSV_HEADER = ["xi", "R", "W", "Z", "Ubar_R", "Sbar", "U_nls", "S_nls",
               "Psi_nls", "dR_Ubar", "dR_Sbar"]
-#: 4: the JSON table stores the orbit, each array one base64 string of
-#: its "<f8" bytes, and the grid; every column follows from them
-SCHEMA_VERSION = 4
+#: 5: the JSON table stores the orbit, each array one base64 string of
+#: its "<f8" bytes, the grid and tol; every column and w0 follow from them
+SCHEMA_VERSION = 5
 
 #: radius of the origin fit that reports w0 = Sbar(0)
 MATCH_RADIUS = 0.05
@@ -145,7 +148,7 @@ SERIES_DPS = 60
 #: r = 2.07, still keeps 50 digits, far more than the 17 a double needs
 SERIES_BITS = 320
 
-#: order of the sonic series that solve_profile sums on |xi| <= xi_switch
+#: order of the sonic series that the orbit sums on |xi| <= xi_switch
 SERIES_ORDER = 90
 
 
@@ -154,12 +157,14 @@ class Orbit:
     """The solved orbit (W, Z) as a function of xi, held as its pieces.
 
     The sonic series (coefficients Wc, Zc) covers [seam_left, seam_right].
-    The left march covers xi below seam_left and the backward march from
-    the anchor (seam_right, xi_anchor]; each is evaluated in its own march
+    The left march covers xi below seam_left, from its start left.ts[0]
+    less left_origin, and the backward march from the anchor
+    (seam_right, xi_anchor]; each is evaluated in its own march
     coordinate, xi plus the march coordinate of P_s (left_origin,
     back_origin).  The forward march from the anchor covers xi beyond
-    xi_anchor, in xi itself; it is None when the table ends at the anchor,
-    and the backward march then covers xi beyond it too.
+    xi_anchor up to the solve's xi_max, in xi itself; it is None when
+    xi_max is not beyond the anchor, and the backward march then covers
+    xi beyond it too.
     """
 
     r: float
@@ -177,16 +182,23 @@ class Orbit:
     def xi_anchor(self) -> float:
         return -self.back_origin
 
+    @property
+    def anchor(self) -> PhasePoint:
+        """The anchor (outgoing_anchor) at xi_anchor: the backward march at
+        its start, which its dense output gives as the start state y_old
+        bit for bit."""
+        W, Z = self.back(0.0).tolist()
+        return PhasePoint(W, Z, self.xi_anchor)
+
     @functools.cached_property
-    def _series(self) -> list[np.ndarray]:
-        """The columns of the series' coefficients in the rows W, Z, dW/dxi
-        and dZ/dxi, from the top order down; the derivative rows are
-        padded with a zero as their top coefficient."""
+    def _series(self) -> np.ndarray:
+        """The series' coefficients in the rows W, Z, dW/dxi and dZ/dxi;
+        the derivative rows are padded with a zero as their top
+        coefficient."""
         k = np.arange(len(self.Wc))
-        rows = np.stack((self.Wc, self.Zc,
+        return np.stack((self.Wc, self.Zc,
                          np.append(self.Wc[1:] * k[1:], 0.0),
                          np.append(self.Zc[1:] * k[1:], 0.0)))
-        return [rows[:, j, None] for j in range(len(k) - 1, -1, -1)]
 
     def __call__(self, xi) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                     np.ndarray]:
@@ -196,9 +208,8 @@ class Orbit:
         1e-12 at the seams and a later one over an earlier: the series,
         the left march, the backward march and the forward march.  The
         derivatives are the flow's, N/D, except on the series' range,
-        where D_Z vanishes at P_s and they are the series' own.  The
-        series is summed by Horner's rule, its four rows at once, with the
-        bits of summing each alone.
+        where D_Z vanishes at P_s and they are the series' own, its four
+        rows summed at once (_sum_series).
         """
         xi = np.asarray(xi, dtype=float)
         left = xi < self.seam_left + 1e-12
@@ -207,13 +218,7 @@ class Orbit:
         outer = xi > self.xi_anchor
         if self.fwd is not None:
             inner &= ~outer
-        top, *columns = self._series
-        x = xi[near]
-        series = np.repeat(top, len(x), axis=1)
-        for c in columns:
-            np.multiply(series, x, out=series)
-            np.add(series, c, out=series)
-
+        series = _sum_series(self._series, xi[near])
         W = np.empty(xi.shape)
         Z = np.empty(xi.shape)
         W[near], Z[near] = series[:2]
@@ -344,10 +349,11 @@ class ProfileTable:
     The state is the orbit (W, Z) with its ODE-consistent radial derivative
     columns dR_Ubar and dR_Sbar.  R and the physical columns are derived on
     first use: Ubar_R and Sbar in the scaled convention of the autonomous
-    system, U_nls, S_nls and Psi_nls in the halved one.  A solved table
-    also carries its Orbit, whose values on the grid the columns are, and
-    the grid's (xi_min, xi_max, n_points); the JSON table stores these,
-    and profile_fieldset evaluates the orbit off the grid.
+    system, U_nls, S_nls and Psi_nls in the halved one.  A solved or loaded
+    table is built by from_orbit and carries its Orbit, whose values on the
+    grid the columns are, and the grid's (xi_min, xi_max, n_points); the
+    JSON table stores these and tol, and profile_fieldset evaluates the
+    orbit off the grid.
     """
 
     params: ProfileParams
@@ -359,24 +365,58 @@ class ProfileTable:
     w0: float = float("nan")
     w0_mismatch: float = float("nan")
     tol: float = float("nan")
-    anchor: PhasePoint | None = None
     orbit: Orbit | None = None
     grid: tuple[float, float, int] | None = None
 
     @classmethod
     def from_orbit(cls, params: ProfileParams, orbit: Orbit,
-                   grid: tuple[float, float, int], **scalars
+                   grid: tuple[float, float, int], tol: float
                    ) -> "ProfileTable":
-        """The table of `orbit` on the grid of (xi_min, xi_max, n_points):
-        the state (W, Z) and, from the orbit's xi-derivatives, dR_Ubar and
-        dR_Sbar."""
+        """The table of `orbit`, solved at `tol`, on the grid of (xi_min,
+        xi_max, n_points): the state (W, Z), from the orbit's
+        xi-derivatives dR_Ubar and dR_Sbar, and the origin fit w0.
+
+        A grid that gives the left march (xi < seam_left) or the backward
+        march (seam_right < xi <= xi_anchor) no node, or starts before the
+        left march, is a DomainError.  The state must keep the invariants
+        of the solved branch at every node: D_W > 0 and W > Z, else a
+        ConsistencyError, and sign D_Z = sign xi off the sonic point, else
+        a SonicCrossingError.
+        """
+        xi_min, xi_max, n_points = grid
         xi_grid = _build_grid(*grid)
+        # the left and backward marches' nodes, as Orbit.__call__ takes them
+        left = xi_grid < orbit.seam_left + 1e-12
+        inner = ((xi_grid > orbit.seam_right - 1e-12)
+                 & ~(xi_grid > orbit.xi_anchor))
+        if not (np.any(left) and np.any(inner)):
+            raise DomainError(
+                f"n_points = {n_points} on [{xi_min}, {xi_max}] leaves the "
+                f"left march (xi < {orbit.seam_left}) or the backward march "
+                f"({orbit.seam_right} < xi <= {orbit.xi_anchor:.4f}) without "
+                "a grid node")
+        if xi_grid[0] + orbit.left_origin < orbit.left.ts[0]:
+            raise DomainError(
+                f"left coverage insufficient: sonic arrival at "
+                f"{orbit.left_origin:.3f} leaves the grid start outside the "
+                "integrated range")
+
         W, Z, dW, dZ = orbit(xi_grid)
-        U = 0.5 * (W + Z)
-        S = 0.5 * (W - Z)
+        if not np.all(d_w(W, Z) > 0):
+            raise ConsistencyError("D_W lost positivity on the computed orbit")
+        if not np.all(W > Z):
+            raise ConsistencyError("W > Z violated on the computed orbit")
+        off = np.abs(xi_grid) > 1e-12
+        if not np.all(np.sign(d_z(W, Z)[off]) == np.sign(xi_grid[off])):
+            raise SonicCrossingError("sign(D_Z) != sign(xi) off the sonic point")
+
+        U, S = 0.5 * (W + Z), 0.5 * (W - Z)
+        R = np.exp(xi_grid)
+        w0, w0_mismatch = _match_origin(R, R * S)
         return cls(params=params, xi_grid=xi_grid, W=W, Z=Z,
                    dR_Ubar=U + 0.5 * (dW + dZ), dR_Sbar=S + 0.5 * (dW - dZ),
-                   orbit=orbit, grid=grid, **scalars)
+                   w0=w0, w0_mismatch=w0_mismatch, tol=tol, orbit=orbit,
+                   grid=grid)
 
     @functools.cached_property
     def R(self) -> np.ndarray:
@@ -442,9 +482,9 @@ class ProfileTable:
             row % values for values in zip(*columns))
 
     def payload(self) -> dict:
-        """The JSON-ready snapshot that to_json serializes: the scalars,
+        """The JSON-ready snapshot that to_json serializes: params, tol,
         the grid's (xi_min, xi_max, n_points) and the orbit
-        (Orbit.payload), from which from_payload rebuilds every column.
+        (Orbit.payload), from which from_payload rebuilds the table.
 
         Each orbit array is one string: the standard padded base64 of its
         little-endian IEEE-754 float64 bytes, so it reads back bit for bit
@@ -459,12 +499,7 @@ class ProfileTable:
         return {
             "schema_version": SCHEMA_VERSION,
             "params": {"r": self.params.r, "d": self.params.d, "p": self.params.p},
-            "w0": self.w0,
-            "w0_mismatch": self.w0_mismatch,
             "tol": self.tol,
-            "anchor": (None if self.anchor is None else
-                       {"W": self.anchor.W, "Z": self.anchor.Z,
-                        "xi": self.anchor.xi}),
             "grid": {"xi_min": xi_min, "xi_max": xi_max,
                      "n_points": n_points},
             "orbit": self.orbit.payload(),
@@ -474,23 +509,24 @@ class ProfileTable:
         return json.dumps(self.payload(), sort_keys=True)
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "ProfileTable":
-        """Table from a `payload` snapshot, its columns the orbit's values
-        on its grid.  It must hold exactly the entries payload writes, so
-        that no stored copy of a column can disagree with the orbit."""
+    def from_payload(cls, payload: dict,
+                     grid: tuple[float, float, int] | None = None
+                     ) -> "ProfileTable":
+        """Table from a `payload` snapshot by from_orbit, on its stored
+        grid or on `grid`.  It must hold exactly the entries payload
+        writes, so that no stored copy of a column or of w0 can disagree
+        with the orbit; from_orbit's refusals hold as for a solve."""
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise DomainError(f"unsupported schema version {payload.get('schema_version')}")
-        _only(payload, ("schema_version", "params", "w0", "w0_mismatch",
-                        "tol", "anchor", "grid", "orbit"), "table")
+        _only(payload, ("schema_version", "params", "tol", "grid", "orbit"),
+              "table")
         params = ProfileParams(**payload["params"])
-        grid = payload["grid"]
-        anchor = payload.get("anchor")
+        if grid is None:
+            stored = payload["grid"]
+            grid = (stored["xi_min"], stored["xi_max"], stored["n_points"])
         return cls.from_orbit(
-            params, Orbit.from_payload(params.r, payload["orbit"]),
-            (grid["xi_min"], grid["xi_max"], grid["n_points"]),
-            w0=payload["w0"], w0_mismatch=payload["w0_mismatch"],
-            tol=payload["tol"],
-            anchor=None if anchor is None else PhasePoint(**anchor))
+            params, Orbit.from_payload(params.r, payload["orbit"]), grid,
+            payload["tol"])
 
 
 class ResidualPair(NamedTuple):
@@ -581,11 +617,15 @@ def sonic_series(r: float, order: int = SERIES_ORDER) -> tuple[np.ndarray, np.nd
     return (np.array([c / one for c in W]), np.array([c / one for c in Z]))
 
 
-def _series_eval(coeffs: np.ndarray, xi) -> np.ndarray:
+def _sum_series(coeffs: np.ndarray, xi) -> np.ndarray:
+    """The power series sum_k coeffs[i, k] xi^k of each row i at the
+    points xi by Horner's rule, all rows at once, each with the bits of
+    summing it alone: shape (rows, len(xi))."""
     xi = np.asarray(xi, dtype=float)
-    out = np.full(xi.shape, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out = out * xi + c
+    out = np.repeat(coeffs[:, -1:], len(xi), axis=1)
+    for k in range(coeffs.shape[1] - 2, -1, -1):
+        np.multiply(out, xi, out=out)
+        np.add(out, coeffs[:, k, None], out=out)
     return out
 
 
@@ -708,7 +748,7 @@ def outgoing_anchor(params: ProfileParams) -> PhasePoint:
 # solver
 # ---------------------------------------------------------------------------
 
-#: a march of solve_profile is a blow-up once |W| or |Z| exceeds
+#: a march of solve_orbit is a blow-up once |W| or |Z| exceeds
 #: BLOWUP_FACTOR e^{-xi_start}, a hundred times the amplitude at which the
 #: left march starts
 BLOWUP_FACTOR = 100.0
@@ -716,6 +756,8 @@ BLOWUP_FACTOR = 100.0
 
 def _build_grid(xi_min: float, xi_max: float, n_points: int) -> np.ndarray:
     """Uniform grid of spacing (xi_max-xi_min)/(n_points-1) containing 0."""
+    if n_points < 2:
+        raise DomainError(f"n_points = {n_points}; need >= 2")
     h = (xi_max - xi_min) / (n_points - 1)
     k_lo = int(np.ceil(xi_min / h - 1e-9))
     k_hi = int(np.floor(xi_max / h + 1e-9))
@@ -725,7 +767,17 @@ def _build_grid(xi_min: float, xi_max: float, n_points: int) -> np.ndarray:
 def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7.0,
                   tol: float = 1e-12, n_points: int = 4096,
                   xi_switch: float = 0.2) -> ProfileTable:
-    """Compute the orbit through the sonic point on a uniform xi grid.
+    """The orbit through the sonic point (solve_orbit) on the uniform grid
+    of n_points over [xi_min, xi_max] (ProfileTable.from_orbit)."""
+    orbit = solve_orbit(params, xi_min, xi_max, tol, xi_switch)
+    return ProfileTable.from_orbit(params, orbit, (xi_min, xi_max, n_points),
+                                   tol)
+
+
+def solve_orbit(params: ProfileParams, xi_min: float = -6.0,
+                xi_max: float = 7.0, tol: float = 1e-12,
+                xi_switch: float = 0.2) -> Orbit:
+    """Compute the orbit through the sonic point over [xi_min, xi_max].
 
     Four pieces, assembled so that the sonic point sits at xi = 0 exactly:
     the fixed-point Taylor series of the smooth branch (sonic_series)
@@ -734,23 +786,20 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
     and the contraction toward the sonic point makes this piece accurate
     to round-off); and on the right the outgoing member through
     outgoing_anchor(params), integrated backward from the anchor into the
-    sonic point and forward from it into the far field.
+    sonic point and forward from it to xi_max, into the far field.
     Both marches into P_s stop at the seam under one rule (_arrive): of
     the seams xi_switch / 2^k, k = 0 .. 6, where the series tail is below
     1e-14 (_seams, checked before any march), the first where march and
-    series agree to 100 tol.  The anchor's xi is reported on the table.  A
+    series agree to 100 tol.  The orbit reports the anchor and its xi.  A
     march that stops short, or meets a seam's level nearer the other
-    sonic point P_bar_s, raises SonicCrossingError naming where; a grid
-    too coarse to give each march a node, or an anchor inside the series
-    range, DomainError.  The table carries the Orbit of the four pieces,
-    and its columns are the orbit's values on the grid.
+    sonic point P_bar_s, raises SonicCrossingError naming where; an
+    anchor inside the series range, DomainError.  No grid enters: any
+    grid on [xi_min, xi_max] tabulates the same orbit.
     """
     if not (xi_min < 0.0 < xi_max):
         raise DomainError(f"need xi_min < 0 < xi_max, got [{xi_min}, {xi_max}]")
     if not (1e-14 < tol < 1e-4):
         raise DomainError(f"tol = {tol} outside (1e-14, 1e-4)")
-    if n_points < 2:
-        raise DomainError(f"n_points = {n_points}; need >= 2")
 
     r = params.r
     pts = special_points(params)
@@ -789,46 +838,15 @@ def solve_profile(params: ProfileParams, xi_min: float = -6.0, xi_max: float = 7
             f"anchor sits at xi = {xi_anchor:.4f}, inside the series range "
             f"|xi| <= {xi_switch}; reduce xi_switch")
 
-    xi_grid = _build_grid(xi_min, xi_max, n_points)
-    left = xi_grid < seam_left + 1e-12
-    inner = (xi_grid > seam_right - 1e-12) & (xi_grid <= xi_anchor)
-    if not (np.any(left) and np.any(inner)):
-        raise DomainError(
-            f"n_points = {n_points} on [{xi_min}, {xi_max}] leaves the left "
-            f"march (xi < {seam_left}) or the backward march "
-            f"({seam_right} < xi <= {xi_anchor:.4f}) without a grid node")
-    if xi_grid[left][0] + xi_hit < xi_start:
-        raise DomainError(
-            f"left coverage insufficient: sonic arrival at {xi_hit:.3f} "
-            f"leaves the grid start outside the integrated range")
-
-    # the forward march ends at the last node
     sol_fwd = None
-    if xi_grid[-1] > xi_anchor:
-        sol_fwd = _march(rhs, (xi_anchor, xi_grid[-1]), y_anchor, tol,
+    if xi_max > xi_anchor:
+        sol_fwd = _march(rhs, (xi_anchor, xi_max), y_anchor, tol,
                          "forward march from the anchor", level=None,
                          bound=bound).sol
-    orbit = Orbit(r=r, Wc=Wc, Zc=Zc, seam_left=seam_left,
-                  seam_right=seam_right, left=sol_left.sol,
-                  left_origin=float(xi_hit), back=sol_back.sol,
-                  back_origin=float(xi_back), fwd=sol_fwd)
-    table = ProfileTable.from_orbit(
-        params, orbit, (xi_min, xi_max, n_points), tol=tol,
-        anchor=PhasePoint(anchor.W, anchor.Z, xi_anchor))
-    W, Z = table.W, table.Z
-
-    # invariants of the solved branch
-    if not np.all(d_w(W, Z) > 0):
-        raise ConsistencyError("D_W lost positivity on the computed orbit")
-    if not np.all(W > Z):
-        raise ConsistencyError("W > Z violated on the computed orbit")
-    dz_vals = d_z(W, Z)
-    off = np.abs(xi_grid) > 1e-12
-    if not np.all(np.sign(dz_vals[off]) == np.sign(xi_grid[off])):
-        raise SonicCrossingError("sign(D_Z) != sign(xi) off the sonic point")
-
-    w0, w0_mismatch = _match_origin(table.R, table.Sbar)
-    return replace(table, w0=w0, w0_mismatch=w0_mismatch)
+    return Orbit(r=r, Wc=Wc, Zc=Zc, seam_left=seam_left,
+                 seam_right=seam_right, left=sol_left.sol,
+                 left_origin=float(xi_hit), back=sol_back.sol,
+                 back_origin=float(xi_back), fwd=sol_fwd)
 
 
 def _seams(Wc: np.ndarray, Zc: np.ndarray, r: float, xi_switch: float
@@ -859,7 +877,7 @@ def _march(rhs, span, y0, tol: float, what: str, level: float | None = 0.0,
     `stops`, (seam, level, rule) triples, are the levels of D_Z at seams
     that the march meets before `level`: at each root of one, rule(root,
     sol) with the march so far decides whether it stops there or goes on.
-    With a `bound` (the marches of solve_profile) max(|W|, |Z|) above it is
+    With a `bound` (the marches of solve_orbit) max(|W|, |Z|) above it is
     a BlowupError, and the solution carries dense output; the anchor's edge
     orbits are only read at their event.  Any other stop raises
     SonicCrossingError naming `what`, where it stopped, the level it was
@@ -928,9 +946,8 @@ def _arrive(rhs, span, y0, tol: float, what: str, bound: float,
     DOP853, which ignores the stop rule and runs on to D_Z = 0, reads the
     same seam.
     """
-    goals = list(zip(_series_eval(Wc, seams).tolist(),
-                     _series_eval(Zc, seams).tolist())) + [(pts.P_s.W,
-                                                            pts.P_s.Z)]
+    goals = (_sum_series(np.stack((Wc, Zc)), seams).T.tolist()
+             + [(pts.P_s.W, pts.P_s.Z)])
     levels = [d_z(gw, gz) for gw, gz in goals[:-1]] + [0.0]
     origins = seams + [0.0]
     P_bar = pts.P_bar_s

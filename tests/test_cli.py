@@ -344,6 +344,14 @@ def _set_seams(text, seams):
     return json.dumps(wrapped, indent=2, sort_keys=True) + "\n"
 
 
+def _nan_back_origin(text):
+    """The stamped profile artifact `text` with the backward march's
+    coordinate of P_s not a number."""
+    wrapped = json.loads(text)
+    wrapped["artifact"]["orbit"]["back"]["origin"] = float("nan")
+    return json.dumps(wrapped, indent=2, sort_keys=True) + "\n"
+
+
 class TestProfileReuse:
     """`verify` and `simulate` read the profile_<tag>.json whose table key
     (the solve's settings and the build) is theirs instead of solving
@@ -366,12 +374,16 @@ class TestProfileReuse:
         ("verify", ["--verify-samples", "128", "--sample-r", "2"]),
         ("simulate", []),
         ("simulate", ["--n-samples", "2"]),
+        # another grid: the stored orbit, tabulated on it
+        ("verify", ["--n-points", "2048"]),
+        ("simulate", ["--n-points", "2048"]),
     ])
     def test_reads_the_profile_of_its_table_key(self, command, flags,
                                                 tmp_path, monkeypatch,
                                                 solves):
         # simulate's settings sit in a config file that profile reads too;
-        # the flags are settings profile does not see.  The out-dir is the
+        # the flags are settings profile does not see, n_points among them,
+        # since it does not enter the table key.  The out-dir is the
         # same relative path in both working directories, so the stamps
         # agree and the artifacts can be compared byte for byte
         config = tmp_path / "run.json"
@@ -393,8 +405,9 @@ class TestProfileReuse:
                                              command)
 
     def test_table_key_covers_exactly_the_solve_settings(self):
+        # n_points only tabulates the orbit, so it keeps the key
         base = RunConfig(n_points=1024)
-        others = RunConfig(n_points=1024, out_dir="elsewhere",
+        others = RunConfig(n_points=2048, out_dir="elsewhere",
                            emit=["json"], s_span=0.5, n=256, n_samples=3,
                            quantum_pressure=False, ds=0.01,
                            energy={"delta_low": 0.002}, sample_r=3,
@@ -402,12 +415,12 @@ class TestProfileReuse:
                            verify_samples=128, curve_samples=8)
         assert cli._table_key(others) == cli._table_key(base)
         for change in ({"r": 2.02}, {"xi_min": -5.0}, {"xi_max": 6.0},
-                       {"n_points": 2048}, {"tol": 1e-11}):
+                       {"tol": 1e-11}):
             assert cli._table_key(base.override(change)) \
                 != cli._table_key(base), change
 
     @pytest.mark.parametrize("profile_flags, verify_flags", [
-        ([], ["--n-points", "2048"]),            # another table
+        ([], ["--tol", "1e-11"]),                # another orbit
         (["--emit", "csv"], ["--emit", "csv"]),  # same one, no JSON written
     ])
     def test_other_key_or_no_json_solves_again(self, profile_flags,
@@ -442,7 +455,7 @@ class TestProfileReuse:
 
     @pytest.mark.parametrize("tamper, message", [
         pytest.param(_add_U_nls,
-                     "orbit entries ['U_nls'] are not part of a schema-4 "
+                     "orbit entries ['U_nls'] are not part of a schema-5 "
                      "table",
                      id="extra-column"),
         pytest.param(lambda text: text[:1000], "JSONDecodeError",
@@ -450,6 +463,11 @@ class TestProfileReuse:
         pytest.param(lambda text: _set_seams(text, [-0.2]),
                      "ValueError: not enough values to unpack",
                      id="one-seam"),
+        # the invariants of a solve hold on load: a NaN piece is refused,
+        # not certified with NaN margins
+        pytest.param(_nan_back_origin,
+                     "ConsistencyError: D_W lost positivity on the computed "
+                     "orbit", id="nan-origin"),
     ])
     def test_refused_artifact_exits_2_and_profile_rewrites_it(
             self, tamper, message, tmp_path, capsys, solves):
@@ -468,6 +486,21 @@ class TestProfileReuse:
         # profile never reads its own output, so it restores the file
         assert main(["profile", *argv]) == EXIT_OK
         assert read(path) == pristine
+
+    def test_grid_without_a_node_per_march_refused_without_a_solve(
+            self, tmp_path, capsys, solves):
+        # the stored orbit on a grid of three nodes leaves the left march
+        # none: the refusal a solve on that grid gives, named, no traceback
+        argv = ["--r", "2.01", *FAST, "--out-dir", str(tmp_path)]
+        assert main(["profile", *argv]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["verify", *argv, "--n-points", "3"]) == EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert ("DomainError: n_points = 3 on [-6.0, 7.0] leaves the left "
+                "march (xi < -0.2)") in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("verify_*"))
+        assert len(solves) == 1
 
     @pytest.mark.parametrize("key", ["current", "foreign"])
     def test_schema_2_file_refused_under_its_key_else_solved_over(

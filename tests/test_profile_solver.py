@@ -30,6 +30,7 @@ from nls_implosion.errors import (
 )
 from nls_implosion.phase_portrait import (
     GRAD_D_Z,
+    R_STAR,
     PhasePoint,
     ProfileParams,
     _sonic_closed_forms,
@@ -240,7 +241,7 @@ class TestSolveProfile:
                 (W, o.Wc, near & ~left & ~inner),
                 (Z, o.Zc, near & ~left & ~inner),
                 (dW, o.Wc[1:] * k[1:], near), (dZ, o.Zc[1:] * k[1:], near)):
-            want = profile_solver._series_eval(coeffs, xi[where])
+            want = profile_solver._sum_series(coeffs[None], xi[where])[0]
             assert got[where].tobytes() == want.tobytes()
         for piece, where, at in ((o.left, left, xi + o.left_origin),
                                  (o.back, inner, xi + o.back_origin),
@@ -391,7 +392,7 @@ class TestSeamStop:
 
 class TestOutgoingAnchor:
     def test_anchor_reported_on_table(self, profile_r201, params_r201):
-        anchor = profile_r201.anchor
+        anchor = profile_r201.orbit.anchor
         rule = outgoing_anchor(params_r201)
         assert (anchor.W, anchor.Z) == (rule.W, rule.Z)
         assert d_z(anchor.W, anchor.Z) == pytest.approx(ANCHOR_LEVEL, abs=1e-15)
@@ -401,14 +402,25 @@ class TestOutgoingAnchor:
         predicted = anchor.W + slope * (profile_r201.xi_grid[i] - anchor.xi)
         assert abs(profile_r201.W[i] - predicted) < profile_r201.h ** 2
 
+    @pytest.mark.parametrize("r", [1.5, 2.01, 2.068, R_STAR - 1e-4])
+    def test_anchor_is_the_backward_march_start(self, r):
+        # the orbit's anchor is the rule's point, where the backward march
+        # starts, at xi = -back_origin
+        params = ProfileParams(r=r)
+        orbit = solve_profile(params, n_points=1024).orbit
+        rule = outgoing_anchor(params)
+        assert orbit.anchor == PhasePoint(rule.W, rule.Z, -orbit.back_origin)
+        y_old = orbit.back.arrays()["y_old"][0]
+        assert (orbit.anchor.W, orbit.anchor.Z) == tuple(y_old.tolist())
+
     def test_anchor_independent_of_solver_settings(self, params_r201,
                                                    profile_r201):
         other = solve_profile(params_r201, tol=1e-11, xi_switch=0.1,
                               n_points=1024)
-        assert other.anchor.W == profile_r201.anchor.W
-        assert other.anchor.Z == profile_r201.anchor.Z
-        assert other.anchor.xi == pytest.approx(profile_r201.anchor.xi,
-                                                abs=1e-9)
+        mine, theirs = profile_r201.orbit.anchor, other.orbit.anchor
+        assert theirs.W == mine.W
+        assert theirs.Z == mine.Z
+        assert theirs.xi == pytest.approx(mine.xi, abs=1e-9)
 
     def test_margin_responds_smoothly_to_anchor(self, params_r201,
                                                 profile_r201, monkeypatch):
@@ -505,8 +517,9 @@ class TestScipyReference:
         np.testing.assert_array_equal(own.xi_grid, ref.xi_grid)
         np.testing.assert_allclose(own.W, ref.W, rtol=1e-10, atol=0)
         np.testing.assert_allclose(own.Z, ref.Z, rtol=1e-10, atol=0)
-        assert abs(own.anchor.W - ref.anchor.W) <= ANCHOR_TOL
-        assert abs(own.anchor.Z - ref.anchor.Z) <= ANCHOR_TOL
+        mine, theirs = own.orbit.anchor, ref.orbit.anchor
+        assert abs(mine.W - theirs.W) <= ANCHOR_TOL
+        assert abs(mine.Z - theirs.Z) <= ANCHOR_TOL
         res_own = residual_profile(own, 0.01, 100.0)
         res_ref = residual_profile(ref, 0.01, 100.0)
         for a, b in zip(res_own, res_ref):
@@ -659,11 +672,11 @@ class TestInvariants:
         assert e1 < 50.0 * h * h
 
 
-#: the arrays of a schema-4 table, as piece.key: the series'
+#: the arrays of a schema-5 table, as piece.key: the series'
 #: coefficients and each march's DenseSolution arrays
 ORBIT_ARRAYS = ["series.W", "series.Z"] + [
     f"{piece}.{key}" for piece in ("left", "back", "fwd")
-    for key in ("ts", "t_old", "h", "y_old", "F")]
+    for key in ("ts", "h", "y_old", "F")]
 
 
 def _orbit_values(table, name):
@@ -676,10 +689,13 @@ def _orbit_values(table, name):
 
 class TestSerialization:
     def test_json_roundtrip_exact(self, profile_r201):
-        # schema 4 stores the grid and the orbit, no column; every column
-        # is rebuilt on load bit for bit, and so is every orbit array
+        # schema 5 stores the grid, tol and the orbit, no column and no w0;
+        # every column and w0 are rebuilt on load bit for bit, and so is
+        # every orbit array
         payload = json.loads(profile_r201.to_json())
-        assert "columns" not in payload and payload["schema_version"] == 4
+        assert sorted(payload) == ["grid", "orbit", "params",
+                                   "schema_version", "tol"]
+        assert payload["schema_version"] == 5
         restored = ProfileTable.from_payload(payload)
         for name in ("xi_grid", "W", "Z", "R", "Ubar_R", "Sbar",
                      "U_nls", "S_nls", "Psi_nls", "dR_Ubar", "dR_Sbar"):
@@ -696,8 +712,54 @@ class TestSerialization:
                     == getattr(profile_r201.orbit, name))
         assert restored.grid == profile_r201.grid == (-6.0, 7.0, 4096)
         assert restored.w0 == profile_r201.w0
+        assert restored.w0_mismatch == profile_r201.w0_mismatch
+        assert restored.tol == profile_r201.tol
         assert restored.params == profile_r201.params
-        assert restored.anchor == profile_r201.anchor
+        assert restored.orbit.anchor == profile_r201.orbit.anchor
+
+    def test_orbit_does_not_depend_on_n_points(self, profile_r201):
+        # the forward march ends at xi_max, not at the grid's last node, so
+        # every n_points stores one orbit, and the stored orbit on another
+        # grid is the table a solve on that grid gives, bit for bit
+        payload = profile_r201.payload()
+        for n_points in (1024, 2048, 4096):
+            table = solve_profile(profile_r201.params, n_points=n_points)
+            assert table.payload()["orbit"] == payload["orbit"]
+            assert table.orbit.fwd.ts[-1] == 7.0
+            loaded = ProfileTable.from_payload(payload, (-6.0, 7.0, n_points))
+            assert loaded.grid == table.grid
+            assert loaded.to_csv() == table.to_csv()
+            assert (loaded.w0, loaded.w0_mismatch) == (table.w0,
+                                                       table.w0_mismatch)
+
+    @pytest.mark.parametrize("n_points, message", [
+        (1, "n_points = 1; need >= 2"),
+        (3, r"n_points = 3 on \[-6.0, 7.0\] leaves the left march"),
+    ], ids=["n_points=1", "n_points=3"])
+    def test_grid_refused_on_load(self, profile_r201, n_points, message):
+        # a loaded orbit meets the grid refusals of a solve
+        with pytest.raises(DomainError, match=message):
+            ProfileTable.from_payload(profile_r201.payload(),
+                                      (-6.0, 7.0, n_points))
+
+    @pytest.mark.parametrize("piece", ["left", "back"])
+    def test_nan_origin_refused_on_load(self, profile_r201, piece):
+        # the invariants of the solved branch hold for a loaded orbit too:
+        # a march coordinate of P_s that is not a number leaves its piece
+        # NaN, and the table is refused instead of certified
+        payload = profile_r201.payload()
+        payload["orbit"][piece]["origin"] = float("nan")
+        with pytest.raises(ConsistencyError, match="D_W lost positivity"):
+            ProfileTable.from_payload(payload)
+
+    def test_schema_4_payload_refused(self, profile_r201):
+        # schema 4 stored w0, w0_mismatch and the anchor beside the orbit
+        payload = profile_r201.payload()
+        payload.update(schema_version=4, w0=profile_r201.w0,
+                       w0_mismatch=profile_r201.w0_mismatch,
+                       anchor={"W": 0.5, "Z": -1.0, "xi": 0.6})
+        with pytest.raises(DomainError, match="unsupported schema version 4"):
+            ProfileTable.from_payload(payload)
 
     @pytest.mark.parametrize("r", [1.5, 2.01, 2.068])
     def test_columns_are_the_orbit_on_the_grid(self, r):
@@ -785,7 +847,7 @@ class TestSerialization:
                      "list, need a base64 string", id="decimal-list"),
     ])
     def test_json_column_codec_refusals(self, profile_r201, tamper, message):
-        # schema 4 reads an orbit array only as the base64 of whole "<f8"
+        # schema 5 reads an orbit array only as the base64 of whole "<f8"
         # values: a decimal list is refused, not parsed
         payload = json.loads(profile_r201.to_json())
         F = profile_r201.orbit.left.arrays()["F"]
