@@ -284,7 +284,9 @@ def _table(cfg: RunConfig) -> ProfileTable:
     missing file or another key solves again.  A file that cannot be read
     or is not JSON, or a matching key on a table that from_payload
     refuses on cfg's grid, is a DomainError naming the file: a bad file
-    is never solved over.
+    is never solved over.  Its message ends "delete it to solve again"
+    unless the file reads on its own stored grid: then the refusal is of
+    cfg's grid, which a solve refuses as well.
     """
     path = _out(cfg, "profile_{tag}.json")
     try:
@@ -301,11 +303,25 @@ def _table(cfg: RunConfig) -> ProfileTable:
     try:
         table = ProfileTable.from_payload(
             wrapped["artifact"], (cfg.xi_min, cfg.xi_max, cfg.n_points))
-    except (DomainError, ConsistencyError, SonicCrossingError, KeyError,
-            TypeError, ValueError, AttributeError) as exc:
-        raise DomainError(f"cannot use {path}: {type(exc).__name__}: {exc}; "
-                          "delete it to solve again") from None
+    except _LOAD_REFUSALS as exc:
+        hint = "" if _reads(wrapped) else "; delete it to solve again"
+        raise DomainError(f"cannot use {path}: {type(exc).__name__}: "
+                          f"{exc}{hint}") from None
     return profile_solver.to_physical(table)
+
+
+#: what from_payload raises on a stored table it refuses
+_LOAD_REFUSALS = (DomainError, ConsistencyError, SonicCrossingError,
+                  KeyError, TypeError, ValueError, AttributeError)
+
+
+def _reads(wrapped: dict) -> bool:
+    """Whether the wrapped table reads on the grid it was written at."""
+    try:
+        ProfileTable.from_payload(wrapped["artifact"])
+    except _LOAD_REFUSALS:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

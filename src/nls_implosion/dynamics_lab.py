@@ -6,7 +6,8 @@ the uniform grid, or the stretch R = c sinh(x/c) that simulate uses, on
 which outgoing transport moves at about c in x instead of R_max, so the
 CFL step grows by about R_max/c.  Its stages run on plain arrays that
 stack runs along a leading axis (simulate's perturbed and reference runs
-step as one state), with one first derivative of every row and one second
+step as one state, unless the reference is stored from an earlier call),
+with one first derivative of every row and one second
 derivative of the Psi rows per stage; validated FieldSets are built only
 where a caller needs one (step's result, simulate's sample points and
 abort snapshots).  The stepper's right side is written once, as its
@@ -31,6 +32,7 @@ import functools
 import hashlib
 import io
 import json
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -306,9 +308,10 @@ def _rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
 
 def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
              s: float, ds: float, quantum: bool,
-             cfl: float) -> tuple[np.ndarray, float]:
+             cfl: float) -> tuple[np.ndarray, np.ndarray]:
     """One SSP-RK3 step from s to s + ds of the runs stacked in X; returns
-    the new state and the smallest stability bound on ds of its runs.
+    the new state and the stability bound on ds of each run, one entry
+    per row, read off X before the step.
 
     X has shape (2, k, n): X[0] holds Psi and X[1] holds S, one row per
     run, and every row steps exactly as it would alone.  One rule decides
@@ -322,6 +325,9 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
         positive) a PositivityError.
     Each error names the row of the first run that fails, and no run
     steps alone: after any error, every run's last valid state is X.
+    simulate takes each step's headroom from the returned bounds, with a
+    stored reference run's bound beside them when it steps that run no
+    more.
 
     Each stage differentiates all rows once and takes the second
     derivative of the Psi rows.  The three stage combinations are formed
@@ -370,7 +376,7 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
         if smin < 0.0 or (smin == 0.0 and np.min(X[1, j]) > 0.0):
             raise PositivityError(f"density of row {j} lost positivity: "
                                   f"min S = {smin:.3e} after step")
-    return Xn, float(np.min(bound))
+    return Xn, bound
 
 
 def step(state: FieldSet, ds: float,
@@ -755,6 +761,33 @@ def _step_plan(s_span: float, ds: float,
 SIMULATE_GRID_C: float | None = 4.0
 
 
+class _ReferenceRun(NamedTuple):
+    """A reference run that simulate stepped to its end: the stability
+    bound of each step, and the read-only (2, n) state (Psi, S) at each
+    sample step after the first."""
+
+    bounds: tuple[float, ...]
+    states: dict[int, np.ndarray]
+
+
+#: the reference runs simulate keeps, by _reference_key, least recently
+#: used first; beyond REFERENCE_RUNS_MAX the first is dropped
+REFERENCE_RUNS_MAX = 4
+_reference_runs: OrderedDict[tuple, _ReferenceRun] = OrderedDict()
+
+
+def _reference_key(params: ProfileParams, grid: RadialGrid, base: FieldSet,
+                   cfg: EnergyConfig, ds: float, n_steps: int,
+                   sample_at: set[int], quantum: bool) -> tuple:
+    """Every input of simulate's unperturbed run: the profile and its grid
+    (kind, c and the bytes of R), the start (the bytes of Psi and S), the
+    step plan and the sample steps, the quantum term and the CFL factor.
+    delta_low and the other energy settings do not enter it."""
+    return (params, grid.kind, grid.c, grid.R.tobytes(), base.Psi.tobytes(),
+            base.S.tobytes(), cfg.s0, ds, n_steps, tuple(sorted(sample_at)),
+            quantum, cfg.cfl)
+
+
 def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
              s_span: float = 1.0, n: int = 2048, R_max: float = 30.0,
              quantum_pressure: bool = True, n_samples: int = 11,
@@ -780,7 +813,7 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     within 0.9/1.1 of the reference run's initial stability bound with
     the quantum term off (_stability_bound).
 
-    An unperturbed reference run is stepped in lockstep with the same
+    An unperturbed reference run is stepped with the same
     discretization; perturbation fields are the difference of the two
     runs, so finite-resolution drift of the discrete profile (largest at
     the corner, where the grid barely resolves the matching region) does
@@ -795,11 +828,21 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     step.  The report records the step count, ds, the smallest CFL
     headroom and the grid.
 
-    Both runs step as one stacked (2, 2, n) array, (Psi, S) x (perturbed,
-    reference), through one _advance call per step; every row is
-    bit-identical to stepping its run alone.  A step fails as a whole
-    under _advance's one rule, and its error names the failing run's
-    row: 0 for the perturbed run, 1 for the reference.  The perturbation
+    The reference depends on no field of cfg but s0 and cfl: the
+    inputs of _reference_key name it.  Cold, both runs step as one
+    stacked (2, 2, n) array, (Psi, S) x (perturbed, reference), through
+    one _advance call per step; every row is bit-identical to stepping
+    its run alone.  A reference that completes every step is stored
+    under its key (the REFERENCE_RUNS_MAX most recently used are kept):
+    its stability bound at each step, and its read-only state at each
+    sample step after the first.  Warm, under a stored key, only the
+    perturbed run steps, as (2, 1, n) through the same _advance call;
+    each sample reads the stored reference, and each step's headroom is
+    the smaller of the two bounds, so the report is the cold one bit for
+    bit.  A step fails as a whole under _advance's one rule, and its
+    error names the failing run's row: 0 for the perturbed run, 1 for
+    the reference, which fails only cold.  A run that aborts stores
+    nothing.  The perturbation
     exists only where both runs are valid, so on a CFL or positivity
     abort the perturbed run's last good state is its state at the start
     of the failing step, whichever run failed; it is attached to the
@@ -878,18 +921,33 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
 
     sample(state, base)
     s = state.s
-    X = np.array([[state.Psi, base.Psi], [state.S, base.S]])
+    key = _reference_key(params, grid, base, cfg, ds, n_steps, sample_at,
+                         quantum_pressure)
+    known = _reference_runs.pop(key, None)
+    if known is None:
+        ref_bounds, ref_states = [], {}
+        runs = (state, base)
+    else:
+        _reference_runs[key] = known       # now the most recently used
+        ref_bounds, ref_states = known
+        runs = (state,)
+    X = np.array([[run.Psi for run in runs], [run.S for run in runs]])
     try:
         for i in range(1, n_steps + 1):
-            X, bound = _advance(X, grid, params, s, ds, quantum_pressure,
-                                cfg.cfl)
+            X, bounds = _advance(X, grid, params, s, ds, quantum_pressure,
+                                 cfg.cfl)
             s = s + ds
-            headroom = bound / ds
+            if known is None:
+                ref_bounds.append(float(bounds[1]))
+            headroom = min(float(bounds[0]), ref_bounds[i - 1]) / ds
             if report.cfl_headroom is None or headroom < report.cfl_headroom:
                 report.cfl_headroom = headroom
             if i in sample_at:
+                if known is None:
+                    ref_states[i] = X[:, 1].copy()
+                    ref_states[i].flags.writeable = False
                 sample(fields(s, X[0, 0], X[1, 0]),
-                       fields(s, X[0, 1], X[1, 1]))
+                       fields(s, *ref_states[i]))
     except (CFLError, PositivityError) as err:
         # callers that write artifacts want the last valid state and the
         # samples collected so far; X is still the failing step's start
@@ -897,5 +955,9 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
         err.last_good = fields(s, X[0, 0], X[1, 0])
         err.partial_report = report
         raise
+    if known is None:
+        _reference_runs[key] = _ReferenceRun(tuple(ref_bounds), ref_states)
+        while len(_reference_runs) > REFERENCE_RUNS_MAX:
+            _reference_runs.popitem(last=False)
     report.wall_time = time.perf_counter() - t0
     return report

@@ -3,10 +3,15 @@
 The solved r = 2.01 profile is the workhorse input for the solver,
 verifier, and acceptance tests; solving takes a fraction of a second but
 there is no reason to repeat it per test.
+
+simulate keeps the reference runs it has stepped; every test starts
+without them, so a test that patches a part of the stepper
+(profile_operator, _rhs, _advance or derivative) steps both runs.
 """
 
 import pytest
 
+from nls_implosion import dynamics_lab
 from nls_implosion.phase_portrait import ProfileParams
 from nls_implosion.profile_solver import solve_profile, to_physical
 
@@ -28,3 +33,8 @@ def profile_r201_wide(params_r201):
     x = 2/3 at s = 12 needs the far tail of the profile."""
     return to_physical(solve_profile(params_r201, xi_max=12.6,
                                      n_points=8192))
+
+
+@pytest.fixture(autouse=True)
+def no_stored_reference_runs():
+    dynamics_lab._reference_runs.clear()

@@ -481,6 +481,8 @@ class TestProfileReuse:
         assert main(["verify", *argv]) == EXIT_SOLVER
         err = capsys.readouterr().err
         assert f"cannot use {path}" in err and message in err
+        # the file is at fault, so the message says how to be rid of it
+        assert err.rstrip().endswith("; delete it to solve again")
         assert not list(tmp_path.glob("verify_*"))
         assert len(solves) == 1
         # profile never reads its own output, so it restores the file
@@ -490,7 +492,8 @@ class TestProfileReuse:
     def test_grid_without_a_node_per_march_refused_without_a_solve(
             self, tmp_path, capsys, solves):
         # the stored orbit on a grid of three nodes leaves the left march
-        # none: the refusal a solve on that grid gives, named, no traceback
+        # none: the refusal a solve on that grid gives, named, no traceback,
+        # and no advice to delete a file that a solve could not replace
         argv = ["--r", "2.01", *FAST, "--out-dir", str(tmp_path)]
         assert main(["profile", *argv]) == EXIT_OK
         capsys.readouterr()
@@ -498,6 +501,7 @@ class TestProfileReuse:
         err = capsys.readouterr().err
         assert ("DomainError: n_points = 3 on [-6.0, 7.0] leaves the left "
                 "march (xi < -0.2)") in err
+        assert "delete it" not in err
         assert "Traceback" not in err
         assert not list(tmp_path.glob("verify_*"))
         assert len(solves) == 1

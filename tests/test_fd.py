@@ -7,7 +7,8 @@ rebuilds the Fornberg weights for each row on each call, reflects even
 fields by hand, differentiates one row at a time, and steps each run alone
 through a validated FieldSet per step, which is what the code did before.
 The stepper's references run on simulate's stretched grid and on the
-uniform one.
+uniform one.  A simulate that reads its reference run back from an
+earlier call reports the bits of one that steps it.
 """
 
 import numpy as np
@@ -163,6 +164,7 @@ def test_energy_report_identical_without_cache(profile_r201, monkeypatch):
     # blow-up fit also call dynamics_lab's
     for module in (dynamics_lab, selfsimilar_fields):
         monkeypatch.setattr(module, "derivative", counting)
+    dynamics_lab._reference_runs.clear()    # step the reference run too
     uncached = simulate(profile_r201, s_span=0.1, n=256, n_samples=3)
     assert (2, 2, 256) in shapes   # both runs' (Psi, S) in one call
     assert (2, 256) in shapes      # the two Psi rows' second derivative
@@ -224,11 +226,11 @@ def _reference_advance(Psi, S, grid, params, s, ds, quantum, cfl):
 
 def _reference_advance_rows(X, grid, params, s, ds, quantum, cfl):
     """The stacked stepper's contract through the reference: each run,
-    row by row, stepped alone on 1-D arrays."""
+    row by row, stepped alone on 1-D arrays, with its own bound."""
     rows = [_reference_advance(Psi, S, grid, params, s, ds, quantum, cfl)
             for Psi, S in zip(X[0], X[1])]
     return (np.array([[Psi for Psi, _, _ in rows], [S for _, S, _ in rows]]),
-            min(bound for _, _, bound in rows))
+            np.array([bound for _, _, bound in rows]))
 
 
 def _assert_identical_to_fieldset_stepper(table, monkeypatch, quantum):
@@ -237,6 +239,7 @@ def _assert_identical_to_fieldset_stepper(table, monkeypatch, quantum):
     monkeypatch.setattr(dynamics_lab, "_advance", _reference_advance_rows)
     for module in (dynamics_lab, selfsimilar_fields):
         monkeypatch.setattr(module, "derivative", uncached_derivative)
+    dynamics_lab._reference_runs.clear()    # step the reference run too
     reference = simulate(table, **kwargs)
     assert lean.to_csv() == reference.to_csv()
     assert lean.max_rel_Stilde == reference.max_rel_Stilde
@@ -521,3 +524,157 @@ def test_cfl_error_names_the_bound_it_breaks(profile_r201, broken):
         dynamics_lab._advance(X, grid, params, 1.0, ds, True, 0.9)
     assert str(info.value) == (f"ds = {ds:.3e} exceeds the stability bound "
                                f"{low:.3e} of row 0 ({why})")
+
+
+
+# The stored reference run.  simulate's unperturbed run depends on neither
+# delta_low nor any other energy setting, so a run already stepped to its
+# end under the same inputs is read back and only the perturbed run steps,
+# in row 0 of a (2, 1, n) state.  A warm run's report is the cold run's,
+# bit for bit.  The autouse fixture of conftest starts each test without
+# stored runs.
+
+SMALL = dict(s_span=0.1, n=N_ABORT, n_samples=3)
+
+
+def _advance_inputs(monkeypatch):
+    """The list that records every state _advance steps from now on."""
+    advance, inputs = dynamics_lab._advance, []
+
+    def spy(X, *args):
+        inputs.append(X)
+        return advance(X, *args)
+
+    monkeypatch.setattr(dynamics_lab, "_advance", spy)
+    return inputs
+
+
+def _shapes(inputs):
+    return [X.shape for X in inputs]
+
+
+def _assert_same_report(warm, cold):
+    assert warm.to_csv() == cold.to_csv()
+    for name in ("max_rel_Stilde", "input_hash", "cfl_headroom", "n_steps",
+                 "ds", "grid"):
+        assert getattr(warm, name) == getattr(cold, name), name
+
+
+@pytest.mark.parametrize("kind", ["uniform", "sinh"])
+@pytest.mark.parametrize("quantum", [True, False])
+@pytest.mark.parametrize("delta", [4e-4, 3e-3])
+def test_warm_report_equals_cold(profile_r201, monkeypatch, kind, quantum,
+                                 delta):
+    if kind == "uniform":
+        monkeypatch.setattr(dynamics_lab, "SIMULATE_GRID_C", None)
+    kwargs = dict(SMALL, quantum_pressure=quantum)
+    simulate(profile_r201, EnergyConfig(delta_low=1e-3), **kwargs)
+    inputs = _advance_inputs(monkeypatch)
+    warm = simulate(profile_r201, EnergyConfig(delta_low=delta), **kwargs)
+    dynamics_lab._reference_runs.clear()
+    cold = simulate(profile_r201, EnergyConfig(delta_low=delta), **kwargs)
+    n_steps = warm.n_steps
+    assert _shapes(inputs) == ([(2, 1, N_ABORT)] * n_steps
+                               + [(2, 2, N_ABORT)] * n_steps)
+    assert warm.grid["kind"] == kind
+    _assert_same_report(warm, cold)
+
+
+def test_warm_headroom_reads_the_stored_bound(profile_r201, monkeypatch):
+    # on the _steep fields of height 30 the reference's x-speed exceeds
+    # the perturbed run's, so its stored bound is the step's headroom
+    monkeypatch.setattr(dynamics_lab, "profile_fieldset", _steep)
+    kwargs = dict(SMALL, s_span=0.02)
+    simulate(profile_r201, EnergyConfig(delta_low=1e-3), **kwargs)
+    warm = simulate(profile_r201, EnergyConfig(delta_low=2e-3), **kwargs)
+    (stored,) = dynamics_lab._reference_runs.values()
+    dynamics_lab._reference_runs.clear()
+    cold = simulate(profile_r201, EnergyConfig(delta_low=2e-3), **kwargs)
+    _assert_same_report(warm, cold)
+    assert warm.cfl_headroom == min(stored.bounds) / warm.ds
+
+
+@pytest.mark.parametrize("change", ["base", "s0", "n_samples", "quantum"])
+def test_other_reference_inputs_miss(profile_r201, monkeypatch, change):
+    # each changes the unperturbed run: its start, its time, the steps it
+    # keeps, or its right side
+    simulate(profile_r201, EnergyConfig(), **SMALL)
+    cfg, kwargs = EnergyConfig(delta_low=2e-3), dict(SMALL)
+    if change == "base":
+        monkeypatch.setattr(dynamics_lab, "profile_fieldset",
+                            lambda table, grid, s: _steep(table, grid, s,
+                                                          1.0))
+    elif change == "s0":
+        cfg = EnergyConfig(delta_low=2e-3, s0=2.0e4)
+    elif change == "n_samples":
+        kwargs["n_samples"] = 4
+    else:
+        kwargs["quantum_pressure"] = False
+    inputs = _advance_inputs(monkeypatch)
+    rep = simulate(profile_r201, cfg, **kwargs)
+    assert _shapes(inputs) == [(2, 2, N_ABORT)] * rep.n_steps
+    assert len(dynamics_lab._reference_runs) == 2
+
+
+@pytest.mark.parametrize("cause", ["cfl", "positivity"])
+def test_abort_on_a_hit_equals_a_cold_abort(profile_r201, monkeypatch,
+                                            cause):
+    # the run of delta_low = 1e-3 aborts in row 0 after the run of
+    # delta_low = 2e-4 stored the reference.  On the _steep fields of
+    # height -100 its CFL bound lies below a ds that the other two runs
+    # keep.  The drained run loses its density in the third step, after
+    # two samples and two recorded headrooms
+    cfg = EnergyConfig()
+    if cause == "cfl":
+        _, _, ds, failing = _ds_between_cfl_bounds(profile_r201, cfg, -100.0)
+        assert failing == 0
+        monkeypatch.setattr(dynamics_lab, "profile_fieldset",
+                            lambda table, grid, s: _steep(table, grid, s,
+                                                          -100.0))
+        kwargs = dict(s_span=ds, n=N_ABORT, n_samples=2, ds=ds)
+        error, match = CFLError, r"^ds = .* of row 0 \("
+    else:
+        ds = 1e-3
+        kwargs = dict(s_span=4 * ds, n=N_ABORT, n_samples=5, ds=ds)
+        with monkeypatch.context() as m:
+            inputs = _advance_inputs(m)
+            simulate(profile_r201, cfg, **kwargs)
+        dynamics_lab._reference_runs.clear()
+        monkeypatch.setattr(dynamics_lab, "profile_operator",
+                            _draining(inputs[2][1, 0]))
+        error, match = PositivityError, r"^density of row 0 lost positivity"
+    other = simulate(profile_r201, EnergyConfig(delta_low=2e-4), **kwargs)
+    (stored,) = dynamics_lab._reference_runs.values()
+    assert len(stored.bounds) == other.n_steps
+    with pytest.raises(error, match=match) as warm:
+        simulate(profile_r201, cfg, **kwargs)
+    dynamics_lab._reference_runs.clear()
+    with pytest.raises(error, match=match) as cold:
+        simulate(profile_r201, cfg, **kwargs)
+    warm, cold = warm.value, cold.value
+    assert str(warm) == str(cold)
+    assert warm.last_good.s == cold.last_good.s
+    np.testing.assert_array_equal(warm.last_good.Psi, cold.last_good.Psi)
+    np.testing.assert_array_equal(warm.last_good.S, cold.last_good.S)
+    _assert_same_report(warm.partial_report, cold.partial_report)
+    n_taken = {"cfl": 0, "positivity": 2}[cause]
+    assert len(warm.partial_report.s) == n_taken + 1
+    assert (warm.partial_report.cfl_headroom is None) == (n_taken == 0)
+
+
+def test_stored_reference_is_read_only_and_bounded(profile_r201,
+                                                   monkeypatch):
+    # four runs fill the store; a hit on the first makes the second the
+    # least recently used, which the fifth run drops
+    monkeypatch.setattr(dynamics_lab, "REFERENCE_RUNS_MAX", 4)
+    for n_samples in (2, 3, 4, 5, 2, 6):
+        simulate(profile_r201, **dict(SMALL, n_samples=n_samples))
+    runs = dynamics_lab._reference_runs
+    assert [len(run.states) for run in runs.values()] == [3, 4, 1, 5]
+    for run in runs.values():
+        assert isinstance(run.bounds, tuple)
+        for state in run.states.values():
+            assert state.shape == (2, N_ABORT)
+            assert not state.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                state[1, 0] = 0.0
