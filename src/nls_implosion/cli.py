@@ -50,7 +50,7 @@ import numpy
 
 from . import dynamics_lab, phase_portrait, profile_solver
 from .dynamics_lab import EnergyConfig
-from .errors import (CFLError, ConsistencyError, DomainError,
+from .errors import (CFLError, ConsistencyError, DomainError, GridError,
                      PositivityError, SonicCrossingError, WorkbenchError)
 from .phase_portrait import R_STAR, ProfileParams
 from .profile_solver import ProfileTable
@@ -285,8 +285,8 @@ def _table(cfg: RunConfig) -> ProfileTable:
     or is not JSON, or a matching key on a table that from_payload
     refuses on cfg's grid, is a DomainError naming the file: a bad file
     is never solved over.  Its message ends "delete it to solve again"
-    unless the file reads on its own stored grid: then the refusal is of
-    cfg's grid, which a solve refuses as well.
+    unless the refusal is a GridError: that refuses cfg's grid, which a
+    solve refuses as well.
     """
     path = _out(cfg, "profile_{tag}.json")
     try:
@@ -303,25 +303,13 @@ def _table(cfg: RunConfig) -> ProfileTable:
     try:
         table = ProfileTable.from_payload(
             wrapped["artifact"], (cfg.xi_min, cfg.xi_max, cfg.n_points))
-    except _LOAD_REFUSALS as exc:
-        hint = "" if _reads(wrapped) else "; delete it to solve again"
+    except (DomainError, ConsistencyError, SonicCrossingError, KeyError,
+            TypeError, ValueError, AttributeError) as exc:
+        hint = ("" if isinstance(exc, GridError)
+                else "; delete it to solve again")
         raise DomainError(f"cannot use {path}: {type(exc).__name__}: "
                           f"{exc}{hint}") from None
     return profile_solver.to_physical(table)
-
-
-#: what from_payload raises on a stored table it refuses
-_LOAD_REFUSALS = (DomainError, ConsistencyError, SonicCrossingError,
-                  KeyError, TypeError, ValueError, AttributeError)
-
-
-def _reads(wrapped: dict) -> bool:
-    """Whether the wrapped table reads on the grid it was written at."""
-    try:
-        ProfileTable.from_payload(wrapped["artifact"])
-    except _LOAD_REFUSALS:
-        return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ import functools
 import hashlib
 import io
 import json
-from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -762,18 +761,18 @@ SIMULATE_GRID_C: float | None = 4.0
 
 
 class _ReferenceRun(NamedTuple):
-    """A reference run that simulate stepped to its end: the stability
-    bound of each step, and the read-only (2, n) state (Psi, S) at each
-    sample step after the first."""
+    """A reference run that simulate stepped to its end: its _reference_key,
+    the stability bound of each step, and the read-only (2, n) state
+    (Psi, S) at each sample step after the first."""
 
+    key: tuple
     bounds: tuple[float, ...]
     states: dict[int, np.ndarray]
 
 
-#: the reference runs simulate keeps, by _reference_key, least recently
-#: used first; beyond REFERENCE_RUNS_MAX the first is dropped
-REFERENCE_RUNS_MAX = 4
-_reference_runs: OrderedDict[tuple, _ReferenceRun] = OrderedDict()
+#: the last reference run simulate stepped to its end; the next one
+#: stepped under another key replaces it
+_reference_run: _ReferenceRun | None = None
 
 
 def _reference_key(params: ProfileParams, grid: RadialGrid, base: FieldSet,
@@ -833,9 +832,9 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     stacked (2, 2, n) array, (Psi, S) x (perturbed, reference), through
     one _advance call per step; every row is bit-identical to stepping
     its run alone.  A reference that completes every step is stored
-    under its key (the REFERENCE_RUNS_MAX most recently used are kept):
-    its stability bound at each step, and its read-only state at each
-    sample step after the first.  Warm, under a stored key, only the
+    under its key, in place of the one stored before: its stability
+    bound at each step, and its read-only state at each sample step
+    after the first.  Warm, under a stored key, only the
     perturbed run steps, as (2, 1, n) through the same _advance call;
     each sample reads the stored reference, and each step's headroom is
     the smaller of the two bounds, so the report is the cold one bit for
@@ -861,6 +860,7 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     profile.
     """
     import time
+    global _reference_run
     t0 = time.perf_counter()
     if cfg is None:
         cfg = EnergyConfig()
@@ -923,27 +923,26 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
     s = state.s
     key = _reference_key(params, grid, base, cfg, ds, n_steps, sample_at,
                          quantum_pressure)
-    known = _reference_runs.pop(key, None)
-    if known is None:
+    warm = _reference_run is not None and _reference_run.key == key
+    if warm:
+        _, ref_bounds, ref_states = _reference_run
+        runs = (state,)
+    else:
         ref_bounds, ref_states = [], {}
         runs = (state, base)
-    else:
-        _reference_runs[key] = known       # now the most recently used
-        ref_bounds, ref_states = known
-        runs = (state,)
     X = np.array([[run.Psi for run in runs], [run.S for run in runs]])
     try:
         for i in range(1, n_steps + 1):
             X, bounds = _advance(X, grid, params, s, ds, quantum_pressure,
                                  cfg.cfl)
             s = s + ds
-            if known is None:
+            if not warm:
                 ref_bounds.append(float(bounds[1]))
             headroom = min(float(bounds[0]), ref_bounds[i - 1]) / ds
             if report.cfl_headroom is None or headroom < report.cfl_headroom:
                 report.cfl_headroom = headroom
             if i in sample_at:
-                if known is None:
+                if not warm:
                     ref_states[i] = X[:, 1].copy()
                     ref_states[i].flags.writeable = False
                 sample(fields(s, X[0, 0], X[1, 0]),
@@ -955,9 +954,7 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
         err.last_good = fields(s, X[0, 0], X[1, 0])
         err.partial_report = report
         raise
-    if known is None:
-        _reference_runs[key] = _ReferenceRun(tuple(ref_bounds), ref_states)
-        while len(_reference_runs) > REFERENCE_RUNS_MAX:
-            _reference_runs.popitem(last=False)
+    if not warm:
+        _reference_run = _ReferenceRun(key, tuple(ref_bounds), ref_states)
     report.wall_time = time.perf_counter() - t0
     return report

@@ -9,6 +9,10 @@ class DomainError(WorkbenchError, ValueError):
     """Input outside the mathematically admissible range."""
 
 
+class GridError(DomainError):
+    """Profile grid refused: under two nodes, or none on a part of the orbit."""
+
+
 class ConsistencyError(WorkbenchError):
     """Two independent evaluations of the same quantity disagree in sign.
 

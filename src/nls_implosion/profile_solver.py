@@ -92,6 +92,7 @@ from .errors import (
     BlowupError,
     ConsistencyError,
     DomainError,
+    GridError,
     InsufficientRangeError,
     RangeError,
     SonicCrossingError,
@@ -377,11 +378,11 @@ class ProfileTable:
         xi-derivatives dR_Ubar and dR_Sbar, and the origin fit w0.
 
         A grid that gives the left march (xi < seam_left) or the backward
-        march (seam_right < xi <= xi_anchor) no node, or starts before the
-        left march, is a DomainError.  The state must keep the invariants
-        of the solved branch at every node: D_W > 0 and W > Z, else a
-        ConsistencyError, and sign D_Z = sign xi off the sonic point, else
-        a SonicCrossingError.
+        march (seam_right < xi <= xi_anchor) no node is a GridError, and
+        one that starts before the left march a DomainError.  The state
+        must keep the invariants of the solved branch at every node:
+        D_W > 0 and W > Z, else a ConsistencyError, and sign D_Z = sign xi
+        off the sonic point, else a SonicCrossingError.
         """
         xi_min, xi_max, n_points = grid
         xi_grid = _build_grid(*grid)
@@ -390,7 +391,7 @@ class ProfileTable:
         inner = ((xi_grid > orbit.seam_right - 1e-12)
                  & ~(xi_grid > orbit.xi_anchor))
         if not (np.any(left) and np.any(inner)):
-            raise DomainError(
+            raise GridError(
                 f"n_points = {n_points} on [{xi_min}, {xi_max}] leaves the "
                 f"left march (xi < {orbit.seam_left}) or the backward march "
                 f"({orbit.seam_right} < xi <= {orbit.xi_anchor:.4f}) without "
@@ -757,7 +758,7 @@ BLOWUP_FACTOR = 100.0
 def _build_grid(xi_min: float, xi_max: float, n_points: int) -> np.ndarray:
     """Uniform grid of spacing (xi_max-xi_min)/(n_points-1) containing 0."""
     if n_points < 2:
-        raise DomainError(f"n_points = {n_points}; need >= 2")
+        raise GridError(f"n_points = {n_points}; need >= 2")
     h = (xi_max - xi_min) / (n_points - 1)
     k_lo = int(np.ceil(xi_min / h - 1e-9))
     k_hi = int(np.floor(xi_max / h + 1e-9))

@@ -4,8 +4,8 @@ The solved r = 2.01 profile is the workhorse input for the solver,
 verifier, and acceptance tests; solving takes a fraction of a second but
 there is no reason to repeat it per test.
 
-simulate keeps the reference runs it has stepped; every test starts
-without them, so a test that patches a part of the stepper
+simulate keeps the last reference run it has stepped; every test starts
+without it, so a test that patches a part of the stepper
 (profile_operator, _rhs, _advance or derivative) steps both runs.
 """
 
@@ -36,5 +36,5 @@ def profile_r201_wide(params_r201):
 
 
 @pytest.fixture(autouse=True)
-def no_stored_reference_runs():
-    dynamics_lab._reference_runs.clear()
+def no_stored_reference_run():
+    dynamics_lab._reference_run = None

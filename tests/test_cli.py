@@ -499,7 +499,7 @@ class TestProfileReuse:
         capsys.readouterr()
         assert main(["verify", *argv, "--n-points", "3"]) == EXIT_SOLVER
         err = capsys.readouterr().err
-        assert ("DomainError: n_points = 3 on [-6.0, 7.0] leaves the left "
+        assert ("GridError: n_points = 3 on [-6.0, 7.0] leaves the left "
                 "march (xi < -0.2)") in err
         assert "delete it" not in err
         assert "Traceback" not in err

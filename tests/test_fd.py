@@ -164,7 +164,7 @@ def test_energy_report_identical_without_cache(profile_r201, monkeypatch):
     # blow-up fit also call dynamics_lab's
     for module in (dynamics_lab, selfsimilar_fields):
         monkeypatch.setattr(module, "derivative", counting)
-    dynamics_lab._reference_runs.clear()    # step the reference run too
+    dynamics_lab._reference_run = None    # step the reference run too
     uncached = simulate(profile_r201, s_span=0.1, n=256, n_samples=3)
     assert (2, 2, 256) in shapes   # both runs' (Psi, S) in one call
     assert (2, 256) in shapes      # the two Psi rows' second derivative
@@ -239,7 +239,7 @@ def _assert_identical_to_fieldset_stepper(table, monkeypatch, quantum):
     monkeypatch.setattr(dynamics_lab, "_advance", _reference_advance_rows)
     for module in (dynamics_lab, selfsimilar_fields):
         monkeypatch.setattr(module, "derivative", uncached_derivative)
-    dynamics_lab._reference_runs.clear()    # step the reference run too
+    dynamics_lab._reference_run = None    # step the reference run too
     reference = simulate(table, **kwargs)
     assert lean.to_csv() == reference.to_csv()
     assert lean.max_rel_Stilde == reference.max_rel_Stilde
@@ -571,7 +571,7 @@ def test_warm_report_equals_cold(profile_r201, monkeypatch, kind, quantum,
     simulate(profile_r201, EnergyConfig(delta_low=1e-3), **kwargs)
     inputs = _advance_inputs(monkeypatch)
     warm = simulate(profile_r201, EnergyConfig(delta_low=delta), **kwargs)
-    dynamics_lab._reference_runs.clear()
+    dynamics_lab._reference_run = None
     cold = simulate(profile_r201, EnergyConfig(delta_low=delta), **kwargs)
     n_steps = warm.n_steps
     assert _shapes(inputs) == ([(2, 1, N_ABORT)] * n_steps
@@ -587,8 +587,8 @@ def test_warm_headroom_reads_the_stored_bound(profile_r201, monkeypatch):
     kwargs = dict(SMALL, s_span=0.02)
     simulate(profile_r201, EnergyConfig(delta_low=1e-3), **kwargs)
     warm = simulate(profile_r201, EnergyConfig(delta_low=2e-3), **kwargs)
-    (stored,) = dynamics_lab._reference_runs.values()
-    dynamics_lab._reference_runs.clear()
+    stored = dynamics_lab._reference_run
+    dynamics_lab._reference_run = None
     cold = simulate(profile_r201, EnergyConfig(delta_low=2e-3), **kwargs)
     _assert_same_report(warm, cold)
     assert warm.cfl_headroom == min(stored.bounds) / warm.ds
@@ -599,6 +599,7 @@ def test_other_reference_inputs_miss(profile_r201, monkeypatch, change):
     # each changes the unperturbed run: its start, its time, the steps it
     # keeps, or its right side
     simulate(profile_r201, EnergyConfig(), **SMALL)
+    first = dynamics_lab._reference_run
     cfg, kwargs = EnergyConfig(delta_low=2e-3), dict(SMALL)
     if change == "base":
         monkeypatch.setattr(dynamics_lab, "profile_fieldset",
@@ -613,7 +614,7 @@ def test_other_reference_inputs_miss(profile_r201, monkeypatch, change):
     inputs = _advance_inputs(monkeypatch)
     rep = simulate(profile_r201, cfg, **kwargs)
     assert _shapes(inputs) == [(2, 2, N_ABORT)] * rep.n_steps
-    assert len(dynamics_lab._reference_runs) == 2
+    assert dynamics_lab._reference_run.key != first.key
 
 
 @pytest.mark.parametrize("cause", ["cfl", "positivity"])
@@ -639,16 +640,16 @@ def test_abort_on_a_hit_equals_a_cold_abort(profile_r201, monkeypatch,
         with monkeypatch.context() as m:
             inputs = _advance_inputs(m)
             simulate(profile_r201, cfg, **kwargs)
-        dynamics_lab._reference_runs.clear()
+        dynamics_lab._reference_run = None
         monkeypatch.setattr(dynamics_lab, "profile_operator",
                             _draining(inputs[2][1, 0]))
         error, match = PositivityError, r"^density of row 0 lost positivity"
     other = simulate(profile_r201, EnergyConfig(delta_low=2e-4), **kwargs)
-    (stored,) = dynamics_lab._reference_runs.values()
+    stored = dynamics_lab._reference_run
     assert len(stored.bounds) == other.n_steps
     with pytest.raises(error, match=match) as warm:
         simulate(profile_r201, cfg, **kwargs)
-    dynamics_lab._reference_runs.clear()
+    dynamics_lab._reference_run = None
     with pytest.raises(error, match=match) as cold:
         simulate(profile_r201, cfg, **kwargs)
     warm, cold = warm.value, cold.value
@@ -662,19 +663,20 @@ def test_abort_on_a_hit_equals_a_cold_abort(profile_r201, monkeypatch,
     assert (warm.partial_report.cfl_headroom is None) == (n_taken == 0)
 
 
-def test_stored_reference_is_read_only_and_bounded(profile_r201,
-                                                   monkeypatch):
-    # four runs fill the store; a hit on the first makes the second the
-    # least recently used, which the fifth run drops
-    monkeypatch.setattr(dynamics_lab, "REFERENCE_RUNS_MAX", 4)
-    for n_samples in (2, 3, 4, 5, 2, 6):
-        simulate(profile_r201, **dict(SMALL, n_samples=n_samples))
-    runs = dynamics_lab._reference_runs
-    assert [len(run.states) for run in runs.values()] == [3, 4, 1, 5]
-    for run in runs.values():
-        assert isinstance(run.bounds, tuple)
-        for state in run.states.values():
-            assert state.shape == (2, N_ABORT)
-            assert not state.flags.writeable
-            with pytest.raises(ValueError, match="read-only"):
-                state[1, 0] = 0.0
+def test_stored_reference_is_read_only_and_replaced(profile_r201,
+                                                    monkeypatch):
+    # one run is kept: a miss replaces it, so the first inputs miss again
+    simulate(profile_r201, **SMALL)
+    stored = dynamics_lab._reference_run
+    assert isinstance(stored.bounds, tuple)
+    assert len(stored.states) == SMALL["n_samples"] - 1
+    for state in stored.states.values():
+        assert state.shape == (2, N_ABORT)
+        assert not state.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            state[1, 0] = 0.0
+    simulate(profile_r201, **dict(SMALL, n_samples=4))
+    assert len(dynamics_lab._reference_run.states) == 3
+    inputs = _advance_inputs(monkeypatch)
+    rep = simulate(profile_r201, **SMALL)
+    assert _shapes(inputs) == [(2, 2, N_ABORT)] * rep.n_steps
