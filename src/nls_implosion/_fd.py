@@ -9,6 +9,10 @@ and each row's result is bit-identical to a 1-D call on that row: stacking
 runs or fields saves per-call overhead without moving a bit.  The one-sided
 stencils are stored as blocks whose rows keep fd_weights' strided column
 layout; that layout is the condition for the bit-identity (see _stencils).
+`reflected_derivative` is the pass of derivative's even mode on samples
+the caller has already reflected, so a caller that keeps the reflected
+buffer (the stepper's stage workspace) differentiates with the same
+operator, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .errors import ResolutionError
 
-__all__ = ["fd_weights", "derivative"]
+__all__ = ["fd_weights", "derivative", "reflected_derivative"]
 
 
 def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
@@ -51,6 +55,14 @@ def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
     return c[:, m]
 
 
+def half_width(m: int, acc: int) -> int:
+    """Half-width of derivative()'s centred stencil of order m at accuracy
+    acc: the number of points of each edge it does not reach, and the
+    number of reflected points the even mode reads."""
+    half = (m + acc - 1) // 2 + (1 if (m % 2 == 0) else 0)
+    return max(half, (m + 1) // 2 + acc // 2)
+
+
 @functools.lru_cache(maxsize=64)
 def _stencils(h: float, m: int, acc: int):
     """Half-width, one-sided length, and read-only weights of derivative().
@@ -64,8 +76,7 @@ def _stencils(h: float, m: int, acc: int):
     (or a matrix product against one) sums in another order and moves the
     last bit.
     """
-    half = (m + acc - 1) // 2 + (1 if (m % 2 == 0) else 0)
-    half = max(half, (m + 1) // 2 + acc // 2)
+    half = half_width(m, acc)
     n_side = m + acc  # one-sided stencil length
     offsets = np.arange(-half, half + 1, dtype=float)
     center = fd_weights(offsets * h, 0.0, m)
@@ -94,13 +105,14 @@ def derivative(f: np.ndarray, h: float, m: int, acc: int = 4,
     the stencil half-width, so every row but the last `half` uses the
     centered stencil, and only the right edge is one-sided.
 
-    The centre values of all rows come from one np.convolve over the
+    The centre values of all rows come from one np.correlate over the
     flattened rows (outputs whose window straddles two rows land on edge
     points and are overwritten), so each is the same dot product over the
     same samples as in a 1-D call.  The edge values come from one
     broadcast np.vecdot against the stencil blocks of _stencils, whose
     rows keep a stride of m + 1 doubles so each dot sums in the order of
-    the 1-D one.
+    the 1-D one.  The even mode reflects f into a new array and calls
+    reflected_derivative on it.
 
     A complex f is differentiated as its real and imaginary parts, each
     written into its half of the complex result, so each part is bit for
@@ -120,18 +132,53 @@ def _real_derivative(f: np.ndarray, h: float, m: int, acc: int,
     f = np.asarray(f, dtype=float)
     if m == 0:
         return f.copy()
-    half, n_side, center, lo, hi = _stencils(h, m, acc)
     if even:
-        f = np.concatenate([f[..., half:0:-1], f], axis=-1)
-    n = f.shape[-1]
+        half = half_width(m, acc)
+        return reflected_derivative(
+            np.concatenate([f[..., half:0:-1], f], axis=-1), half, h, m, acc)
+    half, n_side, center, lo, hi = _stencils(h, m, acc)
+    _require_length(f.shape[-1], half, n_side, m, acc)
+    out = _centre_and_right(f, half, n_side, center, hi)
+    out[..., :half] = np.vecdot(lo, f[..., None, :n_side])
+    return out
+
+
+def reflected_derivative(padded: np.ndarray, width: int, h: float, m: int,
+                         acc: int = 4) -> np.ndarray:
+    """derivative(f, h, m, acc, even=True) of the even rows f whose
+    reflected samples padded holds: padded[..., width:] is f and
+    padded[..., :width] its reflection through the first node,
+    padded[..., width - j] = f[..., j] for j = 1 .. width, with width at
+    least half_width(m, acc).  padded is float64 and C-contiguous.
+
+    The result is a view of shape f.shape into the new array np.correlate
+    returns, which holds nothing else the caller needs; padded is only
+    read.  Every row but the last half_width(m, acc) points takes the
+    centred stencil over the reflection, the last ones the one-sided
+    stencils, each value the same dot over the same samples as in a 1-D
+    call with width = half_width(m, acc).
+    """
+    half, n_side, center, _, hi = _stencils(h, m, acc)
+    n = padded.shape[-1] - width
+    _require_length(n + half, half, n_side, m, acc)
+    return _centre_and_right(padded, half, n_side, center, hi)[..., width:]
+
+
+def _require_length(n: int, half: int, n_side: int, m: int,
+                    acc: int) -> None:
+    """ResolutionError unless n points carry the centred stencil and the
+    one-sided one."""
     if n < max(2 * half + 1, n_side):
         raise ResolutionError(
             f"grid of {n} points too short for order-{m} derivative at accuracy {acc}")
 
-    out = np.convolve(f.reshape(-1), center[::-1],
-                      mode="same").reshape(f.shape)
-    out[..., n - half:] = np.vecdot(hi, f[..., None, n - n_side:])[..., ::-1]
-    if even:
-        return out[..., half:]
-    out[..., :half] = np.vecdot(lo, f[..., None, :n_side])
+
+def _centre_and_right(f: np.ndarray, half: int, n_side: int,
+                      center: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The centred stencil at every point of the rows of f, in one new
+    array, with the one-sided stencils of the last `half` points written
+    over their values; the first `half` are the caller's to fix."""
+    n = f.shape[-1]
+    out = np.correlate(f.reshape(-1), center, mode="same").reshape(f.shape)
+    np.vecdot(hi, f[..., None, n - n_side:], out=out[..., :n - half - 1:-1])
     return out

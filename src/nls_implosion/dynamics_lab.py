@@ -8,7 +8,9 @@ CFL step grows by about R_max/c.  Its stages run on plain arrays that
 stack runs along a leading axis (simulate's perturbed and reference runs
 step as one state, unless the reference is stored from an earlier call),
 with one first derivative of every row and one second
-derivative of the Psi rows per stage; validated FieldSets are built only
+derivative of the Psi rows per stage, both read off one even reflection
+in a workspace of arrays kept per grid and state shape
+(_StageWorkspace); validated FieldSets are built only
 where a caller needs one (step's result, simulate's sample points and
 abort snapshots).  The stepper's right side is written once, as its
 stationary part and its quantum term: the stationarity residual applies
@@ -32,12 +34,13 @@ import functools
 import hashlib
 import io
 import json
+import weakref
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._fd import derivative
+from ._fd import derivative, half_width, reflected_derivative
 from .errors import (
     CFLError,
     ConsistencyError,
@@ -255,12 +258,16 @@ def _quantum_prefactor(params: ProfileParams, s: float) -> float:
 
 
 def _stability_bound(U: np.ndarray, grid: RadialGrid, params: ProfileParams,
-                     s: float, quantum: bool, cfl: float) -> np.ndarray:
+                     s: float, quantum: bool, cfl: float,
+                     ws: _StageWorkspace | None = None) -> np.ndarray:
     """The largest stable step of each run whose gradient field is a row of
     U: cfl h over the largest transport speed in x, |R + 2U|/R', and, with
-    the quantum term on, at most cfl h^2 / (2 d e^{(4-2r)s})."""
+    the quantum term on, at most cfl h^2 / (2 d e^{(4-2r)s}).  With ws,
+    the grid's stage workspace for U's runs, the speed is formed in its
+    scratch."""
     h = grid.h
-    bound = cfl * h / np.maximum(np.max(grid.speed(U), axis=-1), 1e-30)
+    speed = grid.speed(U) if ws is None else ws.speed(U)
+    bound = cfl * h / np.maximum(np.max(speed, axis=-1), 1e-30)
     coef = _quantum_prefactor(params, s) if quantum else 0.0
     if coef:
         bound = np.minimum(bound, cfl * h * h / (2.0 * params.d * coef))
@@ -268,13 +275,19 @@ def _stability_bound(U: np.ndarray, grid: RadialGrid, params: ProfileParams,
 
 
 def _stationary_rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
-                    params: ProfileParams) -> np.ndarray:
+                    params: ProfileParams,
+                    ws: _StageWorkspace | None = None) -> np.ndarray:
     """The stationary part of _rhs: profile_operator at the stacked state X
     (X[0] Psi, X[1] S, one row per run) on the grid, given dX, its first
-    R-derivative, with the grid's Laplacian of the Psi rows.  A new array
-    of X's shape; a complex X gives a complex one."""
-    return profile_operator(params, grid.R, X[0], dX[0], X[1], dX[1],
-                            grid.laplacian(X[0], dX[0]))
+    R-derivative, with the grid's Laplacian of the Psi rows, as a new
+    array of X's shape; a complex X gives a complex one.  With ws, the
+    stage workspace in which ws.d1(X) formed dX, the Laplacian comes from
+    ws's reflection of X and the result is ws's kept F."""
+    if ws is None:
+        return profile_operator(params, grid.R, X[0], dX[0], X[1], dX[1],
+                                grid.laplacian(X[0], dX[0]))
+    return profile_operator(params, ws.R, X[0], dX[0], X[1], dX[1],
+                            ws.laplacian(dX[0]), out=ws.F, tmp=ws.tmp)
 
 
 def _quantum_term(S: np.ndarray, grid: RadialGrid,
@@ -288,21 +301,119 @@ def _quantum_term(S: np.ndarray, grid: RadialGrid,
 
 
 def _rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
-         params: ProfileParams, s: float, quantum: bool) -> np.ndarray:
+         params: ProfileParams, s: float, quantum: bool,
+         ws: _StageWorkspace | None = None) -> np.ndarray:
     """Right side of the (Psi, S) system for the stacked state X on the
     grid, given dX, its first R-derivative; X[0] is Psi and X[1] is S,
     each holding one row per run.
 
-    The result is the new array _stationary_rhs returns, of X's shape;
-    when the quantum term is on, e^{(4-2r)s} times _quantum_term is added
-    into the Psi rows in place.  Nothing is written into X or dX, and the
-    result shares no memory with them or with any scratch array.
+    The result is the array _stationary_rhs returns, of X's shape: a new
+    one, or with ws (X's stage workspace, after ws.d1(X)) the workspace's
+    kept F, which the next call overwrites.  When the quantum term is on,
+    e^{(4-2r)s} times _quantum_term, in new arrays, is added into the Psi
+    rows in place.  Nothing is written into X or dX, and the result shares
+    no memory with them or with any scratch array.
     """
-    out = _stationary_rhs(X, dX, grid, params)
+    out = _stationary_rhs(X, dX, grid, params, ws)
     coef = _quantum_prefactor(params, s) if quantum else 0.0
     if coef and np.any(X[1] > S_FLOOR):
         out[0] += coef * _quantum_term(X[1], grid, params)
     return out
+
+
+class _StageWorkspace:
+    """The arrays _advance keeps for one grid and one state shape
+    (2, k, n), rewritten at every stage, with the grid's operators that
+    write into them.  Each gives the bits of the grid's own operator.
+
+    Kept: `pad`, X's even reflection, written once per stage by d1 and read
+    by the first derivative of every row and the second derivative of the
+    Psi rows (`_fd.reflected_derivative`); dX, f_xx and the Laplacian of
+    the Psi rows; F and tmp, profile_operator's output and scratch; and
+    the grid factors R, lap_coef and, on the stretch, inv_dR, d2R and
+    inv_dR2, each broadcast once to the state's shape, since a ufunc
+    against a same-shape operand runs faster than against an (n,) one.
+    Fresh at each call: the output of each np.correlate, whose strided
+    view is copied into dX or fxx before any ufunc reads it (a ufunc that
+    reads a strided view allocates a buffer of its size).  The workspace
+    holds no reference to its grid, so the grid's entry in
+    _stage_workspaces goes when the grid does.
+    """
+
+    #: derivative accuracy of the stepper, that of RadialGrid.d1 and .d2
+    ACC = 4
+
+    def __init__(self, grid: RadialGrid, shape: tuple[int, int, int]):
+        _, k, n = shape
+        rows = (k, n)
+        self.h, self.d = grid.h, grid.d
+        self.width = max(half_width(1, self.ACC), half_width(2, self.ACC))
+        self.pad = np.empty((2, k, self.width + n))
+        self.dX, self.F = np.empty(shape), np.empty(shape)
+        self.fxx, self.lap, self.tmp = (np.empty(rows) for _ in range(3))
+        self.R = np.broadcast_to(grid.R, rows).copy()
+        self.lap_coef = np.broadcast_to(grid.lap_coef, rows).copy()
+        self.inv_dR = None
+        if grid.c is not None:
+            self.inv_dR = np.broadcast_to(grid.inv_dR, shape).copy()
+            self.d2R = np.broadcast_to(grid.d2R, rows).copy()
+            self.inv_dR2 = np.broadcast_to(grid.inv_dR2, rows).copy()
+
+    def d1(self, X: np.ndarray) -> np.ndarray:
+        """grid.d1(X) in the kept dX: X's reflection written into pad, and
+        its x-derivative, times 1/R' on the stretch."""
+        pad, width = self.pad, self.width
+        pad[..., width:] = X
+        pad[..., :width] = X[..., width:0:-1]
+        dX = self.dX
+        np.copyto(dX, reflected_derivative(pad, width, self.h, 1, self.ACC))
+        if self.inv_dR is not None:
+            dX *= self.inv_dR
+        return dX
+
+    def laplacian(self, dPsi: np.ndarray) -> np.ndarray:
+        """grid.laplacian(X[0], dPsi) into the kept lap, for the X whose
+        reflection the last d1 left in pad: f_RR of the Psi rows from
+        pad[0] in the kept fxx, lap_coef dPsi plus f_RR, and the centre's
+        limit d f_RR(0)."""
+        fxx, lap = self.fxx, self.lap
+        np.copyto(fxx, reflected_derivative(self.pad[0], self.width, self.h,
+                                            2, self.ACC))
+        if self.inv_dR is not None:
+            # (fxx - R'' dPsi) / R'^2, with lap as the scratch
+            np.multiply(self.d2R, dPsi, out=lap)
+            fxx -= lap
+            fxx *= self.inv_dR2
+        np.multiply(self.lap_coef, dPsi, out=lap)
+        lap += fxx
+        np.multiply(self.d, fxx[..., 0], out=lap[..., 0])
+        return lap
+
+    def speed(self, U: np.ndarray) -> np.ndarray:
+        """grid.speed(U), |R + 2U| / R', in the kept tmp."""
+        a = np.multiply(2.0, U, out=self.tmp)
+        np.add(self.R, a, out=a)
+        np.abs(a, out=a)
+        if self.inv_dR is not None:
+            a *= self.inv_dR[0]
+        return a
+
+
+#: each grid's stage workspaces, by state shape; weakly keyed, so a
+#: grid's workspaces are freed with it and a later grid that reuses its
+#: id starts without any
+_stage_workspaces: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _stage_workspace(grid: RadialGrid,
+                     shape: tuple[int, int, int]) -> _StageWorkspace:
+    """The grid's stage workspace for states of that shape, built on first
+    use."""
+    kept = _stage_workspaces.setdefault(grid, {})
+    ws = kept.get(shape)
+    if ws is None:
+        ws = kept[shape] = _StageWorkspace(grid, shape)
+    return ws
 
 
 def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
@@ -328,18 +439,26 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
     stored reference run's bound beside them when it steps that run no
     more.
 
-    Each stage differentiates all rows once and takes the second
-    derivative of the Psi rows.  The three stage combinations are formed
-    in place, in the order of X1 = X + ds F1,
-    X2 = 0.75 X + 0.25 (X1 + ds F2) and X/3 + 2/3 (X2 + ds F3), so the
-    bits are those of the plain expressions.  Each F is the array _rhs
-    returns, scaled and summed in place; the stage states live in one
-    array allocated per step, which is the state returned.  X is only
-    read, and the result shares no memory with X or with any array _rhs
-    returned.
+    The stages run in the grid's _StageWorkspace for X's shape, which
+    lives as long as the grid (for simulate, the whole call).  Each stage
+    writes the state's even reflection once into the workspace's pad and
+    takes from it the first derivative of all rows and the second
+    derivative of the Psi rows, into kept arrays, with the bits of
+    grid.d1 and grid.laplacian; _rhs, passed the workspace, writes into
+    its kept F.  The three stage combinations are formed in place, in the
+    order of X1 = X + ds F1, X2 = 0.75 X + 0.25 (X1 + ds F2) and
+    X/3 + 2/3 (X2 + ds F3), so the bits are those of the plain
+    expressions.  Each F is the array _rhs returns, scaled and summed in
+    place.  Unless the quantum term is live, a step allocates nothing of
+    size n but the output of each np.correlate (two per stage) and one
+    array for the stage states, which is the state returned: a new array
+    at every step.  X is only
+    read, and the result shares no memory with X, with an earlier result
+    or with any array _rhs returned.
     """
-    dX = grid.d1(X)
-    bound = _stability_bound(dX[0], grid, params, s, quantum, cfl)
+    ws = _stage_workspace(grid, X.shape)
+    dX = ws.d1(X)
+    bound = _stability_bound(dX[0], grid, params, s, quantum, cfl, ws)
     over = np.flatnonzero(ds > bound)
     if over.size:
         j = over[0]
@@ -352,16 +471,16 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
                        f"{bound[j]:.3e} of row {j} ({why})")
 
     Xn = np.empty_like(X)
-    f = _rhs(X, dX, grid, params, s, quantum)
+    f = _rhs(X, dX, grid, params, s, quantum, ws)
     np.multiply(f, ds, out=Xn)
     Xn += X                                         # X1
-    f = _rhs(Xn, grid.d1(Xn), grid, params, s + ds, quantum)
+    f = _rhs(Xn, ws.d1(Xn), grid, params, s + ds, quantum, ws)
     f *= ds
     f += Xn
     f *= 0.25
     np.multiply(X, 0.75, out=Xn)
     Xn += f                                         # X2
-    f = _rhs(Xn, grid.d1(Xn), grid, params, s + 0.5 * ds, quantum)
+    f = _rhs(Xn, ws.d1(Xn), grid, params, s + 0.5 * ds, quantum, ws)
     f *= ds
     f += Xn
     f *= 2.0 / 3.0

@@ -1027,24 +1027,29 @@ def to_physical(table: ProfileTable) -> ProfileTable:
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def profile_operator(params: ProfileParams, R, Psi, dPsi, S, dS, lapPsi
-                     ) -> np.ndarray:
+def profile_operator(params: ProfileParams, R, Psi, dPsi, S, dS, lapPsi,
+                     out: np.ndarray | None = None,
+                     tmp: np.ndarray | None = None) -> np.ndarray:
     """Right sides of the two stationary profile equations, zero on an
-    exact profile, as one new array of shape (2, *shape): N_Psi in row 0
-    and N_S in row 1, where shape broadcasts the inputs (complex inputs
-    give a complex array); the caller supplies the derivatives.
+    exact profile, as one array of shape (2, *shape): N_Psi in row 0 and
+    N_S in row 1, where shape broadcasts the inputs (complex inputs give a
+    complex array); the caller supplies the derivatives.
 
     Both rows are written in place through one scratch array, in the
     order the two right sides read from left to right, so every value has
-    the bits of the plain expression.  The result shares no memory with
-    the inputs or the scratch, and unpacks as (N_Psi, N_S).
+    the bits of the plain expression.  Unless given, the result `out` and
+    the scratch `tmp` (of shape `shape`) are new arrays; a caller that
+    keeps them passes them in, and gets `out` back.  The result shares no
+    memory with the inputs or the scratch, and unpacks as (N_Psi, N_S).
     """
     r, alpha = params.r, params.alpha
-    args = (R, Psi, dPsi, S, dS, lapPsi)
-    shape = np.broadcast(*args).shape
-    out = np.empty((2, *shape), np.result_type(*args))
+    if out is None:
+        args = (R, Psi, dPsi, S, dS, lapPsi)
+        out = np.empty((2, *np.broadcast(*args).shape),
+                       np.result_type(*args))
+    if tmp is None:
+        tmp = np.empty(out.shape[1:], out.dtype)
     N_Psi, N_S = out
-    tmp = np.empty(shape, out.dtype)
     # -(r - 2) Psi - R dPsi - dPsi^2 - alpha S^2
     np.multiply(-(r - 2.0), Psi, out=N_Psi)
     N_Psi -= np.multiply(R, dPsi, out=tmp)

@@ -2,14 +2,18 @@
 array-level stepper built on it.
 
 Neither the cache, the even-reflection mode, stacking rows along a leading
-axis nor the lean stepper may change a single bit: every reference below
-rebuilds the Fornberg weights for each row on each call, reflects even
-fields by hand, differentiates one row at a time, and steps each run alone
-through a validated FieldSet per step, which is what the code did before.
+axis, the lean stepper nor its stage workspace of kept arrays may change a
+single bit: every reference below rebuilds the Fornberg weights for each
+row on each call, reflects even fields by hand, differentiates one row at
+a time, and steps each run alone through a validated FieldSet per step,
+which is what the code did before.
 The stepper's references run on simulate's stretched grid and on the
 uniform one.  A simulate that reads its reference run back from an
 earlier call reports the bits of one that steps it.
 """
+
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,11 +163,17 @@ def test_energy_report_identical_without_cache(profile_r201, monkeypatch):
         shapes.append(np.shape(f))
         return uncached_derivative(f, *args, **kwargs)
 
-    # the stepper and the samples differentiate through the grid, which
-    # looks the operator up in selfsimilar_fields; the probe and the
-    # blow-up fit also call dynamics_lab's
+    def counting_reflected(padded, width, h, m, acc=4):
+        return counting(padded[..., width:], h, m, acc, even=True)
+
+    # the samples differentiate through the grid, which looks the
+    # operator up in selfsimilar_fields; the probe and the blow-up fit
+    # also call dynamics_lab's.  The stepper's stage workspace calls the
+    # even pass on its kept reflection, which it looks up in dynamics_lab
     for module in (dynamics_lab, selfsimilar_fields):
         monkeypatch.setattr(module, "derivative", counting)
+    monkeypatch.setattr(dynamics_lab, "reflected_derivative",
+                        counting_reflected)
     dynamics_lab._reference_run = None    # step the reference run too
     uncached = simulate(profile_r201, s_span=0.1, n=256, n_samples=3)
     assert (2, 2, 256) in shapes   # both runs' (Psi, S) in one call
@@ -318,6 +328,108 @@ def test_advance_result_aliases_nothing(profile_r201, monkeypatch, runs):
         results.append(Xn)
 
 
+def _stepper_case(table, grid, runs, s):
+    """A (2, runs, n) state of the profile with a bump on the first run's
+    fields, and half the smallest stability bound of its runs at s with
+    the quantum term on."""
+    base = profile_fieldset(table, grid, s)
+    bump = np.exp(-(base.R - 8.0) ** 2)
+    X = np.array([[base.Psi + 1e-3 * bump, base.Psi][:runs],
+                  [base.S * (1.0 + 1e-3 * bump), base.S][:runs]])
+    bound = dynamics_lab._stability_bound(grid.d1(X[0]), grid, table.params,
+                                          s, True, 0.9)
+    return X, 0.5 * float(np.min(bound))
+
+
+def _assert_advance_is_reference(X, grid, params, s, ds, quantum):
+    got = dynamics_lab._advance(X, grid, params, s, ds, quantum, 0.9)
+    want = _reference_advance_rows(X, grid, params, s, ds, quantum, 0.9)
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(_bits(g), _bits(w))
+    return got[0]
+
+
+def test_stage_workspace_is_never_stale(profile_r201):
+    # the stepper keeps its arrays per grid and state shape: steps that
+    # alternate between grids of one n, between one and two runs and
+    # between the quantum term on and off each equal the reference.  At
+    # s = 1 the quantum prefactor is about 1, so the term is live
+    params, s = profile_r201.params, 1.0
+    grids = (RadialGrid.uniform(N_ABORT, 30.0),
+             RadialGrid.sinh(N_ABORT, 30.0, dynamics_lab.SIMULATE_GRID_C))
+    cases = [(grid, *_stepper_case(profile_r201, grid, runs, s), quantum)
+             for runs in (1, 2) for quantum in (True, False)
+             for grid in grids]
+    for i in range(2):
+        for j, (grid, X, ds, quantum) in enumerate(cases):
+            cases[j] = (grid, _assert_advance_is_reference(
+                X, grid, params, s + i * ds, ds, quantum), ds, quantum)
+    # a grid that is dropped takes its workspaces with it: a grid of
+    # another R_max built right after the drop, which CPython mostly puts
+    # at the dropped grid's id, steps as the reference does
+    c = dynamics_lab.SIMULATE_GRID_C
+    for R_max in (20.0, 25.0, 35.0):
+        grid = RadialGrid.sinh(N_ABORT, 30.0, c)
+        X, ds = _stepper_case(profile_r201, grid, 1, s)
+        _assert_advance_is_reference(X, grid, params, s, ds, True)
+        other = RadialGrid.sinh(N_ABORT, R_max, c)
+        X, ds = _stepper_case(profile_r201, other, 1, s)
+        del grid
+        grid = RadialGrid(x=other.x, R=other.R, h=other.h, c=other.c)
+        _assert_advance_is_reference(X, grid, params, s, ds, True)
+
+
+def _opcodes_with_large_allocations(fn, nbytes):
+    """fn() and the number of bytecodes, run by fn and by what it calls,
+    during which the memory tracemalloc traces (numpy's buffers included)
+    rose by nbytes or more above its level at the bytecode's start."""
+    count, level = 0, 0
+
+    def trace(frame, event, arg):
+        nonlocal count, level
+        frame.f_trace_opcodes = True
+        current, peak = tracemalloc.get_traced_memory()
+        count += peak - level >= nbytes
+        tracemalloc.reset_peak()
+        level = current
+        return trace
+
+    outer = sys.gettrace()
+    tracemalloc.start()
+    try:
+        level = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sys.settrace(trace)
+        try:
+            result = fn()
+        finally:
+            sys.settrace(outer)
+        count += tracemalloc.get_traced_memory()[1] - level >= nbytes
+    finally:
+        tracemalloc.stop()
+    return result, count
+
+
+@pytest.mark.parametrize("kind", ["uniform", "sinh"])
+@pytest.mark.parametrize("runs", [1, 2])
+def test_warm_step_allocates_only_its_result_and_correlations(profile_r201,
+                                                              kind, runs):
+    # a warm step of simulate's settings makes no allocation of 8n bytes
+    # or more but its result and the six np.correlate outputs, two per
+    # stage; every other array of size n is kept in the stage workspace
+    n = 2048
+    grid = (RadialGrid.uniform(n, 30.0) if kind == "uniform" else
+            RadialGrid.sinh(n, 30.0, dynamics_lab.SIMULATE_GRID_C))
+    params = profile_r201.params
+    X, ds = _stepper_case(profile_r201, grid, runs, 1e4)
+    X, _ = dynamics_lab._advance(X, grid, params, 1e4, ds, True, 0.9)
+    (Xn, _), large = _opcodes_with_large_allocations(
+        lambda: dynamics_lab._advance(X, grid, params, 1e4 + ds, ds, True,
+                                      0.9), 8 * n)
+    assert Xn.shape == (2, runs, n)
+    assert large <= 1 + 3 * 2
+
+
 def test_nan_density_raises_at_its_step(profile_r201, monkeypatch):
     rhs = dynamics_lab._rhs
     calls = []
@@ -422,11 +534,12 @@ def _ds_between_cfl_bounds(table, cfg, height):
 
 def _draining(S0):
     """profile_operator, with S drained in stage 1 of the run that starts
-    on the density S0."""
+    on the density S0.  The stepper's kept output and scratch, when it
+    passes them, are passed on."""
     operator = dynamics_lab.profile_operator
 
-    def draining(params, R_, Psi, dPsi, S, dS, lapPsi):
-        out = operator(params, R_, Psi, dPsi, S, dS, lapPsi)
+    def draining(params, R_, Psi, dPsi, S, dS, lapPsi, **kept):
+        out = operator(params, R_, Psi, dPsi, S, dS, lapPsi, **kept)
         out[1] -= np.where(np.all(S == S0, axis=-1, keepdims=True), 1e3, 0.0)
         return out
 
