@@ -9,14 +9,17 @@ stack runs along a leading axis (simulate's perturbed and reference runs
 step as one state, unless the reference is stored from an earlier call),
 with one first derivative of every row and one second
 derivative of the Psi rows per stage, both read off one even reflection
-in a workspace of arrays kept per grid and state shape
-(_StageWorkspace); validated FieldSets are built only
+in a workspace of kept arrays (_StageWorkspace) that the grid holds per
+state shape, in RadialGrid.workspaces; validated FieldSets are built only
 where a caller needs one (step's result, simulate's sample points and
 abort snapshots).  The stepper's right side is written once, as its
-stationary part and its quantum term: the stationarity residual applies
-the first at a state, and a statistical dissipativity probe of the
-cut-off linearized operator takes the operator as its complex-step
-linearization.  They, the weighted energy functionals and a Sobolev
+stationary part and its quantum term, and everything simulate evaluates
+on its grid runs in that grid's workspaces: the stages and their bound,
+the default step, the quantum term, and the stationarity residual, which
+applies the stationary part at a state.  A statistical dissipativity
+probe of the cut-off linearized operator takes the same operator as its
+complex-step linearization, in fresh arrays on a grid it throws away.
+They, the weighted energy functionals and a Sobolev
 blow-up-rate diagnostic live alongside the stepper; each takes its
 R-derivatives and integrals from the grid it is given.
 Everything reduces the d = 8 problem to its radial form:
@@ -34,7 +37,6 @@ import functools
 import hashlib
 import io
 import json
-import weakref
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
@@ -257,35 +259,28 @@ def _quantum_prefactor(params: ProfileParams, s: float) -> float:
     return coef if coef > QP_COEF_FLOOR else 0.0
 
 
-def _stability_bound(U: np.ndarray, grid: RadialGrid, params: ProfileParams,
-                     s: float, quantum: bool, cfl: float,
-                     ws: _StageWorkspace | None = None) -> np.ndarray:
+def _stability_bound(U: np.ndarray, ws: _StageWorkspace,
+                     params: ProfileParams, s: float, quantum: bool,
+                     cfl: float) -> np.ndarray:
     """The largest stable step of each run whose gradient field is a row of
     U: cfl h over the largest transport speed in x, |R + 2U|/R', and, with
-    the quantum term on, at most cfl h^2 / (2 d e^{(4-2r)s}).  With ws,
-    the grid's stage workspace for U's runs, the speed is formed in its
-    scratch."""
-    h = grid.h
-    speed = grid.speed(U) if ws is None else ws.speed(U)
-    bound = cfl * h / np.maximum(np.max(speed, axis=-1), 1e-30)
+    the quantum term on, at most cfl h^2 / (2 d e^{(4-2r)s}).  ws is a
+    stage workspace of the grid whose rows U's shape broadcasts to; the
+    speed is formed in its scratch."""
+    bound = cfl * ws.h / np.maximum(np.max(ws.speed(U), axis=-1), 1e-30)
     coef = _quantum_prefactor(params, s) if quantum else 0.0
     if coef:
-        bound = np.minimum(bound, cfl * h * h / (2.0 * params.d * coef))
+        bound = np.minimum(bound, cfl * ws.h * ws.h / (2.0 * params.d * coef))
     return bound
 
 
-def _stationary_rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
-                    params: ProfileParams,
-                    ws: _StageWorkspace | None = None) -> np.ndarray:
+def _stationary_rhs(X: np.ndarray, dX: np.ndarray, ws: _StageWorkspace,
+                    params: ProfileParams) -> np.ndarray:
     """The stationary part of _rhs: profile_operator at the stacked state X
-    (X[0] Psi, X[1] S, one row per run) on the grid, given dX, its first
-    R-derivative, with the grid's Laplacian of the Psi rows, as a new
-    array of X's shape; a complex X gives a complex one.  With ws, the
-    stage workspace in which ws.d1(X) formed dX, the Laplacian comes from
-    ws's reflection of X and the result is ws's kept F."""
-    if ws is None:
-        return profile_operator(params, grid.R, X[0], dX[0], X[1], dX[1],
-                                grid.laplacian(X[0], dX[0]))
+    (X[0] Psi, X[1] S, one row per run) in its stage workspace ws, given
+    dX = ws.d1(X), its first R-derivative, with the Laplacian of the Psi
+    rows read off the reflection of X that ws.d1 left.  The result is ws's
+    kept F, which the next call on ws overwrites."""
     return profile_operator(params, ws.R, X[0], dX[0], X[1], dX[1],
                             ws.laplacian(dX[0]), out=ws.F, tmp=ws.tmp)
 
@@ -294,61 +289,65 @@ def _quantum_term(S: np.ndarray, grid: RadialGrid,
                   params: ProfileParams) -> np.ndarray:
     """The quantum term of _rhs without its prefactor: Lap w + |grad w|^2
     for the half log-density w of each row of S where S > S_FLOOR, and 0
-    elsewhere; w is taken at max(S, S_FLOOR), so it is finite."""
-    w = _half_log_density(np.maximum(S, S_FLOOR), params)
-    dw = grid.d1(w)
-    return np.where(S > S_FLOOR, grid.laplacian(w, dw) + dw * dw, 0.0)
+    elsewhere; w is taken at max(S, S_FLOOR), so it is finite.  S holds
+    rows (k, n); both derivatives of w are read off one reflection in the
+    grid's stage workspace for the (1, k, n) state w.  The result is a new
+    array."""
+    ws = _stage_workspace(grid, (1, *S.shape))
+    dw = ws.d1(_half_log_density(np.maximum(S, S_FLOOR), params)[None])[0]
+    lap = ws.laplacian(dw)
+    lap += dw * dw
+    return np.where(S > S_FLOOR, lap, 0.0)
 
 
 def _rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
          params: ProfileParams, s: float, quantum: bool,
-         ws: _StageWorkspace | None = None) -> np.ndarray:
+         ws: _StageWorkspace) -> np.ndarray:
     """Right side of the (Psi, S) system for the stacked state X on the
-    grid, given dX, its first R-derivative; X[0] is Psi and X[1] is S,
-    each holding one row per run.
+    grid, X[0] Psi and X[1] S, each holding one row per run.  ws is the
+    grid's stage workspace for X's shape, and dX must be ws.d1(X), its
+    first R-derivative formed in that same workspace: the Laplacian reads
+    the reflection of X that this d1 left.
 
-    The result is the array _stationary_rhs returns, of X's shape: a new
-    one, or with ws (X's stage workspace, after ws.d1(X)) the workspace's
-    kept F, which the next call overwrites.  When the quantum term is on,
-    e^{(4-2r)s} times _quantum_term, in new arrays, is added into the Psi
-    rows in place.  Nothing is written into X or dX, and the result shares
-    no memory with them or with any scratch array.
+    The result is _stationary_rhs's, ws's kept F, which the next call
+    overwrites.  When the quantum term is on, e^{(4-2r)s} times
+    _quantum_term is added into the Psi rows in place.  Nothing is written
+    into X or dX, and the result shares no memory with them or with any
+    scratch array.
     """
-    out = _stationary_rhs(X, dX, grid, params, ws)
+    out = _stationary_rhs(X, dX, ws, params)
     coef = _quantum_prefactor(params, s) if quantum else 0.0
     if coef and np.any(X[1] > S_FLOOR):
-        out[0] += coef * _quantum_term(X[1], grid, params)
+        q = _quantum_term(X[1], grid, params)
+        q *= coef
+        out[0] += q
     return out
 
 
 class _StageWorkspace:
-    """The arrays _advance keeps for one grid and one state shape
-    (2, k, n), rewritten at every stage, with the grid's operators that
-    write into them.  Each gives the bits of the grid's own operator.
+    """The arrays kept for one grid and one state shape (m, ..., n),
+    rewritten at every use, with the grid's operators that write into
+    them.  Each gives the bits of the grid's own operator.
 
-    Kept: `pad`, X's even reflection, written once per stage by d1 and read
-    by the first derivative of every row and the second derivative of the
-    Psi rows (`_fd.reflected_derivative`); dX, f_xx and the Laplacian of
-    the Psi rows; F and tmp, profile_operator's output and scratch; and
-    the grid factors R, lap_coef and, on the stretch, inv_dR, d2R and
-    inv_dR2, each broadcast once to the state's shape, since a ufunc
-    against a same-shape operand runs faster than against an (n,) one.
-    Fresh at each call: the output of each np.correlate, whose strided
-    view is copied into dX or fxx before any ufunc reads it (a ufunc that
-    reads a strided view allocates a buffer of its size).  The workspace
-    holds no reference to its grid, so the grid's entry in
-    _stage_workspaces goes when the grid does.
+    Kept: `pad`, X's even reflection, written once by d1 and read by the
+    first derivative of every row and the second derivative of the X[0]
+    rows (`_fd.reflected_derivative`, at RadialGrid.ACC); dX, f_xx and
+    the Laplacian of the X[0] rows; F and tmp, profile_operator's output
+    and scratch; and the grid factors R, lap_coef and, on the stretch,
+    inv_dR, d2R and inv_dR2, each broadcast once to the state's shape,
+    since a ufunc against a same-shape operand runs faster than against
+    an (n,) one.  Fresh at each call: the output of each np.correlate,
+    whose strided view is copied into dX or fxx before any ufunc reads it
+    (a ufunc that reads a strided view allocates a buffer of its size).
+    The workspace holds no reference to its grid, so the grid's
+    `workspaces` dict, which holds it, goes when the grid does.
     """
 
-    #: derivative accuracy of the stepper, that of RadialGrid.d1 and .d2
-    ACC = 4
-
-    def __init__(self, grid: RadialGrid, shape: tuple[int, int, int]):
-        _, k, n = shape
-        rows = (k, n)
+    def __init__(self, grid: RadialGrid, shape: tuple[int, ...]):
+        rows, n = shape[1:], shape[-1]
         self.h, self.d = grid.h, grid.d
-        self.width = max(half_width(1, self.ACC), half_width(2, self.ACC))
-        self.pad = np.empty((2, k, self.width + n))
+        self.width = max(half_width(m, RadialGrid.ACC) for m in (1, 2))
+        self.pad = np.empty((*shape[:-1], self.width + n))
         self.dX, self.F = np.empty(shape), np.empty(shape)
         self.fxx, self.lap, self.tmp = (np.empty(rows) for _ in range(3))
         self.R = np.broadcast_to(grid.R, rows).copy()
@@ -366,19 +365,20 @@ class _StageWorkspace:
         pad[..., width:] = X
         pad[..., :width] = X[..., width:0:-1]
         dX = self.dX
-        np.copyto(dX, reflected_derivative(pad, width, self.h, 1, self.ACC))
+        np.copyto(dX, reflected_derivative(pad, width, self.h, 1,
+                                           RadialGrid.ACC))
         if self.inv_dR is not None:
             dX *= self.inv_dR
         return dX
 
     def laplacian(self, dPsi: np.ndarray) -> np.ndarray:
         """grid.laplacian(X[0], dPsi) into the kept lap, for the X whose
-        reflection the last d1 left in pad: f_RR of the Psi rows from
+        reflection the last d1 left in pad: f_RR of the X[0] rows from
         pad[0] in the kept fxx, lap_coef dPsi plus f_RR, and the centre's
         limit d f_RR(0)."""
         fxx, lap = self.fxx, self.lap
         np.copyto(fxx, reflected_derivative(self.pad[0], self.width, self.h,
-                                            2, self.ACC))
+                                            2, RadialGrid.ACC))
         if self.inv_dR is not None:
             # (fxx - R'' dPsi) / R'^2, with lap as the scratch
             np.multiply(self.d2R, dPsi, out=lap)
@@ -399,21 +399,13 @@ class _StageWorkspace:
         return a
 
 
-#: each grid's stage workspaces, by state shape; weakly keyed, so a
-#: grid's workspaces are freed with it and a later grid that reuses its
-#: id starts without any
-_stage_workspaces: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _stage_workspace(grid: RadialGrid,
-                     shape: tuple[int, int, int]) -> _StageWorkspace:
+                     shape: tuple[int, ...]) -> _StageWorkspace:
     """The grid's stage workspace for states of that shape, built on first
-    use."""
-    kept = _stage_workspaces.setdefault(grid, {})
-    ws = kept.get(shape)
-    if ws is None:
-        ws = kept[shape] = _StageWorkspace(grid, shape)
-    return ws
+    use and kept in grid.workspaces."""
+    if shape not in grid.workspaces:
+        grid.workspaces[shape] = _StageWorkspace(grid, shape)
+    return grid.workspaces[shape]
 
 
 def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
@@ -439,33 +431,35 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
     stored reference run's bound beside them when it steps that run no
     more.
 
-    The stages run in the grid's _StageWorkspace for X's shape, which
-    lives as long as the grid (for simulate, the whole call).  Each stage
-    writes the state's even reflection once into the workspace's pad and
-    takes from it the first derivative of all rows and the second
+    The stages run in the grid's _StageWorkspace for X's shape, which the
+    grid keeps in its `workspaces` (for simulate, the whole call).  Each
+    stage writes the state's even reflection once into the workspace's
+    pad and takes from it the first derivative of all rows and the second
     derivative of the Psi rows, into kept arrays, with the bits of
-    grid.d1 and grid.laplacian; _rhs, passed the workspace, writes into
-    its kept F.  The three stage combinations are formed in place, in the
-    order of X1 = X + ds F1, X2 = 0.75 X + 0.25 (X1 + ds F2) and
-    X/3 + 2/3 (X2 + ds F3), so the bits are those of the plain
-    expressions.  Each F is the array _rhs returns, scaled and summed in
-    place.  Unless the quantum term is live, a step allocates nothing of
-    size n but the output of each np.correlate (two per stage) and one
-    array for the stage states, which is the state returned: a new array
-    at every step.  X is only
-    read, and the result shares no memory with X, with an earlier result
-    or with any array _rhs returned.
+    grid.d1 and grid.laplacian; the bound is formed in its scratch, and
+    _rhs, passed the workspace, writes into its kept F.  The three stage
+    combinations are formed in place, in the order of X1 = X + ds F1,
+    X2 = 0.75 X + 0.25 (X1 + ds F2) and X/3 + 2/3 (X2 + ds F3), so the
+    bits are those of the plain expressions.  Each F is the array _rhs
+    returns, scaled and summed in place.  Unless the quantum term is live,
+    a step allocates nothing of size n but the output of each
+    np.correlate (two per stage) and one array for the stage states,
+    which is the state returned: a new array at every step; a live term
+    reads its derivatives off the workspace of the (1, k, n) state w and
+    adds its own elementwise arrays.  X is only read, and the result
+    shares no memory with X, with an earlier result or with any array
+    _rhs returned.
     """
     ws = _stage_workspace(grid, X.shape)
     dX = ws.d1(X)
-    bound = _stability_bound(dX[0], grid, params, s, quantum, cfl, ws)
+    bound = _stability_bound(dX[0], ws, params, s, quantum, cfl)
     over = np.flatnonzero(ds > bound)
     if over.size:
         j = over[0]
         # name the bound that binds: transport, unless the quantum one is less
-        why = (f"transport: max|y+2U|/R' = {np.max(grid.speed(dX[0, j])):.3g}"
-               if bound[j] == _stability_bound(dX[0, j], grid, params, s,
-                                               False, cfl) else
+        speed = np.max(grid.speed(dX[0, j]))
+        why = (f"transport: max|y+2U|/R' = {speed:.3g}"
+               if bound[j] == cfl * grid.h / max(speed, 1e-30) else
                f"quantum: e^((4-2r)s) = {_quantum_prefactor(params, s):.4g}")
         raise CFLError(f"ds = {ds:.3e} exceeds the stability bound "
                        f"{bound[j]:.3e} of row {j} ({why})")
@@ -533,7 +527,9 @@ class StationaryResidual(NamedTuple):
 
 def residual_stationary(state: FieldSet) -> StationaryResidual:
     """The stepper's stationary right side at the state, on its grid: the
-    rows of _stationary_rhs, with the derivatives _rhs takes.
+    rows of _stationary_rhs, with the derivatives _rhs takes, evaluated
+    in the grid's stage workspace of one run, (2, 1, n), and copied out
+    of its kept F.
 
     Psi is the N_Psi row.  P is the density residual, the N_S row mapped by
     the exact change of variables N_P = dP/dS N_S = P/(alpha S) N_S, with
@@ -544,13 +540,14 @@ def residual_stationary(state: FieldSet) -> StationaryResidual:
     of _quantum_term, Lap w + |grad w|^2.
     """
     params, grid, S = state.params, state.grid, state.S
-    X = np.stack((state.Psi, S))
-    N_Psi, N_S = _stationary_rhs(X, grid.d1(X), grid, params)
+    X = np.stack((state.Psi, S))[:, None]
+    ws = _stage_workspace(grid, X.shape)
+    F = _stationary_rhs(X, ws.d1(X), ws, params)
     k = np.sqrt(params.alpha) / params.r ** (1.0 - params.alpha)
     dP_dS = k * (k * S) ** (1.0 / params.alpha - 1.0) / params.alpha
     quantum_sup = (np.exp((4.0 - 2.0 * params.r) * state.s)
-                   * np.max(np.abs(_quantum_term(S, grid, params))))
-    return StationaryResidual(Psi=N_Psi, P=dP_dS * N_S,
+                   * np.max(np.abs(_quantum_term(X[1], grid, params))))
+    return StationaryResidual(Psi=F[0, 0].copy(), P=dP_dS * F[1, 0],
                               quantum_sup=float(quantum_sup))
 
 
@@ -639,11 +636,15 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
 
     The cut-off linearized operator is Lt e = chi2 L e - J (1 - chi1) e,
     with L the linearization at the profile of the stepper's stationary
-    right side, _stationary_rhs: it is quadratic in its fields, so
-    L e = Im _stationary_rhs(profile + i e), with every direction a run of
-    one complex stacked state, whose derivatives the derivative operator
-    takes as real and imaginary parts.  Every derivative is one stacked
-    call over all directions, and every inner product uses the grid's
+    right side, profile_operator with the grid's first derivative and
+    Laplacian: it is quadratic in its fields, so L e = Im N(profile + i e)
+    for that operator N, with every direction a run of one complex stacked
+    state, whose derivatives the derivative operator takes as real and
+    imaginary parts.  The probe evaluates N once, on a grid it builds and
+    drops, so it takes the grid's allocating operators rather than a stage
+    workspace (whose arrays are real and would be built for one use), and
+    frees dX before Lt is formed.  Every derivative is one stacked call
+    over all directions, and every inner product uses the grid's
     quadrature weights.
     """
     params = table.params
@@ -662,8 +663,11 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     # temporary, not two, and the bits of profile + 1j * e
     X = np.moveaxis(E, 1, 0) * 1j
     X += np.stack((base.Psi, base.S))[:, None]
-    L = np.moveaxis(_stationary_rhs(X, grid.d1(X), grid, params).imag, 0, 1)
-    Lt = chi2 * L - J * (1.0 - chi1) * E
+    dX = grid.d1(X)
+    F = profile_operator(params, R, X[0], dX[0], X[1], dX[1],
+                         grid.laplacian(X[0], dX[0]))
+    del dX                     # 1 MB, freed before Lt is formed
+    Lt = chi2 * np.moveaxis(F.imag, 0, 1) - J * (1.0 - chi1) * E
 
     w = grid.weights
 
@@ -1002,8 +1006,9 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
                    base.S * (1.0 + cfg.delta_low * bump))
 
     if ds is None:
-        ds = 0.9 / 1.1 * float(_stability_bound(base.U, grid, params,
-                                                cfg.s0, False, cfg.cfl))
+        ws = _stage_workspace(grid, (2, 1, n))
+        ds = 0.9 / 1.1 * float(_stability_bound(base.U, ws, params, cfg.s0,
+                                                False, cfg.cfl)[0])
     n_steps, ds = _step_plan(s_span, ds, n_samples)
     sample_at = set(np.linspace(0, n_steps, n_samples).astype(int))
 

@@ -232,7 +232,13 @@ def sonic_slope(params: ProfileParams) -> tuple[float, float]:
 # auxiliary sign quantities with dual-precision agreement
 # ---------------------------------------------------------------------------
 
-def _sign(x: float, zero_tol: float = 0.0) -> int:
+#: a value of auxiliary_signs at most this far from 0 has sign 0, which
+#: agrees with either sign.  It spares little more than an exact zero: at
+#: r = R_STAR, where B and C vanish, the smallest direct value is 5e-16
+SIGN_ZERO_TOL = 1e-30
+
+
+def _sign(x: float, zero_tol: float) -> int:
     if abs(x) <= zero_tol:
         return 0
     return 1 if x > 0 else -1
@@ -264,7 +270,7 @@ def _mp_aux_quantities(r_val: float):
         return tuple(float(x) for x in (A, B, C, W1 + Z1, NWPs))
 
 
-def auxiliary_signs(params: ProfileParams, zero_tol: float = 1e-30) -> VerificationReport:
+def auxiliary_signs(params: ProfileParams) -> VerificationReport:
     """Signs and margins for the quantities behind W_1 + Z_1 < 0 and N_W(P_s) < 0.
 
     Each quantity is evaluated via its factored closed form in double
@@ -291,10 +297,10 @@ def auxiliary_signs(params: ProfileParams, zero_tol: float = 1e-30) -> Verificat
                                ("C", C_fact, C_dir),
                                ("W1+Z1", w1z1_fact, w1z1_dir),
                                ("N_W(P_s)", nwps_fact, nwps_dir)):
-        _require_sign_agreement(name, fact, direct, zero_tol)
+        _require_sign_agreement(name, fact, direct, SIGN_ZERO_TOL)
 
     report = VerificationReport(params={"r": r, "d": params.d, "p": params.p},
-                                tolerances={"zero_tol": zero_tol})
+                                tolerances={"zero_tol": SIGN_ZERO_TOL})
     report.add("A_positive", "A > 0 (W1+Z1 numerator domination)",
                "closed form at r", A_fact, f"r={r}")
     report.add("B_positive", "B > 0 (radical domination in A)",

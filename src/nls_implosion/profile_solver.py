@@ -1066,33 +1066,38 @@ def profile_operator(params: ProfileParams, R, Psi, dPsi, S, dS, lapPsi,
     return out
 
 
+#: stencil order of residual_profile's first differences.  The profile has
+#: a smooth but narrow interior band just past the sonic point (width a few
+#: grid spacings at the default resolution), and each extra order gains
+#: roughly a factor (h / width) there; round-off in the first differences
+#: stays negligible at this order
+RESIDUAL_ACC = 14
+
+
 def residual_profile(table: ProfileTable, R_lo: float | None = None,
-                     R_hi: float | None = None, acc: int = 14) -> ResidualPair:
+                     R_hi: float | None = None) -> ResidualPair:
     """Sup-norm residuals of the two stationary profile equations.
 
     First derivatives are finite differences of the tabulated Psi and S
     columns (in xi, then converted to R), so the check is not a restatement
-    of how the columns were built.  The profile has a smooth but narrow
-    interior band just past the sonic point (width a few grid spacings at
-    the default resolution) and each extra order of accuracy gains roughly
-    a factor (h / width) there, hence the high default order; round-off in
-    the first differences stays negligible at this length.  The Laplacian
-    of the phase is the exception to pure differencing: Psi carries a
-    1/(r-2) amplification, and a double precision second difference of it
-    drowns the contract tolerance in round-off near the origin, so
-    Delta Psi uses the ODE-consistent derivative column instead.  Edge rows
-    covered by one-sided stencils are excluded from the sup unless the
-    window says otherwise.
+    of how the columns were built; they are taken at the high order
+    RESIDUAL_ACC, for the profile's narrow band past the sonic point.  The
+    Laplacian of the phase is the exception to pure differencing: Psi
+    carries a 1/(r-2) amplification, and a double precision second
+    difference of it drowns the contract tolerance in round-off near the
+    origin, so Delta Psi uses the ODE-consistent derivative column
+    instead.  Edge rows covered by one-sided stencils are excluded from
+    the sup unless the window says otherwise.
     """
     R, h = table.R, table.h
     Psi, S = table.Psi_nls, table.S_nls
-    dPsi = derivative(Psi, h, 1, acc=acc) / R
-    dS = derivative(S, h, 1, acc=acc) / R
+    dPsi = derivative(Psi, h, 1, acc=RESIDUAL_ACC) / R
+    dS = derivative(S, h, 1, acc=RESIDUAL_ACC) / R
     N_Psi, N_S = profile_operator(table.params, R, Psi, dPsi, S, dS,
                                   table.lapPsi_nls)
     res1, res2 = np.abs(N_Psi), np.abs(N_S)
 
-    margin = acc // 2 + 1    # rows with one-sided first-difference stencils
+    margin = RESIDUAL_ACC // 2 + 1    # rows with one-sided stencils
     if R_lo is None and R_hi is None:
         mask = np.zeros(len(R), dtype=bool)
         mask[margin:len(R) - margin] = True

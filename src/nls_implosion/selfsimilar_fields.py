@@ -176,13 +176,13 @@ def inverse_madelung(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
 # radial calculus on grids containing R = 0
 # ---------------------------------------------------------------------------
 
-def _even_d1(f: np.ndarray, h: float, acc: int = 4) -> np.ndarray:
+def _even_d1(f: np.ndarray, h: float) -> np.ndarray:
     """First derivative of an even radial field (f(-R) = f(R))."""
-    return derivative(f, h, 1, acc=acc, even=True)
+    return derivative(f, h, 1, acc=RadialGrid.ACC, even=True)
 
 
-def _even_d2(f: np.ndarray, h: float, acc: int = 4) -> np.ndarray:
-    return derivative(f, h, 2, acc=acc, even=True)
+def _even_d2(f: np.ndarray, h: float) -> np.ndarray:
+    return derivative(f, h, 2, acc=RadialGrid.ACC, even=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,13 +204,23 @@ class RadialGrid:
     R' R^(d-1) dx.  Every radial routine of the package takes its nodes
     as a RadialGrid; from_payload rebuilds a stored grid through its
     kind's constructor.
+
+    The even operators d1, d2 and laplacian take their stencils at the
+    one accuracy ACC, which the stepper's stage workspaces read too.  A
+    grid keeps those workspaces in its own `workspaces` dict, by state
+    shape; none of them refers to the grid, so they are freed with it.
     """
+
+    #: accuracy order of the even-reflection operators d1, d2, laplacian
+    ACC = 4
 
     x: np.ndarray
     R: np.ndarray
     h: float
     c: float | None = None
     d: int = 8
+    #: dynamics_lab's stage workspaces on this grid, by state shape
+    workspaces: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def uniform(cls, n: int, R_max: float, d: int = 8) -> "RadialGrid":
@@ -281,14 +291,14 @@ class RadialGrid:
         centre R = 0."""
         return (self.d - 1) / np.where(self.R == 0.0, np.inf, self.R)
 
-    def d1(self, f: np.ndarray, acc: int = 4) -> np.ndarray:
+    def d1(self, f: np.ndarray) -> np.ndarray:
         """f_R of an even field, along the last axis."""
-        fx = _even_d1(f, self.h, acc=acc)
+        fx = _even_d1(f, self.h)
         return fx if self.c is None else fx * self.inv_dR
 
-    def d2(self, f: np.ndarray, d1: np.ndarray, acc: int = 4) -> np.ndarray:
+    def d2(self, f: np.ndarray, d1: np.ndarray) -> np.ndarray:
         """f_RR of an even field whose f_R is d1."""
-        fxx = _even_d2(f, self.h, acc=acc)
+        fxx = _even_d2(f, self.h)
         if self.c is None:
             return fxx
         # (fxx - R'' d1) / R'^2, in one new array
@@ -297,13 +307,12 @@ class RadialGrid:
         out *= self.inv_dR2
         return out
 
-    def laplacian(self, f: np.ndarray, d1: np.ndarray,
-                  acc: int = 4) -> np.ndarray:
+    def laplacian(self, f: np.ndarray, d1: np.ndarray) -> np.ndarray:
         """f_RR + (d-1)/R f_R of an even field whose f_R is d1, along the
         last axis, as one new array: the cached lap_coef times d1, plus
         f_RR in place, with the centre row overwritten by its limit
         d f_RR(0).  It shares no memory with f, d1 or f_RR."""
-        d2 = self.d2(f, d1, acc=acc)
+        d2 = self.d2(f, d1)
         out = np.multiply(self.lap_coef, d1)
         out += d2
         np.multiply(self.d, d2[..., 0], out=out[..., 0])
@@ -349,11 +358,10 @@ class RadialGrid:
         return out
 
 
-def radial_laplacian(f: np.ndarray, grid: RadialGrid,
-                     acc: int = 4) -> np.ndarray:
+def radial_laplacian(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """d-dimensional radial Laplacian f_RR + (d-1)/R f_R of an even field
     on the grid, with the centre limit d f_RR(0)."""
-    return grid.laplacian(f, grid.d1(f, acc=acc), acc=acc)
+    return grid.laplacian(f, grid.d1(f))
 
 
 # ---------------------------------------------------------------------------

@@ -272,17 +272,21 @@ class TestResidual:
         params = fs.params
         res = residual_stationary(fs)
         X = np.stack((fs.Psi, fs.S))
-        N_Psi, N_S = dl._stationary_rhs(X, grid.d1(X), grid, params)
+        # a workspace per call, so no call overwrites an earlier result
+        ws = [dl._StageWorkspace(grid, X.shape) for _ in range(3)]
+        N_Psi, N_S = dl._stationary_rhs(X, ws[0].d1(X), ws[0], params)
         # bit for bit the Psi row, and the stepper's right side with the
         # quantum term off
         np.testing.assert_array_equal(res.Psi, N_Psi)
         np.testing.assert_array_equal(
-            res.Psi, dl._rhs(X, grid.d1(X), grid, params, 1.0, False)[0])
+            res.Psi, dl._rhs(X, ws[1].d1(X), grid, params, 1.0, False,
+                             ws[1])[0])
         # the density row is N_S through N_P = P/(alpha S) N_S
         np.testing.assert_allclose(res.P, fs.P / (params.alpha * fs.S) * N_S,
                                    rtol=1e-12, atol=0)
         # the quantum term _rhs adds, at its prefactor
-        term = (dl._rhs(X, grid.d1(X), grid, params, 1.0, True)[0] - N_Psi)
+        term = (dl._rhs(X, ws[2].d1(X), grid, params, 1.0, True, ws[2])[0]
+                - N_Psi)
         assert res.quantum_sup == pytest.approx(np.max(np.abs(term)),
                                                 rel=1e-12)
 

@@ -12,8 +12,10 @@ uniform one.  A simulate that reads its reference run back from an
 earlier call reports the bits of one that steps it.
 """
 
+import gc
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -290,7 +292,8 @@ def test_quantum_step_identical_to_fieldset_stepper(profile_r201, kind):
     # at this ds a last-bit change of the right side leaves the step's
     # bits alone, so the right side is compared on its own too
     X = np.stack((state.Psi, state.S))[:, None]
-    rhs = dynamics_lab._rhs(X, grid.d1(X), grid, params, 1.0, True)
+    ws = dynamics_lab._stage_workspace(grid, X.shape)
+    rhs = dynamics_lab._rhs(X, ws.d1(X), grid, params, 1.0, True, ws)
     np.testing.assert_array_equal(
         rhs[:, 0], _reference_rhs(state.Psi, state.S, grid, params, 1.0,
                                   True))
@@ -336,8 +339,9 @@ def _stepper_case(table, grid, runs, s):
     bump = np.exp(-(base.R - 8.0) ** 2)
     X = np.array([[base.Psi + 1e-3 * bump, base.Psi][:runs],
                   [base.S * (1.0 + 1e-3 * bump), base.S][:runs]])
-    bound = dynamics_lab._stability_bound(grid.d1(X[0]), grid, table.params,
-                                          s, True, 0.9)
+    ws = dynamics_lab._stage_workspace(grid, X.shape)
+    bound = dynamics_lab._stability_bound(ws.d1(X)[0], ws, table.params, s,
+                                          True, 0.9)
     return X, 0.5 * float(np.min(bound))
 
 
@@ -379,6 +383,28 @@ def test_stage_workspace_is_never_stale(profile_r201):
         _assert_advance_is_reference(X, grid, params, s, ds, True)
 
 
+def test_dropped_grid_frees_its_workspaces(profile_r201):
+    # no stage workspace refers to its grid, and no grid is cached, so with
+    # the cycle collector off a dropped grid goes at once, with every
+    # workspace it kept: those of one and two runs, with the quantum term
+    # live (s = 1) and not
+    params, s = profile_r201.params, 1.0
+    grid = RadialGrid.sinh(N_ABORT, 30.0, dynamics_lab.SIMULATE_GRID_C)
+    gc.disable()
+    try:
+        kept = [weakref.ref(grid)]
+        for runs in (1, 2):
+            X, ds = _stepper_case(profile_r201, grid, runs, s)
+            for quantum in (True, False):
+                dynamics_lab._advance(X, grid, params, s, ds, quantum, 0.9)
+            kept.append(weakref.ref(dynamics_lab._stage_workspace(grid,
+                                                                  X.shape)))
+        del grid, X
+        assert [ref() for ref in kept] == [None] * len(kept)
+    finally:
+        gc.enable()
+
+
 def _opcodes_with_large_allocations(fn, nbytes):
     """fn() and the number of bytecodes, run by fn and by what it calls,
     during which the memory tracemalloc traces (numpy's buffers included)
@@ -411,23 +437,31 @@ def _opcodes_with_large_allocations(fn, nbytes):
 
 
 @pytest.mark.parametrize("kind", ["uniform", "sinh"])
-@pytest.mark.parametrize("runs", [1, 2])
+@pytest.mark.parametrize("runs, s, most", [(1, 1e4, 1 + 3 * 2),
+                                           (2, 1e4, 1 + 3 * 2),
+                                           (1, 1.0, 1 + 3 * 2 + 3 * 9)],
+                         ids=["1", "2", "1-quantum"])
 def test_warm_step_allocates_only_its_result_and_correlations(profile_r201,
-                                                              kind, runs):
+                                                              kind, runs, s,
+                                                              most):
     # a warm step of simulate's settings makes no allocation of 8n bytes
     # or more but its result and the six np.correlate outputs, two per
-    # stage; every other array of size n is kept in the stage workspace
+    # stage; every other array of size n is kept in the stage workspace.
+    # At s = 1 the quantum term is live: its derivatives come from a
+    # workspace too, and each stage adds nine allocations of the term's
+    # own (max(S, S_FLOOR), four in the half log-density, two correlate
+    # outputs, |grad w|^2 and the masked result)
     n = 2048
     grid = (RadialGrid.uniform(n, 30.0) if kind == "uniform" else
             RadialGrid.sinh(n, 30.0, dynamics_lab.SIMULATE_GRID_C))
     params = profile_r201.params
-    X, ds = _stepper_case(profile_r201, grid, runs, 1e4)
-    X, _ = dynamics_lab._advance(X, grid, params, 1e4, ds, True, 0.9)
+    X, ds = _stepper_case(profile_r201, grid, runs, s)
+    X, _ = dynamics_lab._advance(X, grid, params, s, ds, True, 0.9)
     (Xn, _), large = _opcodes_with_large_allocations(
-        lambda: dynamics_lab._advance(X, grid, params, 1e4 + ds, ds, True,
+        lambda: dynamics_lab._advance(X, grid, params, s + ds, ds, True,
                                       0.9), 8 * n)
     assert Xn.shape == (2, runs, n)
-    assert large <= 1 + 3 * 2
+    assert large <= most
 
 
 def test_nan_density_raises_at_its_step(profile_r201, monkeypatch):
@@ -628,7 +662,8 @@ def test_cfl_error_names_the_bound_it_breaks(profile_r201, broken):
     low, high = sorted((transport, quantum))
     assert (low == quantum) == (broken == "quantum")
     assert low == pytest.approx(dynamics_lab._stability_bound(
-        state.U, grid, params, 1.0, True, 0.9), rel=1e-14)
+        state.U, dynamics_lab._stage_workspace(grid, (2, n)), params, 1.0,
+        True, 0.9), rel=1e-14)
     ds = (low * high) ** 0.5
     why = {"quantum": "quantum: e^((4-2r)s) = 0.9802",
            "transport": f"transport: max|y+2U|/R' = {speed:.3g}"}[broken]

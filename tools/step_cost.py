@@ -4,8 +4,10 @@ For each checkout, in fresh processes that alternate between the two
 (A B, then B A, ...), this times
 
   * one `dynamics_lab._advance` step of a (2, 1, n) and of a (2, 2, n)
-    state on simulate's grid (the warm and the cold `simulate` step), as
-    the median over reps of the mean step of `--steps` steps, and
+    state on simulate's grid at s = 1e4 (the warm and the cold `simulate`
+    step), and of a (2, 1, n) state at s = 1, where the quantum term is
+    live, each as the median over reps of the mean step of `--steps`
+    steps at half the state's stability bound, and
   * one cold `simulate` op at the `evolve` workload's settings (r = 2.01,
     s_span 0.2, three samples, delta_low drawn log-uniformly from
     [2e-4, 5e-3]), with any stored reference run dropped before the op,
@@ -42,6 +44,11 @@ import time
 PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 
+#: the timed steps: result key, runs stacked, and s
+STEPS = (("step_2x1_s", 1, 1e4), ("step_2x2_s", 2, 1e4),
+         ("step_2x1_quantum_s", 1, 1.0))
+KEYS = tuple(key for key, _, _ in STEPS) + ("cold_op_s",)
+
 
 def child(root: str, n: int, steps: int, reps: int, ops: int,
           seed: int) -> dict:
@@ -57,26 +64,31 @@ def child(root: str, n: int, steps: int, reps: int, ops: int,
         profile_solver.solve_profile(ProfileParams(r=2.01)))
     params = table.params
     grid = RadialGrid.sinh(n, 30.0, dynamics_lab.SIMULATE_GRID_C)
-    base = dynamics_lab.profile_fieldset(table, grid, 1e4)
-    bump = np.exp(-(base.R - 8.0) ** 2)
     out = {"digest": hashlib.sha256()}
-    for runs in (1, 2):
+    for key, runs, s in STEPS:
+        base = dynamics_lab.profile_fieldset(table, grid, s)
+        bump = np.exp(-(base.R - 8.0) ** 2)
         X0 = np.array([[base.Psi + 1e-3 * bump, base.Psi][:runs],
                        [base.S * (1.0 + 1e-3 * bump), base.S][:runs]])
-        ds = 0.5 * float(np.min(dynamics_lab._stability_bound(
-            grid.d1(X0[0]), grid, params, 1e4, False, 0.9)))
+        # half the stepper's bound, from public quantities: the transport
+        # bound and, where its prefactor is live, the quantum one
+        bound = 0.9 * grid.h / np.max(grid.speed(grid.d1(X0[0])))
+        coef = np.exp((4.0 - 2.0 * params.r) * s)
+        if coef > dynamics_lab.QP_COEF_FLOOR:
+            bound = min(bound, 0.9 * grid.h ** 2 / (2.0 * params.d * coef))
+        ds = 0.5 * float(bound)
         means = []
         for _ in range(reps):
             X = X0
             t0 = time.perf_counter()
             for i in range(steps):
-                X, _ = dynamics_lab._advance(X, grid, params, 1e4 + i * ds,
+                X, _ = dynamics_lab._advance(X, grid, params, s + i * ds,
                                              ds, True, 0.9)
             means.append((time.perf_counter() - t0) / steps)
         if not np.all(np.isfinite(X)):
             raise SystemExit(f"{root}: non-finite state after {steps} steps")
         out["digest"].update(X.tobytes())
-        out[f"step_2x{runs}_s"] = statistics.median(means)
+        out[key] = statistics.median(means)
 
     rng = np.random.default_rng(seed)
     times = []
@@ -139,19 +151,18 @@ def main() -> None:
         a, b = results["A"][-1], results["B"][-1]
         print(f"process pair {p + 1}: "
               + "  ".join(f"{k} {a[k] * 1e3:.3f} -> {b[k] * 1e3:.3f} ms"
-                          for k in ("step_2x1_s", "step_2x2_s",
-                                    "cold_op_s")), flush=True)
+                          for k in KEYS), flush=True)
 
     print(f"\nA = {roots['A']}\nB = {roots['B']}")
     print(f"{args.processes} processes per checkout, n = {args.n}; median "
           f"(quartiles) over processes of each process's median, in ms")
-    for key in ("step_2x1_s", "step_2x2_s", "cold_op_s"):
+    for key in KEYS:
         a = [r[key] for r in results["A"]]
         b = [r[key] for r in results["B"]]
         ratios = [y / x for x, y in zip(a, b)]
         lower = sum(y < x for x, y in zip(a, b))
         qa, qb = quartiles(a), quartiles(b)
-        print(f"{key:12s} A {qa[1] * 1e3:8.3f} ({qa[0] * 1e3:.3f}-"
+        print(f"{key:18s} A {qa[1] * 1e3:8.3f} ({qa[0] * 1e3:.3f}-"
               f"{qa[2] * 1e3:.3f})  B {qb[1] * 1e3:8.3f} ({qb[0] * 1e3:.3f}-"
               f"{qb[2] * 1e3:.3f})  B/A {statistics.median(ratios):.3f}, "
               f"B lower in {lower}/{len(a)}")
