@@ -9,10 +9,16 @@ and each row's result is bit-identical to a 1-D call on that row: stacking
 runs or fields saves per-call overhead without moving a bit.  The one-sided
 stencils are stored as blocks whose rows keep fd_weights' strided column
 layout; that layout is the condition for the bit-identity (see _stencils).
-`reflected_derivative` is the pass of derivative's even mode on samples
-the caller has already reflected, so a caller that keeps the reflected
-buffer (the stepper's stage workspace) differentiates with the same
-operator, bit for bit.
+
+One pass, _rows, takes every derivative: it writes into the caller's
+`out` (a new array when none is given) and works through the rows in
+blocks whose samples, reflected in the even mode, and whose np.correlate
+output each stay below _BLOCK_BYTES, so no call takes fresh pages for
+its temporaries, whatever its rows.  `reflected_derivative` is the same
+pass on samples the caller has already reflected with `reflect`, so a
+caller that keeps the reflected buffer (the stepper's stage workspace)
+differentiates with the same operator, bit for bit; `reflect` is the one
+even reflection of the package.
 """
 
 from __future__ import annotations
@@ -23,7 +29,14 @@ import numpy as np
 
 from .errors import ResolutionError
 
-__all__ = ["fd_weights", "derivative", "reflected_derivative"]
+__all__ = ["fd_weights", "derivative", "reflect", "reflected_derivative"]
+
+#: a block of rows holds fewer bytes of samples than this, and so does
+#: its np.correlate output: glibc's default mmap threshold, 128 KiB.
+#: malloc maps an array at least this large from fresh pages and unmaps
+#: it when freed, so each such temporary faults in every page it
+#: touches; a smaller one comes from, and goes back to, the heap.
+_BLOCK_BYTES = 128 * 1024
 
 
 def fd_weights(x: np.ndarray, x0: float, m: int) -> np.ndarray:
@@ -92,7 +105,8 @@ def _stencils(h: float, m: int, acc: int):
 
 
 def derivative(f: np.ndarray, h: float, m: int, acc: int = 4,
-               even: bool = False) -> np.ndarray:
+               even: bool = False,
+               out: np.ndarray | None = None) -> np.ndarray:
     """m-th derivative along the last axis of samples f on a uniform grid
     of spacing h.
 
@@ -105,80 +119,125 @@ def derivative(f: np.ndarray, h: float, m: int, acc: int = 4,
     the stencil half-width, so every row but the last `half` uses the
     centered stencil, and only the right edge is one-sided.
 
-    The centre values of all rows come from one np.correlate over the
-    flattened rows (outputs whose window straddles two rows land on edge
-    points and are overwritten), so each is the same dot product over the
-    same samples as in a 1-D call.  The edge values come from one
-    broadcast np.vecdot against the stencil blocks of _stencils, whose
-    rows keep a stride of m + 1 doubles so each dot sums in the order of
-    the 1-D one.  The even mode reflects f into a new array and calls
-    reflected_derivative on it.
+    The result goes into `out` when it is given: an array of f's shape,
+    float64 (complex128 for a complex f), sharing no memory with f, whose
+    leading axes merge into one without a copy (see _rows), which is
+    returned; otherwise into a new one.  The rows are taken in blocks
+    (see _rows): the centre values of a block come from one np.correlate
+    over its flattened rows, reflected first in the even mode (outputs
+    whose window straddles two rows land on edge points and are
+    overwritten), so each is the same dot product over the same samples
+    as in a 1-D call; its edge values come from one broadcast np.vecdot
+    against the stencil blocks of _stencils, whose rows keep a stride of
+    m + 1 doubles so each dot sums in the order of the 1-D one.  No
+    temporary of the call reaches _BLOCK_BYTES.
 
     A complex f is differentiated as its real and imaginary parts, each
     written into its half of the complex result, so each part is bit for
     bit the derivative of that part alone.
     """
-    if not np.iscomplexobj(f):
-        return _real_derivative(f, h, m, acc, even)
-    out = np.empty(np.shape(f), complex)
-    out.real = _real_derivative(np.real(f), h, m, acc, even)
-    out.imag = _real_derivative(np.imag(f), h, m, acc, even)
+    f = np.asarray(f)
+    cplx = np.iscomplexobj(f)
+    if out is None:
+        out = np.empty(f.shape, complex if cplx else float)
+    if cplx:
+        _real_derivative(f.real, h, m, acc, even, out.real)
+        _real_derivative(f.imag, h, m, acc, even, out.imag)
+    else:
+        _real_derivative(f, h, m, acc, even, out)
     return out
 
 
 def _real_derivative(f: np.ndarray, h: float, m: int, acc: int,
-                     even: bool) -> np.ndarray:
-    """derivative() of real samples f, taken as float64."""
+                     even: bool, out: np.ndarray) -> None:
+    """derivative() of real samples f, taken as float64, into out."""
     f = np.asarray(f, dtype=float)
     if m == 0:
-        return f.copy()
-    if even:
-        half = half_width(m, acc)
-        return reflected_derivative(
-            np.concatenate([f[..., half:0:-1], f], axis=-1), half, h, m, acc)
-    half, n_side, center, lo, hi = _stencils(h, m, acc)
-    _require_length(f.shape[-1], half, n_side, m, acc)
-    out = _centre_and_right(f, half, n_side, center, hi)
-    out[..., :half] = np.vecdot(lo, f[..., None, :n_side])
+        np.copyto(out, f)
+    else:
+        _rows(f, half_width(m, acc) if even else 0, even, h, m, acc, out)
+
+
+def reflect(f: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
+    """The even reflection of the rows of f through their first node,
+    written into out (f's leading shape, width more points) and returned:
+    out[..., width:] is f and out[..., width - j] = f[..., j] for
+    j = 1 .. width."""
+    out[..., width:] = f
+    out[..., :width] = f[..., width:0:-1]
     return out
 
 
 def reflected_derivative(padded: np.ndarray, width: int, h: float, m: int,
-                         acc: int = 4) -> np.ndarray:
+                         acc: int = 4,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """derivative(f, h, m, acc, even=True) of the even rows f whose
-    reflected samples padded holds: padded[..., width:] is f and
-    padded[..., :width] its reflection through the first node,
-    padded[..., width - j] = f[..., j] for j = 1 .. width, with width at
-    least half_width(m, acc).  padded is float64 and C-contiguous.
+    reflected samples padded holds, as `reflect(f, width, padded)` wrote
+    them, with width at least half_width(m, acc); padded is float64 and
+    is only read.
 
-    The result is a view of shape f.shape into the new array np.correlate
-    returns, which holds nothing else the caller needs; padded is only
-    read.  Every row but the last half_width(m, acc) points takes the
+    The result goes into `out` (float64, of f's shape, sharing no memory
+    with padded) when it is given, and into a new array otherwise; it is
+    returned.  Every row but the last half_width(m, acc) points takes the
     centred stencil over the reflection, the last ones the one-sided
     stencils, each value the same dot over the same samples as in a 1-D
-    call with width = half_width(m, acc).
+    call with width = half_width(m, acc).  When padded is C-contiguous the
+    blocks are read in place, so the call allocates nothing but each
+    block's np.correlate output (and `out`, unless given).
     """
-    half, n_side, center, _, hi = _stencils(h, m, acc)
-    n = padded.shape[-1] - width
-    _require_length(n + half, half, n_side, m, acc)
-    return _centre_and_right(padded, half, n_side, center, hi)[..., width:]
-
-
-def _require_length(n: int, half: int, n_side: int, m: int,
-                    acc: int) -> None:
-    """ResolutionError unless n points carry the centred stencil and the
-    one-sided one."""
-    if n < max(2 * half + 1, n_side):
-        raise ResolutionError(
-            f"grid of {n} points too short for order-{m} derivative at accuracy {acc}")
-
-
-def _centre_and_right(f: np.ndarray, half: int, n_side: int,
-                      center: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The centred stencil at every point of the rows of f, in one new
-    array, with the one-sided stencils of the last `half` points written
-    over their values; the first `half` are the caller's to fix."""
-    n = f.shape[-1]
-    out = np.correlate(f.reshape(-1), center, mode="same").reshape(f.shape)
-    np.vecdot(hi, f[..., None, n - n_side:], out=out[..., :n - half - 1:-1])
+    if out is None:
+        out = np.empty((*padded.shape[:-1], padded.shape[-1] - width))
+    _rows(padded, width, False, h, m, acc, out)
     return out
+
+
+def _rows(f: np.ndarray, width: int, reflecting: bool, h: float, m: int,
+          acc: int, out: np.ndarray) -> None:
+    """The m-th derivative stencils at every point of the rows of f, into
+    the rows of out (whose last axis has n points), block by block.
+
+    Each row of the stencils' input holds `width` reflected samples and
+    then the row's n samples: width is 0 for a plain row, and at least
+    half_width(m, acc) for an even one, whose centred stencil then
+    reaches the first points through the reflection.  With `reflecting`,
+    f holds the n samples and each block is reflected into a new array
+    first; otherwise f holds the whole input, and a block is read in
+    place when it is C-contiguous, copied when not.  A block takes as
+    many rows as keep its input and its np.correlate output below
+    _BLOCK_BYTES (at least one); when the rows take more than one block,
+    out's leading axes must merge into one without a copy, as those of a
+    C-contiguous array and of its real and imaginary parts do (a
+    ValueError otherwise).  Every point gets the centred stencil, then the
+    last half the one-sided stencils, and the first half too when width
+    is 0; the correlate output takes them, and its values past the
+    reflection are copied into out.  A ResolutionError, before any work,
+    unless the rows carry both stencils.
+    """
+    half, n_side, center, lo, hi = _stencils(h, m, acc)
+    n = out.shape[-1]
+    if n + (half if width else 0) < max(2 * half + 1, n_side):
+        raise ResolutionError(f"grid of {n} points too short for order-{m} "
+                              f"derivative at accuracy {acc}")
+    length = n + width
+    k = f.size // f.shape[-1]
+    step = max(1, (_BLOCK_BYTES - 1) // (8 * length))
+    if k <= step:
+        blocks = ((f, out),)
+    else:
+        rows = f.reshape(-1, f.shape[-1])
+        dest = out.reshape(-1, n, copy=False)
+        blocks = ((rows[i:i + step], dest[i:i + step])
+                  for i in range(0, k, step))
+    for block, d in blocks:
+        if reflecting:
+            block = reflect(block, width,
+                            np.empty((*block.shape[:-1], length)))
+        elif not block.flags.c_contiguous:
+            block = np.ascontiguousarray(block)
+        c = np.correlate(block.reshape(-1), center,
+                         mode="same").reshape(block.shape)
+        np.vecdot(hi, block[..., None, length - n_side:],
+                  out=c[..., :length - half - 1:-1])
+        if not width:
+            np.vecdot(lo, block[..., None, :n_side], out=c[..., :half])
+        d[...] = c[..., width:]

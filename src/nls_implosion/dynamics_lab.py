@@ -18,7 +18,9 @@ on its grid runs in that grid's workspaces: the stages and their bound,
 the default step, the quantum term, and the stationarity residual, which
 applies the stationary part at a state.  A statistical dissipativity
 probe of the cut-off linearized operator takes the same operator as its
-complex-step linearization, in fresh arrays on a grid it throws away.
+complex-step linearization, in arrays kept on its grid, which the
+one-slot store _probe_grid keeps for the next probe at the same
+(n, C0, d).
 They, the weighted energy functionals and a Sobolev
 blow-up-rate diagnostic live alongside the stepper; each takes its
 R-derivatives and integrals from the grid it is given.
@@ -42,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._fd import derivative, half_width, reflected_derivative
+from ._fd import derivative, half_width, reflect, reflected_derivative
 from .errors import (
     CFLError,
     ConsistencyError,
@@ -329,16 +331,18 @@ class _StageWorkspace:
     rewritten at every use, with the grid's operators that write into
     them.  Each gives the bits of the grid's own operator.
 
-    Kept: `pad`, X's even reflection, written once by d1 and read by the
-    first derivative of every row and the second derivative of the X[0]
-    rows (`_fd.reflected_derivative`, at RadialGrid.ACC); dX, f_xx and
-    the Laplacian of the X[0] rows; F and tmp, profile_operator's output
+    Kept: `pad`, X's even reflection, written once by d1 (`_fd.reflect`)
+    and read by the first derivative of every row and the second
+    derivative of the X[0] rows (`_fd.reflected_derivative`, at
+    RadialGrid.ACC), which write into the kept dX and f_xx; the
+    Laplacian of the X[0] rows; F and tmp, profile_operator's output
     and scratch; and the grid factors R, lap_coef and, on the stretch,
     inv_dR, d2R and inv_dR2, each broadcast once to the state's shape,
     since a ufunc against a same-shape operand runs faster than against
     an (n,) one.  Fresh at each call: the output of each np.correlate,
-    whose strided view is copied into dX or fxx before any ufunc reads it
-    (a ufunc that reads a strided view allocates a buffer of its size).
+    one block of _fd's pass for a state up to (2, 2, 2048), whose values
+    are copied into dX or fxx before any ufunc reads them (a ufunc that
+    reads a strided view allocates a buffer of its size).
     The workspace holds no reference to its grid, so the grid's
     `workspaces` dict, which holds it, goes when the grid does.
     """
@@ -361,12 +365,9 @@ class _StageWorkspace:
     def d1(self, X: np.ndarray) -> np.ndarray:
         """grid.d1(X) in the kept dX: X's reflection written into pad, and
         its x-derivative, times 1/R' on the stretch."""
-        pad, width = self.pad, self.width
-        pad[..., width:] = X
-        pad[..., :width] = X[..., width:0:-1]
-        dX = self.dX
-        np.copyto(dX, reflected_derivative(pad, width, self.h, 1,
-                                           RadialGrid.ACC))
+        dX = reflected_derivative(reflect(X, self.width, self.pad),
+                                  self.width, self.h, 1, RadialGrid.ACC,
+                                  out=self.dX)
         if self.inv_dR is not None:
             dX *= self.inv_dR
         return dX
@@ -377,8 +378,8 @@ class _StageWorkspace:
         pad[0] in the kept fxx, lap_coef dPsi plus f_RR, and the centre's
         limit d f_RR(0)."""
         fxx, lap = self.fxx, self.lap
-        np.copyto(fxx, reflected_derivative(self.pad[0], self.width, self.h,
-                                            2, RadialGrid.ACC))
+        reflected_derivative(self.pad[0], self.width, self.h, 2,
+                             RadialGrid.ACC, out=fxx)
         if self.inv_dR is not None:
             # (fxx - R'' dPsi) / R'^2, with lap as the scratch
             np.multiply(self.d2R, dPsi, out=lap)
@@ -630,6 +631,72 @@ def _sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+class _ProbeWorkspace:
+    """The arrays _dissipativity_form keeps for one grid and n_modes = N,
+    rewritten at every call, and its grid factors.
+
+    Kept: the complex step X = profile + i e of the 2N mode directions, a
+    (2, 2N, n) stacked state of one run per direction; its first
+    derivative dX; the Laplacian of its Psi rows, lap, formed in place
+    over their second derivative; profile_operator's output F and
+    scratch tmp; and the modes b, (N, n).  Once F is formed, dX and lap
+    are dead, and their memory is reused: dX's holds Lt and grad^m Lt,
+    each (2N, 2, n) and real, and lap's the four (N, n) arrays of the
+    forms (J (1 - chi1) b and then the weighted rows of the Grams, grad^m
+    b and grad^(m+1) b).  Also kept are the grid's cut-offs chi1, chi2
+    and env, the modes' phase pi R / (3 C0), and, as complex arrays, the
+    profile's (Psi, S) and the grid's R and lap_coef, the real operands
+    of the complex step's ufuncs: numpy casts a real operand of a complex
+    ufunc through buffers of 128 KiB, which would take fresh pages at
+    every call.  Written into a complex array, a real x is x + 0j, as the
+    cast gives it, so the bits are the same.  The workspace holds no
+    reference to its grid.
+    """
+
+    def __init__(self, grid: RadialGrid, C0: float, n_modes: int):
+        R, n = grid.R, len(grid.R)
+        self.X, self.dX, self.F = (np.empty((2, 2 * n_modes, n), complex)
+                                   for _ in range(3))
+        self.lap, self.tmp = (np.empty((2 * n_modes, n), complex)
+                              for _ in range(2))
+        self.b = np.empty((n_modes, n))
+        self.Lt, self.gLt = self.dX.reshape(-1).view(float).reshape(
+            2, 2 * n_modes, 2, n)
+        self.cb, self.gb, self.gPsi, self.wgb = self.lap.reshape(-1).view(
+            float).reshape(4, n_modes, n)
+        self.profile = np.empty((2, n), complex)
+        self.R = R.astype(complex)
+        self.lap_coef = grid.lap_coef.astype(complex)
+        self.chi1 = _smooth_step((1.4 * C0 - R) / (0.2 * C0))
+        self.chi2 = _smooth_step((1.8 * C0 - R) / (0.2 * C0))
+        self.env = cutoff("hat", R / (3.0 * C0))
+        self.phase = np.pi * R / (3.0 * C0)
+
+
+#: the uniform grid of the last probe, under its key (n, C0, d), with the
+#: probe's kept arrays in its `workspaces`; a probe under another key
+#: replaces it
+_probe_grid: tuple[tuple, RadialGrid] | None = None
+
+
+def _probe_workspace(n: int, C0: float, d: int,
+                     n_modes: int) -> tuple[RadialGrid, _ProbeWorkspace]:
+    """The probe's grid, RadialGrid.uniform(n, 3 C0, d), and its workspace
+    for n_modes, each built on first use and kept: the grid in the
+    one-slot _probe_grid, the workspace as its grid's only one."""
+    global _probe_grid
+    key = (n, C0, d)
+    if _probe_grid is None or _probe_grid[0] != key:
+        _probe_grid = None              # freed before the next is built
+        _probe_grid = (key, RadialGrid.uniform(n, 3.0 * C0, d))
+    grid = _probe_grid[1]
+    if ("probe", n_modes) not in grid.workspaces:
+        grid.workspaces.clear()
+        grid.workspaces["probe", n_modes] = _ProbeWorkspace(grid, C0,
+                                                            n_modes)
+    return grid, grid.workspaces["probe", n_modes]
+
+
 def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
                         K: int, n: int, n_modes: int) -> DissipativityForm:
     """Assemble the probe's forms on the grid [0, 3 C0] of n points.
@@ -640,48 +707,66 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     Laplacian: it is quadratic in its fields, so L e = Im N(profile + i e)
     for that operator N, with every direction a run of one complex stacked
     state, whose derivatives the derivative operator takes as real and
-    imaginary parts.  The probe evaluates N once, on a grid it builds and
-    drops, so it takes the grid's allocating operators rather than a stage
-    workspace (whose arrays are real and would be built for one use), and
-    frees dX before Lt is formed.  Every derivative is one stacked call
-    over all directions, and every inner product uses the grid's
-    quadrature weights.
+    imaginary parts.  The 2N directions are e = (b_k, 0) and (0, b_k) for
+    the N modes b_k.  Every derivative is one stacked call over all
+    directions, and every inner product uses the grid's quadrature
+    weights.
+
+    Every array of size n runs in the _ProbeWorkspace of the kept probe
+    grid (see _probe_workspace), so a call after the first at the same
+    (n, C0, d, n_modes) takes no fresh pages: each step writes into a kept
+    array, in the order of the plain expression, so the forms have the
+    bits of the fresh-array composition (tests/oracles.py), which forms
+    X = moveaxis(E) * 1j + profile over the stacked directions E and
+    Lt = chi2 moveaxis(Im F) - J (1 - chi1) E.  Here the zero blocks of E
+    are written as the zeros E * 1j gives, and Lt subtracts J (1 - chi1) b
+    from the rows where E holds b only: elsewhere it would subtract +0,
+    which leaves every value as it is.
     """
     params = table.params
-    grid = RadialGrid.uniform(n, 3.0 * C0, params.d)
-    R, h = grid.R, grid.h
+    grid, ws = _probe_workspace(n, C0, params.d, n_modes)
+    h, N = grid.h, n_modes
     base = profile_fieldset(table, grid, 20.0)
 
-    chi1 = _smooth_step((1.4 * C0 - R) / (0.2 * C0))
-    chi2 = _smooth_step((1.8 * C0 - R) / (0.2 * C0))
-    env = cutoff("hat", R / (3.0 * C0))
-    modes = np.arange(K + 1, K + 1 + n_modes)
-    b = env * np.cos(np.outer(modes, np.pi * R / (3.0 * C0)))
-    E = np.zeros((2 * n_modes, 2, n))
-    E[:n_modes, 0] = E[n_modes:, 1] = b
-    # profile + i e, with the profile added in place: one complex
-    # temporary, not two, and the bits of profile + 1j * e
-    X = np.moveaxis(E, 1, 0) * 1j
-    X += np.stack((base.Psi, base.S))[:, None]
-    dX = grid.d1(X)
-    F = profile_operator(params, R, X[0], dX[0], X[1], dX[1],
-                         grid.laplacian(X[0], dX[0]))
-    del dX                     # 1 MB, freed before Lt is formed
-    Lt = chi2 * np.moveaxis(F.imag, 0, 1) - J * (1.0 - chi1) * E
+    b = np.outer(np.arange(K + 1, K + 1 + N), ws.phase, out=ws.b)
+    np.cos(b, out=b)
+    np.multiply(ws.env, b, out=b)
+    # X = moveaxis(E) * 1j + profile, with each real operand written
+    # into a complex array before a ufunc reads it
+    X = ws.X
+    X[0, :N] = X[1, N:] = b
+    X[0, :N] *= 1j
+    X[1, N:] *= 1j
+    X[0, N:] = X[1, :N] = 0.0
+    ws.profile[0], ws.profile[1] = base.Psi, base.S
+    X += ws.profile[:, None]
+    dX = derivative(X, h, 1, RadialGrid.ACC, even=True, out=ws.dX)
+    # the Laplacian of the Psi rows over their second derivative: the
+    # centre's limit d f_RR(0) first, then lap_coef dPsi + f_RR
+    lap = derivative(X[0], h, 2, RadialGrid.ACC, even=True, out=ws.lap)
+    centre = np.multiply(grid.d, lap[:, 0])
+    lap += np.multiply(ws.lap_coef, dX[0], out=ws.tmp)
+    lap[:, 0] = centre
+    F = profile_operator(params, ws.R, X[0], dX[0], X[1], dX[1], lap,
+                         out=ws.F, tmp=ws.tmp)
+
+    Lt = np.multiply(ws.chi2, np.moveaxis(F.imag, 0, 1), out=ws.Lt)
+    cb = np.multiply(J * (1.0 - ws.chi1), b, out=ws.cb)
+    Lt[:N, 0] -= cb
+    Lt[N:, 1] -= cb
+    gLt = derivative(Lt, h, m, even=True, out=ws.gLt)
+    gb = derivative(b, h, m, even=True, out=ws.gb)
+    gPsi = derivative(b, h, m + 1, even=True, out=ws.gPsi)
 
     w = grid.weights
-
-    def gram(F, G):
-        return (F * w) @ G.T
-
-    gLt = derivative(Lt, h, m, even=True)
-    gb = derivative(b, h, m, even=True)
-    gPsi = derivative(b, h, m + 1, even=True)
-    A = np.concatenate((gram(gb, gLt[:, 0]), gram(gb, gLt[:, 1])))
-    G_Psi, G_S, mass = _sym(gram(gPsi, gPsi)), _sym(gram(gb, gb)), gram(b, b)
+    wgb = np.multiply(gb, w, out=ws.wgb)
+    A = np.concatenate((wgb @ gLt[:, 0].T, wgb @ gLt[:, 1].T))
+    G_S = _sym(wgb @ gb.T)
+    G_Psi = _sym(np.multiply(gPsi, w, out=ws.cb) @ gPsi.T)
+    mass = np.multiply(b, w, out=ws.cb) @ b.T
     X = np.zeros_like(A)
-    X[:n_modes, :n_modes] = G_Psi + mass
-    X[n_modes:, n_modes:] = G_S + mass
+    X[:N, :N] = G_Psi + mass
+    X[N:, N:] = G_S + mass
     return DissipativityForm(Q=_sym(A + X), G_Psi=G_Psi, G_S=G_S)
 
 

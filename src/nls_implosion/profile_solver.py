@@ -448,12 +448,12 @@ class ProfileTable:
     def h(self) -> float:
         return float(self.xi_grid[1] - self.xi_grid[0])
 
-    @property
+    @functools.cached_property
     def dR_S_nls(self) -> np.ndarray:
         """d_R S_p, from the ODE-consistent dR_Sbar column."""
         return 0.5 * self.dR_Sbar
 
-    @property
+    @functools.cached_property
     def lapPsi_nls(self) -> np.ndarray:
         """Delta Psi_p = d_R U_nls + (d-1)/R U_nls, from the dR_Ubar column."""
         return 0.5 * self.dR_Ubar + (self.params.d - 1) / self.R * self.U_nls

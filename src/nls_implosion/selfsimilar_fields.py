@@ -53,23 +53,42 @@ CUT_WINDOWS = {"hat": (0.5, 2.0 / 3.0), "tilde": (1.0 / 8.0, 1.0 / 4.0),
 # smooth cut-offs
 # ---------------------------------------------------------------------------
 
-def _smooth_step(t):
+def _smooth_step(t, out=None):
     """C-infinity monotone step: 0 for t <= 0, 1 for t >= 1, NaN for NaN.
 
     In between it is f(t) / (f(t) + f(1 - t)) with f(t) = exp(-1/t), the
     standard C-infinity germ; the exponentials are taken only there, and
-    the plateaus get the exact 0.0 and 1.0 that quotient gives.
+    the plateaus get the exact 0.0 and 1.0 that quotient gives.  The
+    result goes into `out` (of t's shape, and may be t itself) when it is
+    given, and into a new array otherwise.
     """
     t = np.asarray(t, dtype=float)
-    out = np.where(t >= 1.0, 1.0, np.where(np.isnan(t), np.nan, 0.0))
     inside = (t > 0.0) & (t < 1.0)
     ti = t[inside]
+    nan = np.isnan(t)
+    if out is None:
+        out = np.empty(t.shape)
+    np.greater_equal(t, 1.0, out=out)
+    out[nan] = np.nan
     f = np.exp(-1.0 / ti)
     out[inside] = f / (f + np.exp(-1.0 / (1.0 - ti)))
     return out[()]
 
 
-def cutoff(kind: str, x, n_d: int = 40):
+def _cut_argument(kind: str, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The argument t of the cut-off family's step at x, written into out
+    and returned: (b - x)/(b - a) for hat, (x - a)/(b - a) for tilde and
+    poly, over the family's window (a, b)."""
+    a, b = CUT_WINDOWS[kind]
+    if kind == "hat":
+        np.subtract(b, x, out=out)
+    else:
+        np.subtract(x, a, out=out)
+    out /= b - a
+    return out
+
+
+def cutoff(kind: str, x, n_d: int = 40, out: np.ndarray | None = None):
     """Evaluate the hat / tilde / poly cut-off at radius ratio x >= 0.
 
     hat:   1 on [0, 1/2], 0 on [2/3, inf)
@@ -80,59 +99,70 @@ def cutoff(kind: str, x, n_d: int = 40):
     f(t)/(f(t) + f(1 - t)), f(t) = exp(-1/t), of _smooth_step, taking
     exponentials only inside a transition window (and, for poly, for the
     tail power), so hat and tilde cost scales with the points inside
-    their window, not with the grid.
+    their window, not with the grid.  The result goes into `out` (float64
+    of x's shape, not x itself) when it is given, and into a new array
+    otherwise; hat and tilde make no other array of x's size.
     """
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0):
         raise DomainError("cut-offs are defined for x >= 0 (and not NaN)")
-    if kind == "hat":
-        a, b = CUT_WINDOWS["hat"]
-        return _smooth_step((b - x) / (b - a))
-    if kind == "tilde":
-        a, b = CUT_WINDOWS["tilde"]
-        return _smooth_step((x - a) / (b - a))
+    if kind not in CUT_WINDOWS:
+        raise DomainError(f"unknown cut-off kind {kind!r}")
+    if out is None:
+        out = np.empty(x.shape)
+    blend = _smooth_step(_cut_argument(kind, x, out), out=out)
     if kind == "poly":
-        a, b = CUT_WINDOWS["poly"]
-        blend = _smooth_step((x - a) / (b - a))
         # geometric interpolation between the plateau 1 and <x>^(-n_d):
         # exp(-n_d * blend * log<x>) is C-infinity and monotone decreasing
-        return np.exp(-0.5 * n_d * blend * np.log1p(x * x))
-    raise DomainError(f"unknown cut-off kind {kind!r}")
+        np.exp(-0.5 * n_d * blend * np.log1p(x * x), out=out)
+    return out[()]
 
 
-def _smooth_step_derivative(t: np.ndarray, order: int) -> np.ndarray:
+def _smooth_step_derivative(t: np.ndarray, order: int,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """g' (order 1) or g'' (order 2) of the step g = _smooth_step, exact 0
     off 0 < t < 1: with u = 1/t^2 + 1/(1 - t)^2, g' = u g (1 - g) and
     g'' = g (1 - g) (u' + u^2 (1 - 2 g)), where g (1 - g) = a b/(a + b)^2
     and 1 - 2 g = (b - a)/(a + b), a = f(t) and b = f(1 - t), have no
-    cancellation."""
-    out = np.zeros(t.shape)
+    cancellation.  The result goes into `out` (of t's shape, and may be t
+    itself) when it is given, and into a new array otherwise."""
     inside = (t > 0.0) & (t < 1.0)
-    ti, si = t[inside], 1.0 - t[inside]
+    ti = t[inside]
+    si = 1.0 - ti
     a, b = np.exp(-1.0 / ti), np.exp(-1.0 / si)
     u = 1.0 / (ti * ti) + 1.0 / (si * si)
     factor = u if order == 1 else (2.0 / si ** 3 - 2.0 / ti ** 3
                                    + u * u * (b - a) / (a + b))
+    if out is None:
+        out = np.zeros(t.shape)
+    else:
+        out[...] = 0.0
     out[inside] = a * b / ((a + b) * (a + b)) * factor
     return out
 
 
-def cutoff_derivative(kind: str, x, order: int = 1):
+def cutoff_derivative(kind: str, x, order: int = 1,
+                      out: np.ndarray | None = None):
     """First or second x-derivative of the hat or tilde cut-off in closed
     form, g^(order)(t) (dt/dx)^order for the step g at its argument t
     (see cutoff), exactly 0 off the window.  Each point is computed
     alone, so the bits do not depend on the array's shape.  poly and
-    orders other than 1 and 2 are refused."""
+    orders other than 1 and 2 are refused.  The result goes into `out`
+    (float64 of x's shape, not x itself) when it is given, and into a new
+    array otherwise, with no other array of x's size."""
     x = np.asarray(x, dtype=float)
     if not np.all(x >= 0):
         raise DomainError("cut-offs are defined for x >= 0 (and not NaN)")
     if kind not in ("hat", "tilde") or order not in (1, 2):
         raise DomainError(f"cut-off derivatives are taken of hat or tilde "
                           f"at order 1 or 2, not of {kind!r} at {order!r}")
+    if out is None:
+        out = np.empty(x.shape)
     a, b = CUT_WINDOWS[kind]
-    t = (b - x) / (b - a) if kind == "hat" else (x - a) / (b - a)
     slope = (-1.0 if kind == "hat" else 1.0) / (b - a)
-    return (slope ** order * _smooth_step_derivative(t, order))[()]
+    _smooth_step_derivative(_cut_argument(kind, x, out), order, out=out)
+    out *= slope ** order
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +400,15 @@ def radial_laplacian(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
 
 def _half_log_density(S: np.ndarray, params: ProfileParams) -> np.ndarray:
     """w = log(P)/2, taken through S so it stays finite where P underflows
-    (S = 0 gives -inf)."""
+    (S = 0 gives -inf): log(S sqrt(alpha) / r^(1 - alpha)) / (2 alpha),
+    each operation written in place into the one new array it returns."""
     alpha = params.alpha
+    w = np.multiply(S, np.sqrt(alpha))
+    w /= params.r ** (1.0 - alpha)
     with np.errstate(divide="ignore"):
-        return (np.log(S * np.sqrt(alpha) / params.r ** (1.0 - alpha))
-                / (2.0 * alpha))
+        np.log(w, out=w)
+    w /= 2.0 * alpha
+    return w
 
 
 @dataclass(frozen=True)
@@ -517,6 +551,24 @@ class DampedProfileField:
     constants: dict = field(default_factory=dict)
 
 
+#: rows of the kept scratch that damped_profile and error_terms form
+#: their terms in
+_TERM_ROWS = 15
+
+#: that scratch, (_TERM_ROWS, n), for the node count n of the last table
+#: it served; a table of another n replaces it
+_term_scratch: np.ndarray | None = None
+
+
+def _terms_scratch(n: int) -> np.ndarray:
+    """The kept scratch rows for terms on n nodes, built on first use."""
+    global _term_scratch
+    if _term_scratch is None or _term_scratch.shape[1] != n:
+        _term_scratch = None            # freed before the next is built
+        _term_scratch = np.empty((_TERM_ROWS, n))
+    return _term_scratch
+
+
 def damped_profile(table: ProfileTable, s: float, mode: str = "periodic",
                    n_d: int = 40) -> DampedProfileField:
     """Damp the solved profile with the cut-offs at frame time s.
@@ -525,6 +577,12 @@ def damped_profile(table: ProfileTable, s: float, mode: str = "periodic",
     Psi_d = Psi_p hat(y/e^s).  Euclidean: S_d = S_p poly(y/e^s),
     Psi_d = Psi_p.  The empirical two-sided comparability constants of S_d
     with <y>^(-(r-1)) and with e^(-(r-1)s) are recorded.
+
+    S_d and Psi_d are new arrays; every other term of the table's size
+    (y/e^s, the cut-offs, the bracket <y>^(r-1) and the quotients of the
+    constants) is formed in kept scratch rows (see _terms_scratch), each
+    operation in place and in the order the expression reads from left to
+    right, so the values have the bits of the plain expressions.
     """
     if mode not in ("periodic", "euclidean"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -534,20 +592,27 @@ def damped_profile(table: ProfileTable, s: float, mode: str = "periodic",
         raise RangeError(
             f"table covers R <= {R[-1]:.4g} but the cut-off transition of "
             f"e^s = {np.exp(s):.4g} extends to {(2/3)*np.exp(s):.4g}")
-    x = R * np.exp(-s)
+    x, hat, tilde, tmp = _terms_scratch(len(R))[:4]
+    np.multiply(R, np.exp(-s), out=x)
     if mode == "periodic":
-        hat = cutoff("hat", x)
-        tilde = cutoff("tilde", x)
-        S_d = table.S_nls * hat + np.exp(-(r - 1.0) * s) * tilde
-        Psi_d = table.Psi_nls * hat
+        cutoff("hat", x, out=hat)
+        cutoff("tilde", x, out=tilde)
+        S_d = np.multiply(table.S_nls, hat)
+        S_d += np.multiply(np.exp(-(r - 1.0) * s), tilde, out=tmp)
+        Psi_d = np.multiply(table.Psi_nls, hat)
     else:
-        S_d = table.S_nls * cutoff("poly", x, n_d=n_d)
+        S_d = np.multiply(table.S_nls, cutoff("poly", x, n_d=n_d, out=hat))
         Psi_d = table.Psi_nls.copy()
-    bracket = np.sqrt(1.0 + R * R) ** (r - 1.0)
-    scaled = S_d * bracket
+    # S_d sqrt(1 + R R)^(r - 1)
+    scaled = np.multiply(R, R, out=tmp)
+    np.add(1.0, scaled, out=scaled)
+    np.sqrt(scaled, out=scaled)
+    scaled **= r - 1.0
+    np.multiply(S_d, scaled, out=scaled)
     constants = {"c1": float(np.min(scaled)), "c2": float(np.max(scaled))}
     if mode == "periodic":
-        constants["c3"] = float(np.max(np.exp(-(r - 1.0) * s) / S_d))
+        constants["c3"] = float(np.max(
+            np.divide(np.exp(-(r - 1.0) * s), S_d, out=tmp)))
     return DampedProfileField(params=table.params, R=R, s=float(s), mode=mode,
                               n_d=n_d, S_d=S_d, Psi_d=Psi_d,
                               constants=constants)
@@ -591,6 +656,14 @@ def error_terms(dp: DampedProfileField, table: ProfileTable) -> ErrorTerms:
     there) is 1.13 to 1.45 eps times that scale of 29.  The under-braced
     profile brackets (zero for an exact profile) are returned as a
     consistency output.
+
+    The six arrays returned are new; every other term of the table's size
+    is formed in the kept scratch rows of _terms_scratch, each operation
+    in place and in the order the expression reads from left to right, so
+    every value has the bits of the plain expression.  A term that two
+    expressions share (the damped fields' derivatives dPsi_d, lapPsi_d
+    and the first part of dS_d, which the closed form of E_S repeats) is
+    formed once.
     """
     if dp.mode != "periodic":
         raise DomainError("error terms are implemented for the periodic "
@@ -600,7 +673,7 @@ def error_terms(dp: DampedProfileField, table: ProfileTable) -> ErrorTerms:
     r, alpha, d = params.r, params.alpha, params.d
     R = table.R
     es = np.exp(s)
-    x = R / es
+    edr = np.exp(-(r - 1.0) * s)
 
     S_p = table.S_nls
     Psi_p = table.Psi_nls
@@ -608,69 +681,168 @@ def error_terms(dp: DampedProfileField, table: ProfileTable) -> ErrorTerms:
     dS_p = table.dR_S_nls                     # d_R S_p
     lapPsi_p = table.lapPsi_nls
 
-    hat = cutoff("hat", x)
-    hat1 = cutoff_derivative("hat", x, order=1)
-    hat2 = cutoff_derivative("hat", x, order=2)
-    tilde = cutoff("tilde", x)
-    tilde1 = cutoff_derivative("tilde", x, order=1)
-    edr = np.exp(-(r - 1.0) * s)
+    scratch = _terms_scratch(len(R))
+    pair = scratch[13:]
+    (x, hat, hat1, t3, tilde, tilde1, trans, lap_hat, dPsi_d, lapPsi_d,
+     dS_d, t1, t2) = scratch[:13]
+    np.divide(R, es, out=x)
+    cutoff("hat", x, out=hat)
+    cutoff_derivative("hat", x, order=1, out=hat1)
+    hat2 = cutoff_derivative("hat", x, order=2, out=t3)
+    cutoff("tilde", x, out=tilde)
+    cutoff_derivative("tilde", x, order=1, out=tilde1)
 
-    # ---- E_Psi, expanded closed form ----
-    trans = hat - hat * hat
-    bracket_Psi, bracket_S = profile_operator(params, R, Psi_p, dPsi_p, S_p,
-                                              dS_p, lapPsi_p)
-    E_Psi = (dPsi_p ** 2 * trans + alpha * S_p ** 2 * trans
-             - Psi_p ** 2 * hat1 ** 2 / es ** 2
-             - alpha * edr ** 2 * tilde ** 2
-             - 2.0 * Psi_p * dPsi_p * hat1 * hat / es
-             - 2.0 * alpha * edr * tilde * S_p * hat)
-
-    # ---- E_S, expanded closed form (verbatim transcription) ----
-    # Laplacian of hat(y/e^s) in d dimensions
-    lap_hat = hat2 / es ** 2 + (d - 1) / R * hat1 / es
-    dSphat = dS_p * hat + S_p * hat1 / es     # d_R (S_p hat)
-    E_S = (hat * bracket_S
-           + 2.0 * alpha * S_p * lapPsi_p * trans
-           + 2.0 * dS_p * dPsi_p * trans
-           - 2.0 * alpha * S_p * hat * (2.0 * dPsi_p * tilde1 / es
-                                        + Psi_p * lap_hat)
-           - 2.0 * dSphat * Psi_p * hat1 / es
-           - 2.0 * S_p * hat1 * dPsi_p * hat / es
-           - 2.0 * alpha * edr * tilde * (lapPsi_p * hat
-                                          + 2.0 * dPsi_p * hat1 / es
-                                          + Psi_p * lap_hat)
-           - 2.0 * edr * (dPsi_p * hat + Psi_p * hat1 / es) * tilde1 / es)
-
-    # ---- defining combinations ----
-    S_d, Psi_d = dp.S_d, dp.Psi_d
+    # trans = hat - hat hat
+    np.multiply(hat, hat, out=trans)
+    np.subtract(hat, trans, out=trans)
+    # Laplacian of hat(y/e^s) in d dimensions:
+    # lap_hat = hat2 / es^2 + (d - 1) / R hat1 / es
+    np.divide(hat2, es ** 2, out=lap_hat)
+    np.divide(d - 1, R, out=t1)
+    t1 *= hat1
+    t1 /= es
+    lap_hat += t1
     # radial derivatives of the damped fields, assembled from the profile
     # columns and cut-off derivatives (exact product rule, no differencing
-    # of the damped fields themselves)
-    dPsi_d = dPsi_p * hat + Psi_p * hat1 / es
-    lapPsi_d = (lapPsi_p * hat + 2.0 * dPsi_p * hat1 / es + Psi_p * lap_hat)
-    dS_d = dS_p * hat + S_p * hat1 / es + edr * tilde1 / es
-    ds_Psi_d = -Psi_p * hat1 * x            # d_s of hat(R e^-s)
-    ds_S_d = (-S_p * hat1 * x - (r - 1.0) * edr * tilde - edr * tilde1 * x)
+    # of the damped fields themselves); the closed forms below share them
+    # dPsi_d = dPsi_p hat + Psi_p hat1 / es
+    np.multiply(dPsi_p, hat, out=dPsi_d)
+    np.multiply(Psi_p, hat1, out=t1)
+    t1 /= es
+    dPsi_d += t1
+    # lapPsi_d = lapPsi_p hat + 2 dPsi_p hat1 / es + Psi_p lap_hat
+    np.multiply(lapPsi_p, hat, out=lapPsi_d)
+    np.multiply(2.0, dPsi_p, out=t1)
+    t1 *= hat1
+    t1 /= es
+    lapPsi_d += t1
+    lapPsi_d += np.multiply(Psi_p, lap_hat, out=t1)
+    # d_R (S_p hat) = dS_p hat + S_p hat1 / es; dS_d adds edr tilde1 / es
+    # to it once the closed form of E_S has read it
+    dSphat = dS_d
+    np.multiply(dS_p, hat, out=dSphat)
+    np.multiply(S_p, hat1, out=t1)
+    t1 /= es
+    dSphat += t1
 
-    N_Psi_d, N_S_d = profile_operator(params, R, Psi_d, dPsi_d, S_d, dS_d,
-                                      lapPsi_d)
-    E_Psi_def = N_Psi_d - ds_Psi_d
-    E_S_def = N_S_d - ds_S_d
+    # ---- E_Psi, expanded closed form ----
+    # dPsi_p^2 trans + alpha S_p^2 trans - Psi_p^2 hat1^2 / es^2
+    # - alpha edr^2 tilde^2 - 2 Psi_p dPsi_p hat1 hat / es
+    # - 2 alpha edr tilde S_p hat
+    E_Psi = np.multiply(dPsi_p, dPsi_p)
+    E_Psi *= trans
+    np.multiply(S_p, S_p, out=t1)
+    np.multiply(alpha, t1, out=t1)
+    t1 *= trans
+    E_Psi += t1
+    np.multiply(Psi_p, Psi_p, out=t1)
+    t1 *= np.multiply(hat1, hat1, out=t2)
+    t1 /= es ** 2
+    E_Psi -= t1
+    np.multiply(tilde, tilde, out=t1)
+    np.multiply(alpha * edr ** 2, t1, out=t1)
+    E_Psi -= t1
+    np.multiply(2.0, Psi_p, out=t1)
+    t1 *= dPsi_p
+    t1 *= hat1
+    t1 *= hat
+    t1 /= es
+    E_Psi -= t1
+    np.multiply(2.0 * alpha * edr, tilde, out=t1)
+    t1 *= S_p
+    t1 *= hat
+    E_Psi -= t1
+
+    bracket_Psi, bracket_S = profile_operator(params, R, Psi_p, dPsi_p, S_p,
+                                              dS_p, lapPsi_p, out=pair,
+                                              tmp=t1)
+    bracket_Psi = np.multiply(bracket_Psi, hat)
+    bracket_S = np.multiply(bracket_S, hat)
+
+    # ---- E_S, expanded closed form (verbatim transcription) ----
+    # hat bracket_S + 2 alpha S_p lapPsi_p trans + 2 dS_p dPsi_p trans
+    # - 2 alpha S_p hat (2 dPsi_p tilde1 / es + Psi_p lap_hat)
+    # - 2 dSphat Psi_p hat1 / es - 2 S_p hat1 dPsi_p hat / es
+    # - 2 alpha edr tilde (lapPsi_p hat + 2 dPsi_p hat1 / es
+    #                      + Psi_p lap_hat)
+    # - 2 edr (dPsi_p hat + Psi_p hat1 / es) tilde1 / es,
+    # whose two parentheses at the end are lapPsi_d and dPsi_d
+    np.multiply(2.0 * alpha, S_p, out=t1)
+    t1 *= lapPsi_p
+    t1 *= trans
+    E_S = np.add(bracket_S, t1)
+    np.multiply(2.0, dS_p, out=t1)
+    t1 *= dPsi_p
+    t1 *= trans
+    E_S += t1
+    np.multiply(2.0 * alpha, S_p, out=t1)
+    t1 *= hat
+    np.multiply(2.0, dPsi_p, out=t2)
+    t2 *= tilde1
+    t2 /= es
+    t2 += np.multiply(Psi_p, lap_hat, out=t3)
+    t1 *= t2
+    E_S -= t1
+    np.multiply(2.0, dSphat, out=t1)
+    t1 *= Psi_p
+    t1 *= hat1
+    t1 /= es
+    E_S -= t1
+    np.multiply(2.0, S_p, out=t1)
+    t1 *= hat1
+    t1 *= dPsi_p
+    t1 *= hat
+    t1 /= es
+    E_S -= t1
+    np.multiply(2.0 * alpha * edr, tilde, out=t1)
+    t1 *= lapPsi_d
+    E_S -= t1
+    np.multiply(2.0 * edr, dPsi_d, out=t1)
+    t1 *= tilde1
+    t1 /= es
+    E_S -= t1
+
+    # ---- defining combinations ----
+    # dS_d = dS_p hat + S_p hat1 / es + edr tilde1 / es
+    np.multiply(edr, tilde1, out=t1)
+    t1 /= es
+    dS_d += t1
+    N_Psi_d, N_S_d = profile_operator(params, R, dp.Psi_d, dPsi_d, dp.S_d,
+                                      dS_d, lapPsi_d, out=pair, tmp=t1)
+    # d_s Psi_d = -Psi_p hat1 x, d_s of hat(R e^-s)
+    np.negative(Psi_p, out=t1)
+    t1 *= hat1
+    t1 *= x
+    E_Psi_def = np.subtract(N_Psi_d, t1)
+    # d_s S_d = -S_p hat1 x - (r - 1) edr tilde - edr tilde1 x
+    np.negative(S_p, out=t1)
+    t1 *= hat1
+    t1 *= x
+    t1 -= np.multiply((r - 1.0) * edr, tilde, out=t2)
+    np.multiply(edr, tilde1, out=t2)
+    t2 *= x
+    t1 -= t2
+    E_S_def = np.subtract(N_S_d, t1)
 
     # empirical support: the stated lower edge is |y| = e^s/2 but the tilde
     # transition activates E_S already at |y| = e^s/8; report, do not fail
-    combined = np.abs(E_Psi) + np.abs(E_S)
+    combined = np.abs(E_Psi, out=t1)
+    combined += np.abs(E_S, out=t2)
     thresh = 1e-10 * (np.max(combined) + 1e-300)
     live = combined > thresh
-    inner_x = float(x[live][0]) if np.any(live) else float("inf")
+    first = int(np.argmax(live))
+    inner_x = float(x[first]) if live[first] else float("inf")
     note = ("tilde-derivative terms extend the error support inward of the "
             "stated |y| >= e^s/2 edge" if inner_x < 0.5 else
             "support consistent with |y| >= e^s/2")
 
+    def sup_gap(a, b):
+        return float(np.max(np.abs(np.subtract(a, b, out=t1), out=t1)))
+
     return ErrorTerms(
         E_Psi=E_Psi, E_S=E_S,
         E_Psi_defining=E_Psi_def, E_S_defining=E_S_def,
-        bracket_Psi=bracket_Psi * hat, bracket_S=bracket_S * hat,
-        mismatch_Psi=float(np.max(np.abs(E_Psi - E_Psi_def))),
-        mismatch_S=float(np.max(np.abs(E_S - E_S_def))),
+        bracket_Psi=bracket_Psi, bracket_S=bracket_S,
+        mismatch_Psi=sup_gap(E_Psi, E_Psi_def),
+        mismatch_S=sup_gap(E_S, E_S_def),
         support_inner_x=inner_x, support_note=note)

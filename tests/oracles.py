@@ -6,7 +6,8 @@ Taylor seed against the series recurrence, Xi_1 and the barrier normals
 by the product rule against their factored forms, the complex radial
 NLS against its polar form, the dense cut-offs, evaluated at every
 point, against the windowed ones, and the cut-offs' derivatives by
-50-digit numerical differentiation against their closed forms.  No
+50-digit numerical differentiation against their closed forms, and the
+dissipativity probe's forms in fresh arrays against the kept ones.  No
 package code calls them, so they live with the tests.
 """
 
@@ -15,6 +16,12 @@ import math
 import mpmath
 import numpy as np
 
+from nls_implosion._fd import derivative
+from nls_implosion.dynamics_lab import (
+    DissipativityForm,
+    _sym,
+    profile_fieldset,
+)
 from nls_implosion.errors import DomainError
 from nls_implosion.phase_portrait import (
     GRAD_D_Z,
@@ -28,10 +35,13 @@ from nls_implosion.phase_portrait import (
     n_z,
     special_points,
 )
+from nls_implosion.profile_solver import profile_operator
 from nls_implosion.selfsimilar_fields import (
     CUT_WINDOWS,
     RadialGrid,
     _even_d1,
+    _smooth_step,
+    cutoff,
     radial_laplacian,
 )
 
@@ -181,29 +191,38 @@ def dense_bump(t):
     return out
 
 
-def dense_smooth_step(t):
+def _into(value, out):
+    """value, or value copied into out when out is given (the package's
+    `out` convention)."""
+    if out is None:
+        return value
+    out[...] = value
+    return out
+
+
+def dense_smooth_step(t, out=None):
     """The step as f / (f + dense_bump(1 - t)), f = dense_bump(t), at
     every point, plateaus included; kept on purpose as the reference the
     windowed _smooth_step must match bit for bit."""
     f = dense_bump(t)
-    return f / (f + dense_bump(1.0 - t))
+    return _into(f / (f + dense_bump(1.0 - t)), out)
 
 
-def dense_cutoff(kind: str, x, n_d: int = 40):
+def dense_cutoff(kind: str, x, n_d: int = 40, out=None):
     """The cut-offs through dense_smooth_step, for finite x >= 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
         raise DomainError("cut-offs are defined for x >= 0")
     if kind == "hat":
         a, b = CUT_WINDOWS["hat"]
-        return dense_smooth_step((b - x) / (b - a))
+        return _into(dense_smooth_step((b - x) / (b - a)), out)
     if kind == "tilde":
         a, b = CUT_WINDOWS["tilde"]
-        return dense_smooth_step((x - a) / (b - a))
+        return _into(dense_smooth_step((x - a) / (b - a)), out)
     if kind == "poly":
         a, b = CUT_WINDOWS["poly"]
         blend = dense_smooth_step((x - a) / (b - a))
-        return np.exp(-0.5 * n_d * blend * np.log1p(x * x))
+        return _into(np.exp(-0.5 * n_d * blend * np.log1p(x * x)), out)
     raise DomainError(f"unknown cut-off kind {kind!r}")
 
 
@@ -231,3 +250,49 @@ def mp_cutoff_derivative(kind: str, x, order: int = 1, dps: int = 50):
         vals = [float(mpmath.diff(cut, mpmath.mpf(float(v)), order))
                 for v in np.ravel(x)]
     return np.array(vals).reshape(np.shape(x))
+
+
+# ---------------------------------------------------------------------------
+# dissipativity probe
+# ---------------------------------------------------------------------------
+
+def dissipativity_form(table, m, J, C0, K, n, n_modes):
+    """The probe's forms composed in fresh arrays, on a grid built for the
+    one call: the stacked complex step X = profile + i E over the 2N mode
+    directions E, its grid derivatives, profile_operator, Lt and the
+    Gram products, each a new array; kept on purpose as the reference
+    that dynamics_lab._dissipativity_form, which runs the same arithmetic
+    in kept arrays, must match bit for bit."""
+    params = table.params
+    grid = RadialGrid.uniform(n, 3.0 * C0, params.d)
+    R, h = grid.R, grid.h
+    base = profile_fieldset(table, grid, 20.0)
+
+    chi1 = _smooth_step((1.4 * C0 - R) / (0.2 * C0))
+    chi2 = _smooth_step((1.8 * C0 - R) / (0.2 * C0))
+    env = cutoff("hat", R / (3.0 * C0))
+    modes = np.arange(K + 1, K + 1 + n_modes)
+    b = env * np.cos(np.outer(modes, np.pi * R / (3.0 * C0)))
+    E = np.zeros((2 * n_modes, 2, n))
+    E[:n_modes, 0] = E[n_modes:, 1] = b
+    X = np.moveaxis(E, 1, 0) * 1j
+    X += np.stack((base.Psi, base.S))[:, None]
+    dX = grid.d1(X)
+    F = profile_operator(params, R, X[0], dX[0], X[1], dX[1],
+                         grid.laplacian(X[0], dX[0]))
+    Lt = chi2 * np.moveaxis(F.imag, 0, 1) - J * (1.0 - chi1) * E
+
+    w = grid.weights
+
+    def gram(F, G):
+        return (F * w) @ G.T
+
+    gLt = derivative(Lt, h, m, even=True)
+    gb = derivative(b, h, m, even=True)
+    gPsi = derivative(b, h, m + 1, even=True)
+    A = np.concatenate((gram(gb, gLt[:, 0]), gram(gb, gLt[:, 1])))
+    G_Psi, G_S, mass = _sym(gram(gPsi, gPsi)), _sym(gram(gb, gb)), gram(b, b)
+    X = np.zeros_like(A)
+    X[:n_modes, :n_modes] = G_Psi + mass
+    X[n_modes:, n_modes:] = G_S + mass
+    return DissipativityForm(Q=_sym(A + X), G_Psi=G_Psi, G_S=G_S)

@@ -53,6 +53,7 @@ from nls_implosion.selfsimilar_fields import (
     from_selfsimilar,
     radial_laplacian,
 )
+import oracles
 from oracles import nls_rhs_polar
 
 
@@ -617,6 +618,20 @@ class TestDissipativityProbe:
         assert dissipativity_probe(profile_r201, seed=seed,
                                    **PROBE_SETTINGS[setting]
                                    ) == ref_fraction
+
+    @pytest.mark.parametrize("setting", sorted(PROBE_SETTINGS))
+    def test_form_is_the_fresh_array_composition(self, profile_r201,
+                                                 setting):
+        # the forms from the kept arrays have the bits of the same
+        # arithmetic in fresh arrays, on the first call at a setting's
+        # grid and on the next
+        kw = PROBE_DEFAULTS | PROBE_SETTINGS[setting]
+        want = oracles.dissipativity_form(profile_r201, **kw)
+        for _ in range(2):
+            got = dl._dissipativity_form(profile_r201, **kw)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g.view(np.uint64),
+                                              w.view(np.uint64))
 
     @pytest.mark.parametrize("setting", ["default", "undamped"])
     def test_form_symmetric_grams_positive_definite(self, profile_r201,

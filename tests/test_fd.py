@@ -9,7 +9,9 @@ a time, and steps each run alone through a validated FieldSet per step,
 which is what the code did before.
 The stepper's references run on simulate's stretched grid and on the
 uniform one.  A simulate that reads its reference run back from an
-earlier call reports the bits of one that steps it.
+earlier call reports the bits of one that steps it.  The dissipativity
+probe's kept arrays, and the kept scratch of the damped profile's error
+terms, are held to the allocations they save.
 """
 
 import gc
@@ -31,6 +33,8 @@ from nls_implosion.errors import (
     ResolutionError,
 )
 from nls_implosion.selfsimilar_fields import FieldSet, RadialGrid, cutoff
+
+import oracles
 
 
 def uncached_derivative(f, h, m, acc=4, even=False):
@@ -93,10 +97,12 @@ def test_short_grid_rejected():
 
 @pytest.mark.parametrize("m, acc", [(1, 4), (2, 4), (1, 8), (3, 4), (6, 8),
                                     (1, 14)])
-@pytest.mark.parametrize("n", [33, 257, 4096])
+@pytest.mark.parametrize("n", [33, 257, 4096, 1025])
 @pytest.mark.parametrize("even", [False, True])
-@pytest.mark.parametrize("lead", [(3,), (2, 3)])
+@pytest.mark.parametrize("lead", [(3,), (2, 3), (2, 32)])
 def test_stacked_rows_match_1d_calls(m, acc, n, even, lead):
+    # (2, 32) rows of 1025 points is the probe's stacked state, whose
+    # 64 rows span several of _fd's row blocks
     rng = np.random.default_rng(n + 10 * m + acc)
     f = rng.standard_normal(lead + (n,)) * np.exp(rng.standard_normal(n))
     h = 13.0 / (n - 1)
@@ -122,13 +128,15 @@ def _bits(a):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("even", [False, True])
-@pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3), (2, 32)])
 def test_complex_is_its_real_and_imaginary_parts(m, even, lead):
     # a complex array is differentiated as its two parts, bit for bit,
-    # signed zeros included
+    # signed zeros included; (2, 32) rows of 1025 points is the probe's
+    # complex step, whose parts are strided rows over several blocks
     rng = np.random.default_rng(31 * m + len(lead))
-    f = (rng.standard_normal(lead + (257,))
-         + 1j * rng.standard_normal(lead + (257,)))
+    n = 1025 if lead == (2, 32) else 257
+    f = (rng.standard_normal(lead + (n,))
+         + 1j * rng.standard_normal(lead + (n,)))
     f.real[..., 40] = -0.0
     out = derivative(f, 0.05, m, even=even)
     assert out.dtype == complex and out.shape == f.shape
@@ -165,8 +173,12 @@ def test_energy_report_identical_without_cache(profile_r201, monkeypatch):
         shapes.append(np.shape(f))
         return uncached_derivative(f, *args, **kwargs)
 
-    def counting_reflected(padded, width, h, m, acc=4):
-        return counting(padded[..., width:], h, m, acc, even=True)
+    def counting_reflected(padded, width, h, m, acc=4, out=None):
+        result = counting(padded[..., width:], h, m, acc, even=True)
+        if out is None:
+            return result
+        out[...] = result
+        return out
 
     # the samples differentiate through the grid, which looks the
     # operator up in selfsimilar_fields; the probe and the blow-up fit
@@ -405,6 +417,46 @@ def test_dropped_grid_frees_its_workspaces(profile_r201):
         gc.enable()
 
 
+# the dissipativity probe's kept arrays
+
+#: two probe settings of one grid and one n_modes (so one workspace) and
+#: one of another n; the forms of each must equal the fresh-array oracle
+PROBE_A = dict(m=2, J=2000.0, C0=2.0, K=8, n=1025, n_modes=16)
+PROBE_B = dict(m=3, J=0.0, C0=2.0, K=0, n=1025, n_modes=16)
+PROBE_C = dict(m=2, J=2000.0, C0=2.0, K=8, n=513, n_modes=16)
+
+
+def _assert_form_is_oracle(table, kw):
+    got = dynamics_lab._dissipativity_form(table, **kw)
+    for g, w in zip(got, oracles.dissipativity_form(table, **kw)):
+        np.testing.assert_array_equal(_bits(g), _bits(w))
+
+
+def test_probe_workspace_is_never_stale(profile_r201):
+    # settings A, B, A on one kept workspace, then another grid and back:
+    # each call gives the oracle's bits, so nothing a call leaves in the
+    # kept arrays reaches the next
+    for kw in (PROBE_A, PROBE_B, PROBE_A, PROBE_C, PROBE_A):
+        _assert_form_is_oracle(profile_r201, kw)
+
+
+def test_probe_store_holds_one_grid(profile_r201):
+    # the store keeps the last probe's grid alone, and no workspace refers
+    # to its grid: with the cycle collector off, a probe at another n
+    # frees the first grid at once, with its workspace
+    dynamics_lab.dissipativity_probe(profile_r201, trials=5)
+    grid = dynamics_lab._probe_grid[1]
+    gc.disable()
+    try:
+        kept = [weakref.ref(grid), *map(weakref.ref,
+                                         grid.workspaces.values())]
+        del grid
+        dynamics_lab.dissipativity_probe(profile_r201, trials=5, n=513)
+        assert [ref() for ref in kept] == [None] * len(kept)
+    finally:
+        gc.enable()
+
+
 def _opcodes_with_large_allocations(fn, nbytes):
     """fn() and the number of bytecodes, run by fn and by what it calls,
     during which the memory tracemalloc traces (numpy's buffers included)
@@ -439,7 +491,7 @@ def _opcodes_with_large_allocations(fn, nbytes):
 @pytest.mark.parametrize("kind", ["uniform", "sinh"])
 @pytest.mark.parametrize("runs, s, most", [(1, 1e4, 1 + 3 * 2),
                                            (2, 1e4, 1 + 3 * 2),
-                                           (1, 1.0, 1 + 3 * 2 + 3 * 9)],
+                                           (1, 1.0, 1 + 3 * 2 + 3 * 6)],
                          ids=["1", "2", "1-quantum"])
 def test_warm_step_allocates_only_its_result_and_correlations(profile_r201,
                                                               kind, runs, s,
@@ -448,9 +500,9 @@ def test_warm_step_allocates_only_its_result_and_correlations(profile_r201,
     # or more but its result and the six np.correlate outputs, two per
     # stage; every other array of size n is kept in the stage workspace.
     # At s = 1 the quantum term is live: its derivatives come from a
-    # workspace too, and each stage adds nine allocations of the term's
-    # own (max(S, S_FLOOR), four in the half log-density, two correlate
-    # outputs, |grad w|^2 and the masked result)
+    # workspace too, and each stage adds six allocations of the term's
+    # own (max(S, S_FLOOR), the half log-density, written in place into
+    # one array, two correlate outputs, |grad w|^2 and the masked result)
     n = 2048
     grid = (RadialGrid.uniform(n, 30.0) if kind == "uniform" else
             RadialGrid.sinh(n, 30.0, dynamics_lab.SIMULATE_GRID_C))
@@ -462,6 +514,33 @@ def test_warm_step_allocates_only_its_result_and_correlations(profile_r201,
                                       0.9), 8 * n)
     assert Xn.shape == (2, runs, n)
     assert large <= most
+
+
+def test_warm_probe_makes_no_large_allocation(profile_r201):
+    # a probe after the first at its (n, C0, d, n_modes) runs in kept
+    # arrays: no allocation reaches glibc's 128 KiB mmap threshold, where
+    # each would take fresh pages
+    dynamics_lab.dissipativity_probe(profile_r201)
+    frac, large = _opcodes_with_large_allocations(
+        lambda: dynamics_lab.dissipativity_probe(profile_r201, seed=3),
+        128 * 1024)
+    assert 0.0 <= frac <= 1.0
+    assert large == 0
+
+
+def test_warm_error_terms_allocate_only_their_results(profile_r201_wide):
+    # a warm damped profile and its error terms make no allocation of 8n
+    # bytes or more but the arrays they return: S_d and Psi_d, and the six
+    # arrays of ErrorTerms; every other term is formed in kept scratch
+    table = profile_r201_wide
+    selfsimilar_fields.error_terms(
+        selfsimilar_fields.damped_profile(table, 10.0), table)
+    et, large = _opcodes_with_large_allocations(
+        lambda: selfsimilar_fields.error_terms(
+            selfsimilar_fields.damped_profile(table, 11.0), table),
+        8 * len(table.R))
+    assert et.E_S.shape == table.R.shape
+    assert large <= 2 + 6
 
 
 def test_nan_density_raises_at_its_step(profile_r201, monkeypatch):
