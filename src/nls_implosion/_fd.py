@@ -169,24 +169,21 @@ def reflect(f: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
 
 
 def reflected_derivative(padded: np.ndarray, width: int, h: float, m: int,
-                         acc: int = 4,
-                         out: np.ndarray | None = None) -> np.ndarray:
+                         acc: int, out: np.ndarray) -> np.ndarray:
     """derivative(f, h, m, acc, even=True) of the even rows f whose
     reflected samples padded holds, as `reflect(f, width, padded)` wrote
     them, with width at least half_width(m, acc); padded is float64 and
     is only read.
 
     The result goes into `out` (float64, of f's shape, sharing no memory
-    with padded) when it is given, and into a new array otherwise; it is
-    returned.  Every row but the last half_width(m, acc) points takes the
-    centred stencil over the reflection, the last ones the one-sided
-    stencils, each value the same dot over the same samples as in a 1-D
-    call with width = half_width(m, acc).  When padded is C-contiguous the
-    blocks are read in place, so the call allocates nothing but each
-    block's np.correlate output (and `out`, unless given).
+    with padded), which is returned.  Every row but the last
+    half_width(m, acc) points takes the centred stencil over the
+    reflection, the last ones the one-sided stencils, each value the same
+    dot over the same samples as in a 1-D call with
+    width = half_width(m, acc).  When padded is C-contiguous the blocks
+    are read in place, so the call allocates nothing but each block's
+    np.correlate output.
     """
-    if out is None:
-        out = np.empty((*padded.shape[:-1], padded.shape[-1] - width))
     _rows(padded, width, False, h, m, acc, out)
     return out
 

@@ -173,11 +173,8 @@ def test_energy_report_identical_without_cache(profile_r201, monkeypatch):
         shapes.append(np.shape(f))
         return uncached_derivative(f, *args, **kwargs)
 
-    def counting_reflected(padded, width, h, m, acc=4, out=None):
-        result = counting(padded[..., width:], h, m, acc, even=True)
-        if out is None:
-            return result
-        out[...] = result
+    def counting_reflected(padded, width, h, m, acc, out):
+        out[...] = counting(padded[..., width:], h, m, acc, even=True)
         return out
 
     # the samples differentiate through the grid, which looks the
