@@ -122,8 +122,10 @@ class Polys(NamedTuple):
 # evaluates them pointwise.  The sonic series recurrence
 # (profile_solver._sonic_series_fixed) writes the quadratic coefficients
 # again, times 8, in convolution form over fixed-point integers at
-# SERIES_BITS, seeded from SERIES_DPS closed forms.  Evaluation order is
-# fixed as written.
+# SERIES_BITS, seeded from SERIES_DPS closed forms: the [xi^n] sums of
+# W W, W Z and Z Z that one order's Z-balance takes carry into the next
+# order's W-balance, completed by their terms in Z_n.  Evaluation order
+# is fixed as written.
 # ---------------------------------------------------------------------------
 
 def d_w(W, Z):

@@ -80,6 +80,7 @@ from __future__ import annotations
 import base64
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -555,44 +556,59 @@ def _kappa_text(r: float) -> str:
 
 
 @functools.lru_cache(maxsize=32)
-def _sonic_series_fixed(r: float, order: int) -> tuple[tuple[int, ...],
-                                                       tuple[int, ...]]:
-    """Taylor coefficients of the smooth branch at P_s as integers scaled
-    by 2^SERIES_BITS.
+def _sonic_series_fixed(r: float) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Taylor coefficients of the smooth branch at P_s up to SERIES_ORDER
+    as integers scaled by 2^SERIES_BITS.
 
     Matching [xi^(n-1)] of W' D_W = N_W gives W_n and [xi^n] of
     Z' D_Z = N_Z gives Z_n.  Both balances are multiplied by 8 so that
     every coefficient of D and N is an integer: each numerator is then an
     exact integer at scale 2^(2 SERIES_BITS), and the one division per
-    coefficient is the only rounding.
+    coefficient is the only rounding.  The order-k coefficients read only
+    lower orders, so a shorter series is a prefix of this one.
+
+    Each order forms only the products that are new.  The [xi^n] sums of
+    W W, W Z and Z Z that the order-n Z-balance takes, short only of
+    their terms in Z_n, carry into the order-(n + 1) W-balance, which
+    needs them at the same power: W W as it is, W Z plus W_0 Z_n and Z Z
+    plus 2 Z_0 Z_n.  W W and Z Z sum their pairs (i, n - i) with i < n - i
+    once, doubled, plus the middle square where n is even, and k W_k and
+    k Z_k are kept, so the sums of D's coefficients times them are plain
+    dot products.  Every step regroups a sum of exact integer products,
+    so every numerator, and with it every coefficient, has the integers
+    of summing the balances term by term.
     """
     with mpmath.workdps(SERIES_DPS):
         _, _, W0, Z0, W1, Z1 = _sonic_closed_forms(mpmath.mpf(r), mpmath.mpf,
                                                    mpmath.sqrt)
         rr, W0, Z0, W1, Z1 = map(_fixed, (r, W0, Z0, W1, Z1))
-    W = [W0, W1] + [0] * (order - 1)
-    Z = [Z0, Z1] + [0] * (order - 1)
+    pad = [0] * (SERIES_ORDER - 1)
+    W, Z = [W0, W1] + pad, [Z0, Z1] + pad
+    kW, kZ = [0, W1] + pad, [0, Z1] + pad          # k W_k and k Z_k
     # 4 D_W and 4 D_Z less their constant 4, coefficient by coefficient
-    dw = [3 * W0 + Z0, 3 * W1 + Z1] + [0] * (order - 1)
-    dz = [W0 + 3 * Z0, W1 + 3 * Z1] + [0] * (order - 1)
+    dw = [3 * W0 + Z0, 3 * W1 + Z1] + pad
+    dz = [W0 + 3 * Z0, W1 + 3 * Z1] + pad
     dw0 = (8 << SERIES_BITS) + 2 * dw[0]         # 8 D_W(P_s)
     a1 = 2 * dz[1]                               # 8 a1
     nzz = -8 * rr - 2 * W0 - 26 * Z0             # 8 dN_Z/dZ at P_s
+    mul = operator.mul
 
-    for n in range(2, order + 1):
-        m = n - 1
-        ww = sum(W[i] * W[m - i] for i in range(n))
-        wz = sum(W[i] * Z[m - i] for i in range(n))
-        zz = sum(Z[i] * Z[m - i] for i in range(n))
-        s = sum(k * W[k] * dw[m + 1 - k] for k in range(1, n))
-        W[n] = ((-8 * rr * W[m] - 13 * ww - 2 * wz + 7 * zz - 2 * s)
+    # [xi^1] of W W, W Z and Z Z
+    ww, wz, zz = 2 * W0 * W1, W0 * Z1 + W1 * Z0, 2 * Z0 * Z1
+    for n in range(2, SERIES_ORDER + 1):
+        # ww, wz and zz hold [xi^(n-1)] of W W, W Z and Z Z
+        s = sum(map(mul, kW[1:n], dw[n - 1:0:-1]))
+        W[n] = ((-8 * rr * W[n - 1] - 13 * ww - 2 * wz + 7 * zz - 2 * s)
                 // (n * dw0))
-        # Z[n] is still 0 in the convolutions, so they carry only the
-        # known part
-        ww = sum(W[i] * W[n - i] for i in range(n + 1))
-        wz = sum(W[i] * Z[n - i] for i in range(n + 1))
-        zz = sum(Z[i] * Z[n - i] for i in range(n + 1))
-        lhs = sum(k * Z[k] * dz[n + 1 - k] for k in range(2, n))
+        # [xi^n] of the products without their terms in Z[n], still unknown
+        h = (n + 1) // 2                         # pairs (i, n - i), i < n - i
+        ww = 2 * sum(map(mul, W[:h], W[n:n - h:-1]))
+        zz = 2 * sum(map(mul, Z[1:h], Z[n - 1:n - h:-1]))
+        if n % 2 == 0:
+            ww += W[n // 2] * W[n // 2]
+            zz += Z[n // 2] * Z[n // 2]
+        wz = sum(map(mul, W[1:n + 1], Z[n - 1::-1]))
+        lhs = sum(map(mul, kZ[2:n], dz[n - 1:1:-1]))
         denom = n * a1 + 6 * Z1 - nzz             # 8 a1 (n - kappa)
         if denom == 0:
             raise ConsistencyError(
@@ -600,20 +616,24 @@ def _sonic_series_fixed(r: float, order: int) -> tuple[tuple[int, ...],
                 f"order-{n} denominator a1 (n - kappa) is exactly zero")
         Z[n] = ((7 * ww - 2 * wz - 13 * zz - 2 * lhs - 2 * Z1 * W[n])
                 // denom)
+        kW[n], kZ[n] = n * W[n], n * Z[n]
         dw[n] = 3 * W[n] + Z[n]
         dz[n] = W[n] + 3 * Z[n]
+        wz += W0 * Z[n]
+        zz += 2 * Z0 * Z[n]
 
     return tuple(W), tuple(Z)
 
 
-def sonic_series(r: float, order: int = SERIES_ORDER) -> tuple[np.ndarray, np.ndarray]:
-    """Taylor coefficients (W_n, Z_n) of the smooth branch, W = sum W_n xi^n.
+def sonic_series(r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficients (W_n, Z_n), n = 0 .. SERIES_ORDER, of the smooth
+    branch, W = sum W_n xi^n.
 
     Generated by matching powers of xi in W' D_W = N_W and Z' D_Z = N_Z in
     fixed-point integers at SERIES_BITS, seeded from SERIES_DPS closed
     forms.  Returned as float arrays, each coefficient rounded once.
     """
-    W, Z = _sonic_series_fixed(r, order)
+    W, Z = _sonic_series_fixed(r)
     one = 1 << SERIES_BITS
     return (np.array([c / one for c in W]), np.array([c / one for c in Z]))
 
@@ -794,13 +814,17 @@ def solve_orbit(params: ProfileParams, xi_min: float = -6.0,
     series agree to 100 tol.  The orbit reports the anchor and its xi.  A
     march that stops short, or meets a seam's level nearer the other
     sonic point P_bar_s, raises SonicCrossingError naming where; an
-    anchor inside the series range, DomainError.  No grid enters: any
+    anchor inside the series range, DomainError, as are an empty xi
+    range, tol outside (1e-14, 1e-4) and xi_switch outside (0, inf),
+    refused before the series is computed.  No grid enters: any
     grid on [xi_min, xi_max] tabulates the same orbit.
     """
     if not (xi_min < 0.0 < xi_max):
         raise DomainError(f"need xi_min < 0 < xi_max, got [{xi_min}, {xi_max}]")
     if not (1e-14 < tol < 1e-4):
         raise DomainError(f"tol = {tol} outside (1e-14, 1e-4)")
+    if not (0.0 < xi_switch < np.inf):
+        raise DomainError(f"xi_switch = {xi_switch} outside (0, inf)")
 
     r = params.r
     pts = special_points(params)

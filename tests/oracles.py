@@ -2,12 +2,13 @@
 
 Each function recomputes a quantity the package computes another way: the
 L'Hopital quadratic against the closed-form sonic slope, the quadratic
-Taylor seed against the series recurrence, Xi_1 and the barrier normals
-by the product rule against their factored forms, the complex radial
-NLS against its polar form, the dense cut-offs, evaluated at every
-point, against the windowed ones, and the cut-offs' derivatives by
-50-digit numerical differentiation against their closed forms, and the
-dissipativity probe's forms in fresh arrays against the kept ones.  No
+Taylor seed against the series recurrence, the series' fixed-point
+integers summed term by term against the carried sums, Xi_1 and the
+barrier normals by the product rule against their factored forms, the
+complex radial NLS against its polar form, the dense cut-offs, evaluated
+at every point, against the windowed ones, and the cut-offs' derivatives
+by 50-digit numerical differentiation against their closed forms, and
+the dissipativity probe's forms in fresh arrays against the kept ones.  No
 package code calls them, so they live with the tests.
 """
 
@@ -22,7 +23,7 @@ from nls_implosion.dynamics_lab import (
     _sym,
     profile_fieldset,
 )
-from nls_implosion.errors import DomainError
+from nls_implosion.errors import ConsistencyError, DomainError
 from nls_implosion.phase_portrait import (
     GRAD_D_Z,
     ProfileParams,
@@ -35,7 +36,13 @@ from nls_implosion.phase_portrait import (
     n_z,
     special_points,
 )
-from nls_implosion.profile_solver import profile_operator
+from nls_implosion.profile_solver import (
+    SERIES_BITS,
+    SERIES_DPS,
+    _fixed,
+    _kappa_text,
+    profile_operator,
+)
 from nls_implosion.selfsimilar_fields import (
     CUT_WINDOWS,
     RadialGrid,
@@ -142,6 +149,54 @@ def taylor_seed_coeffs(params: ProfileParams) -> tuple[float, float, float, floa
     denom = 2.0 * a1 + GRAD_D_Z[1] * Z1 - nzz
     Z2 = (nzw * W2 + q - GRAD_D_Z[0] * Z1 * W2) / denom
     return W1, Z1, W2, Z2
+
+
+def sonic_series_fixed(r: float, order: int) -> tuple[tuple[int, ...],
+                                                      tuple[int, ...]]:
+    """The sonic series' fixed-point integers up to `order`, by the
+    recurrence that sums every convolution of each balance afresh, term
+    by term: the reference that profile_solver._sonic_series_fixed,
+    which carries the sums from one order to the next, must match
+    integer for integer.
+    """
+    with mpmath.workdps(SERIES_DPS):
+        _, _, W0, Z0, W1, Z1 = _sonic_closed_forms(mpmath.mpf(r), mpmath.mpf,
+                                                   mpmath.sqrt)
+        rr, W0, Z0, W1, Z1 = map(_fixed, (r, W0, Z0, W1, Z1))
+    W = [W0, W1] + [0] * (order - 1)
+    Z = [Z0, Z1] + [0] * (order - 1)
+    # 4 D_W and 4 D_Z less their constant 4, coefficient by coefficient
+    dw = [3 * W0 + Z0, 3 * W1 + Z1] + [0] * (order - 1)
+    dz = [W0 + 3 * Z0, W1 + 3 * Z1] + [0] * (order - 1)
+    dw0 = (8 << SERIES_BITS) + 2 * dw[0]         # 8 D_W(P_s)
+    a1 = 2 * dz[1]                               # 8 a1
+    nzz = -8 * rr - 2 * W0 - 26 * Z0             # 8 dN_Z/dZ at P_s
+
+    for n in range(2, order + 1):
+        m = n - 1
+        ww = sum(W[i] * W[m - i] for i in range(n))
+        wz = sum(W[i] * Z[m - i] for i in range(n))
+        zz = sum(Z[i] * Z[m - i] for i in range(n))
+        s = sum(k * W[k] * dw[m + 1 - k] for k in range(1, n))
+        W[n] = ((-8 * rr * W[m] - 13 * ww - 2 * wz + 7 * zz - 2 * s)
+                // (n * dw0))
+        # Z[n] is still 0 in the convolutions, so they carry only the
+        # known part
+        ww = sum(W[i] * W[n - i] for i in range(n + 1))
+        wz = sum(W[i] * Z[n - i] for i in range(n + 1))
+        zz = sum(Z[i] * Z[n - i] for i in range(n + 1))
+        lhs = sum(k * Z[k] * dz[n + 1 - k] for k in range(2, n))
+        denom = n * a1 + 6 * Z1 - nzz             # 8 a1 (n - kappa)
+        if denom == 0:
+            raise ConsistencyError(
+                f"sonic series does not converge: {_kappa_text(r)}; the "
+                f"order-{n} denominator a1 (n - kappa) is exactly zero")
+        Z[n] = ((7 * ww - 2 * wz - 13 * zz - 2 * lhs - 2 * Z1 * W[n])
+                // denom)
+        dw[n] = 3 * W[n] + Z[n]
+        dz[n] = W[n] + 3 * Z[n]
+
+    return tuple(W), tuple(Z)
 
 
 # ---------------------------------------------------------------------------

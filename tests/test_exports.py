@@ -23,7 +23,8 @@ MODULES = ["nls_implosion"] + [
 ORACLES = ("taylor_seed_coeffs", "sonic_slope_quadratic_roots", "xi1_poly",
            "grad_b_normal_partI_expanded", "grad_b_normal_partII_expanded",
            "nls_rhs_complex", "nls_rhs_polar", "dense_bump",
-           "dense_smooth_step", "dense_cutoff", "mp_cutoff_derivative")
+           "dense_smooth_step", "dense_cutoff", "mp_cutoff_derivative",
+           "sonic_series_fixed", "dissipativity_form")
 
 
 def _top_level_bindings(module) -> set[str]:

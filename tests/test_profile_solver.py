@@ -47,6 +47,7 @@ from nls_implosion.profile_solver import (
     ANCHOR_TOL,
     CSV_HEADER,
     SERIES_DPS,
+    SERIES_ORDER,
     ProfileTable,
     fit_decay,
     origin_slope,
@@ -56,7 +57,7 @@ from nls_implosion.profile_solver import (
     sonic_series,
     to_physical,
 )
-from oracles import taylor_seed_coeffs
+from oracles import sonic_series_fixed, taylor_seed_coeffs
 
 r_interior = st.floats(min_value=1.5, max_value=2.06)
 
@@ -119,6 +120,17 @@ def _reference_series_mp(r: float, order: int = 90):
 ORACLE_R = (1.05, 1.5, 1.8, 1.821837, 1.85, 1.9, 1.95, 1.995, 2.005,
             2.0095, 2.01, 2.05)
 
+#: r at which kappa lies within 0.02 of an integer (4, 5, 7, 20, 46, 89
+#: and 90), so that one order's denominator a1 (n - kappa) nearly vanishes
+NEAR_INTEGER_KAPPA_R = (1.2564094, 1.4779, 1.670881, 1.9332808, 2.0096654,
+                        2.0387633, 2.0391141)
+
+#: r at which the fixed-point series is checked against the term-by-term
+#: sums: spread over (1, r*), up to r* - 1e-4, where kappa ~ 3e4
+SERIES_R = (ORACLE_R + NEAR_INTEGER_KAPPA_R
+            + (1.0005, 1.1, 1.3, 1.6, 1.7, 1.75, 1.84025, 2.02, 2.03, 2.04,
+               2.06, 2.065, 2.068, 2.07, R_STAR - 1e-4))
+
 
 class TestSonicSeed:
     def test_frozen_values_r201(self):
@@ -134,7 +146,7 @@ class TestSonicSeed:
         # closed-form second-order coefficients against the order-by-order
         # extended-precision recurrence, two independent derivations
         W1, Z1, W2, Z2 = taylor_seed_coeffs(ProfileParams(r=r))
-        Wc, Zc = sonic_series(r, order=8)
+        Wc, Zc = (c[:9] for c in sonic_series(r))
         assert abs(Wc[1] - W1) < 1e-12
         assert abs(Zc[1] - Z1) < 1e-12
         assert abs(Wc[2] - W2) < 1e-11
@@ -146,6 +158,26 @@ class TestSonicSeed:
         Wc, Zc = sonic_series(r)
         assert [float(c).hex() for c in W_mp] == [c.hex() for c in Wc]
         assert [float(c).hex() for c in Z_mp] == [c.hex() for c in Zc]
+
+    @pytest.mark.parametrize("r", SERIES_R)
+    def test_fixed_series_matches_term_by_term_sums(self, r):
+        # the carried convolutions regroup exact integer sums
+        assert (profile_solver._sonic_series_fixed.__wrapped__(r)
+                == sonic_series_fixed(r, SERIES_ORDER))
+
+    @pytest.mark.parametrize("r", NEAR_INTEGER_KAPPA_R)
+    def test_near_integer_kappa_r_are_near_resonant(self, r):
+        _, _, W0, Z0, W1, Z1 = _sonic_closed_forms(r)
+        a1 = GRAD_D_Z[0] * W1 + GRAD_D_Z[1] * Z1
+        kappa = (grad_n_z(W0, Z0, r)[1] - 0.75 * Z1) / a1
+        assert abs(kappa - round(kappa)) < 0.02
+
+    @pytest.mark.parametrize("order", [2, 3, 8])
+    def test_shorter_series_is_a_prefix(self, order):
+        # order-k coefficients read only lower orders
+        W, Z = profile_solver._sonic_series_fixed(2.01)
+        assert sonic_series_fixed(2.01, order) == (W[:order + 1],
+                                                   Z[:order + 1])
 
     def test_exactly_resonant_denominator_names_kappa(self, monkeypatch):
         # P_s = (0, 0), (W1, Z1) = (-3, 0) at r = 1.5 give
@@ -264,6 +296,16 @@ class TestSolveProfile:
             solve_profile(params_r201, tol=1e-15)
         with pytest.raises(DomainError):
             solve_profile(params_r201, tol=1e-3)
+
+    @pytest.mark.parametrize("xi_switch", [math.nan, 0.0, -0.1, math.inf])
+    def test_rejects_bad_xi_switch_before_the_series(self, params_r201,
+                                                     xi_switch, monkeypatch):
+        def unreached(r):
+            raise AssertionError("sonic series computed")
+        monkeypatch.setattr(profile_solver, "sonic_series", unreached)
+        with pytest.raises(DomainError, match=r"xi_switch = .* outside "
+                                              r"\(0, inf\)"):
+            profile_solver.solve_orbit(params_r201, xi_switch=xi_switch)
 
     def test_blowup_bound_trips(self, params_r201, monkeypatch):
         # the left march starts at amplitude e^{-xi_start}, so a bound a

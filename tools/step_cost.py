@@ -109,6 +109,8 @@ def child(root: str, n: int, steps: int, reps: int, ops: int,
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
     q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, q2, q3
 
@@ -134,6 +136,8 @@ def main() -> None:
         return
     if args.b is None:
         ap.error("two checkouts are needed")
+    if args.processes < 1:
+        ap.error(f"--processes {args.processes}: need at least 1")
 
     roots = {"A": os.path.abspath(args.a), "B": os.path.abspath(args.b)}
     env = dict(os.environ, **PINNED_ENV)
