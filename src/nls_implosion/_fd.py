@@ -14,7 +14,8 @@ One pass, _rows, takes every derivative: it writes into the caller's
 `out` (a new array when none is given) and works through the rows in
 blocks whose samples, reflected in the even mode, and whose np.correlate
 output each stay below _BLOCK_BYTES, so no call takes fresh pages for
-its temporaries, whatever its rows.  `reflected_derivative` is the same
+its temporaries, whatever its rows; it takes complex samples as their
+real and imaginary parts.  `reflected_derivative` is the same
 pass on samples the caller has already reflected with `reflect`, so a
 caller that keeps the reflected buffer (the stepper's stage workspace)
 differentiates with the same operator, bit for bit; `reflect` is the one
@@ -132,30 +133,17 @@ def derivative(f: np.ndarray, h: float, m: int, acc: int = 4,
     m + 1 doubles so each dot sums in the order of the 1-D one.  No
     temporary of the call reaches _BLOCK_BYTES.
 
-    A complex f is differentiated as its real and imaginary parts, each
-    written into its half of the complex result, so each part is bit for
-    bit the derivative of that part alone.
+    A complex f is differentiated as its real and imaginary parts (see
+    _rows), so each part is bit for bit the derivative of that part alone.
     """
-    f = np.asarray(f)
-    cplx = np.iscomplexobj(f)
+    f = np.asarray(f, dtype=complex if np.iscomplexobj(f) else float)
     if out is None:
-        out = np.empty(f.shape, complex if cplx else float)
-    if cplx:
-        _real_derivative(f.real, h, m, acc, even, out.real)
-        _real_derivative(f.imag, h, m, acc, even, out.imag)
-    else:
-        _real_derivative(f, h, m, acc, even, out)
-    return out
-
-
-def _real_derivative(f: np.ndarray, h: float, m: int, acc: int,
-                     even: bool, out: np.ndarray) -> None:
-    """derivative() of real samples f, taken as float64, into out."""
-    f = np.asarray(f, dtype=float)
+        out = np.empty(f.shape, f.dtype)
     if m == 0:
         np.copyto(out, f)
     else:
         _rows(f, half_width(m, acc) if even else 0, even, h, m, acc, out)
+    return out
 
 
 def reflect(f: np.ndarray, width: int, out: np.ndarray) -> np.ndarray:
@@ -172,17 +160,19 @@ def reflected_derivative(padded: np.ndarray, width: int, h: float, m: int,
                          acc: int, out: np.ndarray) -> np.ndarray:
     """derivative(f, h, m, acc, even=True) of the even rows f whose
     reflected samples padded holds, as `reflect(f, width, padded)` wrote
-    them, with width at least half_width(m, acc); padded is float64 and
-    is only read.
+    them, with width at least half_width(m, acc); padded is float64 or
+    complex128 and is only read.
 
-    The result goes into `out` (float64, of f's shape, sharing no memory
-    with padded), which is returned.  Every row but the last
-    half_width(m, acc) points takes the centred stencil over the
+    The result goes into `out` (of padded's dtype and f's shape, sharing
+    no memory with padded), which is returned; a complex padded is taken
+    as its real and imaginary parts, as in derivative.  Every row but the
+    last half_width(m, acc) points takes the centred stencil over the
     reflection, the last ones the one-sided stencils, each value the same
     dot over the same samples as in a 1-D call with
-    width = half_width(m, acc).  When padded is C-contiguous the blocks
-    are read in place, so the call allocates nothing but each block's
-    np.correlate output.
+    width = half_width(m, acc).  When padded is real and C-contiguous the
+    blocks are read in place, so the call allocates nothing but each
+    block's np.correlate output; a complex padded's parts are strided, so
+    each block of a part is copied first.
     """
     _rows(padded, width, False, h, m, acc, out)
     return out
@@ -209,7 +199,15 @@ def _rows(f: np.ndarray, width: int, reflecting: bool, h: float, m: int,
     is 0; the correlate output takes them, and its values past the
     reflection are copied into out.  A ResolutionError, before any work,
     unless the rows carry both stencils.
+
+    Complex f and out (complex128) are taken as their real and imaginary
+    parts, each part of out written by this pass over that part of f
+    alone, so each is bit for bit the derivative of the part.
     """
+    if np.iscomplexobj(f):
+        _rows(f.real, width, reflecting, h, m, acc, out.real)
+        _rows(f.imag, width, reflecting, h, m, acc, out.imag)
+        return
     half, n_side, center, lo, hi = _stencils(h, m, acc)
     n = out.shape[-1]
     if n + (half if width else 0) < max(2 * half + 1, n_side):

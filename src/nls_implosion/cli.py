@@ -185,9 +185,6 @@ class RunConfig:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
-    def to_file(self, path: str) -> None:
-        _write_atomic(path, self.to_json() + "\n")
-
     @property
     def config_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]

@@ -10,17 +10,19 @@ step as one state, unless the reference is stored from an earlier call),
 with one first derivative of every row and one second
 derivative of the Psi rows per stage, both read off one even reflection
 in a workspace of kept arrays (_StageWorkspace) that the grid holds per
-state shape, in RadialGrid.workspaces; validated FieldSets are built only
-where a caller needs one (step's result, simulate's sample points and
-abort snapshots).  The stepper's right side is written once, as its
-stationary part and its quantum term, and everything simulate evaluates
-on its grid runs in that grid's workspaces: the stages and their bound,
+state shape and dtype, in RadialGrid.workspaces; validated FieldSets
+are built only where a caller needs one (step's result, simulate's
+sample points and abort snapshots).  The stepper's right side is
+written once, as its stationary part and its quantum term, and
+everything simulate evaluates on its grid runs in that grid's
+workspaces: the stages and their bound,
 the default step, the quantum term, and the stationarity residual, which
 applies the stationary part at a state.  A statistical dissipativity
-probe of the cut-off linearized operator takes the same operator as its
-complex-step linearization, in arrays kept on its grid, which the
-one-slot store _probe_grid keeps for the next probe at the same
-(n, C0, d).
+probe of the cut-off linearized operator takes the same stationary part
+as its complex-step linearization, run on a complex state in a stage
+workspace of its grid, which the one-slot store _probe_workspace keeps,
+with the probe's own arrays, for the next probe at the same
+(n, C0, d, n_modes).
 They, the weighted energy functionals and a Sobolev
 blow-up-rate diagnostic live alongside the stepper; each takes its
 R-derivatives and integrals from the grid it is given.
@@ -327,40 +329,54 @@ def _rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
 
 
 class _StageWorkspace:
-    """The arrays kept for one grid and one state shape (m, ..., n),
-    rewritten at every use, with the grid's operators that write into
-    them.  Each gives the bits of the grid's own operator.
+    """The arrays kept for one grid and one state shape (m, ..., n) and
+    dtype, float64 for the stepper's states and complex128 for the
+    dissipativity probe's complex step, rewritten at every use, with the
+    grid's operators that write into them.  Each gives the bits of the
+    grid's own operator.
 
-    Kept: `pad`, X's even reflection, written once by d1 (`_fd.reflect`)
-    and read by the first derivative of every row and the second
-    derivative of the X[0] rows (`_fd.reflected_derivative`, at
-    RadialGrid.ACC), which write into the kept dX and f_xx; the
-    Laplacian of the X[0] rows; F and tmp, profile_operator's output
-    and scratch; and the grid factors R, lap_coef and, on the stretch,
-    inv_dR, d2R and inv_dR2, each broadcast once to the state's shape,
-    since a ufunc against a same-shape operand runs faster than against
-    an (n,) one.  Fresh at each call: the output of each np.correlate,
-    one block of _fd's pass for a state up to (2, 2, 2048), whose values
-    are copied into dX or fxx before any ufunc reads them (a ufunc that
-    reads a strided view allocates a buffer of its size).
+    Kept, all of the state's dtype: `pad`, X's even reflection, written
+    once by d1 (`_fd.reflect`) and read by the first derivative of every
+    row and the second derivative of the X[0] rows
+    (`_fd.reflected_derivative`, at RadialGrid.ACC), which write into the
+    kept dX and, as f_xx, into tmp; the Laplacian of the X[0] rows; F and
+    tmp, profile_operator's output and scratch; and the grid factors R,
+    lap_coef and, on the stretch, inv_dR, d2R and inv_dR2, each
+    broadcast once to the state's shape, C-ordered, since a ufunc against
+    a same-shape operand runs faster than against an (n,) one.  The
+    factors take the state's dtype because numpy casts a real operand of
+    a complex ufunc through buffers of 128 KiB, which would take fresh
+    pages at every call; written into a complex array, a real x is
+    x + 0j, as the cast gives it, so the bits are the same.  Fresh at
+    each call: the output of each np.correlate, one block of _fd's pass
+    for a real state up to (2, 2, 2048), whose values are copied into dX
+    or tmp before any ufunc reads them (a ufunc that reads a strided view
+    allocates a buffer of its size), and on a complex state the copy of
+    each block of a part of pad.
     The workspace holds no reference to its grid, so the grid's
     `workspaces` dict, which holds it, goes when the grid does.
     """
 
-    def __init__(self, grid: RadialGrid, shape: tuple[int, ...]):
+    def __init__(self, grid: RadialGrid, shape: tuple[int, ...],
+                 dtype=float):
         rows, n = shape[1:], shape[-1]
+
+        def kept(a, to):
+            out = np.empty(to, dtype)
+            out[...] = a
+            return out
+
         self.h, self.d = grid.h, grid.d
         self.width = max(half_width(m, RadialGrid.ACC) for m in (1, 2))
-        self.pad = np.empty((*shape[:-1], self.width + n))
-        self.dX, self.F = np.empty(shape), np.empty(shape)
-        self.fxx, self.lap, self.tmp = (np.empty(rows) for _ in range(3))
-        self.R = np.broadcast_to(grid.R, rows).copy()
-        self.lap_coef = np.broadcast_to(grid.lap_coef, rows).copy()
+        self.pad = np.empty((*shape[:-1], self.width + n), dtype)
+        self.dX, self.F = np.empty(shape, dtype), np.empty(shape, dtype)
+        self.lap, self.tmp = np.empty(rows, dtype), np.empty(rows, dtype)
+        self.R, self.lap_coef = kept(grid.R, rows), kept(grid.lap_coef, rows)
         self.inv_dR = None
         if grid.c is not None:
-            self.inv_dR = np.broadcast_to(grid.inv_dR, shape).copy()
-            self.d2R = np.broadcast_to(grid.d2R, rows).copy()
-            self.inv_dR2 = np.broadcast_to(grid.inv_dR2, rows).copy()
+            self.inv_dR = kept(grid.inv_dR, shape)
+            self.d2R = kept(grid.d2R, rows)
+            self.inv_dR2 = kept(grid.inv_dR2, rows)
 
     def d1(self, X: np.ndarray) -> np.ndarray:
         """grid.d1(X) in the kept dX: X's reflection written into pad, and
@@ -375,9 +391,9 @@ class _StageWorkspace:
     def laplacian(self, dPsi: np.ndarray) -> np.ndarray:
         """grid.laplacian(X[0], dPsi) into the kept lap, for the X whose
         reflection the last d1 left in pad: f_RR of the X[0] rows from
-        pad[0] in the kept fxx, lap_coef dPsi plus f_RR, and the centre's
+        pad[0] in the kept tmp, lap_coef dPsi plus f_RR, and the centre's
         limit d f_RR(0)."""
-        fxx, lap = self.fxx, self.lap
+        fxx, lap = self.tmp, self.lap
         reflected_derivative(self.pad[0], self.width, self.h, 2,
                              RadialGrid.ACC, out=fxx)
         if self.inv_dR is not None:
@@ -400,13 +416,14 @@ class _StageWorkspace:
         return a
 
 
-def _stage_workspace(grid: RadialGrid,
-                     shape: tuple[int, ...]) -> _StageWorkspace:
-    """The grid's stage workspace for states of that shape, built on first
-    use and kept in grid.workspaces."""
-    if shape not in grid.workspaces:
-        grid.workspaces[shape] = _StageWorkspace(grid, shape)
-    return grid.workspaces[shape]
+def _stage_workspace(grid: RadialGrid, shape: tuple[int, ...],
+                     dtype=float) -> _StageWorkspace:
+    """The grid's stage workspace for states of that shape and dtype,
+    built on first use and kept in grid.workspaces under (shape, dtype)."""
+    key = (shape, np.dtype(dtype))
+    if key not in grid.workspaces:
+        grid.workspaces[key] = _StageWorkspace(grid, *key)
+    return grid.workspaces[key]
 
 
 def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
@@ -633,68 +650,37 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 class _ProbeWorkspace:
     """The arrays _dissipativity_form keeps for one grid and n_modes = N,
-    rewritten at every call, and its grid factors.
+    beside that grid's complex stage workspace, rewritten at every call,
+    and its grid factors.
 
     Kept: the complex step X = profile + i e of the 2N mode directions, a
-    (2, 2N, n) stacked state of one run per direction; its first
-    derivative dX; the Laplacian of its Psi rows, lap, formed in place
-    over their second derivative; profile_operator's output F and
-    scratch tmp; and the modes b, (N, n).  Once F is formed, dX and lap
-    are dead, and their memory is reused: dX's holds Lt and grad^m Lt,
-    each (2N, 2, n) and real, and lap's the four (N, n) arrays of the
-    forms (J (1 - chi1) b and then the weighted rows of the Grams, grad^m
-    b and grad^(m+1) b).  Also kept are the grid's cut-offs chi1, chi2
-    and env, the modes' phase pi R / (3 C0), and, as complex arrays, the
-    profile's (Psi, S) and the grid's R and lap_coef, the real operands
-    of the complex step's ufuncs: numpy casts a real operand of a complex
-    ufunc through buffers of 128 KiB, which would take fresh pages at
-    every call.  Written into a complex array, a real x is x + 0j, as the
-    cast gives it, so the bits are the same.  The workspace holds no
-    reference to its grid.
+    (2, 2N, n) stacked state of one run per direction; the modes b,
+    (N, n); the profile's (Psi, S) as a complex array, a real operand of
+    the complex step's ufuncs (see _StageWorkspace); the grid's cut-offs
+    chi1, chi2 and env; and the modes' phase pi R / (3 C0).  The workspace
+    holds no reference to its grid.
     """
 
     def __init__(self, grid: RadialGrid, C0: float, n_modes: int):
         R, n = grid.R, len(grid.R)
-        self.X, self.dX, self.F = (np.empty((2, 2 * n_modes, n), complex)
-                                   for _ in range(3))
-        self.lap, self.tmp = (np.empty((2 * n_modes, n), complex)
-                              for _ in range(2))
+        self.X = np.empty((2, 2 * n_modes, n), complex)
         self.b = np.empty((n_modes, n))
-        self.Lt, self.gLt = self.dX.reshape(-1).view(float).reshape(
-            2, 2 * n_modes, 2, n)
-        self.cb, self.gb, self.gPsi, self.wgb = self.lap.reshape(-1).view(
-            float).reshape(4, n_modes, n)
         self.profile = np.empty((2, n), complex)
-        self.R = R.astype(complex)
-        self.lap_coef = grid.lap_coef.astype(complex)
         self.chi1 = _smooth_step((1.4 * C0 - R) / (0.2 * C0))
         self.chi2 = _smooth_step((1.8 * C0 - R) / (0.2 * C0))
         self.env = cutoff("hat", R / (3.0 * C0))
         self.phase = np.pi * R / (3.0 * C0)
 
 
-#: the uniform grid of the last probe, under its key (n, C0, d), with the
-#: probe's kept arrays in its `workspaces`; a probe under another key
-#: replaces it
-_probe_grid: tuple[tuple, RadialGrid] | None = None
-
-
+@functools.lru_cache(maxsize=1)
 def _probe_workspace(n: int, C0: float, d: int,
                      n_modes: int) -> tuple[RadialGrid, _ProbeWorkspace]:
     """The probe's grid, RadialGrid.uniform(n, 3 C0, d), and its workspace
-    for n_modes, each built on first use and kept: the grid in the
-    one-slot _probe_grid, the workspace as its grid's only one."""
-    global _probe_grid
-    key = (n, C0, d)
-    if _probe_grid is None or _probe_grid[0] != key:
-        _probe_grid = None              # freed before the next is built
-        _probe_grid = (key, RadialGrid.uniform(n, 3.0 * C0, d))
-    grid = _probe_grid[1]
-    if ("probe", n_modes) not in grid.workspaces:
-        grid.workspaces.clear()
-        grid.workspaces["probe", n_modes] = _ProbeWorkspace(grid, C0,
-                                                            n_modes)
-    return grid, grid.workspaces["probe", n_modes]
+    for n_modes, kept for the next probe at the same arguments; a probe
+    at others replaces them, with the stage workspaces in the grid's
+    `workspaces`."""
+    grid = RadialGrid.uniform(n, 3.0 * C0, d)
+    return grid, _ProbeWorkspace(grid, C0, n_modes)
 
 
 def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
@@ -703,17 +689,21 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
 
     The cut-off linearized operator is Lt e = chi2 L e - J (1 - chi1) e,
     with L the linearization at the profile of the stepper's stationary
-    right side, profile_operator with the grid's first derivative and
-    Laplacian: it is quadratic in its fields, so L e = Im N(profile + i e)
-    for that operator N, with every direction a run of one complex stacked
-    state, whose derivatives the derivative operator takes as real and
-    imaginary parts.  The 2N directions are e = (b_k, 0) and (0, b_k) for
-    the N modes b_k.  Every derivative is one stacked call over all
-    directions, and every inner product uses the grid's quadrature
-    weights.
+    right side N, _stationary_rhs: it is quadratic in its fields, so
+    L e = Im N(profile + i e), with every direction a run of one complex
+    stacked state, which runs in the grid's complex stage workspace, whose
+    derivatives take real and imaginary parts apart.  The 2N directions
+    are e = (b_k, 0) and (0, b_k) for the N modes b_k.  Every derivative
+    is one stacked call over all directions, and every inner product uses
+    the grid's quadrature weights.
 
-    Every array of size n runs in the _ProbeWorkspace of the kept probe
-    grid (see _probe_workspace), so a call after the first at the same
+    Every array of size n runs in the kept probe grid's workspaces (see
+    _probe_workspace): its _ProbeWorkspace and its stage workspace for X.
+    Once F is formed, the stage workspace's dX and lap are dead, and
+    their memory is reused: dX's holds Lt and grad^m Lt, each (2N, 2, n)
+    and real, and lap's the four (N, n) arrays of the forms
+    (J (1 - chi1) b and then the weighted rows of the Grams, grad^m b and
+    grad^(m+1) b).  So a call after the first at the same
     (n, C0, d, n_modes) takes no fresh pages: each step writes into a kept
     array, in the order of the plain expression, so the forms have the
     bits of the fresh-array composition (tests/oracles.py), which forms
@@ -724,46 +714,41 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     which leaves every value as it is.
     """
     params = table.params
-    grid, ws = _probe_workspace(n, C0, params.d, n_modes)
+    grid, pws = _probe_workspace(n, C0, params.d, n_modes)
     h, N = grid.h, n_modes
     base = profile_fieldset(table, grid, 20.0)
 
-    b = np.outer(np.arange(K + 1, K + 1 + N), ws.phase, out=ws.b)
+    b = np.outer(np.arange(K + 1, K + 1 + N), pws.phase, out=pws.b)
     np.cos(b, out=b)
-    np.multiply(ws.env, b, out=b)
+    np.multiply(pws.env, b, out=b)
     # X = moveaxis(E) * 1j + profile, with each real operand written
     # into a complex array before a ufunc reads it
-    X = ws.X
+    X = pws.X
     X[0, :N] = X[1, N:] = b
     X[0, :N] *= 1j
     X[1, N:] *= 1j
     X[0, N:] = X[1, :N] = 0.0
-    ws.profile[0], ws.profile[1] = base.Psi, base.S
-    X += ws.profile[:, None]
-    dX = derivative(X, h, 1, RadialGrid.ACC, even=True, out=ws.dX)
-    # the Laplacian of the Psi rows over their second derivative: the
-    # centre's limit d f_RR(0) first, then lap_coef dPsi + f_RR
-    lap = derivative(X[0], h, 2, RadialGrid.ACC, even=True, out=ws.lap)
-    centre = np.multiply(grid.d, lap[:, 0])
-    lap += np.multiply(ws.lap_coef, dX[0], out=ws.tmp)
-    lap[:, 0] = centre
-    F = profile_operator(params, ws.R, X[0], dX[0], X[1], dX[1], lap,
-                         out=ws.F, tmp=ws.tmp)
+    pws.profile[0], pws.profile[1] = base.Psi, base.S
+    X += pws.profile[:, None]
+    ws = _stage_workspace(grid, X.shape, X.dtype)
+    F = _stationary_rhs(X, ws.d1(X), ws, params)
 
-    Lt = np.multiply(ws.chi2, np.moveaxis(F.imag, 0, 1), out=ws.Lt)
-    cb = np.multiply(J * (1.0 - ws.chi1), b, out=ws.cb)
+    Lt, gLt = ws.dX.reshape(-1).view(float).reshape(2, 2 * N, 2, n)
+    cb, gb, gPsi, wgb = ws.lap.reshape(-1).view(float).reshape(4, N, n)
+    np.multiply(pws.chi2, np.moveaxis(F.imag, 0, 1), out=Lt)
+    np.multiply(J * (1.0 - pws.chi1), b, out=cb)
     Lt[:N, 0] -= cb
     Lt[N:, 1] -= cb
-    gLt = derivative(Lt, h, m, even=True, out=ws.gLt)
-    gb = derivative(b, h, m, even=True, out=ws.gb)
-    gPsi = derivative(b, h, m + 1, even=True, out=ws.gPsi)
+    derivative(Lt, h, m, even=True, out=gLt)
+    derivative(b, h, m, even=True, out=gb)
+    derivative(b, h, m + 1, even=True, out=gPsi)
 
     w = grid.weights
-    wgb = np.multiply(gb, w, out=ws.wgb)
+    np.multiply(gb, w, out=wgb)
     A = np.concatenate((wgb @ gLt[:, 0].T, wgb @ gLt[:, 1].T))
     G_S = _sym(wgb @ gb.T)
-    G_Psi = _sym(np.multiply(gPsi, w, out=ws.cb) @ gPsi.T)
-    mass = np.multiply(b, w, out=ws.cb) @ b.T
+    G_Psi = _sym(np.multiply(gPsi, w, out=cb) @ gPsi.T)
+    mass = np.multiply(b, w, out=cb) @ b.T
     X = np.zeros_like(A)
     X[:N, :N] = G_Psi + mass
     X[N:, N:] = G_S + mass

@@ -459,10 +459,6 @@ class ProfileTable:
         """Delta Psi_p = d_R U_nls + (d-1)/R U_nls, from the dR_Ubar column."""
         return 0.5 * self.dR_Ubar + (self.params.d - 1) / self.R * self.U_nls
 
-    @property
-    def i_sonic(self) -> int:
-        return int(np.argmin(np.abs(self.xi_grid)))
-
     def window_mask(self, R_lo: float, R_hi: float) -> np.ndarray:
         if R_lo < self.R[0] * (1 - 1e-12) or R_hi > self.R[-1] * (1 + 1e-12):
             raise RangeError(

@@ -236,9 +236,11 @@ class RadialGrid:
     kind's constructor.
 
     The even operators d1, d2 and laplacian take their stencils at the
-    one accuracy ACC, which the stepper's stage workspaces read too.  A
-    grid keeps those workspaces in its own `workspaces` dict, by state
-    shape; none of them refers to the grid, so they are freed with it.
+    one accuracy ACC, which dynamics_lab's stage workspaces read too:
+    the stepper's, on real states, and the dissipativity probe's, on its
+    complex step.  A grid keeps those workspaces in its own `workspaces`
+    dict, by state shape and dtype; none of them refers to the grid, so
+    they are freed with it.
     """
 
     #: accuracy order of the even-reflection operators d1, d2, laplacian
@@ -249,7 +251,8 @@ class RadialGrid:
     h: float
     c: float | None = None
     d: int = 8
-    #: dynamics_lab's stage workspaces on this grid, by state shape
+    #: dynamics_lab's stage workspaces on this grid, by (state shape,
+    #: dtype)
     workspaces: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -555,18 +558,12 @@ class DampedProfileField:
 #: their terms in
 _TERM_ROWS = 15
 
-#: that scratch, (_TERM_ROWS, n), for the node count n of the last table
-#: it served; a table of another n replaces it
-_term_scratch: np.ndarray | None = None
 
-
+@functools.lru_cache(maxsize=1)
 def _terms_scratch(n: int) -> np.ndarray:
-    """The kept scratch rows for terms on n nodes, built on first use."""
-    global _term_scratch
-    if _term_scratch is None or _term_scratch.shape[1] != n:
-        _term_scratch = None            # freed before the next is built
-        _term_scratch = np.empty((_TERM_ROWS, n))
-    return _term_scratch
+    """The kept scratch rows, (_TERM_ROWS, n), for terms on n nodes, built
+    on first use; a table of another n replaces them."""
+    return np.empty((_TERM_ROWS, n))
 
 
 def damped_profile(table: ProfileTable, s: float, mode: str = "periodic",

@@ -45,9 +45,9 @@ class TestRunConfig:
     def test_roundtrip_lossless(self, tmp_path):
         cfg = RunConfig(r=2.03, emit=["json"], energy={"m_prime": 3},
                         window=[2.02, 2.066], ds=1e-4)
-        path = str(tmp_path / "run.json")
-        cfg.to_file(path)
-        assert RunConfig.from_file(path) == cfg
+        path = tmp_path / "run.json"
+        path.write_text(cfg.to_json() + "\n")
+        assert RunConfig.from_file(str(path)) == cfg
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = str(tmp_path / "run.json")
@@ -77,10 +77,10 @@ class TestRunConfig:
         assert RunConfig().config_hash == RunConfig().config_hash
 
     def test_flags_override_file(self, tmp_path):
-        path = str(tmp_path / "run.json")
-        RunConfig(r=2.03, n_points=512).to_file(path)
+        path = tmp_path / "run.json"
+        path.write_text(RunConfig(r=2.03, n_points=512).to_json() + "\n")
         args = cli.build_parser().parse_args(
-            ["profile", "--config", path, "--r", "2.01"])
+            ["profile", "--config", str(path), "--r", "2.01"])
         cfg = cli._effective_config(args)
         assert cfg.r == 2.01          # flag wins
         assert cfg.n_points == 512    # file survives where no flag given

@@ -145,6 +145,25 @@ def test_complex_is_its_real_and_imaginary_parts(m, even, lead):
             _bits(got), _bits(derivative(part.copy(), 0.05, m, even=even)))
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_complex_reflected_is_the_even_derivative(m):
+    # the probe's complex step in its stage workspace: a (2, 32, 1025)
+    # stack, reflected at the workspace's width, whose parts span several
+    # of _fd's row blocks, gives derivative(even=True)'s bits, signed
+    # zeros included
+    rng = np.random.default_rng(5 + m)
+    shape = (2, 32, 1025)
+    f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f.imag[..., 40] = -0.0
+    width = max(_fd.half_width(k, 4) for k in (1, 2))
+    padded = _fd.reflect(f, width, np.empty((2, 32, width + 1025), complex))
+    out = np.empty_like(f)
+    got = _fd.reflected_derivative(padded, width, 0.05, m, 4, out=out)
+    assert got is out
+    np.testing.assert_array_equal(
+        _bits(got), _bits(derivative(f, 0.05, m, acc=4, even=True)))
+
+
 def hand_padded(f, h, m, acc, k):
     ext = np.concatenate([f[k:0:-1], f])
     return derivative(ext, h, m, acc=acc)[k:]
@@ -440,14 +459,22 @@ def test_probe_workspace_is_never_stale(profile_r201):
 def test_probe_store_holds_one_grid(profile_r201):
     # the store keeps the last probe's grid alone, and no workspace refers
     # to its grid: with the cycle collector off, a probe at another n
-    # frees the first grid at once, with its workspace
+    # frees the first grid at once, with its workspaces.  The grid keeps
+    # only stage workspaces; the probe's own arrays sit beside it
     dynamics_lab.dissipativity_probe(profile_r201, trials=5)
-    grid = dynamics_lab._probe_grid[1]
+    store = dynamics_lab._probe_workspace
+    hits = store.cache_info().hits
+    grid, probe_ws = store(1025, 2.0, profile_r201.params.d, 16)
+    assert store.cache_info().hits == hits + 1
+    assert store.cache_info().currsize == 1
+    assert grid.workspaces
+    assert all(isinstance(ws, dynamics_lab._StageWorkspace)
+               for ws in grid.workspaces.values())
     gc.disable()
     try:
-        kept = [weakref.ref(grid), *map(weakref.ref,
-                                         grid.workspaces.values())]
-        del grid
+        kept = [weakref.ref(grid), weakref.ref(probe_ws),
+                *map(weakref.ref, grid.workspaces.values())]
+        del grid, probe_ws
         dynamics_lab.dissipativity_probe(profile_r201, trials=5, n=513)
         assert [ref() for ref in kept] == [None] * len(kept)
     finally:

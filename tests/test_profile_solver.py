@@ -73,6 +73,13 @@ def synthetic_table(r=2.01, n=512, xi_min=-5.0, xi_max=5.0, S_nls=None):
                         dR_Ubar=zeros, dR_Sbar=zeros)
 
 
+def sonic_node(table) -> int:
+    """The index of the table's one node at exactly xi = 0, the sonic
+    point."""
+    (i0,) = np.flatnonzero(table.xi_grid == 0.0)
+    return int(i0)
+
+
 def _reference_series_mp(r: float, order: int = 90):
     """The sonic series as it was computed before the fixed-point
     recurrence: the same recurrence in SERIES_DPS-digit mpmath arithmetic,
@@ -217,7 +224,7 @@ class TestSonicSeed:
 class TestSolveProfile:
     def test_sonic_row_is_seeded_not_integrated(self, profile_r201, params_r201):
         pts = special_points(params_r201)
-        i0 = profile_r201.i_sonic
+        i0 = sonic_node(profile_r201)
         assert profile_r201.xi_grid[i0] == 0.0
         assert abs(profile_r201.W[i0] - pts.P_s.W) < 1e-14
         assert abs(profile_r201.Z[i0] - pts.P_s.Z) < 1e-14
@@ -227,7 +234,7 @@ class TestSolveProfile:
         # removes the leading error and lands three decades closer
         W1 = special_points(params_r201).W1
         h = profile_r201.h
-        i0 = profile_r201.i_sonic
+        i0 = sonic_node(profile_r201)
         s1 = (profile_r201.W[i0 + 1] - profile_r201.W[i0]) / h
         s2 = (profile_r201.W[i0 + 2] - profile_r201.W[i0]) / (2.0 * h)
         raw = abs(s1 - W1)
@@ -571,12 +578,12 @@ class TestScipyReference:
 class TestToPhysical:
     def test_critical_point_appendix_convention(self, profile_r201):
         # 1 + Ubar_R - alpha*Sbar = D_Z at R = 1
-        i0 = profile_r201.i_sonic
+        i0 = sonic_node(profile_r201)
         value = 1.0 + profile_r201.Ubar_R[i0] - 0.5 * profile_r201.Sbar[i0]
         assert abs(value) < 1e-12
 
     def test_critical_point_halved_convention(self, profile_r201):
-        i0 = profile_r201.i_sonic
+        i0 = sonic_node(profile_r201)
         value = (1.0 + 2.0 * profile_r201.U_nls[i0]
                  - 2.0 * 0.5 * profile_r201.S_nls[i0])
         assert abs(value) < 1e-12

@@ -254,9 +254,10 @@ def test_windowed_cutoffs_identical_through_callers(profile_r201,
         monkeypatch.setattr(module, "_smooth_step",
                             oracles.dense_smooth_step)
         monkeypatch.setattr(module, "cutoff", oracles.dense_cutoff)
-    # the probe keeps its grid's cut-offs: drop its grid, so the dense
-    # ones are built
-    monkeypatch.setattr(dynamics_lab, "_probe_grid", None)
+    # the probe keeps its grid's cut-offs: give it an empty store, so the
+    # dense ones are built
+    monkeypatch.setattr(dynamics_lab, "_probe_workspace", functools.lru_cache(
+        maxsize=1)(dynamics_lab._probe_workspace.__wrapped__))
     dense = run()
 
     for got, want in zip(windowed[0], dense[0]):

@@ -39,8 +39,10 @@ def test_op_faults_reports_the_diagnostics_ops():
     assert re.match(r"diagnostics: (\d+) ops after a first set of \1, "
                     r"seed 1, warm-up 0 MB, checkout ", lines[0])
     assert lines[1] == "per op: median (quartiles)"
-    assert [line.split()[:2] for line in lines[2:]] == [
+    assert [line.split()[:2] for line in lines[2:5]] == [
         ["minor", "faults"], ["CPU", "time"], ["wall", "time"]]
+    assert re.fullmatch(r"peak RSS after the ops: \d+\.\d MB", lines[5])
+    assert lines[6:] == []
 
 
 def test_step_cost_with_one_process_pair():

@@ -9,7 +9,9 @@ under bench/ is changed), runs its set-up and then --sets whole sets of
 ops, and prints, over the ops after the first set, the median and
 quartiles per op of the minor faults (`ru_minflt` of
 `resource.getrusage(RUSAGE_SELF)`), the CPU time (`time.process_time`)
-and the wall time.  Every op's output is checked as the bench checks it,
+and the wall time, and then the process's peak resident set size once
+its ops are done (`ru_maxrss` in MB of 2^20 bytes, the bench's
+peak_rss_mb).  Every op's output is checked as the bench checks it,
 outside the counted span.  With --warm-up-mb M the process first
 allocates, touches and frees M MB, which raises glibc's dynamic mmap
 threshold, as a large free during an earlier import or set-up would.
@@ -85,6 +87,7 @@ def main() -> int:
                 problems += wl.check_op(x, out)[0]
                 outs.append(out)
             problems += wl.check_set(xs, outs)
+        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         problems += wl.finish()
 
     print(f"{args.workload}: {len(rows)} ops after a first set of "
@@ -96,6 +99,7 @@ def main() -> int:
                                    ("wall time", 2, 1e3, " ms")):
         q1, q2, q3 = quartiles([r[col] * scale for r in rows])
         print(f"  {name:13s} {q2:10.4g}{unit} ({q1:.4g}-{q3:.4g})")
+    print(f"peak RSS after the ops: {peak_rss_mb:.1f} MB")
     for p in problems[:20]:
         print(f"problem: {p}")
     return 1 if problems else 0
