@@ -146,7 +146,7 @@ class RunConfig:
                 ("R_max", self.R_max > 0, "> 0"),
                 ("n", self.n >= 2, ">= 2"),
                 ("n_samples", self.n_samples >= 2, ">= 2"),
-                ("verify_samples", self.verify_samples >= 1, ">= 1"),
+                ("verify_samples", self.verify_samples >= 2, ">= 2"),
                 ("curve_samples", self.curve_samples >= 1, ">= 1")):
             if not ok:
                 raise ConfigError(
@@ -549,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--require-window", action="store_true", default=None,
                    help="fail when the outgoing-side checks are skipped")
     v.add_argument("--verify-samples", type=int,
-                   help="curve samples per check")
+                   help="curve samples per check, at least 2")
 
     s = subs.add_parser("simulate", help="evolve damped profile plus bump")
     _add_common(s)
@@ -574,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="A,B,... or START:STOP:COUNT",
                    help="r values to sweep")
     w.add_argument("--verify-samples", type=int,
-                   help="curve samples per check")
+                   help="curve samples per check, at least 2")
 
     c = subs.add_parser("phase-portrait",
                         help="emit barrier curve samples for plotting")

@@ -574,16 +574,15 @@ def residual_stationary(state: FieldSet) -> StationaryResidual:
 # ---------------------------------------------------------------------------
 
 def energy_low(U_tilde: np.ndarray, S_tilde: np.ndarray, grid: RadialGrid,
-               cfg: EnergyConfig, weights: Weights | None = None) -> float:
+               cfg: EnergyConfig, weights: Weights) -> float:
     """Low-derivative perturbation energy
     (1/2)(||beta^m' grad^m' U~||^2 + ||beta^m' grad^m' S~||^2) on the grid.
 
     Squared-norm convention: the source display sums unsquared norms with a
     1/2, but its s-derivative is then manipulated as a quadratic form, so
-    the squared version is the one the estimates actually use.
+    the squared version is the one the estimates actually use.  weights
+    is build_weights(grid, cfg), which the caller builds once per grid.
     """
-    if weights is None:
-        weights = build_weights(grid, cfg)
     m = cfg.m_prime
     acc = m + 2 + (m % 2)   # stencil order >= m' + 2
     bm = weights.beta ** m
@@ -593,29 +592,27 @@ def energy_low(U_tilde: np.ndarray, S_tilde: np.ndarray, grid: RadialGrid,
 
 
 def energy_w(w: np.ndarray, grid: RadialGrid, cfg: EnergyConfig,
-             weights: Weights | None = None) -> float:
-    """Log-density energy  int beta^{2m'} |grad^{m'-1} w|^2 on the grid."""
+             weights: Weights) -> float:
+    """Log-density energy  int beta^{2m'} |grad^{m'-1} w|^2 on the grid,
+    with weights = build_weights(grid, cfg)."""
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise VacuumError("w is not finite; vacuum in the density")
-    if weights is None:
-        weights = build_weights(grid, cfg)
     dw = grid.dR(w, cfg.m_prime - 1)
     return grid.quad(weights.beta ** (2 * cfg.m_prime) * dw * dw)
 
 
 def energy_high(state: FieldSet, cfg: EnergyConfig,
-                weights: Weights | None = None) -> float:
+                weights: Weights) -> float:
     """High-derivative energy E_{k-l} with weight P phi^l, l = cfg.l.
 
     E_{k-l} = int |grad^{k-l-1} S|^2 P phi^l + int |grad^{k-l} Psi|^2 P phi^l
               + e^{(4-2r)s} int |grad^{k-l} w|^2 P phi^l,
-    the last term dropped while its prefactor is not above QP_COEF_FLOOR.
+    the last term dropped while its prefactor is not above QP_COEF_FLOOR,
+    with weights = build_weights(state.grid, cfg).
     """
     n = cfg.k - cfg.l
     grid = state.grid
-    if weights is None:
-        weights = build_weights(grid, cfg)
     wgt = state.P * weights.phi ** cfg.l
     dS = grid.dR(state.S, n - 1)
     dPsi = grid.dR(state.Psi, n)

@@ -39,7 +39,6 @@ __all__ = [
     "n_z",
     "eval_polys",
     "special_points",
-    "sonic_slope",
     "auxiliary_signs",
     "origin_coeffs",
     "barrier_curves",
@@ -223,11 +222,6 @@ def special_points(params: ProfileParams) -> SpecialPoints:
                      (-sq_i + 3.0 * r - 38.0) / 26.0)
     return SpecialPoints(P_s=P_s, P_bar_s=P_bar_s, P_star=P_star, P_i=P_i,
                          R1=R1, R2=R2, W1=W1, Z1=Z1)
-
-
-def sonic_slope(params: ProfileParams) -> tuple[float, float]:
-    """First Taylor coefficients (W_1, Z_1) of the smooth branch at P_s."""
-    return _sonic_closed_forms(params.r)[4:]
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .phase_portrait import (
     grad_b_normal_partI,
     n_w,
     n_z,
+    origin_coeffs,
     special_points,
     xi1_splus,
     xi1_us,
@@ -73,6 +74,9 @@ EQUALITY_TOL = 1e-12
 
 #: width of the collar (1, 1 + DELTA_C] the integrated ratio leaves out
 DELTA_C = 0.01
+
+#: how far from 0 the integrated ratio's numerator may sit at R = 1
+ZERO_TOL = 1e-9
 
 
 class AngularMargins(NamedTuple):
@@ -121,8 +125,9 @@ def check_partI(params: ProfileParams, table: ProfileTable,
         excluded boundary case);
     (b) the directional derivative -(W - Z)(-1 + r + 2W + 2Z) keeps one
         sign along the barrier curve b;
-    (c) the origin expansion coefficient (r-5)(r-1)(3r+1)/(40 w0^2) is
-        negative, so the flow points inward near R = 0.
+    (c) the origin expansion coefficient (r-5)(r-1)(3r+1)/(40 w0^2),
+        4 w_3 of origin_coeffs, is negative, so the flow points inward
+        near R = 0.
     """
     r = params.r
     report = VerificationReport(
@@ -150,7 +155,7 @@ def check_partI(params: ProfileParams, table: ProfileTable,
     w0 = table.w0
     if not np.isfinite(w0) or w0 == 0.0:
         raise DomainError("table carries no matched origin coefficient w0")
-    coeff = (r - 5.0) * (r - 1.0) * (3.0 * r + 1.0) / (40.0 * w0 * w0)
+    coeff = 4.0 * origin_coeffs(w0, params)[1]
     report.add("partI_origin_coefficient",
                "(r-5)(r-1)(3r+1)/(40 w0^2) < 0 near the origin",
                "closed-form evaluation",
@@ -255,46 +260,41 @@ def _quadrilateral_boundary(pts, n_samples: int):
            "U = U(Pbar_s) from the diagonal to Pbar_s")
 
 
-def check_integrated(table: ProfileTable, delta_c: float = DELTA_C,
-                     R_hi: float | None = None, zero_tol: float = 1e-9,
-                     require_critical: bool = True) -> float:
-    """Worst ratio (R + Ubar_R - alpha Sbar)/(R - 1) over R > 1 + delta_c.
+def check_integrated(table: ProfileTable) -> float:
+    """Worst ratio (R + Ubar_R - alpha Sbar)/(R - 1) over R > 1 + DELTA_C,
+    on the whole table.
 
-    The ratio is 0/0 at R = 1; the collar (1, 1 + delta_c] is excluded and
-    the limit there is checked separately: the numerator must vanish at
-    R = 1 within ``zero_tol``, and its derivative form (which is the radial
-    repulsivity expression) must agree with the pointwise ratio just
-    outside the collar.  ``require_critical=False`` disables both critical
-    point checks, for synthetic tables that do not pass through one.
+    The ratio is 0/0 at R = 1; the collar (1, 1 + DELTA_C] is excluded and
+    the limit there is checked separately: the grid must hold R = 1 (a
+    DomainError otherwise), the numerator must vanish there within
+    ZERO_TOL, and its derivative form (which is the radial repulsivity
+    expression) must agree with the pointwise ratio just outside the
+    collar (a ConsistencyError otherwise).
     """
     alpha = table.params.alpha
     numer = table.R + table.Ubar_R - alpha * table.Sbar
 
     i1 = int(np.argmin(np.abs(table.R - 1.0)))
-    if require_critical:
-        if abs(table.R[i1] - 1.0) > 1e-12:
-            raise DomainError("grid does not contain R = 1")
-        if abs(numer[i1]) > zero_tol:
-            raise ConsistencyError(
-                f"R + Ubar_R - alpha*Sbar = {numer[i1]:.3e} at R = 1; the "
-                "critical point condition fails beyond tolerance")
+    if abs(table.R[i1] - 1.0) > 1e-12:
+        raise DomainError("grid does not contain R = 1")
+    if abs(numer[i1]) > ZERO_TOL:
+        raise ConsistencyError(
+            f"R + Ubar_R - alpha*Sbar = {numer[i1]:.3e} at R = 1; the "
+            "critical point condition fails beyond tolerance")
 
-    mask = table.R > 1.0 + delta_c
-    if R_hi is not None:
-        mask &= table.R <= R_hi
+    mask = table.R > 1.0 + DELTA_C
     ratio = numer[mask] / (table.R[mask] - 1.0)
 
-    if require_critical:
-        # L'Hopital: the R -> 1 limit of the ratio is the derivative of
-        # the numerator
-        limit = 1.0 + table.dR_Ubar[i1] - alpha * table.dR_Sbar[i1]
-        first = float(ratio[0])
-        # the ratio drifts away from its limit over the collar width
-        allowed = max(0.1, 2.0 * delta_c) * max(abs(limit), 1.0)
-        if abs(first - limit) > allowed:
-            raise ConsistencyError(
-                f"ratio just outside the collar ({first:.6f}) disagrees "
-                f"with the L'Hopital limit ({limit:.6f})")
+    # L'Hopital: the R -> 1 limit of the ratio is the derivative of the
+    # numerator
+    limit = 1.0 + table.dR_Ubar[i1] - alpha * table.dR_Sbar[i1]
+    first = float(ratio[0])
+    # the ratio drifts away from its limit over the collar width
+    allowed = max(0.1, 2.0 * DELTA_C) * max(abs(limit), 1.0)
+    if abs(first - limit) > allowed:
+        raise ConsistencyError(
+            f"ratio just outside the collar ({first:.6f}) disagrees "
+            f"with the L'Hopital limit ({limit:.6f})")
     return float(np.min(ratio))
 
 
@@ -339,9 +339,12 @@ def certify(params: ProfileParams, table: ProfileTable,
 
     Raises ConsistencyError, in this order, when the closed-form special
     points leave a residual in their polynomials, when a well-separated
-    outgoing-side margin moves by over 10 % when the samples double (the
-    Part I curve minima are sampled sups that tighten with sampling, so
-    they are not gated), or when `auxiliary_signs` finds a disagreement.
+    outgoing-side margin moves by over 10 % when the samples double, or
+    when `auxiliary_signs` finds a disagreement.  The refinement gate
+    runs `check_partII` once more, at 2 n_samples, and only where the
+    report holds its margins, inside the near-r* window; the Part I
+    curve minima are sampled sups that tighten with sampling, so they are
+    not gated.
     """
     pts = special_points(params)
     ps, star = eval_polys(pts.P_s, params), eval_polys(pts.P_star, params)
@@ -352,9 +355,11 @@ def certify(params: ProfileParams, table: ProfileTable,
         raise ConsistencyError(
             f"special points do not annihilate their polynomials: {bad}")
     report = verify_all(params, table, n_samples=n_samples)
-    fine = verify_all(params, table, n_samples=2 * n_samples)
-    for c, f in zip(report.checks, fine.checks):
-        if (c.name.startswith("partII") and abs(c.margin) > 1e-10
+    coarse = [c for c in report.checks if c.name.startswith("partII")]
+    fine = (check_partII(params, table, n_samples=2 * n_samples).checks
+            if coarse else [])
+    for c, f in zip(coarse, fine):
+        if (abs(c.margin) > 1e-10
                 and abs(f.margin - c.margin) > 0.10 * abs(c.margin)):
             raise ConsistencyError(
                 f"margin of {c.name} moves from {c.margin:.6e} to "

@@ -48,6 +48,12 @@ __all__ = [
 CUT_WINDOWS = {"hat": (0.5, 2.0 / 3.0), "tilde": (1.0 / 8.0, 1.0 / 4.0),
                "poly": (0.5, 2.0 / 3.0)}
 
+#: decay order of the poly cut-off's tail <x>^(-N_D)
+N_D = 40
+
+#: smallest |v| at which madelung still takes a phase
+MADELUNG_FLOOR = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # smooth cut-offs
@@ -88,12 +94,12 @@ def _cut_argument(kind: str, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def cutoff(kind: str, x, n_d: int = 40, out: np.ndarray | None = None):
+def cutoff(kind: str, x, out: np.ndarray | None = None):
     """Evaluate the hat / tilde / poly cut-off at radius ratio x >= 0.
 
     hat:   1 on [0, 1/2], 0 on [2/3, inf)
     tilde: 0 on [0, 1/8], 1 on [1/4, inf)
-    poly:  1 on [0, 1/2], <x>^(-n_d) on [2/3, inf), value in (0, 1]
+    poly:  1 on [0, 1/2], <x>^(-N_D) on [2/3, inf), value in (0, 1]
 
     All three make their transition with the C-infinity monotone step
     f(t)/(f(t) + f(1 - t)), f(t) = exp(-1/t), of _smooth_step, taking
@@ -112,9 +118,9 @@ def cutoff(kind: str, x, n_d: int = 40, out: np.ndarray | None = None):
         out = np.empty(x.shape)
     blend = _smooth_step(_cut_argument(kind, x, out), out=out)
     if kind == "poly":
-        # geometric interpolation between the plateau 1 and <x>^(-n_d):
-        # exp(-n_d * blend * log<x>) is C-infinity and monotone decreasing
-        np.exp(-0.5 * n_d * blend * np.log1p(x * x), out=out)
+        # geometric interpolation between the plateau 1 and <x>^(-N_D):
+        # exp(-N_D * blend * log<x>) is C-infinity and monotone decreasing
+        np.exp(-0.5 * N_D * blend * np.log1p(x * x), out=out)
     return out[()]
 
 
@@ -169,19 +175,20 @@ def cutoff_derivative(kind: str, x, order: int = 1,
 # polar (Madelung) variables
 # ---------------------------------------------------------------------------
 
-def madelung(v: np.ndarray, floor: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def madelung(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a vacuum-free complex radial field into (rho, psi).
 
     rho = |v|^2 and psi is the phase, made continuous in radius by
     integrating Im(conj(v) dv)/|v|^2 outward from the first node to select
     the 2 pi branch, so no arctangent branch cut can leak in.  The
-    reconstruction sqrt(rho) e^(i psi) is then exact to round-off.
+    reconstruction sqrt(rho) e^(i psi) is then exact to round-off.  A
+    field with |v| < MADELUNG_FLOOR anywhere is a VacuumError.
     """
     v = np.asarray(v, dtype=complex)
     mod = np.abs(v)
-    if np.min(mod) < floor:
+    if np.min(mod) < MADELUNG_FLOOR:
         raise VacuumError(
-            f"|v| reaches {np.min(mod):.3e} < floor {floor:.3e}; "
+            f"|v| reaches {np.min(mod):.3e} < floor {MADELUNG_FLOOR:.3e}; "
             "phase undefined near vacuum")
     rho = mod * mod
     psi = np.empty(len(v))
@@ -471,15 +478,17 @@ class FieldSet:
     def from_payload(cls, payload: dict) -> "FieldSet":
         """The snapshot of payload(); its R column must be the nodes of the
         grid its header names (see RadialGrid.from_payload).  A header
-        without a grid (written before grids had maps) names the uniform
-        grid, and a header's domain label "mode" (written before it was
-        dropped) is ignored."""
+        without a grid is a DomainError that names it, and a header's
+        domain label "mode" (written before it was dropped) is ignored."""
         if payload.get("kind") != "fieldset":
             raise DomainError("not a fieldset snapshot")
         params = ProfileParams(r=payload["params"]["r"])
         cols = payload["columns"]
         frame = payload["frame"]
-        grid = RadialGrid.from_payload(frame.get("grid", {"kind": "uniform"}),
+        if "grid" not in frame:
+            raise DomainError("fieldset header has no grid; its frame holds "
+                              f"{sorted(frame)}")
+        grid = RadialGrid.from_payload(frame["grid"],
                                        np.asarray(cols["R"], dtype=float),
                                        params.d)
         return cls.from_Psi_S(params, grid, frame["s"],
@@ -542,20 +551,19 @@ def from_selfsimilar(fs: FieldSet, T: float, t: float
 
 @dataclass(frozen=True)
 class DampedProfileField:
-    """Profile damped by the frame cut-offs, on the profile table's grid."""
+    """Profile damped by the frame cut-offs, on the profile table's grid;
+    the euclidean mode's poly cut-off decays like <y/e^s>^(-N_D)."""
 
     params: ProfileParams
     R: np.ndarray
     s: float
     mode: str
-    n_d: int
     S_d: np.ndarray
     Psi_d: np.ndarray
     constants: dict = field(default_factory=dict)
 
 
-#: rows of the kept scratch that damped_profile and error_terms form
-#: their terms in
+#: rows of the kept scratch that error_terms forms its terms in
 _TERM_ROWS = 15
 
 
@@ -566,20 +574,15 @@ def _terms_scratch(n: int) -> np.ndarray:
     return np.empty((_TERM_ROWS, n))
 
 
-def damped_profile(table: ProfileTable, s: float, mode: str = "periodic",
-                   n_d: int = 40) -> DampedProfileField:
+def damped_profile(table: ProfileTable, s: float,
+                   mode: str = "periodic") -> DampedProfileField:
     """Damp the solved profile with the cut-offs at frame time s.
 
     Periodic: S_d = S_p hat(y/e^s) + e^(-(r-1)s) tilde(y/e^s) and
-    Psi_d = Psi_p hat(y/e^s).  Euclidean: S_d = S_p poly(y/e^s),
-    Psi_d = Psi_p.  The empirical two-sided comparability constants of S_d
-    with <y>^(-(r-1)) and with e^(-(r-1)s) are recorded.
-
-    S_d and Psi_d are new arrays; every other term of the table's size
-    (y/e^s, the cut-offs, the bracket <y>^(r-1) and the quotients of the
-    constants) is formed in kept scratch rows (see _terms_scratch), each
-    operation in place and in the order the expression reads from left to
-    right, so the values have the bits of the plain expressions.
+    Psi_d = Psi_p hat(y/e^s).  Euclidean: S_d = S_p poly(y/e^s), with
+    poly's tail <y/e^s>^(-N_D), and Psi_d = Psi_p.  The empirical
+    two-sided comparability constants of S_d with <y>^(-(r-1)) and with
+    e^(-(r-1)s) are recorded.
     """
     if mode not in ("periodic", "euclidean"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -589,30 +592,22 @@ def damped_profile(table: ProfileTable, s: float, mode: str = "periodic",
         raise RangeError(
             f"table covers R <= {R[-1]:.4g} but the cut-off transition of "
             f"e^s = {np.exp(s):.4g} extends to {(2/3)*np.exp(s):.4g}")
-    x, hat, tilde, tmp = _terms_scratch(len(R))[:4]
-    np.multiply(R, np.exp(-s), out=x)
+    x = R * np.exp(-s)
     if mode == "periodic":
-        cutoff("hat", x, out=hat)
-        cutoff("tilde", x, out=tilde)
-        S_d = np.multiply(table.S_nls, hat)
-        S_d += np.multiply(np.exp(-(r - 1.0) * s), tilde, out=tmp)
-        Psi_d = np.multiply(table.Psi_nls, hat)
+        hat = cutoff("hat", x)
+        tilde = cutoff("tilde", x)
+        S_d = table.S_nls * hat + np.exp(-(r - 1.0) * s) * tilde
+        Psi_d = table.Psi_nls * hat
     else:
-        S_d = np.multiply(table.S_nls, cutoff("poly", x, n_d=n_d, out=hat))
+        S_d = table.S_nls * cutoff("poly", x)
         Psi_d = table.Psi_nls.copy()
-    # S_d sqrt(1 + R R)^(r - 1)
-    scaled = np.multiply(R, R, out=tmp)
-    np.add(1.0, scaled, out=scaled)
-    np.sqrt(scaled, out=scaled)
-    scaled **= r - 1.0
-    np.multiply(S_d, scaled, out=scaled)
+    bracket = np.sqrt(1.0 + R * R) ** (r - 1.0)
+    scaled = S_d * bracket
     constants = {"c1": float(np.min(scaled)), "c2": float(np.max(scaled))}
     if mode == "periodic":
-        constants["c3"] = float(np.max(
-            np.divide(np.exp(-(r - 1.0) * s), S_d, out=tmp)))
+        constants["c3"] = float(np.max(np.exp(-(r - 1.0) * s) / S_d))
     return DampedProfileField(params=table.params, R=R, s=float(s), mode=mode,
-                              n_d=n_d, S_d=S_d, Psi_d=Psi_d,
-                              constants=constants)
+                              S_d=S_d, Psi_d=Psi_d, constants=constants)
 
 
 # ---------------------------------------------------------------------------

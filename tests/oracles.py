@@ -45,6 +45,7 @@ from nls_implosion.profile_solver import (
 )
 from nls_implosion.selfsimilar_fields import (
     CUT_WINDOWS,
+    N_D,
     RadialGrid,
     _even_d1,
     _smooth_step,
@@ -263,7 +264,7 @@ def dense_smooth_step(t, out=None):
     return _into(f / (f + dense_bump(1.0 - t)), out)
 
 
-def dense_cutoff(kind: str, x, n_d: int = 40, out=None):
+def dense_cutoff(kind: str, x, out=None):
     """The cut-offs through dense_smooth_step, for finite x >= 0."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0):
@@ -277,7 +278,7 @@ def dense_cutoff(kind: str, x, n_d: int = 40, out=None):
     if kind == "poly":
         a, b = CUT_WINDOWS["poly"]
         blend = dense_smooth_step((x - a) / (b - a))
-        return _into(np.exp(-0.5 * n_d * blend * np.log1p(x * x)), out)
+        return _into(np.exp(-0.5 * N_D * blend * np.log1p(x * x)), out)
     raise DomainError(f"unknown cut-off kind {kind!r}")
 
 

@@ -138,7 +138,7 @@ class TestProfileCommand:
 
 
 def jittery(params, table, n_samples=512, **kw):
-    """A verify_all whose one margin doubles when the samples double."""
+    """A check_partII whose one margin doubles when the samples double."""
     rep = VerificationReport(params={"r": params.r})
     rep.add("partII_fake", "margin depends on sampling", f"{n_samples}",
             n_samples / 128)
@@ -178,7 +178,7 @@ class TestVerifyCommand:
     def test_precision_gate(self, tmp_path, monkeypatch, capsys):
         # a sampled margin that keeps moving under refinement is a
         # precision-consistency failure, not a pass or a check failure
-        monkeypatch.setattr(repulsivity_verifier, "verify_all", jittery)
+        monkeypatch.setattr(repulsivity_verifier, "check_partII", jittery)
         code = main(["verify", "--r", "2.01", *FAST,
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_PRECISION
@@ -641,11 +641,12 @@ class TestSweepCommand:
                                                           monkeypatch,
                                                           capsys):
         # at r = 2.03 a margin moves under refinement
-        verify_all = repulsivity_verifier.verify_all
+        check_partII = repulsivity_verifier.check_partII
         monkeypatch.setattr(
-            repulsivity_verifier, "verify_all",
+            repulsivity_verifier, "check_partII",
             lambda params, *args, **kw: (jittery if params.r == 2.03
-                                         else verify_all)(params, *args, **kw))
+                                         else check_partII)(params, *args,
+                                                            **kw))
         settings = [*FAST, "--verify-samples", "128"]
         assert main(["verify", "--r", "2.01", *settings,
                      "--out-dir", str(tmp_path / "v")]) == EXIT_OK
@@ -801,6 +802,8 @@ class TestMainPlumbing:
             ("verify", "--sample-r", "-1", "sample_r"),
             ("verify", "--verify-samples", "0", "verify_samples"),
             ("verify", "--verify-samples", "-1", "verify_samples"),
+            # one sample is one end of each segment: the gate would fire
+            ("verify", "--verify-samples", "1", "verify_samples = 1; need"),
             # a sign table outside (1, r*) would fail after the solve
             ("verify", "--window", "2.0:2.08", "window = [2.0, 2.08]"),
             ("phase-portrait", "--curve-samples", "-1", "curve_samples"),
@@ -823,6 +826,16 @@ class TestMainPlumbing:
                      "--out-dir", str(tmp_path)])
         assert code == EXIT_SOLVER
         assert (f"configuration error: {message}"
+                in capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_refuses_one_verify_sample(self, tmp_path, capsys):
+        # with one sample per segment every r of the window would fail the
+        # refinement gate; the sweep is refused before any solve instead
+        code = main(["sweep", "--values", "2.01", "--verify-samples", "1",
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_SOLVER
+        assert ("configuration error: verify_samples = 1; need >= 2"
                 in capsys.readouterr().err)
         assert list(tmp_path.iterdir()) == []
 

@@ -313,8 +313,9 @@ class TestEnergies:
     def test_zero_perturbation(self):
         cfg = EnergyConfig()
         grid = RadialGrid.uniform(513, 30.0)
+        weights = build_weights(grid, cfg)
         z = np.zeros_like(grid.R)
-        assert energy_low(z, z, grid, cfg) == 0.0
+        assert energy_low(z, z, grid, cfg, weights) == 0.0
 
     def test_polynomial_low_energy_on_plateau(self):
         # S~ = c R^3 on [0, R0] where beta = 1: grad^3 S~ = 6c exactly
@@ -322,38 +323,42 @@ class TestEnergies:
         # E_low = (1/2)(6c)^2 R0^8/8
         cfg = EnergyConfig()
         grid = RadialGrid.uniform(2001, cfg.R0)
+        weights = build_weights(grid, cfg)
         R = grid.R
         c = 0.37
         expected = 0.5 * (6.0 * c) ** 2 * cfg.R0 ** 8 / 8.0
-        got = energy_low(np.zeros_like(R), c * R ** 3, grid, cfg)
+        got = energy_low(np.zeros_like(R), c * R ** 3, grid, cfg, weights)
         assert got == pytest.approx(expected, rel=1e-2)
 
     def test_low_energy_quadratic_scaling(self):
         cfg = EnergyConfig()
         grid = RadialGrid.uniform(513, 50.0)
+        weights = build_weights(grid, cfg)
         R = grid.R
         rng = np.random.default_rng(3)
         U = np.cos(R) * np.exp(-0.1 * R) + 0.01 * rng.standard_normal(len(R))
         S = np.sin(0.5 * R)
-        e1 = energy_low(U, S, grid, cfg)
-        e3 = energy_low(3.0 * U, 3.0 * S, grid, cfg)
+        e1 = energy_low(U, S, grid, cfg, weights)
+        e3 = energy_low(3.0 * U, 3.0 * S, grid, cfg, weights)
         assert e3 == pytest.approx(9.0 * e1, rel=1e-12)
 
     def test_under_resolved_grid(self):
         cfg = EnergyConfig()
         grid = RadialGrid.uniform(5, 1.0)
+        weights = build_weights(grid, cfg)
         R = grid.R
         with pytest.raises(ResolutionError):
-            energy_low(R, R, grid, cfg)
+            energy_low(R, R, grid, cfg, weights)
 
     def test_energy_w_vacuum_and_value(self):
         cfg = EnergyConfig()
         grid = RadialGrid.uniform(2001, cfg.R0)
+        weights = build_weights(grid, cfg)
         R = grid.R
         with pytest.raises(VacuumError):
-            energy_w(np.full_like(R, -np.inf), grid, cfg)
+            energy_w(np.full_like(R, -np.inf), grid, cfg, weights)
         # w = R^2 on the plateau: grad^{m'-1} w = 2, E_w = 4 R0^8/8
-        got = energy_w(R ** 2, grid, cfg)
+        got = energy_w(R ** 2, grid, cfg, weights)
         assert got == pytest.approx(4.0 * cfg.R0 ** 8 / 8.0, rel=1e-2)
 
     def test_high_energy_zero_and_polynomial(self):
@@ -365,6 +370,7 @@ class TestEnergies:
         params = ProfileParams(r=2.01)
         L = 10.0
         grid = RadialGrid.uniform(101, L)
+        weights = build_weights(grid, cfg)
         R = grid.R
         n = cfg.k - cfg.l
         c = 1e-4
@@ -372,25 +378,29 @@ class TestEnergies:
                               / math.sqrt(params.alpha))   # P = 1
         zero_state = FieldSet.from_Psi_S(params, grid, 1e4, np.zeros_like(R),
                                          np.zeros_like(R))
-        assert energy_high(zero_state, cfg) == 0.0
+        assert energy_high(zero_state, cfg, weights) == 0.0
         state = FieldSet.from_Psi_S(params, grid, 1e4, c * R ** n, S_flat)
         lead = c * math.factorial(n)
         expected = lead ** 2 * L ** 8 / 8.0
-        assert energy_high(state, cfg) == pytest.approx(expected, rel=1e-2)
+        assert energy_high(state, cfg, weights) == pytest.approx(expected,
+                                                                 rel=1e-2)
 
     def test_high_energy_quadratic_in_psi(self):
         # scaling Psi with S (hence P) fixed scales the Psi term by c^2
         cfg = EnergyConfig()
         params = ProfileParams(r=2.01)
         grid = RadialGrid.uniform(513, 10.0)
+        weights = build_weights(grid, cfg)
         R = grid.R
         S = 1.0 + 0.3 * np.exp(-0.5 * R ** 2)
         Psi = 0.1 * np.exp(-0.25 * R ** 2)
         e0 = energy_high(FieldSet.from_Psi_S(params, grid, 1e4,
-                                             np.zeros_like(R), S), cfg)
-        e1 = energy_high(FieldSet.from_Psi_S(params, grid, 1e4, Psi, S), cfg)
+                                             np.zeros_like(R), S),
+                         cfg, weights)
+        e1 = energy_high(FieldSet.from_Psi_S(params, grid, 1e4, Psi, S),
+                         cfg, weights)
         e2 = energy_high(FieldSet.from_Psi_S(params, grid, 1e4, 2.0 * Psi, S),
-                         cfg)
+                         cfg, weights)
         assert e2 - e0 == pytest.approx(4.0 * (e1 - e0), rel=1e-9)
 
     def test_threshold_ladder_short_run(self):
@@ -398,16 +408,17 @@ class TestEnergies:
         cfg = EnergyConfig()
         params = ProfileParams(r=2.01)
         grid = RadialGrid.uniform(513, 10.0)
+        weights = build_weights(grid, cfg)
         R = grid.R
         S = 0.05 * (1.0 + np.exp(-0.5 * R ** 2))
         Psi = 0.02 * np.exp(-0.25 * R ** 2)
         state = FieldSet.from_Psi_S(params, grid, 1e4, Psi, S)
-        e0 = energy_high(state, cfg)
+        e0 = energy_high(state, cfg, weights)
         assert e0 <= cfg.E_l0[cfg.l] / 2.0
         ds = 0.5 * state.grid.h / float(np.max(R + 2.0 * state.U))
         for _ in range(50):
             state = step(state, ds)
-            assert energy_high(state, cfg) <= cfg.E_l0[cfg.l]
+            assert energy_high(state, cfg, weights) <= cfg.E_l0[cfg.l]
 
 
 @pytest.fixture(scope="module")

@@ -2,13 +2,16 @@
 
 Each name in a module's `__all__` must be bound at the top level of that
 module's own source (a def, a class or an assignment), not imported from
-elsewhere.  The cross-checks the tests compare against live in
-tests/oracles.py and are no attribute of any package module.
+elsewhere, and must be read by some code in src/, bench/ or tools/, or
+be on KEEP with the reason it stays.  The cross-checks the tests compare
+against live in tests/oracles.py and are no attribute of any package
+module.
 """
 
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -25,6 +28,57 @@ ORACLES = ("taylor_seed_coeffs", "sonic_slope_quadratic_roots", "xi1_poly",
            "nls_rhs_complex", "nls_rhs_polar", "dense_bump",
            "dense_smooth_step", "dense_cutoff", "mp_cutoff_derivative",
            "sonic_series_fixed", "dissipativity_form")
+
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: exported names that no code in src/, bench/ or tools/ reads, each kept
+#: on purpose: it states a result of the paper, which its tests check
+KEEP = {
+    "madelung": "the polar variables v = sqrt(rho) e^(i psi) of the fluid "
+                "form",
+    "inverse_madelung": "the way back from the polar variables",
+    "to_selfsimilar": "the self-similar frame map of the ansatz",
+    "from_selfsimilar": "the frame map's inverse",
+    "exponent_formula": "the blow-up rate of ||grad^s v||^2 in T - t",
+    "fit_decay": "the profile's far-field decay R^(-(r-1)-j)",
+    "origin_slope": "the profile's regularity at R = 0",
+    "grad_b_normal_partII": "Part II's normal derivative of Xi_2 in closed "
+                            "form",
+}
+
+
+def _read_names() -> set[str]:
+    """Every name and attribute that code in src/, bench/ and tools/
+    reads (a def, a class, an assignment or an __all__ entry is no
+    read)."""
+    names = set()
+    for part in ("src", "bench", "tools"):
+        for path in (ROOT / part).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif (isinstance(node, ast.Name)
+                      and not isinstance(node.ctx, ast.Store)):
+                    names.add(node.id)
+    return names
+
+
+def _exported() -> dict[str, list[str]]:
+    return {m: list(getattr(importlib.import_module(m), "__all__", []))
+            for m in MODULES}
+
+
+def test_every_export_has_a_reader_or_a_reason():
+    read = _read_names()
+    unread = {f"{m}.{name}" for m, names in _exported().items()
+              for name in names if name not in read and name not in KEEP}
+    assert not unread, f"exported, read by nothing, not on KEEP: {unread}"
+
+
+def test_keep_names_only_exports():
+    exported = {name for names in _exported().values() for name in names}
+    assert set(KEEP) <= exported
 
 
 def _top_level_bindings(module) -> set[str]:

@@ -189,8 +189,9 @@ def test_fieldset_on_mapped_grid_round_trips():
     np.testing.assert_array_equal(back.U, fs.U)
 
 
-def test_fieldset_header_without_grid_reads_uniform():
-    # snapshots written before grids had maps carry a uniform h instead
+def test_fieldset_header_without_grid_is_refused():
+    # a header that carries a uniform h in place of a grid names no map;
+    # it is refused by name, not read as some grid
     params = ProfileParams(r=2.01)
     grid = RadialGrid.uniform(64, 3.0)
     R = grid.R
@@ -198,9 +199,9 @@ def test_fieldset_header_without_grid_reads_uniform():
                                   1.0 + 0.1 * R).payload()
     payload["frame"].pop("grid")
     payload["frame"]["h"] = float(R[1] - R[0])
-    back = FieldSet.from_payload(payload)
-    assert back.grid.kind == "uniform"
-    np.testing.assert_array_equal(back.R, R)
+    with pytest.raises(DomainError, match=r"header has no grid; its frame "
+                                          r"holds \['h', 's'\]"):
+        FieldSet.from_payload(payload)
 
 
 @pytest.mark.parametrize("build", [

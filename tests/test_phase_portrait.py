@@ -20,7 +20,6 @@ from nls_implosion.phase_portrait import (
     barrier_curves,
     eval_polys,
     origin_coeffs,
-    sonic_slope,
     special_points,
 )
 from oracles import (
@@ -171,12 +170,12 @@ class TestSonicSlope:
         for r in (1.7, 2.0, 2.05):
             params = ProfileParams(r=r)
             roots = sonic_slope_quadratic_roots(params)
-            _, Z1 = sonic_slope(params)
+            Z1 = special_points(params).Z1
             assert min(abs(roots[0] - Z1), abs(roots[1] - Z1)) < 1e-10
 
     def test_w1_limit_at_r_one(self):
         # closed form gives W1 -> -2 as r -> 1 (computed independently)
-        W1, _ = sonic_slope(ProfileParams(r=1.0 + 1e-9))
+        W1 = special_points(ProfileParams(r=1.0 + 1e-9)).W1
         assert W1 == pytest.approx(-2.0, abs=1e-6)
 
 

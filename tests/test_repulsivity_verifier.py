@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from nls_implosion import repulsivity_verifier
 from nls_implosion.errors import ConsistencyError, DomainError, WindowError
 from nls_implosion.phase_portrait import (
     R_STAR,
@@ -24,6 +25,8 @@ from nls_implosion.phase_portrait import (
 )
 from nls_implosion.profile_solver import ProfileTable, solve_profile, to_physical
 from nls_implosion.repulsivity_verifier import (
+    DELTA_C,
+    R_WINDOW_MIN,
     certify,
     check_angular_repulsivity,
     check_integrated,
@@ -87,7 +90,7 @@ class TestAngular:
 def _margins(table):
     return (check_radial_repulsivity(table),
             check_angular_repulsivity(table).appendix,
-            check_integrated(table, R_hi=1000.0))
+            check_integrated(table))
 
 
 class TestSettingsIndependence:
@@ -177,30 +180,66 @@ class TestPartII:
 
 class TestIntegrated:
     def test_converged_profile_positive(self, profile_r201):
-        margin = check_integrated(profile_r201, R_hi=1000.0)
+        margin = check_integrated(profile_r201)
         assert margin > 0
         # read at the defaults; stable to 1e-8 across xi_switch and tol
         assert margin == pytest.approx(0.0535165, abs=1e-6)
 
     def test_critical_point_vanishes(self, profile_r201):
-        # would raise ConsistencyError if R + Ubar_R - alpha Sbar failed to
-        # vanish at R = 1
-        check_integrated(profile_r201, zero_tol=1e-10)
+        # R + Ubar_R - alpha Sbar vanishes at R = 1 to well inside the
+        # tolerance check_integrated holds it to
+        t = profile_r201
+        i1 = int(np.argmin(np.abs(t.R - 1.0)))
+        assert t.R[i1] == 1.0
+        assert abs(t.R[i1] + t.Ubar_R[i1] - t.params.alpha * t.Sbar[i1]) \
+            <= 1e-10
+        check_integrated(t)
 
     def test_synthetic_zero_fields_ratio(self):
         # with Ubar = Sbar = 0 the ratio is R/(R-1) > 1 for all R > 1, but
         # the critical point condition fails, which must be flagged
         table = make_table(n=513)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match="at R = 1"):
             check_integrated(table)
-        margin = check_integrated(table, require_critical=False)
-        assert margin > 1.0
 
     def test_collar_excluded(self, profile_r201):
-        # widening the collar can only weaken (increase) the reported min
-        tight = check_integrated(profile_r201, delta_c=0.01)
-        wide = check_integrated(profile_r201, delta_c=0.5)
-        assert wide >= tight
+        # the reported min is the ratio's over R > 1 + DELTA_C, and
+        # widening the collar can only weaken (increase) it
+        t = profile_r201
+        numer = t.R + t.Ubar_R - t.params.alpha * t.Sbar
+        ratio = numer / np.where(t.R == 1.0, np.nan, t.R - 1.0)
+        tight = check_integrated(t)
+        assert tight == np.min(ratio[t.R > 1.0 + DELTA_C])
+        assert np.min(ratio[t.R > 1.5]) >= tight
+
+
+def _counted(monkeypatch, name, calls):
+    """Patch repulsivity_verifier.<name> to log (name, n_samples) per call."""
+    fn = getattr(repulsivity_verifier, name)
+
+    def counted(params, table, n_samples):
+        calls.append((name, n_samples))
+        return fn(params, table, n_samples=n_samples)
+
+    monkeypatch.setattr(repulsivity_verifier, name, counted)
+
+
+class TestCertify:
+    @pytest.mark.parametrize("r, resampled", [
+        (2.01, [("check_partII", 128)]), (1.85, [])], ids=["2.01", "1.85"])
+    def test_gate_resamples_part_two_alone(self, monkeypatch, r, resampled):
+        # one verify_all pass at n; the refinement gate reads only the Part
+        # II margins, so only check_partII runs again, at 2n, and below the
+        # near-r* window, where the report holds none, nothing does
+        params = ProfileParams(r=r)
+        table = to_physical(solve_profile(params, n_points=1024))
+        calls = []
+        _counted(monkeypatch, "verify_all", calls)
+        _counted(monkeypatch, "check_partII", calls)
+        report = certify(params, table, n_samples=64)
+        assert report.all_passed
+        assert calls == [("verify_all", 64), ("check_partII", 64),
+                         *resampled]
 
 
 class TestInvariantsAndReport:
@@ -226,6 +265,19 @@ class TestInvariantsAndReport:
         for c, f in zip(coarse.checks, fine.checks):
             if abs(c.margin) > 1e-10:
                 assert abs(f.margin - c.margin) <= 0.05 * abs(c.margin)
+        # across the near-r* window each curve's minimum sits at a sample
+        # both counts hold, so doubling the samples, as certify's gate
+        # does, leaves every well-separated margin unchanged
+        for r in np.linspace(R_WINDOW_MIN, R_STAR, 21)[:-1]:
+            params = ProfileParams(r=float(r))
+            table = to_physical(solve_profile(params, n_points=1024))
+            coarse = check_partII(params, table, n_samples=512)
+            fine = check_partII(params, table, n_samples=1024)
+            assert [c.name for c in coarse.checks] == [
+                f.name for f in fine.checks]
+            for c, f in zip(coarse.checks, fine.checks):
+                if abs(c.margin) > 1e-10:
+                    assert f.margin == c.margin, (r, c.name)
 
     def test_verify_all_passes_and_serializes(self, params_r201, profile_r201):
         report = verify_all(params_r201, profile_r201)

@@ -24,6 +24,7 @@ from nls_implosion.errors import DomainError, RangeError, VacuumError
 from nls_implosion.phase_portrait import ProfileParams
 from nls_implosion.selfsimilar_fields import (
     CUT_WINDOWS,
+    N_D,
     FieldSet,
     RadialGrid,
     _smooth_step,
@@ -55,9 +56,9 @@ class TestCutoffs:
         assert cutoff("tilde", 0.3) == 1.0
 
     def test_poly_closed_form(self):
-        # <2> = sqrt(5), so poly(2, 20) = 5^-10
-        assert cutoff("poly", 2.0, n_d=20) == pytest.approx(5.0 ** -10,
-                                                            rel=1e-12)
+        # <2> = sqrt(5), so poly(2) = <2>^-N_D = 5^-20
+        assert N_D == 40
+        assert cutoff("poly", 2.0) == pytest.approx(5.0 ** -20, rel=1e-12)
         assert cutoff("poly", 0.3) == 1.0
 
     def test_partition_and_monotone(self):
@@ -416,10 +417,11 @@ class TestDampedProfile:
         assert np.all(dp6.Psi_d[outer] == 0.0)
 
     def test_euclidean_far_field(self, profile_r201):
-        dp = damped_profile(profile_r201, 6.0, mode="euclidean", n_d=12)
+        dp = damped_profile(profile_r201, 6.0, mode="euclidean")
         x = profile_r201.R * np.exp(-6.0)
         outer = x >= 2.0 / 3.0
-        expected = profile_r201.S_nls[outer] * (1 + x[outer] ** 2) ** -6.0
+        expected = (profile_r201.S_nls[outer]
+                    * (1 + x[outer] ** 2) ** (-0.5 * N_D))
         assert dp.S_d[outer] == pytest.approx(expected, rel=1e-12)
         assert np.array_equal(dp.Psi_d, profile_r201.Psi_nls)
 

@@ -63,3 +63,15 @@ def test_step_cost_refuses_no_processes():
     assert done.returncode == 2
     assert "--processes 0: need at least 1" in done.stderr
     assert done.stdout == ""
+
+
+def test_artifact_diff_finds_a_checkout_identical_to_itself():
+    done = run_tool("artifact_diff.py", str(ROOT), str(ROOT), "--r", "2.01")
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[:-1]] == [
+        "r=2.01 profile --emit json", "r=2.01 profile",
+        "r=2.01 verify --sample-r 5", "r=2.01 phase-portrait",
+        "r=2.01 simulate", "r=2.01 simulate --ds 0.05", "sweep"]
+    assert all(line.endswith(" files, identical") for line in lines[:-1])
+    assert re.fullmatch(r"7 commands, \d+ files: all identical", lines[-1])
