@@ -17,9 +17,9 @@ output each stay below _BLOCK_BYTES, so no call takes fresh pages for
 its temporaries, whatever its rows; it takes complex samples as their
 real and imaginary parts.  `reflected_derivative` is the same
 pass on samples the caller has already reflected with `reflect`, so a
-caller that keeps the reflected buffer (the stepper's stage workspace)
-differentiates with the same operator, bit for bit; `reflect` is the one
-even reflection of the package.
+caller that keeps the reflected buffer (a grid's stage workspace, see
+selfsimilar_fields.RadialGrid) differentiates with the same operator,
+bit for bit; `reflect` is the one even reflection of the package.
 """
 
 from __future__ import annotations

@@ -8,9 +8,8 @@ CFL step grows by about R_max/c.  Its stages run on plain arrays that
 stack runs along a leading axis (simulate's perturbed and reference runs
 step as one state, unless the reference is stored from an earlier call),
 with one first derivative of every row and one second
-derivative of the Psi rows per stage, both read off one even reflection
-in a workspace of kept arrays (_StageWorkspace) that the grid holds per
-state shape and dtype, in RadialGrid.workspaces; validated FieldSets
+derivative of the Psi rows per stage, in the grid's stage workspace
+for the state's shape (see RadialGrid); validated FieldSets
 are built only where a caller needs one (step's result, simulate's
 sample points and abort snapshots).  The stepper's right side is
 written once, as its stationary part and its quantum term, and
@@ -46,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._fd import derivative, half_width, reflect, reflected_derivative
+from ._fd import derivative
 from .errors import (
     CFLError,
     ConsistencyError,
@@ -63,6 +62,7 @@ from .selfsimilar_fields import (
     _half_log_density,
     _smooth_step,
     _smooth_step_derivative,
+    _StageWorkspace,
     cutoff,
 )
 
@@ -281,10 +281,9 @@ def _stability_bound(U: np.ndarray, ws: _StageWorkspace,
 def _stationary_rhs(X: np.ndarray, dX: np.ndarray, ws: _StageWorkspace,
                     params: ProfileParams) -> np.ndarray:
     """The stationary part of _rhs: profile_operator at the stacked state X
-    (X[0] Psi, X[1] S, one row per run) in its stage workspace ws, given
-    dX = ws.d1(X), its first R-derivative, with the Laplacian of the Psi
-    rows read off the reflection of X that ws.d1 left.  The result is ws's
-    kept F, which the next call on ws overwrites."""
+    (X[0] Psi, X[1] S, one row per run) in its stage workspace ws (see
+    RadialGrid), given dX = ws.d1(X), with ws.laplacian of the Psi rows.
+    The result is ws's kept F, which the next call on ws overwrites."""
     return profile_operator(params, ws.R, X[0], dX[0], X[1], dX[1],
                             ws.laplacian(dX[0]), out=ws.F, tmp=ws.tmp)
 
@@ -297,7 +296,7 @@ def _quantum_term(S: np.ndarray, grid: RadialGrid,
     rows (k, n); both derivatives of w are read off one reflection in the
     grid's stage workspace for the (1, k, n) state w.  The result is a new
     array."""
-    ws = _stage_workspace(grid, (1, *S.shape))
+    ws = grid.workspace((1, *S.shape))
     dw = ws.d1(_half_log_density(np.maximum(S, S_FLOOR), params)[None])[0]
     lap = ws.laplacian(dw)
     lap += dw * dw
@@ -328,104 +327,6 @@ def _rhs(X: np.ndarray, dX: np.ndarray, grid: RadialGrid,
     return out
 
 
-class _StageWorkspace:
-    """The arrays kept for one grid and one state shape (m, ..., n) and
-    dtype, float64 for the stepper's states and complex128 for the
-    dissipativity probe's complex step, rewritten at every use, with the
-    grid's operators that write into them.  Each gives the bits of the
-    grid's own operator.
-
-    Kept, all of the state's dtype: `pad`, X's even reflection, written
-    once by d1 (`_fd.reflect`) and read by the first derivative of every
-    row and the second derivative of the X[0] rows
-    (`_fd.reflected_derivative`, at RadialGrid.ACC), which write into the
-    kept dX and, as f_xx, into tmp; the Laplacian of the X[0] rows; F and
-    tmp, profile_operator's output and scratch; and the grid factors R,
-    lap_coef and, on the stretch, inv_dR, d2R and inv_dR2, each
-    broadcast once to the state's shape, C-ordered, since a ufunc against
-    a same-shape operand runs faster than against an (n,) one.  The
-    factors take the state's dtype because numpy casts a real operand of
-    a complex ufunc through buffers of 128 KiB, which would take fresh
-    pages at every call; written into a complex array, a real x is
-    x + 0j, as the cast gives it, so the bits are the same.  Fresh at
-    each call: the output of each np.correlate, one block of _fd's pass
-    for a real state up to (2, 2, 2048), whose values are copied into dX
-    or tmp before any ufunc reads them (a ufunc that reads a strided view
-    allocates a buffer of its size), and on a complex state the copy of
-    each block of a part of pad.
-    The workspace holds no reference to its grid, so the grid's
-    `workspaces` dict, which holds it, goes when the grid does.
-    """
-
-    def __init__(self, grid: RadialGrid, shape: tuple[int, ...],
-                 dtype=float):
-        rows, n = shape[1:], shape[-1]
-
-        def kept(a, to):
-            out = np.empty(to, dtype)
-            out[...] = a
-            return out
-
-        self.h, self.d = grid.h, grid.d
-        self.width = max(half_width(m, RadialGrid.ACC) for m in (1, 2))
-        self.pad = np.empty((*shape[:-1], self.width + n), dtype)
-        self.dX, self.F = np.empty(shape, dtype), np.empty(shape, dtype)
-        self.lap, self.tmp = np.empty(rows, dtype), np.empty(rows, dtype)
-        self.R, self.lap_coef = kept(grid.R, rows), kept(grid.lap_coef, rows)
-        self.inv_dR = None
-        if grid.c is not None:
-            self.inv_dR = kept(grid.inv_dR, shape)
-            self.d2R = kept(grid.d2R, rows)
-            self.inv_dR2 = kept(grid.inv_dR2, rows)
-
-    def d1(self, X: np.ndarray) -> np.ndarray:
-        """grid.d1(X) in the kept dX: X's reflection written into pad, and
-        its x-derivative, times 1/R' on the stretch."""
-        dX = reflected_derivative(reflect(X, self.width, self.pad),
-                                  self.width, self.h, 1, RadialGrid.ACC,
-                                  out=self.dX)
-        if self.inv_dR is not None:
-            dX *= self.inv_dR
-        return dX
-
-    def laplacian(self, dPsi: np.ndarray) -> np.ndarray:
-        """grid.laplacian(X[0], dPsi) into the kept lap, for the X whose
-        reflection the last d1 left in pad: f_RR of the X[0] rows from
-        pad[0] in the kept tmp, lap_coef dPsi plus f_RR, and the centre's
-        limit d f_RR(0)."""
-        fxx, lap = self.tmp, self.lap
-        reflected_derivative(self.pad[0], self.width, self.h, 2,
-                             RadialGrid.ACC, out=fxx)
-        if self.inv_dR is not None:
-            # (fxx - R'' dPsi) / R'^2, with lap as the scratch
-            np.multiply(self.d2R, dPsi, out=lap)
-            fxx -= lap
-            fxx *= self.inv_dR2
-        np.multiply(self.lap_coef, dPsi, out=lap)
-        lap += fxx
-        np.multiply(self.d, fxx[..., 0], out=lap[..., 0])
-        return lap
-
-    def speed(self, U: np.ndarray) -> np.ndarray:
-        """grid.speed(U), |R + 2U| / R', in the kept tmp."""
-        a = np.multiply(2.0, U, out=self.tmp)
-        np.add(self.R, a, out=a)
-        np.abs(a, out=a)
-        if self.inv_dR is not None:
-            a *= self.inv_dR[0]
-        return a
-
-
-def _stage_workspace(grid: RadialGrid, shape: tuple[int, ...],
-                     dtype=float) -> _StageWorkspace:
-    """The grid's stage workspace for states of that shape and dtype,
-    built on first use and kept in grid.workspaces under (shape, dtype)."""
-    key = (shape, np.dtype(dtype))
-    if key not in grid.workspaces:
-        grid.workspaces[key] = _StageWorkspace(grid, *key)
-    return grid.workspaces[key]
-
-
 def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
              s: float, ds: float, quantum: bool,
              cfl: float) -> tuple[np.ndarray, np.ndarray]:
@@ -449,13 +350,11 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
     stored reference run's bound beside them when it steps that run no
     more.
 
-    The stages run in the grid's _StageWorkspace for X's shape, which the
-    grid keeps in its `workspaces` (for simulate, the whole call).  Each
-    stage writes the state's even reflection once into the workspace's
-    pad and takes from it the first derivative of all rows and the second
-    derivative of the Psi rows, into kept arrays, with the bits of
-    grid.d1 and grid.laplacian; the bound is formed in its scratch, and
-    _rhs, passed the workspace, writes into its kept F.  The three stage
+    The stages run in the grid's stage workspace for X's shape (see
+    RadialGrid), which the grid keeps (for simulate, the whole call):
+    each stage takes ws.d1 of all rows and ws.laplacian of the Psi rows,
+    the bound and the CFLError's speed are formed by ws.speed, and _rhs,
+    passed the workspace, writes into its kept F.  The three stage
     combinations are formed in place, in the order of X1 = X + ds F1,
     X2 = 0.75 X + 0.25 (X1 + ds F2) and X/3 + 2/3 (X2 + ds F3), so the
     bits are those of the plain expressions.  Each F is the array _rhs
@@ -468,14 +367,14 @@ def _advance(X: np.ndarray, grid: RadialGrid, params: ProfileParams,
     shares no memory with X, with an earlier result or with any array
     _rhs returned.
     """
-    ws = _stage_workspace(grid, X.shape)
+    ws = grid.workspace(X.shape)
     dX = ws.d1(X)
     bound = _stability_bound(dX[0], ws, params, s, quantum, cfl)
     over = np.flatnonzero(ds > bound)
     if over.size:
         j = over[0]
         # name the bound that binds: transport, unless the quantum one is less
-        speed = np.max(grid.speed(dX[0, j]))
+        speed = np.max(ws.speed(dX[0])[j])
         why = (f"transport: max|y+2U|/R' = {speed:.3g}"
                if bound[j] == cfl * grid.h / max(speed, 1e-30) else
                f"quantum: e^((4-2r)s) = {_quantum_prefactor(params, s):.4g}")
@@ -559,7 +458,7 @@ def residual_stationary(state: FieldSet) -> StationaryResidual:
     """
     params, grid, S = state.params, state.grid, state.S
     X = np.stack((state.Psi, S))[:, None]
-    ws = _stage_workspace(grid, X.shape)
+    ws = grid.workspace(X.shape)
     F = _stationary_rhs(X, ws.d1(X), ws, params)
     k = np.sqrt(params.alpha) / params.r ** (1.0 - params.alpha)
     dP_dS = k * (k * S) ** (1.0 / params.alpha - 1.0) / params.alpha
@@ -653,7 +552,7 @@ class _ProbeWorkspace:
     Kept: the complex step X = profile + i e of the 2N mode directions, a
     (2, 2N, n) stacked state of one run per direction; the modes b,
     (N, n); the profile's (Psi, S) as a complex array, a real operand of
-    the complex step's ufuncs (see _StageWorkspace); the grid's cut-offs
+    the complex step's ufuncs (see RadialGrid); the grid's cut-offs
     chi1, chi2 and env; and the modes' phase pi R / (3 C0).  The workspace
     holds no reference to its grid.
     """
@@ -727,7 +626,7 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     X[0, N:] = X[1, :N] = 0.0
     pws.profile[0], pws.profile[1] = base.Psi, base.S
     X += pws.profile[:, None]
-    ws = _stage_workspace(grid, X.shape, X.dtype)
+    ws = grid.workspace(X.shape, X.dtype)
     F = _stationary_rhs(X, ws.d1(X), ws, params)
 
     Lt, gLt = ws.dX.reshape(-1).view(float).reshape(2, 2 * N, 2, n)
@@ -795,6 +694,8 @@ def dissipativity_probe(table: ProfileTable, m: int = 2, J: float = 2000.0,
     """
     if trials < 1:
         raise DomainError(f"trials = {trials}; need >= 1")
+    if n_modes < 1:
+        raise DomainError(f"n_modes = {n_modes}; need >= 1")
     form = _dissipativity_form(table, m, J, C0, K, n, n_modes)
     coeffs = np.random.default_rng(seed).standard_normal((trials, 2, n_modes))
     passed = int(np.count_nonzero(_trial_margins(form, coeffs) <= 0.0))
@@ -1073,7 +974,7 @@ def simulate(table: ProfileTable, cfg: EnergyConfig | None = None,
                    base.S * (1.0 + cfg.delta_low * bump))
 
     if ds is None:
-        ws = _stage_workspace(grid, (2, 1, n))
+        ws = grid.workspace((2, 1, n))
         ds = 0.9 / 1.1 * float(_stability_bound(base.U, ws, params, cfg.s0,
                                                 False, cfg.cfl)[0])
     n_steps, ds = _step_plan(s_span, ds, n_samples)

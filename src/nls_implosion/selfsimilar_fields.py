@@ -23,8 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._fd import derivative
-from .errors import DomainError, RangeError, VacuumError
+from ._fd import derivative, half_width, reflect, reflected_derivative
+from .errors import DomainError, RangeError, ResolutionError, VacuumError
 from .phase_portrait import ProfileParams
 from .profile_solver import ProfileTable, profile_operator
 
@@ -213,6 +213,7 @@ def inverse_madelung(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
 # radial calculus on grids containing R = 0
 # ---------------------------------------------------------------------------
 
+# No package code calls these two; bench/layertrace.py times them by name.
 def _even_d1(f: np.ndarray, h: float) -> np.ndarray:
     """First derivative of an even radial field (f(-R) = f(R))."""
     return derivative(f, h, 1, acc=RadialGrid.ACC, even=True)
@@ -242,15 +243,48 @@ class RadialGrid:
     as a RadialGrid; from_payload rebuilds a stored grid through its
     kind's constructor.
 
-    The even operators d1, d2 and laplacian take their stencils at the
-    one accuracy ACC, which dynamics_lab's stage workspaces read too:
-    the stepper's, on real states, and the dissipativity probe's, on its
-    complex step.  A grid keeps those workspaces in its own `workspaces`
-    dict, by state shape and dtype; none of them refers to the grid, so
-    they are freed with it.
+    The even operators, f_R, the Laplacian f_RR + (d-1)/R f_R with its
+    centre limit d f_RR(0), and the transport speed |R + 2U|/R', have
+    one implementation: the stage workspace (_StageWorkspace) that
+    workspace(shape, dtype) gives for states X of that shape (m, ..., n)
+    and dtype, float64 for the stepper's states and complex128 for the
+    dissipativity probe's complex step.  It is built on first use and
+    kept in the grid's `workspaces` dict under (shape, dtype); it holds
+    no reference to its grid, so it goes when the grid does.  d1 and
+    laplacian are its allocating front ends: each runs the workspace of
+    the state of shape (1, *f.shape) on f, as float64 (complex128 for a
+    complex f), and returns a copy of the result.
+
+    A workspace keeps these arrays, all of the state's dtype, and
+    rewrites them at every use:
+      * pad, X's even reflection, written once by its d1 (`_fd.reflect`)
+        and read by the first derivative of every row and the second
+        derivative of the X[0] rows (`_fd.reflected_derivative`, at the
+        one accuracy ACC), so its laplacian reads the reflection the
+        last d1 left;
+      * dX, d1's f_R: f_x, times 1/R' on the stretch;
+      * lap, laplacian's result for the X[0] rows, f_RR + (d-1)/R f_R
+        with the centre row d f_RR(0), and on the stretch
+        f_RR = (f_xx - R'' f_R)/R'^2, with f_xx formed in tmp;
+      * F and tmp, profile_operator's output and scratch; speed forms
+        its result in tmp too;
+      * the grid factors R, (d-1)/R (0 at the centre) and, on the
+        stretch, 1/R', R'' and 1/R'^2, computed by the workspace and
+        broadcast once to the state's shape, C-ordered, since a ufunc
+        against a same-shape operand runs faster than against an (n,)
+        one.  They take the state's dtype because numpy casts a real
+        operand of a complex ufunc through buffers of 128 KiB, which
+        would take fresh pages at every call; written into a complex
+        array, a real x is x + 0j, as the cast gives it, so the bits
+        are the same.
+    Fresh at each call: the output of each np.correlate, one block of
+    _fd's pass for a real state up to (2, 2, 2048), whose values are
+    copied into dX or tmp before any ufunc reads them (a ufunc that
+    reads a strided view allocates a buffer of its size), and on a
+    complex state the copy of each block of a part of pad.
     """
 
-    #: accuracy order of the even-reflection operators d1, d2, laplacian
+    #: accuracy order of the even-reflection operators
     ACC = 4
 
     x: np.ndarray
@@ -258,8 +292,7 @@ class RadialGrid:
     h: float
     c: float | None = None
     d: int = 8
-    #: dynamics_lab's stage workspaces on this grid, by (state shape,
-    #: dtype)
+    #: the stage workspaces on this grid, by (state shape, dtype)
     workspaces: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
@@ -297,16 +330,6 @@ class RadialGrid:
         return 1.0 / np.cosh(self.x / self.c)
 
     @functools.cached_property
-    def d2R(self) -> np.ndarray:
-        """R'' = R / c^2."""
-        return self.R / (self.c * self.c)
-
-    @functools.cached_property
-    def inv_dR2(self) -> np.ndarray:
-        """1/R'^2."""
-        return self.inv_dR * self.inv_dR
-
-    @functools.cached_property
     def jac(self) -> np.ndarray:
         """R' R^(d-1), the measure of the quadrature in x."""
         vol = self.R ** (self.d - 1)
@@ -325,38 +348,26 @@ class RadialGrid:
         """int f R^(d-1) dR over [0, R_max]."""
         return float(np.trapezoid(f * self.jac, self.x))
 
-    @functools.cached_property
-    def lap_coef(self) -> np.ndarray:
-        """(d-1)/R, the Laplacian's coefficient of f_R, with 0 at the
-        centre R = 0."""
-        return (self.d - 1) / np.where(self.R == 0.0, np.inf, self.R)
+    def workspace(self, shape: tuple[int, ...],
+                  dtype=float) -> "_StageWorkspace":
+        """The stage workspace for states of that shape and dtype, built
+        on first use and kept in `workspaces` under (shape, dtype)."""
+        key = (shape, np.dtype(dtype))
+        if key not in self.workspaces:
+            self.workspaces[key] = _StageWorkspace(self, *key)
+        return self.workspaces[key]
 
     def d1(self, f: np.ndarray) -> np.ndarray:
-        """f_R of an even field, along the last axis."""
-        fx = _even_d1(f, self.h)
-        return fx if self.c is None else fx * self.inv_dR
+        """f_R of an even field, along the last axis, as a new array."""
+        f = np.asarray(f, dtype=complex if np.iscomplexobj(f) else float)
+        return self.workspace((1, *f.shape), f.dtype).d1(f[None])[0].copy()
 
-    def d2(self, f: np.ndarray, d1: np.ndarray) -> np.ndarray:
-        """f_RR of an even field whose f_R is d1."""
-        fxx = _even_d2(f, self.h)
-        if self.c is None:
-            return fxx
-        # (fxx - R'' d1) / R'^2, in one new array
-        out = np.multiply(self.d2R, d1)
-        np.subtract(fxx, out, out=out)
-        out *= self.inv_dR2
-        return out
-
-    def laplacian(self, f: np.ndarray, d1: np.ndarray) -> np.ndarray:
-        """f_RR + (d-1)/R f_R of an even field whose f_R is d1, along the
-        last axis, as one new array: the cached lap_coef times d1, plus
-        f_RR in place, with the centre row overwritten by its limit
-        d f_RR(0).  It shares no memory with f, d1 or f_RR."""
-        d2 = self.d2(f, d1)
-        out = np.multiply(self.lap_coef, d1)
-        out += d2
-        np.multiply(self.d, d2[..., 0], out=out[..., 0])
-        return out
+    def laplacian(self, f: np.ndarray) -> np.ndarray:
+        """f_RR + (d-1)/R f_R of an even field, along the last axis, with
+        the centre limit d f_RR(0), as a new array."""
+        f = np.asarray(f, dtype=complex if np.iscomplexobj(f) else float)
+        ws = self.workspace((1, *f.shape), f.dtype)
+        return ws.laplacian(ws.d1(f[None])[0]).copy()
 
     def dR(self, f: np.ndarray, m: int, acc: int = 4) -> np.ndarray:
         """m-th R-derivative without reflection (one-sided at both ends):
@@ -366,11 +377,6 @@ class RadialGrid:
         for _ in range(m):
             f = derivative(f, self.h, 1, acc=acc) * self.inv_dR
         return f
-
-    def speed(self, U: np.ndarray) -> np.ndarray:
-        """|R + 2U| / R', the transport speed in x."""
-        a = np.abs(self.R + 2.0 * U)
-        return a if self.c is None else a * self.inv_dR
 
     def payload(self) -> dict:
         """The map and its extreme physical spacings, JSON-ready."""
@@ -398,10 +404,82 @@ class RadialGrid:
         return out
 
 
+class _StageWorkspace:
+    """The arrays kept for one grid and one state shape (m, ..., n) and
+    dtype, with the grid's even operators that write into them (see
+    RadialGrid)."""
+
+    def __init__(self, grid: RadialGrid, shape: tuple[int, ...],
+                 dtype=float):
+        rows, n = shape[1:], shape[-1]
+
+        def kept(a, to):
+            out = np.empty(to, dtype)
+            out[...] = a
+            return out
+
+        self.h, self.d = grid.h, grid.d
+        self.width = max(half_width(m, RadialGrid.ACC) for m in (1, 2))
+        if n <= self.width:
+            raise ResolutionError(f"grid of {n} points too short for the "
+                                  f"even operators at accuracy "
+                                  f"{RadialGrid.ACC}")
+        self.pad = np.empty((*shape[:-1], self.width + n), dtype)
+        self.dX, self.F = np.empty(shape, dtype), np.empty(shape, dtype)
+        self.lap, self.tmp = np.empty(rows, dtype), np.empty(rows, dtype)
+        R = grid.R
+        self.R = kept(R, rows)
+        self.lap_coef = kept((grid.d - 1) / np.where(R == 0.0, np.inf, R),
+                             rows)
+        self.inv_dR = None
+        if grid.c is not None:
+            self.inv_dR = kept(grid.inv_dR, shape)
+            self.d2R = kept(R / (grid.c * grid.c), rows)
+            self.inv_dR2 = kept(grid.inv_dR * grid.inv_dR, rows)
+
+    def d1(self, X: np.ndarray) -> np.ndarray:
+        """f_R of every row of X in the kept dX: X's reflection written
+        into pad, and its x-derivative, times 1/R' on the stretch."""
+        dX = reflected_derivative(reflect(X, self.width, self.pad),
+                                  self.width, self.h, 1, RadialGrid.ACC,
+                                  out=self.dX)
+        if self.inv_dR is not None:
+            dX *= self.inv_dR
+        return dX
+
+    def laplacian(self, dPsi: np.ndarray) -> np.ndarray:
+        """The Laplacian of the X[0] rows into the kept lap, for the X
+        whose reflection the last d1 left in pad and whose X[0] rows have
+        the f_R dPsi: f_RR from pad[0] in the kept tmp, (d-1)/R dPsi plus
+        f_RR, and the centre's limit d f_RR(0)."""
+        fxx, lap = self.tmp, self.lap
+        reflected_derivative(self.pad[0], self.width, self.h, 2,
+                             RadialGrid.ACC, out=fxx)
+        if self.inv_dR is not None:
+            # (fxx - R'' dPsi) / R'^2, with lap as the scratch
+            np.multiply(self.d2R, dPsi, out=lap)
+            fxx -= lap
+            fxx *= self.inv_dR2
+        np.multiply(self.lap_coef, dPsi, out=lap)
+        lap += fxx
+        np.multiply(self.d, fxx[..., 0], out=lap[..., 0])
+        return lap
+
+    def speed(self, U: np.ndarray) -> np.ndarray:
+        """|R + 2U| / R', the transport speed in x of the gradient fields
+        U, of the X[0] rows' shape, in the kept tmp."""
+        a = np.multiply(2.0, U, out=self.tmp)
+        np.add(self.R, a, out=a)
+        np.abs(a, out=a)
+        if self.inv_dR is not None:
+            a *= self.inv_dR[0]
+        return a
+
+
 def radial_laplacian(f: np.ndarray, grid: RadialGrid) -> np.ndarray:
     """d-dimensional radial Laplacian f_RR + (d-1)/R f_R of an even field
     on the grid, with the centre limit d f_RR(0)."""
-    return grid.laplacian(f, grid.d1(f))
+    return grid.laplacian(f)
 
 
 # ---------------------------------------------------------------------------

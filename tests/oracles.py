@@ -7,9 +7,11 @@ integers summed term by term against the carried sums, Xi_1 and the
 barrier normals by the product rule against their factored forms, the
 complex radial NLS against its polar form, the dense cut-offs, evaluated
 at every point, against the windowed ones, and the cut-offs' derivatives
-by 50-digit numerical differentiation against their closed forms, and
-the dissipativity probe's forms in fresh arrays against the kept ones.  No
-package code calls them, so they live with the tests.
+by 50-digit numerical differentiation against their closed forms, the
+dissipativity probe's forms in fresh arrays against the kept ones, and
+the grid's even operators, the chain rule written out, against its stage
+workspace.  No package code calls them, so they live with the
+tests.
 """
 
 import math
@@ -201,6 +203,44 @@ def sonic_series_fixed(r: float, order: int) -> tuple[tuple[int, ...],
 
 
 # ---------------------------------------------------------------------------
+# the grid's even operators
+# ---------------------------------------------------------------------------
+
+def _inv_dR(grid: RadialGrid):
+    """1/R' = 1/cosh(x/c) on the stretch R = c sinh(x/c), 1 on the
+    identity map."""
+    return 1.0 if grid.c is None else 1.0 / np.cosh(grid.x / grid.c)
+
+
+def plain_d1(f, grid: RadialGrid) -> np.ndarray:
+    """f_R of an even field on the grid by the chain rule written out:
+    derivative(even=True) in x, times 1/R' on the stretch."""
+    fx = derivative(f, grid.h, 1, even=True)
+    return fx if grid.c is None else fx * _inv_dR(grid)
+
+
+def plain_laplacian(f, grid: RadialGrid) -> np.ndarray:
+    """f_RR + (d-1)/R f_R of an even field, with the centre limit
+    d f_RR(0), each point written out; on the stretch
+    f_RR = (f_xx - R'' f_R) / R'^2 with R'' = R/c^2."""
+    d1 = plain_d1(f, grid)
+    d2 = derivative(f, grid.h, 2, even=True)
+    if grid.c is not None:
+        inv_dR = _inv_dR(grid)
+        d2 = (d2 - grid.R / (grid.c * grid.c) * d1) * (inv_dR * inv_dR)
+    lap = np.empty_like(d1)
+    lap[..., 0] = grid.d * d2[..., 0]
+    lap[..., 1:] = d2[..., 1:] + (grid.d - 1) / grid.R[1:] * d1[..., 1:]
+    return lap
+
+
+def plain_speed(U, grid: RadialGrid) -> np.ndarray:
+    """The transport speed in x of the gradient field U, |R + 2U|/R'."""
+    a = np.abs(grid.R + 2.0 * U)
+    return a if grid.c is None else a * _inv_dR(grid)
+
+
+# ---------------------------------------------------------------------------
 # polar-equation consistency
 # ---------------------------------------------------------------------------
 
@@ -333,9 +373,9 @@ def dissipativity_form(table, m, J, C0, K, n, n_modes):
     E[:n_modes, 0] = E[n_modes:, 1] = b
     X = np.moveaxis(E, 1, 0) * 1j
     X += np.stack((base.Psi, base.S))[:, None]
-    dX = grid.d1(X)
+    dX = plain_d1(X, grid)
     F = profile_operator(params, R, X[0], dX[0], X[1], dX[1],
-                         grid.laplacian(X[0], dX[0]))
+                         plain_laplacian(X[0], grid))
     Lt = chi2 * np.moveaxis(F.imag, 0, 1) - J * (1.0 - chi1) * E
 
     w = grid.weights

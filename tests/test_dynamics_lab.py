@@ -49,6 +49,7 @@ from nls_implosion.selfsimilar_fields import (
     RadialGrid,
     _even_d1,
     _smooth_step,
+    _StageWorkspace,
     cutoff,
     from_selfsimilar,
     radial_laplacian,
@@ -274,7 +275,7 @@ class TestResidual:
         res = residual_stationary(fs)
         X = np.stack((fs.Psi, fs.S))
         # a workspace per call, so no call overwrites an earlier result
-        ws = [dl._StageWorkspace(grid, X.shape) for _ in range(3)]
+        ws = [_StageWorkspace(grid, X.shape) for _ in range(3)]
         N_Psi, N_S = dl._stationary_rhs(X, ws[0].d1(X), ws[0], params)
         # bit for bit the Psi row, and the stepper's right side with the
         # quantum term off
@@ -692,6 +693,20 @@ class TestDissipativityProbe:
         with pytest.raises(DomainError,
                            match=f"trials = {trials}; need >= 1"):
             dissipativity_probe(profile_r201, trials=trials)
+
+    @pytest.mark.parametrize("n_modes", [0, -1])
+    def test_no_modes_refused_before_the_store(self, profile_r201, n_modes):
+        # refused by name before the one-slot store is touched, so the
+        # default probe's kept grid and arrays survive the refused call
+        dissipativity_probe(profile_r201, trials=5)
+        store = dl._probe_workspace
+        kept = store(1025, 2.0, profile_r201.params.d, 16)
+        with pytest.raises(DomainError,
+                           match=f"n_modes = {n_modes}; need >= 1"):
+            dissipativity_probe(profile_r201, trials=5, n_modes=n_modes)
+        hits = store.cache_info().hits
+        assert store(1025, 2.0, profile_r201.params.d, 16) is kept
+        assert store.cache_info().hits == hits + 1
 
     def test_defaults_pass_fraction(self, profile_r201):
         frac = dissipativity_probe(profile_r201, trials=100)

@@ -5,7 +5,9 @@ module's own source (a def, a class or an assignment), not imported from
 elsewhere, and must be read by some code in src/, bench/ or tools/, or
 be on KEEP with the reason it stays.  The cross-checks the tests compare
 against live in tests/oracles.py and are no attribute of any package
-module.
+module.  Within src/, only _fd and selfsimilar_fields read the even
+reflection (`reflect`, `reflected_derivative`), so the grid's even
+operators keep their one implementation.
 """
 
 import ast
@@ -27,7 +29,8 @@ ORACLES = ("taylor_seed_coeffs", "sonic_slope_quadratic_roots", "xi1_poly",
            "grad_b_normal_partI_expanded", "grad_b_normal_partII_expanded",
            "nls_rhs_complex", "nls_rhs_polar", "dense_bump",
            "dense_smooth_step", "dense_cutoff", "mp_cutoff_derivative",
-           "sonic_series_fixed", "dissipativity_form")
+           "sonic_series_fixed", "dissipativity_form", "plain_d1",
+           "plain_laplacian", "plain_speed")
 
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -48,20 +51,25 @@ KEEP = {
 }
 
 
+def _names_read_in(path: pathlib.Path) -> set[str]:
+    """Every name and attribute that the code of one file reads (a def, a
+    class, an assignment or an __all__ entry is no read)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Name)
+              and not isinstance(node.ctx, ast.Store)):
+            names.add(node.id)
+    return names
+
+
 def _read_names() -> set[str]:
     """Every name and attribute that code in src/, bench/ and tools/
-    reads (a def, a class, an assignment or an __all__ entry is no
-    read)."""
-    names = set()
-    for part in ("src", "bench", "tools"):
-        for path in (ROOT / part).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif (isinstance(node, ast.Name)
-                      and not isinstance(node.ctx, ast.Store)):
-                    names.add(node.id)
-    return names
+    reads."""
+    return {name for part in ("src", "bench", "tools")
+            for path in (ROOT / part).rglob("*.py")
+            for name in _names_read_in(path)}
 
 
 def _exported() -> dict[str, list[str]]:
@@ -79,6 +87,17 @@ def test_every_export_has_a_reader_or_a_reason():
 def test_keep_names_only_exports():
     exported = {name for names in _exported().values() for name in names}
     assert set(KEEP) <= exported
+
+
+def test_one_module_reads_the_kept_reflection():
+    # the even operators on a grid have one implementation, the stage
+    # workspace in selfsimilar_fields; _fd defines the reflection and the
+    # pass over it, and no other module of src/ reads either name
+    readers = {path.stem for path in (ROOT / "src").rglob("*.py")
+               if {"reflect", "reflected_derivative"}
+               & _names_read_in(path)}
+    assert readers <= {"_fd", "selfsimilar_fields"}, readers
+    assert "selfsimilar_fields" in readers
 
 
 def _top_level_bindings(module) -> set[str]:

@@ -196,13 +196,14 @@ def test_energy_report_identical_without_cache(profile_r201, monkeypatch):
         out[...] = counting(padded[..., width:], h, m, acc, even=True)
         return out
 
-    # the samples differentiate through the grid, which looks the
+    # the energies differentiate through the grid, which looks the
     # operator up in selfsimilar_fields; the probe and the blow-up fit
-    # also call dynamics_lab's.  The stepper's stage workspace calls the
-    # even pass on its kept reflection, which it looks up in dynamics_lab
+    # also call dynamics_lab's.  The grid's stage workspace calls the
+    # even pass on its kept reflection, which it looks up in
+    # selfsimilar_fields
     for module in (dynamics_lab, selfsimilar_fields):
         monkeypatch.setattr(module, "derivative", counting)
-    monkeypatch.setattr(dynamics_lab, "reflected_derivative",
+    monkeypatch.setattr(selfsimilar_fields, "reflected_derivative",
                         counting_reflected)
     dynamics_lab._reference_run = None    # step the reference run too
     uncached = simulate(profile_r201, s_span=0.1, n=256, n_samples=3)
@@ -216,16 +217,16 @@ def test_energy_report_identical_without_cache(profile_r201, monkeypatch):
 def _reference_rhs(Psi, S, grid, params, s, quantum):
     """The right side before it shared dPsi with the Laplacian."""
     r, alpha = params.r, params.alpha
-    dPsi = grid.d1(Psi)
-    dS = grid.d1(S)
-    lapPsi = grid.laplacian(Psi, grid.d1(Psi))
+    dPsi = oracles.plain_d1(Psi, grid)
+    dS = oracles.plain_d1(S, grid)
+    lapPsi = oracles.plain_laplacian(Psi, grid)
     qp = 0.0
     coef = np.exp((4.0 - 2.0 * r) * s)
     if quantum and coef > dynamics_lab.QP_COEF_FLOOR and np.any(S > 1e-300):
         Sf = np.maximum(S, 1e-300)
         w = np.log(Sf * np.sqrt(alpha) / r ** (1.0 - alpha)) / (2.0 * alpha)
-        dw = grid.d1(w)
-        qp = coef * (grid.laplacian(w, grid.d1(w)) + dw * dw)
+        dw = oracles.plain_d1(w, grid)
+        qp = coef * (oracles.plain_laplacian(w, grid) + dw * dw)
         qp = np.where(S > 1e-300, qp, 0.0)
     rhs_Psi = -(r - 2.0) * Psi - grid.R * dPsi - dPsi * dPsi - alpha * S * S + qp
     rhs_S = (-(r - 1.0) * S - grid.R * dS - 2.0 * dS * dPsi
@@ -238,7 +239,8 @@ def _reference_advance(Psi, S, grid, params, s, ds, quantum, cfl):
     of every step, the CFL bound read off its U.  Returns the new (Psi, S)
     and the step's bound."""
     state = FieldSet.from_Psi_S(params, grid, s, Psi, S)
-    amax = float(np.max(grid.speed(state.U)))
+    amax = float(np.max(oracles.plain_speed(oracles.plain_d1(state.Psi,
+                                                             grid), grid)))
     bound = cfl * grid.h / max(amax, 1e-30)
     coef = np.exp((4.0 - 2.0 * params.r) * s)
     if quantum and coef > dynamics_lab.QP_COEF_FLOOR:
@@ -277,7 +279,7 @@ def _assert_identical_to_fieldset_stepper(table, monkeypatch, quantum):
     kwargs = dict(s_span=0.1, n=256, n_samples=3, quantum_pressure=quantum)
     lean = simulate(table, **kwargs)
     monkeypatch.setattr(dynamics_lab, "_advance", _reference_advance_rows)
-    for module in (dynamics_lab, selfsimilar_fields):
+    for module in (dynamics_lab, selfsimilar_fields, oracles):
         monkeypatch.setattr(module, "derivative", uncached_derivative)
     dynamics_lab._reference_run = None    # step the reference run too
     reference = simulate(table, **kwargs)
@@ -320,7 +322,7 @@ def test_quantum_step_identical_to_fieldset_stepper(profile_r201, kind):
     # at this ds a last-bit change of the right side leaves the step's
     # bits alone, so the right side is compared on its own too
     X = np.stack((state.Psi, state.S))[:, None]
-    ws = dynamics_lab._stage_workspace(grid, X.shape)
+    ws = grid.workspace(X.shape)
     rhs = dynamics_lab._rhs(X, ws.d1(X), grid, params, 1.0, True, ws)
     np.testing.assert_array_equal(
         rhs[:, 0], _reference_rhs(state.Psi, state.S, grid, params, 1.0,
@@ -367,7 +369,7 @@ def _stepper_case(table, grid, runs, s):
     bump = np.exp(-(base.R - 8.0) ** 2)
     X = np.array([[base.Psi + 1e-3 * bump, base.Psi][:runs],
                   [base.S * (1.0 + 1e-3 * bump), base.S][:runs]])
-    ws = dynamics_lab._stage_workspace(grid, X.shape)
+    ws = grid.workspace(X.shape)
     bound = dynamics_lab._stability_bound(ws.d1(X)[0], ws, table.params, s,
                                           True, 0.9)
     return X, 0.5 * float(np.min(bound))
@@ -425,8 +427,7 @@ def test_dropped_grid_frees_its_workspaces(profile_r201):
             X, ds = _stepper_case(profile_r201, grid, runs, s)
             for quantum in (True, False):
                 dynamics_lab._advance(X, grid, params, s, ds, quantum, 0.9)
-            kept.append(weakref.ref(dynamics_lab._stage_workspace(grid,
-                                                                  X.shape)))
+            kept.append(weakref.ref(grid.workspace(X.shape)))
         del grid, X
         assert [ref() for ref in kept] == [None] * len(kept)
     finally:
@@ -468,7 +469,7 @@ def test_probe_store_holds_one_grid(profile_r201):
     assert store.cache_info().hits == hits + 1
     assert store.cache_info().currsize == 1
     assert grid.workspaces
-    assert all(isinstance(ws, dynamics_lab._StageWorkspace)
+    assert all(isinstance(ws, selfsimilar_fields._StageWorkspace)
                for ws in grid.workspaces.values())
     gc.disable()
     try:
@@ -661,7 +662,7 @@ def _ds_between_cfl_bounds(table, cfg, height):
     grid = _abort_grid()
     base = _steep(table, grid, cfg.s0, height)
     start = _perturbed_start(table, cfg, base)
-    bounds = [cfg.cfl * grid.h / np.max(grid.speed(run.U))
+    bounds = [cfg.cfl * grid.h / np.max(oracles.plain_speed(run.U, grid))
               for run in (start, base)]
     ds = 0.5 * sum(bounds)
     assert min(bounds) < ds < max(bounds)
@@ -757,14 +758,14 @@ def test_cfl_error_names_the_bound_it_breaks(profile_r201, broken):
     grid = RadialGrid.uniform(n, 30.0)
     params = profile_r201.params
     state = profile_fieldset(profile_r201, grid, 1.0)
-    speed = np.max(grid.speed(state.U))
+    speed = np.max(oracles.plain_speed(state.U, grid))
     transport = 0.9 * grid.h / speed
     quantum = 0.9 * grid.h ** 2 / (2.0 * params.d
                                    * np.exp(4.0 - 2.0 * params.r))
     low, high = sorted((transport, quantum))
     assert (low == quantum) == (broken == "quantum")
     assert low == pytest.approx(dynamics_lab._stability_bound(
-        state.U, dynamics_lab._stage_workspace(grid, (2, n)), params, 1.0,
+        state.U, grid.workspace((2, n)), params, 1.0,
         True, 0.9), rel=1e-14)
     ds = (low * high) ** 0.5
     why = {"quantum": "quantum: e^((4-2r)s) = 0.9802",

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from nls_implosion._fd import derivative
-from nls_implosion.errors import DomainError
+from nls_implosion.dynamics_lab import _advance as advance
+from nls_implosion.errors import DomainError, ResolutionError
 from nls_implosion.phase_portrait import ProfileParams
 from nls_implosion.selfsimilar_fields import (
     FieldSet,
@@ -17,6 +18,8 @@ from nls_implosion.selfsimilar_fields import (
     radial_laplacian,
     to_selfsimilar,
 )
+
+import oracles
 
 D = 8
 
@@ -41,16 +44,14 @@ def test_sinh_grid_nodes():
     assert dR[0] == pytest.approx(grid.h, rel=1e-5)
 
 
-@pytest.mark.parametrize("which", ["f_R", "f_RR", "lap"])
+@pytest.mark.parametrize("which", ["f_R", "lap"])
 def test_mapped_derivatives_converge_at_stencil_order(which):
     errors = []
     for n in (129, 257, 513):       # above the round-off floor of f_RR
         grid = RadialGrid.sinh(n, 30.0, 4.0)
-        f, f_R, f_RR, lap = gauss(grid.R)
-        d1 = grid.d1(f)
-        got = {"f_R": d1, "f_RR": grid.d2(f, d1),
-               "lap": grid.laplacian(f, d1)}[which]
-        want = {"f_R": f_R, "f_RR": f_RR, "lap": lap}[which]
+        f, f_R, _, lap = gauss(grid.R)
+        got = {"f_R": grid.d1, "lap": grid.laplacian}[which](f)
+        want = {"f_R": f_R, "lap": lap}[which]
         errors.append(np.max(np.abs(got - want)))
     orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
     assert np.all(orders > 3.7), orders     # fourth-order stencils
@@ -59,7 +60,7 @@ def test_mapped_derivatives_converge_at_stencil_order(which):
 def test_mapped_laplacian_centre_limit():
     grid = RadialGrid.sinh(1025, 30.0, 4.0)
     f = gauss(grid.R)[0]
-    lap = grid.laplacian(f, grid.d1(f))
+    lap = grid.laplacian(f)
     f_xx = derivative(f, grid.h, 2, even=True)
     assert lap[0] == D * f_xx[0]              # R' = 1, R'' = 0 at the centre
     assert lap[0] == pytest.approx(-2.0 * D, rel=1e-8)
@@ -86,17 +87,17 @@ def test_identity_map_bit_identical(n):
     d1 = derivative(f, h, 1, even=True)
     np.testing.assert_array_equal(grid.d1(f), d1)
     d2 = derivative(f, h, 2, even=True)
-    np.testing.assert_array_equal(grid.d2(f, d1), d2)
     # the centre limit and f'' + (D-1)/R f', as plain expressions
     lap = np.empty_like(d1)
     lap[..., 0] = D * d2[..., 0]
     lap[..., 1:] = d2[..., 1:] + (D - 1) / R[1:] * d1[..., 1:]
-    np.testing.assert_array_equal(grid.laplacian(f, d1), lap)
+    np.testing.assert_array_equal(grid.laplacian(f), lap)
     np.testing.assert_array_equal(radial_laplacian(f[0], grid), lap[0])
     for m, acc in ((1, 4), (3, 6), (6, 4)):
         np.testing.assert_array_equal(grid.dR(f, m, acc=acc),
                                       derivative(f, h, m, acc=acc))
-    np.testing.assert_array_equal(grid.speed(f[0]), np.abs(R + 2.0 * f[0]))
+    np.testing.assert_array_equal(grid.workspace((1, *f.shape)).speed(f),
+                                  np.abs(R + 2.0 * f))
     # the quadrature of the energies and the probe's weight vector
     assert grid.quad(f[0]) == float(np.trapezoid(f[0] * R ** (D - 1), R))
     half_dx = 0.5 * np.diff(R)
@@ -110,22 +111,66 @@ def test_mapped_operators_are_the_plain_expressions():
     # the stretch's f_RR and Laplacian are assembled in place, but every
     # value keeps the bits of the chain rule written out
     grid = RadialGrid.sinh(513, 30.0, 4.0)
-    R, h = grid.R, grid.h
+    R = grid.R
     rng = np.random.default_rng(513)
     f = np.exp(-0.1 * R) * np.cos(R) + 1e-3 * rng.standard_normal((2, 513))
-    inv_dR = 1.0 / np.cosh(grid.x / 4.0)
-    d1 = derivative(f, h, 1, even=True) * inv_dR
-    d2 = ((derivative(f, h, 2, even=True) - R / 16.0 * d1)
-          * (inv_dR * inv_dR))
-    lap = np.empty_like(d1)
-    lap[..., 0] = D * d2[..., 0]
-    lap[..., 1:] = d2[..., 1:] + (D - 1) / R[1:] * d1[..., 1:]
-    np.testing.assert_array_equal(grid.d1(f), d1)
-    np.testing.assert_array_equal(grid.d2(f, d1), d2)
-    np.testing.assert_array_equal(grid.laplacian(f, d1), lap)
-    np.testing.assert_array_equal(grid.laplacian(f[1], d1[1]), lap[1])
-    np.testing.assert_array_equal(grid.speed(f),
-                                  np.abs(R + 2.0 * f) * inv_dR)
+    lap = oracles.plain_laplacian(f, grid)
+    np.testing.assert_array_equal(grid.d1(f), oracles.plain_d1(f, grid))
+    np.testing.assert_array_equal(grid.laplacian(f), lap)
+    np.testing.assert_array_equal(grid.laplacian(f[1]), lap[1])
+    np.testing.assert_array_equal(grid.workspace((1, *f.shape)).speed(f),
+                                  oracles.plain_speed(f, grid))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_short_grid_is_a_resolution_error(n):
+    # the even stencils need four nodes; fewer are refused by name, not
+    # by a failed broadcast into the workspace's reflection
+    grid = RadialGrid.uniform(n, 1.0)
+    for op in (grid.d1, grid.laplacian):
+        with pytest.raises(ResolutionError,
+                           match=f"grid of {n} points too short"):
+            op(np.ones(n))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "sinh"])
+def test_front_ends_return_copies(kind):
+    # d1 and laplacian run the workspace of the state (1, *f.shape) and
+    # hand back a copy: nothing a later call or a step writes into the
+    # kept arrays reaches a result.  A (1, n) f shares its workspace with
+    # the quantum term of a one-run step, which is live at s = 1
+    n = 256
+    grid = (RadialGrid.uniform(n, 30.0) if kind == "uniform"
+            else RadialGrid.sinh(n, 30.0, 4.0))
+    R = grid.R
+    f, g = np.exp(-R * R)[None], np.cos(0.2 * R)[None] * np.exp(-0.1 * R)
+    got = {op: getattr(grid, op)(f) for op in ("d1", "laplacian")}
+    want = {op: a.copy() for op, a in got.items()}
+    kept = [a for ws in grid.workspaces.values() for a in vars(ws).values()
+            if isinstance(a, np.ndarray)]
+    assert kept
+    for a in got.values():
+        assert a.dtype == np.float64 and a.shape == f.shape
+        assert not any(np.shares_memory(a, k) for k in kept)
+    for op in got:
+        getattr(grid, op)(g)
+    params = ProfileParams(r=2.01)
+    X = np.array([[0.1 * np.exp(-R * R)], [1.0 + 0.1 * np.exp(-R)]])
+    advance(X, grid, params, 1.0, 1e-6, True, 0.9)
+    assert (1, 1, n) in {shape for shape, _ in grid.workspaces}
+    for op in got:
+        np.testing.assert_array_equal(got[op], want[op])
+    # an integer f is differentiated as f.astype(float), a complex one as
+    # its real and imaginary parts
+    k = np.random.default_rng(n).integers(-5, 6, size=n)
+    for op in ("d1", "laplacian"):
+        out = getattr(grid, op)
+        assert out(k).dtype == np.float64
+        np.testing.assert_array_equal(out(k), out(k.astype(float)))
+        z = out(f[0] + 1j * g[0])
+        assert z.dtype == np.complex128
+        np.testing.assert_array_equal(z.real, out(f[0]))
+        np.testing.assert_array_equal(z.imag, out(g[0]))
 
 
 def test_payload_round_trip_and_refusal():
@@ -178,7 +223,7 @@ def test_fieldset_on_mapped_grid_round_trips():
     grid = RadialGrid.sinh(200, 30.0, 4.0)
     fs = FieldSet.from_Psi_S(params, grid, 1e4, np.exp(-grid.R ** 2),
                              1.0 + 0.1 * np.exp(-grid.R))
-    np.testing.assert_array_equal(fs.U, grid.d1(fs.Psi))
+    np.testing.assert_array_equal(fs.U, oracles.plain_d1(fs.Psi, grid))
     assert fs.grid.h == grid.h
     header = fs.payload()["frame"]
     assert "h" not in header

@@ -71,8 +71,11 @@ def child(root: str, n: int, steps: int, reps: int, ops: int,
         X0 = np.array([[base.Psi + 1e-3 * bump, base.Psi][:runs],
                        [base.S * (1.0 + 1e-3 * bump), base.S][:runs]])
         # half the stepper's bound, from public quantities: the transport
-        # bound and, where its prefactor is live, the quantum one
-        bound = 0.9 * grid.h / np.max(grid.speed(grid.d1(X0[0])))
+        # bound, with the speed |R + 2U|/R' written out (R' = cosh(x/c)),
+        # and, where its prefactor is live, the quantum one
+        speed = (np.abs(grid.R + 2.0 * grid.d1(X0[0]))
+                 / np.cosh(grid.x / grid.c))
+        bound = 0.9 * grid.h / np.max(speed)
         coef = np.exp((4.0 - 2.0 * params.r) * s)
         if coef > dynamics_lab.QP_COEF_FLOOR:
             bound = min(bound, 0.9 * grid.h ** 2 / (2.0 * params.d * coef))
