@@ -109,6 +109,7 @@ from .phase_portrait import (
     grad_n_z,
     n_w,
     n_z,
+    origin_coeffs,
     special_points,
 )
 
@@ -133,11 +134,9 @@ __all__ = [
 CSV_HEADER = ["xi", "R", "W", "Z", "Ubar_R", "Sbar", "U_nls", "S_nls",
               "Psi_nls", "dR_Ubar", "dR_Sbar"]
 #: 5: the JSON table stores the orbit, each array one base64 string of
-#: its "<f8" bytes, the grid and tol; every column and w0 follow from them
+#: its "<f8" bytes, the grid and tol; every column follows from them, and
+#: w0 = e^(-left_origin) from the orbit alone
 SCHEMA_VERSION = 5
-
-#: radius of the origin fit that reports w0 = Sbar(0)
-MATCH_RADIUS = 0.05
 
 #: decimal digits at which the closed forms of P_s and of the slopes
 #: (W1, Z1) seed the sonic series
@@ -355,7 +354,10 @@ class ProfileTable:
     table is built by from_orbit and carries its Orbit, whose values on the
     grid the columns are, and the grid's (xi_min, xi_max, n_points); the
     JSON table stores these and tol, and profile_fieldset evaluates the
-    orbit off the grid.
+    orbit off the grid.  w0 is the leading coefficient of the origin
+    expansion W = w0/R + w1 + ...: the left march starts on
+    W = e^(-xi') + w1 in its own coordinate xi' = xi + left_origin, so
+    w0 = e^(-left_origin), whatever the grid.
     """
 
     params: ProfileParams
@@ -365,7 +367,6 @@ class ProfileTable:
     dR_Ubar: np.ndarray
     dR_Sbar: np.ndarray
     w0: float = float("nan")
-    w0_mismatch: float = float("nan")
     tol: float = float("nan")
     orbit: Orbit | None = None
     grid: tuple[float, float, int] | None = None
@@ -376,7 +377,8 @@ class ProfileTable:
                    ) -> "ProfileTable":
         """The table of `orbit`, solved at `tol`, on the grid of (xi_min,
         xi_max, n_points): the state (W, Z), from the orbit's
-        xi-derivatives dR_Ubar and dR_Sbar, and the origin fit w0.
+        xi-derivatives dR_Ubar and dR_Sbar, and the origin coefficient
+        w0 = e^(-left_origin), which no grid setting moves.
 
         A grid that gives the left march (xi < seam_left) or the backward
         march (seam_right < xi <= xi_anchor) no node is a GridError, and
@@ -413,12 +415,10 @@ class ProfileTable:
             raise SonicCrossingError("sign(D_Z) != sign(xi) off the sonic point")
 
         U, S = 0.5 * (W + Z), 0.5 * (W - Z)
-        R = np.exp(xi_grid)
-        w0, w0_mismatch = _match_origin(R, R * S)
         return cls(params=params, xi_grid=xi_grid, W=W, Z=Z,
                    dR_Ubar=U + 0.5 * (dW + dZ), dR_Sbar=S + 0.5 * (dW - dZ),
-                   w0=w0, w0_mismatch=w0_mismatch, tol=tol, orbit=orbit,
-                   grid=grid)
+                   w0=float(np.exp(-orbit.left_origin)), tol=tol,
+                   orbit=orbit, grid=grid)
 
     @functools.cached_property
     def R(self) -> np.ndarray:
@@ -829,14 +829,15 @@ def solve_orbit(params: ProfileParams, xi_min: float = -6.0,
     rhs = _flow(r)
 
     # ---- left piece: march from the origin region into the sonic point ----
-    # The start point uses the leading large-amplitude asymptote of the
-    # branch, whose truncation error scales like exp(2 xi_start); start deep
-    # enough that this error sits below the integration tolerance, so the
-    # orbit (and hence the tabulated left piece) is independent of the
-    # starting depth.
+    # The start point is the origin expansion (origin_coeffs) with w0 = 1
+    # in the march's own coordinate xi', W = e^(-xi') + w1 and
+    # Z = -e^(-xi') + w1, so the table's w0 is e^(-left_origin).  Its
+    # truncation error scales like exp(2 xi_start); start deep enough that
+    # this error sits below the integration tolerance, so the orbit (and
+    # hence the tabulated left piece) is independent of the starting depth.
     xi_start = min(xi_min - 3.0, 0.55 * np.log(tol))
     bound = BLOWUP_FACTOR * np.exp(-xi_start)
-    w1_origin = -(r - 1.0) / 4.0
+    w1_origin = origin_coeffs(1.0, params)[0]
     y_start = (np.exp(-xi_start) + w1_origin, -np.exp(-xi_start) + w1_origin)
     # the seam (or a blow-up) ends the march; the span only bounds it
     sol_left, seam_left, xi_hit = _arrive(
@@ -1022,18 +1023,6 @@ def _arrive(rhs, span, y0, tol: float, what: str, bound: float,
             f"{what} and sonic series disagree at xi = {seams[-1]}: "
             f"deviation {dev:.3e}")
     return sol, seams[-1], xi_hit
-
-
-def _match_origin(R, Sbar):
-    """Fit Sbar = w0 + w2 R^2 + w4 R^4 on R <= MATCH_RADIUS."""
-    mask = R <= MATCH_RADIUS
-    if np.count_nonzero(mask) < 8:
-        return float("nan"), float("nan")
-    x = R[mask] ** 2
-    design = np.vstack([np.ones_like(x), x, x * x]).T
-    coef, *_ = np.linalg.lstsq(design, Sbar[mask], rcond=None)
-    fit = design @ coef
-    return float(coef[0]), float(np.max(np.abs(Sbar[mask] - fit)))
 
 
 def to_physical(table: ProfileTable) -> ProfileTable:

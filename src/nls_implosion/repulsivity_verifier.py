@@ -127,7 +127,8 @@ def check_partI(params: ProfileParams, table: ProfileTable,
         sign along the barrier curve b;
     (c) the origin expansion coefficient (r-5)(r-1)(3r+1)/(40 w0^2),
         4 w_3 of origin_coeffs, is negative, so the flow points inward
-        near R = 0.
+        near R = 0.  w0 is the table's, e^(-left_origin) of its orbit,
+        so this margin does not move with the grid.
     """
     r = params.r
     report = VerificationReport(
@@ -154,7 +155,7 @@ def check_partI(params: ProfileParams, table: ProfileTable,
 
     w0 = table.w0
     if not np.isfinite(w0) or w0 == 0.0:
-        raise DomainError("table carries no matched origin coefficient w0")
+        raise DomainError("table carries no origin coefficient w0")
     coeff = 4.0 * origin_coeffs(w0, params)[1]
     report.add("partI_origin_coefficient",
                "(r-5)(r-1)(3r+1)/(40 w0^2) < 0 near the origin",

@@ -390,18 +390,26 @@ class RadialGrid:
                      d: int = 8) -> "RadialGrid":
         """The grid a payload names, rebuilt by its kind's constructor from
         (len(R), R[-1], c), which refuses a degenerate one, and refused
-        unless its nodes are R bit for bit."""
-        kind = grid["kind"]
+        unless its nodes are R bit for bit.  A header without its kind,
+        or a sinh one without c, is a DomainError naming the key."""
+        kind = _entry(grid, "kind", "grid header")
         n, R_max = len(R), float(R[-1]) if len(R) else np.nan
         if kind == "uniform":
             out = cls.uniform(n, R_max, d)
         elif kind == "sinh":
-            out = cls.sinh(n, R_max, grid["c"], d)
+            out = cls.sinh(n, R_max, _entry(grid, "c", "grid header"), d)
         else:
             raise DomainError(f"unknown grid kind {kind!r}")
         if not np.array_equal(out.R, R):
             raise DomainError(f"R column is not the {kind} grid of its header")
         return out
+
+
+def _entry(entries: dict, key: str, what: str):
+    """entries[key], a DomainError naming the key when it is missing."""
+    if key not in entries:
+        raise DomainError(f"{what} key {key!r} is missing")
+    return entries[key]
 
 
 class _StageWorkspace:
@@ -518,6 +526,11 @@ class FieldSet:
     S: np.ndarray
 
     def __post_init__(self):
+        for name in ("Psi", "S"):
+            shape = np.shape(getattr(self, name))
+            if shape != self.grid.R.shape:
+                raise DomainError(f"{name} column has shape {shape}, the "
+                                  f"grid's R {self.grid.R.shape}")
         if not np.all(self.S >= 0):
             raise DomainError("S must be nonnegative (and not NaN)")
 
@@ -556,21 +569,24 @@ class FieldSet:
     def from_payload(cls, payload: dict) -> "FieldSet":
         """The snapshot of payload(); its R column must be the nodes of the
         grid its header names (see RadialGrid.from_payload).  A header
-        without a grid is a DomainError that names it, and a header's
-        domain label "mode" (written before it was dropped) is ignored."""
+        without a grid is a DomainError that names it, and so is any other
+        missing key; a header's domain label "mode" (written before it was
+        dropped) is ignored."""
         if payload.get("kind") != "fieldset":
             raise DomainError("not a fieldset snapshot")
-        params = ProfileParams(r=payload["params"]["r"])
-        cols = payload["columns"]
-        frame = payload["frame"]
+        params = ProfileParams(r=_entry(
+            _entry(payload, "params", "fieldset snapshot"), "r",
+            "fieldset params"))
+        cols = _entry(payload, "columns", "fieldset snapshot")
+        frame = _entry(payload, "frame", "fieldset snapshot")
         if "grid" not in frame:
             raise DomainError("fieldset header has no grid; its frame holds "
                               f"{sorted(frame)}")
-        grid = RadialGrid.from_payload(frame["grid"],
-                                       np.asarray(cols["R"], dtype=float),
-                                       params.d)
-        return cls.from_Psi_S(params, grid, frame["s"],
-                              np.asarray(cols["Psi"]), np.asarray(cols["S"]))
+        R, Psi, S = (np.asarray(_entry(cols, name, "fieldset column"),
+                                dtype=float) for name in ("R", "Psi", "S"))
+        grid = RadialGrid.from_payload(frame["grid"], R, params.d)
+        return cls.from_Psi_S(params, grid,
+                              _entry(frame, "s", "fieldset header"), Psi, S)
 
     @classmethod
     def from_Psi_S(cls, params: ProfileParams, grid: RadialGrid, s: float,

@@ -197,15 +197,25 @@ class TestVerifyCommand:
         assert "disagree in sign" in err
         assert list(tmp_path.iterdir()) == []
 
-    def test_table_without_origin_match_exits_2(self, tmp_path, capsys):
-        # xi_min = -2.5 leaves the origin fit no points, so Part I has no
-        # w0 to check: a workbench failure, not a traceback
-        code = main(["verify", "--r", "2.01", *FAST, "--xi-range=-2.5:7",
-                     "--out-dir", str(tmp_path)])
-        assert code == EXIT_SOLVER
-        assert ("verify failure: table carries no matched origin "
-                "coefficient w0" in capsys.readouterr().err)
-        assert list(tmp_path.iterdir()) == []
+    def test_short_xi_range_certifies_the_same_origin_margin(self, tmp_path,
+                                                             capsys):
+        # w0 is the orbit's own e^(-left_origin), not a fit on the grid
+        # nodes near R = 0, so xi_min = -2.5 (no node below R = 0.08) still
+        # certifies Part I, with the origin margin of the default range
+        margins = []
+        for tag, xi_range in (("short", ["--xi-range=-2.5:7"]),
+                              ("default", [])):
+            out = tmp_path / tag
+            code = main(["verify", "--r", "2.01", *FAST, *xi_range,
+                         "--out-dir", str(out)])
+            assert code == EXIT_OK
+            assert "ALL PASS" in capsys.readouterr().out
+            checks = json.loads(read(out / "verify_r2.01.json")
+                                )["artifact"]["checks"]
+            (margin,) = [c["margin"] for c in checks
+                         if c["name"] == "partI_origin_coefficient"]
+            margins.append(margin)
+        assert margins[0] == margins[1]
 
 
 SIM_FAST = ["--n-points", "1024", "--n", "256", "--s-span", "0.1",

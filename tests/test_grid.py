@@ -4,6 +4,7 @@ identity map, which must reproduce the uniform-grid operators bit for bit,
 and the payload rule that rebuilds a stored grid."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +248,51 @@ def test_fieldset_header_without_grid_is_refused():
     with pytest.raises(DomainError, match=r"header has no grid; its frame "
                                           r"holds \['h', 's'\]"):
         FieldSet.from_payload(payload)
+
+
+@pytest.mark.parametrize("name, shape", [("Psi", (10,)), ("S", (2, 64))],
+                         ids=["Psi-10", "S-2x64"])
+def test_fieldset_refuses_a_column_off_the_grid(name, shape):
+    # each was accepted, and failed later on numpy's broadcast in U or in
+    # a step; now the snapshot is refused, naming the column and both
+    # shapes, whether it is built or loaded
+    params = ProfileParams(r=2.01)
+    grid = RadialGrid.uniform(64, 3.0)
+    cols = {"Psi": np.exp(-grid.R), "S": 1.0 + 0.1 * grid.R}
+    cols[name] = np.ones(shape)
+    message = (rf"^{name} column has shape {re.escape(str(shape))}, the "
+               r"grid's R \(64,\)$")
+    with pytest.raises(DomainError, match=message):
+        FieldSet.from_Psi_S(params, grid, 1.5, cols["Psi"], cols["S"])
+    payload = FieldSet.from_Psi_S(params, grid, 1.5, np.exp(-grid.R),
+                                  1.0 + 0.1 * grid.R).payload()
+    payload["columns"][name] = cols[name].tolist()
+    with pytest.raises(DomainError, match=message):
+        FieldSet.from_payload(json.loads(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("drop, message", [
+    (("frame", "grid", "kind"), "grid header key 'kind' is missing"),
+    (("frame", "grid", "c"), "grid header key 'c' is missing"),
+    (("columns", "Psi"), "fieldset column key 'Psi' is missing"),
+    (("columns", "R"), "fieldset column key 'R' is missing"),
+    (("frame", "s"), "fieldset header key 's' is missing"),
+    (("params",), "fieldset snapshot key 'params' is missing"),
+], ids=["grid-kind", "sinh-c", "Psi", "R", "s", "params"])
+def test_fieldset_snapshot_names_a_missing_key(drop, message):
+    # each raised a bare KeyError; a snapshot is input from outside the
+    # program, so it is refused by name
+    params = ProfileParams(r=2.01)
+    grid = RadialGrid.sinh(64, 30.0, 4.0)
+    payload = FieldSet.from_Psi_S(params, grid, 1.5, np.exp(-grid.R),
+                                  1.0 + 0.1 * grid.R).payload()
+    *path, key = drop
+    entries = payload
+    for step in path:
+        entries = entries[step]
+    del entries[key]
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        FieldSet.from_payload(json.loads(json.dumps(payload)))
 
 
 @pytest.mark.parametrize("build", [

@@ -1,6 +1,6 @@
 """Tests for the ODE solver and physical profile reconstruction.
 
-Frozen expected values (seed coefficients, matched origin coefficient,
+Frozen expected values (seed coefficients, origin coefficient,
 decay slopes) were computed once from the closed forms or from an
 independent extended-precision recurrence and are asserted as regression
 guards with tolerances reflecting how they were obtained.
@@ -41,7 +41,7 @@ from nls_implosion.phase_portrait import (
     special_points,
 )
 from nls_implosion import profile_solver
-from nls_implosion.repulsivity_verifier import certify
+from nls_implosion.repulsivity_verifier import certify, check_partI
 from nls_implosion.profile_solver import (
     ANCHOR_LEVEL,
     ANCHOR_TOL,
@@ -294,7 +294,32 @@ class TestSolveProfile:
 
     def test_matched_origin_coefficient(self, profile_r201):
         assert abs(profile_r201.w0 - 0.5789672787) < 1e-8
-        assert profile_r201.w0_mismatch < 1e-6
+
+    @pytest.mark.parametrize("r", [1.5, 2.01, 2.068, R_STAR - 1e-4])
+    def test_origin_coefficient_is_the_orbits_limit(self, r):
+        # the left march starts on W = e^(-xi') + w1 in its own coordinate
+        # xi' = xi + left_origin, so w0 = e^(-left_origin); at xi = -14,
+        # inside every one of these marches, R S agrees with it
+        table = solve_profile(ProfileParams(r=r))
+        assert table.w0 == math.exp(-table.orbit.left_origin)
+        assert table.orbit.left.ts[0] - table.orbit.left_origin < -14.0
+        W, Z, _, _ = table.orbit(np.array([-14.0]))
+        RS = math.exp(-14.0) * 0.5 * (W[0] - Z[0])
+        assert abs(RS - table.w0) <= 1e-9 * table.w0
+
+    @pytest.mark.parametrize("r", [2.01, 2.068])
+    def test_origin_margin_does_not_move_with_the_grid(self, r):
+        # one orbit, tabulated on grids of other n_points and xi_min: Part
+        # I's origin margin reads w0 alone, so it is the same to the bit,
+        # also at xi_min = -2.5, where no node lies below R = 0.08
+        params = ProfileParams(r=r)
+        orbit = profile_solver.solve_orbit(params)
+        grids = [(-6.0, 7.0, n) for n in (1024, 4096, 16384)]
+        grids += [(xi_min, 7.0, 4096) for xi_min in (-4.0, -2.5)]
+        margins = {check_partI(params, ProfileTable.from_orbit(
+                       params, orbit, grid, 1e-12))
+                   ["partI_origin_coefficient"].margin for grid in grids}
+        assert len(margins) == 1
 
     def test_rejects_bad_domain(self, params_r201):
         with pytest.raises(DomainError):
@@ -761,7 +786,6 @@ class TestSerialization:
                     == getattr(profile_r201.orbit, name))
         assert restored.grid == profile_r201.grid == (-6.0, 7.0, 4096)
         assert restored.w0 == profile_r201.w0
-        assert restored.w0_mismatch == profile_r201.w0_mismatch
         assert restored.tol == profile_r201.tol
         assert restored.params == profile_r201.params
         assert restored.orbit.anchor == profile_r201.orbit.anchor
@@ -778,8 +802,7 @@ class TestSerialization:
             loaded = ProfileTable.from_payload(payload, (-6.0, 7.0, n_points))
             assert loaded.grid == table.grid
             assert loaded.to_csv() == table.to_csv()
-            assert (loaded.w0, loaded.w0_mismatch) == (table.w0,
-                                                       table.w0_mismatch)
+            assert loaded.w0 == table.w0
 
     @pytest.mark.parametrize("n_points, message", [
         (1, "n_points = 1; need >= 2"),
@@ -805,7 +828,7 @@ class TestSerialization:
         # schema 4 stored w0, w0_mismatch and the anchor beside the orbit
         payload = profile_r201.payload()
         payload.update(schema_version=4, w0=profile_r201.w0,
-                       w0_mismatch=profile_r201.w0_mismatch,
+                       w0_mismatch=1e-9,
                        anchor={"W": 0.5, "Z": -1.0, "xi": 0.6})
         with pytest.raises(DomainError, match="unsupported schema version 4"):
             ProfileTable.from_payload(payload)

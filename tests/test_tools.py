@@ -5,6 +5,8 @@ the tests check that it exits 0 and prints what it says it prints.  No
 test reads a timing.
 """
 
+import importlib.util
+import json
 import pathlib
 import re
 import subprocess
@@ -75,3 +77,21 @@ def test_artifact_diff_finds_a_checkout_identical_to_itself():
         "r=2.01 simulate", "r=2.01 simulate --ds 0.05", "sweep"]
     assert all(line.endswith(" files, identical") for line in lines[:-1])
     assert re.fullmatch(r"7 commands, \d+ files: all identical", lines[-1])
+
+
+def test_artifact_diff_prints_what_a_number_became():
+    spec = importlib.util.spec_from_file_location(
+        "artifact_diff", TOOLS / "artifact_diff.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    a = {"artifact": {"w0": 0.5, "n": 4, "tag": "x", "ok": True,
+                      "checks": [{"margin": 2.0}, {"margin": 1.0}]}}
+    b = {"artifact": {"w0": 0.5, "n": 5, "tag": "y", "ok": False,
+                      "checks": [{"margin": 2.0}, {"margin": 1.5}]}}
+    text = json.dumps(a).encode()
+    assert tool.file_diff("v.json", text, text, False) == []
+    assert tool.file_diff("v.json", text, json.dumps(b).encode(), False) == [
+        "key artifact.checks[1].margin: 1.0 -> 1.5 (rel 0.33)",
+        "key artifact.n: 4 -> 5 (rel 0.2)",
+        "key artifact.ok",
+        "key artifact.tag"]

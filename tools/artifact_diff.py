@@ -18,7 +18,9 @@ For each command the tool compares the exit code, stdout, stderr and
 every file the command wrote (new, or changed since the command before).
 A JSON file is compared key by key, a CSV column by column (its '#'
 stamp lines as keys), any other file line by line; it prints
-"identical" or the keys, columns or lines that differ.  The one thing
+"identical" or the keys, columns or lines that differ.  A JSON key whose
+two values are both numbers prints as "key K: A -> B (rel D)", with
+D = |B - A| / max(|A|, |B|).  The one thing
 ignored is the build hash inside table_key: a profile JSON's table_key
 may differ if each side's key is the one its own build gives the run's
 configuration (cli._table_key of the config in the file's log).  The
@@ -138,8 +140,18 @@ def _json_diff(a: bytes, b: bytes, ignore_key: bool) -> list[str]:
     if ignore_key:
         fa.pop("table_key", None)
         fb.pop("table_key", None)
-    return [f"key {k}" for k in sorted(set(fa) | set(fb))
+    return [_key_diff(k, fa.get(k, KeyError), fb.get(k, KeyError))
+            for k in sorted(set(fa) | set(fb))
             if fa.get(k, KeyError) != fb.get(k, KeyError)]
+
+
+def _key_diff(key: str, a, b) -> str:
+    """'key K', and what the number became when both values are numbers."""
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+               for v in (a, b)):
+        return f"key {key}"
+    rel = abs(b - a) / max(abs(a), abs(b))
+    return f"key {key}: {a!r} -> {b!r} (rel {rel:.2g})"
 
 
 def _csv_diff(a: bytes, b: bytes) -> list[str]:
