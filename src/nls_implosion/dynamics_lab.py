@@ -21,7 +21,9 @@ probe of the cut-off linearized operator takes the same stationary part
 as its complex-step linearization, run on a complex state in a stage
 workspace of its grid, which the one-slot store _probe_workspace keeps,
 with the probe's own arrays, for the next probe at the same
-(n, C0, d, n_modes).
+(n, C0, d, n_modes); the same slot keeps the last form assembled, for
+the next probe of the same table at the same (m, J, K), which then only
+draws its trials.
 They, the weighted energy functionals and a Sobolev
 blow-up-rate diagnostic live alongside the stepper; each takes its
 R-derivatives and integrals from the grid it is given.
@@ -546,15 +548,19 @@ def _sym(M: np.ndarray) -> np.ndarray:
 
 class _ProbeWorkspace:
     """The arrays _dissipativity_form keeps for one grid and n_modes = N,
-    beside that grid's complex stage workspace, rewritten at every call,
-    and its grid factors.
+    beside that grid's complex stage workspace, rewritten at every
+    assembly, its grid factors, and the last form it assembled.
 
     Kept: the complex step X = profile + i e of the 2N mode directions, a
     (2, 2N, n) stacked state of one run per direction; the modes b,
     (N, n); the profile's (Psi, S) as a complex array, a real operand of
     the complex step's ufuncs (see RadialGrid); the grid's cut-offs
-    chi1, chi2 and env; and the modes' phase pi R / (3 C0).  The workspace
-    holds no reference to its grid.
+    chi1, chi2 and env; and the modes' phase pi R / (3 C0).  `form` is
+    the last DissipativityForm assembled here, its arrays read-only, and
+    `key` what it was assembled from beyond the workspace's own
+    (n, C0, d, n_modes): the params, the bytes of the profile's Psi and
+    S on the grid, and (m, J, K); both are None before the first
+    assembly.  The workspace holds no reference to its grid.
     """
 
     def __init__(self, grid: RadialGrid, C0: float, n_modes: int):
@@ -566,6 +572,7 @@ class _ProbeWorkspace:
         self.chi2 = _smooth_step((1.8 * C0 - R) / (0.2 * C0))
         self.env = cutoff("hat", R / (3.0 * C0))
         self.phase = np.pi * R / (3.0 * C0)
+        self.key = self.form = None
 
 
 @functools.lru_cache(maxsize=1)
@@ -574,7 +581,8 @@ def _probe_workspace(n: int, C0: float, d: int,
     """The probe's grid, RadialGrid.uniform(n, 3 C0, d), and its workspace
     for n_modes, kept for the next probe at the same arguments; a probe
     at others replaces them, with the stage workspaces in the grid's
-    `workspaces`."""
+    `workspaces` and the form the workspace keeps.  This one slot is the
+    probe's only store."""
     grid = RadialGrid.uniform(n, 3.0 * C0, d)
     return grid, _ProbeWorkspace(grid, C0, n_modes)
 
@@ -593,13 +601,22 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     is one stacked call over all directions, and every inner product uses
     the grid's quadrature weights.
 
+    The form is kept in the _ProbeWorkspace of _probe_workspace under the
+    key of everything it reads beyond that store's own (n, C0, d,
+    n_modes): the params, the bytes of the profile's Psi and S on the
+    grid, and (m, J, K).  profile_fieldset runs first, so a table it
+    refuses is refused whatever the store holds.  Under the kept key the
+    kept form is returned as it is, with no derivative call; under
+    another the form is assembled as below and replaces it.  Its arrays
+    are read-only, so no caller can change what the next one reads.
+
     Every array of size n runs in the kept probe grid's workspaces (see
     _probe_workspace): its _ProbeWorkspace and its stage workspace for X.
     Once F is formed, the stage workspace's dX and lap are dead, and
     their memory is reused: dX's holds Lt and grad^m Lt, each (2N, 2, n)
     and real, and lap's the four (N, n) arrays of the forms
     (J (1 - chi1) b and then the weighted rows of the Grams, grad^m b and
-    grad^(m+1) b).  So a call after the first at the same
+    grad^(m+1) b).  So an assembly after the first at the same
     (n, C0, d, n_modes) takes no fresh pages: each step writes into a kept
     array, in the order of the plain expression, so the forms have the
     bits of the fresh-array composition (tests/oracles.py), which forms
@@ -611,8 +628,11 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     """
     params = table.params
     grid, pws = _probe_workspace(n, C0, params.d, n_modes)
-    h, N = grid.h, n_modes
     base = profile_fieldset(table, grid, 20.0)
+    key = (params, base.Psi.tobytes(), base.S.tobytes(), m, J, K)
+    if pws.key == key:
+        return pws.form
+    h, N = grid.h, n_modes
 
     b = np.outer(np.arange(K + 1, K + 1 + N), pws.phase, out=pws.b)
     np.cos(b, out=b)
@@ -648,7 +668,11 @@ def _dissipativity_form(table: ProfileTable, m: int, J: float, C0: float,
     X = np.zeros_like(A)
     X[:N, :N] = G_Psi + mass
     X[N:, N:] = G_S + mass
-    return DissipativityForm(Q=_sym(A + X), G_Psi=G_Psi, G_S=G_S)
+    form = DissipativityForm(Q=_sym(A + X), G_Psi=G_Psi, G_S=G_S)
+    for a in form:
+        a.setflags(write=False)
+    pws.key, pws.form = key, form
+    return form
 
 
 def _trial_margins(form: DissipativityForm, coeffs: np.ndarray) -> np.ndarray:
@@ -683,7 +707,10 @@ def dissipativity_probe(table: ProfileTable, m: int = 2, J: float = 2000.0,
     lhs + X-norm^2 is assembled once over the 2N mode directions as a
     symmetric matrix Q (see _dissipativity_form) and each trial is c^T Q c
     on its normalised coefficients c; the number of derivative calls does
-    not grow with `trials`.
+    not grow with `trials`, nor with the number of probes of one table at
+    one setting: the last form assembled is kept, under the key
+    _dissipativity_form names, so a probe at the same table and
+    (m, J, C0, K, n, n_modes) as the one before only draws its trials.
 
     A statistical probe, not a proof: the fraction covers the trial
     distribution only.  The worst case of the form over the same
@@ -751,7 +778,9 @@ def blowup_exponent(table: ProfileTable, s_exponent: int,
     c = np.exp((2.0 / r - 1.0) * log_Tt) / r
     g = derivative(np.sqrt(base.P) * np.exp(1j * c[:, None] * base.Psi),
                    grid.h, m, even=True)
-    I = [grid.quad(gi.real * gi.real + gi.imag * gi.imag) for gi in g]
+    # grid.quad of each row, as one stacked quadrature
+    I = np.trapezoid((g.real * g.real + g.imag * g.imag) * grid.jac, grid.x,
+                     axis=-1)
     logN = A * log_Tt + np.log(I)
     return float(np.polyfit(log_Tt, logN, 1)[0])
 

@@ -249,16 +249,16 @@ class Orbit:
         """The orbit of a `payload` snapshot.  An array that is missing,
         not base64, not a whole number of float64 or of the wrong shape is
         a DomainError naming it, and so is an entry the orbit does not
-        have."""
+        have or one it lacks (a march's origin, the seams)."""
         _only(payload, ("seams", "series", "left", "back", "fwd"), "orbit")
-        series = _only(payload["series"], ("W", "Z"), "orbit series")
+        series = _only(payload["series"], (), "orbit series", ("W", "Z"))
         Wc = _orbit_array(series, "series.W")
         Zc = _orbit_array(series, "series.Z", Wc.shape)
 
         def march(name: str, *scalars: str) -> DenseSolution:
             # h sets the step count m, and with it the other shapes
-            piece = _only(payload[name], (*scalars, *DenseSolution.shapes(0)),
-                          f"orbit {name}")
+            piece = _only(payload[name], scalars, f"orbit {name}",
+                          DenseSolution.shapes(0))
             h = _orbit_array(piece, f"{name}.h")
             if not len(h):
                 raise DomainError(f"orbit array {name}.h is malformed: no "
@@ -284,16 +284,20 @@ def _b64(a: np.ndarray) -> str:
         np.asarray(a).astype("<f8", copy=False).tobytes()).decode("ascii")
 
 
-def _only(entries, keys, what: str) -> dict:
-    """`entries`, a DomainError unless it is a dict whose keys are among
-    `keys`."""
+def _only(entries, keys, what: str, arrays=()) -> dict:
+    """`entries`, a DomainError unless it is a dict that holds each of
+    `keys` and nothing but them and `arrays`, the orbit arrays that
+    _orbit_array reads and names when one is missing."""
     if not isinstance(entries, dict):
         raise DomainError(f"{what} is malformed: {type(entries).__name__}, "
                           "need an object")
-    extra = sorted(set(entries) - set(keys))
+    extra = sorted(set(entries) - {*keys, *arrays})
     if extra:
         raise DomainError(f"{what} entries {extra} are not part of a "
                           f"schema-{SCHEMA_VERSION} table")
+    for key in keys:
+        if key not in entries:
+            raise DomainError(f"{what} key {key!r} is missing")
     return entries
 
 
@@ -513,14 +517,18 @@ class ProfileTable:
         """Table from a `payload` snapshot by from_orbit, on its stored
         grid or on `grid`.  It must hold exactly the entries payload
         writes, so that no stored copy of a column or of w0 can disagree
-        with the orbit; from_orbit's refusals hold as for a solve."""
+        with the orbit: an entry more or less is a DomainError naming it
+        and the object it is missing from ("table grid key 'n_points' is
+        missing").  from_orbit's refusals hold as for a solve."""
         if payload.get("schema_version") != SCHEMA_VERSION:
             raise DomainError(f"unsupported schema version {payload.get('schema_version')}")
         _only(payload, ("schema_version", "params", "tol", "grid", "orbit"),
               "table")
-        params = ProfileParams(**payload["params"])
+        params = ProfileParams(**_only(payload["params"], ("r", "d", "p"),
+                                       "table params"))
+        stored = _only(payload["grid"], ("xi_min", "xi_max", "n_points"),
+                       "table grid")
         if grid is None:
-            stored = payload["grid"]
             grid = (stored["xi_min"], stored["xi_max"], stored["n_points"])
         return cls.from_orbit(
             params, Orbit.from_payload(params.r, payload["orbit"]), grid,

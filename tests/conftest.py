@@ -7,6 +7,8 @@ there is no reason to repeat it per test.
 simulate keeps the last reference run it has stepped; every test starts
 without it, so a test that patches a part of the stepper
 (profile_operator, _rhs, _advance or derivative) steps both runs.
+Likewise every test starts with an empty dissipativity-probe store, so a
+test that patches a part of the probe sees it assemble its form.
 """
 
 import pytest
@@ -38,3 +40,8 @@ def profile_r201_wide(params_r201):
 @pytest.fixture(autouse=True)
 def no_stored_reference_run():
     dynamics_lab._reference_run = None
+
+
+@pytest.fixture(autouse=True)
+def empty_probe_store():
+    dynamics_lab._probe_workspace.cache_clear()

@@ -8,7 +8,8 @@ barrier normals by the product rule against their factored forms, the
 complex radial NLS against its polar form, the dense cut-offs, evaluated
 at every point, against the windowed ones, and the cut-offs' derivatives
 by 50-digit numerical differentiation against their closed forms, the
-dissipativity probe's forms in fresh arrays against the kept ones, and
+dissipativity probe's forms in fresh arrays against the kept ones, the
+blow-up fit with one grid quadrature per row against its stacked one, and
 the grid's even operators, the chain rule written out, against its stage
 workspace.  No package code calls them, so they live with the
 tests.
@@ -21,6 +22,8 @@ import numpy as np
 
 from nls_implosion._fd import derivative
 from nls_implosion.dynamics_lab import (
+    BLOWUP_LOG10_TT,
+    BLOWUP_N_TIMES,
     DissipativityForm,
     _sym,
     profile_fieldset,
@@ -392,3 +395,25 @@ def dissipativity_form(table, m, J, C0, K, n, n_modes):
     X[:n_modes, :n_modes] = G_Psi + mass
     X[n_modes:, n_modes:] = G_S + mass
     return DissipativityForm(Q=_sym(A + X), G_Psi=G_Psi, G_S=G_S)
+
+
+# ---------------------------------------------------------------------------
+# blow-up rate fit
+# ---------------------------------------------------------------------------
+
+def blowup_exponent(table, s_exponent: int, n_grid: int = 513) -> float:
+    """dynamics_lab.blowup_exponent at an integer s above the critical
+    index, with one grid.quad call per T - t row where the package takes
+    one stacked quadrature; kept as the reference that must match it bit
+    for bit."""
+    params = table.params
+    r, alpha, d, m = params.r, params.alpha, params.d, s_exponent
+    grid = RadialGrid.uniform(n_grid, 1.0, d)
+    base = profile_fieldset(table, grid, 10.0)
+    A = 1.0 / (alpha * r) - 1.0 / alpha - 2.0 * m / r + d / r
+    log_Tt = np.linspace(*BLOWUP_LOG10_TT, BLOWUP_N_TIMES) * np.log(10.0)
+    c = np.exp((2.0 / r - 1.0) * log_Tt) / r
+    g = derivative(np.sqrt(base.P) * np.exp(1j * c[:, None] * base.Psi),
+                   grid.h, m, even=True)
+    I = [grid.quad(gi.real * gi.real + gi.imag * gi.imag) for gi in g]
+    return float(np.polyfit(log_Tt, A * log_Tt + np.log(I), 1)[0])

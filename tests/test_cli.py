@@ -354,6 +354,19 @@ def _set_seams(text, seams):
     return json.dumps(wrapped, indent=2, sort_keys=True) + "\n"
 
 
+def _drop(*path):
+    """A tamper that drops the entry at `path` of the stamped profile
+    artifact's payload."""
+    def tamper(text):
+        wrapped = json.loads(text)
+        entries = wrapped["artifact"]
+        for key in path[:-1]:
+            entries = entries[key]
+        del entries[path[-1]]
+        return json.dumps(wrapped, indent=2, sort_keys=True) + "\n"
+    return tamper
+
+
 def _nan_back_origin(text):
     """The stamped profile artifact `text` with the backward march's
     coordinate of P_s not a number."""
@@ -470,6 +483,14 @@ class TestProfileReuse:
                      id="extra-column"),
         pytest.param(lambda text: text[:1000], "JSONDecodeError",
                      id="truncated"),
+        pytest.param(_drop("tol"), "DomainError: table key 'tol' is missing",
+                     id="missing-tol"),
+        pytest.param(_drop("grid", "n_points"),
+                     "DomainError: table grid key 'n_points' is missing",
+                     id="missing-n-points"),
+        pytest.param(_drop("orbit", "left", "origin"),
+                     "DomainError: orbit left key 'origin' is missing",
+                     id="missing-origin"),
         pytest.param(lambda text: _set_seams(text, [-0.2]),
                      "ValueError: not enough values to unpack",
                      id="one-seam"),

@@ -43,7 +43,12 @@ from nls_implosion.errors import (
     VacuumError,
 )
 from nls_implosion.phase_portrait import ProfileParams
-from nls_implosion.profile_solver import profile_operator
+from nls_implosion.profile_solver import (
+    ProfileTable,
+    profile_operator,
+    solve_profile,
+    to_physical,
+)
 from nls_implosion.selfsimilar_fields import (
     FieldSet,
     RadialGrid,
@@ -614,6 +619,11 @@ PROBE_SETTINGS = {"default": {}, "undamped": dict(J=0.0, K=0),
                   "off_default": dict(m=3, C0=1.5, K=4, n=513, n_modes=8)}
 
 
+@pytest.fixture(scope="module")
+def profile_r18():
+    return to_physical(solve_profile(ProfileParams(r=1.8), n_points=1024))
+
+
 class TestDissipativityProbe:
     @pytest.mark.parametrize("seed", [0, 1, 7])
     @pytest.mark.parametrize("setting", sorted(PROBE_SETTINGS))
@@ -678,10 +688,16 @@ class TestDissipativityProbe:
             monkeypatch.setattr(module, "derivative", counted)
         counts = []
         for trials in (10, 200):
+            # each count from an empty store, so from an assembly
+            dl._probe_workspace.cache_clear()
             calls.clear()
             dissipativity_probe(profile_r201, trials=trials)
             counts.append(len(calls))
-        assert counts[0] == counts[1] < 10
+        assert 0 < counts[0] == counts[1] < 10
+        # a warm probe of the same table and setting only draws its trials
+        calls.clear()
+        dissipativity_probe(profile_r201, trials=200, seed=1)
+        assert calls == []
 
     @pytest.mark.parametrize("trials", [0, -3])
     def test_no_trials_refused_before_any_work(self, profile_r201,
@@ -707,6 +723,62 @@ class TestDissipativityProbe:
         hits = store.cache_info().hits
         assert store(1025, 2.0, profile_r201.params.d, 16) is kept
         assert store.cache_info().hits == hits + 1
+
+    def test_warm_form_is_the_oracle_and_read_only(self, profile_r201):
+        cold = dl._dissipativity_form(profile_r201, **PROBE_DEFAULTS)
+        warm = dl._dissipativity_form(profile_r201, **PROBE_DEFAULTS)
+        assert warm is cold
+        want = oracles.dissipativity_form(profile_r201, **PROBE_DEFAULTS)
+        for g, w in zip(warm, want):
+            np.testing.assert_array_equal(g.view(np.uint64),
+                                          w.view(np.uint64))
+            assert not g.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g[0, 0] = 0.0
+
+    def test_another_setting_or_table_assembles_again(self, profile_r201,
+                                                      profile_r18):
+        # one grid and n_modes, so one kept workspace: a change of m, J, K
+        # or of the table assembles a new form with the oracle's bits,
+        # and the kept one is the last assembled
+        calls = [(profile_r201, {}), (profile_r201, dict(m=3)),
+                 (profile_r201, dict(J=500.0)), (profile_r201, dict(K=4)),
+                 (profile_r18, {}), (profile_r201, {})]
+        forms = []
+        for table, setting in calls:
+            kw = PROBE_DEFAULTS | setting
+            form = dl._dissipativity_form(table, **kw)
+            assert all(form is not f for f in forms)
+            for g, w in zip(form, oracles.dissipativity_form(table, **kw)):
+                np.testing.assert_array_equal(g.view(np.uint64),
+                                              w.view(np.uint64))
+            forms.append(form)
+        assert dl._dissipativity_form(profile_r201,
+                                      **PROBE_DEFAULTS) is forms[-1]
+
+    def test_table_refused_on_a_warm_store(self, profile_r201):
+        # profile_fieldset runs before the kept form is looked up, so a
+        # table it refuses is refused after a hit, and the kept form
+        # survives the refusal
+        t = profile_r201
+        form = dl._dissipativity_form(t, **PROBE_DEFAULTS)
+        assert dl._dissipativity_form(t, **PROBE_DEFAULTS) is form
+        short = ProfileTable.from_orbit(t.params, t.orbit,
+                                        (t.grid[0], 1.0, 512), t.tol)
+        for table, error, message in (
+                (replace(t, orbit=None), DomainError, "has none"),
+                (short, RangeError, "beyond table coverage")):
+            with pytest.raises(error, match=message):
+                dl._dissipativity_form(table, **PROBE_DEFAULTS)
+            with pytest.raises(error, match=message):
+                dissipativity_probe(table, trials=5)
+        assert dl._dissipativity_form(t, **PROBE_DEFAULTS) is form
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 4001])
+    def test_warm_probe_gives_the_cold_fraction(self, profile_r201, seed):
+        cold = dissipativity_probe(profile_r201, seed=seed)
+        dissipativity_probe(profile_r201, seed=seed + 1)
+        assert dissipativity_probe(profile_r201, seed=seed) == cold
 
     def test_defaults_pass_fraction(self, profile_r201):
         frac = dissipativity_probe(profile_r201, trials=100)
@@ -746,6 +818,13 @@ class TestBlowupRate:
     def test_non_integer_rejected(self, profile_r201):
         with pytest.raises(DomainError):
             blowup_exponent(profile_r201, 3.5)
+
+    @pytest.mark.parametrize("n_grid", [129, 513])
+    @pytest.mark.parametrize("s_index", [4, 5, 6])
+    def test_stacked_quadrature_is_the_per_row_one(self, profile_r201,
+                                                   s_index, n_grid):
+        assert (blowup_exponent(profile_r201, s_index, n_grid=n_grid)
+                == oracles.blowup_exponent(profile_r201, s_index, n_grid))
 
 
 def _frame_gap(state0, T, ds, quantum, quantum_factor):

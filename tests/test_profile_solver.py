@@ -752,6 +752,19 @@ ORBIT_ARRAYS = ["series.W", "series.Z"] + [
     f"{piece}.{key}" for piece in ("left", "back", "fwd")
     for key in ("ts", "h", "y_old", "F")]
 
+#: each entry of a table payload that is not an orbit array, and the
+#: object it sits in, as from_payload names it
+MISSING_ENTRIES = [
+    (("params",), "table"), (("tol",), "table"), (("grid",), "table"),
+    (("orbit",), "table"), (("params", "r"), "table params"),
+    (("params", "d"), "table params"), (("params", "p"), "table params"),
+    (("grid", "xi_min"), "table grid"), (("grid", "xi_max"), "table grid"),
+    (("grid", "n_points"), "table grid"), (("orbit", "seams"), "orbit"),
+    (("orbit", "series"), "orbit"), (("orbit", "left"), "orbit"),
+    (("orbit", "back"), "orbit"), (("orbit", "fwd"), "orbit"),
+    (("orbit", "left", "origin"), "orbit left"),
+    (("orbit", "back", "origin"), "orbit back")]
+
 
 def _orbit_values(table, name):
     """The values the orbit array `name` of the table's payload holds."""
@@ -869,6 +882,22 @@ class TestSerialization:
         with pytest.raises(DomainError,
                            match=rf"orbit array {name} is missing"):
             ProfileTable.from_payload(payload)
+
+    @pytest.mark.parametrize("path, where", MISSING_ENTRIES,
+                             ids=[".".join(p) for p, _ in MISSING_ENTRIES])
+    def test_json_missing_entry_refused(self, profile_r201, path, where):
+        # every entry payload writes must be there; a missing one is named
+        # with the object it is missing from, on the stored grid and on
+        # another
+        payload = json.loads(profile_r201.to_json())
+        entries = payload
+        for key in path[:-1]:
+            entries = entries[key]
+        del entries[path[-1]]
+        message = f"{where} key '{path[-1]}' is missing"
+        for grid in (None, (-6.0, 7.0, 1024)):
+            with pytest.raises(DomainError, match=message):
+                ProfileTable.from_payload(payload, grid)
 
     def test_json_columns_are_base64_of_little_endian_float64(
             self, profile_r201):
